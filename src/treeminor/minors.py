@@ -3,9 +3,10 @@
 The central objects are spanned forests: subforests of the subtree spanned
 by a vertex set X whose leaves all lie in X (isolated vertices of X are
 allowed and count as their own components).  Summing a sign and a degree
-product over them gives every principal minor of (t^{d_ij}) exactly; the
+product over them gives every principal minor of (t^{d_ij}) exactly.
+minor_formula evaluates that sum by a DP over the spanned subtree; the
 determinant computed from the matrix itself serves as the independent
-oracle.
+oracle, and the exponential forest enumerator as a small-n one.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .poly import ExactPoly, PolyMatrix, det
+from .poly import ExactPoly, PolyMatrix, det, lcm
 from .tree import Edge, Tree
 
 
@@ -51,9 +52,9 @@ class SpannedForest:
 def spanned_forests(T: Tree, X: Iterable[int]) -> list[SpannedForest]:
     """All forests spanned by X inside the subtree spanned by X.
 
-    Enumerates subsets of the spanned subtree's edges and keeps those whose
-    degree-one vertices all lie in X; vertices of X meeting no edge stay as
-    isolated components.
+    Enumerates all 2^|E_X| subsets of the spanned subtree's edges and keeps
+    those whose degree-one vertices all lie in X; vertices of X meeting no
+    edge stay as isolated components.
     """
     xs = frozenset(T.check_subset(X))
     if not xs:
@@ -117,16 +118,81 @@ def forest_degree_product(T_or_forest_edges, X: frozenset[int]) -> int:
 def minor_formula(T: Tree, X: Iterable[int]) -> ExactPoly:
     """det of (t^{d_ij}) over X as a signed sum over spanned forests:
     each forest F contributes (-1)^{|X| + c(F)} t^{2 w(F)} times the product
-    of (deg_F(v) - 1) over vertices of F outside X."""
-    xs = frozenset(T.check_subset(X))
-    k = len(xs)
-    terms = []
-    for f in spanned_forests(T, xs):
-        coeff = forest_degree_product(f.edges, xs)
-        if (k + f.components) % 2:
-            coeff = -coeff
-        terms.append((2 * f.weight, Fraction(coeff)))
-    return ExactPoly.from_terms(terms)
+    of (deg_F(v) - 1) over vertices of F outside X.
+
+    The sign and the degree factors are local, so the sum equals
+    sum over S of prod_{e in S} (-t^{2 w_e}) * prod_{v not in X} (1 - deg_S v),
+    S ranging over all edge subsets of the spanned subtree (a vertex outside
+    X of degree one contributes 0, which enforces the leaf rule).  A
+    post-order DP over the subtree, rooted at a vertex of X, evaluates it
+    with O(|E_X|) polynomial products.  Each vertex v returns
+    (parent edge out, parent edge in), built from A, the sum over its child
+    subtrees, and B, the same sum weighted by the number of chosen child
+    edges: (A, A) if v is in X, else (A - B, -B).  A child edge of weight w,
+    with x = -t^{2w} and s = out + x in, updates B <- B s + A x in and
+    A <- A s.  The polynomials are integer-coefficient dicts over the shared
+    exponent denominator.
+    """
+    xs = T.check_subset(X)
+    if not xs:
+        raise ValueError("X must be nonempty")
+    in_x = frozenset(xs)
+    _, edges = T.spanned_subtree(xs)
+    den = 1
+    for e in edges:
+        den = lcm(den, (2 * T.weight(e)).denominator)
+    adj: dict[int, list[int]] = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    root = xs[0]
+    parent = {root: root}
+    order = [root]
+    for v in order:  # breadth-first; reversed, every child precedes its parent
+        for c in adj.get(v, ()):
+            if c not in parent:
+                parent[c] = v
+                order.append(c)
+    up: dict[int, tuple[dict, dict]] = {}
+    for v in reversed(order):
+        a: dict[int, int] = {0: 1}
+        b: dict[int, int] = {}
+        for c in adj.get(v, ()):
+            if c == parent[v]:
+                continue
+            out_c, in_c = up.pop(c)
+            shift = int(2 * T.weight((v, c)) * den)
+            x_in = {k + shift: -val for k, val in in_c.items()}  # -t^{2w} * in
+            s = _zadd(out_c, x_in)
+            if v not in in_x:
+                b = _zadd(_zmul(b, s), _zmul(a, x_in))
+            a = _zmul(a, s)
+        if v in in_x:
+            up[v] = (a, a)
+        else:
+            neg_b = {k: -val for k, val in b.items()}
+            up[v] = (_zadd(a, neg_b), neg_b)
+    return ExactPoly(den, up[root][0])
+
+
+def _zadd(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
+    out = dict(p)
+    for k, v in q.items():
+        s = out.get(k, 0) + v
+        if s:
+            out[k] = s
+        else:
+            del out[k]
+    return out
+
+
+def _zmul(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
+    out: dict[int, int] = {}
+    for kp, vp in p.items():
+        for kq, vq in q.items():
+            k = kp + kq
+            out[k] = out.get(k, 0) + vp * vq
+    return {k: v for k, v in out.items() if v}
 
 
 def minor_leading(T: Tree, X: Iterable[int]) -> tuple[Fraction, Fraction]:
@@ -146,7 +212,10 @@ def minor_leading(T: Tree, X: Iterable[int]) -> tuple[Fraction, Fraction]:
 
 def minor_oracle(T: Tree, X: Sequence[int]) -> ExactPoly:
     """Independent evaluation: determinant of the actual matrix."""
-    return det(build_matrix(T, X))
+    xs = T.check_subset(X)
+    if not xs:
+        raise ValueError("X must be nonempty")
+    return det(build_matrix(T, xs))
 
 
 @dataclass(frozen=True)

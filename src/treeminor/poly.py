@@ -203,6 +203,9 @@ class ExactPoly:
         return self._den == other._den and self._terms == other._terms
 
     def __hash__(self):
+        # a constant must hash like the int/Fraction it compares equal to
+        if self._terms.keys() <= {0}:
+            return hash(self._terms.get(0, 0))
         return hash((self._den, frozenset(self._terms.items())))
 
     # -- substitutions and evaluation ---------------------------------------
@@ -333,11 +336,15 @@ def _exact_root(x: Fraction, k: int) -> Fraction | None:
 
 
 def _iroot(n: int, k: int) -> int | None:
-    r = round(n ** (1.0 / k))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand ** k == n:
-            return cand
-    # float guess can be off for big n; fall back to integer bisection
+    try:
+        r = round(n ** (1.0 / k))
+    except OverflowError:  # n is too large for a float
+        pass
+    else:
+        for cand in (r - 1, r, r + 1):
+            if cand >= 0 and cand ** k == n:
+                return cand
+    # the float guess fails or is off for big n; fall back to integer bisection
     lo, hi = 0, 1
     while hi ** k < n:
         hi *= 2

@@ -5,13 +5,16 @@ valued first; formula results must match it exactly, term by term.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treeminor.minors import (
     build_matrix,
     build_weighted_matrix,
+    forest_degree_product,
     minor_formula,
     minor_leading,
     minor_oracle,
@@ -32,6 +35,27 @@ def path_tree(n, w=1):
 
 def star_tree(k):
     return Tree([(0, i) for i in range(1, k + 1)])
+
+
+def half_integer_tree(n, seed):
+    """The shape of random_tree(n, seed) with weights in {1/2, 1, 3/2, 2}."""
+    rng = random.Random(seed)
+    return Tree(
+        [(u, v, F(rng.randint(1, 4), 2)) for u, v, _ in random_tree(n, seed=seed).edges()],
+        vertices=range(1, n + 1),
+    )
+
+
+def forest_sum(T, X):
+    """The signed spanned-forest sum, term by term from the enumerator."""
+    xs = frozenset(X)
+    terms = []
+    for f in spanned_forests(T, xs):
+        coeff = forest_degree_product(f.edges, xs)
+        if (len(xs) + f.components) % 2:
+            coeff = -coeff
+        terms.append((2 * f.weight, F(coeff)))
+    return ExactPoly.from_terms(terms)
 
 
 def test_spanned_forests_path3_pair():
@@ -79,6 +103,48 @@ def test_minor_singleton_is_one():
     T = path_tree(4)
     assert minor_formula(T, [2]) == ExactPoly.one()
     assert minor_oracle(T, [2]) == ExactPoly.one()
+
+
+def test_empty_x_rejected_by_every_minor_path():
+    T = path_tree(3)
+    for f in (minor_formula, minor_leading, minor_oracle):
+        with pytest.raises(ValueError, match="X must be nonempty"):
+            f(T, [])
+
+
+@st.composite
+def trees_and_subsets(draw):
+    n = draw(st.integers(1, 7))
+    seed = draw(st.integers(0, 10 ** 6))
+    mode = draw(st.sampled_from(["unit", "rational", "half"]))
+    T = half_integer_tree(n, seed) if mode == "half" else random_tree(n, seed=seed, weights=mode)
+    X = draw(st.lists(st.sampled_from(T.vertices), min_size=1, max_size=n, unique=True))
+    return T, X
+
+
+@settings(max_examples=150, deadline=None)
+@given(trees_and_subsets())
+def test_dp_matches_forest_sum_and_determinant(case):
+    T, X = case
+    got = minor_formula(T, X)
+    assert got == forest_sum(T, X)
+    assert got == minor_oracle(T, X)
+
+
+def test_full_vertex_set_weighted_product_at_scale():
+    # X = V gives prod_e (1 - t^{2 w_e}) (Bapat-Lal-Pati); 2^199 forests
+    T = half_integer_tree(200, seed=5)
+    want = ExactPoly.one()
+    for _, _, w in T.edges():
+        want = want * (ExactPoly.one() - tp(2 * w))
+    assert minor_formula(T, T.vertices) == want
+
+
+def test_large_leaf_set_top_term_matches_leading():
+    T = random_tree(80, seed=3)
+    leaves = T.leaves()
+    assert len(leaves) == 33
+    assert minor_formula(T, leaves).leading_term() == minor_leading(T, leaves)
 
 
 def test_minor_matches_oracle_exhaustive_small():

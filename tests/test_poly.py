@@ -52,6 +52,14 @@ def test_shared_denominator_is_minimal():
     assert hash(p) == hash(q)
 
 
+def test_constant_hashes_like_its_coefficient():
+    for c in (0, 7, F(-3, 2)):
+        p = ExactPoly.constant(c)
+        assert p == c
+        assert hash(p) == hash(c)
+        assert len({p, c}) == 1
+
+
 def test_leading_and_trailing():
     p = 2 * tp(6) - 3 * tp(4) + ExactPoly.one()
     assert p.leading_term() == (F(6), F(2))
@@ -106,6 +114,14 @@ def test_eval_exact():
     assert p.eval_at(10) == F(-99)
     assert tp(F(3, 2)).eval_at(4) == F(8)
     assert tp(-2).eval_at(F(1, 2)) == F(4)
+
+
+def test_eval_exact_root_of_huge_base():
+    # 10**400 is too large for a float; the root must still be found exactly
+    assert tp(F(1, 2)).eval_at(10 ** 400) == 10 ** 200
+    assert tp(F(2, 3)).eval_at(F(10 ** 600, 27)) == F(10 ** 400, 9)
+    with pytest.raises(ValueError):
+        tp(F(1, 2)).eval_at(10 ** 400 + 1)
 
 
 def test_eval_fractional_needs_exact_root_or_float():

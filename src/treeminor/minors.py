@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .poly import ExactPoly, PolyMatrix, det, lcm
+from .poly import ExactPoly, PolyMatrix, _zadd, _zmul, det, lcm
 from .tree import Edge, Tree
 
 
@@ -173,26 +173,6 @@ def minor_formula(T: Tree, X: Iterable[int]) -> ExactPoly:
             neg_b = {k: -val for k, val in b.items()}
             up[v] = (_zadd(a, neg_b), neg_b)
     return ExactPoly(den, up[root][0])
-
-
-def _zadd(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
-    out = dict(p)
-    for k, v in q.items():
-        s = out.get(k, 0) + v
-        if s:
-            out[k] = s
-        else:
-            del out[k]
-    return out
-
-
-def _zmul(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for kp, vp in p.items():
-        for kq, vq in q.items():
-            k = kp + kq
-            out[k] = out.get(k, 0) + vp * vq
-    return {k: v for k, v in out.items() if v}
 
 
 def minor_leading(T: Tree, X: Iterable[int]) -> tuple[Fraction, Fraction]:

@@ -7,10 +7,16 @@ stored as integer numerators over one shared positive denominator per
 polynomial, kept minimal, so equality of polynomials is plain structural
 equality.  Everything downstream (distance powers t^d, the signed forest
 sums, Schur complements, dual substitutions t -> 1/t) lives in this ring.
+
+det and pfaffian do not compute in Fraction arithmetic: they clear the
+coefficient denominators of their matrix once, work on integer-coefficient
+polynomials (dict[int, int] over one shared exponent denominator, the
+_z* kernel below), and build a single ExactPoly from the result.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from fractions import Fraction
@@ -177,8 +183,6 @@ class ExactPoly:
                     out[k] = s
                 else:
                     out.pop(k, None)
-        # product keys live over den*den? no: aligned dicts share den, and
-        # exponent sums are (ka+kb)/den -- still over den.
         den, out = _normalize(den, out)
         return ExactPoly(den, out, _raw=True)
 
@@ -364,6 +368,94 @@ _ZERO = ExactPoly(1, {}, _raw=True)
 _ONE = ExactPoly(1, {0: Fraction(1)}, _raw=True)
 
 
+# ---------------------------------------------------------------------------
+# integer-coefficient kernel: a polynomial is a dict {k: c} standing for
+# sum c t^(k/D), c a nonzero int, over a denominator D the caller keeps.
+
+
+def _zadd(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
+    out = dict(p)
+    for k, v in q.items():
+        s = out.get(k, 0) + v
+        if s:
+            out[k] = s
+        else:
+            del out[k]
+    return out
+
+
+def _zmul(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
+    out: dict[int, int] = {}
+    get = out.get
+    for kp, vp in p.items():
+        for kq, vq in q.items():
+            k = kp + kq
+            out[k] = get(k, 0) + vp * vq
+    return {k: v for k, v in out.items() if v}
+
+
+def _zdiv(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
+    """The exact quotient p / q; ArithmeticError if q does not divide p
+    with integer coefficients."""
+    if not q:
+        raise ZeroDivisionError("polynomial division by zero")
+    if not p:
+        return {}
+    lead = max(q)
+    lc = q[lead]
+    floor = min(p) - min(q)
+    rem = dict(p)
+    heap = [-k for k in rem]  # max-heap of the remainder's exponents
+    heapq.heapify(heap)
+    quot: dict[int, int] = {}
+    while rem:
+        top = -heapq.heappop(heap)
+        v = rem.pop(top, 0)
+        if not v:
+            continue  # cancelled since it was pushed
+        e = top - lead
+        c, r = divmod(v, lc)
+        if r or e < floor:
+            raise ArithmeticError("inexact polynomial division")
+        quot[e] = c
+        for k, w in q.items():
+            if k == lead:
+                continue
+            k += e
+            s = rem.get(k, 0) - c * w
+            if s:
+                if k not in rem:
+                    heapq.heappush(heap, -k)
+                rem[k] = s
+            else:
+                rem.pop(k, None)
+    return quot
+
+
+def _denominator_lcm(maps) -> int:
+    """The lcm of the coefficient denominators of {k: Fraction} maps."""
+    mult = 1
+    for p in maps:
+        for c in p.values():
+            if mult % c.denominator:
+                mult = lcm(mult, c.denominator)
+    return mult
+
+
+def _common_den(entries) -> tuple[int, list[list[dict[int, Fraction]]]]:
+    """The lcm D of the entries' exponent denominators, and the entries as
+    {numerator over D: coefficient} maps."""
+    den = 1
+    for row in entries:
+        for p in row:
+            if den % p._den:
+                den = lcm(den, p._den)
+    return den, [
+        [{k * (den // p._den): c for k, c in p._terms.items()} for p in row]
+        for row in entries
+    ]
+
+
 def divide_exact(p: ExactPoly, q: ExactPoly) -> ExactPoly:
     """Exact division p / q in the Laurent ring; error if q does not divide p."""
     if q.is_zero():
@@ -447,35 +539,60 @@ class PolyMatrix:
 
 
 def det(m: PolyMatrix) -> ExactPoly:
-    """Determinant by fraction-free elimination with exact division."""
+    """Determinant by fraction-free (Bareiss) elimination with exact division.
+
+    Each row is multiplied by the lcm of its coefficient denominators and by
+    t to minus its lowest exponent, so every entry lies in Z[t^(1/D)]; so do
+    all the Bareiss intermediates, which are minors.  The elimination runs
+    on the integer kernel, and the scale and the shift are undone at the end.
+    """
     n = m.n
     if n == 0:
         return _ONE
-    a = [row[:] for row in m.entries]
+    den, rows = _common_den(m.entries)
+    a = []
+    scale = 1
+    shift = 0
+    for row in rows:
+        low = min((k for p in row for k in p), default=None)
+        if low is None:
+            return _ZERO  # a zero row
+        mult = _denominator_lcm(row)
+        a.append([
+            {k - low: c.numerator * (mult // c.denominator) for k, c in p.items()}
+            for p in row
+        ])
+        scale *= mult
+        shift += low
     sign = 1
-    prev = _ONE
+    prev = {0: 1}
     for k in range(n - 1):
-        if a[k][k].is_zero():
-            pivot_row = next((r for r in range(k + 1, n) if not a[r][k].is_zero()), None)
+        if not a[k][k]:
+            pivot_row = next((r for r in range(k + 1, n) if a[r][k]), None)
             if pivot_row is None:
                 # pivot column vanishes below the eliminated block => singular
                 return _ZERO
             a[k], a[pivot_row] = a[pivot_row], a[k]
             sign = -sign
+        row_k = a[k]
+        pivot = row_k[k]
         for i in range(k + 1, n):
+            row_i = a[i]
+            neg_ik = {e: -c for e, c in row_i[k].items()}
             for j in range(k + 1, n):
-                num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                a[i][j] = divide_exact(num, prev)
-            a[i][k] = _ZERO
-        prev = a[k][k]
+                num = _zadd(_zmul(pivot, row_i[j]), _zmul(neg_ik, row_k[j]))
+                row_i[j] = _zdiv(num, prev)
+        prev = pivot
     result = a[n - 1][n - 1]
-    return result if sign > 0 else -result
+    return ExactPoly(
+        den, {k + shift: Fraction(sign * c, scale) for k, c in result.items()}
+    )
 
 
 def det_cofactor(m: PolyMatrix) -> ExactPoly:
     """Determinant by first-row cofactor expansion (cross-check path).
 
-    Exponential-time; intended for n <= 6.
+    Exponential-time; intended for n <= 8.
     """
     n = m.n
     if n > 8:
@@ -545,33 +662,42 @@ def pfaffian(m: PolyMatrix) -> ExactPoly:
 
     Expansion along the first remaining index: pairing index i1 with the
     j-th remaining index contributes sign (-1)^j; the empty matrix has
-    Pfaffian 1.
+    Pfaffian 1.  The entries are multiplied by the lcm L of their
+    coefficient denominators, the expansion runs on the integer kernel,
+    and Pf(L A) = L^(n/2) Pf(A) undoes the scale.
     """
     if m.kind != "skew":
         raise ValueError("Pfaffian requires a skew matrix")
     n = m.n
     if n % 2:
         raise ValueError("Pfaffian requires even size")
-    entries = m.entries
-    memo: dict[frozenset, ExactPoly] = {}
+    den, rows = _common_den(m.entries)
+    mult = _denominator_lcm(p for row in rows for p in row)
+    entries = [
+        [{k: c.numerator * (mult // c.denominator) for k, c in p.items()} for p in row]
+        for row in rows
+    ]
+    memo: dict[frozenset, dict[int, int]] = {}
 
-    def rec(idx: tuple) -> ExactPoly:
+    def rec(idx: tuple) -> dict[int, int]:
         if not idx:
-            return _ONE
+            return {0: 1}
         key = frozenset(idx)
         hit = memo.get(key)
         if hit is not None:
             return hit
         first, rest = idx[0], idx[1:]
-        total = _ZERO
+        total: dict[int, int] = {}
         for pos, j in enumerate(rest):
             entry = entries[first][j]
-            if entry.is_zero():
+            if not entry:
                 continue
+            if pos % 2:
+                entry = {k: -c for k, c in entry.items()}
             sub = rest[:pos] + rest[pos + 1:]
-            term = entry * rec(sub)
-            total = total + (term if pos % 2 == 0 else -term)
+            total = _zadd(total, _zmul(entry, rec(sub)))
         memo[key] = total
         return total
 
-    return rec(tuple(range(n)))
+    scale = mult ** (n // 2)
+    return ExactPoly(den, {k: Fraction(c, scale) for k, c in rec(tuple(range(n))).items()})

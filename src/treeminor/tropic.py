@@ -391,6 +391,12 @@ class PuiseuxTrunc:
         )
 
     def __hash__(self):
+        # an exact series must hash like the scalar or ExactPoly it equals
+        if self._cutoff is None:
+            if self._terms.keys() <= {0}:
+                return hash(self._terms.get(0, 0))
+            if all(isinstance(c, Fraction) for c in self._terms.values()):
+                return hash(ExactPoly(self._ram, self._terms, _raw=True))
         return hash(
             (self._ram, frozenset(self._terms.items()), self._cutoff)
         )

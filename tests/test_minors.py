@@ -147,6 +147,14 @@ def test_large_leaf_set_top_term_matches_leading():
     assert minor_formula(T, leaves).leading_term() == minor_leading(T, leaves)
 
 
+def test_leaf_set_minor_matches_determinant_at_scale():
+    # |X| = 17: a 17 x 17 Bareiss elimination on the integer kernel
+    T = random_tree(40, seed=3)
+    leaves = T.leaves()
+    assert len(leaves) == 17
+    assert minor_oracle(T, leaves) == minor_formula(T, leaves)
+
+
 def test_minor_matches_oracle_exhaustive_small():
     for seed in range(6):
         T = random_tree(6, seed=seed, weights="rational" if seed % 2 else "unit")

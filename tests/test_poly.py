@@ -18,6 +18,7 @@ from treeminor.poly import (
     det_permutation,
     divide_exact,
     pfaffian,
+    _zdiv,
 )
 
 F = Fraction
@@ -284,19 +285,55 @@ def test_det_paths_agree(m):
 
 @st.composite
 def skew_matrices(draw, half_n):
+    """Skew matrices of size 2 half_n with rational Laurent entries."""
     n = 2 * half_n
     z = ExactPoly.zero()
     rows = [[z] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            p = ExactPoly.from_terms([(draw(st.integers(0, 3)), draw(small_entries))])
+            p = draw(polys(max_terms=2))
             rows[i][j] = p
             rows[j][i] = -p
     return PolyMatrix(rows, kind="skew")
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.integers(1, 3).flatmap(skew_matrices))
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 4).flatmap(skew_matrices))
 def test_pfaffian_squares_to_det(m):
     pf = pfaffian(m)
     assert pf * pf == det(m)
+
+
+@st.composite
+def laurent_matrices(draw):
+    """n <= 5 matrices with negative and rational exponents and rational
+    coefficients; optionally the top of the first column is zeroed (the
+    first pivot needs a row swap, or the column vanishes) and a row is zero."""
+    n = draw(st.integers(1, 5))
+    rows = [[draw(polys(max_terms=2)) for _ in range(n)] for _ in range(n)]
+    for i in range(draw(st.integers(0, n))):
+        rows[i][0] = ExactPoly.zero()
+    if draw(st.integers(0, 3)) == 0:
+        rows[draw(st.integers(0, n - 1))] = [ExactPoly.zero()] * n
+    return PolyMatrix(rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(laurent_matrices())
+def test_det_matches_permutation_sum_on_laurent_matrices(m):
+    assert det(m) == det_permutation(m)
+
+
+def test_kernel_division_is_exact_or_raises():
+    # integer-coefficient maps {exponent: coefficient}
+    one_plus_t = {0: 1, 1: 1}
+    assert _zdiv({0: 1, 2: -1}, one_plus_t) == {0: 1, 1: -1}
+    assert _zdiv({3: 6, 5: -4}, {1: -2}) == {2: -3, 4: 2}
+    with pytest.raises(ArithmeticError):
+        _zdiv({0: 1, 2: 1}, one_plus_t)  # 1 + t^2 is not a multiple of 1 + t
+    with pytest.raises(ArithmeticError):
+        _zdiv({0: 1, 1: 1}, {0: 2, 1: 2})  # quotient 1/2 is not an integer
+    with pytest.raises(ArithmeticError):
+        _zdiv({0: 3}, {0: 2})
+    with pytest.raises(ZeroDivisionError):
+        _zdiv({0: 1}, {})

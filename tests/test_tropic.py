@@ -92,6 +92,25 @@ def test_series_valuation_and_precision():
         PuiseuxTrunc.zero().leading()
 
 
+def test_exact_series_hashes_like_what_it_equals():
+    p = ExactPoly.t_power(F(3, 2), F(2, 3)) - ExactPoly.t_power(-1) + 5
+    r = QRad.sqrt_of(2)
+    for s, x in [
+        (PuiseuxTrunc.constant(3), 3),
+        (PuiseuxTrunc.constant(F(-1, 2)), F(-1, 2)),
+        (PuiseuxTrunc.zero(), 0),
+        (PuiseuxTrunc.constant(r), r),
+        (PuiseuxTrunc.from_poly(p), p),
+    ]:
+        assert s == x
+        assert hash(s) == hash(x)
+        assert len({s, x}) == 1
+    # a truncated series equals no exact value; its hash only has to be stable
+    cut = PuiseuxTrunc.from_poly(p, cutoff=F(-2))
+    assert cut != p
+    assert hash(cut) == hash(PuiseuxTrunc.from_poly(p, cutoff=F(-2)))
+
+
 def test_series_mul_cutoff_propagation():
     a = PuiseuxTrunc.constant(1).truncate(F(-1))  # 1 + O(t^-1)
     b = PuiseuxTrunc.t_power(2)  # exact

@@ -2,8 +2,15 @@
 verification sweeps with machine-readable reports.
 
 Exit codes: 0 when everything succeeded or verified; 1 when a verification
-found a counterexample (the report carries a certificate that replays with
-a single-instance subcommand); 2 on usage or input errors.
+found a counterexample; 2 on usage or input errors.  A failing sweep row
+carries a certificate (tree text, X, values).  A `minor-verify` certificate
+replays with `minor`, a `pf-verify` one with `pfaffian`: each pair decides
+with the same check, so the replay exits 1 too.  A `cycles-verify`
+certificate lists all three values instead (no single-instance subcommand).
+
+Sweeps take --trees >= 1, --n >= 2, --jobs >= 1 and --negatives >= 0;
+--max-x >= 1 (at most the enumeration cap) for cycles-verify, >= 0 for
+minor-verify (0: no cap).  Anything else exits 2 before any work.
 
 All randomness flows from --seed; sweep workers derive per-tree sub-seeds
 deterministically, so reports are identical across runs and across --jobs
@@ -240,142 +247,103 @@ def cmd_tree_gen(args):
 def cmd_minor(args):
     T, text = _load_tree(args)
     X = _parse_labels(args.X)
-    formula = minor_formula(T, X)
-    oracle = minor_oracle(T, X)
-    equal = formula == oracle
+    equal, values = _minor_check(T, X)
     report = {
         "tree": text,
         "X": X,
-        "formula": str(formula),
-        "oracle": str(oracle),
+        **_str_values(values),
         "equal": equal,
-        "leading": _leading_dict(formula),
+        "leading": _leading_dict(values["formula"]),
     }
     return (0 if equal else 1), report
-
-
-def _minor_verify_one(task: tuple) -> dict:
-    index, subseed, max_n, mode, max_x = task
-    rng = random.Random(subseed)
-    size = rng.randint(2, max_n)
-    T = random_tree(size, seed=subseed, weights=mode)
-    checked = 0
-    for r in range(1, min(size, max_x) + 1):
-        for X in combinations(T.vertices, r):
-            formula = minor_formula(T, X)
-            oracle = minor_oracle(T, X)
-            lead = minor_leading(T, X)
-            if formula != oracle or lead != oracle.leading_term():
-                return {
-                    "tree_index": index,
-                    "seed": subseed,
-                    "n": size,
-                    "weights": mode,
-                    "checked": checked,
-                    "ok": False,
-                    "certificate": {
-                        "tree": format_tree(T),
-                        "X": list(X),
-                        "formula": str(formula),
-                        "oracle": str(oracle),
-                    },
-                }
-            checked += 1
-    return {
-        "tree_index": index,
-        "seed": subseed,
-        "n": size,
-        "weights": mode,
-        "checked": checked,
-        "ok": True,
-    }
-
-
-def cmd_minor_verify(args):
-    tasks = [
-        (
-            i,
-            args.seed * _SEED_STRIDE + i,
-            args.n,
-            _weight_mode(args.weights, i),
-            args.max_x if args.max_x else args.n,
-        )
-        for i in range(args.trees)
-    ]
-    rows = _run_tasks(_minor_verify_one, tasks, args.jobs)
-    bad = [r for r in rows if not r["ok"]]
-    report = {
-        "subcommand": "minor-verify",
-        "trees": args.trees,
-        "checked": sum(r["checked"] for r in rows),
-        "failures": len(bad),
-        "rows": rows,
-    }
-    return (1 if bad else 0), report
 
 
 def cmd_pfaffian(args):
     T, text = _load_tree(args)
     X = _parse_labels(args.X)
     try:
-        formula = pf_formula(T, X)
+        equal, values = _pf_check(T, X)
     except NotNicelyOrderedError as exc:
         nice = T.nice_order(X)
         raise CliError(
             f"{exc}; a nice order of these vertices is {','.join(map(str, nice))}"
         )
-    oracle = pf_oracle(T, X)
-    equal = formula == oracle
     report = {
         "tree": text,
         "X": X,
-        "pfaffian": str(formula),
-        "oracle": str(oracle),
+        **_str_values(values),
         "equal": equal,
-        "leading": _leading_dict(formula),
+        "leading": _leading_dict(values["pfaffian"]),
     }
     return (0 if equal else 1), report
 
 
-def _pf_verify_one(task: tuple) -> dict:
-    index, subseed, max_n, mode, negatives = task
-    rng = random.Random(subseed)
-    size = rng.randint(2, max_n)
-    T = random_tree(size, seed=subseed, weights=mode)
-    checked = 0
-    # positives: every even-size subset, in its nice order
-    for r in range(2, size + 1, 2):
+# ---------------------------------------------------------------------------
+# verification sweeps: one worker and one handler serve minor-verify,
+# pf-verify and cycles-verify.  A sweep is a subset walk, a check
+# (T, X) -> (ok, values) shared with the single-instance subcommand its
+# certificates replay with, and, for pf-verify, a pass over negative orders.
+
+
+def _str_values(values: dict) -> dict:
+    return {k: str(v) for k, v in values.items()}
+
+
+def _minor_check(T, X):
+    formula = minor_formula(T, X)
+    oracle = minor_oracle(T, X)
+    lead = minor_leading(T, X)
+    ok = formula == oracle and lead == oracle.leading_term()
+    return ok, {"formula": formula, "oracle": oracle}
+
+
+def _pf_check(T, X):
+    formula = pf_formula(T, X)
+    oracle = pf_oracle(T, X)
+    return formula == oracle, {"pfaffian": formula, "oracle": oracle}
+
+
+def _cycles_check(T, X):
+    full = det_via_cycles(T, X)
+    tight = det_via_tight_cycles(T, X)
+    formula = minor_formula(T, X)
+    ok = full == tight == formula
+    return ok, {"all_cycles": full, "tight_cycles": tight, "formula": formula}
+
+
+def _subsets(T, max_x):
+    """Every subset of size 1..max_x, in combination order."""
+    for r in range(1, min(T.n, max_x) + 1):
+        yield from combinations(T.vertices, r)
+
+
+def _nice_even_subsets(T, _max_x):
+    """Every even-size subset, listed in its nice order."""
+    for r in range(2, T.n + 1, 2):
         for sub in combinations(T.vertices, r):
-            X = T.nice_order(sub)
-            formula = pf_formula(T, X)
-            oracle = pf_oracle(T, X)
-            if formula != oracle:
-                return {
-                    "tree_index": index,
-                    "seed": subseed,
-                    "n": size,
-                    "weights": mode,
-                    "checked": checked,
-                    "negatives": 0,
-                    "ok": False,
-                    "certificate": {
-                        "tree": format_tree(T),
-                        "X": list(X),
-                        "pfaffian": str(formula),
-                        "oracle": str(oracle),
-                    },
-                }
-            checked += 1
-    # negatives: hunt for orders that are not nice and whose Pfaffian is not
-    # the plain odd-weight monomial (a non-nice order may still coincide by
-    # luck; those draws are skipped, not failures)
+            yield T.nice_order(sub)
+
+
+# subcommand -> (subset walk, check)
+_SWEEPS = {
+    "minor-verify": (_subsets, _minor_check),
+    "pf-verify": (_nice_even_subsets, _pf_check),
+    "cycles-verify": (_subsets, _cycles_check),
+}
+# least value of each sweep option; minor-verify takes --max-x 0 as no cap
+_SWEEP_LEAST = {"trees": 1, "n": 2, "jobs": 1, "negatives": 0}
+_LEAST_MAX_X = {"minor-verify": 0, "cycles-verify": 1}
+
+
+def _negative_hits(T, rng, negatives: int) -> int:
+    """Draw orders that are not nice and count those whose Pfaffian is not
+    the plain odd-weight monomial (a non-nice order may still coincide by
+    luck; those draws are skipped, not failures)."""
     hit = 0
     tried = 0
     while hit < negatives and tried < 50 * max(negatives, 1):
         tried += 1
-        if size < 2:
-            break
-        r = rng.randrange(2, size + 1, 2)
+        r = rng.randrange(2, T.n + 1, 2)
         sub = rng.sample(T.vertices, r)
         ok, _counts = T.is_nicely_ordered(sub)
         if ok:
@@ -384,103 +352,73 @@ def _pf_verify_one(task: tuple) -> dict:
         odd_weight = sum((T.weight(e) for e in T.odd_edges(sub)), Fraction(0))
         if oracle != ExactPoly.t_power(odd_weight):
             hit += 1
-    return {
-        "tree_index": index,
-        "seed": subseed,
-        "n": size,
-        "weights": mode,
-        "checked": checked,
-        "negatives": hit,
-        "ok": True,
-    }
+    return hit
 
 
-def cmd_pf_verify(args):
-    tasks = [
-        (
-            i,
-            args.seed * _SEED_STRIDE + i,
-            args.n,
-            _weight_mode(args.weights, i),
-            args.negatives,
-        )
-        for i in range(args.trees)
-    ]
-    rows = _run_tasks(_pf_verify_one, tasks, args.jobs)
-    bad = [r for r in rows if not r["ok"]]
-    report = {
-        "subcommand": "pf-verify",
-        "trees": args.trees,
-        "checked": sum(r["checked"] for r in rows),
-        "negative_checks": sum(r["negatives"] for r in rows),
-        "failures": len(bad),
-        "rows": rows,
-    }
-    return (1 if bad else 0), report
-
-
-def _cycles_verify_one(task: tuple) -> dict:
-    index, subseed, max_n, mode, max_x = task
+def _sweep_one(task: tuple) -> dict:
+    index, subseed, max_n, mode, sweep, max_x, negatives = task
+    walk, check = _SWEEPS[sweep]
     rng = random.Random(subseed)
     size = rng.randint(2, max_n)
     T = random_tree(size, seed=subseed, weights=mode)
+    row = {"tree_index": index, "seed": subseed, "n": size, "weights": mode}
     checked = 0
-    for r in range(1, min(size, max_x) + 1):
-        for X in combinations(T.vertices, r):
-            full = det_via_cycles(T, X)
-            tight = det_via_tight_cycles(T, X)
-            formula = minor_formula(T, X)
-            if full != tight or tight != formula:
-                return {
-                    "tree_index": index,
-                    "seed": subseed,
-                    "n": size,
-                    "weights": mode,
-                    "checked": checked,
-                    "ok": False,
-                    "certificate": {
-                        "tree": format_tree(T),
-                        "X": list(X),
-                        "all_cycles": str(full),
-                        "tight_cycles": str(tight),
-                        "formula": str(formula),
-                    },
-                }
-            checked += 1
-    return {
-        "tree_index": index,
-        "seed": subseed,
-        "n": size,
-        "weights": mode,
-        "checked": checked,
-        "ok": True,
-    }
+    certificate = None
+    for X in walk(T, max_x):
+        ok, values = check(T, X)
+        if not ok:
+            certificate = {"tree": format_tree(T), "X": list(X), **_str_values(values)}
+            break
+        checked += 1
+    row["checked"] = checked
+    if negatives is not None:
+        row["negatives"] = _negative_hits(T, rng, negatives) if certificate is None else 0
+    row["ok"] = certificate is None
+    if certificate is not None:
+        row["certificate"] = certificate
+    return row
 
 
-def cmd_cycles_verify(args):
-    if args.max_x > ENUMERATION_CAP:
+def _check_sweep_args(args) -> None:
+    least = dict(_SWEEP_LEAST, max_x=_LEAST_MAX_X.get(args.subcommand))
+    for name, low in least.items():
+        value = getattr(args, name, None)
+        if value is not None and value < low:
+            flag = "--" + name.replace("_", "-")
+            raise CliError(f"{flag} must be at least {low}, got {value}")
+    if args.subcommand == "cycles-verify" and args.max_x > ENUMERATION_CAP:
         raise CliError(
             f"--max-x {args.max_x} exceeds the enumeration cap {ENUMERATION_CAP}"
         )
+
+
+def _cmd_sweep(args):
+    _check_sweep_args(args)
+    max_x = getattr(args, "max_x", None) or args.n
+    negatives = getattr(args, "negatives", None)
     tasks = [
         (
             i,
             args.seed * _SEED_STRIDE + i,
             args.n,
             _weight_mode(args.weights, i),
-            args.max_x,
+            args.subcommand,
+            max_x,
+            negatives,
         )
         for i in range(args.trees)
     ]
-    rows = _run_tasks(_cycles_verify_one, tasks, args.jobs)
+    rows = _run_tasks(_sweep_one, tasks, args.jobs)
     bad = [r for r in rows if not r["ok"]]
     report = {
-        "subcommand": "cycles-verify",
+        "subcommand": args.subcommand,
         "trees": args.trees,
         "checked": sum(r["checked"] for r in rows),
-        "failures": len(bad),
-        "rows": rows,
     }
+    if negatives is not None:
+        report["negative_checks"] = sum(r["negatives"] for r in rows)
+    report["failures"] = len(bad)
+    report["rows"] = rows
     return (1 if bad else 0), report
 
 
@@ -714,12 +652,6 @@ def _add_seed(p):
     p.add_argument("--seed", type=int, default=0, help="master random seed")
 
 
-def _add_jobs(p):
-    p.add_argument(
-        "--jobs", type=int, default=1, help="parallel workers for sweeps"
-    )
-
-
 def _add_tree_source(p):
     p.add_argument("--tree", help="tree description file")
     p.add_argument("--n", type=int, help="generate a random tree on n vertices")
@@ -731,15 +663,23 @@ def _add_tree_source(p):
     )
 
 
-def _add_sweep_args(p, trees_default, n_default):
-    p.add_argument("--trees", type=int, default=trees_default)
-    p.add_argument("--n", type=int, default=n_default, help="largest tree size")
+def _add_sweep(sub, name, help, trees, n, flag, default, flag_help):
+    p = sub.add_parser(name, help=help)
+    p.add_argument("--trees", type=int, default=trees)
+    p.add_argument("--n", type=int, default=n, help="largest tree size")
     p.add_argument(
         "--weights",
         choices=("unit", "rational", "both"),
         default="both",
         help="weight mode; 'both' alternates by tree index",
     )
+    p.add_argument(flag, type=int, default=default, help=flag_help)
+    _add_seed(p)
+    p.add_argument(
+        "--jobs", type=int, default=1, help="parallel workers for sweeps"
+    )
+    _add_format(p)
+    p.set_defaults(handler=_cmd_sweep)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -767,13 +707,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p)
     p.set_defaults(handler=cmd_minor)
 
-    p = sub.add_parser("minor-verify", help="sweep: formula vs oracle vs leading term")
-    _add_sweep_args(p, trees_default=50, n_default=6)
-    p.add_argument("--max-x", type=int, default=0, help="cap |X| (0: no cap)")
-    _add_seed(p)
-    _add_jobs(p)
-    _add_format(p)
-    p.set_defaults(handler=cmd_minor_verify)
+    _add_sweep(
+        sub, "minor-verify", "sweep: formula vs oracle vs leading term",
+        50, 6, "--max-x", 0, "cap |X| (0: no cap)",
+    )
 
     p = sub.add_parser("pfaffian", help="Pfaffian monomial and oracle for one X")
     _add_tree_source(p)
@@ -782,25 +719,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p)
     p.set_defaults(handler=cmd_pfaffian)
 
-    p = sub.add_parser("pf-verify", help="sweep: Pfaffian formula + negative orders")
-    _add_sweep_args(p, trees_default=30, n_default=8)
-    p.add_argument(
-        "--negatives", type=int, default=3, help="non-nice orders to test per tree"
+    _add_sweep(
+        sub, "pf-verify", "sweep: Pfaffian formula + negative orders",
+        30, 8, "--negatives", 3, "non-nice orders to test per tree",
     )
-    _add_seed(p)
-    _add_jobs(p)
-    _add_format(p)
-    p.set_defaults(handler=cmd_pf_verify)
-
-    p = sub.add_parser(
-        "cycles-verify", help="sweep: cycle-partition expansions vs the formula"
+    _add_sweep(
+        sub, "cycles-verify", "sweep: cycle-partition expansions vs the formula",
+        10, 6, "--max-x", 6, "cap |X| (enumeration!)",
     )
-    _add_sweep_args(p, trees_default=10, n_default=6)
-    p.add_argument("--max-x", type=int, default=6, help="cap |X| (enumeration!)")
-    _add_seed(p)
-    _add_jobs(p)
-    _add_format(p)
-    p.set_defaults(handler=cmd_cycles_verify)
 
     p = sub.add_parser("check-4pc", help="four-point condition on a CSV matrix")
     p.add_argument("--matrix", required=True)

@@ -225,13 +225,12 @@ class ExactPoly:
             raise ValueError("substitution exponent must be nonzero")
         return ExactPoly.from_terms((e * r, c) for e, c in self.terms())
 
-    def eval_at(self, tau, allow_float: bool = False):
-        """Evaluate at a rational tau.
+    def eval_at(self, tau):
+        """Evaluate exactly at a rational tau.
 
-        Exact (Fraction) whenever every exponent is an integer or tau has an
-        exact k-th root for the shared exponent denominator k; otherwise a
-        float if allow_float is set, else an error.  Negative tau with
-        fractional exponents is rejected.
+        Every exponent must be an integer, or tau must have an exact k-th
+        root for the shared exponent denominator k; otherwise ValueError.
+        Negative tau with fractional exponents is rejected.
         """
         tau = _as_fraction(tau)
         if not self._terms:
@@ -242,12 +241,7 @@ class ExactPoly:
                 raise ValueError("negative base with fractional exponents")
             root = _exact_root(tau, den)
             if root is None:
-                if not allow_float:
-                    raise ValueError(
-                        f"{tau} has no exact {den}-th root; pass allow_float=True"
-                    )
-                base = float(tau) ** (1.0 / den)
-                return sum(float(c) * base ** k for k, c in self._terms.items())
+                raise ValueError(f"{tau} has no exact {den}-th root")
             tau = root
         if tau == 0:
             if min(self._terms) < 0:

@@ -105,9 +105,6 @@ class QRad:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    def __float__(self) -> float:
-        return sum(float(c) * math.sqrt(d) for d, c in self._terms.items())
-
     # -- ring ops -----------------------------------------------------------
 
     def _coerced(self, other):

@@ -12,8 +12,10 @@ from fractions import Fraction
 
 import pytest
 
+from treeminor import cli
 from treeminor.cli import run
 from treeminor.metric import format_matrix_csv, square_cycle_metric
+from treeminor.poly import ExactPoly
 from treeminor.tree import Tree, parse_tree_text, random_tree
 
 F = Fraction
@@ -115,13 +117,24 @@ def test_signature_both_modes(capsys, tmp_path):
 # --- verification sweeps ---------------------------------------------------------
 
 
+SWEEP_ARGS = {
+    "minor-verify": ["--trees", "4", "--n", "5", "--seed", "11"],
+    "pf-verify": ["--trees", "3", "--n", "6", "--seed", "11", "--negatives", "2"],
+    "cycles-verify": ["--trees", "3", "--n", "5", "--seed", "11", "--max-x", "4"],
+}
+
+
 def test_minor_verify_sweep_and_jobs_determinism(capsys):
-    args = ["minor-verify", "--trees", "4", "--n", "5", "--seed", "11", "--format", "json"]
-    code1, out1, _ = invoke(capsys, *args)
-    code2, out2, _ = invoke(capsys, *args, "--jobs", "2")
-    assert code1 == code2 == 0
-    assert out1 == out2
-    data = json.loads(out1)
+    outs = {}
+    for sub, args in SWEEP_ARGS.items():
+        for fmt in ("json", "csv", "text"):
+            argv = [sub, *args, "--format", fmt]
+            code1, out1, _ = invoke(capsys, *argv)
+            code2, out2, _ = invoke(capsys, *argv, "--jobs", "2")
+            assert code1 == code2 == 0, argv
+            assert out1 == out2, argv
+            outs[sub, fmt] = out1
+    data = json.loads(outs["minor-verify", "json"])
     assert data["failures"] == 0
     assert len(data["rows"]) == 4
     assert all(r["ok"] for r in data["rows"])
@@ -147,6 +160,81 @@ def test_cycles_verify_sweep(capsys):
     assert json.loads(out)["failures"] == 0
     assert run(["cycles-verify", "--max-x", "99"]) == 2
     capsys.readouterr()
+
+
+BAD_SWEEP_ARGS = [
+    ("minor-verify --n 1", "--n must be at least 2"),
+    ("pf-verify --trees 0", "--trees must be at least 1"),
+    ("cycles-verify --trees -1", "--trees must be at least 1"),
+    ("minor-verify --jobs 0", "--jobs must be at least 1"),
+    ("pf-verify --jobs -3", "--jobs must be at least 1"),
+    ("pf-verify --negatives -1", "--negatives must be at least 0"),
+    ("cycles-verify --max-x 0", "--max-x must be at least 1"),
+    ("minor-verify --max-x -2", "--max-x must be at least 0"),
+    ("cycles-verify --max-x 99", "exceeds the enumeration cap"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", BAD_SWEEP_ARGS, ids=[argv for argv, _ in BAD_SWEEP_ARGS]
+)
+def test_sweep_rejects_arguments_that_check_nothing(capsys, argv, message):
+    code, out, err = invoke(capsys, *argv.split(), "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
+def _failing_sweep(capsys, monkeypatch, name, wrong, sweep):
+    """Patch the CLI's binding of `name` with `wrong(original result)` and run
+    one tree of `sweep`; return its certificate."""
+    right = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *a: wrong(right(*a)))
+    code, out, _ = invoke(
+        capsys, sweep, "--trees", "1", "--n", "4", "--seed", "3", "--format", "json"
+    )
+    assert code == 1
+    data = json.loads(out)
+    assert data["failures"] == 1
+    (row,) = data["rows"]
+    assert row["ok"] is False
+    return row["certificate"]
+
+
+def _replay(capsys, tmp_path, sub, cert):
+    tree = tmp_path / "cert.tree"
+    tree.write_text(cert["tree"])
+    X = ",".join(map(str, cert["X"]))
+    return invoke(capsys, sub, "--tree", str(tree), "--X", X, "--format", "json")
+
+
+def test_minor_verify_certificate_replays_as_failure(capsys, monkeypatch, tmp_path):
+    # only the leading term is wrong: formula and oracle still agree
+    cert = _failing_sweep(
+        capsys, monkeypatch, "minor_leading", lambda ec: (ec[0] + 1, ec[1]), "minor-verify"
+    )
+    assert set(cert) == {"tree", "X", "formula", "oracle"}
+    code, out, _ = _replay(capsys, tmp_path, "minor", cert)
+    assert code == 1
+    assert json.loads(out)["equal"] is False
+
+
+def test_pf_verify_certificate_replays_as_failure(capsys, monkeypatch, tmp_path):
+    cert = _failing_sweep(
+        capsys, monkeypatch, "pf_formula", lambda p: p * ExactPoly.t_power(1), "pf-verify"
+    )
+    assert set(cert) == {"tree", "X", "pfaffian", "oracle"}
+    code, out, _ = _replay(capsys, tmp_path, "pfaffian", cert)
+    assert code == 1
+    assert json.loads(out)["equal"] is False
+
+
+def test_cycles_verify_failure_lists_all_three_values(capsys, monkeypatch):
+    cert = _failing_sweep(
+        capsys, monkeypatch, "det_via_tight_cycles", lambda p: -p, "cycles-verify"
+    )
+    assert set(cert) == {"tree", "X", "all_cycles", "tight_cycles", "formula"}
+    assert cert["tight_cycles"] != cert["all_cycles"] == cert["formula"]
 
 
 # --- metric subcommands ----------------------------------------------------------

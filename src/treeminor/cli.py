@@ -164,9 +164,18 @@ def _parse_labels(text: str) -> list[int]:
         raise CliError(f"expected comma-separated integer labels, got {text!r}")
 
 
+def _parse_fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise CliError(f"zero denominator in {text!r}")
+
+
 def _parse_fractions(text: str) -> list[Fraction]:
     try:
-        return [Fraction(tok) for tok in text.replace(" ", "").split(",") if tok != ""]
+        return [
+            _parse_fraction(tok) for tok in text.replace(" ", "").split(",") if tok != ""
+        ]
     except ValueError:
         raise CliError(f"expected comma-separated rationals, got {text!r}")
 
@@ -486,7 +495,7 @@ def cmd_signature(args):
     if has_matrix:
         m = _read_matrix(args.matrix)
         xs = _parse_labels(args.X) if args.X else None
-        p, q, z = spectral_signature(m, Fraction(args.tau), xs)
+        p, q, z = spectral_signature(m, _parse_fraction(args.tau), xs)
         return 0, {"mode": "matrix", "tau": args.tau, "inertia": [p, q, z]}
     T, text = _load_tree(args)
     X = _parse_labels(args.X) if args.X else list(T.vertices)
@@ -553,7 +562,7 @@ def cmd_check_matroid(args):
 def cmd_represent_rooted(args):
     T, text = _load_tree(args)
     ground = _parse_labels(args.ground) if args.ground else None
-    window = Fraction(args.window) if args.window else None
+    window = _parse_fraction(args.window) if args.window else None
     rep, reseeds = verify_rooted_representation(
         T,
         args.root,

@@ -246,34 +246,6 @@ def odd_dissimilarity(T: Tree, ground: Iterable[int] | None = None) -> ValuatedF
     return ValuatedFn(g, vals)
 
 
-def principal_minor_valuation_fn(
-    T: Tree, ground: Iterable[int] | None = None, parity: str | None = None
-) -> ValuatedFn:
-    """X |-> top exponent of det of the pairwise-power matrix on X.
-
-    Exploratory: no exchange property is promised for this map.  `parity`
-    restricts the support to "even" or "odd" subset sizes.
-    """
-    from .minors import build_matrix
-
-    if parity not in (None, "even", "odd"):
-        raise ValueError(f"parity must be None, 'even' or 'odd', not {parity!r}")
-    g = tuple(T.vertices) if ground is None else T.check_subset(ground)
-    gs = sorted(g)
-    vals: dict[tuple[int, ...], Fraction] = {}
-    for r in range(0, len(gs) + 1):
-        if parity == "even" and r % 2:
-            continue
-        if parity == "odd" and r % 2 == 0:
-            continue
-        for X in combinations(gs, r):
-            p = det(build_matrix(T, X)) if X else ExactPoly.one()
-            if p.is_zero():
-                continue
-            vals[X] = p.leading_term()[0]
-    return ValuatedFn(g, vals)
-
-
 # ---------------------------------------------------------------------------
 # skew representation of the odd-edge map
 
@@ -574,6 +546,8 @@ def verify_rooted_representation(
     times, and the failure is reported if it persists.  Returns the verified
     representation and the number of reseeds used.
     """
+    if max_reseeds < 0:
+        raise ValueError(f"max_reseeds must be at least 0, got {max_reseeds}")
     g = _rooted_ground(T, root, ground)
     if not 1 <= k <= len(g):
         raise ValueError(f"k={k} is out of range for a ground set of {len(g)}")

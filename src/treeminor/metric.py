@@ -125,10 +125,6 @@ def check_4pc(rows: Sequence[Sequence]) -> FourPointViolation | None:
     return _four_point_scan(check_dissimilarity(rows))
 
 
-def is_tree_metric(rows: Sequence[Sequence]) -> bool:
-    return check_4pc(rows) is None
-
-
 # ---------------------------------------------------------------------------
 # potentials
 
@@ -318,8 +314,16 @@ def power_entry(tau: Fraction, d: Fraction):
 
 
 def power_matrix(rows: Sequence[Sequence], tau, subset: Sequence[int] | None = None):
+    """[tau^(m_ij)] on the rows and columns of the subset (default: all);
+    the subset must list distinct indices in 0..n-1."""
     m = as_matrix(rows)
-    idx = list(range(len(m))) if subset is None else list(subset)
+    n = len(m)
+    if subset is None:
+        idx = range(n)
+    else:
+        idx = list(subset)
+        if len(set(idx)) != len(idx) or not all(0 <= i < n for i in idx):
+            raise ValueError(f"subset {idx} must list distinct indices in 0..{n - 1}")
     return [[power_entry(tau, m[i][j]) for j in idx] for i in idx]
 
 
@@ -392,14 +396,6 @@ def spectral_signature(
     return inertia(power_matrix(rows, tau, subset))
 
 
-def tree_signature_ok(rows: Sequence[Sequence], taus: Iterable = (10, 100)) -> bool:
-    """Whether [tau^(d_ij)] has exactly one positive eigenvalue and the rest
-    negative, at every listed base."""
-    m = as_matrix(rows)
-    n = len(m)
-    return all(spectral_signature(m, tau) == (1, n - 1, 0) for tau in taus)
-
-
 def star_condition_check(
     rows: Sequence[Sequence], subsets: Iterable[Sequence[int]] | None = None
 ):
@@ -456,27 +452,6 @@ def hpp_eigen_check(rows: Sequence[Sequence], taus: Iterable = (10, 100)):
     return _four_point_scan(m)
 
 
-def alternating_minor_signs(
-    rows: Sequence[Sequence], tau, subsets: Iterable[Sequence[int]] | None = None
-):
-    """Check sign(det [tau^(d_ij)]_{X}) = (-1)^(|X|+1) for each subset X
-    (default: every nonempty principal subset).  Returns the first failing
-    subset or None."""
-    m = as_matrix(rows)
-    n = len(m)
-    if subsets is None:
-        subsets = (
-            xs for r in range(1, n + 1) for xs in combinations(range(n), r)
-        )
-    for xs in subsets:
-        xs = list(xs)
-        p, q, z = inertia(power_matrix(m, tau, xs))
-        det_sign = 0 if z else (-1) ** q
-        if det_sign != (-1) ** (len(xs) + 1):
-            return tuple(xs)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # random generators used by the stress checks
 
@@ -487,23 +462,17 @@ def random_tree_metric(
     """Distances between n uniformly chosen vertices of a random weighted
     tree (points may repeat, so zero distances do occur)."""
     rng = random.Random(seed)
+    parents = [(rng.randint(1, v - 1), v) for v in range(2, max(n, 2) + 1)]
     t = Tree(
         [
             (u, v, Fraction(rng.randint(1, 8), 2 if half_integers else 1))
-            for u, v, _ in random_tree_edges(max(n, 2), rng)
+            for u, v in parents
         ]
     )
     pts = [rng.choice(t.vertices) for _ in range(n)]
     return [
         [Fraction(0) if a == b else t.dist(a, b) for b in pts] for a in pts
     ]
-
-
-def random_tree_edges(n: int, rng: random.Random) -> list[tuple[int, int, int]]:
-    out = []
-    for v in range(2, n + 1):
-        out.append((rng.randint(1, v - 1), v, 1))
-    return out
 
 
 def random_symmetric_matrix(

@@ -111,9 +111,6 @@ class ExactPoly:
         for k in sorted(self._terms, reverse=True):
             yield Fraction(k, d), self._terms[k]
 
-    def num_terms(self) -> int:
-        return len(self._terms)
-
     def leading_term(self) -> Tuple[Fraction, Fraction]:
         """(exponent, coefficient) of the highest-exponent term."""
         if not self._terms:
@@ -581,39 +578,6 @@ def det(m: PolyMatrix) -> ExactPoly:
     return ExactPoly(
         den, {k + shift: Fraction(sign * c, scale) for k, c in result.items()}
     )
-
-
-def det_cofactor(m: PolyMatrix) -> ExactPoly:
-    """Determinant by first-row cofactor expansion (cross-check path).
-
-    Exponential-time; intended for n <= 8.
-    """
-    n = m.n
-    if n > 8:
-        raise ValueError("cofactor path is for small matrices (n <= 8)")
-    entries = m.entries
-    memo: dict[frozenset, ExactPoly] = {}
-
-    def rec(cols: tuple) -> ExactPoly:
-        if not cols:
-            return _ONE
-        key = frozenset(cols)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        r = n - len(cols)
-        total = _ZERO
-        for pos, c in enumerate(cols):
-            entry = entries[r][c]
-            if entry.is_zero():
-                continue
-            rest = cols[:pos] + cols[pos + 1:]
-            term = entry * rec(rest)
-            total = total + (term if pos % 2 == 0 else -term)
-        memo[key] = total
-        return total
-
-    return rec(tuple(range(n)))
 
 
 def det_permutation(m: PolyMatrix) -> ExactPoly:

@@ -195,9 +195,6 @@ class Tree:
             self._depth_cache = d
         return d
 
-    def path_weight(self, i: int, j: int) -> Fraction:
-        return self.dist(i, j)
-
     # -- spanned subtrees ------------------------------------------------------
 
     def spanned_subtree(self, X: Iterable[int]) -> tuple[frozenset[int], frozenset[Edge]]:

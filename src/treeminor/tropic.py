@@ -127,9 +127,6 @@ class PuiseuxTrunc:
             for k in sorted(self._terms, reverse=True)
         ]
 
-    def is_exact(self) -> bool:
-        return self._cutoff is None
-
     def is_exact_zero(self) -> bool:
         return not self._terms and self._cutoff is None
 

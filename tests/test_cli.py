@@ -185,6 +185,31 @@ def test_sweep_rejects_arguments_that_check_nothing(capsys, argv, message):
     assert err.startswith("error: ") and message in err
 
 
+BAD_OPTION_VALUES = [
+    ("represent-rooted --n 6 --seed 1 --root 1 --max-reseeds -1",
+     "max_reseeds must be at least 0"),
+    ("represent-rooted --n 6 --seed 1 --root 1 --window 1/0", "zero denominator"),
+    ("signature --matrix C4 --tau 1/0", "zero denominator"),
+    ("hpp-check --matrix C4 --taus 10,1/0", "zero denominator"),
+    ("signature --matrix C4 --X 4", "distinct indices in 0..3"),
+    ("signature --matrix C4 --X -1", "distinct indices in 0..3"),
+    ("signature --matrix C4 --X 0,2,0", "distinct indices in 0..3"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", BAD_OPTION_VALUES, ids=[argv for argv, _ in BAD_OPTION_VALUES]
+)
+def test_bad_option_values_are_usage_errors(capsys, tmp_path, argv, message):
+    c4 = tmp_path / "c4.csv"
+    c4.write_text(C4_CSV)
+    argv = [str(c4) if tok == "C4" else tok for tok in argv.split()]
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def _failing_sweep(capsys, monkeypatch, name, wrong, sweep):
     """Patch the CLI's binding of `name` with `wrong(original result)` and run
     one tree of `sweep`; return its certificate."""

@@ -33,7 +33,6 @@ from treeminor.matroid import (
     exponent_spread,
     k_dissimilarity,
     odd_dissimilarity,
-    principal_minor_valuation_fn,
     represent_odd,
     represent_rooted,
     rooted_k_dissimilarity,
@@ -41,6 +40,7 @@ from treeminor.matroid import (
     verify_rooted_representation,
 )
 from treeminor.metric import MINUS_INF, square_cycle_metric
+from treeminor.minors import minor_oracle
 from treeminor.poly import ExactPoly, PolyMatrix, det
 from treeminor.tree import Tree, random_tree
 
@@ -380,6 +380,8 @@ def test_rooted_argument_validation():
         represent_rooted(T, 0, 4)  # k too large
     with pytest.raises(ValueError):
         represent_rooted(T, 0, 1, window=0)
+    with pytest.raises(ValueError, match="max_reseeds"):
+        verify_rooted_representation(T, 0, 2, max_reseeds=-1)
     rep = represent_rooted(T, 0, 2, seed=5)
     with pytest.raises(ValueError):
         rep.series_valuation([1, 9])
@@ -388,28 +390,16 @@ def test_rooted_argument_validation():
 
 
 # ---------------------------------------------------------------------------
-# exploratory principal-minor map
+# principal-minor valuations
 
 
 def test_principal_minor_valuations_double_subtree_weights():
     T = star_tree(3)
-    fn = principal_minor_valuation_fn(T)
-    assert fn.value([]) == 0
-    assert fn.value([1, 2]) == 4
+    # the empty principal minor is 1, valuation 0
+    assert det(PolyMatrix([])).leading_term()[0] == 0
+    assert minor_oracle(T, [1, 2]).leading_term()[0] == 4
     for r in (1, 2, 3):
         for X in combinations(T.vertices, r):
-            v = fn.value(X)
-            if v != MINUS_INF:
-                assert v == 2 * T.spanned_weight(X)
-
-
-def test_principal_minor_parity_slices():
-    T = path_tree(3)
-    even = principal_minor_valuation_fn(T, parity="even")
-    odd = principal_minor_valuation_fn(T, parity="odd")
-    assert all(len(s) % 2 == 0 for s in even.support())
-    assert all(len(s) % 2 == 1 for s in odd.support())
-    with pytest.raises(ValueError):
-        principal_minor_valuation_fn(T, parity="both")
-    # exploratory sweep: just exercise the checker end to end
-    check_delta_matroid(even)
+            p = minor_oracle(T, X)
+            if not p.is_zero():
+                assert p.leading_term()[0] == 2 * T.spanned_weight(X)

@@ -1,17 +1,16 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from treeminor.metric import (
     MINUS_INF,
-    alternating_minor_signs,
     check_4pc,
     check_dissimilarity,
     format_matrix_csv,
     hpp_eigen_check,
     inertia,
-    is_tree_metric,
     join_potentials,
     parse_matrix_csv,
     power_entry,
@@ -23,7 +22,6 @@ from treeminor.metric import (
     split_potentials,
     square_cycle_metric,
     star_condition_check,
-    tree_signature_ok,
 )
 from treeminor.radicals import QRad
 from treeminor.tree import Tree, random_tree
@@ -45,7 +43,6 @@ def test_4pc_accepts_tree_metrics():
         t = random_tree(8, seed=seed, weights="rational")
         d = tree_distance_matrix(t, list(t.vertices))
         assert check_4pc(d) is None
-        assert is_tree_metric(d)
 
 
 def test_4pc_rejects_square_cycle_with_certificate():
@@ -166,6 +163,15 @@ def test_power_entry_exact():
         power_entry(10, F(1, 3))
 
 
+def test_power_matrix_subset_validation():
+    d = [[F(0), F(1), F(2)], [F(1), F(0), F(1)], [F(2), F(1), F(0)]]
+    assert power_matrix(d, 10, [2, 0]) == [[1, 100], [100, 1]]
+    assert power_matrix(d, 10, []) == []
+    for bad in ([3], [-1], [0, 0]):
+        with pytest.raises(ValueError, match="distinct indices in 0..2"):
+            power_matrix(d, 10, bad)
+
+
 def test_inertia_small_cases():
     assert inertia([[F(1), F(0)], [F(0), F(-2)]]) == (1, 1, 0)
     assert inertia([[F(0), F(3)], [F(3), F(0)]]) == (1, 1, 0)
@@ -232,20 +238,23 @@ def test_tree_metric_signature():
     d = tree_distance_matrix(t, list(t.vertices))
     assert spectral_signature(d, 10) == (1, 5, 0)
     assert spectral_signature(d, 10, subset=[0, 2, 4]) == (1, 2, 0)
-    assert tree_signature_ok(d)
+    assert spectral_signature(d, 100) == (1, 5, 0)
 
 
 def test_square_cycle_signature_fails():
     d = square_cycle_metric()
     assert spectral_signature(d, 10) == (2, 2, 0)
-    assert not tree_signature_ok(d)
-    assert alternating_minor_signs(d, 10) == (0, 1, 2, 3)
+    assert spectral_signature(d, 100) == (2, 2, 0)
+    assert star_condition_check(power_matrix(d, 10)) == (0, 1, 2, 3)
 
 
 def test_alternating_minor_signs_on_tree_metric():
     t = random_tree(5, seed=23)
     d = tree_distance_matrix(t, list(t.vertices))
-    assert alternating_minor_signs(d, 10) is None
+    for r in range(1, len(d) + 1):
+        for xs in combinations(range(len(d)), r):
+            # one positive eigenvalue and no zero one: sign det = (-1)^(|X|+1)
+            assert spectral_signature(d, 10, xs) == (1, r - 1, 0)
 
 
 def test_half_integer_signature_stays_exact():
@@ -253,7 +262,7 @@ def test_half_integer_signature_stays_exact():
     d = [[x / 2 for x in row] for row in tree_distance_matrix(t, list(t.vertices))]
     assert any(x.denominator == 2 for row in d for x in row)
     assert spectral_signature(d, 10) == (1, 4, 0)
-    assert tree_signature_ok(d)
+    assert spectral_signature(d, 100) == (1, 4, 0)
 
 
 # --- csv ------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from treeminor.poly import (
     ExactPoly,
     PolyMatrix,
     det,
-    det_cofactor,
     det_permutation,
     divide_exact,
     pfaffian,
@@ -203,7 +202,6 @@ def test_det_star_frozen():
     expected = ExactPoly.from_terms([(0, 1), (4, -3), (6, 2)])
     m = star_matrix()
     assert det(m) == expected
-    assert det_cofactor(m) == expected
     assert det_permutation(m) == expected
 
 
@@ -281,7 +279,6 @@ def poly_matrices(draw, n):
 def test_det_paths_agree(m):
     d = det(m)
     assert d == det_permutation(m)
-    assert d == det_cofactor(m)
 
 
 @st.composite

@@ -29,7 +29,7 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from itertools import combinations
 
-from .cyclekernel import ENUMERATION_CAP, det_via_cycles, det_via_tight_cycles
+from .cyclekernel import ENUMERATION_CAP, cycle_sums
 from .matroid import (
     ValuatedFn,
     check_delta_matroid,
@@ -42,6 +42,7 @@ from .matroid import (
 )
 from .metric import (
     MINUS_INF,
+    NotTreeMetricError,
     check_4pc,
     check_dissimilarity,
     format_matrix_csv,
@@ -55,7 +56,7 @@ from .metric import (
 from .minors import minor_formula, minor_leading, minor_oracle, signature
 from .pfaffian import NotNicelyOrderedError, pf_formula, pf_oracle
 from .poly import ExactPoly
-from .tree import Tree, TreeFormatError, format_tree, random_tree, read_tree_file
+from .tree import Tree, format_tree, random_tree, read_tree_file
 
 _SEED_STRIDE = 1_000_003  # tree index -> sub-seed, documented and fixed
 
@@ -313,8 +314,7 @@ def _pf_check(T, X):
 
 
 def _cycles_check(T, X):
-    full = det_via_cycles(T, X)
-    tight = det_via_tight_cycles(T, X)
+    full, tight = cycle_sums(T, X)
     formula = minor_formula(T, X)
     ok = full == tight == formula
     return ok, {"all_cycles": full, "tight_cycles": tight, "formula": formula}
@@ -433,10 +433,7 @@ def _cmd_sweep(args):
 
 def cmd_check_4pc(args):
     m = _read_matrix(args.matrix)
-    try:
-        bad = check_4pc(m)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    bad = check_4pc(m)
     if bad is None:
         return 0, {"ok": True, "n": len(m)}
     return 1, {"ok": False, "n": len(m), "violation": _violation_dict(bad)}
@@ -445,13 +442,9 @@ def cmd_check_4pc(args):
 def cmd_realize(args):
     m = _read_matrix(args.matrix)
     try:
-        d = check_dissimilarity(m)
-    except ValueError as exc:
-        raise CliError(str(exc))
-    bad = check_4pc(d)
-    if bad is not None:
-        return 1, {"ok": False, "violation": _violation_dict(bad)}
-    T, placement = realize_tree(d)
+        T, placement = realize_tree(m)
+    except NotTreeMetricError as exc:
+        return 1, {"ok": False, "violation": _violation_dict(exc.violation)}
     return 0, {
         "ok": True,
         "tree": format_tree(T),
@@ -470,14 +463,14 @@ def cmd_decompose(args):
             "reason": f"potential-reduced part is not a dissimilarity matrix: {exc}",
             "potentials": p,
         }
-    bad = check_4pc(d)
-    if bad is not None:
+    try:
+        T, placement = realize_tree(d)
+    except NotTreeMetricError as exc:
         return 1, {
             "ok": False,
-            "violation": _violation_dict(bad),
+            "violation": _violation_dict(exc.violation),
             "potentials": p,
         }
-    T, placement = realize_tree(d)
     return 0, {
         "ok": True,
         "potentials": p,
@@ -546,14 +539,7 @@ def cmd_check_matroid(args):
     axiom = args.axiom
     if axiom == "auto":
         axiom = "matroid" if fn.k is not None else "delta"
-    try:
-        bad = (
-            check_valuated_matroid(fn)
-            if axiom == "matroid"
-            else check_delta_matroid(fn)
-        )
-    except ValueError as exc:
-        raise CliError(str(exc))
+    bad = check_valuated_matroid(fn) if axiom == "matroid" else check_delta_matroid(fn)
     if bad is None:
         return 0, {"ok": True, "axiom": axiom, "support": len(fn.support())}
     return 1, {"ok": False, "axiom": axiom, "violation": _exchange_dict(bad)}
@@ -633,10 +619,7 @@ def cmd_represent_odd(args):
 def cmd_hpp_check(args):
     m = _read_matrix(args.matrix)
     taus = _parse_fractions(args.taus) if args.taus else (Fraction(10), Fraction(100))
-    try:
-        out = hpp_eigen_check(m, taus)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    out = hpp_eigen_check(m, taus)
     if out is None:
         return 0, {"ok": True, "taus": list(taus)}
     if isinstance(out, Fraction):
@@ -833,16 +816,7 @@ def run(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         code, report = args.handler(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TreeFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (CliError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

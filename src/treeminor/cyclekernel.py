@@ -9,7 +9,10 @@ element -> successor), so there are exactly |X|! of them.
 
 Summing sign(W) t^{||W||} over all cycle partitions reproduces the minor
 over X; the support-preserving flips explain the cancellation down to the
-tight ({0,2}-supported) partitions.
+tight ({0,2}-supported) partitions.  `cycle_sums` walks the partitions once
+and returns both sums; `det_via_cycles` and `det_via_tight_cycles` read one
+of them each.  Supports are traced through `path_edges`, so the same
+`support` serves a `Tree` and a bracket `Forest`.
 """
 
 from __future__ import annotations
@@ -78,7 +81,7 @@ def partition_sign(W: CyclePartition) -> int:
     return s
 
 
-def support(T: Tree, W: CyclePartition) -> dict[Edge, int]:
+def support(T: Tree | Forest, W: CyclePartition) -> dict[Edge, int]:
     """Edge multiset traced by all consecutive-pair paths; always even."""
     supp: dict[Edge, int] = {}
     for c in W:
@@ -98,46 +101,34 @@ def is_tight(supp: dict[Edge, int]) -> bool:
     return all(m == 2 for m in supp.values())
 
 
-def det_via_cycles(T: Tree, X: Iterable[int], cap: int = ENUMERATION_CAP) -> ExactPoly:
-    """Minor over X as the full signed sum over cycle partitions."""
+def cycle_sums(T: Tree, X: Iterable[int]) -> tuple[ExactPoly, ExactPoly]:
+    """Minor over X as the signed sum over all cycle partitions, and the
+    same sum restricted to tight ({0,2}-supported) partitions; the flips
+    cancel everything else, so the two agree.  One pass over the |X|!
+    partitions serves both."""
     xs = T.check_subset(X)
-    terms = []
-    for W in cycle_partitions(xs, cap=cap):
+    full, tight = [], []
+    for W in cycle_partitions(xs):
         supp = support(T, W)
-        terms.append((support_norm(T, supp), Fraction(partition_sign(W))))
-    return ExactPoly.from_terms(terms)
-
-
-def det_via_tight_cycles(T: Tree, X: Iterable[int], cap: int = ENUMERATION_CAP) -> ExactPoly:
-    """Same sum restricted to tight ({0,2}-supported) partitions; the flips
-    cancel everything else."""
-    xs = T.check_subset(X)
-    terms = []
-    for W in cycle_partitions(xs, cap=cap):
-        supp = support(T, W)
+        term = (support_norm(T, supp), Fraction(partition_sign(W)))
+        full.append(term)
         if is_tight(supp):
-            terms.append((support_norm(T, supp), Fraction(partition_sign(W))))
-    return ExactPoly.from_terms(terms)
+            tight.append(term)
+    return ExactPoly.from_terms(full), ExactPoly.from_terms(tight)
+
+
+def det_via_cycles(T: Tree, X: Iterable[int]) -> ExactPoly:
+    """Minor over X as the full signed sum over cycle partitions."""
+    return cycle_sums(T, X)[0]
+
+
+def det_via_tight_cycles(T: Tree, X: Iterable[int]) -> ExactPoly:
+    """Same sum restricted to tight partitions."""
+    return cycle_sums(T, X)[1]
 
 
 # ---------------------------------------------------------------------------
 # flips
-
-
-def _side_of(T: Tree, e: Edge) -> frozenset[int]:
-    """Vertices on the smaller-endpoint side after deleting edge e."""
-    x, y = edge_key(*e)
-    seen = {x}
-    stack = [x]
-    while stack:
-        u = stack.pop()
-        for v in T.neighbors(u):
-            if v == y and u == x:
-                continue
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return frozenset(seen)
 
 
 def crossings(T: Tree, W: CyclePartition, e: Edge) -> dict[str, list[tuple[Cycle, int]]]:
@@ -147,16 +138,15 @@ def crossings(T: Tree, W: CyclePartition, e: Edge) -> dict[str, list[tuple[Cycle
     uses e; direction 'xy' means the walk goes from the x-side to the
     y-side.  Each list is sorted for deterministic choice indexing.
     """
-    e = edge_key(*e)
-    side_x = _side_of(T, e)
+    x, y = e = edge_key(*e)
     out: dict[str, list[tuple[Cycle, int]]] = {"xy": [], "yx": []}
     for c in sorted(W):
         k = len(c)
         for i in range(k):
             a, b = c[i], c[(i + 1) % k]
-            if (a in side_x) == (b in side_x):
-                continue
-            out["xy" if a in side_x else "yx"].append((c, i))
+            if e in T.path_edges(a, b):
+                # a path through e starts on the side of the nearer endpoint
+                out["xy" if T.dist(a, x) < T.dist(a, y) else "yx"].append((c, i))
     return out
 
 
@@ -236,22 +226,10 @@ class Forest:
             adj[v].add(u)
         self.edges = frozenset(es)
         self._adj = {v: tuple(sorted(ns)) for v, ns in adj.items()}
-        comps: list[frozenset[int]] = []
-        seen: set[int] = set()
-        for v in sorted(self.vertices):
-            if v in seen:
-                continue
-            comp = {v}
-            stack = [v]
-            while stack:
-                a = stack.pop()
-                for b in self._adj[a]:
-                    if b not in comp:
-                        comp.add(b)
-                        stack.append(b)
-            seen |= comp
-            comps.append(frozenset(comp))
-        self.components = tuple(comps)
+        groups: dict[int, set[int]] = {}
+        for v in self.vertices:
+            groups.setdefault(find(v), set()).add(v)
+        self.components = tuple(sorted((frozenset(g) for g in groups.values()), key=min))
 
     def degree(self, v: int) -> int:
         return len(self._adj[v])
@@ -298,7 +276,7 @@ def split_edge(forest: Forest, e: Edge) -> tuple[Forest, int, int]:
     return Forest(forest.vertices | {x2, y2}, edges), x2, y2
 
 
-def bracket_enum(forest: Forest, X: Iterable[int], cap: int = ENUMERATION_CAP) -> int:
+def bracket_enum(forest: Forest, X: Iterable[int]) -> int:
     """Sum of partition signs over cycle partitions of X whose cycles stay
     inside single components of the forest and whose paths trace every
     forest edge exactly twice."""
@@ -314,14 +292,8 @@ def bracket_enum(forest: Forest, X: Iterable[int], cap: int = ENUMERATION_CAP) -
                 return 0
             continue
         factor = 0
-        for W in cycle_partitions(xc, cap=cap):
-            counts: dict[Edge, int] = {}
-            for c in W:
-                for a, b in cycle_pairs(c):
-                    if a == b:
-                        continue
-                    for e in forest.path_edges(a, b):
-                        counts[e] = counts.get(e, 0) + 1
+        for W in cycle_partitions(xc):
+            counts = support(forest, W)
             if all(counts.get(e, 0) == 2 for e in comp_edges):
                 factor += partition_sign(W)
         total *= factor

@@ -108,6 +108,15 @@ class FourPointViolation:
         )
 
 
+class NotTreeMetricError(ValueError):
+    """A dissimilarity matrix that fails the four-point condition; carries
+    the first violating quadruple."""
+
+    def __init__(self, violation: FourPointViolation):
+        self.violation = violation
+        super().__init__(f"not a tree metric: {violation}")
+
+
 def _four_point_scan(m: Matrix) -> FourPointViolation | None:
     n = len(m)
     for i, j, k, l in combinations_with_replacement(range(n), 4):
@@ -161,13 +170,13 @@ def realize_tree(rows: Sequence[Sequence]) -> tuple[Tree, list[int]]:
 
     Points 0..n-1 get vertex labels 1..n; interior vertices the metric
     forces get fresh labels above n.  Zero-distance points share a vertex.
-    Raises ValueError (with the quadruple) when the matrix is not a tree
-    metric.
+    Raises NotTreeMetricError (a ValueError carrying the first violating
+    quadruple) when the matrix is not a tree metric.
     """
     m = check_dissimilarity(rows)
-    bad = check_4pc(m)
+    bad = _four_point_scan(m)
     if bad is not None:
-        raise ValueError(f"not a tree metric: {bad}")
+        raise NotTreeMetricError(bad)
     n = len(m)
     vertex_of = [0] * n
 
@@ -313,17 +322,20 @@ def power_entry(tau: Fraction, d: Fraction):
     raise ValueError(f"exponent {d} needs a {d.denominator}-th root; only 2 is supported")
 
 
+def _subset_indices(subset: Iterable[int], n: int) -> list[int]:
+    """The subset as a list, checked to hold distinct indices in 0..n-1."""
+    idx = list(subset)
+    if len(set(idx)) != len(idx) or not all(0 <= i < n for i in idx):
+        raise ValueError(f"subset {idx} must list distinct indices in 0..{n - 1}")
+    return idx
+
+
 def power_matrix(rows: Sequence[Sequence], tau, subset: Sequence[int] | None = None):
     """[tau^(m_ij)] on the rows and columns of the subset (default: all);
     the subset must list distinct indices in 0..n-1."""
     m = as_matrix(rows)
     n = len(m)
-    if subset is None:
-        idx = range(n)
-    else:
-        idx = list(subset)
-        if len(set(idx)) != len(idx) or not all(0 <= i < n for i in idx):
-            raise ValueError(f"subset {idx} must list distinct indices in 0..{n - 1}")
+    idx = range(n) if subset is None else _subset_indices(subset, n)
     return [[power_entry(tau, m[i][j]) for j in idx] for i in idx]
 
 
@@ -401,7 +413,8 @@ def star_condition_check(
 ):
     """det M[X] >= 0 for odd |X| and <= 0 for even |X|, over the listed
     principal subsets (default: every nonempty one; n <= 12 only, pass
-    explicit subsets beyond that).
+    explicit subsets beyond that).  Each listed subset must hold distinct
+    indices in 0..n-1.
 
     M must already be numeric (say a powered matrix [tau^(w_ij)], whose
     entries may be square-root extensions); determinant signs come from
@@ -417,6 +430,8 @@ def star_condition_check(
         subsets = (
             xs for r in range(1, n + 1) for xs in combinations(range(n), r)
         )
+    else:
+        subsets = [_subset_indices(xs, n) for xs in subsets]
     for xs in subsets:
         xs = list(xs)
         p, q, z = inertia([[m[i][j] for j in xs] for i in xs])

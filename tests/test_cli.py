@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from treeminor import cli
+from treeminor import cli, metric
 from treeminor.cli import run
 from treeminor.metric import format_matrix_csv, square_cycle_metric
 from treeminor.poly import ExactPoly
@@ -256,7 +256,7 @@ def test_pf_verify_certificate_replays_as_failure(capsys, monkeypatch, tmp_path)
 
 def test_cycles_verify_failure_lists_all_three_values(capsys, monkeypatch):
     cert = _failing_sweep(
-        capsys, monkeypatch, "det_via_tight_cycles", lambda p: -p, "cycles-verify"
+        capsys, monkeypatch, "cycle_sums", lambda pair: (pair[0], -pair[1]), "cycles-verify"
     )
     assert set(cert) == {"tree", "X", "all_cycles", "tight_cycles", "formula"}
     assert cert["tight_cycles"] != cert["all_cycles"] == cert["formula"]
@@ -309,6 +309,23 @@ def test_decompose_example_and_failure(capsys, tmp_path):
     c4.write_text(C4_CSV)
     assert run(["decompose", "--matrix", str(c4)]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("sub", ["check-4pc", "realize", "decompose"])
+def test_metric_commands_scan_quadruples_once(capsys, monkeypatch, tmp_path, sub):
+    scan = metric._four_point_scan
+    calls = []
+    monkeypatch.setattr(metric, "_four_point_scan", lambda m: calls.append(1) or scan(m))
+    good = tmp_path / "tm.csv"
+    good.write_text(tree_metric_csv(random_tree(5, seed=4)))
+    c4 = tmp_path / "c4.csv"
+    c4.write_text(C4_CSV)
+    for path, want_code in ((good, 0), (c4, 1)):
+        calls.clear()
+        code, out, _ = invoke(capsys, sub, "--matrix", str(path), "--format", "json")
+        assert code == want_code
+        assert len(calls) == 1
+    assert json.loads(out)["violation"]["quadruple"] == [0, 1, 2, 3]
 
 
 def test_hpp_check(capsys, tmp_path):

@@ -170,6 +170,11 @@ def test_power_matrix_subset_validation():
     for bad in ([3], [-1], [0, 0]):
         with pytest.raises(ValueError, match="distinct indices in 0..2"):
             power_matrix(d, 10, bad)
+    c4 = power_matrix(square_cycle_metric(), 10)
+    assert star_condition_check(c4, [[3, 1]]) is None
+    for bad in ([-1], [0, 0], [7]):
+        with pytest.raises(ValueError, match="distinct indices in 0..3"):
+            star_condition_check(c4, [[0], bad])
 
 
 def test_inertia_small_cases():

@@ -24,8 +24,8 @@ from .matroid import (
     k_dissimilarity,
     odd_dissimilarity,
     represent_odd,
-    represent_rooted,
     rooted_k_dissimilarity,
+    verify_rooted_representation,
 )
 from .tropic import PrecisionError, PuiseuxTrunc, cholesky
 from .radicals import QRad
@@ -61,8 +61,8 @@ __all__ = [
     "random_tree",
     "realize_tree",
     "represent_odd",
-    "represent_rooted",
     "rooted_k_dissimilarity",
     "star_condition_check",
+    "verify_rooted_representation",
     "weighted_minor",
 ]

@@ -82,8 +82,6 @@ def _jsonable(x):
         return x
     if x == MINUS_INF:
         return "-inf"
-    if isinstance(x, Fraction):
-        return str(x)
     return str(x)
 
 
@@ -560,11 +558,11 @@ def cmd_represent_rooted(args):
     )
     expected = rooted_k_dissimilarity(T, args.root, args.k, ground=rep.ground)
     rows = []
-    for Y in combinations(rep.ground, rep.k):
+    for Y, valuation in rep.valuations.items():
         rows.append(
             {
                 "Y": ",".join(str(y) for y in Y),
-                "valuation": rep.series_valuation(Y),
+                "valuation": valuation,
                 "subtree_weight": expected.value(Y),
                 "exact_minor_valuation": rep.exact_minor_valuation(Y),
             }

@@ -12,19 +12,21 @@ truncated series) whose minor/Pfaffian top exponents reproduce the maps:
 * `represent_odd` -- a skew matrix of pairwise distance powers, taken in a
   nice vertex order, plus its image under t -> 1/t; Pfaffian valuations of
   principal submatrices give the odd-edge map and its negative.
-* `represent_rooted` -- the pairwise-power matrix with the rank-one root
-  contribution removed, split through an exact Cholesky factorisation and
-  mixed by a random rectangular matrix of rationals.  Determinant valuations
-  of k-column blocks give the rooted subtree-weight map.
+* `verify_rooted_representation` -- the pairwise-power matrix with the
+  rank-one root contribution removed, split through an exact Cholesky
+  factorisation and mixed by a random rectangular matrix of rationals.
+  Determinant valuations of k-column blocks give the rooted subtree-weight
+  map; each one is checked against the tree and kept with the result.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .metric import MINUS_INF
@@ -389,6 +391,8 @@ class RootedRepresentation:
     `matrix` is the exact root-reduced power matrix M; `lower` a Cholesky
     factor L of -M over truncated series (so -M = L L^T up to the window);
     `mix` a random rational k x n matrix J; and `rows` the product J L^T.
+    `valuations` holds the checked block valuation of every k-subset Y
+    (a sorted tuple of ground elements), in `combinations` order.
     """
 
     tree: Tree
@@ -401,6 +405,7 @@ class RootedRepresentation:
     lower: tuple[tuple[PuiseuxTrunc, ...], ...]
     mix: tuple[tuple[Fraction, ...], ...]
     rows: tuple[tuple[PuiseuxTrunc, ...], ...]
+    valuations: Mapping[tuple[int, ...], Value] = field(hash=False)
 
     def _positions(self, Y: Iterable[int]) -> list[int]:
         idx = {v: i for i, v in enumerate(self.ground)}
@@ -415,9 +420,7 @@ class RootedRepresentation:
     def series_valuation(self, Y: Iterable[int]):
         """Valuation of det of the Y-column block of the series matrix."""
         pos = self._positions(Y)
-        block = [[self.rows[i][p] for p in pos] for i in range(self.k)]
-        v = series_det(block).valuation()
-        return MINUS_INF if v is None else v
+        return self.valuations[tuple(self.ground[p] for p in pos)]
 
     def exact_minor_valuation(self, Y: Iterable[int]):
         """Top exponent of det M[Y], from the exact polynomial matrix."""
@@ -427,62 +430,26 @@ class RootedRepresentation:
             return MINUS_INF
         return d.leading_term()[0]
 
-    def scaled_minor_valuation(self, Y: Iterable[int]):
-        """Top exponent of det M[Y] after t -> t^(1/2) -- the exact-path
-        valuation on the same scale as the series path (i.e. halved).
-
-        A one-column block of L carries t^(half the diagonal exponent), so
-        determinants of the series matrix live on half the exponent scale of
-        the polynomial minors; this accessor applies the matching rescale.
-        """
-        pos = self._positions(Y)
-        d = det(self.matrix.principal_submatrix(pos))
-        if d.is_zero():
-            return MINUS_INF
-        return d.power_substitute(Fraction(1, 2)).leading_term()[0]
-
     def value_fn(self) -> ValuatedFn:
         """The map Y |-> series valuation, over all k-subsets."""
-        vals = {}
-        for Y in combinations(self.ground, self.k):
-            vals[Y] = self.series_valuation(Y)
-        return ValuatedFn(self.ground, vals, k=self.k)
+        return ValuatedFn(self.ground, self.valuations, k=self.k)
 
 
-def _assemble_rooted(
-    T: Tree,
-    root: int,
-    g: tuple[int, ...],
-    k: int,
-    window: Fraction,
-    M: PolyMatrix,
-    L: Sequence[Sequence[PuiseuxTrunc]],
-    seed: int,
-) -> RootedRepresentation:
-    n = len(g)
-    J = _sample_mix(k, n, seed)
+def _mixed_rows(
+    J: Sequence[Sequence[Fraction]], L: Sequence[Sequence[PuiseuxTrunc]]
+) -> tuple[tuple[PuiseuxTrunc, ...], ...]:
+    """The rows of J L^T, L lower triangular."""
     rows = []
-    for i in range(k):
+    for Ji in J:
         r = []
-        for j in range(n):
+        for j, Lj in enumerate(L):
             acc = None
-            for s in range(j + 1):  # L is lower triangular
-                term = J[i][s] * L[j][s]
+            for s in range(j + 1):
+                term = Ji[s] * Lj[s]
                 acc = term if acc is None else acc + term
             r.append(acc)
         rows.append(tuple(r))
-    return RootedRepresentation(
-        tree=T,
-        root=root,
-        ground=g,
-        k=k,
-        window=window,
-        seed=seed,
-        matrix=M,
-        lower=tuple(tuple(row) for row in L),
-        mix=tuple(tuple(row) for row in J),
-        rows=tuple(rows),
-    )
+    return tuple(rows)
 
 
 def _rooted_core(T: Tree, root: int, g: tuple[int, ...], window):
@@ -494,8 +461,6 @@ def _rooted_core(T: Tree, root: int, g: tuple[int, ...], window):
             f"(leading minor {bad} has the wrong sign)"
         )
     w = default_window(M) if window is None else Fraction(window)
-    if w <= 0:
-        raise ValueError("window must be positive")
     try:
         L = cholesky([[-e for e in row] for row in M.entries], window=w)
     except PrecisionError as exc:
@@ -504,29 +469,6 @@ def _rooted_core(T: Tree, root: int, g: tuple[int, ...], window):
             "raise the window and retry"
         ) from exc
     return M, w, L
-
-
-def represent_rooted(
-    T: Tree,
-    root: int,
-    k: int,
-    ground: Iterable[int] | None = None,
-    window=None,
-    seed: int = 0,
-) -> RootedRepresentation:
-    """Build the k-row series representation of the rooted subtree-weight
-    map: factor the negated root-reduced matrix as L L^T over truncated
-    series and mix L^T by a random rational k x n matrix.
-
-    `window` is the truncation width (default: four times the exponent
-    spread of the matrix).  If later valuations come out truncated to
-    nothing, raise it.
-    """
-    g = _rooted_ground(T, root, ground)
-    if not 1 <= k <= len(g):
-        raise ValueError(f"k={k} is out of range for a ground set of {len(g)}")
-    M, w, L = _rooted_core(T, root, g, window)
-    return _assemble_rooted(T, root, g, k, w, M, L, seed)
 
 
 def verify_rooted_representation(
@@ -538,16 +480,23 @@ def verify_rooted_representation(
     seed: int = 0,
     max_reseeds: int = 5,
 ) -> tuple[RootedRepresentation, int]:
-    """Build a rooted representation and check it against the map computed
-    straight from the tree, on every k-subset.
+    """Build the k-row series representation of the rooted subtree-weight
+    map and check it against the map computed straight from the tree, on
+    every k-subset: factor the negated root-reduced matrix as L L^T over
+    truncated series and mix L^T by a random rational k x n matrix.
 
-    A disagreement or an unresolved (fully truncated) valuation is put down
-    to an unlucky mixing matrix: the mix is resampled, at most `max_reseeds`
-    times, and the failure is reported if it persists.  Returns the verified
-    representation and the number of reseeds used.
+    `window` is the truncation width (default: four times the exponent
+    spread of the matrix).  A disagreement or an unresolved (fully
+    truncated) valuation is put down to an unlucky mixing matrix: the mix
+    is resampled, at most `max_reseeds` times, and the failure is reported
+    if it persists; raising the window is the other remedy.  Returns the
+    verified representation, which carries the checked valuations, and the
+    number of reseeds used.
     """
     if max_reseeds < 0:
         raise ValueError(f"max_reseeds must be at least 0, got {max_reseeds}")
+    if window is not None and Fraction(window) <= 0:
+        raise ValueError("window must be positive")
     g = _rooted_ground(T, root, ground)
     if not 1 <= k <= len(g):
         raise ValueError(f"k={k} is out of range for a ground set of {len(g)}")
@@ -555,11 +504,15 @@ def verify_rooted_representation(
     M, w, L = _rooted_core(T, root, g, window)
     failures = []
     for attempt in range(max_reseeds + 1):
-        rep = _assemble_rooted(T, root, g, k, w, M, L, seed + attempt)
+        J = _sample_mix(k, len(g), seed + attempt)
+        rows = _mixed_rows(J, L)
+        vals = {}
         problem = None
         try:
-            for Y in combinations(g, k):
-                got = rep.series_valuation(Y)
+            for pos in combinations(range(len(g)), k):
+                Y = tuple(g[p] for p in pos)
+                v = series_det([[row[p] for p in pos] for row in rows]).valuation()
+                got = MINUS_INF if v is None else v
                 want = expected.value(Y)
                 if got != want:
                     problem = (
@@ -567,9 +520,23 @@ def verify_rooted_representation(
                         f"Y={Y} (degenerate mix suspected)"
                     )
                     break
+                vals[Y] = got
         except PrecisionError as exc:
             problem = f"seed {seed + attempt}: {exc}"
         if problem is None:
+            rep = RootedRepresentation(
+                tree=T,
+                root=root,
+                ground=g,
+                k=k,
+                window=w,
+                seed=seed + attempt,
+                matrix=M,
+                lower=tuple(tuple(row) for row in L),
+                mix=tuple(tuple(row) for row in J),
+                rows=rows,
+                valuations=MappingProxyType(vals),
+            )
             return rep, attempt
         failures.append(problem)
     raise ArithmeticError(

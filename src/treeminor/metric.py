@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Sequence
 
-from .radicals import QRad
+from .radicals import QRad, exact_sign
 from .tree import Tree
 
 Matrix = list[list[Fraction]]
@@ -299,12 +299,6 @@ def square_cycle_metric() -> Matrix:
 # exact signatures of powered matrices
 
 
-def _sgn(x) -> int:
-    if isinstance(x, QRad):
-        return x.sign()
-    return 1 if x > 0 else (-1 if x < 0 else 0)
-
-
 def power_entry(tau: Fraction, d: Fraction):
     """tau^d exactly: a Fraction for integer d, a square-root extension for
     half-integer d, zero for d = -inf.  Denominators beyond 2 would need
@@ -339,29 +333,41 @@ def power_matrix(rows: Sequence[Sequence], tau, subset: Sequence[int] | None = N
     return [[power_entry(tau, m[i][j]) for j in idx] for i in idx]
 
 
-def inertia(rows: Sequence[Sequence]) -> tuple[int, int, int]:
-    """(positive, negative, zero) inertia of a symmetric matrix by exact
-    congruence: 1x1 pivots where the diagonal allows, hyperbolic 2x2 blocks
-    where it does not."""
-    a = [list(row) for row in rows]
+def _check_symmetric(a: Sequence[Sequence]) -> None:
+    """Raise unless the matrix is square and exactly symmetric."""
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("matrix is not square")
     for i in range(n):
         for j in range(i):
-            if _sgn(a[i][j] - a[j][i]) != 0:
+            if exact_sign(a[i][j] - a[j][i]) != 0:
                 raise ValueError(f"matrix is not symmetric at ({i},{j})")
+
+
+def inertia(rows: Sequence[Sequence]) -> tuple[int, int, int]:
+    """(positive, negative, zero) inertia of a symmetric matrix by exact
+    congruence: 1x1 pivots where the diagonal allows, hyperbolic 2x2 blocks
+    where it does not."""
+    a = [list(row) for row in rows]
+    _check_symmetric(a)
+    return _inertia(a)
+
+
+def _inertia(a: list[list]) -> tuple[int, int, int]:
+    """The elimination behind `inertia`, on a matrix already known to be
+    square and symmetric; it overwrites `a`."""
+    n = len(a)
     live = list(range(n))
     pos = neg = zero = 0
     while live:
-        piv = next((i for i in live if _sgn(a[i][i]) != 0), None)
+        piv = next((i for i in live if exact_sign(a[i][i]) != 0), None)
         if piv is not None:
-            s = _sgn(a[piv][piv])
+            s = exact_sign(a[piv][piv])
             pos, neg = pos + (s > 0), neg + (s < 0)
             live.remove(piv)
             d = a[piv][piv]
             for i in live:
-                if _sgn(a[i][piv]) == 0:
+                if exact_sign(a[i][piv]) == 0:
                     continue
                 f = a[i][piv] / d
                 for j in live:
@@ -375,7 +381,7 @@ def inertia(rows: Sequence[Sequence]) -> tuple[int, int, int]:
                 (i, j)
                 for ii, i in enumerate(live)
                 for j in live[ii + 1:]
-                if _sgn(a[i][j]) != 0
+                if exact_sign(a[i][j]) != 0
             ),
             None,
         )
@@ -391,7 +397,7 @@ def inertia(rows: Sequence[Sequence]) -> tuple[int, int, int]:
         b = a[i0][j0]
         for r in live:
             u, v = a[r][i0], a[r][j0]
-            if _sgn(u) == 0 and _sgn(v) == 0:
+            if exact_sign(u) == 0 and exact_sign(v) == 0:
                 continue
             # subtract the rank-2 correction (u v' + v u') / b
             for c in live:
@@ -417,13 +423,13 @@ def star_condition_check(
     indices in 0..n-1.
 
     M must already be numeric (say a powered matrix [tau^(w_ij)], whose
-    entries may be square-root extensions); determinant signs come from
+    entries may be square-root extensions) and symmetric, which is checked
+    once on the whole matrix; determinant signs come from
     exact inertia counts, so zero minors satisfy the weak inequalities.
     Returns the first violating subset, or None."""
     m = [list(row) for row in rows]
     n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("matrix is not square")
+    _check_symmetric(m)
     if subsets is None:
         if n > 12:
             raise ValueError("n > 12: pass an explicit subset sample")
@@ -434,7 +440,7 @@ def star_condition_check(
         subsets = [_subset_indices(xs, n) for xs in subsets]
     for xs in subsets:
         xs = list(xs)
-        p, q, z = inertia([[m[i][j] for j in xs] for i in xs])
+        p, q, z = _inertia([[m[i][j] for j in xs] for i in xs])
         det_sign = 0 if z else (-1) ** q
         if det_sign < 0 if len(xs) % 2 else det_sign > 0:
             return tuple(xs)
@@ -461,7 +467,7 @@ def hpp_eigen_check(rows: Sequence[Sequence], taus: Iterable = (10, 100)):
                     "entries may be -inf"
                 )
     for tau in taus:
-        positives, _, _ = inertia(power_matrix(m, tau))
+        positives, _, _ = _inertia(power_matrix(m, tau))
         if positives > 1:
             return Fraction(tau)
     return _four_point_scan(m)

@@ -14,9 +14,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
-from .poly import ExactPoly, PolyMatrix, _zadd, _zmul, det, lcm
+from .poly import ExactPoly, PolyMatrix, _zadd, _zmul, det
 from .tree import Edge, Tree
 
 

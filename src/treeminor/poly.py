@@ -88,7 +88,7 @@ class ExactPoly:
         for e, c in pairs:
             e = _as_fraction(e)
             c = _as_fraction(c)
-            d = lcm(den, e.denominator)
+            d = math.lcm(den, e.denominator)
             if d != den:
                 merged = {k * (d // den): v for k, v in merged.items()}
                 den = d
@@ -282,10 +282,6 @@ def _exp_str(e: Fraction) -> str:
     return f"({e})"
 
 
-def lcm(a: int, b: int) -> int:
-    return a // math.gcd(a, b) * b
-
-
 def _normalize(den: int, terms: dict) -> tuple[int, dict]:
     terms = {k: v for k, v in terms.items() if v}
     if not terms:
@@ -312,7 +308,7 @@ def _coerce(x):
 def _align(a: ExactPoly, b: ExactPoly) -> tuple[int, dict, dict]:
     if a._den == b._den:
         return a._den, a._terms, b._terms
-    d = lcm(a._den, b._den)
+    d = math.lcm(a._den, b._den)
     fa, fb = d // a._den, d // b._den
     return d, {k * fa: v for k, v in a._terms.items()}, {k * fb: v for k, v in b._terms.items()}
 
@@ -429,7 +425,7 @@ def _denominator_lcm(maps) -> int:
     for p in maps:
         for c in p.values():
             if mult % c.denominator:
-                mult = lcm(mult, c.denominator)
+                mult = math.lcm(mult, c.denominator)
     return mult
 
 
@@ -440,7 +436,7 @@ def _common_den(entries) -> tuple[int, list[list[dict[int, Fraction]]]]:
     for row in entries:
         for p in row:
             if den % p._den:
-                den = lcm(den, p._den)
+                den = math.lcm(den, p._den)
     return den, [
         [{k * (den // p._den): c for k, c in p._terms.items()} for p in row]
         for row in entries

@@ -25,7 +25,7 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .poly import ExactPoly
-from .radicals import QRad
+from .radicals import QRad, exact_sign
 
 
 class PrecisionError(ArithmeticError):
@@ -39,12 +39,6 @@ def _canon_coeff(c) -> Coeff:
     if isinstance(c, QRad):
         return c.as_fraction() if c.is_rational() else c
     return Fraction(c)
-
-
-def _coeff_sign(c: Coeff) -> int:
-    if isinstance(c, QRad):
-        return c.sign()
-    return 1 if c > 0 else (-1 if c < 0 else 0)
 
 
 def _coeff_inv(c: Coeff) -> Coeff:
@@ -174,7 +168,7 @@ class PuiseuxTrunc:
         """Sign for t -> infinity.  Exact zero gives 0; a truncated zero
         raises PrecisionError rather than guessing."""
         if self._terms:
-            return _coeff_sign(self._terms[max(self._terms)])
+            return exact_sign(self._terms[max(self._terms)])
         if self._cutoff is None:
             return 0
         raise PrecisionError(
@@ -324,7 +318,7 @@ class PuiseuxTrunc:
         if self.is_exact_zero():
             return self
         lead_e, lead_c = self.leading()
-        if _coeff_sign(lead_c) < 0:
+        if exact_sign(lead_c) < 0:
             raise ArithmeticError(f"sqrt of a series with negative lead {lead_c}")
         root = PuiseuxTrunc.t_power(lead_e / 2, _coeff_sqrt(lead_c))
         if self._monomial():

@@ -367,7 +367,7 @@ def test_criterion_8_representation_valuations():
         rep, reseeds = verify_rooted_representation(t, root, 2, max_reseeds=5)
         reseed_total += reseeds
         for ys in itertools.combinations(rep.ground, 2):
-            if rep.series_valuation(ys) != rep.scaled_minor_valuation(ys):
+            if rep.series_valuation(ys) != rep.exact_minor_valuation(ys) / 2:
                 failures.append(f"series path off at seed {8200 + i}, Y={ys}")
     verdict(8, "Pfaffian/minor valuations equal the dissimilarity maps",
             failures,

@@ -401,6 +401,30 @@ def test_represent_rooted_report(capsys, tmp_path):
         assert F(row["exact_minor_valuation"]) == 2 * F(row["subtree_weight"])
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_represent_rooted_runs_each_block_determinant_once(capsys, tmp_path, monkeypatch, k):
+    from treeminor import matroid
+
+    calls = []
+    real = matroid.series_det
+
+    def counted(grid):
+        calls.append(len(grid))
+        return real(grid)
+
+    monkeypatch.setattr(matroid, "series_det", counted)
+    tree = tmp_path / "q.tree"
+    tree.write_text("6\n1 5\n2 5\n5 6\n3 6\n4 6\n")
+    code, out, _ = invoke(
+        capsys, "represent-rooted", "--tree", str(tree), "--root", "5",
+        "--k", str(k), "--format", "json",
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert len(calls) == len(data["rows"]) * (data["reseeds"] + 1)
+    assert set(calls) == {k}
+
+
 def test_represent_rooted_window_failure(capsys, tmp_path):
     tree = tmp_path / "c.tree"
     tree.write_text("5\n10 1\n1 2\n2 3\n2 4\n")

@@ -34,7 +34,6 @@ from treeminor.matroid import (
     k_dissimilarity,
     odd_dissimilarity,
     represent_odd,
-    represent_rooted,
     rooted_k_dissimilarity,
     rooted_matrix,
     verify_rooted_representation,
@@ -331,11 +330,13 @@ def test_exact_minor_valuations_are_doubled_subtree_weights():
         if len(ground) < 2:
             continue
         k = 2
-        rep = represent_rooted(T, root, k, ground=ground, seed=rng.randint(0, 99))
+        rep = verify_rooted_representation(
+            T, root, k, ground=ground, seed=rng.randint(0, 99)
+        )[0]
         fn = rooted_k_dissimilarity(T, root, k, ground=ground)
         for Y in combinations(ground, k):
             assert rep.exact_minor_valuation(Y) == 2 * fn.value(Y)
-            assert rep.scaled_minor_valuation(Y) == fn.value(Y)
+            assert rep.exact_minor_valuation(Y) / 2 == fn.value(Y)
 
 
 def test_series_valuations_recover_rooted_map():
@@ -362,6 +363,22 @@ def test_series_valuations_random_trees():
         assert rep.value_fn() == rooted_k_dissimilarity(T, root, 2, ground=ground)
 
 
+def test_series_valuation_reads_the_verified_valuations(monkeypatch):
+    import treeminor.matroid as matroid
+
+    T = quartet_tree()
+    rep, _ = verify_rooted_representation(T, 5, 2)
+
+    def refuse(grid):
+        raise AssertionError("series_det called after verification")
+
+    monkeypatch.setattr(matroid, "series_det", refuse)
+    want = rooted_k_dissimilarity(T, 5, 2)
+    for Y in combinations(rep.ground, 2):
+        assert rep.series_valuation(reversed(Y)) == want.value(Y)
+    assert rep.value_fn() == want
+
+
 def test_rooted_window_too_small_is_reported():
     # ground leaves meet at depth 2 below the root, so any window below 4
     # truncates the determinant's top term away
@@ -375,14 +392,14 @@ def test_rooted_window_too_small_is_reported():
 def test_rooted_argument_validation():
     T = star_tree(3)
     with pytest.raises(ValueError):
-        represent_rooted(T, 1, 1)  # root is a leaf
+        verify_rooted_representation(T, 1, 1)[0]  # root is a leaf
     with pytest.raises(ValueError):
-        represent_rooted(T, 0, 4)  # k too large
+        verify_rooted_representation(T, 0, 4)[0]  # k too large
     with pytest.raises(ValueError):
-        represent_rooted(T, 0, 1, window=0)
+        verify_rooted_representation(T, 0, 1, window=0)[0]
     with pytest.raises(ValueError, match="max_reseeds"):
         verify_rooted_representation(T, 0, 2, max_reseeds=-1)
-    rep = represent_rooted(T, 0, 2, seed=5)
+    rep = verify_rooted_representation(T, 0, 2, seed=5)[0]
     with pytest.raises(ValueError):
         rep.series_valuation([1, 9])
     with pytest.raises(ValueError):

@@ -319,6 +319,13 @@ def test_star_condition_weak_inequalities():
         star_condition_check([[F(0)] * 13 for _ in range(13)])
 
 
+def test_star_condition_names_the_asymmetric_pair_of_the_whole_matrix():
+    m = power_matrix(tree_distance_matrix(random_tree(4, seed=2), [1, 2, 3, 4]), 10)
+    m[2][3] += 1
+    with pytest.raises(ValueError, match=r"not symmetric at \(3,2\)"):
+        star_condition_check(m)
+
+
 def test_hpp_eigen_check_tree_metric_ok():
     t = random_tree(6, seed=8, weights="rational")
     d = tree_distance_matrix(t, list(t.vertices))

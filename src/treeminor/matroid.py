@@ -10,7 +10,7 @@ The representation half builds matrices over exact Laurent polynomials (or
 truncated series) whose minor/Pfaffian top exponents reproduce the maps:
 
 * `represent_odd` -- a skew matrix of pairwise distance powers, taken in a
-  nice vertex order, plus its image under t -> 1/t; Pfaffian valuations of
+  nice vertex order; the top and bottom exponents of the Pfaffians of its
   principal submatrices give the odd-edge map and its negative.
 * `verify_rooted_representation` -- the pairwise-power matrix with the
   rank-one root contribution removed, split through an exact Cholesky
@@ -171,7 +171,11 @@ def check_valuated_matroid(fn: ValuatedFn) -> ExchangeViolation | None:
             for i in X - Y:
                 best = MINUS_INF
                 for j in Y - X:
-                    cand = fn.value(X - {i} | {j}) + fn.value(Y - {j} | {i})
+                    a, b = fn.value(X - {i} | {j}), fn.value(Y - {j} | {i})
+                    if a == MINUS_INF or b == MINUS_INF:
+                        # never beats best; Fraction + float could overflow
+                        continue
+                    cand = a + b
                     if cand > best:
                         best = cand
                 if lhs > best:
@@ -199,7 +203,10 @@ def check_delta_matroid(fn: ValuatedFn) -> ExchangeViolation | None:
             for i in diff:
                 best = MINUS_INF
                 for j in diff - {i}:
-                    cand = fn.value(X ^ {i, j}) + fn.value(Y ^ {i, j})
+                    a, b = fn.value(X ^ {i, j}), fn.value(Y ^ {i, j})
+                    if a == MINUS_INF or b == MINUS_INF:
+                        continue  # as in check_valuated_matroid
+                    cand = a + b
                     if cand > best:
                         best = cand
                 if lhs > best:
@@ -254,51 +261,48 @@ def odd_dissimilarity(T: Tree, ground: Iterable[int] | None = None) -> ValuatedF
 
 @dataclass(frozen=True)
 class OddRepresentation:
-    """Skew matrix of distance powers over a nicely ordered vertex tuple,
-    with its t -> 1/t image; Pfaffian valuations recover the odd-edge map
-    (and, on the image, its negative)."""
+    """Skew matrix of distance powers over a nicely ordered vertex tuple;
+    Pfaffian valuations of its principal blocks recover the odd-edge map
+    (and, read at t -> 1/t, its negative)."""
 
     tree: Tree
     order: tuple[int, ...]
     matrix: PolyMatrix
-    dual: PolyMatrix
 
-    def _positions(self, X: Iterable[int]) -> list[int]:
+    def _pfaffian(self, X: Iterable[int]) -> ExactPoly | None:
+        """Pf(B[X]), or None when |X| is odd."""
         idx = {v: i for i, v in enumerate(self.order)}
         xs = frozenset(X)
         bad = [x for x in xs if x not in idx]
         if bad:
             raise ValueError(f"{sorted(bad)} are not represented vertices")
-        return sorted(idx[x] for x in xs)
-
-    def _value_in(self, m: PolyMatrix, X: Iterable[int]):
-        pos = self._positions(X)
-        if len(pos) % 2:
-            return MINUS_INF
-        p = pfaffian(m.principal_submatrix(pos))
-        if p.is_zero():
-            return MINUS_INF
-        return p.leading_term()[0]
+        if len(xs) % 2:
+            return None
+        return pfaffian(self.matrix.principal_submatrix(sorted(idx[x] for x in xs)))
 
     def value(self, X: Iterable[int]):
         """Top exponent of the Pfaffian of the X-rows-and-columns block."""
-        return self._value_in(self.matrix, X)
+        p = self._pfaffian(X)
+        if not p:
+            return MINUS_INF
+        return p.leading_term()[0]
 
     def dual_value(self, X: Iterable[int]):
-        """Same, on the t -> 1/t image."""
-        return self._value_in(self.dual, X)
+        """Same, on the t -> 1/t image of the matrix.  That map is a ring
+        map, so the image's Pfaffian is Pf(B[X]) at 1/t, whose top exponent
+        is minus the bottom exponent of Pf(B[X])."""
+        p = self._pfaffian(X)
+        if not p:
+            return MINUS_INF
+        return -p.trailing_term()[0]
 
 
 def represent_odd(T: Tree, ground: Iterable[int] | None = None) -> OddRepresentation:
     """Build the skew distance-power matrix over a nice order of the ground
-    set (default: every vertex), plus its t -> 1/t image."""
+    set (default: every vertex)."""
     g = tuple(T.vertices) if ground is None else T.check_subset(ground)
     order = tuple(T.nice_order(g))
-    B = build_skew_matrix(T, order)
-    dual = PolyMatrix(
-        [[e.power_substitute(-1) for e in row] for row in B.entries], kind="skew"
-    )
-    return OddRepresentation(T, order, B, dual)
+    return OddRepresentation(T, order, build_skew_matrix(T, order))
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +338,7 @@ def rooted_matrix(T: Tree, root: int, ground: Sequence[int]) -> PolyMatrix:
                 - ExactPoly.t_power(depth[a] + depth[b])
             )
         rows.append(row)
-    return PolyMatrix(rows, kind="symmetric")
+    return PolyMatrix(rows)
 
 
 def check_alternating_leading_minors(M: PolyMatrix) -> int | None:
@@ -498,8 +502,6 @@ def verify_rooted_representation(
     if window is not None and Fraction(window) <= 0:
         raise ValueError("window must be positive")
     g = _rooted_ground(T, root, ground)
-    if not 1 <= k <= len(g):
-        raise ValueError(f"k={k} is out of range for a ground set of {len(g)}")
     expected = rooted_k_dissimilarity(T, root, k, ground=g)
     M, w, L = _rooted_core(T, root, g, window)
     failures = []

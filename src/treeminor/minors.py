@@ -28,7 +28,7 @@ def build_matrix(T: Tree, X: Sequence[int]) -> PolyMatrix:
         [ExactPoly.t_power(T.dist(a, b)) for b in xs]
         for a in xs
     ]
-    return PolyMatrix(rows, kind="symmetric")
+    return PolyMatrix(rows)
 
 
 @dataclass(frozen=True)
@@ -242,7 +242,7 @@ def build_weighted_matrix(
         [ExactPoly.t_power(T.dist(phi[i], phi[j]) + p[i] + p[j]) for j in range(m)]
         for i in range(m)
     ]
-    return PolyMatrix(rows, kind="symmetric")
+    return PolyMatrix(rows)
 
 
 def weighted_minor(

@@ -39,7 +39,7 @@ def build_skew_matrix(T: Tree, X: Sequence[int]) -> PolyMatrix:
             p = ExactPoly.t_power(T.dist(xs[a], xs[b]))
             rows[a][b] = p
             rows[b][a] = -p
-    return PolyMatrix(rows, kind="skew")
+    return PolyMatrix(rows)
 
 
 def _require_even_and_nice(T: Tree, X: Sequence[int]) -> tuple[int, ...]:

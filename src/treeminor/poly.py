@@ -6,7 +6,7 @@ arbitrary-precision rationals (fractions.Fraction).  Exponents are rationals
 stored as integer numerators over one shared positive denominator per
 polynomial, kept minimal, so equality of polynomials is plain structural
 equality.  Everything downstream (distance powers t^d, the signed forest
-sums, Schur complements, dual substitutions t -> 1/t) lives in this ring.
+sums, Schur complements) lives in this ring.
 
 det and pfaffian do not compute in Fraction arithmetic: they clear the
 coefficient denominators of their matrix once, work on integer-coefficient
@@ -214,8 +214,8 @@ class ExactPoly:
     def power_substitute(self, r) -> "ExactPoly":
         """Monomial substitution t -> t^r for a nonzero rational r.
 
-        r = -1 gives the dual polynomial (used for matrices under t -> 1/t),
-        r = 1/2 halves every exponent.
+        r = -1 gives the dual polynomial p(1/t), r = 1/2 halves every
+        exponent.
         """
         r = _as_fraction(r)
         if r == 0:
@@ -468,20 +468,16 @@ def divide_exact(p: ExactPoly, q: ExactPoly) -> ExactPoly:
 # matrices over ExactPoly
 
 
-_KINDS = ("general", "symmetric", "skew")
-
-
 class PolyMatrix:
-    """Square matrix of ExactPoly entries with a declared symmetry kind.
+    """Square matrix of ExactPoly entries.
 
-    kind is one of 'general', 'symmetric' (a_ij = a_ji) or 'skew'
-    (a_ij = -a_ji with zero diagonal); the declared structure is checked at
-    construction.
+    No structure is declared: the functions that need one (pfaffian needs
+    a skew matrix, tropic.cholesky a symmetric one) check it themselves.
     """
 
-    __slots__ = ("entries", "kind")
+    __slots__ = ("entries",)
 
-    def __init__(self, entries, kind: str = "general"):
+    def __init__(self, entries):
         rows = [list(r) for r in entries]
         n = len(rows)
         for r in rows:
@@ -490,22 +486,7 @@ class PolyMatrix:
             for x in r:
                 if not isinstance(x, ExactPoly):
                     raise TypeError("entries must be ExactPoly")
-        if kind not in _KINDS:
-            raise ValueError(f"unknown matrix kind {kind!r}")
-        if kind == "symmetric":
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if rows[i][j] != rows[j][i]:
-                        raise ValueError(f"not symmetric at ({i},{j})")
-        elif kind == "skew":
-            for i in range(n):
-                if not rows[i][i].is_zero():
-                    raise ValueError(f"skew matrix needs zero diagonal at {i}")
-                for j in range(i + 1, n):
-                    if rows[i][j] != -rows[j][i]:
-                        raise ValueError(f"not skew at ({i},{j})")
         self.entries = rows
-        self.kind = kind
 
     @property
     def n(self) -> int:
@@ -518,11 +499,11 @@ class PolyMatrix:
     def principal_submatrix(self, rows) -> "PolyMatrix":
         rows = list(rows)
         sub = [[self.entries[i][j] for j in rows] for i in rows]
-        return PolyMatrix(sub, kind=self.kind)
+        return PolyMatrix(sub)
 
     def __repr__(self):
         body = "; ".join(", ".join(str(x) for x in row) for row in self.entries)
-        return f"PolyMatrix[{self.kind}]({body})"
+        return f"PolyMatrix({body})"
 
 
 def det(m: PolyMatrix) -> ExactPoly:
@@ -614,15 +595,21 @@ def _perm_sign(perm) -> int:
 def pfaffian(m: PolyMatrix) -> ExactPoly:
     """Pfaffian of a skew matrix of even size.
 
-    Expansion along the first remaining index: pairing index i1 with the
-    j-th remaining index contributes sign (-1)^j; the empty matrix has
-    Pfaffian 1.  The entries are multiplied by the lcm L of their
-    coefficient denominators, the expansion runs on the integer kernel,
-    and Pf(L A) = L^(n/2) Pf(A) undoes the scale.
+    Skewness (a zero diagonal and a_ji = -a_ij) is checked first, in one
+    pass over the upper triangle.  Expansion along the first remaining
+    index: pairing index i1 with the j-th remaining index contributes sign
+    (-1)^j; the empty matrix has Pfaffian 1.  The entries are multiplied by
+    the lcm L of their coefficient denominators, the expansion runs on the
+    integer kernel, and Pf(L A) = L^(n/2) Pf(A) undoes the scale.
     """
-    if m.kind != "skew":
-        raise ValueError("Pfaffian requires a skew matrix")
     n = m.n
+    a = m.entries
+    for i in range(n):
+        if a[i][i]:
+            raise ValueError(f"skew matrix needs zero diagonal at {i}")
+        for j in range(i + 1, n):
+            if a[i][j] != -a[j][i]:
+                raise ValueError(f"not skew at ({i},{j})")
     if n % 2:
         raise ValueError("Pfaffian requires even size")
     den, rows = _common_den(m.entries)

@@ -119,9 +119,6 @@ class Tree:
     def weight(self, e: Edge) -> Fraction:
         return self._weights[edge_key(*e)]
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._adj[v]
-
     def degree(self, v: int) -> int:
         return len(self._adj[v])
 
@@ -265,13 +262,11 @@ class Tree:
         seen = {root}
         order = [root] if root in want else []
         stack = [iter(self._adj[root])]
-        path = [root]
         while stack:
             try:
                 y = next(stack[-1])
             except StopIteration:
                 stack.pop()
-                path.pop()
                 continue
             if y in seen:
                 continue
@@ -280,7 +275,6 @@ class Tree:
                 order.append(y)
                 if len(order) == len(want):
                     break
-            path.append(y)
             stack.append(iter(self._adj[y]))
         return tuple(order)
 

@@ -471,7 +471,9 @@ def cholesky(
     everything stays exact, which only gets through when no division or
     square root meets an exact non-monomial (diagonal matrices, say).
 
-    Raises ArithmeticError if a pivot is negative or exactly zero, and
+    Only the lower triangle and the diagonal are read, so m must be
+    symmetric: an asymmetric m raises ValueError before any work.  Raises
+    ArithmeticError if a pivot is negative or exactly zero, and
     PrecisionError if a pivot cannot be distinguished from zero at this
     window.
     """
@@ -481,6 +483,10 @@ def cholesky(
     grid = [[PuiseuxTrunc._coerce(x) for x in row] for row in m]
     if any(len(row) != n or any(x is None for x in row) for row in grid):
         raise ValueError("need a square grid of series or polynomials")
+    for i in range(n):
+        for j in range(i + 1, n):
+            if grid[i][j] != grid[j][i]:
+                raise ValueError(f"not symmetric at ({i},{j})")
     if window is not None:
         window = Fraction(window)
         if window <= 0:

@@ -40,7 +40,8 @@ from treeminor.matroid import (
 )
 from treeminor.metric import MINUS_INF, square_cycle_metric
 from treeminor.minors import minor_oracle
-from treeminor.poly import ExactPoly, PolyMatrix, det
+from treeminor.pfaffian import build_skew_matrix
+from treeminor.poly import ExactPoly, PolyMatrix, det, pfaffian
 from treeminor.tree import Tree, random_tree
 
 F = Fraction
@@ -150,6 +151,19 @@ def test_delta_exchange_accepts_and_rejects():
     assert isinstance(bad, ExchangeViolation)
     assert bad.axiom == "delta"
     assert bad.lhs == 10
+
+
+def test_exchange_checks_survive_a_value_too_large_for_a_float():
+    # a Fraction plus the float -inf goes through float, which overflows at
+    # 1e400; every swap of the pivot meets a -inf value, so best = -inf
+    huge = Fraction("1e400")
+    vals = {(1, 2): 0, (3, 4): 0, (2, 3): huge}
+    bad = check_valuated_matroid(ValuatedFn([1, 2, 3, 4], vals, k=2))
+    assert (bad.axiom, bad.X, bad.Y, bad.pivot) == ("matroid", (1, 2), (3, 4), 1)
+    assert bad.lhs == 0 and bad.best == MINUS_INF
+    bad = check_delta_matroid(ValuatedFn([1, 2, 3, 4], {(): 0, **vals}))
+    assert (bad.axiom, bad.X, bad.Y, bad.pivot) == ("delta", (1, 2), (3, 4), 1)
+    assert bad.lhs == 0 and bad.best == MINUS_INF
 
 
 def test_pair_map_matches_four_point_condition_on_distinct_quadruples():
@@ -282,6 +296,28 @@ def test_represent_odd_matches_map_exhaustively():
                 )
 
 
+def test_dual_value_matches_the_pfaffian_of_the_inverted_matrix():
+    # the reference: build the t -> 1/t image and read its top exponent.
+    # A shuffled order is not nice, so its Pfaffians need not be monomials.
+    rng = random.Random(5)
+    for n, seed, mode in ((6, 0, "unit"), (7, 1, "unit"), (6, 3, "rational"), (7, 4, "rational")):
+        T = random_tree(n, seed=seed, weights=mode)
+        shuffled = rng.sample(T.vertices, n)
+        for rep in (
+            represent_odd(T),
+            OddRepresentation(T, tuple(shuffled), build_skew_matrix(T, shuffled)),
+        ):
+            image = PolyMatrix(
+                [[e.power_substitute(-1) for e in row] for row in rep.matrix.entries]
+            )
+            for r in range(0, n + 1, 2):
+                for pos in combinations(range(n), r):
+                    X = [rep.order[p] for p in pos]
+                    p = pfaffian(image.principal_submatrix(pos))
+                    want = MINUS_INF if p.is_zero() else p.leading_term()[0]
+                    assert rep.dual_value(X) == want
+
+
 def test_represent_odd_small_cases():
     rep = represent_odd(path_tree(4))
     assert rep.value([]) == 0
@@ -309,7 +345,7 @@ def test_alternating_leading_minors():
     T = quartet_tree()
     M = rooted_matrix(T, 5, (1, 2, 3, 4))
     assert check_alternating_leading_minors(M) is None
-    flat = PolyMatrix([[ExactPoly.one()]], kind="symmetric")
+    flat = PolyMatrix([[ExactPoly.one()]])
     assert check_alternating_leading_minors(flat) == 1
 
 

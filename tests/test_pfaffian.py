@@ -154,6 +154,9 @@ def test_odd_pairing_properties_random():
 def test_build_skew_matrix_shape():
     T = path_tree(3)
     m = build_skew_matrix(T, (1, 2, 3))
-    assert m.kind == "skew"
+    for i in range(3):
+        assert m[i, i].is_zero()
+        for j in range(3):
+            assert m[i, j] == -m[j, i]
     assert m[0, 2] == tp(2)
     assert m[2, 0] == -tp(2)

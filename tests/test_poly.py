@@ -192,9 +192,7 @@ def test_divide_exact_property(a, b):
 def star_matrix():
     # pairwise distance 2 between three leaves of a unit star
     one, t2 = ExactPoly.one(), tp(2)
-    return PolyMatrix(
-        [[one, t2, t2], [t2, one, t2], [t2, t2, one]], kind="symmetric"
-    )
+    return PolyMatrix([[one, t2, t2], [t2, one, t2], [t2, t2, one]])
 
 
 def test_det_star_frozen():
@@ -207,22 +205,23 @@ def test_det_star_frozen():
 
 def test_det_singular():
     one = ExactPoly.one()
-    m = PolyMatrix([[one, one], [one, one]], kind="symmetric")
+    m = PolyMatrix([[one, one], [one, one]])
     assert det(m).is_zero()
 
 
 def test_det_zero_pivot_needs_row_swap():
     z, one = ExactPoly.zero(), ExactPoly.one()
-    m = PolyMatrix([[z, one], [one, z]], kind="symmetric")
+    m = PolyMatrix([[z, one], [one, z]])
     assert det(m) == -one
 
 
 def test_matrix_kind_validation():
-    one = ExactPoly.one()
-    with pytest.raises(ValueError):
-        PolyMatrix([[one, one], [-one, one]], kind="symmetric")
-    with pytest.raises(ValueError):
-        PolyMatrix([[one, one], [-one, ExactPoly.zero()]], kind="skew")
+    # a PolyMatrix declares no structure; pfaffian checks skewness itself
+    one, z = ExactPoly.one(), ExactPoly.zero()
+    with pytest.raises(ValueError, match="zero diagonal at 0"):
+        pfaffian(PolyMatrix([[one, one], [-one, z]]))
+    with pytest.raises(ValueError, match=r"not skew at \(0,1\)"):
+        pfaffian(PolyMatrix([[z, one], [one, z]]))
     with pytest.raises(ValueError):
         PolyMatrix([[one], [one]])
 
@@ -235,7 +234,7 @@ def skew_from_upper(upper):
         for j in range(i + 1, n):
             m[i][j] = upper[i][j - i - 1]
             m[j][i] = -upper[i][j - i - 1]
-    return PolyMatrix(m, kind="skew")
+    return PolyMatrix(m)
 
 
 def test_pfaffian_frozen_path_order():
@@ -246,14 +245,14 @@ def test_pfaffian_frozen_path_order():
 
 
 def test_pfaffian_empty_and_2x2():
-    assert pfaffian(PolyMatrix([], kind="skew")) == ExactPoly.one()
+    assert pfaffian(PolyMatrix([])) == ExactPoly.one()
     m = skew_from_upper([[tp(5, 7)]])
     assert pfaffian(m) == tp(5, 7)
 
 
 def test_pfaffian_odd_size_rejected():
     z = ExactPoly.zero()
-    m = PolyMatrix([[z]], kind="skew")
+    m = PolyMatrix([[z]])
     with pytest.raises(ValueError):
         pfaffian(m)
 
@@ -292,7 +291,7 @@ def skew_matrices(draw, half_n):
             p = draw(polys(max_terms=2))
             rows[i][j] = p
             rows[j][i] = -p
-    return PolyMatrix(rows, kind="skew")
+    return PolyMatrix(rows)
 
 
 @settings(max_examples=40, deadline=None)

@@ -209,7 +209,7 @@ def test_cholesky_exact_integer_factor():
     one, zero = ExactPoly.one(), ExactPoly.zero()
     a = [[ExactPoly.constant(2), zero, zero], [t, one, zero], [one, t, ExactPoly.constant(3)]]
     m = [[sum((a[i][k] * a[j][k] for k in range(3)), zero) for j in range(3)] for i in range(3)]
-    sym = PolyMatrix(m, kind="symmetric")
+    sym = PolyMatrix(m)
     low = cholesky(sym)
     for i in range(3):
         for j in range(3):
@@ -224,6 +224,21 @@ def test_cholesky_identity_and_diagonal():
     d = cholesky([[ExactPoly.constant(4), zero], [zero, ExactPoly.t_power(2)]])
     assert d[0][0] == PuiseuxTrunc.constant(2)
     assert d[1][1] == PuiseuxTrunc.t_power(1)
+
+
+def test_cholesky_rejects_an_asymmetric_matrix():
+    # only the lower triangle is read, so an unchecked first input would
+    # factor as diag(2, 3), whose L L^T is not that input
+    four, nine, t = ExactPoly.constant(4), ExactPoly.constant(9), ExactPoly.t_power(1)
+    zero = ExactPoly.zero()
+    with pytest.raises(ValueError, match=r"not symmetric at \(0,1\)"):
+        cholesky([[four, t], [zero, nine]])
+    with pytest.raises(ValueError, match=r"not symmetric at \(0,1\)"):
+        cholesky([[four, zero], [t, nine]], window=F(4))
+    with pytest.raises(ValueError, match=r"not symmetric at \(1,2\)"):
+        cholesky(
+            [[four, zero, zero], [zero, nine, t], [zero, -t, four]], window=F(4)
+        )
 
 
 def test_cholesky_with_window():

@@ -593,8 +593,7 @@ def cmd_represent_odd(args):
     for r in range(0, len(rep.order) + 1, 2):
         for X in combinations(rep.order, r):
             want = fn.value(X)
-            got = rep.value(X)
-            dual = rep.dual_value(X)
+            got, dual = rep.value_pair(X)
             if got != want or dual != (-want if want != MINUS_INF else want):
                 mismatches.append(
                     {
@@ -617,6 +616,8 @@ def cmd_represent_odd(args):
 def cmd_hpp_check(args):
     m = _read_matrix(args.matrix)
     taus = _parse_fractions(args.taus) if args.taus else (Fraction(10), Fraction(100))
+    if not taus:
+        raise CliError("--taus needs at least one base")
     out = hpp_eigen_check(m, taus)
     if out is None:
         return 0, {"ok": True, "taus": list(taus)}

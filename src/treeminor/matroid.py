@@ -280,21 +280,22 @@ class OddRepresentation:
             return None
         return pfaffian(self.matrix.principal_submatrix(sorted(idx[x] for x in xs)))
 
-    def value(self, X: Iterable[int]):
-        """Top exponent of the Pfaffian of the X-rows-and-columns block."""
+    def value_pair(self, X: Iterable[int]) -> tuple:
+        """(value(X), dual_value(X)) from one Pfaffian of the block."""
         p = self._pfaffian(X)
         if not p:
-            return MINUS_INF
-        return p.leading_term()[0]
+            return MINUS_INF, MINUS_INF
+        return p.leading_term()[0], -p.trailing_term()[0]
+
+    def value(self, X: Iterable[int]):
+        """Top exponent of the Pfaffian of the X-rows-and-columns block."""
+        return self.value_pair(X)[0]
 
     def dual_value(self, X: Iterable[int]):
         """Same, on the t -> 1/t image of the matrix.  That map is a ring
         map, so the image's Pfaffian is Pf(B[X]) at 1/t, whose top exponent
         is minus the bottom exponent of Pf(B[X])."""
-        p = self._pfaffian(X)
-        if not p:
-            return MINUS_INF
-        return -p.trailing_term()[0]
+        return self.value_pair(X)[1]
 
 
 def represent_odd(T: Tree, ground: Iterable[int] | None = None) -> OddRepresentation:

@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from math import lcm
 from typing import Iterable, Sequence
 
 from .radicals import QRad, exact_sign
@@ -118,12 +119,35 @@ class NotTreeMetricError(ValueError):
 
 
 def _four_point_scan(m: Matrix) -> FourPointViolation | None:
+    """The first quadruple, with repetition, whose largest pair sum is
+    attained only once.
+
+    The scan runs on integers: the entries times the lcm of their
+    denominators, with a -inf diagonal entry replaced by a sentinel below
+    every finite pair sum.  In a quadruple with a repeated index the two
+    pair sums without that diagonal entry are equal, so the sum holding it
+    decides the verdict only as the unique maximum, which neither -inf nor
+    the sentinel can be.  A violation reports the sums of the entries
+    themselves."""
     n = len(m)
+    finite = [x for row in m for x in row if x != MINUS_INF]
+    scale = lcm(*(x.denominator for x in finite))
+    lo, hi = min(finite, default=0) * scale, max(finite, default=0) * scale
+    sentinel = int(2 * lo - hi) - 1
+    w = [
+        [sentinel if x == MINUS_INF else x.numerator * (scale // x.denominator) for x in row]
+        for row in m
+    ]
     for i, j, k, l in combinations_with_replacement(range(n), 4):
-        s = (m[i][j] + m[k][l], m[i][k] + m[j][l], m[i][l] + m[j][k])
-        top = max(s)
-        if sum(1 for x in s if x == top) < 2:
-            return FourPointViolation((i, j, k, l), s)
+        a = w[i][j] + w[k][l]
+        b = w[i][k] + w[j][l]
+        c = w[i][l] + w[j][k]
+        # the maximum is attained once: a or b above the other and not tied
+        # with c, or c above the tied pair
+        if a != c if a > b else b != c if b > a else c > a:
+            return FourPointViolation(
+                (i, j, k, l), (m[i][j] + m[k][l], m[i][k] + m[j][l], m[i][l] + m[j][k])
+            )
     return None
 
 
@@ -330,7 +354,11 @@ def power_matrix(rows: Sequence[Sequence], tau, subset: Sequence[int] | None = N
     m = as_matrix(rows)
     n = len(m)
     idx = range(n) if subset is None else _subset_indices(subset, n)
-    return [[power_entry(tau, m[i][j]) for j in idx] for i in idx]
+    # each distinct exponent is powered once, in row-major order of first
+    # appearance, so a bad exponent raises as it would entry by entry
+    exponents = dict.fromkeys(m[i][j] for i in idx for j in idx)
+    powers = {d: power_entry(tau, d) for d in exponents}
+    return [[powers[m[i][j]] for j in idx] for i in idx]
 
 
 def _check_symmetric(a: Sequence[Sequence]) -> None:
@@ -347,10 +375,66 @@ def _check_symmetric(a: Sequence[Sequence]) -> None:
 def inertia(rows: Sequence[Sequence]) -> tuple[int, int, int]:
     """(positive, negative, zero) inertia of a symmetric matrix by exact
     congruence: 1x1 pivots where the diagonal allows, hyperbolic 2x2 blocks
-    where it does not."""
+    where it does not.  A matrix of square-root entries that is D R D, with
+    R rational and D a positive diagonal (every powered tree metric is),
+    is eliminated as R: by Sylvester's law of inertia the two agree."""
     a = [list(row) for row in rows]
     _check_symmetric(a)
-    return _inertia(a)
+    return _inertia(_rational_form(a) or a)
+
+
+def _rational_form(a: Sequence[Sequence]) -> list[list[Fraction]] | None:
+    """R with a = D R D, R rational and D = diag(sqrt(d)^p_i) for a single
+    squarefree d and parities p_i in {0, 1}; None when there is none.
+
+    An entry c*sqrt(d) off the diagonal needs p_i != p_j, a rational one
+    p_i == p_j: the parities are a 2-colouring of the nonzero entries.  Two
+    radicands, an irrational diagonal entry or an odd cycle of irrational
+    entries rule it out.  D is positive, so R has the inertia of a and the
+    sign of each of its principal minors."""
+    n = len(a)
+    parts = []
+    radicand = 1
+    for row in a:
+        out = []
+        for x in row:
+            if isinstance(x, QRad):
+                part = x.monomial()
+                if part is None:
+                    return None
+            elif isinstance(x, Fraction):
+                part = x, 1
+            elif isinstance(x, int):
+                part = Fraction(x), 1
+            else:
+                return None
+            if part[0] and part[1] != 1:
+                if radicand not in (1, part[1]):
+                    return None
+                radicand = part[1]
+            out.append(part)
+        parts.append(out)
+    parity: list[int | None] = [None] * n
+    for start in range(n):
+        if parity[start] is not None:
+            continue
+        parity[start] = 0
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for j, (c, d) in enumerate(parts[i]):
+                if not c:
+                    continue
+                want = parity[i] ^ (d != 1)
+                if parity[j] is None:
+                    parity[j] = want
+                    stack.append(j)
+                elif parity[j] != want:
+                    return None
+    return [
+        [c / radicand if parity[i] and parity[j] else c for j, (c, _) in enumerate(row)]
+        for i, row in enumerate(parts)
+    ]
 
 
 def _inertia(a: list[list]) -> tuple[int, int, int]:
@@ -424,27 +508,76 @@ def star_condition_check(
 
     M must already be numeric (say a powered matrix [tau^(w_ij)], whose
     entries may be square-root extensions) and symmetric, which is checked
-    once on the whole matrix; determinant signs come from
-    exact inertia counts, so zero minors satisfy the weak inequalities.
-    Returns the first violating subset, or None."""
+    once on the whole matrix.  Signs are exact, so zero minors satisfy the
+    weak inequalities.  When M = D R D with R rational and D a positive
+    diagonal, the signs are read on R.  Listed subsets take one exact
+    elimination each; the default walks every subset as a prefix tree and
+    reads each determinant off a shared Schur complement
+    (`_principal_minor_signs`).  Returns the first violating subset, in
+    the listed order or by size and then lexicographically, or None."""
     m = [list(row) for row in rows]
     n = len(m)
     _check_symmetric(m)
+    if subsets is not None:
+        subsets = [_subset_indices(xs, n) for xs in subsets]
+    elif n > 12:
+        raise ValueError("n > 12: pass an explicit subset sample")
+    a = _rational_form(m) or m
     if subsets is None:
-        if n > 12:
-            raise ValueError("n > 12: pass an explicit subset sample")
-        subsets = (
-            xs for r in range(1, n + 1) for xs in combinations(range(n), r)
+        signs = _principal_minor_signs(a)
+        checks = (
+            (xs, signs[xs]) for r in range(1, n + 1) for xs in combinations(range(n), r)
         )
     else:
-        subsets = [_subset_indices(xs, n) for xs in subsets]
-    for xs in subsets:
-        xs = list(xs)
-        p, q, z = _inertia([[m[i][j] for j in xs] for i in xs])
-        det_sign = 0 if z else (-1) ** q
-        if det_sign < 0 if len(xs) % 2 else det_sign > 0:
-            return tuple(xs)
+        checks = ((tuple(xs), _det_sign(a, xs)) for xs in subsets)
+    for xs, sign in checks:
+        if sign < 0 if len(xs) % 2 else sign > 0:
+            return xs
     return None
+
+
+def _det_sign(a: Sequence[Sequence], xs: Sequence[int]) -> int:
+    """Sign of det a[xs], from one exact elimination of the block."""
+    _, q, z = _inertia([[a[i][j] for j in xs] for i in xs])
+    return 0 if z else (-1) ** q
+
+
+def _principal_minor_signs(a: list[list]) -> dict[tuple[int, ...], int]:
+    """Sign of det a[S] for every nonempty S, keyed by the sorted tuple.
+
+    Subsets are walked depth first, S before its extensions by larger
+    indices.  The walk carries C, the Schur complement of a[S] on the
+    indices after max S; det a[S + k] = det a[S] * C_kk, and one rank-1
+    update of C gives the complement for S + k.  Where C_kk = 0 every
+    extension of S + k takes its own elimination instead."""
+    signs: dict[tuple[int, ...], int] = {}
+
+    def walk(prefix: tuple[int, ...], sign: int, comp: list[list], rest: list[int]) -> None:
+        for u, k in enumerate(rest):
+            xs = prefix + (k,)
+            piv = comp[u][u]
+            s = exact_sign(piv)
+            signs[xs] = sign * s
+            below = rest[u + 1:]
+            if not below:
+                continue
+            if s == 0:
+                for r in range(1, len(below) + 1):
+                    for more in combinations(below, r):
+                        signs[xs + more] = _det_sign(a, xs + more)
+                continue
+            col = comp[u][u + 1:]
+            nxt = []
+            for c, row in zip(col, comp[u + 1:]):
+                row = row[u + 1:]
+                if exact_sign(c):
+                    f = c / piv
+                    row = [x - f * y for x, y in zip(row, col)]
+                nxt.append(row)
+            walk(xs, sign * s, nxt, below)
+
+    walk((), 1, a, list(range(len(a))))
+    return signs
 
 
 def hpp_eigen_check(rows: Sequence[Sequence], taus: Iterable = (10, 100)):
@@ -452,7 +585,8 @@ def hpp_eigen_check(rows: Sequence[Sequence], taus: Iterable = (10, 100)):
     on the diagonal only (max-plus order: -inf powers to a zero entry).
 
     For each base in the grid, [tau^(f_ij)] must have at most one positive
-    eigenvalue; the four-point condition on f itself is checked alongside.
+    eigenvalue (counted on its rational form when it has one, as in
+    `inertia`); the four-point condition on f itself is checked alongside.
     Returns None when everything holds, the first failing base otherwise,
     or the four-point certificate."""
     m = as_matrix(rows)
@@ -467,7 +601,8 @@ def hpp_eigen_check(rows: Sequence[Sequence], taus: Iterable = (10, 100)):
                     "entries may be -inf"
                 )
     for tau in taus:
-        positives, _, _ = _inertia(power_matrix(m, tau))
+        a = power_matrix(m, tau)
+        positives, _, _ = _inertia(_rational_form(a) or a)
         if positives > 1:
             return Fraction(tau)
     return _four_point_scan(m)

@@ -102,6 +102,15 @@ class QRad:
             raise ValueError(f"{self} is irrational")
         return self._terms.get(1, Fraction(0))
 
+    def monomial(self) -> tuple[Fraction, int] | None:
+        """(c, d) with self = c * sqrt(d), or None for a sum of two or more
+        radicands.  Zero is (0, 1)."""
+        if len(self._terms) > 1:
+            return None
+        for d, c in self._terms.items():
+            return c, d
+        return Fraction(0), 1
+
     def __bool__(self) -> bool:
         return bool(self._terms)
 

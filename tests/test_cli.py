@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from treeminor import cli, metric
+from treeminor import cli, matroid, metric
 from treeminor.cli import run
 from treeminor.metric import format_matrix_csv, square_cycle_metric
 from treeminor.poly import ExactPoly
@@ -191,6 +191,7 @@ BAD_OPTION_VALUES = [
     ("represent-rooted --n 6 --seed 1 --root 1 --window 1/0", "zero denominator"),
     ("signature --matrix C4 --tau 1/0", "zero denominator"),
     ("hpp-check --matrix C4 --taus 10,1/0", "zero denominator"),
+    ("hpp-check --matrix C4 --taus ,", "--taus needs at least one base"),
     ("signature --matrix C4 --X 4", "distinct indices in 0..3"),
     ("signature --matrix C4 --X -1", "distinct indices in 0..3"),
     ("signature --matrix C4 --X 0,2,0", "distinct indices in 0..3"),
@@ -444,6 +445,23 @@ def test_represent_odd_report(capsys):
     data = json.loads(out)
     assert data["mismatches"] == []
     assert data["checked"] == 32  # even subsets of 6 vertices
+
+
+def test_represent_odd_takes_one_pfaffian_per_subset(capsys, monkeypatch):
+    calls = []
+    pfaffian = matroid.pfaffian
+
+    def counted(block):
+        calls.append(block)
+        return pfaffian(block)
+
+    monkeypatch.setattr(matroid, "pfaffian", counted)
+    code, out, _ = invoke(
+        capsys, "represent-odd", "--n", "8", "--seed", "0", "--format", "json"
+    )
+    assert code == 0
+    assert json.loads(out)["checked"] == 128
+    assert len(calls) == 128
 
 
 def test_csv_format_rows(capsys):

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from treeminor import metric
 from treeminor.metric import (
     MINUS_INF,
     check_4pc,
@@ -350,3 +352,157 @@ def test_hpp_eigen_check_minus_inf_diagonal():
 def test_hpp_eigen_check_degenerate_sizes():
     assert hpp_eigen_check([[F(5)]]) is None
     assert hpp_eigen_check([]) is None
+
+
+# --- the exact fast paths against plain oracles --------------------------------
+
+
+def _plain_four_point_scan(m):
+    """First quadruple whose largest pair sum is strictly above the other
+    two, on the entries themselves (-inf stays a float)."""
+    n = len(m)
+    for q in combinations_with_replacement(range(n), 4):
+        i, j, k, l = q
+        s = (m[i][j] + m[k][l], m[i][k] + m[j][l], m[i][l] + m[j][k])
+        lo, mid, top = sorted(s)
+        if mid < top:
+            return q, s
+    return None
+
+
+_DENOMINATORS = st.integers(1, 3)
+
+
+@st.composite
+def _pair_value_matrices(draw):
+    """Symmetric matrices with -inf, zero or rational diagonal entries and
+    rational entries off it, denominators 1-3.  Half of them are tree
+    metrics plus potentials, which pass the four-point condition."""
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        d = random_tree_metric(n, seed=draw(st.integers(0, 10**6)))
+        den = draw(_DENOMINATORS)
+        p = [F(draw(st.integers(-6, 6)), den) for _ in range(n)]
+        m = join_potentials([[x / den for x in row] for row in d], p)
+    else:
+        m = [[F(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                m[i][j] = m[j][i] = F(draw(st.integers(-4, 8)), draw(_DENOMINATORS))
+    for i in range(n):
+        m[i][i] = draw(
+            st.one_of(
+                st.just(MINUS_INF),
+                st.just(m[i][i]),
+                st.builds(F, st.integers(-6, 6), _DENOMINATORS),
+            )
+        )
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pair_value_matrices())
+def test_integer_four_point_scan_matches_a_plain_fraction_scan(m):
+    got = metric._four_point_scan(m)
+    want = _plain_four_point_scan(m)
+    assert (got and (got.quadruple, got.sums)) == want
+
+
+def _qrad_star_violator(m):
+    """First subset, by size and then lexicographically, whose determinant
+    sign from one QRad elimination of its block breaks the star rule."""
+    n = len(m)
+    for r in range(1, n + 1):
+        for xs in combinations(range(n), r):
+            _, q, z = metric._inertia([[QRad.of(m[i][j]) for j in xs] for i in xs])
+            sign = 0 if z else (-1) ** q
+            if sign < 0 if r % 2 else sign > 0:
+                return xs
+    return None
+
+
+@st.composite
+def _star_inputs(draw):
+    kind = draw(st.sampled_from(["tree", "repeated", "symmetric", "cycle"]))
+    seed = draw(st.integers(0, 10**6))
+    n = draw(st.integers(1, 7))
+    if kind == "tree":
+        d = _tree_metric_on_distinct_points(n, seed)
+    elif kind == "repeated":
+        d = random_tree_metric(n, seed=seed, half_integers=True)
+    elif kind == "symmetric":
+        d = random_symmetric_matrix(n, seed=seed, high=4)
+    else:
+        d = square_cycle_metric()
+    return power_matrix(d, draw(st.sampled_from([10, 2, F(1, 3), 4])))
+
+
+def _tree_metric_on_distinct_points(n, seed):
+    t = random_tree(n + 3, seed=seed)
+    pts = random.Random(seed).sample(list(t.vertices), n)
+    return [[x / 2 for x in row] for row in tree_distance_matrix(t, pts)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(_star_inputs())
+def test_star_condition_walk_matches_per_subset_qrad_eliminations(m):
+    assert star_condition_check(m) == _qrad_star_violator(m)
+
+
+def test_star_condition_walk_reads_minors_beneath_a_zero_pivot():
+    # det of {0} is 0, yet {0,1} has det -1 and {0,1,2} det -1 < 0
+    m = [[F(0), F(1), F(0)], [F(1), F(0), F(0)], [F(0), F(0), F(1)]]
+    assert star_condition_check(m) == (0, 1, 2) == _qrad_star_violator(m)
+    # two equal points: every pair holding both has a zero minor
+    d = tree_distance_matrix(random_tree(5, seed=3), [1, 2, 2, 4, 5])
+    pm = power_matrix([[x / 2 for x in row] for row in d], 10)
+    assert _qrad_star_violator(pm) is None
+    assert star_condition_check(pm) is None
+
+
+_ROOT2, _ROOT3 = QRad.sqrt_of(2), QRad.sqrt_of(3)
+
+
+@st.composite
+def _radical_matrices(draw):
+    """(matrix, splits): a symmetric matrix of rationals and rational
+    multiples of sqrt 2 (and of sqrt 3 when two radicands are drawn), and
+    whether it was built as D R D."""
+    n = draw(st.integers(1, 5))
+    rational = st.builds(F, st.integers(-4, 4), _DENOMINATORS)
+    mode = draw(st.sampled_from(["split", "any", "two radicands"]))
+    parity = [draw(st.integers(0, 1)) for _ in range(n)]
+    m = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            c = draw(rational)
+            if mode == "split":
+                x = c * 2 if parity[i] and parity[j] else c
+                x = x * _ROOT2 if parity[i] != parity[j] else x
+            elif mode == "any":
+                x = c * _ROOT2 if i != j and draw(st.booleans()) else c
+            else:
+                x = c * draw(st.sampled_from([1, _ROOT2, _ROOT3])) if i != j else c
+            m[i][j] = m[j][i] = x
+    return m, mode == "split"
+
+
+@settings(max_examples=200, deadline=None)
+@given(_radical_matrices())
+def test_inertia_by_congruence_matches_the_qrad_elimination(case):
+    m, splits = case
+    if splits:
+        assert metric._rational_form(m) is not None
+    assert inertia(m) == metric._inertia([[QRad.of(x) for x in row] for row in m])
+
+
+def test_rational_form_refuses_what_does_not_split():
+    r2 = QRad.sqrt_of(2)
+    # an odd cycle of sqrt 2 entries: no parities p_i + p_j = 1 on all three
+    cycle = [[F(1), r2, r2], [r2, F(1), r2], [r2, r2, F(1)]]
+    assert metric._rational_form(cycle) is None
+    assert inertia(cycle) == metric._inertia([row[:] for row in cycle])
+    two = [[F(0), r2, F(1)], [r2, F(0), QRad.sqrt_of(3)], [F(1), QRad.sqrt_of(3), F(0)]]
+    assert metric._rational_form(two) is None
+    assert metric._rational_form([[r2]]) is None  # irrational diagonal
+    assert metric._rational_form([[r2 + 1]]) is None  # two terms in one entry

@@ -615,7 +615,7 @@ def cmd_represent_odd(args):
 
 def cmd_hpp_check(args):
     m = _read_matrix(args.matrix)
-    taus = _parse_fractions(args.taus) if args.taus else (Fraction(10), Fraction(100))
+    taus = (Fraction(10), Fraction(100)) if args.taus is None else _parse_fractions(args.taus)
     if not taus:
         raise CliError("--taus needs at least one base")
     out = hpp_eigen_check(m, taus)

@@ -353,7 +353,11 @@ def power_matrix(rows: Sequence[Sequence], tau, subset: Sequence[int] | None = N
     the subset must list distinct indices in 0..n-1."""
     m = as_matrix(rows)
     n = len(m)
-    idx = range(n) if subset is None else _subset_indices(subset, n)
+    return _power(m, tau, range(n) if subset is None else _subset_indices(subset, n))
+
+
+def _power(m: Matrix, tau, idx: Sequence[int]):
+    """power_matrix on a matrix that as_matrix has already converted."""
     # each distinct exponent is powered once, in row-major order of first
     # appearance, so a bad exponent raises as it would entry by entry
     exponents = dict.fromkeys(m[i][j] for i in idx for j in idx)
@@ -601,7 +605,7 @@ def hpp_eigen_check(rows: Sequence[Sequence], taus: Iterable = (10, 100)):
                     "entries may be -inf"
                 )
     for tau in taus:
-        a = power_matrix(m, tau)
+        a = _power(m, tau, range(n))
         positives, _, _ = _inertia(_rational_form(a) or a)
         if positives > 1:
             return Fraction(tau)

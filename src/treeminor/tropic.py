@@ -12,9 +12,13 @@ sign or valuation would depend on dropped terms the operation raises
 PrecisionError instead of guessing.
 
 Coefficients are Fractions, or QRad values where square roots force them
-to be irrational (Cholesky pivots).  Division and square roots expand
-geometric/binomial series down to the governing cutoff; dividing by an
-exact non-monomial has no intrinsic stopping point, so it demands an
+to be irrational (Cholesky pivots).  A product runs on Python ints: each
+operand's coefficients are split by radicand over one common denominator,
+the integer parts are convolved per pair of radicands (sqrt(a) sqrt(b) =
+g sqrt(ab/g^2), g = gcd(a, b)), and a pair of terms whose exponents sum to
+the product's cutoff or below is never formed.  Division and square roots
+expand geometric/binomial series down to the governing cutoff; dividing by
+an exact non-monomial has no intrinsic stopping point, so it demands an
 explicit cutoff.
 """
 
@@ -38,7 +42,7 @@ Coeff = Fraction | QRad
 def _canon_coeff(c) -> Coeff:
     if isinstance(c, QRad):
         return c.as_fraction() if c.is_rational() else c
-    return Fraction(c)
+    return c if isinstance(c, Fraction) else Fraction(c)
 
 
 def _coeff_inv(c: Coeff) -> Coeff:
@@ -55,6 +59,56 @@ def _coeff_sqrt(c: Coeff) -> Coeff:
     return _canon_coeff(QRad.sqrt_of(c))
 
 
+def _floor_key(cutoff: Fraction, ram: int) -> int:
+    """The largest exponent key k with k/ram <= cutoff: a term survives the
+    cutoff exactly when its key is above this."""
+    return cutoff.numerator * ram // cutoff.denominator
+
+
+def _reduce(ram: int, terms: dict[int, Coeff]) -> tuple[int, dict[int, Coeff]]:
+    """Divide the ramification and every key by their common gcd."""
+    g = gcd(ram, *terms)
+    if g > 1:
+        return ram // g, {k // g: c for k, c in terms.items()}
+    return ram, terms
+
+
+def _int_parts(terms: dict[int, Coeff], f: int) -> tuple[int, dict[int, list[tuple[int, int]]]]:
+    """(den, parts) with parts[d] the (k*f, n) pairs, exponents descending,
+    such that the sqrt(d) part of the coefficient at k is n/den."""
+    den = 1
+    for c in terms.values():
+        if isinstance(c, QRad):
+            for _, q in c.components():
+                if den % q.denominator:
+                    den = lcm(den, q.denominator)
+        elif den % c.denominator:
+            den = lcm(den, c.denominator)
+    parts: dict[int, list[tuple[int, int]]] = {}
+    for k in sorted(terms, reverse=True):
+        c = terms[k]
+        if isinstance(c, QRad):
+            for d, q in c.components():
+                parts.setdefault(d, []).append((k * f, q.numerator * (den // q.denominator)))
+        else:
+            parts.setdefault(1, []).append((k * f, c.numerator * (den // c.denominator)))
+    return den, parts
+
+
+def _from_int_parts(out: dict[int, dict[int, int]], den: int) -> dict[int, Coeff]:
+    """Inverse of _int_parts: one canonical coefficient per nonzero key."""
+    if out.keys() <= {1}:
+        return {k: Fraction(v, den) for k, v in out.get(1, {}).items() if v}
+    comps: dict[int, dict[int, Fraction]] = {}
+    for d, acc in out.items():
+        for k, v in acc.items():
+            if v:
+                comps.setdefault(k, {})[d] = Fraction(v, den)
+    return {
+        k: c[1] if c.keys() == {1} else QRad(c, _raw=True) for k, c in comps.items()
+    }
+
+
 class PuiseuxTrunc:
     """A truncated (or exact) Puiseux series, highest exponents first."""
 
@@ -65,16 +119,16 @@ class PuiseuxTrunc:
             if ram < 1:
                 raise ValueError("ramification index must be positive")
             cutoff = None if cutoff is None else Fraction(cutoff)
+            kmin = None if cutoff is None else _floor_key(cutoff, ram)
             clean = {}
             for k, c in terms.items():
+                ki = int(k)
+                if ki != k:
+                    raise ValueError(f"exponent key {k} is not an integer")
                 c = _canon_coeff(c)
-                if c and (cutoff is None or Fraction(int(k), ram) > cutoff):
-                    clean[int(k)] = c
-            terms = clean
-            g = gcd(ram, *terms.keys()) if terms else ram
-            if g > 1:
-                terms = {k // g: c for k, c in terms.items()}
-                ram //= g
+                if c and (kmin is None or ki > kmin):
+                    clean[ki] = c
+            ram, terms = _reduce(ram, clean)
         self._ram = ram
         self._terms = terms
         self._cutoff = cutoff
@@ -229,23 +283,45 @@ class PuiseuxTrunc:
             return NotImplemented
         if self.is_exact_zero() or o.is_exact_zero():
             return PuiseuxTrunc.zero()
-        r, ta, tb = self._aligned(o)
-        terms: dict[int, Coeff] = {}
-        for ka, ca in ta.items():
-            for kb, cb in tb.items():
-                k = ka + kb
-                terms[k] = terms.get(k, Fraction(0)) + ca * cb
+        ta, tb = self._terms, o._terms
         # error terms: known(a) * O(b), known(b) * O(a), O(a) * O(b)
         cuts = []
-        la = Fraction(max(ta), r) if ta else None
-        lb = Fraction(max(tb), r) if tb else None
-        if o._cutoff is not None and la is not None:
-            cuts.append(la + o._cutoff)
-        if self._cutoff is not None and lb is not None:
-            cuts.append(lb + self._cutoff)
+        if o._cutoff is not None and ta:
+            cuts.append(Fraction(max(ta), self._ram) + o._cutoff)
+        if self._cutoff is not None and tb:
+            cuts.append(Fraction(max(tb), o._ram) + self._cutoff)
         if self._cutoff is not None and o._cutoff is not None:
             cuts.append(self._cutoff + o._cutoff)
-        return PuiseuxTrunc(r, terms, max(cuts) if cuts else None)
+        cutoff = max(cuts) if cuts else None
+        r = lcm(self._ram, o._ram)
+        fa, fb = r // self._ram, r // o._ram
+        if cutoff is None:  # both exact and nonzero: every pair is kept
+            kmin = min(ta) * fa + min(tb) * fb - 1
+        else:
+            kmin = _floor_key(cutoff, r)
+        # integer convolution per pair of radicands, sqrt(da) sqrt(db) =
+        # g sqrt(da db / g^2); pairs at or below the cutoff are never formed
+        den_a, pa = _int_parts(ta, fa)
+        den_b, pb = _int_parts(tb, fb)
+        out: dict[int, dict[int, int]] = {}
+        for da, qa in pa.items():
+            for db, qb in pb.items():
+                g = gcd(da, db)
+                acc = out.setdefault(da // g * (db // g), {})
+                get = acc.get
+                top_b = qb[0][0]
+                for ka, va in qa:
+                    floor_b = kmin - ka
+                    if top_b <= floor_b:
+                        break
+                    va *= g
+                    for kb, vb in qb:
+                        if kb <= floor_b:
+                            break
+                        k = ka + kb
+                        acc[k] = get(k, 0) + va * vb
+        ram, terms = _reduce(r, _from_int_parts(out, den_a * den_b))
+        return PuiseuxTrunc(ram, terms, cutoff, _raw=True)
 
     __rmul__ = __mul__
 

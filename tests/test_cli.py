@@ -8,6 +8,7 @@ square-cycle metric violates the four-point condition at the quadruple
 """
 
 import json
+import shlex
 from fractions import Fraction
 
 import pytest
@@ -192,6 +193,7 @@ BAD_OPTION_VALUES = [
     ("signature --matrix C4 --tau 1/0", "zero denominator"),
     ("hpp-check --matrix C4 --taus 10,1/0", "zero denominator"),
     ("hpp-check --matrix C4 --taus ,", "--taus needs at least one base"),
+    ('hpp-check --matrix C4 --taus ""', "--taus needs at least one base"),
     ("signature --matrix C4 --X 4", "distinct indices in 0..3"),
     ("signature --matrix C4 --X -1", "distinct indices in 0..3"),
     ("signature --matrix C4 --X 0,2,0", "distinct indices in 0..3"),
@@ -204,7 +206,7 @@ BAD_OPTION_VALUES = [
 def test_bad_option_values_are_usage_errors(capsys, tmp_path, argv, message):
     c4 = tmp_path / "c4.csv"
     c4.write_text(C4_CSV)
-    argv = [str(c4) if tok == "C4" else tok for tok in argv.split()]
+    argv = [str(c4) if tok == "C4" else tok for tok in shlex.split(argv)]
     code, out, err = invoke(capsys, *argv)
     assert code == 2
     assert out == ""

@@ -1,11 +1,14 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treeminor.matroid import default_window, rooted_matrix
 from treeminor.poly import ExactPoly, PolyMatrix
 from treeminor.radicals import QRad
+from treeminor.tree import random_tree
 from treeminor.tropic import PrecisionError, PuiseuxTrunc, cholesky, series_det
 
 F = Fraction
@@ -75,6 +78,14 @@ def test_series_rendering():
     assert str(PuiseuxTrunc.zero()) == "0"
     assert str(PuiseuxTrunc.t_power(1).truncate(0)) == "t + O(1)"
     assert str(PuiseuxTrunc.zero().truncate(-2)) == "0"  # exact zero stays exact
+
+
+def test_series_rejects_a_non_integer_exponent_key():
+    with pytest.raises(ValueError, match="exponent key 1/2 is not an integer"):
+        PuiseuxTrunc(2, {F(1, 2): 1, 3: 2})
+    assert PuiseuxTrunc(2, {F(4, 2): 1, 3: 2}) == PuiseuxTrunc.from_terms(
+        [(F(1), 1), (F(3, 2), 2)]
+    )
 
 
 def test_series_valuation_and_precision():
@@ -192,6 +203,86 @@ def test_series_division_roundtrip(a, b):
     assert diff.is_exact_zero() or diff.cutoff is not None
 
 
+def naive_mul(a: PuiseuxTrunc, b: PuiseuxTrunc) -> PuiseuxTrunc:
+    """The product as one Fraction or QRad product per pair of known terms,
+    fed to the constructor: the reference for PuiseuxTrunc.__mul__."""
+    if a.is_exact_zero() or b.is_exact_zero():
+        return PuiseuxTrunc.zero()
+    ta, tb = a.terms(), b.terms()
+    r = lcm(1, *(e.denominator for e, _ in ta + tb))
+    terms = {}
+    for ea, ca in ta:
+        for eb, cb in tb:
+            k = int((ea + eb) * r)
+            terms[k] = terms.get(k, F(0)) + ca * cb
+    # error terms: known(a) * O(b), known(b) * O(a), O(a) * O(b)
+    cuts = []
+    if b.cutoff is not None and ta:
+        cuts.append(ta[0][0] + b.cutoff)
+    if a.cutoff is not None and tb:
+        cuts.append(tb[0][0] + a.cutoff)
+    if a.cutoff is not None and b.cutoff is not None:
+        cuts.append(a.cutoff + b.cutoff)
+    return PuiseuxTrunc(r, terms, max(cuts) if cuts else None)
+
+
+RADICANDS = (1, 2, 3, 6)
+fractions = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def coefficients(draw):
+    """A Fraction or a QRad over the radicands, zero included."""
+    if draw(st.booleans()):
+        return draw(fractions)
+    ds = draw(st.lists(st.sampled_from(RADICANDS), min_size=1, max_size=3, unique=True))
+    return QRad({d: draw(fractions) for d in ds})
+
+
+@st.composite
+def series(draw):
+    """Exact zeros, truncated zeros, exact series and truncated series."""
+    ram = draw(st.sampled_from((1, 2, 3, 6)))
+    keys = draw(st.lists(st.integers(-12, 12), max_size=6, unique=True))
+    terms = {k: draw(coefficients()) for k in keys}
+    cutoff = draw(
+        st.none() | st.builds(F, st.integers(-30, 15), st.sampled_from((1, 2, 3, 4, 6)))
+    )
+    return PuiseuxTrunc(ram, terms, cutoff)
+
+
+scalars = st.one_of(
+    st.integers(-5, 5),
+    fractions,
+    coefficients(),
+    small_polys(),
+)
+
+
+def _as_series(x) -> PuiseuxTrunc:
+    if isinstance(x, ExactPoly):
+        return PuiseuxTrunc.from_poly(x)
+    return PuiseuxTrunc.constant(x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(series(), series())
+def test_series_mul_matches_the_pairwise_product(a, b):
+    want = naive_mul(a, b)
+    for got in (a * b, b * a):
+        assert got == want
+        assert str(got) == str(want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(series(), scalars)
+def test_series_mul_by_a_scalar_on_either_side(a, x):
+    want = naive_mul(a, _as_series(x))
+    for got in (a * x, x * a):
+        assert got == want
+        assert str(got) == str(want)
+
+
 # --- matrices ------------------------------------------------------------------
 
 
@@ -256,6 +347,24 @@ def test_cholesky_with_window():
             )
             diff = got - PuiseuxTrunc.from_poly(m[i][j])
             assert not diff.terms()
+
+
+def test_cholesky_of_a_rooted_matrix_reproduces_it_above_the_window():
+    T = random_tree(7, seed=1)
+    g = tuple(v for v in T.vertices if v != 6)
+    M = rooted_matrix(T, 6, g)
+    low = cholesky([[-e for e in row] for row in M.entries], window=default_window(M))
+    n = len(g)
+    # irrational pivots: the products run on QRad coefficients
+    assert any(
+        isinstance(c, QRad) for row in low for x in row for _, c in x.terms()
+    )
+    for i in range(n):
+        for j in range(n):
+            got = sum((low[i][k] * low[j][k] for k in range(n)), PuiseuxTrunc.zero())
+            diff = got + PuiseuxTrunc.from_poly(M[i, j])
+            assert not diff.terms()
+            assert diff.cutoff is not None and diff.cutoff < M[i, j].leading_term()[0]
 
 
 def test_cholesky_failure_modes():

@@ -10,7 +10,9 @@ certificate lists all three values instead (no single-instance subcommand).
 
 Sweeps take --trees >= 1, --n >= 2, --jobs >= 1 and --negatives >= 0;
 --max-x >= 1 (at most the enumeration cap) for cycles-verify, >= 0 for
-minor-verify (0: no cap).  Anything else exits 2 before any work.
+minor-verify (0: no cap).  minor-verify and pf-verify check at most
+_MAX_SUBSETS subsets per tree, counted from --n and --max-x.  Anything else
+exits 2 before any work.
 
 All randomness flows from --seed; sweep workers derive per-tree sub-seeds
 deterministically, so reports are identical across runs and across --jobs
@@ -28,6 +30,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 from .cyclekernel import ENUMERATION_CAP, cycle_sums
 from .matroid import (
@@ -53,12 +56,15 @@ from .metric import (
     spectral_signature,
     split_potentials,
 )
-from .minors import minor_formula, minor_leading, minor_oracle, signature
-from .pfaffian import NotNicelyOrderedError, pf_formula, pf_oracle
+from .minors import minor_formula, minor_leading, minor_oracle, minor_table, signature
+from .pfaffian import NotNicelyOrderedError, _odd_weight, pf_formula, pf_oracle, pf_table
 from .poly import ExactPoly
 from .tree import Tree, format_tree, random_tree, read_tree_file
 
 _SEED_STRIDE = 1_000_003  # tree index -> sub-seed, documented and fixed
+# subsets one tree of minor-verify or pf-verify may check: each sweep holds
+# a table of that many polynomials, built in about n 2^n products
+_MAX_SUBSETS = 1 << 16
 
 
 class CliError(Exception):
@@ -288,9 +294,11 @@ def cmd_pfaffian(args):
 
 # ---------------------------------------------------------------------------
 # verification sweeps: one worker and one handler serve minor-verify,
-# pf-verify and cycles-verify.  A sweep is a subset walk, a check
-# (T, X) -> (ok, values) shared with the single-instance subcommand its
-# certificates replay with, and, for pf-verify, a pass over negative orders.
+# pf-verify and cycles-verify.  A sweep is a subset walk, a per-tree check
+# builder T -> (X -> (ok, values)) and, for pf-verify, a pass over negative
+# orders.  minor-verify and pf-verify read their oracle values off one table
+# per tree; a subset that fails against it is decided again by the check its
+# certificate replays with (`minor`, `pfaffian`).
 
 
 def _str_values(values: dict) -> dict:
@@ -318,6 +326,44 @@ def _cycles_check(T, X):
     return ok, {"all_cycles": full, "tight_cycles": tight, "formula": formula}
 
 
+def _redecide(check, T, X, table_value):
+    """X failed against the table: decide it with the single-instance check,
+    whose values the certificate carries.  If that check passes, the table
+    is at fault, and the certificate carries its value too."""
+    ok, values = check(T, X)
+    if ok:
+        values["table"] = table_value
+    return False, values
+
+
+def _minor_checks(T, max_x):
+    table = minor_table(T, max_x)
+
+    def check(X):
+        oracle = table[X]
+        if minor_formula(T, X) == oracle and minor_leading(T, X) == oracle.leading_term():
+            return True, None
+        return _redecide(_minor_check, T, X, oracle)
+
+    return check
+
+
+def _pf_checks(T, _max_x):
+    table = pf_table(T, T.nice_order(T.vertices))
+
+    def check(X):
+        oracle = table[X]
+        if pf_formula(T, X) == oracle:
+            return True, None
+        return _redecide(_pf_check, T, X, oracle)
+
+    return check
+
+
+def _cycles_checks(T, _max_x):
+    return lambda X: _cycles_check(T, X)
+
+
 def _subsets(T, max_x):
     """Every subset of size 1..max_x, in combination order."""
     for r in range(1, min(T.n, max_x) + 1):
@@ -325,17 +371,20 @@ def _subsets(T, max_x):
 
 
 def _nice_even_subsets(T, _max_x):
-    """Every even-size subset, listed in its nice order."""
+    """Every even-size subset S in combination order, listed as omega|S:
+    the members of S in the order of the nice order omega of all vertices.
+    A restriction of a depth-first order is nicely ordered too."""
+    pos = {v: i for i, v in enumerate(T.nice_order(T.vertices))}
     for r in range(2, T.n + 1, 2):
         for sub in combinations(T.vertices, r):
-            yield T.nice_order(sub)
+            yield tuple(sorted(sub, key=pos.__getitem__))
 
 
-# subcommand -> (subset walk, check)
+# subcommand -> (subset walk, per-tree check builder)
 _SWEEPS = {
-    "minor-verify": (_subsets, _minor_check),
-    "pf-verify": (_nice_even_subsets, _pf_check),
-    "cycles-verify": (_subsets, _cycles_check),
+    "minor-verify": (_subsets, _minor_checks),
+    "pf-verify": (_nice_even_subsets, _pf_checks),
+    "cycles-verify": (_subsets, _cycles_checks),
 }
 # least value of each sweep option; minor-verify takes --max-x 0 as no cap
 _SWEEP_LEAST = {"trees": 1, "n": 2, "jobs": 1, "negatives": 0}
@@ -355,24 +404,23 @@ def _negative_hits(T, rng, negatives: int) -> int:
         ok, _counts = T.is_nicely_ordered(sub)
         if ok:
             continue
-        oracle = pf_oracle(T, sub)
-        odd_weight = sum((T.weight(e) for e in T.odd_edges(sub)), Fraction(0))
-        if oracle != ExactPoly.t_power(odd_weight):
+        if pf_oracle(T, sub) != ExactPoly.t_power(_odd_weight(T, sub)):
             hit += 1
     return hit
 
 
 def _sweep_one(task: tuple) -> dict:
     index, subseed, max_n, mode, sweep, max_x, negatives = task
-    walk, check = _SWEEPS[sweep]
+    walk, checks = _SWEEPS[sweep]
     rng = random.Random(subseed)
     size = rng.randint(2, max_n)
     T = random_tree(size, seed=subseed, weights=mode)
     row = {"tree_index": index, "seed": subseed, "n": size, "weights": mode}
+    check = checks(T, max_x)
     checked = 0
     certificate = None
     for X in walk(T, max_x):
-        ok, values = check(T, X)
+        ok, values = check(X)
         if not ok:
             certificate = {"tree": format_tree(T), "X": list(X), **_str_values(values)}
             break
@@ -386,6 +434,13 @@ def _sweep_one(task: tuple) -> dict:
     return row
 
 
+def _subset_count(sub: str, n: int, max_x: int) -> int:
+    """Subsets one tree of n vertices gives a minor-verify or pf-verify walk."""
+    if sub == "pf-verify":
+        return sum(comb(n, r) for r in range(2, n + 1, 2))
+    return sum(comb(n, r) for r in range(1, min(n, max_x or n) + 1))
+
+
 def _check_sweep_args(args) -> None:
     least = dict(_SWEEP_LEAST, max_x=_LEAST_MAX_X.get(args.subcommand))
     for name, low in least.items():
@@ -397,6 +452,15 @@ def _check_sweep_args(args) -> None:
         raise CliError(
             f"--max-x {args.max_x} exceeds the enumeration cap {ENUMERATION_CAP}"
         )
+    if args.subcommand in ("minor-verify", "pf-verify"):
+        max_x = getattr(args, "max_x", 0)
+        count = _subset_count(args.subcommand, args.n, max_x)
+        if count > _MAX_SUBSETS:
+            cap = f" --max-x {max_x}" if max_x else ""
+            raise CliError(
+                f"{args.subcommand} would check {count} subsets per tree at "
+                f"--n {args.n}{cap}, over the bound of {_MAX_SUBSETS}"
+            )
 
 
 def _cmd_sweep(args):
@@ -588,12 +652,13 @@ def cmd_represent_odd(args):
             "vertices; pass a smaller --ground"
         )
     fn = odd_dissimilarity(T, ground=rep.order)
+    pairs = rep.value_pairs()
     mismatches = []
     checked = 0
     for r in range(0, len(rep.order) + 1, 2):
         for X in combinations(rep.order, r):
             want = fn.value(X)
-            got, dual = rep.value_pair(X)
+            got, dual = pairs[X]
             if got != want or dual != (-want if want != MINUS_INF else want):
                 mismatches.append(
                     {
@@ -654,8 +719,8 @@ def _add_tree_source(p):
     )
 
 
-def _add_sweep(sub, name, help, trees, n, flag, default, flag_help):
-    p = sub.add_parser(name, help=help)
+def _add_sweep(sub, name, help, trees, n, flag, default, flag_help, description=None):
+    p = sub.add_parser(name, help=help, description=description)
     p.add_argument("--trees", type=int, default=trees)
     p.add_argument("--n", type=int, default=n, help="largest tree size")
     p.add_argument(
@@ -701,6 +766,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sweep(
         sub, "minor-verify", "sweep: formula vs oracle vs leading term",
         50, 6, "--max-x", 0, "cap |X| (0: no cap)",
+        "Check the forest formula and its leading term on every subset of "
+        "each random tree against one table of principal minors per tree. "
+        f"A tree may have at most {_MAX_SUBSETS} subsets up to --max-x "
+        "(--n 16 with no cap); more exits 2.",
     )
 
     p = sub.add_parser("pfaffian", help="Pfaffian monomial and oracle for one X")
@@ -713,6 +782,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sweep(
         sub, "pf-verify", "sweep: Pfaffian formula + negative orders",
         30, 8, "--negatives", 3, "non-nice orders to test per tree",
+        "Check the Pfaffian monomial on every even subset of each random "
+        "tree, its members listed in the order of one nice order of all the "
+        "tree's vertices, against one table of Pfaffians per tree; then test "
+        f"non-nice orders. A tree may have at most {_MAX_SUBSETS} even "
+        "subsets (--n 17); more exits 2.",
     )
     _add_sweep(
         sub, "cycles-verify", "sweep: cycle-partition expansions vs the formula",

@@ -30,7 +30,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .metric import MINUS_INF
-from .pfaffian import build_skew_matrix
+from .pfaffian import _odd_weight, build_skew_matrix, pf_table
 from .poly import ExactPoly, PolyMatrix, det, pfaffian
 from .tree import Tree
 from .tropic import PrecisionError, PuiseuxTrunc, cholesky, series_det
@@ -251,7 +251,7 @@ def odd_dissimilarity(T: Tree, ground: Iterable[int] | None = None) -> ValuatedF
     vals = {}
     for r in range(0, len(gs) + 1, 2):
         for X in combinations(gs, r):
-            vals[X] = sum((T.weight(e) for e in T.odd_edges(X)), Fraction(0))
+            vals[X] = _odd_weight(T, X)
     return ValuatedFn(g, vals)
 
 
@@ -282,10 +282,13 @@ class OddRepresentation:
 
     def value_pair(self, X: Iterable[int]) -> tuple:
         """(value(X), dual_value(X)) from one Pfaffian of the block."""
-        p = self._pfaffian(X)
-        if not p:
-            return MINUS_INF, MINUS_INF
-        return p.leading_term()[0], -p.trailing_term()[0]
+        return _value_pair(self._pfaffian(X))
+
+    def value_pairs(self) -> dict[tuple[int, ...], tuple]:
+        """value_pair of every even sub-tuple of the order (keys in the
+        order's order), read off one table of the principal Pfaffians of
+        the matrix that represent_odd builds (pfaffian.pf_table)."""
+        return {X: _value_pair(p) for X, p in pf_table(self.tree, self.order).items()}
 
     def value(self, X: Iterable[int]):
         """Top exponent of the Pfaffian of the X-rows-and-columns block."""
@@ -296,6 +299,13 @@ class OddRepresentation:
         map, so the image's Pfaffian is Pf(B[X]) at 1/t, whose top exponent
         is minus the bottom exponent of Pf(B[X])."""
         return self.value_pair(X)[1]
+
+
+def _value_pair(p: ExactPoly | None) -> tuple:
+    """Top exponent and minus the bottom exponent of a block's Pfaffian."""
+    if not p:
+        return MINUS_INF, MINUS_INF
+    return p.leading_term()[0], -p.trailing_term()[0]
 
 
 def represent_odd(T: Tree, ground: Iterable[int] | None = None) -> OddRepresentation:

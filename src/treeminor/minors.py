@@ -7,6 +7,7 @@ product over them gives every principal minor of (t^{d_ij}) exactly.
 minor_formula evaluates that sum by a DP over the spanned subtree; the
 determinant computed from the matrix itself serves as the independent
 oracle, and the exponential forest enumerator as a small-n one.
+minor_table gives every principal minor up to a size in one walk.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-from .poly import ExactPoly, PolyMatrix, _zadd, _zmul, det
+from .poly import ExactPoly, PolyMatrix, _zadd, _zdiv, _zmul, det
 from .tree import Edge, Tree
 
 
@@ -197,6 +198,54 @@ def minor_oracle(T: Tree, X: Sequence[int]) -> ExactPoly:
     if not xs:
         raise ValueError("X must be nonempty")
     return det(build_matrix(T, xs))
+
+
+def minor_table(T: Tree, max_size: int) -> dict[tuple[int, ...], ExactPoly]:
+    """det (t^{d_ij}) over every set of 1..max_size vertices.
+
+    Keys are the sets as sorted tuples, as combinations(T.vertices, r)
+    lists them, and each value equals minor_oracle(T, key).  The walk adds
+    vertices depth-first in label order and carries p = det M[S] and the
+    fraction-free Schur complement B_ij = det M[S+i, S+j] for i, j after
+    max S.  A child S+m has det B_mm, and by Sylvester's determinant
+    identity B'_ij = (B_mm B_ij - B_im B_mj) / p, an exact division.  No
+    pivot vanishes: a principal minor over distinct vertices is a nonzero
+    polynomial (minor_leading gives its top term).  Exponents are integers
+    over the lcm of the distance denominators.
+    """
+    xs = T.vertices
+    n = len(xs)
+    dist = T.distance_matrix()
+    den = lcm(*(d.denominator for row in dist for d in row))
+    table: dict[tuple[int, ...], ExactPoly] = {}
+
+    def grow(S, p, B, start):
+        # B[i][j] for start <= i <= j; a child whose own children are the
+        # last level needs only their diagonal
+        for m in range(start, n):
+            bm = B[m]
+            pm = bm[m]
+            key = S + (xs[m],)
+            table[key] = ExactPoly(den, pm)
+            size = len(key)
+            if size >= max_size or m == n - 1:
+                continue
+            diagonal_only = size + 1 == max_size
+            child = [None] * n
+            for i in range(m + 1, n):
+                neg_mi = {k: -c for k, c in bm[i].items()}
+                bi = B[i]
+                out = [None] * n
+                for j in (i,) if diagonal_only else range(i, n):
+                    num = _zadd(_zmul(pm, bi[j]), _zmul(neg_mi, bm[j]))
+                    out[j] = _zdiv(num, p) if S else num
+                child[i] = out
+            grow(key, pm, child, m + 1)
+
+    M = [[{d.numerator * (den // d.denominator): 1} for d in row] for row in dist]
+    if max_size >= 1:
+        grow((), {0: 1}, M, 0)
+    return table
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,13 @@ For an even tuple X that is nicely ordered (the cyclic tour x1 -> x2 -> ...
 monomial t^{w(O_X)}, where O_X is the set of edges splitting X oddly.  The
 generic expansion of the skew matrix is kept as the oracle; it is also what
 exposes non-nicely-ordered tuples, whose Pfaffians genuinely differ.
+pf_table gives the Pfaffian of every even sub-tuple of one order at once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .poly import ExactPoly, PolyMatrix, pfaffian
@@ -60,8 +62,12 @@ def pf_formula(T: Tree, X: Sequence[int]) -> ExactPoly:
     not apply and an error is raised.
     """
     xs = _require_even_and_nice(T, X)
-    weight = sum((T.weight(e) for e in T.odd_edges(xs)), Fraction(0))
-    return ExactPoly.t_power(weight)
+    return ExactPoly.t_power(_odd_weight(T, xs))
+
+
+def _odd_weight(T: Tree, X: Sequence[int]) -> Fraction:
+    """Total weight of the edges splitting X oddly."""
+    return sum((T.weight(e) for e in T.odd_edges(X)), Fraction(0))
 
 
 def pf_oracle(T: Tree, X: Sequence[int]) -> ExactPoly:
@@ -70,6 +76,52 @@ def pf_oracle(T: Tree, X: Sequence[int]) -> ExactPoly:
     if len(xs) % 2:
         raise ValueError("Pfaffian needs an even number of vertices")
     return pfaffian(build_skew_matrix(T, xs))
+
+
+def pf_table(T: Tree, order: Sequence[int]) -> dict[tuple[int, ...], ExactPoly]:
+    """The Pfaffian of the skew matrix over every even sub-tuple of order.
+
+    Keys are the sub-tuples, listed in order's order (the empty one
+    included), and each value equals pf_oracle(T, key): every key's matrix
+    is a principal block of the one over order.  One memo over bitmasks of
+    positions expands along the lowest position f of a set S,
+    Pf(S) = sum over j in S - f of (-1)^(r - 1) t^{d(f, j)} Pf(S - f - j),
+    j the r-th member of S after f.  Every entry is a monomial, so each
+    product shifts the exponents of a smaller Pfaffian: about n 2^(n-2)
+    shifts in all.  Exponents are integers over the lcm of the distance
+    denominators.
+    """
+    xs = T.check_subset(order)
+    n = len(xs)
+    dist = T.distance_matrix(xs)
+    den = lcm(*(d.denominator for row in dist for d in row))
+    shift = [[d.numerator * (den // d.denominator) for d in row] for row in dist]
+    memo: list = [None] * (1 << n)
+    memo[0] = {0: 1}
+    table = {(): ExactPoly.one()}
+    for mask in range(3, 1 << n):
+        if mask.bit_count() % 2:
+            continue
+        low = mask & -mask
+        row = shift[low.bit_length() - 1]
+        rest = mask ^ low
+        total: dict[int, int] = {}
+        get = total.get
+        sign = 1
+        bits = rest
+        while bits:
+            b = bits & -bits
+            bits ^= b
+            s = row[b.bit_length() - 1]
+            for k, c in memo[rest ^ b].items():
+                k += s
+                total[k] = get(k, 0) + sign * c
+            sign = -sign
+        pf = {k: c for k, c in total.items() if c}
+        memo[mask] = pf
+        key = tuple(x for i, x in enumerate(xs) if mask >> i & 1)
+        table[key] = ExactPoly(den, pf)
+    return table
 
 
 def odd_pairing(T: Tree, X: Sequence[int]) -> tuple[tuple[int, int], ...]:

@@ -197,6 +197,9 @@ BAD_OPTION_VALUES = [
     ("signature --matrix C4 --X 4", "distinct indices in 0..3"),
     ("signature --matrix C4 --X -1", "distinct indices in 0..3"),
     ("signature --matrix C4 --X 0,2,0", "distinct indices in 0..3"),
+    ("minor-verify --n 17", "131071 subsets per tree at --n 17, over the bound of 65536"),
+    ("minor-verify --n 36 --max-x 4", "66711 subsets per tree at --n 36 --max-x 4"),
+    ("pf-verify --n 18", "131071 subsets per tree at --n 18, over the bound of 65536"),
 ]
 
 
@@ -211,6 +214,14 @@ def test_bad_option_values_are_usage_errors(capsys, tmp_path, argv, message):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "argv", ["minor-verify --n 16", "minor-verify --n 35 --max-x 4", "pf-verify --n 17"]
+)
+def test_sweep_sizes_at_the_bound_are_accepted(argv):
+    # only the check runs: sweeping trees this large takes minutes
+    cli._check_sweep_args(cli.build_parser().parse_args(argv.split()))
 
 
 def _failing_sweep(capsys, monkeypatch, name, wrong, sweep):
@@ -255,6 +266,34 @@ def test_pf_verify_certificate_replays_as_failure(capsys, monkeypatch, tmp_path)
     code, out, _ = _replay(capsys, tmp_path, "pfaffian", cert)
     assert code == 1
     assert json.loads(out)["equal"] is False
+
+
+@pytest.mark.parametrize(
+    "sweep, table, replay, values",
+    [
+        ("minor-verify", "minor_table", "minor", {"formula", "oracle"}),
+        ("pf-verify", "pf_table", "pfaffian", {"pfaffian", "oracle"}),
+    ],
+)
+def test_a_wrong_table_entry_fails_its_row(
+    capsys, monkeypatch, tmp_path, sweep, table, replay, values
+):
+    wrong = []
+
+    def corrupt(entries):
+        key = max(entries, key=len)
+        entries[key] = entries[key] * ExactPoly.t_power(1)
+        wrong.append((key, entries[key]))
+        return entries
+
+    cert = _failing_sweep(capsys, monkeypatch, table, corrupt, sweep)
+    ((key, value),) = wrong
+    assert set(cert) == {"tree", "X", "table", *values}
+    assert cert["X"] == list(key)
+    assert cert["table"] == str(value) != cert["oracle"]
+    # the single-instance check passes: the fault is the table's
+    code, out, _ = _replay(capsys, tmp_path, replay, cert)
+    assert code == 0
 
 
 def test_cycles_verify_failure_lists_all_three_values(capsys, monkeypatch):
@@ -449,21 +488,22 @@ def test_represent_odd_report(capsys):
     assert data["checked"] == 32  # even subsets of 6 vertices
 
 
-def test_represent_odd_takes_one_pfaffian_per_subset(capsys, monkeypatch):
-    calls = []
-    pfaffian = matroid.pfaffian
+def test_represent_odd_reads_one_pfaffian_table(capsys, monkeypatch):
+    tables = []
+    pf_table = matroid.pf_table
 
-    def counted(block):
-        calls.append(block)
-        return pfaffian(block)
+    def counted(T, order):
+        tables.append(pf_table(T, order))
+        return tables[-1]
 
-    monkeypatch.setattr(matroid, "pfaffian", counted)
+    monkeypatch.setattr(matroid, "pf_table", counted)
+    monkeypatch.setattr(matroid, "pfaffian", None)  # no per-subset expansion
     code, out, _ = invoke(
         capsys, "represent-odd", "--n", "8", "--seed", "0", "--format", "json"
     )
     assert code == 0
     assert json.loads(out)["checked"] == 128
-    assert len(calls) == 128
+    assert [len(t) for t in tables] == [128]
 
 
 def test_csv_format_rows(capsys):

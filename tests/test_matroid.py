@@ -310,12 +310,15 @@ def test_dual_value_matches_the_pfaffian_of_the_inverted_matrix():
             image = PolyMatrix(
                 [[e.power_substitute(-1) for e in row] for row in rep.matrix.entries]
             )
+            pairs = rep.value_pairs()  # read off one table of Pfaffians
+            assert len(pairs) == 2 ** (n - 1)
             for r in range(0, n + 1, 2):
                 for pos in combinations(range(n), r):
                     X = [rep.order[p] for p in pos]
                     p = pfaffian(image.principal_submatrix(pos))
                     want = MINUS_INF if p.is_zero() else p.leading_term()[0]
                     assert rep.dual_value(X) == want
+                    assert pairs[tuple(X)] == rep.value_pair(X)
 
 
 def test_represent_odd_small_cases():

@@ -19,6 +19,7 @@ from treeminor.minors import (
     minor_formula,
     minor_leading,
     minor_oracle,
+    minor_table,
     signature,
     spanned_forests,
     weighted_minor,
@@ -121,6 +122,26 @@ def trees_and_subsets(draw):
     T = half_integer_tree(n, seed) if mode == "half" else random_tree(n, seed=seed, weights=mode)
     X = draw(st.lists(st.sampled_from(T.vertices), min_size=1, max_size=n, unique=True))
     return T, X
+
+
+@st.composite
+def trees_and_sizes(draw):
+    n = draw(st.integers(1, 8))
+    seed = draw(st.integers(0, 10 ** 6))
+    mode = draw(st.sampled_from(["unit", "rational", "half"]))
+    T = half_integer_tree(n, seed) if mode == "half" else random_tree(n, seed=seed, weights=mode)
+    return T, draw(st.integers(1, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(trees_and_sizes())
+def test_minor_table_holds_every_small_subset_and_matches_the_oracle(case):
+    T, k = case
+    table = minor_table(T, k)
+    want = [X for r in range(1, k + 1) for X in itertools.combinations(T.vertices, r)]
+    assert set(table) == set(want)
+    for X in want:
+        assert table[X] == minor_oracle(T, X)
 
 
 @settings(max_examples=150, deadline=None)

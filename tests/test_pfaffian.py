@@ -11,6 +11,7 @@ import random
 
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
 from treeminor.pfaffian import (
     NotNicelyOrderedError,
@@ -18,6 +19,7 @@ from treeminor.pfaffian import (
     odd_pairing,
     pf_formula,
     pf_oracle,
+    pf_table,
 )
 from treeminor.poly import ExactPoly
 from treeminor.tree import Tree, random_tree
@@ -107,6 +109,40 @@ def test_nonnice_orders_mostly_differ():
         if pf_oracle(T, X) != tp(odd_w):
             bad += 1
     assert bad >= 20
+
+
+@st.composite
+def trees_and_orders(draw):
+    """A unit, rational or half-integer tree on 1..8 vertices, and a
+    shuffled order of its vertices."""
+    n = draw(st.integers(1, 8))
+    seed = draw(st.integers(0, 10 ** 6))
+    mode = draw(st.sampled_from(["unit", "rational", "half"]))
+    T = random_tree(n, seed=seed, weights="unit" if mode == "half" else mode)
+    if mode == "half":
+        halves = draw(st.lists(st.integers(1, 4), min_size=n - 1, max_size=n - 1))
+        T = Tree(
+            [(u, v, F(k, 2)) for (u, v, _), k in zip(T.edges(), halves)],
+            vertices=T.vertices,
+        )
+    return T, tuple(draw(st.permutations(T.vertices)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(trees_and_orders())
+def test_pf_table_matches_the_oracle_on_every_even_sub_tuple(case):
+    T, shuffled = case
+    nice = T.nice_order(T.vertices)
+    for order in (nice, shuffled):
+        table = pf_table(T, order)
+        want = [X for r in range(0, T.n + 1, 2) for X in itertools.combinations(order, r)]
+        assert set(table) == set(want)
+        for X in want:
+            assert table[X] == pf_oracle(T, X)
+            if order == nice:
+                # a restriction of a depth-first order is nicely ordered
+                assert T.is_nicely_ordered(X)[0]
+                assert table[X] == pf_formula(T, X)
 
 
 # ---------------------------------------------------------------------------

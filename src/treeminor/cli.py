@@ -294,9 +294,9 @@ def cmd_pfaffian(args):
 
 # ---------------------------------------------------------------------------
 # verification sweeps: one worker and one handler serve minor-verify,
-# pf-verify and cycles-verify.  A sweep is a subset walk, a per-tree check
-# builder T -> (X -> (ok, values)) and, for pf-verify, a pass over negative
-# orders.  minor-verify and pf-verify read their oracle values off one table
+# pf-verify and cycles-verify.  A sweep is a per-tree builder
+# T -> (subset walk, check X -> (ok, values)) and, for pf-verify, a pass over
+# negative orders.  minor-verify and pf-verify read their oracle values off one table
 # per tree; a subset that fails against it is decided again by the check its
 # certificate replays with (`minor`, `pfaffian`).
 
@@ -336,7 +336,13 @@ def _redecide(check, T, X, table_value):
     return False, values
 
 
-def _minor_checks(T, max_x):
+def _subsets(T, max_x):
+    """Every subset of size 1..max_x, in combination order."""
+    for r in range(1, min(T.n, max_x) + 1):
+        yield from combinations(T.vertices, r)
+
+
+def _minor_sweep(T, max_x):
     table = minor_table(T, max_x)
 
     def check(X):
@@ -345,11 +351,22 @@ def _minor_checks(T, max_x):
             return True, None
         return _redecide(_minor_check, T, X, oracle)
 
-    return check
+    return _subsets(T, max_x), check
 
 
-def _pf_checks(T, _max_x):
-    table = pf_table(T, T.nice_order(T.vertices))
+def _restricted_even_subsets(T, omega):
+    """Every even-size subset S in combination order, listed as omega|S:
+    the members of S in the order of omega.  A restriction of a nice order
+    of all vertices (a depth-first order) is nicely ordered too."""
+    pos = {v: i for i, v in enumerate(omega)}
+    for r in range(2, T.n + 1, 2):
+        for sub in combinations(T.vertices, r):
+            yield tuple(sorted(sub, key=pos.__getitem__))
+
+
+def _pf_sweep(T, _max_x):
+    omega = T.nice_order(T.vertices)
+    table = pf_table(T, omega)
 
     def check(X):
         oracle = table[X]
@@ -357,34 +374,18 @@ def _pf_checks(T, _max_x):
             return True, None
         return _redecide(_pf_check, T, X, oracle)
 
-    return check
+    return _restricted_even_subsets(T, omega), check
 
 
-def _cycles_checks(T, _max_x):
-    return lambda X: _cycles_check(T, X)
+def _cycles_sweep(T, max_x):
+    return _subsets(T, max_x), lambda X: _cycles_check(T, X)
 
 
-def _subsets(T, max_x):
-    """Every subset of size 1..max_x, in combination order."""
-    for r in range(1, min(T.n, max_x) + 1):
-        yield from combinations(T.vertices, r)
-
-
-def _nice_even_subsets(T, _max_x):
-    """Every even-size subset S in combination order, listed as omega|S:
-    the members of S in the order of the nice order omega of all vertices.
-    A restriction of a depth-first order is nicely ordered too."""
-    pos = {v: i for i, v in enumerate(T.nice_order(T.vertices))}
-    for r in range(2, T.n + 1, 2):
-        for sub in combinations(T.vertices, r):
-            yield tuple(sorted(sub, key=pos.__getitem__))
-
-
-# subcommand -> (subset walk, per-tree check builder)
+# subcommand -> per-tree builder of (subset walk, check)
 _SWEEPS = {
-    "minor-verify": (_subsets, _minor_checks),
-    "pf-verify": (_nice_even_subsets, _pf_checks),
-    "cycles-verify": (_subsets, _cycles_checks),
+    "minor-verify": _minor_sweep,
+    "pf-verify": _pf_sweep,
+    "cycles-verify": _cycles_sweep,
 }
 # least value of each sweep option; minor-verify takes --max-x 0 as no cap
 _SWEEP_LEAST = {"trees": 1, "n": 2, "jobs": 1, "negatives": 0}
@@ -411,15 +412,14 @@ def _negative_hits(T, rng, negatives: int) -> int:
 
 def _sweep_one(task: tuple) -> dict:
     index, subseed, max_n, mode, sweep, max_x, negatives = task
-    walk, checks = _SWEEPS[sweep]
     rng = random.Random(subseed)
     size = rng.randint(2, max_n)
     T = random_tree(size, seed=subseed, weights=mode)
     row = {"tree_index": index, "seed": subseed, "n": size, "weights": mode}
-    check = checks(T, max_x)
+    walk, check = _SWEEPS[sweep](T, max_x)
     checked = 0
     certificate = None
-    for X in walk(T, max_x):
+    for X in walk:
         ok, values = check(X)
         if not ok:
             certificate = {"tree": format_tree(T), "X": list(X), **_str_values(values)}
@@ -434,11 +434,17 @@ def _sweep_one(task: tuple) -> dict:
     return row
 
 
-def _subset_count(sub: str, n: int, max_x: int) -> int:
-    """Subsets one tree of n vertices gives a minor-verify or pf-verify walk."""
-    if sub == "pf-verify":
-        return sum(comb(n, r) for r in range(2, n + 1, 2))
-    return sum(comb(n, r) for r in range(1, min(n, max_x or n) + 1))
+def _over_subset_bound(sub: str, n: int, max_x: int) -> bool:
+    """Would one tree of n vertices give a minor-verify or pf-verify walk
+    more than _MAX_SUBSETS subsets?  Terms are added in increasing size and
+    the sum stops once over the bound, so a huge --n costs a few terms."""
+    sizes = range(2, n + 1, 2) if sub == "pf-verify" else range(1, min(n, max_x or n) + 1)
+    count = 0
+    for r in sizes:
+        count += comb(n, r)
+        if count > _MAX_SUBSETS:
+            return True
+    return False
 
 
 def _check_sweep_args(args) -> None:
@@ -454,12 +460,11 @@ def _check_sweep_args(args) -> None:
         )
     if args.subcommand in ("minor-verify", "pf-verify"):
         max_x = getattr(args, "max_x", 0)
-        count = _subset_count(args.subcommand, args.n, max_x)
-        if count > _MAX_SUBSETS:
+        if _over_subset_bound(args.subcommand, args.n, max_x):
             cap = f" --max-x {max_x}" if max_x else ""
             raise CliError(
-                f"{args.subcommand} would check {count} subsets per tree at "
-                f"--n {args.n}{cap}, over the bound of {_MAX_SUBSETS}"
+                f"{args.subcommand} would check more than {_MAX_SUBSETS} "
+                f"subsets per tree at --n {args.n}{cap}"
             )
 
 

@@ -11,8 +11,11 @@ certificate lists all three values instead (no single-instance subcommand).
 Sweeps take --trees >= 1, --n >= 2, --jobs >= 1 and --negatives >= 0;
 --max-x >= 1 (at most the enumeration cap) for cycles-verify, >= 0 for
 minor-verify (0: no cap).  minor-verify and pf-verify check at most
-_MAX_SUBSETS subsets per tree, counted from --n and --max-x.  Anything else
-exits 2 before any work.
+_MAX_SUBSETS subsets per tree and cycles-verify walks at most _MAX_SUBSETS
+cycle partitions per tree (r! for each subset of size r), counted from --n
+and --max-x.  dissimilarity evaluates at most _MAX_SUBSETS values and
+represent-odd represents at most 12 vertices, counted from the tree and
+--ground.  Anything else exits 2 before any work.
 
 All randomness flows from --seed; sweep workers derive per-tree sub-seeds
 deterministically, so reports are identical across runs and across --jobs
@@ -30,11 +33,12 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, factorial
 
 from .cyclekernel import ENUMERATION_CAP, cycle_sums
 from .matroid import (
     ValuatedFn,
+    _rooted_ground,
     check_delta_matroid,
     check_valuated_matroid,
     k_dissimilarity,
@@ -63,7 +67,9 @@ from .tree import Tree, format_tree, random_tree, read_tree_file
 
 _SEED_STRIDE = 1_000_003  # tree index -> sub-seed, documented and fixed
 # subsets one tree of minor-verify or pf-verify may check: each sweep holds
-# a table of that many polynomials, built in about n 2^n products
+# a table of that many polynomials, built in about n 2^n products.  It also
+# bounds the cycle partitions of one cycles-verify tree and the values of
+# one dissimilarity map.
 _MAX_SUBSETS = 1 << 16
 
 
@@ -435,13 +441,15 @@ def _sweep_one(task: tuple) -> dict:
 
 
 def _over_subset_bound(sub: str, n: int, max_x: int) -> bool:
-    """Would one tree of n vertices give a minor-verify or pf-verify walk
-    more than _MAX_SUBSETS subsets?  Terms are added in increasing size and
-    the sum stops once over the bound, so a huge --n costs a few terms."""
+    """Would one tree of n vertices give a sweep more than _MAX_SUBSETS
+    subsets to check, or, for cycles-verify, more than _MAX_SUBSETS cycle
+    partitions (r! for each subset of size r)?  Terms are added in
+    increasing size and the sum stops once over the bound, so a huge --n
+    costs a few terms."""
     sizes = range(2, n + 1, 2) if sub == "pf-verify" else range(1, min(n, max_x or n) + 1)
     count = 0
     for r in sizes:
-        count += comb(n, r)
+        count += comb(n, r) * (factorial(r) if sub == "cycles-verify" else 1)
         if count > _MAX_SUBSETS:
             return True
     return False
@@ -458,14 +466,14 @@ def _check_sweep_args(args) -> None:
         raise CliError(
             f"--max-x {args.max_x} exceeds the enumeration cap {ENUMERATION_CAP}"
         )
-    if args.subcommand in ("minor-verify", "pf-verify"):
-        max_x = getattr(args, "max_x", 0)
-        if _over_subset_bound(args.subcommand, args.n, max_x):
-            cap = f" --max-x {max_x}" if max_x else ""
-            raise CliError(
-                f"{args.subcommand} would check more than {_MAX_SUBSETS} "
-                f"subsets per tree at --n {args.n}{cap}"
-            )
+    max_x = getattr(args, "max_x", 0)
+    if _over_subset_bound(args.subcommand, args.n, max_x):
+        cap = f" --max-x {max_x}" if max_x else ""
+        what = "cycle partitions" if args.subcommand == "cycles-verify" else "subsets"
+        raise CliError(
+            f"{args.subcommand} would check more than {_MAX_SUBSETS} "
+            f"{what} per tree at --n {args.n}{cap}"
+        )
 
 
 def _cmd_sweep(args):
@@ -576,14 +584,32 @@ def cmd_signature(args):
     }
 
 
+def _dissimilarity_values(T, args, ground) -> int:
+    """How many values `dissimilarity` would evaluate: the even subsets of
+    the ground set for --map odd, its k-subsets for --map k and rooted."""
+    if args.map == "odd":
+        g = T.vertices if ground is None else T.check_subset(ground)
+        return 1 << max(len(g) - 1, 0)
+    if args.map == "rooted":
+        g = _rooted_ground(T, args.root, ground)
+    else:
+        g = T.leaves() if ground is None else T.check_subset(ground)
+    return comb(len(g), args.k) if args.k >= 0 else 0
+
+
 def cmd_dissimilarity(args):
     T, text = _load_tree(args)
     ground = _parse_labels(args.ground) if args.ground else None
+    if args.map == "rooted" and args.root is None:
+        raise CliError("--map rooted needs --root")
+    if _dissimilarity_values(T, args, ground) > _MAX_SUBSETS:
+        raise CliError(
+            f"dissimilarity --map {args.map} would evaluate more than "
+            f"{_MAX_SUBSETS} values; pass a smaller --ground"
+        )
     if args.map == "k":
         fn = k_dissimilarity(T, args.k, ground=ground)
     elif args.map == "rooted":
-        if args.root is None:
-            raise CliError("--map rooted needs --root")
         fn = rooted_k_dissimilarity(T, args.root, args.k, ground=ground)
     else:  # odd
         fn = odd_dissimilarity(T, ground=ground)
@@ -649,13 +675,13 @@ def cmd_represent_rooted(args):
 
 def cmd_represent_odd(args):
     T, text = _load_tree(args)
-    ground = _parse_labels(args.ground) if args.ground else None
-    rep = represent_odd(T, ground=ground)
-    if len(rep.order) > 12:
+    ground = T.check_subset(_parse_labels(args.ground)) if args.ground else T.vertices
+    if len(ground) > 12:
         raise CliError(
             "exhaustive check over subsets needs at most 12 represented "
             "vertices; pass a smaller --ground"
         )
+    rep = represent_odd(T, ground=ground)
     fn = odd_dissimilarity(T, ground=rep.order)
     pairs = rep.value_pairs()
     mismatches = []
@@ -796,6 +822,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sweep(
         sub, "cycles-verify", "sweep: cycle-partition expansions vs the formula",
         10, 6, "--max-x", 6, "cap |X| (enumeration!)",
+        "Check both cycle-partition sums (all cycles, tight cycles) against "
+        "the forest formula on every subset up to --max-x of each random "
+        f"tree. A tree may have at most {_MAX_SUBSETS} cycle partitions, r! "
+        "for each subset of size r (--n 7 at --max-x 7); more exits 2.",
     )
 
     p = sub.add_parser("check-4pc", help="four-point condition on a CSV matrix")
@@ -827,7 +857,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p)
     p.set_defaults(handler=cmd_signature)
 
-    p = sub.add_parser("dissimilarity", help="tabulate a dissimilarity map")
+    p = sub.add_parser(
+        "dissimilarity",
+        help="tabulate a dissimilarity map",
+        description=f"A map may have at most {_MAX_SUBSETS} values (even "
+        "subsets of the ground set for --map odd, k-subsets otherwise); more "
+        "exits 2.",
+    )
     _add_tree_source(p)
     p.add_argument("--map", choices=("k", "rooted", "odd"), required=True)
     p.add_argument("--k", type=int, default=2)

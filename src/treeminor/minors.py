@@ -174,7 +174,7 @@ def minor_formula(T: Tree, X: Iterable[int]) -> ExactPoly:
         else:
             neg_b = {k: -val for k, val in b.items()}
             up[v] = (_zadd(a, neg_b), neg_b)
-    return ExactPoly(den, up[root][0])
+    return ExactPoly._make(den, 1, up[root][0])
 
 
 def minor_leading(T: Tree, X: Iterable[int]) -> tuple[Fraction, Fraction]:
@@ -226,7 +226,7 @@ def minor_table(T: Tree, max_size: int) -> dict[tuple[int, ...], ExactPoly]:
             bm = B[m]
             pm = bm[m]
             key = S + (xs[m],)
-            table[key] = ExactPoly(den, pm)
+            table[key] = ExactPoly._make(den, 1, pm)
             size = len(key)
             if size >= max_size or m == n - 1:
                 continue

@@ -120,7 +120,7 @@ def pf_table(T: Tree, order: Sequence[int]) -> dict[tuple[int, ...], ExactPoly]:
         pf = {k: c for k, c in total.items() if c}
         memo[mask] = pf
         key = tuple(x for i, x in enumerate(xs) if mask >> i & 1)
-        table[key] = ExactPoly(den, pf)
+        table[key] = ExactPoly._make(den, 1, pf)
     return table
 
 

@@ -1,17 +1,16 @@
 """Exact sparse Laurent polynomials in one indeterminate t, with rational
 exponents, plus determinants and Pfaffians of matrices over them.
 
-A polynomial is a finite map {exponent -> coefficient}.  Coefficients are
-arbitrary-precision rationals (fractions.Fraction).  Exponents are rationals
-stored as integer numerators over one shared positive denominator per
-polynomial, kept minimal, so equality of polynomials is plain structural
-equality.  Everything downstream (distance powers t^d, the signed forest
-sums, Schur complements) lives in this ring.
+A polynomial is a finite map {exponent -> coefficient} with rational
+exponents and coefficients, stored as integers over two shared positive
+denominators: sum c/cden t^(k/den) over a dict {k: c} of nonzero ints.
+Both denominators are kept minimal, so equality of polynomials is plain
+structural equality.  Everything downstream (distance powers t^d, the
+signed forest sums, Schur complements) lives in this ring.
 
-det and pfaffian do not compute in Fraction arithmetic: they clear the
-coefficient denominators of their matrix once, work on integer-coefficient
-polynomials (dict[int, int] over one shared exponent denominator, the
-_z* kernel below), and build a single ExactPoly from the result.
+The dict {k: c} is also the format of the integer kernel below (_zadd,
+_zmul, _zdiv): ring operations, det and pfaffian run on the stored maps,
+and the kernel's callers hand their results to ExactPoly._make unchanged.
 """
 
 from __future__ import annotations
@@ -37,21 +36,28 @@ class ExactPoly:
     """Sparse Laurent polynomial in t over Q, exponents in Q.
 
     Instances are immutable; all operations return new polynomials in
-    canonical form (no zero coefficients, minimal shared exponent
-    denominator).
+    canonical form: no zero coefficient, gcd(den, *exponents) = 1,
+    gcd(cden, *coefficients) = 1, and den = cden = 1 for zero.
     """
 
-    __slots__ = ("_den", "_terms")
+    __slots__ = ("_den", "_cden", "_terms")
 
-    def __init__(self, den: int = 1, terms: dict | None = None, _raw: bool = False):
-        if _raw:
-            self._den = den
-            self._terms = terms if terms is not None else {}
-            return
+    def __init__(self, den: int = 1, terms: dict | None = None):
         clean = {int(k): _as_fraction(v) for k, v in (terms or {}).items()}
         if not isinstance(den, int) or den < 1:
             raise ValueError("exponent denominator must be a positive integer")
-        self._den, self._terms = _normalize(den, clean)
+        cden = math.lcm(*(c.denominator for c in clean.values()))
+        self._den, self._cden, self._terms = _canonical(
+            den, cden, {k: c.numerator * (cden // c.denominator) for k, c in clean.items() if c}
+        )
+
+    @staticmethod
+    def _make(den: int, cden: int, ints: dict[int, int]) -> "ExactPoly":
+        """sum ints[k]/cden t^(k/den), from nonzero int coefficients; the
+        denominators are reduced here and ints is never mutated."""
+        p = object.__new__(ExactPoly)
+        p._den, p._cden, p._terms = _canonical(den, cden, ints)
+        return p
 
     # -- constructors ------------------------------------------------------
 
@@ -65,10 +71,7 @@ class ExactPoly:
 
     @staticmethod
     def constant(c) -> "ExactPoly":
-        c = _as_fraction(c)
-        if c == 0:
-            return _ZERO
-        return ExactPoly(1, {0: c}, _raw=True)
+        return ExactPoly.t_power(0, c)
 
     @staticmethod
     def t_power(exponent=1, coeff=1) -> "ExactPoly":
@@ -77,25 +80,19 @@ class ExactPoly:
         c = _as_fraction(coeff)
         if c == 0:
             return _ZERO
-        den, terms = _normalize(e.denominator, {e.numerator: c})
-        return ExactPoly(den, terms, _raw=True)
+        return ExactPoly._make(e.denominator, c.denominator, {e.numerator: c.numerator})
 
     @staticmethod
     def from_terms(pairs: Iterable[Tuple[Fraction, Fraction]]) -> "ExactPoly":
         """Build from (exponent, coefficient) pairs; repeats accumulate."""
-        den = 1
-        merged: dict[int, Fraction] = {}
+        pairs = [(_as_fraction(e), _as_fraction(c)) for e, c in pairs]
+        den = math.lcm(*(e.denominator for e, _ in pairs))
+        cden = math.lcm(*(c.denominator for _, c in pairs))
+        ints: dict[int, int] = {}
         for e, c in pairs:
-            e = _as_fraction(e)
-            c = _as_fraction(c)
-            d = math.lcm(den, e.denominator)
-            if d != den:
-                merged = {k * (d // den): v for k, v in merged.items()}
-                den = d
             k = e.numerator * (den // e.denominator)
-            merged[k] = merged.get(k, Fraction(0)) + c
-        den, merged = _normalize(den, merged)
-        return ExactPoly(den, merged, _raw=True)
+            ints[k] = ints.get(k, 0) + c.numerator * (cden // c.denominator)
+        return ExactPoly._make(den, cden, {k: c for k, c in ints.items() if c})
 
     # -- inspection --------------------------------------------------------
 
@@ -107,28 +104,29 @@ class ExactPoly:
 
     def terms(self) -> Iterator[Tuple[Fraction, Fraction]]:
         """Yield (exponent, coefficient) in decreasing exponent order."""
-        d = self._den
+        d, cd = self._den, self._cden
         for k in sorted(self._terms, reverse=True):
-            yield Fraction(k, d), self._terms[k]
+            yield Fraction(k, d), Fraction(self._terms[k], cd)
 
     def leading_term(self) -> Tuple[Fraction, Fraction]:
         """(exponent, coefficient) of the highest-exponent term."""
         if not self._terms:
             raise ValueError("the zero polynomial has no leading term")
         k = max(self._terms)
-        return Fraction(k, self._den), self._terms[k]
+        return Fraction(k, self._den), Fraction(self._terms[k], self._cden)
 
     def trailing_term(self) -> Tuple[Fraction, Fraction]:
         if not self._terms:
             raise ValueError("the zero polynomial has no trailing term")
         k = min(self._terms)
-        return Fraction(k, self._den), self._terms[k]
+        return Fraction(k, self._den), Fraction(self._terms[k], self._cden)
 
     def coefficient(self, exponent) -> Fraction:
         e = _as_fraction(exponent)
         if self._den % e.denominator:
             return Fraction(0)
-        return self._terms.get(e.numerator * (self._den // e.denominator), Fraction(0))
+        k = e.numerator * (self._den // e.denominator)
+        return Fraction(self._terms.get(k, 0), self._cden)
 
     # -- ring operations ---------------------------------------------------
 
@@ -136,21 +134,14 @@ class ExactPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        den, a, b = _align(self, other)
-        out = dict(a)
-        for k, v in b.items():
-            s = out.get(k, Fraction(0)) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        den, out = _normalize(den, out)
-        return ExactPoly(den, out, _raw=True)
+        den = math.lcm(self._den, other._den)
+        cden = math.lcm(self._cden, other._cden)
+        return ExactPoly._make(den, cden, _zadd(_over(self, den, cden), _over(other, den, cden)))
 
     __radd__ = __add__
 
     def __neg__(self) -> "ExactPoly":
-        return ExactPoly(self._den, {k: -v for k, v in self._terms.items()}, _raw=True)
+        return ExactPoly._make(self._den, self._cden, {k: -v for k, v in self._terms.items()})
 
     def __sub__(self, other) -> "ExactPoly":
         other = _coerce(other)
@@ -168,20 +159,9 @@ class ExactPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self._terms or not other._terms:
-            return _ZERO
-        den, a, b = _align(self, other)
-        out: dict[int, Fraction] = {}
-        for ka, va in a.items():
-            for kb, vb in b.items():
-                k = ka + kb
-                s = out.get(k, Fraction(0)) + va * vb
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        den, out = _normalize(den, out)
-        return ExactPoly(den, out, _raw=True)
+        den = math.lcm(self._den, other._den)
+        out = _zmul(_over(self, den, self._cden), _over(other, den, other._cden))
+        return ExactPoly._make(den, self._cden * other._cden, out)
 
     __rmul__ = __mul__
 
@@ -201,13 +181,17 @@ class ExactPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._den == other._den and self._terms == other._terms
+        return (
+            self._den == other._den
+            and self._cden == other._cden
+            and self._terms == other._terms
+        )
 
     def __hash__(self):
         # a constant must hash like the int/Fraction it compares equal to
         if self._terms.keys() <= {0}:
-            return hash(self._terms.get(0, 0))
-        return hash((self._den, frozenset(self._terms.items())))
+            return hash(Fraction(self._terms.get(0, 0), self._cden))
+        return hash((self._den, self._cden, frozenset(self._terms.items())))
 
     # -- substitutions and evaluation ---------------------------------------
 
@@ -243,11 +227,11 @@ class ExactPoly:
         if tau == 0:
             if min(self._terms) < 0:
                 raise ZeroDivisionError("negative exponent at tau = 0")
-            return self._terms.get(0, Fraction(0))
+            return Fraction(self._terms.get(0, 0), self._cden)
         total = Fraction(0)
         for k, c in self._terms.items():
             total += c * tau ** k
-        return total
+        return total / self._cden
 
     # -- rendering -----------------------------------------------------------
 
@@ -282,19 +266,24 @@ def _exp_str(e: Fraction) -> str:
     return f"({e})"
 
 
-def _normalize(den: int, terms: dict) -> tuple[int, dict]:
-    terms = {k: v for k, v in terms.items() if v}
-    if not terms:
-        return 1, {}
+def _canonical(den: int, cden: int, ints: dict[int, int]) -> tuple[int, int, dict[int, int]]:
+    """(den, cden, ints) divided through by gcd(den, *keys) and
+    gcd(cden, *values); ints holds no zero value."""
+    if not ints:
+        return 1, 1, {}
     g = den
-    for k in terms:
-        g = math.gcd(g, k)
+    for k in ints:
         if g == 1:
             break
-    if g > 1:
-        terms = {k // g: v for k, v in terms.items()}
-        den //= g
-    return den, terms
+        g = math.gcd(g, k)
+    h = cden
+    for c in ints.values():
+        if h == 1:
+            break
+        h = math.gcd(h, c)
+    if g > 1 or h > 1:
+        ints = {k // g: c // h for k, c in ints.items()}
+    return den // g, cden // h, ints
 
 
 def _coerce(x):
@@ -305,12 +294,13 @@ def _coerce(x):
     return NotImplemented
 
 
-def _align(a: ExactPoly, b: ExactPoly) -> tuple[int, dict, dict]:
-    if a._den == b._den:
-        return a._den, a._terms, b._terms
-    d = math.lcm(a._den, b._den)
-    fa, fb = d // a._den, d // b._den
-    return d, {k * fa: v for k, v in a._terms.items()}, {k * fb: v for k, v in b._terms.items()}
+def _over(p: ExactPoly, den: int, cden: int, low: int = 0) -> dict[int, int]:
+    """p's map over multiples den and cden of its denominators, every
+    exponent numerator lowered by low."""
+    fe, fc = den // p._den, cden // p._cden
+    if fe == fc == 1 and not low:
+        return p._terms
+    return {k * fe - low: c * fc for k, c in p._terms.items()}
 
 
 def _exact_root(x: Fraction, k: int) -> Fraction | None:
@@ -327,32 +317,23 @@ def _exact_root(x: Fraction, k: int) -> Fraction | None:
 
 
 def _iroot(n: int, k: int) -> int | None:
-    try:
-        r = round(n ** (1.0 / k))
-    except OverflowError:  # n is too large for a float
-        pass
-    else:
-        for cand in (r - 1, r, r + 1):
-            if cand >= 0 and cand ** k == n:
-                return cand
-    # the float guess fails or is off for big n; fall back to integer bisection
-    lo, hi = 0, 1
-    while hi ** k < n:
-        hi *= 2
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        m = mid ** k
-        if m == n:
-            return mid
-        if m < n:
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    return None
+    """The integer k-th root of n >= 0, or None if there is none.
+
+    Integer Newton from above: x starts past the root, since n < 2^bits,
+    and falls monotonically to floor(n^(1/k)), where it stops."""
+    if n < 2:
+        return n
+    x = 1 << (n.bit_length() // k + 1)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            break
+        x = y
+    return x if x ** k == n else None
 
 
-_ZERO = ExactPoly(1, {}, _raw=True)
-_ONE = ExactPoly(1, {0: Fraction(1)}, _raw=True)
+_ZERO = ExactPoly._make(1, 1, {})
+_ONE = ExactPoly._make(1, 1, {0: 1})
 
 
 # ---------------------------------------------------------------------------
@@ -417,30 +398,6 @@ def _zdiv(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
             else:
                 rem.pop(k, None)
     return quot
-
-
-def _denominator_lcm(maps) -> int:
-    """The lcm of the coefficient denominators of {k: Fraction} maps."""
-    mult = 1
-    for p in maps:
-        for c in p.values():
-            if mult % c.denominator:
-                mult = math.lcm(mult, c.denominator)
-    return mult
-
-
-def _common_den(entries) -> tuple[int, list[list[dict[int, Fraction]]]]:
-    """The lcm D of the entries' exponent denominators, and the entries as
-    {numerator over D: coefficient} maps."""
-    den = 1
-    for row in entries:
-        for p in row:
-            if den % p._den:
-                den = math.lcm(den, p._den)
-    return den, [
-        [{k * (den // p._den): c for k, c in p._terms.items()} for p in row]
-        for row in entries
-    ]
 
 
 def divide_exact(p: ExactPoly, q: ExactPoly) -> ExactPoly:
@@ -509,27 +466,26 @@ class PolyMatrix:
 def det(m: PolyMatrix) -> ExactPoly:
     """Determinant by fraction-free (Bareiss) elimination with exact division.
 
-    Each row is multiplied by the lcm of its coefficient denominators and by
-    t to minus its lowest exponent, so every entry lies in Z[t^(1/D)]; so do
-    all the Bareiss intermediates, which are minors.  The elimination runs
-    on the integer kernel, and the scale and the shift are undone at the end.
+    Each row is multiplied by the lcm of its entries' coefficient
+    denominators and by t to minus its lowest exponent, so every entry lies
+    in Z[t^(1/D)], D the lcm of the exponent denominators; so do all the
+    Bareiss intermediates, which are minors.  The elimination runs on the
+    integer kernel, and the result keeps the scale as its coefficient
+    denominator and the shift in its exponents.
     """
     n = m.n
     if n == 0:
         return _ONE
-    den, rows = _common_den(m.entries)
+    den = math.lcm(*(p._den for row in m.entries for p in row))
     a = []
     scale = 1
     shift = 0
-    for row in rows:
-        low = min((k for p in row for k in p), default=None)
+    for row in m.entries:
+        low = min((min(p._terms) * (den // p._den) for p in row if p), default=None)
         if low is None:
             return _ZERO  # a zero row
-        mult = _denominator_lcm(row)
-        a.append([
-            {k - low: c.numerator * (mult // c.denominator) for k, c in p.items()}
-            for p in row
-        ])
+        mult = math.lcm(*(p._cden for p in row))
+        a.append([_over(p, den, mult, low) for p in row])
         scale *= mult
         shift += low
     sign = 1
@@ -552,9 +508,7 @@ def det(m: PolyMatrix) -> ExactPoly:
                 row_i[j] = _zdiv(num, prev)
         prev = pivot
     result = a[n - 1][n - 1]
-    return ExactPoly(
-        den, {k + shift: Fraction(sign * c, scale) for k, c in result.items()}
-    )
+    return ExactPoly._make(den, scale, {k + shift: sign * c for k, c in result.items()})
 
 
 def det_permutation(m: PolyMatrix) -> ExactPoly:
@@ -600,7 +554,8 @@ def pfaffian(m: PolyMatrix) -> ExactPoly:
     index: pairing index i1 with the j-th remaining index contributes sign
     (-1)^j; the empty matrix has Pfaffian 1.  The entries are multiplied by
     the lcm L of their coefficient denominators, the expansion runs on the
-    integer kernel, and Pf(L A) = L^(n/2) Pf(A) undoes the scale.
+    integer kernel, and Pf(L A) = L^(n/2) Pf(A) gives the result's
+    coefficient denominator.
     """
     n = m.n
     a = m.entries
@@ -612,12 +567,9 @@ def pfaffian(m: PolyMatrix) -> ExactPoly:
                 raise ValueError(f"not skew at ({i},{j})")
     if n % 2:
         raise ValueError("Pfaffian requires even size")
-    den, rows = _common_den(m.entries)
-    mult = _denominator_lcm(p for row in rows for p in row)
-    entries = [
-        [{k: c.numerator * (mult // c.denominator) for k, c in p.items()} for p in row]
-        for row in rows
-    ]
+    den = math.lcm(*(p._den for row in a for p in row))
+    mult = math.lcm(*(p._cden for row in a for p in row))
+    entries = [[_over(p, den, mult) for p in row] for row in a]
     memo: dict[frozenset, dict[int, int]] = {}
 
     def rec(idx: tuple) -> dict[int, int]:
@@ -640,5 +592,4 @@ def pfaffian(m: PolyMatrix) -> ExactPoly:
         memo[key] = total
         return total
 
-    scale = mult ** (n // 2)
-    return ExactPoly(den, {k: Fraction(c, scale) for k, c in rec(tuple(range(n))).items()})
+    return ExactPoly._make(den, mult ** (n // 2), rec(tuple(range(n))))

@@ -463,7 +463,7 @@ class PuiseuxTrunc:
             if self._terms.keys() <= {0}:
                 return hash(self._terms.get(0, 0))
             if all(isinstance(c, Fraction) for c in self._terms.values()):
-                return hash(ExactPoly(self._ram, self._terms, _raw=True))
+                return hash(ExactPoly(self._ram, self._terms))
         return hash(
             (self._ram, frozenset(self._terms.items()), self._cutoff)
         )

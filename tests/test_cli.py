@@ -203,6 +203,18 @@ BAD_OPTION_VALUES = [
     # the bound is decided from the first few binomials, not the whole sum
     ("minor-verify --n 1000000", "more than 65536 subsets per tree at --n 1000000"),
     ("pf-verify --n 1000000", "more than 65536 subsets per tree at --n 1000000"),
+    # r! cycle partitions for each subset of size r: 69,280 at --n 8 --max-x 7
+    ("cycles-verify --n 8 --max-x 7",
+     "more than 65536 cycle partitions per tree at --n 8 --max-x 7"),
+    ("cycles-verify --n 30", "more than 65536 cycle partitions per tree at --n 30 --max-x 6"),
+    ("cycles-verify --n 30 --max-x 99", "--max-x 99 exceeds the enumeration cap 7"),
+    ("dissimilarity --n 18 --map odd", "--map odd would evaluate more than 65536 values"),
+    ("dissimilarity --n 40 --map odd", "--map odd would evaluate more than 65536 values"),
+    ("dissimilarity --n 400 --map k --k 3", "--map k would evaluate more than 65536 values"),
+    ("dissimilarity --n 400 --map rooted --root 1 --k 3",
+     "--map rooted would evaluate more than 65536 values"),
+    ("represent-odd --n 13", "at most 12 represented vertices"),
+    ("represent-odd --n 3000", "at most 12 represented vertices"),
 ]
 
 
@@ -220,7 +232,13 @@ def test_bad_option_values_are_usage_errors(capsys, tmp_path, argv, message):
 
 
 @pytest.mark.parametrize(
-    "argv", ["minor-verify --n 16", "minor-verify --n 35 --max-x 4", "pf-verify --n 17"]
+    "argv",
+    [
+        "minor-verify --n 16",
+        "minor-verify --n 35 --max-x 4",
+        "pf-verify --n 17",
+        "cycles-verify --n 8 --max-x 6",
+    ],
 )
 def test_sweep_sizes_at_the_bound_are_accepted(argv):
     # only the check runs: sweeping trees this large takes minutes
@@ -507,6 +525,17 @@ def test_represent_odd_reads_one_pfaffian_table(capsys, monkeypatch):
     assert code == 0
     assert json.loads(out)["checked"] == 128
     assert [len(t) for t in tables] == [128]
+
+
+def test_represent_odd_checks_its_size_before_building(capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("represent_odd ran on an over-size ground set")
+
+    monkeypatch.setattr(cli, "represent_odd", unreachable)
+    code, out, err = invoke(capsys, "represent-odd", "--n", "13")
+    assert code == 2
+    assert out == ""
+    assert "at most 12 represented vertices" in err
 
 
 def test_csv_format_rows(capsys):

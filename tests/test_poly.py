@@ -6,6 +6,7 @@ and exponent conventions.
 """
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -162,6 +163,33 @@ def test_ring_axioms(a, b, c):
     assert a + ExactPoly.zero() == a
     assert a * ExactPoly.one() == a
     assert a - a == ExactPoly.zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(), polys(), coeffs, st.integers(2, 6), st.randoms(use_true_random=False))
+def test_canonical_form_does_not_depend_on_the_route(p, b, c, m, rnd):
+    terms = list(p.terms())
+    shuffled = list(terms)
+    rnd.shuffle(shuffled)
+    if shuffled:
+        e, v = shuffled[0]
+        shuffled[:1] = [(e, v / 3), (e, v - v / 3)]
+    den = lcm(*(e.denominator for e, _ in terms))
+    stretched = {e.numerator * (den * m // e.denominator): v for e, v in terms}
+    halves = ExactPoly.from_terms((e, v / 2) for e, v in terms)
+    routes = [
+        ExactPoly.from_terms(shuffled),
+        ExactPoly(den * m, stretched),
+        (p + b) - b,
+        2 * halves,
+    ]
+    for q in routes:
+        assert q == p
+        assert hash(q) == hash(p)
+        assert str(q) == str(p)
+    for const in (ExactPoly.constant(c), p - p + c, ExactPoly.one() * c):
+        assert const == c
+        assert hash(const) == hash(c)
 
 
 @settings(max_examples=60, deadline=None)

@@ -15,7 +15,8 @@ _MAX_SUBSETS subsets per tree and cycles-verify walks at most _MAX_SUBSETS
 cycle partitions per tree (r! for each subset of size r), counted from --n
 and --max-x.  dissimilarity evaluates at most _MAX_SUBSETS values and
 represent-odd represents at most 12 vertices, counted from the tree and
---ground.  Anything else exits 2 before any work.
+--ground; pfaffian's oracle expands at most _MAX_SUBSETS sets, counted from
+--X.  Anything else exits 2 before any work.
 
 All randomness flows from --seed; sweep workers derive per-tree sub-seeds
 deterministically, so reports are identical across runs and across --jobs
@@ -278,9 +279,25 @@ def cmd_minor(args):
     return (0 if equal else 1), report
 
 
+def _over_pfaffian_bound(k: int) -> bool:
+    """Would the memoised expansion in pf_oracle of k labels visit more than
+    _MAX_SUBSETS sets?  It visits F(k + 1) - 1, F(1) = F(2) = 1 (28,656 at
+    k = 22, 75,024 at 24); the terms stop once over the bound."""
+    a, b = 1, 1
+    for _ in range(k - 1):
+        a, b = b, a + b
+        if b - 1 > _MAX_SUBSETS:
+            return True
+    return False
+
+
 def cmd_pfaffian(args):
     T, text = _load_tree(args)
     X = _parse_labels(args.X)
+    if _over_pfaffian_bound(len(X)):
+        raise CliError(
+            f"pfaffian would expand more than {_MAX_SUBSETS} sets at |X| = {len(X)}"
+        )
     try:
         equal, values = _pf_check(T, X)
     except NotNicelyOrderedError as exc:
@@ -803,7 +820,14 @@ def build_parser() -> argparse.ArgumentParser:
         "(--n 16 with no cap); more exits 2.",
     )
 
-    p = sub.add_parser("pfaffian", help="Pfaffian monomial and oracle for one X")
+    p = sub.add_parser(
+        "pfaffian",
+        help="Pfaffian monomial and oracle for one X",
+        description="Check the Pfaffian monomial of one nicely ordered X against "
+        "the Pfaffian of its skew matrix, whose memoised expansion visits "
+        f"F(|X| + 1) - 1 sets (F Fibonacci). At most {_MAX_SUBSETS} sets "
+        "(22 labels) are allowed; more exits 2.",
+    )
     _add_tree_source(p)
     p.add_argument("--X", required=True, help="nicely ordered, even size")
     _add_seed(p)

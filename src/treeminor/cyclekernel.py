@@ -27,7 +27,7 @@ from .tree import Edge, Tree, edge_key
 Cycle = tuple[int, ...]
 CyclePartition = frozenset[Cycle]
 
-ENUMERATION_CAP = 7  # |X|! partitions; anything bigger needs an explicit cap
+ENUMERATION_CAP = 7  # |X|! partitions; cycle_partitions refuses anything bigger
 
 
 def canonical_cycle(seq: Sequence[int]) -> Cycle:
@@ -45,17 +45,17 @@ def cycle_pairs(c: Cycle) -> Iterator[tuple[int, int]]:
         yield c[i], c[(i + 1) % k]
 
 
-def cycle_partitions(X: Iterable[int], cap: int = ENUMERATION_CAP) -> Iterator[CyclePartition]:
+def cycle_partitions(X: Iterable[int]) -> Iterator[CyclePartition]:
     """All cycle partitions of X, each exactly once (|X|! of them).
 
     Every permutation sigma of X yields the partition of its cycles, each
     cycle read as v -> sigma(v); distinct permutations give distinct
-    partitions.
+    partitions.  More than ENUMERATION_CAP elements raise ValueError.
     """
     elems = sorted(set(X))
     k = len(elems)
-    if k > cap:
-        raise ValueError(f"|X| = {k} exceeds the enumeration cap {cap}")
+    if k > ENUMERATION_CAP:
+        raise ValueError(f"|X| = {k} exceeds the enumeration cap {ENUMERATION_CAP}")
     for perm in itertools.permutations(range(k)):
         cycles = []
         seen = [False] * k

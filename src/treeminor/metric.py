@@ -164,13 +164,17 @@ def check_4pc(rows: Sequence[Sequence]) -> FourPointViolation | None:
 
 def split_potentials(rows: Sequence[Sequence]) -> tuple[Matrix, list[Fraction]]:
     """Write a symmetric matrix w_ij as d_ij + p_i + p_j with d zero on the
-    diagonal: p_i = w_ii / 2."""
+    diagonal: p_i = w_ii / 2.  Every entry must be finite."""
     w = as_matrix(rows)
     n = len(w)
     for i in range(n):
         for j in range(i + 1, n):
             if w[i][j] != w[j][i]:
                 raise ValueError(f"matrix is not symmetric at ({i},{j})")
+    for i in range(n):
+        for j in range(n):
+            if w[i][j] == MINUS_INF:
+                raise ValueError(f"entry ({i},{j}) is -inf; potentials need finite entries")
     p = [w[i][i] / 2 for i in range(n)]
     d = [[w[i][j] - p[i] - p[j] for j in range(n)] for i in range(n)]
     return d, p

@@ -56,7 +56,8 @@ def spanned_forests(T: Tree, X: Iterable[int]) -> list[SpannedForest]:
 
     Enumerates all 2^|E_X| subsets of the spanned subtree's edges and keeps
     those whose degree-one vertices all lie in X; vertices of X meeting no
-    edge stay as isolated components.
+    edge stay as isolated components.  Tree edges are acyclic, so a forest
+    has vertices - edges + isolated points components.
     """
     xs = frozenset(T.check_subset(X))
     if not xs:
@@ -72,36 +73,17 @@ def spanned_forests(T: Tree, X: Iterable[int]) -> list[SpannedForest]:
                 deg[v] = deg.get(v, 0) + 1
             if any(d == 1 and v not in xs for v, d in deg.items()):
                 continue
-            comp = _component_count(combo, deg)
             isolated = xs - deg.keys()
             weight = sum((T.weight(e) for e in combo), Fraction(0))
             out.append(
                 SpannedForest(
                     edges=frozenset(combo),
                     isolated=frozenset(isolated),
-                    components=comp + len(isolated),
+                    components=len(deg) - r + len(isolated),
                     weight=weight,
                 )
             )
     return out
-
-
-def _component_count(edges, deg) -> int:
-    parent = {v: v for v in deg}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    comps = len(parent)
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            comps -= 1
-    return comps
 
 
 def forest_degree_product(T_or_forest_edges, X: frozenset[int]) -> int:

@@ -43,7 +43,11 @@ class ExactPoly:
     __slots__ = ("_den", "_cden", "_terms")
 
     def __init__(self, den: int = 1, terms: dict | None = None):
-        clean = {int(k): _as_fraction(v) for k, v in (terms or {}).items()}
+        clean = {}
+        for k, v in (terms or {}).items():
+            if int(k) != k:
+                raise ValueError(f"exponent key {k} is not an integer")
+            clean[int(k)] = _as_fraction(v)
         if not isinstance(den, int) or den < 1:
             raise ValueError("exponent denominator must be a positive integer")
         cden = math.lcm(*(c.denominator for c in clean.values()))
@@ -121,13 +125,6 @@ class ExactPoly:
         k = min(self._terms)
         return Fraction(k, self._den), Fraction(self._terms[k], self._cden)
 
-    def coefficient(self, exponent) -> Fraction:
-        e = _as_fraction(exponent)
-        if self._den % e.denominator:
-            return Fraction(0)
-        k = e.numerator * (self._den // e.denominator)
-        return Fraction(self._terms.get(k, 0), self._cden)
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other) -> "ExactPoly":
@@ -193,7 +190,7 @@ class ExactPoly:
             return hash(Fraction(self._terms.get(0, 0), self._cden))
         return hash((self._den, self._cden, frozenset(self._terms.items())))
 
-    # -- substitutions and evaluation ---------------------------------------
+    # -- substitution -------------------------------------------------------
 
     def power_substitute(self, r) -> "ExactPoly":
         """Monomial substitution t -> t^r for a nonzero rational r.
@@ -205,33 +202,6 @@ class ExactPoly:
         if r == 0:
             raise ValueError("substitution exponent must be nonzero")
         return ExactPoly.from_terms((e * r, c) for e, c in self.terms())
-
-    def eval_at(self, tau):
-        """Evaluate exactly at a rational tau.
-
-        Every exponent must be an integer, or tau must have an exact k-th
-        root for the shared exponent denominator k; otherwise ValueError.
-        Negative tau with fractional exponents is rejected.
-        """
-        tau = _as_fraction(tau)
-        if not self._terms:
-            return Fraction(0)
-        den = self._den
-        if den > 1:
-            if tau < 0:
-                raise ValueError("negative base with fractional exponents")
-            root = _exact_root(tau, den)
-            if root is None:
-                raise ValueError(f"{tau} has no exact {den}-th root")
-            tau = root
-        if tau == 0:
-            if min(self._terms) < 0:
-                raise ZeroDivisionError("negative exponent at tau = 0")
-            return Fraction(self._terms.get(0, 0), self._cden)
-        total = Fraction(0)
-        for k, c in self._terms.items():
-            total += c * tau ** k
-        return total / self._cden
 
     # -- rendering -----------------------------------------------------------
 
@@ -301,35 +271,6 @@ def _over(p: ExactPoly, den: int, cden: int, low: int = 0) -> dict[int, int]:
     if fe == fc == 1 and not low:
         return p._terms
     return {k * fe - low: c * fc for k, c in p._terms.items()}
-
-
-def _exact_root(x: Fraction, k: int) -> Fraction | None:
-    """The exact k-th root of x >= 0, or None if it is irrational."""
-    if x == 0:
-        return Fraction(0)
-    num = _iroot(x.numerator, k)
-    if num is None:
-        return None
-    den = _iroot(x.denominator, k)
-    if den is None:
-        return None
-    return Fraction(num, den)
-
-
-def _iroot(n: int, k: int) -> int | None:
-    """The integer k-th root of n >= 0, or None if there is none.
-
-    Integer Newton from above: x starts past the root, since n < 2^bits,
-    and falls monotonically to floor(n^(1/k)), where it stops."""
-    if n < 2:
-        return n
-    x = 1 << (n.bit_length() // k + 1)
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            break
-        x = y
-    return x if x ** k == n else None
 
 
 _ZERO = ExactPoly._make(1, 1, {})

@@ -61,6 +61,8 @@ class QRad:
             return
         clean: dict[int, Fraction] = {}
         for d, c in terms.items():
+            if int(d) != d:
+                raise ValueError(f"radicand key {d} is not an integer")
             d = int(d)
             c = Fraction(c)
             if d < 1:

@@ -17,9 +17,9 @@ operand's coefficients are split by radicand over one common denominator,
 the integer parts are convolved per pair of radicands (sqrt(a) sqrt(b) =
 g sqrt(ab/g^2), g = gcd(a, b)), and a pair of terms whose exponents sum to
 the product's cutoff or below is never formed.  Division and square roots
-expand geometric/binomial series down to the governing cutoff; dividing by
-an exact non-monomial has no intrinsic stopping point, so it demands an
-explicit cutoff.
+expand geometric/binomial series down to what the operand's own cutoff
+supports; an exact non-monomial gives no stopping point, so it must be
+truncated first.
 """
 
 from __future__ import annotations
@@ -148,7 +148,7 @@ class PuiseuxTrunc:
         return PuiseuxTrunc.from_terms([(Fraction(e), coeff)])
 
     @staticmethod
-    def from_terms(pairs: Iterable[tuple[Fraction, Coeff]], cutoff: Fraction | None = None) -> "PuiseuxTrunc":
+    def from_terms(pairs: Iterable[tuple[Fraction, Coeff]]) -> "PuiseuxTrunc":
         pairs = [(Fraction(e), c) for e, c in pairs]
         ram = lcm(1, *(e.denominator for e, _ in pairs)) if pairs else 1
         terms: dict[int, Coeff] = {}
@@ -156,11 +156,11 @@ class PuiseuxTrunc:
             k = int(e * ram)
             prev = terms.get(k, Fraction(0))
             terms[k] = prev + c
-        return PuiseuxTrunc(ram, terms, cutoff)
+        return PuiseuxTrunc(ram, terms)
 
     @staticmethod
-    def from_poly(p: ExactPoly, cutoff: Fraction | None = None) -> "PuiseuxTrunc":
-        return PuiseuxTrunc.from_terms(list(p.terms()), cutoff)
+    def from_poly(p: ExactPoly) -> "PuiseuxTrunc":
+        return PuiseuxTrunc.from_terms(list(p.terms()))
 
     # -- inspection ------------------------------------------------------------
 
@@ -177,10 +177,6 @@ class PuiseuxTrunc:
 
     def is_exact_zero(self) -> bool:
         return not self._terms and self._cutoff is None
-
-    def is_truncated_zero(self) -> bool:
-        """No known terms but a cutoff: indistinguishable from 0."""
-        return not self._terms and self._cutoff is not None
 
     def leading(self) -> tuple[Fraction, Coeff]:
         """Certified leading (exponent, coefficient).
@@ -338,23 +334,18 @@ class PuiseuxTrunc:
     def _monomial(self) -> bool:
         return self._cutoff is None and len(self._terms) == 1
 
-    def inverse(self, cutoff: Fraction | None = None) -> "PuiseuxTrunc":
-        """1/self via the geometric series, down to the governing cutoff.
-
-        The cutoff is the coarser of the argument and what self's own
-        precision supports (its cutoff minus twice its leading exponent).
-        An exact non-monomial needs an explicit cutoff.
+    def inverse(self) -> "PuiseuxTrunc":
+        """1/self via the geometric series, down to what self's precision
+        supports: its cutoff minus twice its leading exponent.  An exact
+        non-monomial must be truncated first.
         """
         lead_e, lead_c = self.leading()  # certifies a nonzero lead
         mono = PuiseuxTrunc.t_power(-lead_e, _coeff_inv(lead_c))
         if self._monomial():
-            return mono if cutoff is None else mono.truncate(cutoff)
-        intrinsic = None if self._cutoff is None else self._cutoff - 2 * lead_e
-        if intrinsic is None and cutoff is None:
-            raise ValueError("inverting an exact non-monomial needs a cutoff")
-        target = intrinsic if cutoff is None else (
-            cutoff if intrinsic is None else max(cutoff, intrinsic)
-        )
+            return mono
+        if self._cutoff is None:
+            raise ValueError("inverting an exact non-monomial: truncate it first")
+        target = self._cutoff - 2 * lead_e
         # self = lead * (1 - u), every exponent of u is negative
         u = PuiseuxTrunc.constant(1) - self * mono
         inv = PuiseuxTrunc.constant(1)
@@ -367,19 +358,13 @@ class PuiseuxTrunc:
             inv = inv + acc
         return (inv * mono).truncate(target)
 
-    def divide(self, other, cutoff: Fraction | None = None) -> "PuiseuxTrunc":
+    def divide(self, other) -> "PuiseuxTrunc":
         o = self._coerce(other)
         if o is None:
             raise TypeError(f"cannot divide by {other!r}")
         if self.is_exact_zero():
             return self
-        inv_cut = cutoff
-        if cutoff is not None:
-            # the numerator's leading exponent shifts the precision the
-            # inverse must reach for the quotient to be good to `cutoff`
-            inv_cut = Fraction(cutoff) - self._bound()
-        res = self * o.inverse(cutoff=inv_cut)
-        return res if cutoff is None else res.truncate(cutoff)
+        return self * o.inverse()
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -387,10 +372,12 @@ class PuiseuxTrunc:
             return NotImplemented
         return self.divide(o)
 
-    def sqrt(self, cutoff: Fraction | None = None) -> "PuiseuxTrunc":
-        """Square root via the binomial series.  The leading coefficient must
-        be positive (rational or already a resolved radical); ramification
-        doubles when the leading exponent is odd over the current one."""
+    def sqrt(self) -> "PuiseuxTrunc":
+        """Square root via the binomial series, down to self's cutoff minus
+        half its leading exponent; an exact non-monomial must be truncated
+        first.  The leading coefficient must be positive (rational or
+        already a resolved radical); ramification doubles when the leading
+        exponent is odd over the current one."""
         if self.is_exact_zero():
             return self
         lead_e, lead_c = self.leading()
@@ -398,13 +385,10 @@ class PuiseuxTrunc:
             raise ArithmeticError(f"sqrt of a series with negative lead {lead_c}")
         root = PuiseuxTrunc.t_power(lead_e / 2, _coeff_sqrt(lead_c))
         if self._monomial():
-            return root if cutoff is None else root.truncate(cutoff)
-        intrinsic = None if self._cutoff is None else self._cutoff - lead_e / 2
-        if intrinsic is None and cutoff is None:
-            raise ValueError("sqrt of an exact non-monomial needs a cutoff")
-        target = intrinsic if cutoff is None else (
-            cutoff if intrinsic is None else max(cutoff, intrinsic)
-        )
+            return root
+        if self._cutoff is None:
+            raise ValueError("sqrt of an exact non-monomial: truncate it first")
+        target = self._cutoff - lead_e / 2
         inv_lead = PuiseuxTrunc.t_power(-lead_e, _coeff_inv(lead_c))
         u = self * inv_lead - PuiseuxTrunc.constant(1)  # negative exponents
         total = PuiseuxTrunc.constant(1)

@@ -94,6 +94,35 @@ def test_pfaffian_rejects_bad_order_with_hint(capsys, tmp_path):
     assert json.loads(out)["pfaffian"] == "t^2"
 
 
+def _path_file(tmp_path, n):
+    path = tmp_path / f"p{n}.tree"
+    path.write_text(f"{n}\n" + "".join(f"{v} {v + 1}\n" for v in range(1, n)))
+    return str(path)
+
+
+def test_pfaffian_checks_its_size_before_expanding(capsys, monkeypatch, tmp_path):
+    def unreachable(*args):
+        raise AssertionError("pf_oracle ran on an over-size X")
+
+    monkeypatch.setattr(cli, "pf_oracle", unreachable)
+    X = ",".join(map(str, range(1, 25)))
+    code, out, err = invoke(capsys, "pfaffian", "--tree", _path_file(tmp_path, 24), "--X", X)
+    assert code == 2
+    assert out == ""
+    assert "more than 65536 sets at |X| = 24" in err
+
+
+def test_pfaffian_accepts_22_labels(capsys, monkeypatch, tmp_path):
+    # 28,656 sets take seconds: the monomial formula stands in for the oracle
+    monkeypatch.setattr(cli, "pf_oracle", cli.pf_formula)
+    X = ",".join(map(str, range(1, 23)))
+    code, out, _ = invoke(
+        capsys, "pfaffian", "--tree", _path_file(tmp_path, 22), "--X", X, "--format", "json"
+    )
+    assert code == 0
+    assert json.loads(out)["equal"] is True
+
+
 def test_signature_both_modes(capsys, tmp_path):
     code, out, _ = invoke(
         capsys, "signature", "--n", "5", "--seed", "1", "--X", "1,3,4",
@@ -372,6 +401,26 @@ def test_decompose_example_and_failure(capsys, tmp_path):
     c4.write_text(C4_CSV)
     assert run(["decompose", "--matrix", str(c4)]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "text, entry",
+    [
+        ("-inf,1,2\n1,0,3\n2,3,0\n", "(0,0)"),
+        ("0,1\n1,-inf\n", "(1,1)"),
+        ("0,-inf,2\n-inf,0,3\n2,3,0\n", "(0,1)"),
+    ],
+)
+def test_decompose_rejects_minus_inf_like_realize(capsys, tmp_path, text, entry):
+    w = tmp_path / "w.csv"
+    w.write_text(text)
+    for sub in ("realize", "check-4pc"):
+        assert run([sub, "--matrix", str(w)]) == 2
+        capsys.readouterr()
+    code, out, err = invoke(capsys, "decompose", "--matrix", str(w))
+    assert code == 2
+    assert out == ""
+    assert f"entry {entry} is -inf" in err
 
 
 @pytest.mark.parametrize("sub", ["check-4pc", "realize", "decompose"])

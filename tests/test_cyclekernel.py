@@ -1,9 +1,11 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from treeminor.cyclekernel import (
+    ENUMERATION_CAP,
     Forest,
     all_flips,
     bracket_closed,
@@ -11,6 +13,7 @@ from treeminor.cyclekernel import (
     canonical_cycle,
     crossings,
     cycle_partitions,
+    cycle_sums,
     det_via_cycles,
     det_via_tight_cycles,
     flip,
@@ -31,6 +34,32 @@ def path4():
 
 def star(k):
     return Tree([(0, i) for i in range(1, k + 1)])
+
+
+def half_integer_tree(n, seed):
+    """The shape of random_tree(n, seed) with weights in {1/2, 1, 3/2, 2}."""
+    rng = random.Random(seed)
+    return Tree(
+        [(u, v, Fraction(rng.randint(1, 4), 2)) for u, v, _ in random_tree(n, seed=seed).edges()],
+        vertices=range(1, n + 1),
+    )
+
+
+def weighted_tree(n, seed, kind):
+    return half_integer_tree(n, seed) if kind == "half" else random_tree(n, seed=seed, weights=kind)
+
+
+def reference_cycle_sums(t, xs):
+    """The full and tight sums, one partition at a time through the
+    support dict: the definition the packed walk of cycle_sums replaces."""
+    full, tight = [], []
+    for w in cycle_partitions(xs):
+        supp = support(t, w)
+        term = (support_norm(t, supp), Fraction(partition_sign(w)))
+        full.append(term)
+        if is_tight(supp):
+            tight.append(term)
+    return ExactPoly.from_terms(full), ExactPoly.from_terms(tight)
 
 
 def star_forest(k, center_in_x):
@@ -108,6 +137,30 @@ def test_cycle_sums_match_minor_random(seed, weights):
             want = minor_formula(t, xs)
             assert det_via_cycles(t, xs) == want
             assert det_via_tight_cycles(t, xs) == want
+
+
+@pytest.mark.parametrize("kind", ["unit", "rational", "half"])
+def test_cycle_sums_match_the_partition_by_partition_reference(kind):
+    def check(t, xs):
+        got, want = cycle_sums(t, xs), reference_cycle_sums(t, xs)
+        assert got == want
+        assert tuple(map(str, got)) == tuple(map(str, want))
+
+    for n in range(1, 7):
+        for seed in (0, 1):
+            t = weighted_tree(n, seed, kind)
+            for r in range(n + 1):
+                for xs in itertools.combinations(sorted(t.vertices), r):
+                    check(t, xs)
+    # one subset at the cap: 5,040 partitions
+    t = weighted_tree(9, 2, kind)
+    check(t, sorted(t.vertices)[:ENUMERATION_CAP])
+
+
+def test_cycle_sums_refuse_more_labels_than_the_cap():
+    t = random_tree(ENUMERATION_CAP + 1, seed=0)
+    with pytest.raises(ValueError, match=f"exceeds the enumeration cap {ENUMERATION_CAP}"):
+        cycle_sums(t, t.vertices)
 
 
 def test_nontight_buckets_cancel():

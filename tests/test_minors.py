@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treeminor.cyclekernel import cycle_sums
+from treeminor.cyclekernel import ENUMERATION_CAP, cycle_sums
 from treeminor.minors import (
     build_matrix,
     build_weighted_matrix,
@@ -151,7 +151,7 @@ def test_dp_matches_forest_sum_and_determinant(case):
     got = minor_formula(T, X)
     assert got == forest_sum(T, X)
     assert got == minor_oracle(T, X)
-    if len(X) <= 6:  # |X|! cycle partitions
+    if len(X) <= ENUMERATION_CAP:  # |X|! cycle partitions
         assert cycle_sums(T, X) == (got, got)
 
 

@@ -37,6 +37,18 @@ def test_qrad_rejects_a_non_integer_radicand_key():
     assert QRad({F(4, 2): 3}) == QRad.sqrt_of(18)
 
 
+def test_qrad_rejects_a_float_coefficient():
+    # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10
+    with pytest.raises(TypeError, match="expected a rational, got float"):
+        QRad({2: 0.1})
+    with pytest.raises(TypeError, match="expected a rational, got float"):
+        QRad.sqrt_of(0.5)
+    with pytest.raises(TypeError, match="expected a rational, got float"):
+        QRad.of(0.5)
+    assert QRad({2: "1/10"}) == QRad({2: F(1, 10)})
+    assert QRad({2: True}) == QRad.sqrt_of(2)
+
+
 def test_qrad_products_do_not_nest():
     r2, r3 = QRad.sqrt_of(2), QRad.sqrt_of(3)
     assert r2 * r2 == 2
@@ -74,6 +86,17 @@ def test_qrad_as_fraction():
 
 
 # --- series basics -------------------------------------------------------------
+
+
+def test_series_rejects_a_float_coefficient_or_exponent():
+    with pytest.raises(TypeError, match="expected a rational, got float"):
+        PuiseuxTrunc.constant(0.1)
+    with pytest.raises(TypeError, match="expected a rational, got float"):
+        PuiseuxTrunc.from_terms([(F(1), 0.5)])
+    with pytest.raises(TypeError, match="expected a rational, got float"):
+        PuiseuxTrunc.from_terms([(0.1, 1)])
+    assert PuiseuxTrunc.constant(F(1, 10)) == F(1, 10)
+    assert PuiseuxTrunc.constant(QRad.of(3)) == 3
 
 
 def test_series_rendering():

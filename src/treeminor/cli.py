@@ -14,9 +14,9 @@ minor-verify (0: no cap).  minor-verify and pf-verify check at most
 _MAX_SUBSETS subsets per tree and cycles-verify walks at most _MAX_SUBSETS
 cycle partitions per tree (r! for each subset of size r), counted from --n
 and --max-x.  dissimilarity evaluates at most _MAX_SUBSETS values and
-represent-odd represents at most 12 vertices, counted from the tree and
---ground; pfaffian's oracle expands at most _MAX_SUBSETS sets, counted from
---X.  Anything else exits 2 before any work.
+represent-odd checks at most _MAX_SUBSETS even subsets (17 vertices), both
+counted from the tree and --ground; pfaffian's oracle expands at most
+_MAX_SUBSETS sets, counted from --X.  Anything else exits 2 before any work.
 
 All randomness flows from --seed; sweep workers derive per-tree sub-seeds
 deterministically, so reports are identical across runs and across --jobs
@@ -69,8 +69,8 @@ from .tree import Tree, format_tree, random_tree, read_tree_file
 _SEED_STRIDE = 1_000_003  # tree index -> sub-seed, documented and fixed
 # subsets one tree of minor-verify or pf-verify may check: each sweep holds
 # a table of that many polynomials, built in about n 2^n products.  It also
-# bounds the cycle partitions of one cycles-verify tree and the values of
-# one dissimilarity map.
+# bounds the cycle partitions of one cycles-verify tree, the values of one
+# dissimilarity map and the even subsets one represent-odd run checks.
 _MAX_SUBSETS = 1 << 16
 
 
@@ -377,16 +377,6 @@ def _minor_sweep(T, max_x):
     return _subsets(T, max_x), check
 
 
-def _restricted_even_subsets(T, omega):
-    """Every even-size subset S in combination order, listed as omega|S:
-    the members of S in the order of omega.  A restriction of a nice order
-    of all vertices (a depth-first order) is nicely ordered too."""
-    pos = {v: i for i, v in enumerate(omega)}
-    for r in range(2, T.n + 1, 2):
-        for sub in combinations(T.vertices, r):
-            yield tuple(sorted(sub, key=pos.__getitem__))
-
-
 def _pf_sweep(T, _max_x):
     omega = T.nice_order(T.vertices)
     table = pf_table(T, omega)
@@ -397,7 +387,10 @@ def _pf_sweep(T, _max_x):
             return True, None
         return _redecide(_pf_check, T, X, oracle)
 
-    return _restricted_even_subsets(T, omega), check
+    # pf_table lists every even subset S once, as omega|S: the members of S
+    # in the order of omega.  A restriction of a nice order of all vertices
+    # (a depth-first order) is nicely ordered too.
+    return (X for X in table if X), check
 
 
 def _cycles_sweep(T, max_x):
@@ -601,12 +594,17 @@ def cmd_signature(args):
     }
 
 
+def _even_subsets(ground) -> int:
+    """How many even subsets the ground set has, the empty one included."""
+    return 1 << max(len(ground) - 1, 0)
+
+
 def _dissimilarity_values(T, args, ground) -> int:
     """How many values `dissimilarity` would evaluate: the even subsets of
     the ground set for --map odd, its k-subsets for --map k and rooted."""
     if args.map == "odd":
         g = T.vertices if ground is None else T.check_subset(ground)
-        return 1 << max(len(g) - 1, 0)
+        return _even_subsets(g)
     if args.map == "rooted":
         g = _rooted_ground(T, args.root, ground)
     else:
@@ -693,10 +691,10 @@ def cmd_represent_rooted(args):
 def cmd_represent_odd(args):
     T, text = _load_tree(args)
     ground = T.check_subset(_parse_labels(args.ground)) if args.ground else T.vertices
-    if len(ground) > 12:
+    if _even_subsets(ground) > _MAX_SUBSETS:
         raise CliError(
-            "exhaustive check over subsets needs at most 12 represented "
-            "vertices; pass a smaller --ground"
+            f"represent-odd would check more than {_MAX_SUBSETS} even "
+            "subsets; pass a smaller --ground"
         )
     rep = represent_odd(T, ground=ground)
     fn = odd_dissimilarity(T, ground=rep.order)
@@ -928,6 +926,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "represent-odd",
         help="skew representation of the odd-edge map, verified exhaustively",
+        description=f"Check every even subset of the ground set (default: all "
+        f"vertices). At most {_MAX_SUBSETS} even subsets (17 vertices) are "
+        "allowed; more exits 2.",
     )
     _add_tree_source(p)
     p.add_argument("--ground", help="comma-separated ground labels")

@@ -250,13 +250,13 @@ def flip(T: Tree, W: CyclePartition, e: Edge, choice: tuple[str, int, int]) -> C
 
 
 class Forest:
-    """A plain unweighted forest on integer vertices (no tree-of-origin
-    needed); used for the bracket sums."""
+    """A plain unweighted forest on nonnegative integer vertices (no
+    tree-of-origin needed); used for the bracket sums.  Degrees and paths
+    are read off one unit-weight `Tree` per component."""
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[Edge]):
         self.vertices = frozenset(vertices)
         es = set()
-        adj: dict[int, set[int]] = {v: set() for v in self.vertices}
         parent = {v: v for v in self.vertices}
 
         def find(x):
@@ -277,45 +277,31 @@ class Forest:
                 raise ValueError(f"edge {k} closes a cycle; not a forest")
             parent[ru] = rv
             es.add(k)
-            adj[u].add(v)
-            adj[v].add(u)
         self.edges = frozenset(es)
-        self._adj = {v: tuple(sorted(ns)) for v, ns in adj.items()}
         groups: dict[int, set[int]] = {}
         for v in self.vertices:
             groups.setdefault(find(v), set()).add(v)
         self.components = tuple(sorted((frozenset(g) for g in groups.values()), key=min))
+        self._tree_of: dict[int, Tree] = {}
+        for comp in self.components:
+            tree = Tree([e for e in es if e[0] in comp], vertices=comp)
+            for v in comp:
+                self._tree_of[v] = tree
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return self._tree_of[v].degree(v)
 
     def path_edges(self, a: int, b: int) -> frozenset[Edge]:
         """Edges of the unique a-b path; error if disconnected."""
-        if a == b:
-            return frozenset()
-        prev = {a: None}
-        stack = [a]
-        while stack:
-            u = stack.pop()
-            if u == b:
-                break
-            for v in self._adj[u]:
-                if v not in prev:
-                    prev[v] = u
-                    stack.append(v)
-        if b not in prev:
+        tree = self._tree_of[a]
+        if not tree.has_vertex(b):
             raise ValueError(f"{a} and {b} are in different components")
-        out = []
-        v = b
-        while prev[v] is not None:
-            out.append(edge_key(v, prev[v]))
-            v = prev[v]
-        return frozenset(out)
+        return tree.path_edges(a, b)
 
     def is_spanned_by(self, X: frozenset[int]) -> bool:
         """Every degree-<=1 vertex (leaves and isolated points) lies in X."""
         return X <= self.vertices and all(
-            v in X for v in self.vertices if len(self._adj[v]) <= 1
+            v in X for v in self.vertices if self.degree(v) <= 1
         )
 
 

@@ -164,25 +164,9 @@ def check_valuated_matroid(fn: ValuatedFn) -> ExchangeViolation | None:
             "the fixed-rank exchange test needs all finite values on subsets "
             f"of one size, got sizes {sorted(sizes)}"
         )
-    for X in supp:
-        fx = fn.value(X)
-        for Y in supp:
-            lhs = fx + fn.value(Y)
-            for i in X - Y:
-                best = MINUS_INF
-                for j in Y - X:
-                    a, b = fn.value(X - {i} | {j}), fn.value(Y - {j} | {i})
-                    if a == MINUS_INF or b == MINUS_INF:
-                        # never beats best; Fraction + float could overflow
-                        continue
-                    cand = a + b
-                    if cand > best:
-                        best = cand
-                if lhs > best:
-                    return ExchangeViolation(
-                        "matroid", tuple(sorted(X)), tuple(sorted(Y)), i, lhs, best
-                    )
-    return None
+    return _exchange_scan(
+        fn, "matroid", lambda X, Y: X - Y, lambda X, i, j: X - {i} | {j}
+    )
 
 
 def check_delta_matroid(fn: ValuatedFn) -> ExchangeViolation | None:
@@ -192,26 +176,34 @@ def check_delta_matroid(fn: ValuatedFn) -> ExchangeViolation | None:
     j in (X ^ Y) - i with f(X) + f(Y) <= f(X ^ {i,j}) + f(Y ^ {i,j}).
     Returns the first failing triple, or None.
     """
+    return _exchange_scan(
+        fn, "delta", lambda X, Y: X ^ Y, lambda X, i, j: X ^ {i, j}
+    )
+
+
+def _exchange_scan(fn: ValuatedFn, axiom: str, pivots, swap) -> ExchangeViolation | None:
+    """The first exchange violation over pairs X, Y of the support in
+    support order, or None.  The pivot i runs over pivots(X, Y), its partner
+    j over pivots(Y, X) - i, and the swap is scored f(swap(X, i, j)) +
+    f(swap(Y, j, i))."""
     supp = fn.support()
     for X in supp:
         fx = fn.value(X)
         for Y in supp:
-            diff = X ^ Y
-            if not diff:
-                continue
             lhs = fx + fn.value(Y)
-            for i in diff:
+            for i in pivots(X, Y):
                 best = MINUS_INF
-                for j in diff - {i}:
-                    a, b = fn.value(X ^ {i, j}), fn.value(Y ^ {i, j})
+                for j in pivots(Y, X) - {i}:
+                    a, b = fn.value(swap(X, i, j)), fn.value(swap(Y, j, i))
                     if a == MINUS_INF or b == MINUS_INF:
-                        continue  # as in check_valuated_matroid
+                        # never beats best; Fraction + float could overflow
+                        continue
                     cand = a + b
                     if cand > best:
                         best = cand
                 if lhs > best:
                     return ExchangeViolation(
-                        "delta", tuple(sorted(X)), tuple(sorted(Y)), i, lhs, best
+                        axiom, tuple(sorted(X)), tuple(sorted(Y)), i, lhs, best
                     )
     return None
 

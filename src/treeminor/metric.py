@@ -202,6 +202,8 @@ def realize_tree(rows: Sequence[Sequence]) -> tuple[Tree, list[int]]:
     quadruple) when the matrix is not a tree metric.
     """
     m = check_dissimilarity(rows)
+    if not m:
+        raise ValueError("empty matrix")
     bad = _four_point_scan(m)
     if bad is not None:
         raise NotTreeMetricError(bad)

@@ -342,24 +342,22 @@ def _zdiv(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
 
 
 def divide_exact(p: ExactPoly, q: ExactPoly) -> ExactPoly:
-    """Exact division p / q in the Laurent ring; error if q does not divide p."""
+    """Exact division p / q in the Laurent ring; error if q does not divide p.
+
+    Runs on the integer kernel: q's map is divided by its content g, and by
+    Gauss's lemma the primitive map divides p's with integer coefficients
+    whenever q divides p.  The quotient is scaled by q's coefficient
+    denominator over p's times g.
+    """
     if q.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     if p.is_zero():
         return _ZERO
-    lead_q, lc_q = q.leading_term()
-    floor_e = p.trailing_term()[0] - q.trailing_term()[0]
-    quot = _ZERO
-    rem = p
-    while not rem.is_zero():
-        e = rem.leading_term()[0] - lead_q
-        if e < floor_e:
-            raise ArithmeticError("inexact polynomial division")
-        c = rem.leading_term()[1] / lc_q
-        mono = ExactPoly.t_power(e, c)
-        quot = quot + mono
-        rem = rem - mono * q
-    return quot
+    den = math.lcm(p._den, q._den)
+    g = math.gcd(*q._terms.values())
+    primitive = {k: c // g for k, c in _over(q, den, q._cden).items()}
+    quot = _zdiv(_over(p, den, p._cden), primitive)
+    return ExactPoly._make(den, p._cden * g, {k: c * q._cden for k, c in quot.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -67,23 +67,12 @@ class Tree:
             raise ValueError(
                 f"{len(verts)} vertices need {len(verts) - 1} edges, got {len(weighted)}"
             )
-        # connectivity (and with the edge count, acyclicity)
-        if adj:
-            seen = {verts[0]}
-            stack = [verts[0]]
-            while stack:
-                x = stack.pop()
-                for y in adj.get(x, ()):
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-            if len(seen) != len(verts):
-                raise ValueError("edges do not form a connected tree")
         self._weights = weighted
         self._adj = {v: tuple(sorted(adj.get(v, ()))) for v in verts}
         self._verts = tuple(verts)
         self._vert_set = frozenset(verts)
-        # rooted bookkeeping for subtree parity counts
+        # rooted bookkeeping for subtree parity counts; the walk also checks
+        # connectivity (and with the edge count, acyclicity)
         root = verts[0]
         parent: dict[int, int | None] = {root: None}
         order = [root]
@@ -95,6 +84,8 @@ class Tree:
                     parent[y] = x
                     order.append(y)
                     stack.append(y)
+        if len(parent) != len(verts):
+            raise ValueError("edges do not form a connected tree")
         self._parent = parent
         self._dfs_order = tuple(order)
         self._dist_cache: dict[int, dict[int, Fraction]] = {}
@@ -301,14 +292,14 @@ def random_tree(n: int, seed: int | None = None, weights: str = "unit") -> Tree:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    if weights not in ("unit", "rational"):
+        raise ValueError(f"unknown weight mode {weights!r}")
     rng = random.Random(seed)
 
     def wgen():
         if weights == "unit":
             return Fraction(1)
-        if weights == "rational":
-            return Fraction(rng.randint(1, 9), rng.randint(1, 4))
-        raise ValueError(f"unknown weight mode {weights!r}")
+        return Fraction(rng.randint(1, 9), rng.randint(1, 4))
 
     if n == 1:
         return Tree([], vertices=[1])
@@ -405,9 +396,7 @@ def parse_tree_text(text: str) -> Tree:
         )
     if len(edges) != n - 1:
         raise TreeFormatError(f"{n} vertices need {n - 1} edges, got {len(edges)}")
-    roots = {find(x) for x in labels}
-    if len(roots) != 1:
-        raise TreeFormatError(f"edges split into {len(roots)} components")
+    # n labels, n - 1 edges and no cycle: one component
     return Tree(edges, vertices=labels)
 
 

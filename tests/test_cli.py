@@ -242,8 +242,8 @@ BAD_OPTION_VALUES = [
     ("dissimilarity --n 400 --map k --k 3", "--map k would evaluate more than 65536 values"),
     ("dissimilarity --n 400 --map rooted --root 1 --k 3",
      "--map rooted would evaluate more than 65536 values"),
-    ("represent-odd --n 13", "at most 12 represented vertices"),
-    ("represent-odd --n 3000", "at most 12 represented vertices"),
+    ("represent-odd --n 18", "represent-odd would check more than 65536 even subsets"),
+    ("represent-odd --n 3000", "represent-odd would check more than 65536 even subsets"),
 ]
 
 
@@ -581,10 +581,21 @@ def test_represent_odd_checks_its_size_before_building(capsys, monkeypatch):
         raise AssertionError("represent_odd ran on an over-size ground set")
 
     monkeypatch.setattr(cli, "represent_odd", unreachable)
-    code, out, err = invoke(capsys, "represent-odd", "--n", "13")
+    code, out, err = invoke(capsys, "represent-odd", "--n", "18")
     assert code == 2
     assert out == ""
-    assert "at most 12 represented vertices" in err
+    assert "more than 65536 even subsets" in err
+
+
+def test_represent_odd_accepts_13_vertices(capsys):
+    # 4,096 even subsets, under the bound that dissimilarity --map odd uses
+    code, out, _ = invoke(
+        capsys, "represent-odd", "--n", "13", "--seed", "0", "--format", "json"
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert data["mismatches"] == []
+    assert data["checked"] == 4096
 
 
 def test_csv_format_rows(capsys):

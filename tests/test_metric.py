@@ -132,6 +132,11 @@ def test_realize_degenerate_sizes():
     assert built.n == 1 and vertex_of[0] == vertex_of[1]
 
 
+def test_realize_rejects_an_empty_matrix():
+    with pytest.raises(ValueError, match="empty matrix"):
+        realize_tree([])
+
+
 def test_realize_rejects_non_tree_metric():
     with pytest.raises(ValueError, match="not a tree metric"):
         realize_tree(square_cycle_metric())

@@ -153,6 +153,12 @@ def test_random_tree_deterministic_and_valid():
     assert random_tree(2, seed=0).edges() == [(1, 2, F(1))]
 
 
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_random_tree_rejects_an_unknown_weight_mode(n):
+    with pytest.raises(ValueError, match="unknown weight mode 'bogus'"):
+        random_tree(n, seed=0, weights="bogus")
+
+
 def test_leaves():
     assert star_tree(3).leaves() == (1, 2, 3)
     assert path_tree(4).leaves() == (1, 4)

@@ -8,7 +8,7 @@ a result.
 
 from .poly import ExactPoly, PolyMatrix, det, pfaffian
 from .tree import Tree, TreeFormatError, edge_key, random_tree
-from .minors import minor_formula, minor_leading, minor_oracle, weighted_minor
+from .minors import minor_formula, minor_leading, minor_oracle
 from .pfaffian import NotNicelyOrderedError, pf_formula, pf_oracle
 from .metric import (
     check_4pc,
@@ -64,5 +64,4 @@ __all__ = [
     "rooted_k_dissimilarity",
     "star_condition_check",
     "verify_rooted_representation",
-    "weighted_minor",
 ]

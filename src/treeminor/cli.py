@@ -33,6 +33,7 @@ import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import comb, factorial
 
@@ -947,10 +948,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process: building the subparsers costs far more than a parse
+_parser = cache(build_parser)
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse prints its own message
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -437,10 +437,6 @@ class RootedRepresentation:
             return MINUS_INF
         return d.leading_term()[0]
 
-    def value_fn(self) -> ValuatedFn:
-        """The map Y |-> series valuation, over all k-subsets."""
-        return ValuatedFn(self.ground, self.valuations, k=self.k)
-
 
 def _mixed_rows(
     J: Sequence[Sequence[Fraction]], L: Sequence[Sequence[PuiseuxTrunc]]

@@ -16,6 +16,7 @@ from itertools import combinations, combinations_with_replacement
 from math import lcm
 from typing import Iterable, Sequence
 
+from .poly import _principal_minors
 from .radicals import QRad, exact_sign
 from .tree import Tree
 
@@ -178,14 +179,6 @@ def split_potentials(rows: Sequence[Sequence]) -> tuple[Matrix, list[Fraction]]:
     p = [w[i][i] / 2 for i in range(n)]
     d = [[w[i][j] - p[i] - p[j] for j in range(n)] for i in range(n)]
     return d, p
-
-
-def join_potentials(rows: Sequence[Sequence], potentials: Sequence) -> Matrix:
-    d = as_matrix(rows)
-    p = [Fraction(x) for x in potentials]
-    if len(p) != len(d):
-        raise ValueError("one potential per point, please")
-    return [[d[i][j] + p[i] + p[j] for j in range(len(d))] for i in range(len(d))]
 
 
 # ---------------------------------------------------------------------------
@@ -521,26 +514,34 @@ def star_condition_check(
     once on the whole matrix.  Signs are exact, so zero minors satisfy the
     weak inequalities.  When M = D R D with R rational and D a positive
     diagonal, the signs are read on R.  Listed subsets take one exact
-    elimination each; the default walks every subset as a prefix tree and
-    reads each determinant off a shared Schur complement
-    (`_principal_minor_signs`).  Returns the first violating subset, in
-    the listed order or by size and then lexicographically, or None."""
+    elimination each.  The default reads the signs off one Sylvester walk
+    (poly._principal_minors) over R scaled to integers; the sets the walk
+    leaves out below a zero minor, and every set of a matrix with no
+    rational form, take one elimination each.  Returns the first violating
+    subset, in the listed order or by size and then lexicographically, or
+    None."""
     m = [list(row) for row in rows]
     n = len(m)
     _check_symmetric(m)
+    a = _rational_form(m)
+    minors = {}
     if subsets is not None:
-        subsets = [_subset_indices(xs, n) for xs in subsets]
+        subsets = [tuple(_subset_indices(xs, n)) for xs in subsets]
     elif n > 12:
         raise ValueError("n > 12: pass an explicit subset sample")
-    a = _rational_form(m) or m
-    if subsets is None:
-        signs = _principal_minor_signs(a)
-        checks = (
-            (xs, signs[xs]) for r in range(1, n + 1) for xs in combinations(range(n), r)
-        )
     else:
-        checks = ((tuple(xs), _det_sign(a, xs)) for xs in subsets)
-    for xs, sign in checks:
+        subsets = (xs for r in range(1, n + 1) for xs in combinations(range(n), r))
+        if a is not None:
+            scale = lcm(*(x.denominator for row in a for x in row))
+            z = [
+                [{0: x.numerator * scale // x.denominator} if x else {} for x in row]
+                for row in a
+            ]
+            minors = _principal_minors(z, range(n), n)
+    a = a or m
+    for xs in subsets:
+        minor = minors.get(xs)
+        sign = _det_sign(a, xs) if minor is None else exact_sign(minor.get(0, 0))
         if sign < 0 if len(xs) % 2 else sign > 0:
             return xs
     return None
@@ -550,44 +551,6 @@ def _det_sign(a: Sequence[Sequence], xs: Sequence[int]) -> int:
     """Sign of det a[xs], from one exact elimination of the block."""
     _, q, z = _inertia([[a[i][j] for j in xs] for i in xs])
     return 0 if z else (-1) ** q
-
-
-def _principal_minor_signs(a: list[list]) -> dict[tuple[int, ...], int]:
-    """Sign of det a[S] for every nonempty S, keyed by the sorted tuple.
-
-    Subsets are walked depth first, S before its extensions by larger
-    indices.  The walk carries C, the Schur complement of a[S] on the
-    indices after max S; det a[S + k] = det a[S] * C_kk, and one rank-1
-    update of C gives the complement for S + k.  Where C_kk = 0 every
-    extension of S + k takes its own elimination instead."""
-    signs: dict[tuple[int, ...], int] = {}
-
-    def walk(prefix: tuple[int, ...], sign: int, comp: list[list], rest: list[int]) -> None:
-        for u, k in enumerate(rest):
-            xs = prefix + (k,)
-            piv = comp[u][u]
-            s = exact_sign(piv)
-            signs[xs] = sign * s
-            below = rest[u + 1:]
-            if not below:
-                continue
-            if s == 0:
-                for r in range(1, len(below) + 1):
-                    for more in combinations(below, r):
-                        signs[xs + more] = _det_sign(a, xs + more)
-                continue
-            col = comp[u][u + 1:]
-            nxt = []
-            for c, row in zip(col, comp[u + 1:]):
-                row = row[u + 1:]
-                if exact_sign(c):
-                    f = c / piv
-                    row = [x - f * y for x, y in zip(row, col)]
-                nxt.append(row)
-            walk(xs, sign * s, nxt, below)
-
-    walk((), 1, a, list(range(len(a))))
-    return signs
 
 
 def hpp_eigen_check(rows: Sequence[Sequence], taus: Iterable = (10, 100)):

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-from .poly import ExactPoly, PolyMatrix, _zadd, _zdiv, _zmul, det
+from .poly import ExactPoly, PolyMatrix, _principal_minors, _zadd, _zmul, det
 from .tree import Edge, Tree
 
 
@@ -186,48 +186,18 @@ def minor_table(T: Tree, max_size: int) -> dict[tuple[int, ...], ExactPoly]:
     """det (t^{d_ij}) over every set of 1..max_size vertices.
 
     Keys are the sets as sorted tuples, as combinations(T.vertices, r)
-    lists them, and each value equals minor_oracle(T, key).  The walk adds
-    vertices depth-first in label order and carries p = det M[S] and the
-    fraction-free Schur complement B_ij = det M[S+i, S+j] for i, j after
-    max S.  A child S+m has det B_mm, and by Sylvester's determinant
-    identity B'_ij = (B_mm B_ij - B_im B_mj) / p, an exact division.  No
-    pivot vanishes: a principal minor over distinct vertices is a nonzero
-    polynomial (minor_leading gives its top term).  Exponents are integers
-    over the lcm of the distance denominators.
+    lists them, and each value equals minor_oracle(T, key).  One Sylvester
+    walk (poly._principal_minors) over the integer maps of the distance
+    powers gives them all.  The table is complete: a principal minor over
+    distinct vertices is a nonzero polynomial (minor_leading gives its top
+    term), so the walk meets no zero pivot.  Exponents are integers over
+    the lcm of the distance denominators.
     """
-    xs = T.vertices
-    n = len(xs)
     dist = T.distance_matrix()
     den = lcm(*(d.denominator for row in dist for d in row))
-    table: dict[tuple[int, ...], ExactPoly] = {}
-
-    def grow(S, p, B, start):
-        # B[i][j] for start <= i <= j; a child whose own children are the
-        # last level needs only their diagonal
-        for m in range(start, n):
-            bm = B[m]
-            pm = bm[m]
-            key = S + (xs[m],)
-            table[key] = ExactPoly._make(den, 1, pm)
-            size = len(key)
-            if size >= max_size or m == n - 1:
-                continue
-            diagonal_only = size + 1 == max_size
-            child = [None] * n
-            for i in range(m + 1, n):
-                neg_mi = {k: -c for k, c in bm[i].items()}
-                bi = B[i]
-                out = [None] * n
-                for j in (i,) if diagonal_only else range(i, n):
-                    num = _zadd(_zmul(pm, bi[j]), _zmul(neg_mi, bm[j]))
-                    out[j] = _zdiv(num, p) if S else num
-                child[i] = out
-            grow(key, pm, child, m + 1)
-
     M = [[{d.numerator * (den // d.denominator): 1} for d in row] for row in dist]
-    if max_size >= 1:
-        grow((), {0: 1}, M, 0)
-    return table
+    minors = _principal_minors(M, T.vertices, max_size)
+    return {key: ExactPoly._make(den, 1, p) for key, p in minors.items()}
 
 
 @dataclass(frozen=True)
@@ -254,53 +224,3 @@ def signature(T: Tree, X: Sequence[int]) -> SignatureReport:
             )
         evidence.append((m, e, c))
     return SignatureReport(positives=1, negatives=len(xs) - 1, evidence=tuple(evidence))
-
-
-def build_weighted_matrix(
-    T: Tree, phi: Sequence[int], potential: Sequence | None = None
-) -> PolyMatrix:
-    """Matrix (t^{w_ij}) for w_ij = d(phi_i, phi_j) + p_i + p_j.
-
-    phi maps row indices to tree vertices (repeats allowed); the potential
-    defaults to zero.
-    """
-    m = len(phi)
-    p = _potential(potential, m)
-    for v in phi:
-        if not T.has_vertex(v):
-            raise ValueError(f"vertex {v} is not in the tree")
-    rows = [
-        [ExactPoly.t_power(T.dist(phi[i], phi[j]) + p[i] + p[j]) for j in range(m)]
-        for i in range(m)
-    ]
-    return PolyMatrix(rows)
-
-
-def weighted_minor(
-    T: Tree, phi: Sequence[int], potential: Sequence | None = None
-) -> ExactPoly:
-    """det (t^{w_ij}) via the forest formula.
-
-    A non-injective phi collapses two rows, so the determinant is zero;
-    otherwise the potential factors out of every row and column as
-    t^{2 sum p} times the plain minor over the image of phi.
-    """
-    m = len(phi)
-    p = _potential(potential, m)
-    for v in phi:
-        if not T.has_vertex(v):
-            raise ValueError(f"vertex {v} is not in the tree")
-    if len(set(phi)) != m:
-        return ExactPoly.zero()
-    shift = 2 * sum(p, Fraction(0))
-    base = minor_formula(T, phi)
-    return ExactPoly.t_power(shift) * base
-
-
-def _potential(potential, m) -> list[Fraction]:
-    if potential is None:
-        return [Fraction(0)] * m
-    p = [Fraction(x) for x in potential]
-    if len(p) != m:
-        raise ValueError("potential length must match phi length")
-    return p

@@ -122,40 +122,3 @@ def pf_table(T: Tree, order: Sequence[int]) -> dict[tuple[int, ...], ExactPoly]:
         key = tuple(x for i, x in enumerate(xs) if mask >> i & 1)
         table[key] = ExactPoly._make(den, 1, pf)
     return table
-
-
-def odd_pairing(T: Tree, X: Sequence[int]) -> tuple[tuple[int, int], ...]:
-    """Pair up the positions of a nicely ordered even tuple so that each
-    pair's positions sum to an odd number and the paths between paired
-    vertices partition the odd-splitting edge set O_X.
-
-    Works by repeatedly finding a cyclically consecutive pair whose
-    connecting path stays inside the remaining odd set, removing it, and
-    continuing on the (still nicely ordered) rest; smallest position wins
-    ties, so the result is deterministic.  Positions are 1-based.
-    """
-    xs = _require_even_and_nice(T, X)
-    remaining = [(pos + 1, v) for pos, v in enumerate(xs)]
-    odd_left = set(T.odd_edges(xs))
-    pairs: list[tuple[int, int]] = []
-    while remaining:
-        k = len(remaining)
-        hit = None
-        for idx in range(k):
-            (pa, va), (pb, vb) = remaining[idx], remaining[(idx + 1) % k]
-            path = T.path_edges(va, vb)
-            if path <= odd_left:
-                hit = (idx, path)
-                break
-        if hit is None:
-            raise ArithmeticError(
-                "no consecutive pair has its path inside the odd edge set; "
-                "input was not nicely ordered?"
-            )
-        idx, path = hit
-        jdx = (idx + 1) % k
-        pairs.append((remaining[idx][0], remaining[jdx][0]))
-        odd_left -= path
-        for kill in sorted((idx, jdx), reverse=True):
-            del remaining[kill]
-    return tuple(pairs)

@@ -19,7 +19,7 @@ import heapq
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Tuple
+from typing import Iterable, Iterator, Sequence, Tuple
 
 
 def _as_fraction(x) -> Fraction:
@@ -448,6 +448,51 @@ def det(m: PolyMatrix) -> ExactPoly:
         prev = pivot
     result = a[n - 1][n - 1]
     return ExactPoly._make(den, scale, {k + shift: sign * c for k, c in result.items()})
+
+
+def _principal_minors(
+    m: list[list[dict[int, int]]], labels: Sequence, max_size: int
+) -> dict[tuple, dict[int, int]]:
+    """det m[S] over the sets S of 1..max_size rows of a symmetric matrix
+    of integer maps, keyed by the tuple of S's labels in row order.
+
+    The walk adds rows depth-first in index order and carries p = det m[S]
+    and the fraction-free Schur complement B_ij = det m[S+i, S+j] for i, j
+    after max S.  A child S+k has det B_kk, and by Sylvester's determinant
+    identity B'_ij = (B_kk B_ij - B_ik B_kj) / p, an exact division.  Below
+    a set S with det m[S] = 0 the walk still records each S+k but builds
+    nothing under it, so the sets that extend S by two or more rows after
+    max S are missing.
+    """
+    n = len(m)
+    table: dict[tuple, dict[int, int]] = {}
+
+    def grow(S, p, B, start):
+        # B[i][j] for start <= i <= j; a child whose own children are the
+        # last level, or that has none, needs only their diagonal
+        for k in range(start, n):
+            bk = B[k]
+            pk = bk[k]
+            key = S + (labels[k],)
+            table[key] = pk
+            size = len(key)
+            if size >= max_size or k == n - 1 or not p:
+                continue
+            diagonal_only = size + 1 == max_size or not pk
+            child = [None] * n
+            for i in range(k + 1, n):
+                neg_ki = {e: -c for e, c in bk[i].items()}
+                bi = B[i]
+                out = [None] * n
+                for j in (i,) if diagonal_only else range(i, n):
+                    num = _zadd(_zmul(pk, bi[j]), _zmul(neg_ki, bk[j]))
+                    out[j] = _zdiv(num, p) if S else num
+                child[i] = out
+            grow(key, pk, child, k + 1)
+
+    if max_size >= 1:
+        grow((), {0: 1}, m, 0)
+    return table
 
 
 def det_permutation(m: PolyMatrix) -> ExactPoly:

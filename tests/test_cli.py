@@ -8,8 +8,12 @@ square-cycle metric violates the four-point condition at the quadruple
 """
 
 import json
+import os
 import shlex
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -65,6 +69,28 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
     assert run(["minor", "--n", "4", "--tree", "x", "--X", "1"]) == 2
     capsys.readouterr()
+
+
+def test_one_process_answers_like_fresh_ones(capsys, monkeypatch):
+    # run keeps one parser per process; a usage error must leave nothing
+    # behind that a later call could see
+    calls = (
+        ["pf-verify", "--trees", "x"],
+        ["minor-verify", "--help"],
+        ["minor-verify", "--trees", "1", "--n", "4", "--seed", "3"],
+    )
+    env = dict(os.environ, COLUMNS="80")
+    paths = [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH", "")]
+    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    monkeypatch.setenv("COLUMNS", "80")
+    codes = []
+    for argv in calls:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "treeminor", *argv], env=env, capture_output=True, text=True
+        )
+        assert invoke(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        codes.append(fresh.returncode)
+    assert codes == [2, 0, 0]
 
 
 # --- single computations --------------------------------------------------------

@@ -382,12 +382,12 @@ def test_series_valuations_recover_rooted_map():
     T = quartet_tree()
     rep, reseeds = verify_rooted_representation(T, 5, 2)
     assert reseeds <= 5
-    assert rep.value_fn() == rooted_k_dissimilarity(T, 5, 2)
+    assert ValuatedFn(rep.ground, rep.valuations, k=2) == rooted_k_dissimilarity(T, 5, 2)
 
     # diagonal case: the root is adjacent to every ground vertex
     S = star_tree(4)
     rep2, _ = verify_rooted_representation(S, 0, 2)
-    assert rep2.value_fn() == rooted_k_dissimilarity(S, 0, 2)
+    assert ValuatedFn(rep2.ground, rep2.valuations, k=2) == rooted_k_dissimilarity(S, 0, 2)
 
 
 def test_series_valuations_random_trees():
@@ -399,7 +399,8 @@ def test_series_valuations_random_trees():
             continue
         rep, reseeds = verify_rooted_representation(T, root, 2, ground=ground)
         assert reseeds <= 5
-        assert rep.value_fn() == rooted_k_dissimilarity(T, root, 2, ground=ground)
+        want = rooted_k_dissimilarity(T, root, 2, ground=ground)
+        assert ValuatedFn(rep.ground, rep.valuations, k=2) == want
 
 
 def test_series_valuation_reads_the_verified_valuations(monkeypatch):
@@ -415,7 +416,7 @@ def test_series_valuation_reads_the_verified_valuations(monkeypatch):
     want = rooted_k_dissimilarity(T, 5, 2)
     for Y in combinations(rep.ground, 2):
         assert rep.series_valuation(reversed(Y)) == want.value(Y)
-    assert rep.value_fn() == want
+    assert ValuatedFn(rep.ground, rep.valuations, k=2) == want
 
 
 def test_rooted_window_too_small_is_reported():

@@ -13,7 +13,6 @@ from treeminor.metric import (
     format_matrix_csv,
     hpp_eigen_check,
     inertia,
-    join_potentials,
     parse_matrix_csv,
     power_entry,
     power_matrix,
@@ -82,7 +81,7 @@ def test_split_join_potentials():
     d, p = split_potentials(w)
     assert p == [F(1), F(2)]
     assert d == [[F(0), F(2)], [F(2), F(0)]]
-    assert join_potentials(d, p) == w
+    assert [[d[i][j] + p[i] + p[j] for j in range(2)] for i in range(2)] == w
 
 
 def test_split_join_random_roundtrip():
@@ -91,7 +90,7 @@ def test_split_join_random_roundtrip():
         n = rng.randint(1, 6)
         d = random_symmetric_matrix(n, seed=rng.randint(0, 10**6))
         p = [F(rng.randint(-4, 8), rng.choice((1, 2))) for _ in range(n)]
-        w = join_potentials(d, p)
+        w = [[d[i][j] + p[i] + p[j] for j in range(n)] for i in range(n)]
         d2, p2 = split_potentials(w)
         assert (d2, p2) == (d, p)
 
@@ -388,7 +387,7 @@ def _pair_value_matrices(draw):
         d = random_tree_metric(n, seed=draw(st.integers(0, 10**6)))
         den = draw(_DENOMINATORS)
         p = [F(draw(st.integers(-6, 6)), den) for _ in range(n)]
-        m = join_potentials([[x / den for x in row] for row in d], p)
+        m = [[d[i][j] / den + p[i] + p[j] for j in range(n)] for i in range(n)]
     else:
         m = [[F(0)] * n for _ in range(n)]
         for i in range(n):

@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 from treeminor.cyclekernel import ENUMERATION_CAP, cycle_sums
 from treeminor.minors import (
     build_matrix,
-    build_weighted_matrix,
     forest_degree_product,
     minor_formula,
     minor_leading,
@@ -22,9 +21,8 @@ from treeminor.minors import (
     minor_table,
     signature,
     spanned_forests,
-    weighted_minor,
 )
-from treeminor.poly import ExactPoly, det
+from treeminor.poly import ExactPoly
 from treeminor.tree import Tree, random_tree
 
 F = Fraction
@@ -151,6 +149,7 @@ def test_dp_matches_forest_sum_and_determinant(case):
     got = minor_formula(T, X)
     assert got == forest_sum(T, X)
     assert got == minor_oracle(T, X)
+    assert minor_leading(T, X) == got.leading_term()
     if len(X) <= ENUMERATION_CAP:  # |X|! cycle partitions
         assert cycle_sums(T, X) == (got, got)
 
@@ -231,38 +230,6 @@ def test_signature_report():
 def test_weighted_minor_single_edge():
     T = Tree([(1, 2, F(3, 2))])
     assert minor_formula(T, [1, 2]) == ExactPoly.one() - tp(3)
-
-
-def test_weighted_minor_with_potential():
-    T = path_tree(2)
-    got = weighted_minor(T, (1, 2), potential=(1, 2))
-    assert got == tp(6) - tp(8)
-    assert got == det(build_weighted_matrix(T, (1, 2), potential=(1, 2)))
-
-
-def test_weighted_minor_noninjective_is_zero():
-    T = path_tree(3)
-    assert weighted_minor(T, (1, 1, 3)).is_zero()
-    assert det(build_weighted_matrix(T, (1, 1, 3))).is_zero()
-
-
-def test_weighted_minor_matches_oracle_random():
-    import random
-
-    rng = random.Random(7)
-    for seed in range(4):
-        T = random_tree(5, seed=seed)
-        phi = tuple(rng.choice(T.vertices) for _ in range(rng.randint(1, 4)))
-        p = tuple(F(rng.randint(-2, 3), rng.randint(1, 2)) for _ in phi)
-        assert weighted_minor(T, phi, p) == det(build_weighted_matrix(T, phi, p))
-
-
-def test_weighted_minor_rejects_unknown_vertex():
-    T = path_tree(3)
-    with pytest.raises(ValueError):
-        weighted_minor(T, (1, 9))
-    with pytest.raises(ValueError):
-        weighted_minor(T, (1, 2), potential=(1,))
 
 
 def test_build_matrix_is_symmetric_with_unit_diagonal():

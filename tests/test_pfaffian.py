@@ -7,7 +7,6 @@ from the three-pairings expansion by hand); the reordering (1,3,2,4) gives
 """
 
 import itertools
-import random
 
 import pytest
 from fractions import Fraction
@@ -16,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from treeminor.pfaffian import (
     NotNicelyOrderedError,
     build_skew_matrix,
-    odd_pairing,
     pf_formula,
     pf_oracle,
     pf_table,
@@ -143,48 +141,6 @@ def test_pf_table_matches_the_oracle_on_every_even_sub_tuple(case):
                 # a restriction of a depth-first order is nicely ordered
                 assert T.is_nicely_ordered(X)[0]
                 assert table[X] == pf_formula(T, X)
-
-
-# ---------------------------------------------------------------------------
-# pairing
-
-
-def test_odd_pairing_path4():
-    T = path_tree(4)
-    assert odd_pairing(T, (1, 2, 3, 4)) == ((1, 2), (3, 4))
-
-
-def test_odd_pairing_first_pair_not_eligible():
-    # rotate so the scan must skip a consecutive pair whose path leaves O_X
-    T = path_tree(6)
-    X = (3, 4, 6, 1)
-    ok, _ = T.is_nicely_ordered(X)
-    assert ok
-    assert T.path_edges(3, 4) == frozenset({(3, 4)})
-    assert (3, 4) not in T.odd_edges(X)
-    pairing = odd_pairing(T, X)
-    assert pairing == ((2, 3), (1, 4))
-
-
-def test_odd_pairing_properties_random():
-    rng = random.Random(5)
-    for seed in range(12):
-        T = random_tree(8, seed=seed)
-        verts = T.vertices
-        for r in (2, 4, 6, 8):
-            X = T.nice_order(rng.sample(verts, r))
-            pairing = odd_pairing(T, X)
-            assert len(pairing) == r // 2
-            used = set()
-            covered = set()
-            for pa, pb in pairing:
-                assert (pa + pb) % 2 == 1
-                used |= {pa, pb}
-                path = T.path_edges(X[pa - 1], X[pb - 1])
-                assert not (covered & path)
-                covered |= path
-            assert used == set(range(1, r + 1))
-            assert covered == T.odd_edges(X)
 
 
 def test_build_skew_matrix_shape():

@@ -6,6 +6,7 @@ and exponent conventions.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 
 import pytest
@@ -18,6 +19,7 @@ from treeminor.poly import (
     det_permutation,
     divide_exact,
     pfaffian,
+    _principal_minors,
     _zdiv,
 )
 
@@ -345,3 +347,44 @@ def test_kernel_division_is_exact_or_raises():
         _zdiv({0: 3}, {0: 2})
     with pytest.raises(ZeroDivisionError):
         _zdiv({0: 1}, {})
+
+
+@st.composite
+def repeated_row_matrices(draw):
+    """Symmetric integer matrices m_ij = b[f(i)][f(j)], b symmetric and f
+    a map onto fewer rows, so rows repeat and minors vanish; with a size
+    limit for the walk."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, n))
+    b = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            b[i][j] = b[j][i] = draw(st.integers(-3, 3))
+    f = [draw(st.integers(0, k - 1)) for _ in range(n)]
+    return [[b[f[i]][f[j]] for j in range(n)] for i in range(n)], draw(st.integers(1, n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(repeated_row_matrices())
+def test_principal_minor_walk_below_a_zero_minor(case):
+    m, max_size = case
+    n = len(m)
+    labels = "abcdef"[:n]
+    got = _principal_minors([[{0: x} if x else {} for x in row] for row in m], labels, max_size)
+    minor = {
+        xs: det_permutation(PolyMatrix([[ExactPoly.constant(m[i][j]) for j in xs] for i in xs]))
+        for r in range(1, max_size + 1)
+        for xs in combinations(range(n), r)
+    }
+    # the walk builds nothing below a zero minor: the sets that extend
+    # one by two or more later rows are the missing ones, and only they
+    missing = {
+        xs + more
+        for xs, d in minor.items() if d.is_zero()
+        for r in range(2, max_size - len(xs) + 1)
+        for more in combinations(range(xs[-1] + 1, n), r)
+    }
+    present = [xs for xs in minor if xs not in missing]
+    assert set(got) == {tuple(labels[i] for i in xs) for xs in present}
+    for xs in present:
+        assert ExactPoly._make(1, 1, got[tuple(labels[i] for i in xs)]) == minor[xs]

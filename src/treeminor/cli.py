@@ -11,12 +11,16 @@ certificate lists all three values instead (no single-instance subcommand).
 Sweeps take --trees >= 1, --n >= 2, --jobs >= 1 and --negatives >= 0;
 --max-x >= 1 (at most the enumeration cap) for cycles-verify, >= 0 for
 minor-verify (0: no cap).  minor-verify and pf-verify check at most
-_MAX_SUBSETS subsets per tree and cycles-verify walks at most _MAX_SUBSETS
-cycle partitions per tree (r! for each subset of size r), counted from --n
-and --max-x.  dissimilarity evaluates at most _MAX_SUBSETS values and
-represent-odd checks at most _MAX_SUBSETS even subsets (17 vertices), both
-counted from the tree and --ground; pfaffian's oracle expands at most
-_MAX_SUBSETS sets, counted from --X.  Anything else exits 2 before any work.
+_MAX_SUBSETS subsets per tree (minor-verify at most _MAX_RATIONAL_SUBSETS
+when --weights is rational or both) and cycles-verify walks at most
+_MAX_SUBSETS cycle partitions per tree (r! for each subset of size r),
+counted from --n and --max-x.  dissimilarity evaluates at most
+_MAX_SUBSETS values and represent-odd checks at most _MAX_SUBSETS even
+subsets (17 vertices), both counted from the tree and --ground;
+pfaffian's oracle expands at most _MAX_SUBSETS sets, counted from --X;
+represent-rooted makes at most _MAX_SUBSETS series products, counted from
+--ground, --k and --max-reseeds, over a window of at most
+_MAX_WINDOW_SLOTS exponent slots.  Anything else exits 2 before any work.
 
 All randomness flows from --seed; sweep workers derive per-tree sub-seeds
 deterministically, so reports are identical across runs and across --jobs
@@ -35,7 +39,7 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, lcm, perm
 
 from .cyclekernel import ENUMERATION_CAP, cycle_sums
 from .matroid import (
@@ -43,10 +47,12 @@ from .matroid import (
     _rooted_ground,
     check_delta_matroid,
     check_valuated_matroid,
+    default_window,
     k_dissimilarity,
     odd_dissimilarity,
     represent_odd,
     rooted_k_dissimilarity,
+    rooted_matrix,
     verify_rooted_representation,
 )
 from .metric import (
@@ -73,6 +79,14 @@ _SEED_STRIDE = 1_000_003  # tree index -> sub-seed, documented and fixed
 # bounds the cycle partitions of one cycles-verify tree, the values of one
 # dissimilarity map and the even subsets one represent-odd run checks.
 _MAX_SUBSETS = 1 << 16
+# exponent slots (window x exponent denominator) one represent-rooted run
+# may truncate its series to: the cost of each series product grows with
+# them, and a 4-element ground at 2,048 slots already takes about 12 s
+_MAX_WINDOW_SLOTS = 1 << 11
+# subsets one tree of a minor-verify sweep with rational weights may check:
+# the table's polynomials grow with |X| there, and a full 13-vertex sweep
+# (8,191 subsets) already takes about 26 s and 70 MB
+_MAX_RATIONAL_SUBSETS = 1 << 13
 
 
 class CliError(Exception):
@@ -451,17 +465,16 @@ def _sweep_one(task: tuple) -> dict:
     return row
 
 
-def _over_subset_bound(sub: str, n: int, max_x: int) -> bool:
-    """Would one tree of n vertices give a sweep more than _MAX_SUBSETS
-    subsets to check, or, for cycles-verify, more than _MAX_SUBSETS cycle
-    partitions (r! for each subset of size r)?  Terms are added in
-    increasing size and the sum stops once over the bound, so a huge --n
-    costs a few terms."""
+def _over_subset_bound(sub: str, n: int, max_x: int, bound: int) -> bool:
+    """Would one tree of n vertices give a sweep more than `bound` subsets
+    to check, or, for cycles-verify, more than `bound` cycle partitions (r!
+    for each subset of size r)?  Terms are added in increasing size and the
+    sum stops once over the bound, so a huge --n costs a few terms."""
     sizes = range(2, n + 1, 2) if sub == "pf-verify" else range(1, min(n, max_x or n) + 1)
     count = 0
     for r in sizes:
         count += comb(n, r) * (factorial(r) if sub == "cycles-verify" else 1)
-        if count > _MAX_SUBSETS:
+        if count > bound:
             return True
     return False
 
@@ -478,13 +491,17 @@ def _check_sweep_args(args) -> None:
             f"--max-x {args.max_x} exceeds the enumeration cap {ENUMERATION_CAP}"
         )
     max_x = getattr(args, "max_x", 0)
-    if _over_subset_bound(args.subcommand, args.n, max_x):
-        cap = f" --max-x {max_x}" if max_x else ""
-        what = "cycle partitions" if args.subcommand == "cycles-verify" else "subsets"
-        raise CliError(
-            f"{args.subcommand} would check more than {_MAX_SUBSETS} "
-            f"{what} per tree at --n {args.n}{cap}"
-        )
+    bounds = [(_MAX_SUBSETS, "")]
+    if args.subcommand == "minor-verify" and args.weights != "unit":
+        bounds.append((_MAX_RATIONAL_SUBSETS, " on rational weights"))
+    for bound, weights in bounds:
+        if _over_subset_bound(args.subcommand, args.n, max_x, bound):
+            cap = f" --max-x {max_x}" if max_x else ""
+            what = "cycle partitions" if args.subcommand == "cycles-verify" else "subsets"
+            raise CliError(
+                f"{args.subcommand} would check more than {bound} "
+                f"{what} per tree{weights} at --n {args.n}{cap}"
+            )
 
 
 def _cmd_sweep(args):
@@ -654,10 +671,41 @@ def cmd_check_matroid(args):
     return 1, {"ok": False, "axiom": axiom, "violation": _exchange_dict(bad)}
 
 
+def _check_rooted_size(T, args, ground, window) -> None:
+    """represent-rooted's bounds, before any work.  A run makes about |g|^3
+    series products for the leading-minor check and the factor, plus
+    C(|g|, k) k! block-determinant products per attempt, and may make at
+    most _MAX_SUBSETS; its window spans at most _MAX_WINDOW_SLOTS exponent
+    slots.  Inputs verify_rooted_representation refuses are left to it, so
+    its messages come first."""
+    if args.max_reseeds < 0 or (window is not None and window <= 0):
+        return
+    g = _rooted_ground(T, args.root, ground)
+    if not 1 <= args.k <= len(g):
+        return
+    products = len(g) ** 3 + (args.max_reseeds + 1) * perm(len(g), args.k)
+    if products > _MAX_SUBSETS:
+        raise CliError(
+            f"represent-rooted would make about {products} series products, more "
+            f"than {_MAX_SUBSETS}; pass a smaller --ground, --k or --max-reseeds"
+        )
+    M = rooted_matrix(T, args.root, g)
+    den = lcm(*(e.denominator for row in M.entries for p in row for e, _ in p.terms()))
+    which = "the default window" if window is None else "--window"
+    window = default_window(M) if window is None else window
+    if window * den > _MAX_WINDOW_SLOTS:
+        raise CliError(
+            f"{which} {window} spans {window * den} exponent slots (window x "
+            f"exponent denominator {den}), more than {_MAX_WINDOW_SLOTS}; pass "
+            "a smaller --window"
+        )
+
+
 def cmd_represent_rooted(args):
     T, text = _load_tree(args)
     ground = _parse_labels(args.ground) if args.ground else None
     window = _parse_fraction(args.window) if args.window else None
+    _check_rooted_size(T, args, ground, window)
     rep, reseeds = verify_rooted_representation(
         T,
         args.root,
@@ -816,7 +864,9 @@ def build_parser() -> argparse.ArgumentParser:
         "Check the forest formula and its leading term on every subset of "
         "each random tree against one table of principal minors per tree. "
         f"A tree may have at most {_MAX_SUBSETS} subsets up to --max-x "
-        "(--n 16 with no cap); more exits 2.",
+        "(--n 16 with no cap) on unit weights, and at most "
+        f"{_MAX_RATIONAL_SUBSETS} (--n 13) when --weights is rational or "
+        "both; more exits 2.",
     )
 
     p = sub.add_parser(
@@ -909,6 +959,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "represent-rooted",
         help="series representation of the rooted subtree-weight map, verified",
+        description="A run may make about |ground|^3 series products for the "
+        "leading-minor check and the factor, plus C(|ground|, k) k! block-"
+        "determinant products per attempt (--max-reseeds + 1 attempts): at "
+        f"most {_MAX_SUBSETS} in all. The window may span at most "
+        f"{_MAX_WINDOW_SLOTS} exponent slots (window x the matrix's exponent "
+        "denominator). More exits 2.",
     )
     _add_tree_source(p)
     p.add_argument("--root", type=int, required=True)

@@ -1,7 +1,7 @@
 """Truncated Puiseux series in t, ordered by behaviour as t -> infinity.
 
-A series carries a dict of known terms (exponents are fractions with a
-common ramification denominator) plus an optional cutoff: every term with
+A series carries its known terms (exponents are fractions with a common
+ramification denominator) plus an optional cutoff: every term with
 exponent <= cutoff has been dropped, so the object stands for
 
     known terms  +  O(t^cutoff).
@@ -11,15 +11,20 @@ conservatively, so a leading term you can read off is certified; when a
 sign or valuation would depend on dropped terms the operation raises
 PrecisionError instead of guessing.
 
-Coefficients are Fractions, or QRad values where square roots force them
-to be irrational (Cholesky pivots).  A product runs on Python ints: each
-operand's coefficients are split by radicand over one common denominator,
-the integer parts are convolved per pair of radicands (sqrt(a) sqrt(b) =
-g sqrt(ab/g^2), g = gcd(a, b)), and a pair of terms whose exponents sum to
-the product's cutoff or below is never formed.  Division and square roots
-expand geometric/binomial series down to what the operand's own cutoff
-supports; an exact non-monomial gives no stopping point, so it must be
-truncated first.
+Coefficients are rationals, or sums c_d sqrt(d) over squarefree radicands
+d where square roots force them to be irrational (Cholesky pivots).  A
+series is stored as what its arithmetic runs on: one integer map
+{k: n} per radicand d, standing for sum_d sqrt(d) sum_k n/den t^(k/ram),
+with the ramification ram and the coefficient denominator den both kept
+minimal, so equal series are structurally equal (the format of
+poly.ExactPoly, split by radicand).  A sum adds the maps of each radicand
+with poly._zadd.  A product convolves the maps per pair of radicands
+(sqrt(a) sqrt(b) = g sqrt(ab/g^2), g = gcd(a, b)) and never forms a pair
+of terms whose exponents sum to the product's cutoff or below.  A Fraction
+or QRad coefficient is built only where one is read (terms, leading,
+sign).  Division and square roots expand one binomial series down to what
+the operand's own cutoff supports; an exact non-monomial gives no stopping
+point, so it must be truncated first.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .poly import ExactPoly, _as_fraction
+from .poly import ExactPoly, _as_fraction, _zadd
 from .radicals import QRad, exact_sign
 
 
@@ -39,24 +44,17 @@ class PrecisionError(ArithmeticError):
 Coeff = Fraction | QRad
 
 
-def _canon_coeff(c) -> Coeff:
-    if isinstance(c, QRad):
-        return c.as_fraction() if c.is_rational() else c
-    return c if isinstance(c, Fraction) else _as_fraction(c)
-
-
 def _coeff_inv(c: Coeff) -> Coeff:
     if isinstance(c, QRad):
         return c.inverse()
     return 1 / c
 
 
-def _coeff_sqrt(c: Coeff) -> Coeff:
+def _coeff_sqrt(c: Coeff) -> QRad:
+    # a series builds a QRad coefficient only where it is irrational
     if isinstance(c, QRad):
-        if not c.is_rational():
-            raise ArithmeticError(f"nested radical: sqrt of {c}")
-        c = c.as_fraction()
-    return _canon_coeff(QRad.sqrt_of(c))
+        raise ArithmeticError(f"nested radical: sqrt of {c}")
+    return QRad.sqrt_of(c)
 
 
 def _floor_key(cutoff: Fraction, ram: int) -> int:
@@ -65,79 +63,73 @@ def _floor_key(cutoff: Fraction, ram: int) -> int:
     return cutoff.numerator * ram // cutoff.denominator
 
 
-def _reduce(ram: int, terms: dict[int, Coeff]) -> tuple[int, dict[int, Coeff]]:
-    """Divide the ramification and every key by their common gcd."""
-    g = gcd(ram, *terms)
-    if g > 1:
-        return ram // g, {k // g: c for k, c in terms.items()}
-    return ram, terms
-
-
-def _int_parts(terms: dict[int, Coeff], f: int) -> tuple[int, dict[int, list[tuple[int, int]]]]:
-    """(den, parts) with parts[d] the (k*f, n) pairs, exponents descending,
-    such that the sqrt(d) part of the coefficient at k is n/den."""
-    den = 1
-    for c in terms.values():
-        if isinstance(c, QRad):
-            for _, q in c.components():
-                if den % q.denominator:
-                    den = lcm(den, q.denominator)
-        elif den % c.denominator:
-            den = lcm(den, c.denominator)
-    parts: dict[int, list[tuple[int, int]]] = {}
-    for k in sorted(terms, reverse=True):
-        c = terms[k]
-        if isinstance(c, QRad):
-            for d, q in c.components():
-                parts.setdefault(d, []).append((k * f, q.numerator * (den // q.denominator)))
-        else:
-            parts.setdefault(1, []).append((k * f, c.numerator * (den // c.denominator)))
-    return den, parts
-
-
-def _from_int_parts(out: dict[int, dict[int, int]], den: int) -> dict[int, Coeff]:
-    """Inverse of _int_parts: one canonical coefficient per nonzero key."""
-    if out.keys() <= {1}:
-        return {k: Fraction(v, den) for k, v in out.get(1, {}).items() if v}
-    comps: dict[int, dict[int, Fraction]] = {}
-    for d, acc in out.items():
-        for k, v in acc.items():
-            if v:
-                comps.setdefault(k, {})[d] = Fraction(v, den)
-    return {
-        k: c[1] if c.keys() == {1} else QRad(c, _raw=True) for k, c in comps.items()
-    }
+def _canonical(
+    ram: int, den: int, parts: dict[int, dict[int, int]], cutoff: Fraction | None
+) -> tuple[int, int, dict[int, dict[int, int]]]:
+    """(ram, den, parts) without zero values, keys at or below the cutoff
+    and empty maps, divided through by gcd(ram, *keys) and gcd(den,
+    *values); ram = den = 1 when nothing is left."""
+    kmin = None if cutoff is None else _floor_key(cutoff, ram)
+    clean = {}
+    g, h = ram, den
+    for d, m in parts.items():
+        m = {k: v for k, v in m.items() if v and (kmin is None or k > kmin)}
+        if m:
+            clean[d] = m
+            g = gcd(g, *m)
+            h = gcd(h, *m.values())
+    if not clean:
+        return 1, 1, clean
+    if g > 1 or h > 1:
+        clean = {d: {k // g: v // h for k, v in m.items()} for d, m in clean.items()}
+    return ram // g, den // h, clean
 
 
 class PuiseuxTrunc:
-    """A truncated (or exact) Puiseux series, highest exponents first."""
+    """A truncated (or exact) Puiseux series, highest exponents first.
 
-    __slots__ = ("_ram", "_terms", "_cutoff")
+    Stored as (ram, den, parts, cutoff): parts maps each squarefree
+    radicand d to {k: n}, nonzero ints, for the known terms
+    n/den sqrt(d) t^(k/ram), all above the cutoff; gcd(ram, *keys) =
+    gcd(den, *values) = 1, and ram = den = 1 without known terms.
+    """
 
-    def __init__(self, ram: int, terms: dict[int, Coeff], cutoff: Fraction | None = None, _raw: bool = False):
-        if not _raw:
-            if ram < 1:
-                raise ValueError("ramification index must be positive")
-            cutoff = None if cutoff is None else Fraction(cutoff)
-            kmin = None if cutoff is None else _floor_key(cutoff, ram)
-            clean = {}
-            for k, c in terms.items():
-                ki = int(k)
-                if ki != k:
-                    raise ValueError(f"exponent key {k} is not an integer")
-                c = _canon_coeff(c)
-                if c and (kmin is None or ki > kmin):
-                    clean[ki] = c
-            ram, terms = _reduce(ram, clean)
-        self._ram = ram
-        self._terms = terms
+    __slots__ = ("_ram", "_den", "_parts", "_cutoff")
+
+    def __init__(self, ram: int, terms: dict[int, Coeff], cutoff: Fraction | None = None):
+        if ram < 1:
+            raise ValueError("ramification index must be positive")
+        comps = {}
+        for k, c in terms.items():
+            ki = int(k)
+            if ki != k:
+                raise ValueError(f"exponent key {k} is not an integer")
+            comps[ki] = c.components() if isinstance(c, QRad) else ((1, _as_fraction(c)),)
+        den = lcm(1, *(q.denominator for cs in comps.values() for _, q in cs))
+        parts: dict[int, dict[int, int]] = {}
+        for k, cs in comps.items():
+            for d, q in cs:
+                parts.setdefault(d, {})[k] = q.numerator * (den // q.denominator)
+        cutoff = None if cutoff is None else Fraction(cutoff)
+        self._ram, self._den, self._parts = _canonical(ram, den, parts, cutoff)
         self._cutoff = cutoff
+
+    @staticmethod
+    def _make(
+        ram: int, den: int, parts: dict[int, dict[int, int]], cutoff: Fraction | None
+    ) -> "PuiseuxTrunc":
+        """sum_d sqrt(d) sum_k parts[d][k]/den t^(k/ram) + O(t^cutoff); the
+        canonical form is taken here and parts is never mutated."""
+        s = object.__new__(PuiseuxTrunc)
+        s._ram, s._den, s._parts = _canonical(ram, den, parts, cutoff)
+        s._cutoff = cutoff
+        return s
 
     # -- constructors --------------------------------------------------------
 
     @staticmethod
     def zero() -> "PuiseuxTrunc":
-        return PuiseuxTrunc(1, {}, None, _raw=True)
+        return PuiseuxTrunc._make(1, 1, {}, None)
 
     @staticmethod
     def constant(c) -> "PuiseuxTrunc":
@@ -160,7 +152,7 @@ class PuiseuxTrunc:
 
     @staticmethod
     def from_poly(p: ExactPoly) -> "PuiseuxTrunc":
-        return PuiseuxTrunc.from_terms(list(p.terms()))
+        return PuiseuxTrunc._make(p._den, p._cden, {1: p._terms}, None)
 
     # -- inspection ------------------------------------------------------------
 
@@ -168,15 +160,23 @@ class PuiseuxTrunc:
     def cutoff(self) -> Fraction | None:
         return self._cutoff
 
+    def _top(self) -> int | None:
+        """The largest key of a known term; None without known terms."""
+        return max(map(max, self._parts.values()), default=None)
+
+    def _coeff(self, k: int) -> Coeff:
+        """The coefficient at key k: a Fraction unless an irrational
+        radicand has a term there."""
+        comps = {d: Fraction(m[k], self._den) for d, m in self._parts.items() if k in m}
+        return comps[1] if comps.keys() == {1} else QRad(comps, _raw=True)
+
     def terms(self) -> list[tuple[Fraction, Coeff]]:
         """Known terms, highest exponent first."""
-        return [
-            (Fraction(k, self._ram), self._terms[k])
-            for k in sorted(self._terms, reverse=True)
-        ]
+        keys = set().union(*self._parts.values())
+        return [(Fraction(k, self._ram), self._coeff(k)) for k in sorted(keys, reverse=True)]
 
     def is_exact_zero(self) -> bool:
-        return not self._terms and self._cutoff is None
+        return not self._parts and self._cutoff is None
 
     def leading(self) -> tuple[Fraction, Coeff]:
         """Certified leading (exponent, coefficient).
@@ -184,9 +184,9 @@ class PuiseuxTrunc:
         Raises PrecisionError on a truncated zero and ValueError on an
         exact zero.
         """
-        if self._terms:
-            k = max(self._terms)
-            return Fraction(k, self._ram), self._terms[k]
+        k = self._top()
+        if k is not None:
+            return Fraction(k, self._ram), self._coeff(k)
         if self._cutoff is None:
             raise ValueError("exact zero has no leading term")
         raise PrecisionError(
@@ -196,20 +196,15 @@ class PuiseuxTrunc:
     def valuation(self) -> Fraction | None:
         """Leading exponent; None for an exact zero; PrecisionError when the
         series is zero to the known precision."""
-        if self._terms:
-            return Fraction(max(self._terms), self._ram)
-        if self._cutoff is None:
-            return None
-        raise PrecisionError(
-            f"insufficient precision: only O(t^{self._cutoff}) is known"
-        )
+        return None if self.is_exact_zero() else self.leading()[0]
 
     def _bound(self) -> Fraction | None:
         """Upper bound on the exponent of any (known or hidden) term; None
         means the series is exactly zero."""
         cands = []
-        if self._terms:
-            cands.append(Fraction(max(self._terms), self._ram))
+        k = self._top()
+        if k is not None:
+            cands.append(Fraction(k, self._ram))
         if self._cutoff is not None:
             cands.append(self._cutoff)
         return max(cands) if cands else None
@@ -217,24 +212,16 @@ class PuiseuxTrunc:
     def sign(self) -> int:
         """Sign for t -> infinity.  Exact zero gives 0; a truncated zero
         raises PrecisionError rather than guessing."""
-        if self._terms:
-            return exact_sign(self._terms[max(self._terms)])
-        if self._cutoff is None:
-            return 0
-        raise PrecisionError(
-            f"insufficient precision: only O(t^{self._cutoff}) is known"
-        )
+        return 0 if self.is_exact_zero() else exact_sign(self.leading()[1])
 
     # -- arithmetic --------------------------------------------------------------
 
-    def _aligned(self, other: "PuiseuxTrunc") -> tuple[int, dict[int, Coeff], dict[int, Coeff]]:
-        r = lcm(self._ram, other._ram)
-        fa, fb = r // self._ram, r // other._ram
-        return (
-            r,
-            {k * fa: c for k, c in self._terms.items()},
-            {k * fb: c for k, c in other._terms.items()},
-        )
+    def _over(self, ram: int, den: int) -> dict[int, dict[int, int]]:
+        """The parts over multiples ram and den of the stored denominators."""
+        fe, fc = ram // self._ram, den // self._den
+        if fe == fc == 1:
+            return self._parts
+        return {d: {k * fe: v * fc for k, v in m.items()} for d, m in self._parts.items()}
 
     @staticmethod
     def _coerce(x) -> "PuiseuxTrunc | None":
@@ -250,18 +237,21 @@ class PuiseuxTrunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        r, ta, tb = self._aligned(o)
-        terms = dict(ta)
-        for k, c in tb.items():
-            terms[k] = terms.get(k, Fraction(0)) + c
+        ram, den = lcm(self._ram, o._ram), lcm(self._den, o._den)
+        parts = dict(self._over(ram, den))
+        for d, m in o._over(ram, den).items():
+            parts[d] = _zadd(parts[d], m) if d in parts else m
         cuts = [c for c in (self._cutoff, o._cutoff) if c is not None]
-        return PuiseuxTrunc(r, terms, max(cuts) if cuts else None)
+        return PuiseuxTrunc._make(ram, den, parts, max(cuts) if cuts else None)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PuiseuxTrunc(
-            self._ram, {k: -c for k, c in self._terms.items()}, self._cutoff, _raw=True
+        return PuiseuxTrunc._make(
+            self._ram,
+            self._den,
+            {d: {k: -v for k, v in m.items()} for d, m in self._parts.items()},
+            self._cutoff,
         )
 
     def __sub__(self, other):
@@ -279,28 +269,33 @@ class PuiseuxTrunc:
             return NotImplemented
         if self.is_exact_zero() or o.is_exact_zero():
             return PuiseuxTrunc.zero()
-        ta, tb = self._terms, o._terms
+        top_a, top_b = self._top(), o._top()
         # error terms: known(a) * O(b), known(b) * O(a), O(a) * O(b)
         cuts = []
-        if o._cutoff is not None and ta:
-            cuts.append(Fraction(max(ta), self._ram) + o._cutoff)
-        if self._cutoff is not None and tb:
-            cuts.append(Fraction(max(tb), o._ram) + self._cutoff)
+        if o._cutoff is not None and top_a is not None:
+            cuts.append(Fraction(top_a, self._ram) + o._cutoff)
+        if self._cutoff is not None and top_b is not None:
+            cuts.append(Fraction(top_b, o._ram) + self._cutoff)
         if self._cutoff is not None and o._cutoff is not None:
             cuts.append(self._cutoff + o._cutoff)
         cutoff = max(cuts) if cuts else None
         r = lcm(self._ram, o._ram)
         fa, fb = r // self._ram, r // o._ram
         if cutoff is None:  # both exact and nonzero: every pair is kept
-            kmin = min(ta) * fa + min(tb) * fb - 1
+            low_a, low_b = (min(map(min, s._parts.values())) for s in (self, o))
+            kmin = low_a * fa + low_b * fb - 1
         else:
             kmin = _floor_key(cutoff, r)
         # integer convolution per pair of radicands, sqrt(da) sqrt(db) =
-        # g sqrt(da db / g^2); pairs at or below the cutoff are never formed
-        den_a, pa = _int_parts(ta, fa)
-        den_b, pb = _int_parts(tb, fb)
+        # g sqrt(da db / g^2), each map's terms in descending exponent order;
+        # pairs at or below the cutoff are never formed
+        pb = {
+            db: [(k * fb, v) for k, v in sorted(mb.items(), reverse=True)]
+            for db, mb in o._parts.items()
+        }
         out: dict[int, dict[int, int]] = {}
-        for da, qa in pa.items():
+        for da, ma in self._parts.items():
+            qa = [(k * fa, v) for k, v in sorted(ma.items(), reverse=True)]
             for db, qb in pb.items():
                 g = gcd(da, db)
                 acc = out.setdefault(da // g * (db // g), {})
@@ -316,8 +311,7 @@ class PuiseuxTrunc:
                             break
                         k = ka + kb
                         acc[k] = get(k, 0) + va * vb
-        ram, terms = _reduce(r, _from_int_parts(out, den_a * den_b))
-        return PuiseuxTrunc(ram, terms, cutoff, _raw=True)
+        return PuiseuxTrunc._make(r, self._den * o._den, out, cutoff)
 
     __rmul__ = __mul__
 
@@ -329,10 +323,32 @@ class PuiseuxTrunc:
         cutoff = Fraction(cutoff)
         if self._cutoff is not None:
             cutoff = max(cutoff, self._cutoff)
-        return PuiseuxTrunc(self._ram, dict(self._terms), cutoff)
+        return PuiseuxTrunc._make(self._ram, self._den, self._parts, cutoff)
 
     def _monomial(self) -> bool:
-        return self._cutoff is None and len(self._terms) == 1
+        return self._cutoff is None and len(set().union(*self._parts.values())) == 1
+
+    def _binomial(self, alpha: Fraction, head: "PuiseuxTrunc") -> "PuiseuxTrunc":
+        """self^alpha for a truncated self, alpha = -1 or 1/2, with head the
+        exact monomial lead^alpha.  self = lead * (1 + u), every exponent of
+        u negative, so self^alpha = head * sum_j C(alpha, j) u^j; terms are
+        added while they reach above target = cutoff + (alpha - 1) * (lead
+        exponent), which is what self's precision supports."""
+        lead_e, lead_c = self.leading()
+        target = self._cutoff + (alpha - 1) * lead_e
+        u = self * PuiseuxTrunc.t_power(-lead_e, _coeff_inv(lead_c)) - 1
+        total = acc = PuiseuxTrunc.constant(1)
+        coeff = Fraction(1)
+        j = 0
+        while True:
+            acc = acc * u
+            b = acc._bound()
+            if b is None or b + alpha * lead_e <= target:
+                break
+            coeff = coeff * (alpha - j) / (j + 1)
+            j += 1
+            total = total + acc * coeff
+        return (total * head).truncate(target)
 
     def inverse(self) -> "PuiseuxTrunc":
         """1/self via the geometric series, down to what self's precision
@@ -345,18 +361,7 @@ class PuiseuxTrunc:
             return mono
         if self._cutoff is None:
             raise ValueError("inverting an exact non-monomial: truncate it first")
-        target = self._cutoff - 2 * lead_e
-        # self = lead * (1 - u), every exponent of u is negative
-        u = PuiseuxTrunc.constant(1) - self * mono
-        inv = PuiseuxTrunc.constant(1)
-        acc = PuiseuxTrunc.constant(1)
-        while True:
-            acc = acc * u
-            b = acc._bound()
-            if b is None or b - lead_e <= target:
-                break
-            inv = inv + acc
-        return (inv * mono).truncate(target)
+        return self._binomial(Fraction(-1), mono)
 
     def divide(self, other) -> "PuiseuxTrunc":
         o = self._coerce(other)
@@ -388,24 +393,7 @@ class PuiseuxTrunc:
             return root
         if self._cutoff is None:
             raise ValueError("sqrt of an exact non-monomial: truncate it first")
-        target = self._cutoff - lead_e / 2
-        inv_lead = PuiseuxTrunc.t_power(-lead_e, _coeff_inv(lead_c))
-        u = self * inv_lead - PuiseuxTrunc.constant(1)  # negative exponents
-        total = PuiseuxTrunc.constant(1)
-        acc = PuiseuxTrunc.constant(1)
-        coeff = Fraction(1)
-        k = 0
-        while True:
-            k += 1
-            coeff = coeff * (Fraction(1, 2) - (k - 1)) / k
-            acc = acc * u
-            b = acc._bound()
-            term_bound = None if b is None else b + lead_e / 2
-            if b is not None:
-                total = total + acc * coeff
-            if b is None or term_bound <= target:
-                break
-        return (total * root).truncate(target)
+        return self._binomial(Fraction(1, 2), root)
 
     # -- order ---------------------------------------------------------------
 
@@ -437,20 +425,20 @@ class PuiseuxTrunc:
             return NotImplemented
         return (
             self._ram == o._ram
-            and self._terms == o._terms
+            and self._den == o._den
+            and self._parts == o._parts
             and self._cutoff == o._cutoff
         )
 
     def __hash__(self):
         # an exact series must hash like the scalar or ExactPoly it equals
         if self._cutoff is None:
-            if self._terms.keys() <= {0}:
-                return hash(self._terms.get(0, 0))
-            if all(isinstance(c, Fraction) for c in self._terms.values()):
-                return hash(ExactPoly(self._ram, self._terms))
-        return hash(
-            (self._ram, frozenset(self._terms.items()), self._cutoff)
-        )
+            if self._parts.keys() <= {1}:
+                return hash(ExactPoly._make(self._ram, self._den, self._parts.get(1, {})))
+            if all(m.keys() == {0} for m in self._parts.values()):
+                return hash(self._coeff(0))
+        parts = frozenset((d, frozenset(m.items())) for d, m in self._parts.items())
+        return hash((self._ram, self._den, parts, self._cutoff))
 
     # -- rendering -------------------------------------------------------------
 

@@ -270,6 +270,20 @@ BAD_OPTION_VALUES = [
      "--map rooted would evaluate more than 65536 values"),
     ("represent-odd --n 18", "represent-odd would check more than 65536 even subsets"),
     ("represent-odd --n 3000", "represent-odd would check more than 65536 even subsets"),
+    # rational weights: minor_table's polynomials grow with |X| (minutes at --n 16)
+    ("minor-verify --trees 1 --n 16 --seed 56 --weights rational",
+     "more than 8192 subsets per tree on rational weights at --n 16"),
+    ("minor-verify --n 14", "more than 8192 subsets per tree on rational weights at --n 14"),
+    # 39^3 + 6 C(39, 2) 2! = 68,211 series products
+    ("represent-rooted --n 40 --root 40 --ground " + ",".join(map(str, range(1, 40))),
+     "represent-rooted would make about 68211 series products, more than 65536"),
+    ("represent-rooted --n 30 --root 30 --ground 1,2,3 --k 2 --max-reseeds 100000",
+     "represent-rooted would make about 600033 series products"),
+    ("represent-rooted --n 8 --weights rational --root 1 --window 1024/3",
+     "--window 1024/3 spans 4096 exponent slots (window x exponent denominator 12), "
+     "more than 2048"),
+    ("represent-rooted --n 16 --weights rational --root 2",
+     "the default window 640/3 spans 2560 exponent slots"),
 ]
 
 
@@ -289,8 +303,9 @@ def test_bad_option_values_are_usage_errors(capsys, tmp_path, argv, message):
 @pytest.mark.parametrize(
     "argv",
     [
-        "minor-verify --n 16",
-        "minor-verify --n 35 --max-x 4",
+        "minor-verify --n 13",
+        "minor-verify --n 13 --weights rational",
+        "minor-verify --n 20 --max-x 4 --weights rational",
         "pf-verify --n 17",
         "cycles-verify --n 8 --max-x 6",
     ],
@@ -298,6 +313,33 @@ def test_bad_option_values_are_usage_errors(capsys, tmp_path, argv, message):
 def test_sweep_sizes_at_the_bound_are_accepted(argv):
     # only the check runs: sweeping trees this large takes minutes
     cli._check_sweep_args(cli.build_parser().parse_args(argv.split()))
+
+
+@pytest.mark.parametrize("argv", ["--n 16", "--n 35 --max-x 4"])
+def test_unit_minor_sweep_sizes_at_the_bound_are_accepted(argv):
+    # unit weights keep the 2^16 bound; rational and both (the default) have 2^13
+    args = ["minor-verify", "--weights", "unit", *argv.split()]
+    cli._check_sweep_args(cli.build_parser().parse_args(args))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 38^3 + 6 C(38, 2) 2! = 63,308 series products
+        "represent-rooted --n 39 --root 39 --ground " + ",".join(map(str, range(1, 39))),
+        # 512/3 x exponent denominator 12 = 2,048 exponent slots
+        "represent-rooted --n 8 --weights rational --root 1 --window 512/3",
+    ],
+)
+def test_represent_rooted_sizes_at_the_bound_are_accepted(capsys, monkeypatch, argv):
+    # the run gets past the bounds to the factorisation, stubbed out here
+    def reached(*args, **kwargs):
+        raise ArithmeticError("factorisation reached")
+
+    monkeypatch.setattr(cli, "verify_rooted_representation", reached)
+    code, out, err = invoke(capsys, *argv.split())
+    assert code == 1
+    assert err == "verification failed: factorisation reached\n"
 
 
 def _failing_sweep(capsys, monkeypatch, name, wrong, sweep):

@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from treeminor.matroid import default_window, rooted_matrix
@@ -311,6 +311,80 @@ def test_series_mul_by_a_scalar_on_either_side(a, x):
     for got in (a * x, x * a):
         assert got == want
         assert str(got) == str(want)
+
+
+def naive_add(a: PuiseuxTrunc, b: PuiseuxTrunc) -> PuiseuxTrunc:
+    """The sum as one Fraction or QRad sum per exponent of known terms, fed
+    to the constructor: the reference for PuiseuxTrunc.__add__."""
+    ta, tb = a.terms(), b.terms()
+    r = lcm(1, *(e.denominator for e, _ in ta + tb))
+    terms = {}
+    for e, c in ta + tb:
+        k = int(e * r)
+        terms[k] = terms.get(k, F(0)) + c
+    cuts = [c for c in (a.cutoff, b.cutoff) if c is not None]
+    return PuiseuxTrunc(r, terms, max(cuts) if cuts else None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(series(), series())
+def test_series_add_matches_the_termwise_sum(a, b):
+    want = naive_add(a, b)
+    for got in (a + b, b + a):
+        assert got == want
+        assert str(got) == str(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(series(), st.sampled_from((1, 2, 3)))
+def test_series_canonical_form_is_the_same_from_every_constructor(s, m):
+    # hashes are compared within one process: an exact series with an
+    # irrational term hashes its cutoff None, whose hash may differ between
+    # processes
+    terms = s.terms()
+    r = lcm(1, *(e.denominator for e, _ in terms))
+    same = [PuiseuxTrunc(r * m, {int(e * r * m): c for e, c in terms}, s.cutoff)]
+    if terms or s.cutoff is None:  # a truncated zero has no terms to rebuild
+        rebuilt = PuiseuxTrunc.from_terms(terms)
+        same.append(rebuilt if s.cutoff is None else rebuilt.truncate(s.cutoff))
+    for t in same:
+        assert t == s
+        assert hash(t) == hash(s)
+        assert str(t) == str(s)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_polys())
+def test_series_from_poly_matches_from_terms(p):
+    s = PuiseuxTrunc.from_poly(p)
+    t = PuiseuxTrunc.from_terms(p.terms())
+    assert s == t
+    assert hash(s) == hash(t)
+
+
+def _truncated_unless_monomial(s: PuiseuxTrunc) -> PuiseuxTrunc:
+    """s itself, or an exact non-monomial s truncated six below its lead."""
+    if s.cutoff is None and len(s.terms()) > 1:
+        return s.truncate(s.valuation() - 6)
+    return s
+
+
+@settings(max_examples=100, deadline=None)
+@given(series())
+def test_series_inverse_of_a_radical_series(s):
+    assume(s.terms())  # a certified nonzero lead
+    s = _truncated_unless_monomial(s)
+    assert not (s * s.inverse() - 1).terms()
+
+
+@settings(max_examples=100, deadline=None)
+@given(series())
+def test_series_sqrt_of_a_radical_series(s):
+    assume(s.terms())
+    lead = s.leading()[1]
+    assume(isinstance(lead, F) and lead > 0)
+    r = _truncated_unless_monomial(s).sqrt()
+    assert not (r * r - s).terms()
 
 
 # --- matrices ------------------------------------------------------------------

@@ -673,10 +673,11 @@ def cmd_check_matroid(args):
 
 def _check_rooted_size(T, args, ground, window) -> None:
     """represent-rooted's bounds, before any work.  A run makes about |g|^3
-    series products for the leading-minor check and the factor, plus
-    C(|g|, k) k! block-determinant products per attempt, and may make at
-    most _MAX_SUBSETS; its window spans at most _MAX_WINDOW_SLOTS exponent
-    slots.  Inputs verify_rooted_representation refuses are left to it, so
+    products for the leading-minor check and the factor (the check is one
+    O(|g|^3) pass of polynomial products, a fraction-free elimination of
+    M), plus C(|g|, k) k! block-determinant products per attempt, and may
+    make at most _MAX_SUBSETS; its window spans at most _MAX_WINDOW_SLOTS
+    exponent slots.  Inputs verify_rooted_representation refuses are left to it, so
     its messages come first."""
     if args.max_reseeds < 0 or (window is not None and window <= 0):
         return
@@ -959,8 +960,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "represent-rooted",
         help="series representation of the rooted subtree-weight map, verified",
-        description="A run may make about |ground|^3 series products for the "
-        "leading-minor check and the factor, plus C(|ground|, k) k! block-"
+        description="A run may make about |ground|^3 products for the "
+        "leading-minor check (one O(|ground|^3) pass of polynomial products) "
+        "and the factor (series products), plus C(|ground|, k) k! block-"
         "determinant products per attempt (--max-reseeds + 1 attempts): at "
         f"most {_MAX_SUBSETS} in all. The window may span at most "
         f"{_MAX_WINDOW_SLOTS} exponent slots (window x the matrix's exponent "

@@ -31,7 +31,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .metric import MINUS_INF
 from .pfaffian import _odd_weight, build_skew_matrix, pf_table
-from .poly import ExactPoly, PolyMatrix, det, pfaffian
+from .poly import ExactPoly, PolyMatrix, _integer_rows, _pivots, det, pfaffian
 from .tree import Tree
 from .tropic import PrecisionError, PuiseuxTrunc, cholesky, series_det
 
@@ -348,14 +348,13 @@ def check_alternating_leading_minors(M: PolyMatrix) -> int | None:
     """Verify sign(top coefficient of det M[1..j]) = (-1)^j for every j.
 
     That alternation certifies the matrix is negative definite once t is
-    large.  Returns the first failing size, or None.
+    large.  Returns the first failing size, or None.  The pivots of one
+    fraction-free elimination of M (poly._pivots) are these minors times
+    positive integers and powers of t: one O(n^3) pass of polynomial
+    products.
     """
-    for j in range(1, M.n + 1):
-        d = det(M.principal_submatrix(range(j)))
-        if d.is_zero():
-            return j
-        sign = 1 if d.leading_term()[1] > 0 else -1
-        if sign != (-1) ** j:
+    for j, d in enumerate(_pivots(_integer_rows(M)[0]), start=1):
+        if not d or (d[max(d)] > 0) != (j % 2 == 0):
             return j
     return None
 

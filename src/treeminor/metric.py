@@ -371,30 +371,39 @@ def _check_symmetric(a: Sequence[Sequence]) -> None:
         raise ValueError("matrix is not square")
     for i in range(n):
         for j in range(i):
-            if exact_sign(a[i][j] - a[j][i]) != 0:
+            if a[i][j] != a[j][i]:
                 raise ValueError(f"matrix is not symmetric at ({i},{j})")
 
 
-def inertia(rows: Sequence[Sequence]) -> tuple[int, int, int]:
-    """(positive, negative, zero) inertia of a symmetric matrix by exact
-    congruence: 1x1 pivots where the diagonal allows, hyperbolic 2x2 blocks
-    where it does not.  A matrix of square-root entries that is D R D, with
-    R rational and D a positive diagonal (every powered tree metric is),
-    is eliminated as R: by Sylvester's law of inertia the two agree."""
+def _exact_form(rows: Sequence[Sequence]) -> list[list[int]] | list[list[QRad]]:
+    """`rows` in the scalars `_inertia` runs on: the rational form, scaled
+    to integers, when there is one, else QRads; both keep the inertia and
+    every principal minor's sign.  Raises ValueError unless `rows` is
+    square and symmetric, TypeError on an inexact entry such as a float."""
     a = [list(row) for row in rows]
     _check_symmetric(a)
-    return _inertia(_rational_form(a) or a)
+    return _rational_form(a) or [[QRad.of(x) for x in row] for row in a]
 
 
-def _rational_form(a: Sequence[Sequence]) -> list[list[Fraction]] | None:
-    """R with a = D R D, R rational and D = diag(sqrt(d)^p_i) for a single
-    squarefree d and parities p_i in {0, 1}; None when there is none.
+def inertia(rows: Sequence[Sequence]) -> tuple[int, int, int]:
+    """(positive, negative, zero) inertia of a symmetric matrix of exact
+    scalars (a float raises TypeError) by fraction-free congruence.  A
+    matrix of square-root entries that is D R D, with R rational and D a
+    positive diagonal (every powered tree metric is), is eliminated as R
+    scaled to integers: by Sylvester's law of inertia the two agree."""
+    return _inertia(_exact_form(rows))
+
+
+def _rational_form(a: Sequence[Sequence]) -> list[list[int]] | None:
+    """s R with a = D R D, R rational, D = diag(sqrt(d)^p_i) for a single
+    squarefree d and parities p_i in {0, 1}, and s the lcm of R's
+    denominators; None when there is no such R.
 
     An entry c*sqrt(d) off the diagonal needs p_i != p_j, a rational one
     p_i == p_j: the parities are a 2-colouring of the nonzero entries.  Two
     radicands, an irrational diagonal entry or an odd cycle of irrational
-    entries rule it out.  D is positive, so R has the inertia of a and the
-    sign of each of its principal minors."""
+    entries rule it out.  D and s are positive, so s R has the inertia of a
+    and the sign of each of its principal minors."""
     n = len(a)
     parts = []
     radicand = 1
@@ -405,9 +414,7 @@ def _rational_form(a: Sequence[Sequence]) -> list[list[Fraction]] | None:
                 part = x.monomial()
                 if part is None:
                     return None
-            elif isinstance(x, Fraction):
-                part = x, 1
-            elif isinstance(x, int):
+            elif isinstance(x, (int, Fraction)):
                 part = Fraction(x), 1
             else:
                 return None
@@ -434,64 +441,58 @@ def _rational_form(a: Sequence[Sequence]) -> list[list[Fraction]] | None:
                     stack.append(j)
                 elif parity[j] != want:
                     return None
-    return [
+    r = [
         [c / radicand if parity[i] and parity[j] else c for j, (c, _) in enumerate(row)]
         for i, row in enumerate(parts)
     ]
+    scale = lcm(*(x.denominator for row in r for x in row))
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in r]
 
 
 def _inertia(a: list[list]) -> tuple[int, int, int]:
-    """The elimination behind `inertia`, on a matrix already known to be
-    square and symmetric; it overwrites `a`."""
-    n = len(a)
-    live = list(range(n))
-    pos = neg = zero = 0
+    """The elimination behind `inertia`, on a square symmetric matrix of
+    ints or of exact field elements (QRads, Fractions); it overwrites `a`.
+
+    Fraction-free principal pivoting, the Sylvester step of `poly.det`:
+    with S the indices eliminated so far and prev = det a[S], each live
+    a_ij is det a[S+i, S+j], so dividing by prev is exact.  A pivot
+    p = a_kk != 0 sets a_ij <- (p a_ij - a_ik a_kj) / prev and adds an
+    eigenvalue of the sign of p / prev.  When every live diagonal entry is
+    zero but some a_ij = b is not, the congruence e_i -> e_i + e_j (of
+    determinant 1, so entries stay minors) adds row and column j to i,
+    and a_ii = 2b.  What is left when no live entry is nonzero is zero."""
+    integral = all(isinstance(x, int) for row in a for x in row)
+    live = list(range(len(a)))
+    prev = 1
+    pos = neg = 0
     while live:
-        piv = next((i for i in live if exact_sign(a[i][i]) != 0), None)
-        if piv is not None:
-            s = exact_sign(a[piv][piv])
-            pos, neg = pos + (s > 0), neg + (s < 0)
-            live.remove(piv)
-            d = a[piv][piv]
-            for i in live:
-                if exact_sign(a[i][piv]) == 0:
-                    continue
-                f = a[i][piv] / d
-                for j in live:
-                    a[i][j] = a[i][j] - f * a[piv][j]
-                a[i][piv] = 0
-            for i in live:
-                a[piv][i] = 0
-            continue
-        off = next(
-            (
-                (i, j)
-                for ii, i in enumerate(live)
-                for j in live[ii + 1:]
-                if exact_sign(a[i][j]) != 0
-            ),
-            None,
-        )
-        if off is None:
-            zero += len(live)
-            break
-        i0, j0 = off
-        # a zero diagonal with a_{i0 j0} != 0: a hyperbolic pair, one of each
-        pos += 1
-        neg += 1
-        live.remove(i0)
-        live.remove(j0)
-        b = a[i0][j0]
-        for r in live:
-            u, v = a[r][i0], a[r][j0]
-            if exact_sign(u) == 0 and exact_sign(v) == 0:
-                continue
-            # subtract the rank-2 correction (u v' + v u') / b
+        k = next((i for i in live if exact_sign(a[i][i]) != 0), None)
+        if k is None:
+            pair = next(((i, j) for i in live for j in live if exact_sign(a[i][j]) != 0), None)
+            if pair is None:
+                break
+            k, j = pair
             for c in live:
-                a[r][c] = a[r][c] - (u * a[j0][c] + v * a[i0][c]) / b
-        for r in live:
-            a[r][i0] = a[r][j0] = a[i0][r] = a[j0][r] = 0
-    return pos, neg, zero
+                a[k][c] = a[c][k] = a[k][c] + a[j][c]
+            a[k][k] = 2 * a[k][j]
+        p = a[k][k]
+        if exact_sign(p) == exact_sign(prev):
+            pos += 1
+        else:
+            neg += 1
+        live.remove(k)
+        row_k = a[k]
+        # exact division by prev: floor division of ints, else one inverse
+        inv = None if integral else QRad.of(1) / prev
+        # the entries stay symmetric: update i <= j and mirror
+        for ii, i in enumerate(live):
+            row_i = a[i]
+            a_ik = row_i[k]
+            for j in live[ii:]:
+                x = p * row_i[j] - a_ik * row_k[j]
+                row_i[j] = a[j][i] = x // prev if integral else x * inv
+        prev = p
+    return pos, neg, len(live)
 
 
 def spectral_signature(
@@ -512,18 +513,17 @@ def star_condition_check(
     M must already be numeric (say a powered matrix [tau^(w_ij)], whose
     entries may be square-root extensions) and symmetric, which is checked
     once on the whole matrix.  Signs are exact, so zero minors satisfy the
-    weak inequalities.  When M = D R D with R rational and D a positive
-    diagonal, the signs are read on R.  Listed subsets take one exact
-    elimination each.  The default reads the signs off one Sylvester walk
-    (poly._principal_minors) over R scaled to integers; the sets the walk
+    weak inequalities; a float entry raises TypeError.  When M = D R D
+    with R rational and D a positive diagonal, the signs are read on R
+    scaled to integers.  Listed subsets take one exact elimination each.
+    The default reads the signs off one Sylvester walk
+    (poly._principal_minors) over that integer matrix; the sets the walk
     leaves out below a zero minor, and every set of a matrix with no
     rational form, take one elimination each.  Returns the first violating
     subset, in the listed order or by size and then lexicographically, or
     None."""
-    m = [list(row) for row in rows]
-    n = len(m)
-    _check_symmetric(m)
-    a = _rational_form(m)
+    a = _exact_form(rows)
+    n = len(a)
     minors = {}
     if subsets is not None:
         subsets = [tuple(_subset_indices(xs, n)) for xs in subsets]
@@ -531,14 +531,9 @@ def star_condition_check(
         raise ValueError("n > 12: pass an explicit subset sample")
     else:
         subsets = (xs for r in range(1, n + 1) for xs in combinations(range(n), r))
-        if a is not None:
-            scale = lcm(*(x.denominator for row in a for x in row))
-            z = [
-                [{0: x.numerator * scale // x.denominator} if x else {} for x in row]
-                for row in a
-            ]
+        if all(isinstance(x, int) for row in a for x in row):
+            z = [[{0: x} if x else {} for x in row] for row in a]
             minors = _principal_minors(z, range(n), n)
-    a = a or m
     for xs in subsets:
         minor = minors.get(xs)
         sign = _det_sign(a, xs) if minor is None else exact_sign(minor.get(0, 0))
@@ -574,8 +569,7 @@ def hpp_eigen_check(rows: Sequence[Sequence], taus: Iterable = (10, 100)):
                     "entries may be -inf"
                 )
     for tau in taus:
-        a = _power(m, tau, range(n))
-        positives, _, _ = _inertia(_rational_form(a) or a)
+        positives, _, _ = _inertia(_exact_form(_power(m, tau, range(n))))
         if positives > 1:
             return Fraction(tau)
     return _four_point_scan(m)

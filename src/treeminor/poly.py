@@ -403,40 +403,51 @@ class PolyMatrix:
 
 
 def det(m: PolyMatrix) -> ExactPoly:
-    """Determinant by fraction-free (Bareiss) elimination with exact division.
+    """Determinant by fraction-free (Bareiss) elimination with exact
+    division: the last of `_pivots`, over the scale of `_integer_rows`."""
+    a, den, scale, shift = _integer_rows(m)
+    pivot = {0: 1}
+    for pivot in _pivots(a):
+        pass
+    return ExactPoly._make(den, scale, {k + shift: c for k, c in pivot.items()})
 
-    Each row is multiplied by the lcm of its entries' coefficient
-    denominators and by t to minus its lowest exponent, so every entry lies
-    in Z[t^(1/D)], D the lcm of the exponent denominators; so do all the
-    Bareiss intermediates, which are minors.  The elimination runs on the
-    integer kernel, and the result keeps the scale as its coefficient
-    denominator and the shift in its exponents.
-    """
-    n = m.n
-    if n == 0:
-        return _ONE
+
+def _integer_rows(m: PolyMatrix) -> tuple[list[list[dict[int, int]]], int, int, int]:
+    """(a, den, scale, shift) with det m = det a * t^(shift/den) / scale:
+    each row times the lcm of its entries' coefficient denominators and t
+    to minus its lowest exponent, so every entry, and every Bareiss
+    intermediate (a minor), lies in Z[t^(1/den)].  Each leading minor of a
+    is m's times a positive integer and a power of t."""
     den = math.lcm(*(p._den for row in m.entries for p in row))
     a = []
     scale = 1
     shift = 0
     for row in m.entries:
-        low = min((min(p._terms) * (den // p._den) for p in row if p), default=None)
-        if low is None:
-            return _ZERO  # a zero row
+        low = min((min(p._terms) * (den // p._den) for p in row if p), default=0)
         mult = math.lcm(*(p._cden for p in row))
         a.append([_over(p, den, mult, low) for p in row])
         scale *= mult
         shift += low
-    sign = 1
+    return a, den, scale, shift
+
+
+def _pivots(a: list[list[dict[int, int]]]) -> Iterator[dict[int, int]]:
+    """The pivots of a fraction-free (Bareiss) elimination of a square
+    matrix of integer maps, on the integer kernel and in place, one per
+    row.  Up to the first zero pivot they are a's leading principal minors
+    (Sylvester's identity).  At a zero pivot a lower row that is nonzero
+    in its column is exchanged up, negated so that the determinant is
+    kept; when there is none the elimination stops.  The last pivot is
+    det a."""
+    n = len(a)
     prev = {0: 1}
-    for k in range(n - 1):
+    for k in range(n):
+        yield a[k][k]
         if not a[k][k]:
-            pivot_row = next((r for r in range(k + 1, n) if a[r][k]), None)
-            if pivot_row is None:
-                # pivot column vanishes below the eliminated block => singular
-                return _ZERO
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
+            r = next((r for r in range(k + 1, n) if a[r][k]), None)
+            if r is None:
+                return
+            a[k], a[r] = [{e: -c for e, c in p.items()} for p in a[r]], a[k]
         row_k = a[k]
         pivot = row_k[k]
         for i in range(k + 1, n):
@@ -446,8 +457,6 @@ def det(m: PolyMatrix) -> ExactPoly:
                 num = _zadd(_zmul(pivot, row_i[j]), _zmul(neg_ik, row_k[j]))
                 row_i[j] = _zdiv(num, prev)
         prev = pivot
-    result = a[n - 1][n - 1]
-    return ExactPoly._make(den, scale, {k + shift: sign * c for k, c in result.items()})
 
 
 def _principal_minors(

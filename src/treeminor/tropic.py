@@ -363,19 +363,13 @@ class PuiseuxTrunc:
             raise ValueError("inverting an exact non-monomial: truncate it first")
         return self._binomial(Fraction(-1), mono)
 
-    def divide(self, other) -> "PuiseuxTrunc":
-        o = self._coerce(other)
-        if o is None:
-            raise TypeError(f"cannot divide by {other!r}")
-        if self.is_exact_zero():
-            return self
-        return self * o.inverse()
-
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.divide(o)
+        if self.is_exact_zero():
+            return self
+        return self * o.inverse()
 
     def sqrt(self) -> "PuiseuxTrunc":
         """Square root via the binomial series, down to self's cutoff minus
@@ -556,9 +550,10 @@ def cholesky(
         if s == 0:
             raise ArithmeticError(f"pivot {j} is exactly zero; matrix is singular")
         lower[j][j] = d.sqrt()
+        inv = lower[j][j].inverse() if j + 1 < n else None
         for i in range(j + 1, n):
             num = grid[i][j]
             for k in range(j):
                 num = num - lower[i][k] * lower[j][k]
-            lower[i][j] = num.divide(lower[j][j])
+            lower[i][j] = num * inv
     return lower

@@ -352,6 +352,62 @@ def test_alternating_leading_minors():
     assert check_alternating_leading_minors(flat) == 1
 
 
+def _first_bad_leading_minor(M):
+    """The alternation check by one det per leading block."""
+    for j in range(1, M.n + 1):
+        d = det(M.principal_submatrix(range(j)))
+        if d.is_zero() or (d.leading_term()[1] > 0) != (j % 2 == 0):
+            return j
+    return None
+
+
+def _congruent(diagonal, seed):
+    """L D L^T, L unit lower triangular with random Laurent entries, so
+    det of the leading j-block is the product of the first j of D."""
+    rng = random.Random(seed)
+    n = len(diagonal)
+    tp = ExactPoly.t_power
+    L = [
+        [
+            ExactPoly.one() if i == k else tp(F(rng.randint(-2, 3), 2), rng.randint(-2, 2))
+            if k < i else ExactPoly.zero()
+            for k in range(n)
+        ]
+        for i in range(n)
+    ]
+    return [
+        [sum((L[i][k] * diagonal[k] * L[j][k] for k in range(n)), ExactPoly.zero()) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def test_alternating_leading_minors_names_the_first_failing_size():
+    tp = ExactPoly.t_power
+    n = 5
+    for seed in range(3):
+        good = [tp(F(i, 2), -1 - i) for i in range(n)]  # negative pivots
+        M = PolyMatrix(_congruent(good, seed))
+        assert check_alternating_leading_minors(M) is None is _first_bad_leading_minor(M)
+        for j in (2, 3, 4):
+            zero_minor = good[: j - 1] + [ExactPoly.zero()] + good[j:]
+            wrong_sign = good[: j - 1] + [-good[j - 1]] + good[j:]
+            zero_row = _congruent(good, seed)
+            zero_row[j - 1] = [ExactPoly.zero()] * n
+            for row in zero_row:
+                row[j - 1] = ExactPoly.zero()
+            for rows in (_congruent(zero_minor, seed), _congruent(wrong_sign, seed), zero_row):
+                M = PolyMatrix(rows)
+                assert check_alternating_leading_minors(M) == j == _first_bad_leading_minor(M)
+
+
+def test_rooted_matrices_pass_the_alternation_check():
+    for seed in range(6):
+        T = random_tree(9, seed=seed, weights="rational" if seed % 2 else "unit")
+        root = T.leaves()[0]
+        M = rooted_matrix(T, root, [v for v in T.leaves() if v != root])
+        assert check_alternating_leading_minors(M) is None is _first_bad_leading_minor(M)
+
+
 def test_exponent_spread_and_default_window():
     T = quartet_tree()
     M = rooted_matrix(T, 5, (1, 2, 3, 4))

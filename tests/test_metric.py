@@ -192,6 +192,20 @@ def test_inertia_small_cases():
         inertia([[F(0), F(1)], [F(2), F(0)]])
 
 
+def test_floats_are_rejected_before_an_elimination():
+    # the float 1/3 lies just below 1/3, so det = 3 * (1/3) - 1 < 0 exactly;
+    # float arithmetic rounds the second pivot 1/3 - 1/3 to 0: (1, 0, 1)
+    m = [[3.0, 1.0], [1.0, 1 / 3]]
+    assert inertia([[F(x) for x in row] for row in m]) == (1, 1, 0)
+    with pytest.raises(TypeError):
+        inertia(m)
+    with pytest.raises(TypeError):
+        star_condition_check(m)
+    # exponents still convert exactly, float or not
+    assert power_matrix([[0.0, 1.5], [1.5, 0.0]], 4) == power_matrix([[0, F(3, 2)], [F(3, 2), 0]], 4)
+    assert hpp_eigen_check([[0.0, 2.5], [2.5, 0.0]]) is None
+
+
 def _leading_minor_signature(m):
     """Jacobi's rule: when every leading principal minor is nonzero, the
     negatives count sign flips along the minor sequence."""
@@ -498,6 +512,83 @@ def test_inertia_by_congruence_matches_the_qrad_elimination(case):
     if splits:
         assert metric._rational_form(m) is not None
     assert inertia(m) == metric._inertia([[QRad.of(x) for x in row] for row in m])
+
+
+def _descartes_inertia(m):
+    """(positive, negative, zero) from the characteristic polynomial
+    det(xI - m) = sum_k (-1)^k e_k x^(n-k), e_k the sum of the principal
+    k-minors (by _fraction_det).  A real symmetric matrix has only real
+    eigenvalues, so Descartes' rule of signs counts the positive roots of
+    p(x) and the negative ones, the positive roots of p(-x), exactly."""
+    n = len(m)
+    e = [
+        sum((_fraction_det([[m[i][j] for j in xs] for i in xs]) for xs in combinations(range(n), k)), F(0))
+        for k in range(n + 1)
+    ]
+    descending = [(-1) ** k * c for k, c in enumerate(e)]
+    mirrored = [(-1) ** (n - k) * c for k, c in enumerate(descending)]
+
+    def sign_changes(coefficients):
+        signs = [(c > 0) - (c < 0) for c in coefficients if c != 0]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    pos, neg = sign_changes(descending), sign_changes(mirrored)
+    return pos, neg, n - pos - neg
+
+
+@st.composite
+def _oracle_matrices(draw):
+    """(matrix, has a rational form): symmetric rational matrices with zero
+    diagonals, repeated rows or hyperbolic-only blocks [[0, B], [B^T, 0]],
+    and matrices of rational multiples of sqrt 2 (an odd cycle of them) or
+    of sqrt 2 and sqrt 3, which have no rational form."""
+    kind = draw(st.sampled_from(["plain", "zero diagonal", "repeated", "hyperbolic", "odd cycle", "two radicands"]))
+    n = draw(st.integers(3 if kind in ("odd cycle", "two radicands") else 1, 5))
+    entry = st.builds(F, st.integers(-4, 4), _DENOMINATORS)
+    nonzero = st.builds(F, st.integers(1, 4) | st.integers(-4, -1), _DENOMINATORS)
+    m = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = draw(entry)
+    if kind in ("zero diagonal", "hyperbolic"):
+        for i in range(n):
+            m[i][i] = F(0)
+    if kind == "hyperbolic":
+        h = n // 2
+        for i in range(n):
+            for j in range(n):
+                if (i < h) == (j < h):
+                    m[i][j] = F(0)
+    if kind == "repeated":
+        for _ in range(draw(st.integers(1, 2))):
+            src, dst = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            for j in range(n):
+                m[dst][j] = m[src][j]
+            for j in range(n):
+                m[j][dst] = m[dst][j]
+            m[dst][dst] = m[src][src]
+    if kind == "odd cycle":
+        for i in range(n):
+            for j in range(i + 1, n):
+                if draw(st.booleans()):
+                    m[i][j] = m[j][i] = m[i][j] * _ROOT2
+        for i, j in ((0, 1), (1, 2), (0, 2)):
+            m[i][j] = m[j][i] = draw(nonzero) * _ROOT2
+    if kind == "two radicands":
+        for i in range(n):
+            for j in range(i + 1, n):
+                m[i][j] = m[j][i] = m[i][j] * draw(st.sampled_from([1, _ROOT2, _ROOT3]))
+        m[0][1] = m[1][0] = draw(nonzero) * _ROOT2
+        m[1][2] = m[2][1] = draw(nonzero) * _ROOT3
+    return m, kind not in ("odd cycle", "two radicands")
+
+
+@settings(max_examples=300, deadline=None)
+@given(_oracle_matrices())
+def test_inertia_matches_the_characteristic_polynomial(case):
+    m, rational = case
+    assert (metric._rational_form(m) is not None) == rational
+    assert inertia(m) == _descartes_inertia(m)
 
 
 def test_rational_form_refuses_what_does_not_split():

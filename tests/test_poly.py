@@ -6,7 +6,7 @@ and exponent conventions.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import lcm
 
 import pytest
@@ -226,6 +226,18 @@ def test_det_zero_pivot_needs_row_swap():
     z, one = ExactPoly.zero(), ExactPoly.one()
     m = PolyMatrix([[z, one], [one, z]])
     assert det(m) == -one
+
+
+def test_det_through_row_exchanges_at_every_step():
+    # P U with U upper triangular and P a permutation: every step whose
+    # pivot P moved off the diagonal needs an exchange, so each of the 24
+    # orders of 4 rows checks the exchanges' signs and later pivots
+    n = 4
+    u = [[tp(F(i + j, 2), i - j + 5) if j >= i else ExactPoly.zero() for j in range(n)] for i in range(n)]
+    u[1][3] = u[1][3] + ExactPoly.one()
+    for perm in permutations(range(n)):
+        m = PolyMatrix([u[r] for r in perm])
+        assert det(m) == det_permutation(m)
 
 
 def test_matrix_kind_validation():

@@ -172,7 +172,7 @@ def test_series_comparison():
 def test_series_division_frozen():
     num = PuiseuxTrunc.t_power(1)
     den = PuiseuxTrunc.from_terms([(F(1), 1), (F(0), 1)])  # t + 1
-    q = num.divide(den.truncate(F(-3)))
+    q = num / den.truncate(F(-3))
     assert str(q) == "1 - t^(-1) + t^(-2) - t^(-3) + O(t^(-4))"
     with pytest.raises(ValueError):
         num / den  # exact non-monomial divisor without a cutoff
@@ -227,7 +227,7 @@ def test_series_division_roundtrip(a, b):
         return
     prod = PuiseuxTrunc.from_poly(a * b)
     lead_b = b.leading_term()[0]
-    got = prod.divide(PuiseuxTrunc.from_poly(b).truncate(lead_b - 6))
+    got = prod / PuiseuxTrunc.from_poly(b).truncate(lead_b - 6)
     diff = got - PuiseuxTrunc.from_poly(a)
     assert not diff.terms()
     assert diff.is_exact_zero() or diff.cutoff is not None
@@ -382,7 +382,8 @@ def test_series_inverse_of_a_radical_series(s):
 def test_series_sqrt_of_a_radical_series(s):
     assume(s.terms())
     lead = s.leading()[1]
-    assume(isinstance(lead, F) and lead > 0)
+    assume(isinstance(lead, F))
+    s = s if lead > 0 else -s
     r = _truncated_unless_monomial(s).sqrt()
     assert not (r * r - s).terms()
 

@@ -18,9 +18,9 @@ counted from --n and --max-x.  dissimilarity evaluates at most
 _MAX_SUBSETS values and represent-odd checks at most _MAX_SUBSETS even
 subsets (17 vertices), both counted from the tree and --ground;
 pfaffian's oracle expands at most _MAX_SUBSETS sets, counted from --X;
-represent-rooted makes at most _MAX_SUBSETS series products, counted from
---ground, --k and --max-reseeds, over a window of at most
-_MAX_WINDOW_SLOTS exponent slots.  Anything else exits 2 before any work.
+represent-rooted may cost at most _MAX_ROOTED_COST coefficient products,
+counted from the tree, --ground, --k, --max-reseeds and --window.
+Anything else exits 2 before any work.
 
 All randomness flows from --seed; sweep workers derive per-tree sub-seeds
 deterministically, so reports are identical across runs and across --jobs
@@ -69,7 +69,7 @@ from .metric import (
     split_potentials,
 )
 from .minors import minor_formula, minor_leading, minor_oracle, minor_table, signature
-from .pfaffian import NotNicelyOrderedError, _odd_weight, pf_formula, pf_oracle, pf_table
+from .pfaffian import NotNicelyOrderedError, pf_formula, pf_oracle, pf_table
 from .poly import ExactPoly
 from .tree import Tree, format_tree, random_tree, read_tree_file
 
@@ -79,10 +79,10 @@ _SEED_STRIDE = 1_000_003  # tree index -> sub-seed, documented and fixed
 # bounds the cycle partitions of one cycles-verify tree, the values of one
 # dissimilarity map and the even subsets one represent-odd run checks.
 _MAX_SUBSETS = 1 << 16
-# exponent slots (window x exponent denominator) one represent-rooted run
-# may truncate its series to: the cost of each series product grows with
-# them, and a 4-element ground at 2,048 slots already takes about 12 s
-_MAX_WINDOW_SLOTS = 1 << 11
+# coefficient products one represent-rooted run may cost, by the model in
+# _check_rooted_size; sized from measured runs (see CHANGES.md) so that the
+# accepted corners take at most about 30 s on a 2-vCPU VM
+_MAX_ROOTED_COST = 10**9
 # subsets one tree of a minor-verify sweep with rational weights may check:
 # the table's polynomials grow with |X| there, and a full 13-vertex sweep
 # (8,191 subsets) already takes about 26 s and 70 MB
@@ -433,10 +433,9 @@ def _negative_hits(T, rng, negatives: int) -> int:
         tried += 1
         r = rng.randrange(2, T.n + 1, 2)
         sub = rng.sample(T.vertices, r)
-        ok, _counts = T.is_nicely_ordered(sub)
-        if ok:
+        if T.is_nicely_ordered(sub)[0]:
             continue
-        if pf_oracle(T, sub) != ExactPoly.t_power(_odd_weight(T, sub)):
+        if pf_oracle(T, sub) != ExactPoly.t_power(T.odd_weight(sub)):
             hit += 1
     return hit
 
@@ -672,33 +671,45 @@ def cmd_check_matroid(args):
 
 
 def _check_rooted_size(T, args, ground, window) -> None:
-    """represent-rooted's bounds, before any work.  A run makes about |g|^3
-    products for the leading-minor check and the factor (the check is one
-    O(|g|^3) pass of polynomial products, a fraction-free elimination of
-    M), plus C(|g|, k) k! block-determinant products per attempt, and may
-    make at most _MAX_SUBSETS; its window spans at most _MAX_WINDOW_SLOTS
-    exponent slots.  Inputs verify_rooted_representation refuses are left to it, so
-    its messages come first."""
+    """represent-rooted's bound before any work, a cost model sized from
+    measured runs.  Series products: |g|^3 for the factor, C(|g|, k) k! per
+    attempt for the blocks, window / gap for each binomial series (a square
+    root and an inverse per column; gap the least exponent gap of an entry
+    of M).  A series holds at most `slots` terms, the sums of entry gaps up
+    to the window, and coefficients grow with |g|: the cost is |g| x
+    products x slots^2.  verify_rooted_representation's own refusals come
+    first."""
     if args.max_reseeds < 0 or (window is not None and window <= 0):
         return
     g = _rooted_ground(T, args.root, ground)
     if not 1 <= args.k <= len(g):
         return
-    products = len(g) ** 3 + (args.max_reseeds + 1) * perm(len(g), args.k)
-    if products > _MAX_SUBSETS:
-        raise CliError(
-            f"represent-rooted would make about {products} series products, more "
-            f"than {_MAX_SUBSETS}; pass a smaller --ground, --k or --max-reseeds"
-        )
     M = rooted_matrix(T, args.root, g)
-    den = lcm(*(e.denominator for row in M.entries for p in row for e, _ in p.terms()))
     which = "the default window" if window is None else "--window"
     window = default_window(M) if window is None else window
-    if window * den > _MAX_WINDOW_SLOTS:
+    entries = [p for row in M.entries for p in row if not p.is_zero()]
+    den = lcm(*(e.denominator for p in entries for e, _ in p.terms()))
+    gaps = {int((p.leading_term()[0] - p.trailing_term()[0]) * den) for p in entries}
+    top = int(window * den)
+    products = (
+        len(g) ** 3
+        + (args.max_reseeds + 1) * perm(len(g), args.k)
+        + 2 * len(g) * -(-top // min(gaps))
+    )
+    budget = _MAX_ROOTED_COST // (len(g) * products)  # for slots^2
+    slots = {0}  # the sums of gaps up to the window, counted while in budget
+    todo = [0]
+    while todo and len(slots) ** 2 <= budget:
+        x = todo.pop()
+        fresh = {x + gap for gap in gaps if x + gap <= top} - slots
+        slots |= fresh
+        todo += fresh
+    if len(slots) ** 2 > budget:
         raise CliError(
-            f"{which} {window} spans {window * den} exponent slots (window x "
-            f"exponent denominator {den}), more than {_MAX_WINDOW_SLOTS}; pass "
-            "a smaller --window"
+            f"represent-rooted would cost more than {_MAX_ROOTED_COST} coefficient "
+            f"products at {which} {window}: {len(g)} ground elements, about "
+            f"{products} series products and at least {len(slots)} exponent "
+            "slots; pass a smaller --ground, --k, --max-reseeds or --window"
         )
 
 
@@ -960,13 +971,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "represent-rooted",
         help="series representation of the rooted subtree-weight map, verified",
-        description="A run may make about |ground|^3 products for the "
-        "leading-minor check (one O(|ground|^3) pass of polynomial products) "
-        "and the factor (series products), plus C(|ground|, k) k! block-"
-        "determinant products per attempt (--max-reseeds + 1 attempts): at "
-        f"most {_MAX_SUBSETS} in all. The window may span at most "
-        f"{_MAX_WINDOW_SLOTS} exponent slots (window x the matrix's exponent "
-        "denominator). More exits 2.",
+        description="A run makes about |ground|^3 series products for the "
+        "factor, C(|ground|, k) k! block-determinant products per attempt "
+        "(--max-reseeds + 1 attempts) and window / gap products for each of "
+        "2 |ground| binomial series (gap: the least exponent gap of an entry "
+        "of the matrix); a product costs up to slots^2 coefficient products "
+        "(slots: the sums of entry gaps up to the window). |ground| x series "
+        f"products x slots^2 may be at most {_MAX_ROOTED_COST}; more exits 2.",
     )
     _add_tree_source(p)
     p.add_argument("--root", type=int, required=True)

@@ -30,7 +30,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .metric import MINUS_INF
-from .pfaffian import _odd_weight, build_skew_matrix, pf_table
+from .pfaffian import build_skew_matrix, pf_table
 from .poly import ExactPoly, PolyMatrix, _integer_rows, _pivots, det, pfaffian
 from .tree import Tree
 from .tropic import PrecisionError, PuiseuxTrunc, cholesky, series_det
@@ -243,7 +243,7 @@ def odd_dissimilarity(T: Tree, ground: Iterable[int] | None = None) -> ValuatedF
     vals = {}
     for r in range(0, len(gs) + 1, 2):
         for X in combinations(gs, r):
-            vals[X] = _odd_weight(T, X)
+            vals[X] = T.odd_weight(X)
     return ValuatedFn(g, vals)
 
 

@@ -167,11 +167,10 @@ def minor_leading(T: Tree, X: Iterable[int]) -> tuple[Fraction, Fraction]:
     if not xs:
         raise ValueError("X must be nonempty")
     _, edges = T.spanned_subtree(xs)
-    weight = sum((T.weight(e) for e in edges), Fraction(0))
     coeff = Fraction(forest_degree_product(edges, xs))
     if len(xs) % 2 == 0:
         coeff = -coeff
-    return 2 * weight, coeff
+    return 2 * T.spanned_weight(xs), coeff
 
 
 def minor_oracle(T: Tree, X: Sequence[int]) -> ExactPoly:

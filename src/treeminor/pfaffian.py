@@ -11,7 +11,6 @@ pf_table gives the Pfaffian of every even sub-tuple of one order at once.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
@@ -44,30 +43,19 @@ def build_skew_matrix(T: Tree, X: Sequence[int]) -> PolyMatrix:
     return PolyMatrix(rows)
 
 
-def _require_even_and_nice(T: Tree, X: Sequence[int]) -> tuple[int, ...]:
-    xs = T.check_subset(X)
-    if len(xs) % 2:
-        raise ValueError("Pfaffian needs an even number of vertices")
-    ok, counts = T.is_nicely_ordered(xs)
-    if not ok:
-        edge, count = min((e, c) for e, c in counts.items() if c > 2)
-        raise NotNicelyOrderedError(edge, count)
-    return xs
-
-
 def pf_formula(T: Tree, X: Sequence[int]) -> ExactPoly:
     """t raised to the total weight of the odd-splitting edges of X.
 
     Requires |X| even and X nicely ordered; otherwise the closed form does
     not apply and an error is raised.
     """
-    xs = _require_even_and_nice(T, X)
-    return ExactPoly.t_power(_odd_weight(T, xs))
-
-
-def _odd_weight(T: Tree, X: Sequence[int]) -> Fraction:
-    """Total weight of the edges splitting X oddly."""
-    return sum((T.weight(e) for e in T.odd_edges(X)), Fraction(0))
+    xs = T.check_subset(X)
+    if len(xs) % 2:
+        raise ValueError("Pfaffian needs an even number of vertices")
+    ok, counts = T.is_nicely_ordered(xs)
+    if not ok:
+        raise NotNicelyOrderedError(*min((e, c) for e, c in counts.items() if c > 2))
+    return ExactPoly.t_power(T.odd_weight(xs))
 
 
 def pf_oracle(T: Tree, X: Sequence[int]) -> ExactPoly:

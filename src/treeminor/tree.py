@@ -3,14 +3,20 @@ combinatorics the matrix formulas are built from.
 
 Vertices are distinct nonnegative integers (generated trees use 1..n; a
 designated root such as 0 is just another label).  Edge weights are positive
-rationals.  Trees are immutable after construction; distance and path
-lookups are cached.
+rationals.  Trees are immutable after construction; distances are cached.
+Paths are not: every path and parity answer reads P_v, the bitmask of the
+edges on v's path to the root (P_i ^ P_j is the i-j path, the XOR of P_x
+over X the odd-splitting edges).  The masks are built on first use and take
+about n^2/16 bytes: bit b is the edge above the b-th vertex of the walk.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cached_property, reduce
+from math import lcm
+from operator import or_, xor
 from typing import Iterable, Sequence
 
 Edge = tuple[int, int]
@@ -27,6 +33,14 @@ class TreeFormatError(ValueError):
 
 def edge_key(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
+
+
+def _bits(mask: int):
+    """The indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class Tree:
@@ -71,7 +85,7 @@ class Tree:
         self._adj = {v: tuple(sorted(adj.get(v, ()))) for v in verts}
         self._verts = tuple(verts)
         self._vert_set = frozenset(verts)
-        # rooted bookkeeping for subtree parity counts; the walk also checks
+        # the rooted walk the root-path masks are built from; it also checks
         # connectivity (and with the edge count, acyclicity)
         root = verts[0]
         parent: dict[int, int | None] = {root: None}
@@ -89,7 +103,6 @@ class Tree:
         self._parent = parent
         self._dfs_order = tuple(order)
         self._dist_cache: dict[int, dict[int, Fraction]] = {}
-        self._path_cache: dict[Edge, frozenset[Edge]] = {}
 
     # -- basic structure ---------------------------------------------------
 
@@ -152,76 +165,66 @@ class Tree:
         if i == j:
             self.check_subset([i])
             return frozenset()
-        key = edge_key(i, j)
-        hit = self._path_cache.get(key)
-        if hit is not None:
-            return hit
         self.check_subset({i, j})
-        # climb to the root from both ends and splice at the meeting point
-        depth = self._depths()
-        a, b = i, j
-        edges = []
-        while a != b:
-            if depth[a] >= depth[b]:
-                p = self._parent[a]
-                edges.append(edge_key(a, p))
-                a = p
-            else:
-                p = self._parent[b]
-                edges.append(edge_key(b, p))
-                b = p
-        result = frozenset(edges)
-        self._path_cache[key] = result
-        return result
+        P = self._root_paths[0]
+        return self._edges_of(P[i] ^ P[j])
 
-    def _depths(self) -> dict[int, int]:
-        d = getattr(self, "_depth_cache", None)
-        if d is None:
-            d = {self._dfs_order[0]: 0}
-            for v in self._dfs_order[1:]:
-                d[v] = d[self._parent[v]] + 1
-            self._depth_cache = d
-        return d
+    @cached_property
+    def _root_paths(self) -> tuple[dict[int, int], list[Edge], list[int], int]:
+        """Each vertex's root-path mask, and each bit's edge and weight as an
+        int over den, the lcm of the weight denominators."""
+        den = lcm(*(w.denominator for w in self._weights.values()))
+        masks = {self._dfs_order[0]: 0}
+        edges, weights = [], []
+        for b, v in enumerate(self._dfs_order[1:]):
+            e = edge_key(v, self._parent[v])
+            w = self._weights[e]
+            edges.append(e)
+            weights.append(w.numerator * (den // w.denominator))
+            masks[v] = masks[self._parent[v]] | 1 << b
+        return masks, edges, weights, den
+
+    def _edges_of(self, mask: int) -> frozenset[Edge]:
+        edge = self._root_paths[1]
+        return frozenset(edge[b] for b in _bits(mask))
+
+    def _weight_of(self, mask: int) -> Fraction:
+        _, _, weight, den = self._root_paths
+        return Fraction(sum(weight[b] for b in _bits(mask)), den)
+
+    def _spanned_mask(self, xs: tuple[int, ...]) -> int:
+        P = self._root_paths[0]
+        return reduce(or_, (P[x] ^ P[xs[0]] for x in xs), 0)
+
+    def _odd_mask(self, xs: tuple[int, ...]) -> int:
+        P = self._root_paths[0]
+        return 0 if len(xs) % 2 else reduce(xor, (P[x] for x in xs), 0)
 
     # -- spanned subtrees ------------------------------------------------------
 
     def spanned_subtree(self, X: Iterable[int]) -> tuple[frozenset[int], frozenset[Edge]]:
         """(vertices, edges) of the smallest subtree containing X."""
         xs = self.check_subset(X)
-        if not xs:
-            return frozenset(), frozenset()
-        x0 = xs[0]
-        edges: set[Edge] = set()
-        for x in xs[1:]:
-            edges |= self.path_edges(x0, x)
-        verts = set(xs)
-        for u, v in edges:
-            verts.add(u)
-            verts.add(v)
-        return frozenset(verts), frozenset(edges)
+        edges = self._edges_of(self._spanned_mask(xs))
+        return frozenset(xs).union(*edges), edges
 
     def spanned_weight(self, X: Iterable[int]) -> Fraction:
         """Total weight of the smallest subtree containing X."""
-        _, edges = self.spanned_subtree(X)
-        return sum((self._weights[e] for e in edges), Fraction(0))
+        return self._weight_of(self._spanned_mask(self.check_subset(X)))
 
     def odd_edges(self, X: Iterable[int]) -> frozenset[Edge]:
         """Edges whose removal splits X into two odd halves.
 
+        An edge lies on P_x exactly when x is on its far side from the root,
+        so the XOR of the P_x marks the edges with an odd part of X there.
         Empty whenever |X| is odd (the halves sum to |X|), and in particular
         for |X| <= 1.
         """
-        xs = set(self.check_subset(X))
-        k = len(xs)
-        count = {v: (1 if v in xs else 0) for v in self._verts}
-        for v in reversed(self._dfs_order[1:]):
-            count[self._parent[v]] += count[v]
-        out = []
-        for v in self._dfs_order[1:]:
-            below = count[v]
-            if below % 2 == 1 and (k - below) % 2 == 1:
-                out.append(edge_key(v, self._parent[v]))
-        return frozenset(out)
+        return self._edges_of(self._odd_mask(self.check_subset(X)))
+
+    def odd_weight(self, X: Iterable[int]) -> Fraction:
+        """Total weight of the edges splitting X oddly."""
+        return self._weight_of(self._odd_mask(self.check_subset(X)))
 
     # -- orderings ---------------------------------------------------------------
 
@@ -229,13 +232,12 @@ class Tree:
         """Whether the cyclic tour x1 -> x2 -> ... -> x1 uses no edge more
         than twice; also returns the per-edge traversal counts."""
         xs = self.check_subset(X)
-        counts: dict[Edge, int] = {}
-        k = len(xs)
-        if k >= 2:
-            for a in range(k):
-                for e in self.path_edges(xs[a], xs[(a + 1) % k]):
-                    counts[e] = counts.get(e, 0) + 1
-        return all(c <= 2 for c in counts.values()), counts
+        P, edge, _, _ = self._root_paths
+        counts: dict[int, int] = {}  # bit -> steps of the tour over its edge
+        for a in range(len(xs)):
+            for b in _bits(P[xs[a]] ^ P[xs[(a + 1) % len(xs)]]):
+                counts[b] = counts.get(b, 0) + 1
+        return all(c <= 2 for c in counts.values()), {edge[b]: c for b, c in counts.items()}
 
     def nice_order(self, X: Iterable[int]) -> tuple[int, ...]:
         """X reordered by first visit of a depth-first walk.

@@ -274,16 +274,17 @@ BAD_OPTION_VALUES = [
     ("minor-verify --trees 1 --n 16 --seed 56 --weights rational",
      "more than 8192 subsets per tree on rational weights at --n 16"),
     ("minor-verify --n 14", "more than 8192 subsets per tree on rational weights at --n 14"),
-    # 39^3 + 6 C(39, 2) 2! = 68,211 series products
+    # 39^3 + 6 C(39, 2) 2! + 2 x 39 x 72/2 = 71,019 series products, and
+    # 39 x 71,019 x 20^2 > 10^9 (20 of its 37 exponent slots)
     ("represent-rooted --n 40 --root 40 --ground " + ",".join(map(str, range(1, 40))),
-     "represent-rooted would make about 68211 series products, more than 65536"),
+     "represent-rooted would cost more than 1000000000 coefficient products at the "
+     "default window 72: 39 ground elements, about 71019 series products"),
     ("represent-rooted --n 30 --root 30 --ground 1,2,3 --k 2 --max-reseeds 100000",
-     "represent-rooted would make about 600033 series products"),
+     "about 600141 series products"),
     ("represent-rooted --n 8 --weights rational --root 1 --window 1024/3",
-     "--window 1024/3 spans 4096 exponent slots (window x exponent denominator 12), "
-     "more than 2048"),
+     "at --window 1024/3: 4 ground elements, about 440 series products"),
     ("represent-rooted --n 16 --weights rational --root 2",
-     "the default window 640/3 spans 2560 exponent slots"),
+     "at the default window 640/3: 6 ground elements"),
 ]
 
 
@@ -325,9 +326,13 @@ def test_unit_minor_sweep_sizes_at_the_bound_are_accepted(argv):
 @pytest.mark.parametrize(
     "argv",
     [
-        # 38^3 + 6 C(38, 2) 2! = 63,308 series products
-        "represent-rooted --n 39 --root 39 --ground " + ",".join(map(str, range(1, 39))),
-        # 512/3 x exponent denominator 12 = 2,048 exponent slots
+        # 38 ground elements at their largest accepted window: 38^3 + 6 C(38, 2)
+        # 2! + 2 x 38 x 39/2 = 64,828 series products and 20 exponent slots
+        "represent-rooted --n 39 --root 39 --ground "
+        + ",".join(map(str, range(1, 39)))
+        + " --window 39",
+        # 512/3 x exponent denominator 12 = 2,048 exponent slots of the old
+        # bound; 561 sums of the entry gaps
         "represent-rooted --n 8 --weights rational --root 1 --window 512/3",
     ],
 )
@@ -340,6 +345,35 @@ def test_represent_rooted_sizes_at_the_bound_are_accepted(capsys, monkeypatch, a
     code, out, err = invoke(capsys, *argv.split())
     assert code == 1
     assert err == "verification failed: factorisation reached\n"
+
+
+def _caterpillar(path, leaves):
+    """spine 1-2-3-4 with leaves 5, 6, ... hung on it in turn"""
+    lines = [str(leaves + 4), "1 2", "2 3", "3 4"]
+    lines += [f"{(v - 5) % 4 + 1} {v}" for v in range(5, leaves + 5)]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "window, code",
+    [(None, 1), ("39", 1), ("40", 2), ("2048", 2)],
+)
+def test_represent_rooted_bound_on_38_leaves(capsys, monkeypatch, tmp_path, window, code):
+    # the default window is 32; 39 is the largest accepted, and one bound
+    # over products and slots also stops the two together (2,048 slots)
+    def reached(*args, **kwargs):
+        raise ArithmeticError("factorisation reached")
+
+    monkeypatch.setattr(cli, "verify_rooted_representation", reached)
+    argv = ["represent-rooted", "--tree", _caterpillar(tmp_path / "c.tree", 38), "--root", "1"]
+    out_code, out, err = invoke(capsys, *argv, *(["--window", window] if window else []))
+    assert out_code == code
+    assert out == ""
+    if code == 2:
+        assert err.startswith("error: represent-rooted would cost more than 1000000000")
+    else:
+        assert err == "verification failed: factorisation reached\n"
 
 
 def _failing_sweep(capsys, monkeypatch, name, wrong, sweep):

@@ -4,6 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treeminor.tree import (
     Tree,
@@ -133,11 +134,110 @@ def test_nice_order_is_nicely_ordered_everywhere():
 
 
 def test_subsequences_of_nice_order_stay_nice():
-    T = random_tree(8, seed=3)
-    base = T.nice_order(T.vertices)
-    for mask in range(1 << 8):
-        sub = tuple(base[i] for i in range(8) if mask >> i & 1)
-        assert T.is_nicely_ordered(sub)[0]
+    # pf-verify checks every even subset S in the order omega|S, omega the
+    # nice order of all vertices; this is the fact that makes that sound
+    for seed in range(16):
+        for weights in ("unit", "rational"):
+            T = random_tree(5 + seed % 6, seed=seed, weights=weights)
+            base = T.nice_order(T.vertices)
+            for mask in range(1 << T.n):
+                sub = tuple(base[i] for i in range(T.n) if mask >> i & 1)
+                assert T.is_nicely_ordered(sub)[0]
+
+
+# -- every mask answer against a reference that cuts one edge at a time ------
+
+
+def _cut_sides(T):
+    """adjacency from T.edges(), and for each edge (u, v, w) the vertices a
+    flood fill from u reaches once that edge is deleted"""
+    adj = {v: [] for v in T.vertices}
+    for u, v, _ in T.edges():
+        adj[u].append(v)
+        adj[v].append(u)
+    sides = []
+    for u, v, w in T.edges():
+        side = {u}
+        stack = [u]
+        while stack:
+            x = stack.pop()
+            for y in adj[x]:
+                if y not in side and {x, y} != {u, v}:
+                    side.add(y)
+                    stack.append(y)
+        sides.append(((u, v), w, side))
+    return adj, sides
+
+
+def _bfs_path(adj, a, b):
+    prev = {a: None}
+    queue = [a]
+    for x in queue:
+        for y in adj[x]:
+            if y not in prev:
+                prev[y] = x
+                queue.append(y)
+    edges = set()
+    while b != a:
+        edges.add((min(b, prev[b]), max(b, prev[b])))
+        b = prev[b]
+    return edges
+
+
+@st.composite
+def trees_and_tuples(draw):
+    kind = draw(st.sampled_from(["unit", "rational", "path", "single", "gaps"]))
+    if kind == "path":  # the walk starts at 1, so the masks get deep
+        n = draw(st.integers(60, 200))
+        T = Tree([(v, v + 1, F(v % 5 + 1, v % 3 + 1)) for v in range(1, n)])
+    elif kind == "single":
+        T = Tree([], vertices=[draw(st.integers(0, 9))])
+    else:
+        n = draw(st.integers(2, 14))
+        seed = draw(st.integers(0, 10**6))
+        T = random_tree(n, seed=seed, weights="unit" if kind == "unit" else "rational")
+        if kind == "gaps":  # labels 0, 3, 6, ...
+            T = Tree(
+                [(3 * (u - 1), 3 * (v - 1), w) for u, v, w in T.edges()],
+                vertices=[3 * (v - 1) for v in T.vertices],
+            )
+    order = draw(st.permutations(T.vertices))
+    X = tuple(order[: draw(st.integers(0, T.n))])
+    i = draw(st.sampled_from(T.vertices))
+    j = draw(st.sampled_from(T.vertices))
+    return T, X, i, j
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees_and_tuples())
+def test_mask_answers_match_the_cut_reference(case):
+    T, X, i, j = case
+    adj, sides = _cut_sides(T)
+    k = len(X)
+    path, spanned, odd = set(), {}, {}
+    for e, w, side in sides:
+        if (i in side) != (j in side):
+            path.add(e)
+        c = sum(1 for x in X if x in side)
+        if 0 < c < k:
+            spanned[e] = w
+        if c % 2 and (k - c) % 2:
+            odd[e] = w
+    assert T.path_edges(i, j) == path
+    verts, edges = T.spanned_subtree(X)
+    assert edges == set(spanned)
+    assert verts == set(X).union(*edges)
+    assert T.spanned_weight(X) == sum(spanned.values(), F(0))
+    assert T.odd_edges(X) == set(odd)
+    assert T.odd_weight(X) == sum(odd.values(), F(0))
+    counts = {}
+    if k >= 2:
+        for a in range(k):
+            for e in _bfs_path(adj, X[a], X[(a + 1) % k]):
+                counts[e] = counts.get(e, 0) + 1
+    ok, got = T.is_nicely_ordered(X)
+    assert got == counts
+    assert ok == all(c <= 2 for c in counts.values())
 
 
 def test_random_tree_deterministic_and_valid():

@@ -10,17 +10,9 @@ certificate lists all three values instead (no single-instance subcommand).
 
 Sweeps take --trees >= 1, --n >= 2, --jobs >= 1 and --negatives >= 0;
 --max-x >= 1 (at most the enumeration cap) for cycles-verify, >= 0 for
-minor-verify (0: no cap).  minor-verify and pf-verify check at most
-_MAX_SUBSETS subsets per tree (minor-verify at most _MAX_RATIONAL_SUBSETS
-when --weights is rational or both) and cycles-verify walks at most
-_MAX_SUBSETS cycle partitions per tree (r! for each subset of size r),
-counted from --n and --max-x.  dissimilarity evaluates at most
-_MAX_SUBSETS values and represent-odd checks at most _MAX_SUBSETS even
-subsets (17 vertices), both counted from the tree and --ground;
-pfaffian's oracle expands at most _MAX_SUBSETS sets, counted from --X;
-represent-rooted may cost at most _MAX_ROOTED_COST coefficient products,
-counted from the tree, --ground, --k, --max-reseeds and --window.
-Anything else exits 2 before any work.
+minor-verify (0: no cap).  Every exponential path counts its work from its
+arguments and exits 2 above its bound before any work; each subcommand's
+--help states its bound.
 
 All randomness flows from --seed; sweep workers derive per-tree sub-seeds
 deterministically, so reports are identical across runs and across --jobs
@@ -79,9 +71,7 @@ _SEED_STRIDE = 1_000_003  # tree index -> sub-seed, documented and fixed
 # bounds the cycle partitions of one cycles-verify tree, the values of one
 # dissimilarity map and the even subsets one represent-odd run checks.
 _MAX_SUBSETS = 1 << 16
-# coefficient products one represent-rooted run may cost, by the model in
-# _check_rooted_size; sized from measured runs (see CHANGES.md) so that the
-# accepted corners take at most about 30 s on a 2-vCPU VM
+# the cost one represent-rooted run may have, by _check_rooted_size's model
 _MAX_ROOTED_COST = 10**9
 # subsets one tree of a minor-verify sweep with rational weights may check:
 # the table's polynomials grow with |X| there, and a full 13-vertex sweep
@@ -671,33 +661,42 @@ def cmd_check_matroid(args):
 
 
 def _check_rooted_size(T, args, ground, window) -> None:
-    """represent-rooted's bound before any work, a cost model sized from
-    measured runs.  Series products: |g|^3 for the factor, C(|g|, k) k! per
-    attempt for the blocks, window / gap for each binomial series (a square
-    root and an inverse per column; gap the least exponent gap of an entry
-    of M).  A series holds at most `slots` terms, the sums of entry gaps up
-    to the window, and coefficients grow with |g|: the cost is |g| x
-    products x slots^2.  verify_rooted_representation's own refusals come
-    first."""
+    """represent-rooted's bounds before any work, sized from measured runs.
+    A run makes |g|^3 series products for the factor and, in each of
+    --max-reseeds + 1 attempts, one block determinant per k-subset: at most
+    _MAX_SUBSETS, k! per block.  The cost counts f(k) = k (1 + f(k - 1))
+    products per block (f(1) = 0, the cofactor expansion) weighted by k^2/4,
+    which the runs at k = 3..6 need, and window / gap for each column's
+    square root and inverse (gap: the least exponent gap of an entry of M).
+    A product costs up to slots^2 coefficient products (slots: the sums of
+    entry gaps up to the window, or up to the largest gap, where the exact
+    leading-minor check starts; they overstate sparse series), and
+    coefficients grow with |g|: |g| x products x slots^2 is at most
+    _MAX_ROOTED_COST.  verify_rooted_representation's refusals come first."""
     if args.max_reseeds < 0 or (window is not None and window <= 0):
         return
     g = _rooted_ground(T, args.root, ground)
     if not 1 <= args.k <= len(g):
         return
+    blocks = (args.max_reseeds + 1) * comb(len(g), args.k)
+    products = len(g) ** 3 + blocks * factorial(args.k)
+    if products > _MAX_SUBSETS:
+        raise CliError(
+            f"represent-rooted would make about {products} series products, more "
+            f"than {_MAX_SUBSETS}; pass a smaller --ground, --k or --max-reseeds"
+        )
     M = rooted_matrix(T, args.root, g)
     which = "the default window" if window is None else "--window"
     window = default_window(M) if window is None else window
     entries = [p for row in M.entries for p in row if not p.is_zero()]
     den = lcm(*(e.denominator for p in entries for e, _ in p.terms()))
     gaps = {int((p.leading_term()[0] - p.trailing_term()[0]) * den) for p in entries}
-    top = int(window * den)
-    products = (
-        len(g) ** 3
-        + (args.max_reseeds + 1) * perm(len(g), args.k)
-        + 2 * len(g) * -(-top // min(gaps))
-    )
+    top = max(int(window * den), max(gaps))
+    cofactor = sum(perm(args.k, m) for m in range(1, args.k))  # f(k)
+    roots = 2 * len(g) * -(-top // min(gaps))
+    products = len(g) ** 3 + blocks * cofactor * args.k**2 // 4 + roots
     budget = _MAX_ROOTED_COST // (len(g) * products)  # for slots^2
-    slots = {0}  # the sums of gaps up to the window, counted while in budget
+    slots = {0}  # the sums of gaps up to top, counted while in budget
     todo = [0]
     while todo and len(slots) ** 2 <= budget:
         x = todo.pop()
@@ -971,13 +970,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "represent-rooted",
         help="series representation of the rooted subtree-weight map, verified",
-        description="A run makes about |ground|^3 series products for the "
-        "factor, C(|ground|, k) k! block-determinant products per attempt "
-        "(--max-reseeds + 1 attempts) and window / gap products for each of "
-        "2 |ground| binomial series (gap: the least exponent gap of an entry "
-        "of the matrix); a product costs up to slots^2 coefficient products "
-        "(slots: the sums of entry gaps up to the window). |ground| x series "
-        f"products x slots^2 may be at most {_MAX_ROOTED_COST}; more exits 2.",
+        description=f"A run may make at most {_MAX_SUBSETS} series products "
+        "(about |ground|^3 + (--max-reseeds + 1) C(|ground|, k) k!) and cost "
+        f"at most {_MAX_ROOTED_COST} coefficient products over its window "
+        "(cli._check_rooted_size); more exits 2.",
     )
     _add_tree_source(p)
     p.add_argument("--root", type=int, required=True)

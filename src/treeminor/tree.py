@@ -6,8 +6,9 @@ designated root such as 0 is just another label).  Edge weights are positive
 rationals.  Trees are immutable after construction; distances are cached.
 Paths are not: every path and parity answer reads P_v, the bitmask of the
 edges on v's path to the root (P_i ^ P_j is the i-j path, the XOR of P_x
-over X the odd-splitting edges).  The masks are built on first use and take
-about n^2/16 bytes: bit b is the edge above the b-th vertex of the walk.
+over X the odd-splitting edges).  Bit b is the edge above the (b + 1)-th
+smallest label; each vertex's mask is built on its first use, in O(depth +
+n/8), and takes up to n/8 bytes, so a query reads only the masks it needs.
 """
 
 from __future__ import annotations
@@ -36,11 +37,43 @@ def edge_key(u: int, v: int) -> Edge:
 
 
 def _bits(mask: int):
-    """The indices of the set bits of mask, lowest first."""
+    """The indices of the set bits of mask, lowest first, 64 bits a shift."""
+    base = 0
     while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+        word = mask & 0xFFFFFFFFFFFFFFFF
+        while word:
+            low = word & -word
+            yield base + low.bit_length() - 1
+            word ^= low
+        mask >>= 64
+        base += 64
+
+
+class _RootPaths(dict):
+    """v -> P_v for one tree, built on first use by climbing from v to the
+    nearest vertex whose mask is known (the root's, 0).  Bit b is the edge
+    edge[b] above the (b + 1)-th smallest label, of weight weight[b] / den,
+    den the lcm of the weight denominators."""
+
+    def __init__(self, T: "Tree"):
+        root, *below = T._verts
+        super().__init__({root: 0})
+        self._up = T._parent
+        self._bit = {v: b for b, v in enumerate(below)}
+        self.edge = [edge_key(v, T._parent[v]) for v in below]
+        self.den = lcm(*(w.denominator for w in T._weights.values()))
+        ws = [T._weights[e] for e in self.edge]
+        self.weight = [w.numerator * (self.den // w.denominator) for w in ws]
+
+    def __missing__(self, v: int) -> int:
+        buf = bytearray(len(self._bit) // 8 + 1)
+        x = v
+        while x not in self:
+            b = self._bit[x]
+            buf[b >> 3] |= 1 << (b & 7)
+            x = self._up[x]
+        mask = self[v] = self[x] | int.from_bytes(buf, "little")
+        return mask
 
 
 class Tree:
@@ -89,19 +122,16 @@ class Tree:
         # connectivity (and with the edge count, acyclicity)
         root = verts[0]
         parent: dict[int, int | None] = {root: None}
-        order = [root]
         stack = [root]
         while stack:
             x = stack.pop()
             for y in self._adj[x]:
                 if y not in parent:
                     parent[y] = x
-                    order.append(y)
                     stack.append(y)
         if len(parent) != len(verts):
             raise ValueError("edges do not form a connected tree")
         self._parent = parent
-        self._dfs_order = tuple(order)
         self._dist_cache: dict[int, dict[int, Fraction]] = {}
 
     # -- basic structure ---------------------------------------------------
@@ -162,42 +192,28 @@ class Tree:
 
     def path_edges(self, i: int, j: int) -> frozenset[Edge]:
         """Edges on the unique i-j path (empty when i = j)."""
-        if i == j:
-            self.check_subset([i])
-            return frozenset()
         self.check_subset({i, j})
-        P = self._root_paths[0]
+        P = self._root_paths
         return self._edges_of(P[i] ^ P[j])
 
     @cached_property
-    def _root_paths(self) -> tuple[dict[int, int], list[Edge], list[int], int]:
-        """Each vertex's root-path mask, and each bit's edge and weight as an
-        int over den, the lcm of the weight denominators."""
-        den = lcm(*(w.denominator for w in self._weights.values()))
-        masks = {self._dfs_order[0]: 0}
-        edges, weights = [], []
-        for b, v in enumerate(self._dfs_order[1:]):
-            e = edge_key(v, self._parent[v])
-            w = self._weights[e]
-            edges.append(e)
-            weights.append(w.numerator * (den // w.denominator))
-            masks[v] = masks[self._parent[v]] | 1 << b
-        return masks, edges, weights, den
+    def _root_paths(self) -> _RootPaths:
+        return _RootPaths(self)
 
     def _edges_of(self, mask: int) -> frozenset[Edge]:
-        edge = self._root_paths[1]
+        edge = self._root_paths.edge
         return frozenset(edge[b] for b in _bits(mask))
 
     def _weight_of(self, mask: int) -> Fraction:
-        _, _, weight, den = self._root_paths
-        return Fraction(sum(weight[b] for b in _bits(mask)), den)
+        P = self._root_paths
+        return Fraction(sum(P.weight[b] for b in _bits(mask)), P.den)
 
     def _spanned_mask(self, xs: tuple[int, ...]) -> int:
-        P = self._root_paths[0]
+        P = self._root_paths
         return reduce(or_, (P[x] ^ P[xs[0]] for x in xs), 0)
 
     def _odd_mask(self, xs: tuple[int, ...]) -> int:
-        P = self._root_paths[0]
+        P = self._root_paths
         return 0 if len(xs) % 2 else reduce(xor, (P[x] for x in xs), 0)
 
     # -- spanned subtrees ------------------------------------------------------
@@ -232,12 +248,12 @@ class Tree:
         """Whether the cyclic tour x1 -> x2 -> ... -> x1 uses no edge more
         than twice; also returns the per-edge traversal counts."""
         xs = self.check_subset(X)
-        P, edge, _, _ = self._root_paths
+        P = self._root_paths
         counts: dict[int, int] = {}  # bit -> steps of the tour over its edge
         for a in range(len(xs)):
             for b in _bits(P[xs[a]] ^ P[xs[(a + 1) % len(xs)]]):
                 counts[b] = counts.get(b, 0) + 1
-        return all(c <= 2 for c in counts.values()), {edge[b]: c for b, c in counts.items()}
+        return all(c <= 2 for c in counts.values()), {P.edge[b]: c for b, c in counts.items()}
 
     def nice_order(self, X: Iterable[int]) -> tuple[int, ...]:
         """X reordered by first visit of a depth-first walk.

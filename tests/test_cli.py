@@ -274,13 +274,16 @@ BAD_OPTION_VALUES = [
     ("minor-verify --trees 1 --n 16 --seed 56 --weights rational",
      "more than 8192 subsets per tree on rational weights at --n 16"),
     ("minor-verify --n 14", "more than 8192 subsets per tree on rational weights at --n 14"),
-    # 39^3 + 6 C(39, 2) 2! + 2 x 39 x 72/2 = 71,019 series products, and
-    # 39 x 71,019 x 20^2 > 10^9 (20 of its 37 exponent slots)
+    # 39^3 + 6 C(39, 2) 2! = 68,211 series products
     ("represent-rooted --n 40 --root 40 --ground " + ",".join(map(str, range(1, 40))),
-     "represent-rooted would cost more than 1000000000 coefficient products at the "
-     "default window 72: 39 ground elements, about 71019 series products"),
+     "represent-rooted would make about 68211 series products, more than 65536"),
     ("represent-rooted --n 30 --root 30 --ground 1,2,3 --k 2 --max-reseeds 100000",
-     "about 600141 series products"),
+     "represent-rooted would make about 600033 series products"),
+    # the leading-minor check eliminates the exact entries (spread 167/2 over
+    # denominator 12) whatever the window: over a minute at 38 ground elements
+    ("represent-rooted --n 39 --weights rational --root 39 --window 1 --ground "
+     + ",".join(map(str, range(1, 39))),
+     "would cost more than 1000000000 coefficient products at --window 1: 38 ground"),
     ("represent-rooted --n 8 --weights rational --root 1 --window 1024/3",
      "at --window 1024/3: 4 ground elements, about 440 series products"),
     ("represent-rooted --n 16 --weights rational --root 2",
@@ -353,6 +356,38 @@ def _caterpillar(path, leaves):
     lines += [f"{(v - 5) % 4 + 1} {v}" for v in range(5, leaves + 5)]
     path.write_text("\n".join(lines) + "\n")
     return str(path)
+
+
+def test_represent_rooted_counts_block_products_at_large_k(capsys, tmp_path):
+    # a star's matrix is diagonal, so its series are short and the slot term
+    # is small; the product count alone refuses 14^3 + C(14, 6) 6! products
+    star = tmp_path / "star.tree"
+    star.write_text("15\n" + "".join(f"1 {v}\n" for v in range(2, 16)))
+    argv = ["represent-rooted", "--tree", str(star), "--root", "1", "--k", "6"]
+    code, out, err = invoke(capsys, *argv, "--max-reseeds", "0")
+    assert (code, out) == (2, "")
+    assert "would make about 2164904 series products, more than 65536" in err
+
+
+@pytest.mark.parametrize(
+    "leaves, k, window, code",
+    [(9, 6, "19", 1), (9, 6, "20", 2), (8, 8, "19", 1), (8, 8, "20", 2)],
+)
+def test_represent_rooted_bound_at_large_k(
+    capsys, monkeypatch, tmp_path, leaves, k, window, code
+):
+    # the cofactor expansion's products, weighted by k^2 / 4, shrink the
+    # window: 9 leaves at k = 6 and 8 at k = 8 (one block) stop at 19
+    def reached(*args, **kwargs):
+        raise ArithmeticError("factorisation reached")
+
+    monkeypatch.setattr(cli, "verify_rooted_representation", reached)
+    tree = _caterpillar(tmp_path / "c.tree", leaves)
+    argv = ["represent-rooted", "--tree", tree, "--root", "1", "--k", str(k)]
+    out_code, out, err = invoke(capsys, *argv, "--max-reseeds", "0", "--window", window)
+    assert (out_code, out) == (code, "")
+    if code == 2:
+        assert err.startswith("error: represent-rooted would cost more than 1000000000")
 
 
 @pytest.mark.parametrize(

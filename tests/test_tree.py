@@ -240,6 +240,15 @@ def test_mask_answers_match_the_cut_reference(case):
     assert ok == all(c <= 2 for c in counts.values())
 
 
+def test_a_query_builds_only_the_masks_it_reads():
+    # a mask takes up to n/8 bytes, so building all n of them would take
+    # about n^2/16; a query builds its own vertices' masks, not their ancestors'
+    T = path_tree(3000)
+    assert len(T.path_edges(1, 3000)) == 2999
+    assert len(T.path_edges(1500, 2500)) == 1000
+    assert len(T._root_paths) == 4  # the root's, 3000's, 1500's and 2500's
+
+
 def test_random_tree_deterministic_and_valid():
     a = random_tree(9, seed=42)
     b = random_tree(9, seed=42)

@@ -669,8 +669,7 @@ def _check_rooted_size(T, args, ground, window) -> None:
     which the runs at k = 3..6 need, and window / gap for each column's
     square root and inverse (gap: the least exponent gap of an entry of M).
     A product costs up to slots^2 coefficient products (slots: the sums of
-    entry gaps up to the window, or up to the largest gap, where the exact
-    leading-minor check starts; they overstate sparse series), and
+    entry gaps up to the window; they overstate sparse series), and
     coefficients grow with |g|: |g| x products x slots^2 is at most
     _MAX_ROOTED_COST.  verify_rooted_representation's refusals come first."""
     if args.max_reseeds < 0 or (window is not None and window <= 0):
@@ -691,7 +690,7 @@ def _check_rooted_size(T, args, ground, window) -> None:
     entries = [p for row in M.entries for p in row if not p.is_zero()]
     den = lcm(*(e.denominator for p in entries for e, _ in p.terms()))
     gaps = {int((p.leading_term()[0] - p.trailing_term()[0]) * den) for p in entries}
-    top = max(int(window * den), max(gaps))
+    top = int(window * den)
     cofactor = sum(perm(args.k, m) for m in range(1, args.k))  # f(k)
     roots = 2 * len(g) * -(-top // min(gaps))
     products = len(g) ** 3 + blocks * cofactor * args.k**2 // 4 + roots
@@ -971,9 +970,8 @@ def build_parser() -> argparse.ArgumentParser:
         "represent-rooted",
         help="series representation of the rooted subtree-weight map, verified",
         description=f"A run may make at most {_MAX_SUBSETS} series products "
-        "(about |ground|^3 + (--max-reseeds + 1) C(|ground|, k) k!) and cost "
-        f"at most {_MAX_ROOTED_COST} coefficient products over its window "
-        "(cli._check_rooted_size); more exits 2.",
+        f"and cost at most {_MAX_ROOTED_COST} coefficient products over its "
+        "window (the model: cli._check_rooted_size); more exits 2.",
     )
     _add_tree_source(p)
     p.add_argument("--root", type=int, required=True)

@@ -31,7 +31,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .metric import MINUS_INF
 from .pfaffian import build_skew_matrix, pf_table
-from .poly import ExactPoly, PolyMatrix, _integer_rows, _pivots, det, pfaffian
+from .poly import ExactPoly, PolyMatrix, det, pfaffian
 from .tree import Tree
 from .tropic import PrecisionError, PuiseuxTrunc, cholesky, series_det
 
@@ -344,21 +344,6 @@ def rooted_matrix(T: Tree, root: int, ground: Sequence[int]) -> PolyMatrix:
     return PolyMatrix(rows)
 
 
-def check_alternating_leading_minors(M: PolyMatrix) -> int | None:
-    """Verify sign(top coefficient of det M[1..j]) = (-1)^j for every j.
-
-    That alternation certifies the matrix is negative definite once t is
-    large.  Returns the first failing size, or None.  The pivots of one
-    fraction-free elimination of M (poly._pivots) are these minors times
-    positive integers and powers of t: one O(n^3) pass of polynomial
-    products.
-    """
-    for j, d in enumerate(_pivots(_integer_rows(M)[0]), start=1):
-        if not d or (d[max(d)] > 0) != (j % 2 == 0):
-            return j
-    return None
-
-
 def exponent_spread(M: PolyMatrix) -> Fraction:
     """Largest top-minus-bottom exponent gap over the nonzero entries."""
     best = Fraction(0)
@@ -456,13 +441,10 @@ def _mixed_rows(
 
 def _rooted_core(T: Tree, root: int, g: tuple[int, ...], window):
     M = rooted_matrix(T, root, g)
-    bad = check_alternating_leading_minors(M)
-    if bad is not None:
-        raise ArithmeticError(
-            f"the root-reduced matrix is not negative definite for large t "
-            f"(leading minor {bad} has the wrong sign)"
-        )
     w = default_window(M) if window is None else Fraction(window)
+    # pivot j of -M is det(-M[1..j]) / det(-M[1..j-1]) and every sign the
+    # series decide is exact, so the factor itself certifies that -M is
+    # positive definite for large t; a pivot of the wrong sign raises
     try:
         L = cholesky([[-e for e in row] for row in M.entries], window=w)
     except PrecisionError as exc:

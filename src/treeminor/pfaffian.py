@@ -49,10 +49,10 @@ def pf_formula(T: Tree, X: Sequence[int]) -> ExactPoly:
     Requires |X| even and X nicely ordered; otherwise the closed form does
     not apply and an error is raised.
     """
-    xs = T.check_subset(X)
+    xs = tuple(X)
+    ok, counts = T.is_nicely_ordered(xs)  # checks X as a subset first
     if len(xs) % 2:
         raise ValueError("Pfaffian needs an even number of vertices")
-    ok, counts = T.is_nicely_ordered(xs)
     if not ok:
         raise NotNicelyOrderedError(*min((e, c) for e, c in counts.items() if c > 2))
     return ExactPoly.t_power(T.odd_weight(xs))

@@ -404,20 +404,36 @@ class PolyMatrix:
 
 def det(m: PolyMatrix) -> ExactPoly:
     """Determinant by fraction-free (Bareiss) elimination with exact
-    division: the last of `_pivots`, over the scale of `_integer_rows`."""
+    division, on the integer kernel over the scale of `_integer_rows`.  At
+    a zero pivot a lower row that is nonzero in its column is exchanged up,
+    negated so that the determinant is kept; when there is none det m = 0."""
     a, den, scale, shift = _integer_rows(m)
-    pivot = {0: 1}
-    for pivot in _pivots(a):
-        pass
-    return ExactPoly._make(den, scale, {k + shift: c for k, c in pivot.items()})
+    n = len(a)
+    prev = {0: 1}
+    for k in range(n - 1):
+        if not a[k][k]:
+            r = next((r for r in range(k + 1, n) if a[r][k]), None)
+            if r is None:
+                return _ZERO
+            a[k], a[r] = [{e: -c for e, c in p.items()} for p in a[r]], a[k]
+        row_k = a[k]
+        pivot = row_k[k]
+        for i in range(k + 1, n):
+            row_i = a[i]
+            neg_ik = {e: -c for e, c in row_i[k].items()}
+            for j in range(k + 1, n):
+                num = _zadd(_zmul(pivot, row_i[j]), _zmul(neg_ik, row_k[j]))
+                row_i[j] = _zdiv(num, prev)
+        prev = pivot
+    last = a[-1][-1] if a else {0: 1}
+    return ExactPoly._make(den, scale, {k + shift: c for k, c in last.items()})
 
 
 def _integer_rows(m: PolyMatrix) -> tuple[list[list[dict[int, int]]], int, int, int]:
     """(a, den, scale, shift) with det m = det a * t^(shift/den) / scale:
     each row times the lcm of its entries' coefficient denominators and t
     to minus its lowest exponent, so every entry, and every Bareiss
-    intermediate (a minor), lies in Z[t^(1/den)].  Each leading minor of a
-    is m's times a positive integer and a power of t."""
+    intermediate (a minor), lies in Z[t^(1/den)]."""
     den = math.lcm(*(p._den for row in m.entries for p in row))
     a = []
     scale = 1
@@ -429,34 +445,6 @@ def _integer_rows(m: PolyMatrix) -> tuple[list[list[dict[int, int]]], int, int, 
         scale *= mult
         shift += low
     return a, den, scale, shift
-
-
-def _pivots(a: list[list[dict[int, int]]]) -> Iterator[dict[int, int]]:
-    """The pivots of a fraction-free (Bareiss) elimination of a square
-    matrix of integer maps, on the integer kernel and in place, one per
-    row.  Up to the first zero pivot they are a's leading principal minors
-    (Sylvester's identity).  At a zero pivot a lower row that is nonzero
-    in its column is exchanged up, negated so that the determinant is
-    kept; when there is none the elimination stops.  The last pivot is
-    det a."""
-    n = len(a)
-    prev = {0: 1}
-    for k in range(n):
-        yield a[k][k]
-        if not a[k][k]:
-            r = next((r for r in range(k + 1, n) if a[r][k]), None)
-            if r is None:
-                return
-            a[k], a[r] = [{e: -c for e, c in p.items()} for p in a[r]], a[k]
-        row_k = a[k]
-        pivot = row_k[k]
-        for i in range(k + 1, n):
-            row_i = a[i]
-            neg_ik = {e: -c for e, c in row_i[k].items()}
-            for j in range(k + 1, n):
-                num = _zadd(_zmul(pivot, row_i[j]), _zmul(neg_ik, row_k[j]))
-                row_i[j] = _zdiv(num, prev)
-        prev = pivot
 
 
 def _principal_minors(

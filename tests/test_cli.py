@@ -279,11 +279,11 @@ BAD_OPTION_VALUES = [
      "represent-rooted would make about 68211 series products, more than 65536"),
     ("represent-rooted --n 30 --root 30 --ground 1,2,3 --k 2 --max-reseeds 100000",
      "represent-rooted would make about 600033 series products"),
-    # the leading-minor check eliminates the exact entries (spread 167/2 over
-    # denominator 12) whatever the window: over a minute at 38 ground elements
-    ("represent-rooted --n 39 --weights rational --root 39 --window 1 --ground "
+    # 38 rational ground elements pass up to --window 331/12 (exponent
+    # denominator 12); 28 is the first integer window above it
+    ("represent-rooted --n 39 --weights rational --root 39 --window 28 --ground "
      + ",".join(map(str, range(1, 39))),
-     "would cost more than 1000000000 coefficient products at --window 1: 38 ground"),
+     "would cost more than 1000000000 coefficient products at --window 28: 38 ground"),
     ("represent-rooted --n 8 --weights rational --root 1 --window 1024/3",
      "at --window 1024/3: 4 ground elements, about 440 series products"),
     ("represent-rooted --n 16 --weights rational --root 2",
@@ -334,6 +334,10 @@ def test_unit_minor_sweep_sizes_at_the_bound_are_accepted(argv):
         "represent-rooted --n 39 --root 39 --ground "
         + ",".join(map(str, range(1, 39)))
         + " --window 39",
+        # the same ground on rational weights at its largest accepted window
+        "represent-rooted --n 39 --weights rational --root 39 --ground "
+        + ",".join(map(str, range(1, 39)))
+        + " --window 331/12",
         # 512/3 x exponent denominator 12 = 2,048 exponent slots of the old
         # bound; 561 sums of the entry gaps
         "represent-rooted --n 8 --weights rational --root 1 --window 512/3",
@@ -348,6 +352,16 @@ def test_represent_rooted_sizes_at_the_bound_are_accepted(capsys, monkeypatch, a
     code, out, err = invoke(capsys, *argv.split())
     assert code == 1
     assert err == "verification failed: factorisation reached\n"
+
+
+def test_represent_rooted_small_window_on_rational_ground(capsys):
+    # the factorisation is cheap at --window 1 and reports the precision it
+    # lacks, so 38 rational ground elements are no usage error there
+    ground = ",".join(map(str, range(1, 39)))
+    argv = "represent-rooted --n 39 --weights rational --root 39 --window 1 --ground "
+    code, out, err = invoke(capsys, *(argv + ground).split())
+    assert (code, out) == (1, "")
+    assert "raise the window" in err
 
 
 def _caterpillar(path, leaves):

@@ -26,7 +26,6 @@ from treeminor.matroid import (
     ExchangeViolation,
     OddRepresentation,
     ValuatedFn,
-    check_alternating_leading_minors,
     check_delta_matroid,
     check_valuated_matroid,
     default_window,
@@ -43,6 +42,7 @@ from treeminor.minors import minor_oracle
 from treeminor.pfaffian import build_skew_matrix
 from treeminor.poly import ExactPoly, PolyMatrix, det, pfaffian
 from treeminor.tree import Tree, random_tree
+from treeminor.tropic import cholesky
 
 F = Fraction
 
@@ -344,21 +344,30 @@ def test_rooted_matrix_entries():
     assert M[0, 1].is_zero()
 
 
-def test_alternating_leading_minors():
-    T = quartet_tree()
-    M = rooted_matrix(T, 5, (1, 2, 3, 4))
-    assert check_alternating_leading_minors(M) is None
-    flat = PolyMatrix([[ExactPoly.one()]])
-    assert check_alternating_leading_minors(flat) == 1
-
-
 def _first_bad_leading_minor(M):
-    """The alternation check by one det per leading block."""
+    """The paper's alternation, sign(top coefficient of det M[1..j]) =
+    (-1)^j, by one det per leading block: the first failing size, or None."""
     for j in range(1, M.n + 1):
         d = det(M.principal_submatrix(range(j)))
         if d.is_zero() or (d.leading_term()[1] > 0) != (j % 2 == 0):
             return j
     return None
+
+
+def _factor_negated(M):
+    """cholesky(-M) at the window represent-rooted defaults to."""
+    return cholesky([[-e for e in row] for row in M.entries], window=default_window(M))
+
+
+def test_alternating_leading_minors():
+    T = quartet_tree()
+    M = rooted_matrix(T, 5, (1, 2, 3, 4))
+    assert _first_bad_leading_minor(M) is None
+    assert len(_factor_negated(M)) == 4
+    flat = PolyMatrix([[ExactPoly.one()]])
+    assert _first_bad_leading_minor(flat) == 1
+    with pytest.raises(ArithmeticError, match="pivot 0 is negative"):
+        _factor_negated(flat)
 
 
 def _congruent(diagonal, seed):
@@ -382,12 +391,15 @@ def _congruent(diagonal, seed):
 
 
 def test_alternating_leading_minors_names_the_first_failing_size():
+    # the Cholesky pivots of -M are the certificate: they fail exactly when
+    # the reference finds a bad size, and a wrong sign names its pivot
     tp = ExactPoly.t_power
     n = 5
     for seed in range(3):
         good = [tp(F(i, 2), -1 - i) for i in range(n)]  # negative pivots
         M = PolyMatrix(_congruent(good, seed))
-        assert check_alternating_leading_minors(M) is None is _first_bad_leading_minor(M)
+        assert _first_bad_leading_minor(M) is None
+        assert len(_factor_negated(M)) == n
         for j in (2, 3, 4):
             zero_minor = good[: j - 1] + [ExactPoly.zero()] + good[j:]
             wrong_sign = good[: j - 1] + [-good[j - 1]] + good[j:]
@@ -395,17 +407,29 @@ def test_alternating_leading_minors_names_the_first_failing_size():
             zero_row[j - 1] = [ExactPoly.zero()] * n
             for row in zero_row:
                 row[j - 1] = ExactPoly.zero()
-            for rows in (_congruent(zero_minor, seed), _congruent(wrong_sign, seed), zero_row):
+            for rows in (_congruent(zero_minor, seed), zero_row):
                 M = PolyMatrix(rows)
-                assert check_alternating_leading_minors(M) == j == _first_bad_leading_minor(M)
+                assert _first_bad_leading_minor(M) == j
+                with pytest.raises(ArithmeticError):
+                    _factor_negated(M)
+            M = PolyMatrix(_congruent(wrong_sign, seed))
+            assert _first_bad_leading_minor(M) == j
+            with pytest.raises(ArithmeticError, match=f"pivot {j - 1} is negative"):
+                _factor_negated(M)
 
 
 def test_rooted_matrices_pass_the_alternation_check():
+    # the paper's definiteness lemma, on grounds with interior vertices too
     for seed in range(6):
         T = random_tree(9, seed=seed, weights="rational" if seed % 2 else "unit")
-        root = T.leaves()[0]
-        M = rooted_matrix(T, root, [v for v in T.leaves() if v != root])
-        assert check_alternating_leading_minors(M) is None is _first_bad_leading_minor(M)
+        rng = random.Random(seed)
+        root = rng.choice(T.vertices)
+        rest = [v for v in T.vertices if v != root]
+        for ground in (rest, sorted(rng.sample(rest, 5))):
+            M = rooted_matrix(T, root, ground)
+            assert _first_bad_leading_minor(M) is None
+            assert len(_factor_negated(M)) == len(ground)
+        assert any(T.degree(v) > 1 for v in rest)
 
 
 def test_exponent_spread_and_default_window():

@@ -60,8 +60,15 @@ from .metric import (
     spectral_signature,
     split_potentials,
 )
-from .minors import minor_formula, minor_leading, minor_oracle, minor_table, signature
-from .pfaffian import NotNicelyOrderedError, pf_formula, pf_oracle, pf_table
+from .minors import (
+    minor_formula,
+    minor_formula_table,
+    minor_leading,
+    minor_oracle,
+    minor_table,
+    signature,
+)
+from .pfaffian import NotNicelyOrderedError, pf_formula, pf_formula_table, pf_oracle, pf_table
 from .poly import ExactPoly
 from .tree import Tree, format_tree, random_tree, read_tree_file
 
@@ -324,8 +331,9 @@ def cmd_pfaffian(args):
 # verification sweeps: one worker and one handler serve minor-verify,
 # pf-verify and cycles-verify.  A sweep is a per-tree builder
 # T -> (subset walk, check X -> (ok, values)) and, for pf-verify, a pass over
-# negative orders.  minor-verify and pf-verify read their oracle values off one table
-# per tree; a subset that fails against it is decided again by the check its
+# negative orders.  Each sweep reads its formula values off one table per
+# tree, and minor-verify and pf-verify their oracle values off another; a
+# subset that fails against them is decided again by the check its
 # certificate replays with (`minor`, `pfaffian`).
 
 
@@ -354,13 +362,18 @@ def _cycles_check(T, X):
     return ok, {"all_cycles": full, "tight_cycles": tight, "formula": formula}
 
 
-def _redecide(check, T, X, table_value):
-    """X failed against the table: decide it with the single-instance check,
-    whose values the certificate carries.  If that check passes, the table
-    is at fault, and the certificate carries its value too."""
+def _redecide(check, T, X, **entries):
+    """X failed against the tables: decide it with the single-instance check,
+    whose values the certificate carries.  entries maps a certificate field
+    (`table` for the oracle table, `formula_table`) to the table's entry and
+    the name of the check's value it stands for.  If the check passes, a
+    table is at fault, and the certificate carries each entry that differs
+    from the check's value under its field."""
     ok, values = check(T, X)
     if ok:
-        values["table"] = table_value
+        for field, (entry, name) in entries.items():
+            if entry != values[name]:
+                values[field] = entry
     return False, values
 
 
@@ -371,35 +384,62 @@ def _subsets(T, max_x):
 
 
 def _minor_sweep(T, max_x):
+    """Formula against oracle and leading term on every subset up to max_x.
+    Both values come from tables: minor_formula_table, one post-order pass
+    over T that carries X in its state (a branch holding no member of X
+    passes (1, 0), so the sum may run over all of E(T)), and minor_table.
+    minor_leading stays per subset, the third path to the top term."""
     table = minor_table(T, max_x)
+    formula = minor_formula_table(T, max_x)
 
     def check(X):
         oracle = table[X]
-        if minor_formula(T, X) == oracle and minor_leading(T, X) == oracle.leading_term():
+        if formula[X] == oracle and minor_leading(T, X) == oracle.leading_term():
             return True, None
-        return _redecide(_minor_check, T, X, oracle)
+        return _redecide(
+            _minor_check, T, X, table=(oracle, "oracle"), formula_table=(formula[X], "formula")
+        )
 
     return _subsets(T, max_x), check
 
 
 def _pf_sweep(T, _max_x):
+    """The Pfaffian monomial against the Pfaffian on every nonempty even
+    subset S, listed as omega|S: the members of S in the order of omega, a
+    nice order of all vertices (a depth-first order), whose restrictions
+    are nicely ordered too.  pf_formula_table decides each key's niceness
+    again, by the hop count: the cyclic tour is nice iff the sum of
+    popcount(P_a ^ P_b) over its steps is twice the spanned edge count; a
+    key it finds not nice fails like a wrong value."""
     omega = T.nice_order(T.vertices)
     table = pf_table(T, omega)
+    formula = pf_formula_table(T, omega)
 
     def check(X):
         oracle = table[X]
-        if pf_formula(T, X) == oracle:
+        if formula[X] == oracle:
             return True, None
-        return _redecide(_pf_check, T, X, oracle)
+        entry = "not nicely ordered" if formula[X] is None else formula[X]
+        return _redecide(
+            _pf_check, T, X, table=(oracle, "oracle"), formula_table=(entry, "pfaffian")
+        )
 
-    # pf_table lists every even subset S once, as omega|S: the members of S
-    # in the order of omega.  A restriction of a nice order of all vertices
-    # (a depth-first order) is nicely ordered too.
     return (X for X in table if X), check
 
 
 def _cycles_sweep(T, max_x):
-    return _subsets(T, max_x), lambda X: _cycles_check(T, X)
+    """Both cycle-partition sums against the formula on every subset up to
+    max_x; the formula values come from minor_formula_table, as in
+    minor-verify (a branch without a member of X passes (1, 0))."""
+    formula = minor_formula_table(T, max_x)
+
+    def check(X):
+        full, tight = cycle_sums(T, X)
+        if full == tight == formula[X]:
+            return True, None
+        return _redecide(_cycles_check, T, X, formula_table=(formula[X], "formula"))
+
+    return _subsets(T, max_x), check
 
 
 # subcommand -> per-tree builder of (subset walk, check)

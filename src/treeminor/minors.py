@@ -4,10 +4,12 @@ The central objects are spanned forests: subforests of the subtree spanned
 by a vertex set X whose leaves all lie in X (isolated vertices of X are
 allowed and count as their own components).  Summing a sign and a degree
 product over them gives every principal minor of (t^{d_ij}) exactly.
-minor_formula evaluates that sum by a DP over the spanned subtree; the
-determinant computed from the matrix itself serves as the independent
-oracle, and the exponential forest enumerator as a small-n one.
-minor_table gives every principal minor up to a size in one walk.
+minor_formula evaluates that sum by a DP over the spanned subtree, and
+minor_formula_table runs the same DP once over the whole tree for every
+vertex set up to a size; the determinant computed from the matrix itself
+serves as the independent oracle, and the exponential forest enumerator as
+a small-n one.  minor_table gives every principal minor up to a size in
+one walk.
 """
 
 from __future__ import annotations
@@ -99,6 +101,34 @@ def forest_degree_product(T_or_forest_edges, X: frozenset[int]) -> int:
     return prod
 
 
+# One child-merge step of the minor DP (see minor_formula): a vertex keeps
+# A, the sum over the edge choices of its merged child subtrees, and B, the
+# same sum weighted by the number of chosen child edges; (out, in) is what
+# it passes across its parent edge.
+
+
+def _edge_terms(out_c: dict, in_c: dict, shift: int) -> tuple[dict, dict]:
+    """(s, x in) for a child edge of weight shift / (2 den): x = -t^{2w},
+    s = out + x in."""
+    x_in = {k + shift: -val for k, val in in_c.items()}
+    return _zadd(out_c, x_in), x_in
+
+
+def _absorb(a: dict, b: dict, s: dict, x_in: dict, in_x) -> tuple[dict, dict]:
+    """B <- B s + A x in, A <- A s; B is not kept for a vertex of X."""
+    if not in_x:
+        b = _zadd(_zmul(b, s), _zmul(a, x_in))
+    return _zmul(a, s), b
+
+
+def _close(a: dict, b: dict, in_x) -> tuple[dict, dict]:
+    """(out, in): (A, A) for a vertex of X, else (A - B, -B)."""
+    if in_x:
+        return a, a
+    neg_b = {k: -val for k, val in b.items()}
+    return _zadd(a, neg_b), neg_b
+
+
 def minor_formula(T: Tree, X: Iterable[int]) -> ExactPoly:
     """det of (t^{d_ij}) over X as a signed sum over spanned forests:
     each forest F contributes (-1)^{|X| + c(F)} t^{2 w(F)} times the product
@@ -145,18 +175,59 @@ def minor_formula(T: Tree, X: Iterable[int]) -> ExactPoly:
             if c == parent[v]:
                 continue
             out_c, in_c = up.pop(c)
-            shift = int(2 * T.weight((v, c)) * den)
-            x_in = {k + shift: -val for k, val in in_c.items()}  # -t^{2w} * in
-            s = _zadd(out_c, x_in)
-            if v not in in_x:
-                b = _zadd(_zmul(b, s), _zmul(a, x_in))
-            a = _zmul(a, s)
-        if v in in_x:
-            up[v] = (a, a)
-        else:
-            neg_b = {k: -val for k, val in b.items()}
-            up[v] = (_zadd(a, neg_b), neg_b)
+            s, x_in = _edge_terms(out_c, in_c, int(2 * T.weight((v, c)) * den))
+            a, b = _absorb(a, b, s, x_in, v in in_x)
+        up[v] = _close(a, b, v in in_x)
     return ExactPoly._make(den, 1, up[root][0])
+
+
+def minor_formula_table(T: Tree, max_size: int) -> dict[tuple[int, ...], ExactPoly]:
+    """minor_formula over every set of 1..max_size vertices, in one pass.
+
+    Keys are minor_table's: the sets as sorted tuples, in combinations
+    order.  The DP of minor_formula runs once over the whole tree, rooted
+    at its rooted walk's root, with X as part of each vertex's state: a
+    vertex keeps a map from the X-mask inside its subtree (bit i: the
+    (i + 1)-th smallest label) to its (A, B), and passes the map of
+    (out, in) up.  Merging a child pairs each mask with each child mask;
+    the subtrees are disjoint, so every union arises once, and unions above
+    max_size are dropped.  Summing over all of E(T) instead of E_X changes
+    nothing: a branch holding no member of X passes (1, 0) (induction from
+    its leaves: (A, B) = (1, 0) closes to (1, 0), and a (1, 0) child has
+    s = 1, x in = 0, which leaves A and B as they are).  So the child mask
+    0 is skipped, and a root outside the spanned subtree passes on the
+    value of the branch below it unchanged.
+    """
+    verts = T.vertices
+    bit = {v: 1 << i for i, v in enumerate(verts)}
+    den = lcm(*((2 * w).denominator for _, _, w in T.edges()))
+    parent = T._parent
+    up: dict[int, dict[int, tuple[dict, dict]]] = {}
+    for v in reversed(parent):  # the walk lists each vertex after its parent
+        vb = bit[v]
+        state = {0: ({0: 1}, {}), vb: ({0: 1}, {})}
+        for c in T._adj[v]:
+            if c == parent[v]:
+                continue
+            shift = int(2 * T.weight((v, c)) * den)
+            merged = dict(state)  # child mask 0
+            for cm, (out_c, in_c) in up.pop(c).items():
+                if not cm:
+                    continue
+                s, x_in = _edge_terms(out_c, in_c, shift)
+                room = max_size - cm.bit_count()
+                for pm, (a, b) in state.items():
+                    if pm.bit_count() <= room:
+                        merged[pm | cm] = _absorb(a, b, s, x_in, pm & vb)
+            state = merged
+        up[v] = {m: _close(a, b, m & vb) for m, (a, b) in state.items()}
+    (root_out,) = up.values()
+    table = {}
+    for r in range(1, min(max_size, len(verts)) + 1):
+        for key in itertools.combinations(verts, r):
+            out, _ = root_out[sum(bit[x] for x in key)]
+            table[key] = ExactPoly._make(den, 1, out)
+    return table
 
 
 def minor_leading(T: Tree, X: Iterable[int]) -> tuple[Fraction, Fraction]:

@@ -6,7 +6,8 @@ For an even tuple X that is nicely ordered (the cyclic tour x1 -> x2 -> ...
 monomial t^{w(O_X)}, where O_X is the set of edges splitting X oddly.  The
 generic expansion of the skew matrix is kept as the oracle; it is also what
 exposes non-nicely-ordered tuples, whose Pfaffians genuinely differ.
-pf_table gives the Pfaffian of every even sub-tuple of one order at once.
+pf_table gives the Pfaffian of every even sub-tuple of one order at once,
+and pf_formula_table the monomial of each.
 """
 
 from __future__ import annotations
@@ -30,17 +31,29 @@ class NotNicelyOrderedError(ValueError):
 
 
 def build_skew_matrix(T: Tree, X: Sequence[int]) -> PolyMatrix:
-    """Skew matrix with t^{d(x_a, x_b)} above the diagonal."""
+    """Skew matrix with t^{d(x_a, x_b)} above the diagonal.
+
+    Every entry is a monomial, built from one distance matrix as an integer
+    map over the lcm of the distance denominators."""
     xs = T.check_subset(X)
+    dist = T.distance_matrix(xs)
+    den = lcm(*(d.denominator for row in dist for d in row))
     k = len(xs)
     z = ExactPoly.zero()
     rows = [[z] * k for _ in range(k)]
     for a in range(k):
         for b in range(a + 1, k):
-            p = ExactPoly.t_power(T.dist(xs[a], xs[b]))
-            rows[a][b] = p
-            rows[b][a] = -p
+            d = dist[a][b]
+            e = d.numerator * (den // d.denominator)
+            rows[a][b] = ExactPoly._make(den, 1, {e: 1})
+            rows[b][a] = ExactPoly._make(den, 1, {e: -1})
     return PolyMatrix(rows)
+
+
+def _odd_monomial(T: Tree, odd: int) -> ExactPoly:
+    """t^{w(odd)}, odd a mask of T's edges (bit b: the edge above the
+    (b + 1)-th smallest label), as an integer map without Fraction."""
+    return ExactPoly._make(T._root_paths.den, 1, {T._weight_num(odd): 1})
 
 
 def pf_formula(T: Tree, X: Sequence[int]) -> ExactPoly:
@@ -55,7 +68,29 @@ def pf_formula(T: Tree, X: Sequence[int]) -> ExactPoly:
         raise ValueError("Pfaffian needs an even number of vertices")
     if not ok:
         raise NotNicelyOrderedError(*min((e, c) for e, c in counts.items() if c > 2))
-    return ExactPoly.t_power(T.odd_weight(xs))
+    return _odd_monomial(T, T._odd_mask(xs))
+
+
+def pf_formula_table(T: Tree, order: Sequence[int]) -> dict[tuple[int, ...], ExactPoly | None]:
+    """pf_formula over every even sub-tuple of order, None where that
+    sub-tuple is not nicely ordered.
+
+    Keys are pf_table(T, order)'s.  Tree.tour_table gives each sub-tuple's
+    XOR of root-path masks, its odd-splitting edges, and decides its
+    niceness by the hop count: the cyclic tour crosses every spanned edge
+    an even number of times, at least twice, so the order is nice iff the
+    tour is twice as long as the spanned subtree.  It reads edge weights,
+    the rooted walk and the masks, never the distances pf_table reads.
+    """
+    xs = T.check_subset(order)
+    xor, nice = T.tour_table(xs)
+    table: dict[tuple[int, ...], ExactPoly | None] = {}
+    for mask in range(1 << len(xs)):
+        if mask.bit_count() % 2:
+            continue
+        key = tuple(x for i, x in enumerate(xs) if mask >> i & 1)
+        table[key] = _odd_monomial(T, xor[mask]) if nice[mask] else None
+    return table
 
 
 def pf_oracle(T: Tree, X: Sequence[int]) -> ExactPoly:

@@ -204,9 +204,13 @@ class Tree:
         edge = self._root_paths.edge
         return frozenset(edge[b] for b in _bits(mask))
 
+    def _weight_num(self, mask: int) -> int:
+        """The total weight of mask's edges times _root_paths.den."""
+        weight = self._root_paths.weight
+        return sum(weight[b] for b in _bits(mask))
+
     def _weight_of(self, mask: int) -> Fraction:
-        P = self._root_paths
-        return Fraction(sum(P.weight[b] for b in _bits(mask)), P.den)
+        return Fraction(self._weight_num(mask), self._root_paths.den)
 
     def _spanned_mask(self, xs: tuple[int, ...]) -> int:
         P = self._root_paths
@@ -254,6 +258,40 @@ class Tree:
             for b in _bits(P[xs[a]] ^ P[xs[(a + 1) % len(xs)]]):
                 counts[b] = counts.get(b, 0) + 1
         return all(c <= 2 for c in counts.values()), {P.edge[b]: c for b, c in counts.items()}
+
+    def tour_table(self, order: Sequence[int]) -> tuple[list[int], list[bool]]:
+        """For every sub-tuple of order, indexed by the bitmask of its
+        positions in order: the XOR of its root-path masks (its odd-splitting
+        edges when its size is even) and whether it is nicely ordered.
+
+        A cyclic tour crosses every edge of the spanned subtree E_S an even
+        number of times, and at least twice, and no other edge.  So S is
+        nicely ordered iff the tour's length, the sum of the hops
+        hop(a, b) = popcount(P_a ^ P_b) between cyclic neighbours, is
+        2 |E_S|.  Each sub-tuple is its first member f followed by a shorter
+        one, R, starting at g: its XOR adds P_f, its spanned mask adds the
+        f-g path and its open tour adds hop(f, g), so each entry costs O(1)
+        mask operations.
+        """
+        xs = self.check_subset(order)
+        P = self._root_paths
+        paths = [P[x] for x in xs]
+        hop = [[(p ^ q).bit_count() for q in paths] for p in paths]
+        size = 1 << len(xs)
+        xor, span, walk = [0] * size, [0] * size, [0] * size
+        nice = [True] * size
+        for mask in range(1, size):
+            low = mask & -mask
+            f = low.bit_length() - 1
+            rest = mask ^ low
+            xor[mask] = xor[rest] ^ paths[f]
+            if rest:
+                g = (rest & -rest).bit_length() - 1
+                span[mask] = span[rest] | (paths[f] ^ paths[g])
+                walk[mask] = walk[rest] + hop[f][g]
+                tour = walk[mask] + hop[mask.bit_length() - 1][f]
+                nice[mask] = tour == 2 * span[mask].bit_count()
+        return xor, nice
 
     def nice_order(self, X: Iterable[int]) -> tuple[int, ...]:
         """X reordered by first visit of a depth-first walk.

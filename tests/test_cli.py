@@ -7,6 +7,7 @@ square-cycle metric violates the four-point condition at the quadruple
 (2,2,0).
 """
 
+import hashlib
 import json
 import os
 import shlex
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from treeminor import cli, matroid, metric
+from treeminor import cli, matroid, metric, pfaffian
 from treeminor.cli import run
 from treeminor.metric import format_matrix_csv, square_cycle_metric
 from treeminor.poly import ExactPoly
@@ -216,6 +217,33 @@ def test_cycles_verify_sweep(capsys):
     assert json.loads(out)["failures"] == 0
     assert run(["cycles-verify", "--max-x", "99"]) == 2
     capsys.readouterr()
+
+
+# sha256 of each sweep's --format json stdout: a passing sweep's report is
+# fixed byte for byte, however its formula and oracle values are computed
+PINNED_SWEEPS = {
+    "minor-verify --trees 4 --n 9 --seed 4 --weights unit":
+        "ebb67f3738376bdf7dc3f5c46a1246ec1af8bfe8528e8ec4fe8bc3a1850602f5",
+    "minor-verify --trees 4 --n 8 --seed 7 --weights rational":
+        "44f48b1ffa082e77310aa93b16b8d56dcae098abf8cd78cdab98d2e2e5bdf924",
+    "minor-verify --trees 3 --n 12 --seed 1 --weights both --max-x 3":
+        "ea1a8ed785008096fdb6cd2ea318d3b41161b51e60c102676640dbb3be6082ff",
+    "pf-verify --trees 4 --n 10 --seed 4 --weights unit --negatives 3":
+        "fdf26cfef1679d1cfd23a7de1a1c669dbe3acaae4027312e1888c35cd05a14b0",
+    "pf-verify --trees 4 --n 10 --seed 7 --weights rational --negatives 3":
+        "a6f6e4e74d391e878244a287efb0c3ba4edbb7e8fd559e4c1a5cdd23349f9c24",
+    "cycles-verify --trees 4 --n 6 --seed 4 --weights unit --max-x 5":
+        "ff16f111b027ebf85b4d67d76e12a948c356f9b87547f4db25301e6b120c1ac2",
+    "cycles-verify --trees 4 --n 6 --seed 7 --weights rational --max-x 5":
+        "70c8085edfa06478bbe71b130b03581e243210bc9848dfdb7af8aa7d30a08620",
+}
+
+
+@pytest.mark.parametrize("argv", PINNED_SWEEPS)
+def test_sweep_stdout_is_pinned(capsys, argv):
+    code, out, _ = invoke(capsys, *argv.split(), "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SWEEPS[argv]
 
 
 BAD_SWEEP_ARGS = [
@@ -425,11 +453,12 @@ def test_represent_rooted_bound_on_38_leaves(capsys, monkeypatch, tmp_path, wind
         assert err == "verification failed: factorisation reached\n"
 
 
-def _failing_sweep(capsys, monkeypatch, name, wrong, sweep):
-    """Patch the CLI's binding of `name` with `wrong(original result)` and run
-    one tree of `sweep`; return its certificate."""
-    right = getattr(cli, name)
-    monkeypatch.setattr(cli, name, lambda *a: wrong(right(*a)))
+def _failing_sweep(capsys, monkeypatch, name, wrong, sweep, module=cli):
+    """Patch module's binding of `name` (the CLI's by default) with
+    `wrong(original result)` and run one tree of `sweep`; return its
+    certificate."""
+    right = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a: wrong(right(*a)))
     code, out, _ = invoke(
         capsys, sweep, "--trees", "1", "--n", "4", "--seed", "3", "--format", "json"
     )
@@ -460,8 +489,11 @@ def test_minor_verify_certificate_replays_as_failure(capsys, monkeypatch, tmp_pa
 
 
 def test_pf_verify_certificate_replays_as_failure(capsys, monkeypatch, tmp_path):
+    # the monomial builder serves both pf_formula_table and pf_formula, so a
+    # fault there fails the sweep's table and the single-instance check alike
     cert = _failing_sweep(
-        capsys, monkeypatch, "pf_formula", lambda p: p * ExactPoly.t_power(1), "pf-verify"
+        capsys, monkeypatch, "_odd_monomial", lambda p: p * ExactPoly.t_power(1), "pf-verify",
+        module=pfaffian,
     )
     assert set(cert) == {"tree", "X", "pfaffian", "oracle"}
     code, out, _ = _replay(capsys, tmp_path, "pfaffian", cert)
@@ -474,11 +506,20 @@ def test_pf_verify_certificate_replays_as_failure(capsys, monkeypatch, tmp_path)
     [
         ("minor-verify", "minor_table", "minor", {"formula", "oracle"}),
         ("pf-verify", "pf_table", "pfaffian", {"pfaffian", "oracle"}),
+        ("minor-verify", "minor_formula_table", "minor", {"formula", "oracle"}),
+        ("pf-verify", "pf_formula_table", "pfaffian", {"pfaffian", "oracle"}),
+        # no single-instance subcommand replays a cycles-verify certificate
+        ("cycles-verify", "minor_formula_table", None, {"all_cycles", "tight_cycles", "formula"}),
     ],
 )
 def test_a_wrong_table_entry_fails_its_row(
     capsys, monkeypatch, tmp_path, sweep, table, replay, values
 ):
+    # the certificate field of the table, and the check's value it stands for
+    if table.endswith("formula_table"):
+        field, value = "formula_table", "pfaffian" if sweep == "pf-verify" else "formula"
+    else:
+        field, value = "table", "oracle"
     wrong = []
 
     def corrupt(entries):
@@ -488,13 +529,27 @@ def test_a_wrong_table_entry_fails_its_row(
         return entries
 
     cert = _failing_sweep(capsys, monkeypatch, table, corrupt, sweep)
-    ((key, value),) = wrong
-    assert set(cert) == {"tree", "X", "table", *values}
+    ((key, entry),) = wrong
+    # the certificate names the table that disagreed, and only that one
+    assert set(cert) == {"tree", "X", field, *values}
     assert cert["X"] == list(key)
-    assert cert["table"] == str(value) != cert["oracle"]
-    # the single-instance check passes: the fault is the table's
-    code, out, _ = _replay(capsys, tmp_path, replay, cert)
-    assert code == 0
+    assert cert[field] == str(entry) != cert[value]
+    if replay is not None:
+        # the single-instance check passes: the fault is the table's
+        code, out, _ = _replay(capsys, tmp_path, replay, cert)
+        assert code == 0
+
+
+def test_a_key_the_formula_table_finds_not_nice_fails_its_row(capsys, monkeypatch):
+    def not_nice(entries):
+        key = max(entries, key=len)
+        entries[key] = None
+        return entries
+
+    cert = _failing_sweep(capsys, monkeypatch, "pf_formula_table", not_nice, "pf-verify")
+    assert set(cert) == {"tree", "X", "formula_table", "pfaffian", "oracle"}
+    assert cert["formula_table"] == "not nicely ordered"
+    assert cert["pfaffian"] == cert["oracle"]
 
 
 def test_cycles_verify_failure_lists_all_three_values(capsys, monkeypatch):

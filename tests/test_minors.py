@@ -16,6 +16,7 @@ from treeminor.minors import (
     build_matrix,
     forest_degree_product,
     minor_formula,
+    minor_formula_table,
     minor_leading,
     minor_oracle,
     minor_table,
@@ -140,6 +141,36 @@ def test_minor_table_holds_every_small_subset_and_matches_the_oracle(case):
     assert set(table) == set(want)
     for X in want:
         assert table[X] == minor_oracle(T, X)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 9),
+    st.integers(0, 10 ** 6),
+    st.sampled_from(["unit", "rational"]),
+    st.data(),
+)
+def test_minor_formula_table_is_the_per_subset_formula(n, seed, mode, data):
+    T = random_tree(n, seed=seed, weights=mode)
+    # m = 1, m < n, m = n and a cap above n
+    m = data.draw(st.sampled_from([1, max(n - 2, 1), n, n + 3]))
+    table = minor_formula_table(T, m)
+    assert list(table) == list(itertools.chain.from_iterable(
+        itertools.combinations(T.vertices, r) for r in range(1, min(m, n) + 1)
+    ))
+    assert set(table) == set(minor_table(T, m))
+    for X, value in table.items():
+        assert value == minor_formula(T, X)
+
+
+def test_minor_formula_table_on_trees_with_gaps_in_their_labels():
+    # labels 3, 6, 9, ...: the table's masks follow the sorted labels
+    for seed in range(6):
+        base = random_tree(7, seed=seed, weights="rational")
+        T = Tree([(3 * u, 3 * v, w) for u, v, w in base.edges()])
+        for m in (2, 7):
+            for X, value in minor_formula_table(T, m).items():
+                assert value == minor_formula(T, X) == minor_oracle(T, X)
 
 
 @settings(max_examples=150, deadline=None)

@@ -16,6 +16,7 @@ from treeminor.pfaffian import (
     NotNicelyOrderedError,
     build_skew_matrix,
     pf_formula,
+    pf_formula_table,
     pf_oracle,
     pf_table,
 )
@@ -141,6 +142,31 @@ def test_pf_table_matches_the_oracle_on_every_even_sub_tuple(case):
                 # a restriction of a depth-first order is nicely ordered
                 assert T.is_nicely_ordered(X)[0]
                 assert table[X] == pf_formula(T, X)
+
+
+@settings(max_examples=60, deadline=None)
+@given(trees_and_orders())
+def test_pf_formula_table_is_the_monomial_where_nicely_ordered(case):
+    T, shuffled = case
+    for order in (T.nice_order(T.vertices), shuffled):
+        table = pf_formula_table(T, order)
+        assert list(table) == list(pf_table(T, order))
+        for X, value in table.items():
+            if T.is_nicely_ordered(X)[0]:
+                assert value == pf_formula(T, X)
+            else:
+                assert value is None
+
+
+def test_build_skew_matrix_entries_are_the_distance_monomials():
+    for seed in range(12):
+        T = random_tree(6, seed=seed, weights="rational" if seed % 2 else "unit")
+        order = T.vertices[::-1]
+        m = build_skew_matrix(T, order)
+        for i, a in enumerate(order):
+            for j, b in enumerate(order):
+                want = tp(T.dist(a, b)) if i < j else -tp(T.dist(a, b))
+                assert m[i, j] == (ExactPoly.zero() if i == j else want)
 
 
 def test_build_skew_matrix_shape():

@@ -1,6 +1,7 @@
 """Tree structure: distances, spanned subtrees, odd-split edges, orderings."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -143,6 +144,25 @@ def test_subsequences_of_nice_order_stay_nice():
             for mask in range(1 << T.n):
                 sub = tuple(base[i] for i in range(T.n) if mask >> i & 1)
                 assert T.is_nicely_ordered(sub)[0]
+
+
+def test_tour_table_decides_niceness_by_hop_count():
+    # every sub-tuple of a shuffled order, sizes 0, 1 and 2 included, both
+    # nice and not, against the per-edge traversal counts
+    seen = {True: 0, False: 0}
+    for seed in range(40):
+        T = random_tree(2 + seed % 8, seed=seed, weights="rational" if seed % 2 else "unit")
+        rng = random.Random(seed)
+        order = rng.sample(T.vertices, rng.randint(0, T.n))
+        xor, nice = T.tour_table(order)
+        assert len(xor) == len(nice) == 1 << len(order)
+        for mask in range(1 << len(order)):
+            sub = [x for i, x in enumerate(order) if mask >> i & 1]
+            assert nice[mask] == T.is_nicely_ordered(sub)[0], (seed, sub)
+            if len(sub) % 2 == 0:
+                assert T._edges_of(xor[mask]) == T.odd_edges(sub)
+            seen[nice[mask]] += 1
+    assert seen[True] > 100 and seen[False] > 50
 
 
 # -- every mask answer against a reference that cuts one edge at a time ------

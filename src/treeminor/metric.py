@@ -4,7 +4,11 @@ splitting, and the spectral signature of powered distance matrices.
 Matrices here are plain lists of lists of Fractions (symmetric, zero
 diagonal for metrics).  Powered matrices substitute a rational base tau
 into tau^(d_ij); half-integer exponents stay exact through square-root
-field elements, so every sign and signature below is certified.
+field elements, so every sign and signature below is certified.  The
+four-point test and the signatures work on the exponents scaled to
+integers: the quadruple scan runs only to name a violation, and a powered
+matrix that splits as D R D, R rational, is eliminated as R, built as
+integers without a square root.
 """
 
 from __future__ import annotations
@@ -13,7 +17,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from math import lcm
+from math import isqrt, lcm
+from operator import sub
 from typing import Iterable, Sequence
 
 from .poly import _principal_minors
@@ -29,11 +34,17 @@ MINUS_INF = float("-inf")
 # basic matrix plumbing
 
 
+def _entry(x) -> Fraction | float:
+    """x as an exact scalar: a float -inf as MINUS_INF, anything else
+    converted exactly by Fraction (a float too)."""
+    if isinstance(x, float) and x == MINUS_INF:
+        return MINUS_INF
+    return Fraction(x)
+
+
 def as_matrix(rows: Sequence[Sequence]) -> Matrix:
-    m = [
-        [x if x == MINUS_INF else Fraction(x) for x in row]
-        for row in rows
-    ]
+    """Rows of Fractions and MINUS_INF; a Fraction is kept as it is."""
+    m = [[x if type(x) is Fraction else _entry(x) for x in row] for row in rows]
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("matrix is not square")
@@ -85,7 +96,9 @@ def parse_matrix_csv(text: str) -> list[list[Fraction | float]]:
 def format_matrix_csv(rows: Sequence[Sequence]) -> str:
     out = []
     for row in rows:
-        out.append(",".join("-inf" if x == MINUS_INF else str(x) for x in row))
+        out.append(
+            ",".join("-inf" if isinstance(x, float) and x == MINUS_INF else str(x) for x in row)
+        )
     return "\n".join(out) + "\n"
 
 
@@ -152,11 +165,91 @@ def _four_point_scan(m: Matrix) -> FourPointViolation | None:
     return None
 
 
+def _integers(m: Matrix, idx: Sequence[int] | None = None) -> tuple[list[list[int | None]], int]:
+    """The block of m on the rows and columns idx (default: all) as
+    integers, each entry times s, the lcm of the block's denominators, with
+    -inf as None; and s."""
+    idx = range(len(m)) if idx is None else idx
+    block = [[m[i][j] for j in idx] for i in idx]
+    scale = lcm(*{x.denominator for row in block for x in row if type(x) is Fraction})
+    w = [
+        [None if type(x) is float else x.numerator * (scale // x.denominator) for x in row]
+        for row in block
+    ]
+    return w, scale
+
+
+def _four_point_holds(w: list[list[int | None]]) -> bool:
+    """Whether the integer form w (None, for -inf, on the diagonal only)
+    meets the four-point condition on quadruples with repetition, the
+    verdict of `_four_point_scan` in O(n^3) instead of O(n^4).
+
+    A quadruple {a, a, b, c} (b = c allowed) has two equal pair sums, so
+    it fails only when w_aa + w_bc > w_ab + w_ac; a -inf w_aa never does,
+    and a -inf w_bb is replaced by the scan's sentinel, below every finite
+    pair sum.  On distinct points the condition holds exactly when the
+    Farris transform at point 0, g_xy = w_x0 + w_y0 - w_xy, meets the
+    three-point condition g_xy >= min(g_xz, g_zy) (0-hyperbolicity at one
+    base point; Bandelt, "Recognition of tree metrics", 1990), that is,
+    when each g_xy reaches the smallest g on the path from x to y in a
+    maximum spanning tree of g, which Prim's algorithm grows in O(n^2)."""
+    n = len(w)
+    finite = [x for row in w for x in row if x is not None]
+    sentinel = 2 * min(finite, default=0) - max(finite, default=0) - 1
+    v = [[sentinel if x is None else x for x in row] for row in w]
+    for a in range(n):
+        row_a, w_aa = v[a], w[a][a]
+        for b in range(a):
+            # gap[c] = w_ac - w_bc; the pattern {a, a, b, c} needs
+            # gap[c] >= w_aa - w_ab, the pattern {b, b, a, c} gap[c] <= w_ab - w_bb
+            gap = list(map(sub, row_a, v[b]))
+            w_bb = w[b][b]
+            if w_aa is not None and min(gap) < w_aa - row_a[b]:
+                return False
+            if w_bb is not None and max(gap) > row_a[b] - w_bb:
+                return False
+    if n < 4:
+        return True
+    w0 = [row[0] for row in v]
+
+    def farris(x: int) -> list[int]:
+        return [w0[x] + w0_y - w_xy for w0_y, w_xy in zip(w0, v[x])]
+
+    # Prim from point 1; neck[x][y] is the smallest g on the tree path x-y
+    key, parent = farris(1), [1] * n
+    outside = set(range(2, n))
+    inside = [1]
+    neck = [[0] * n for _ in range(n)]
+    while outside:
+        x = max(outside, key=key.__getitem__)
+        outside.remove(x)
+        p, e = parent[x], key[x]
+        g = farris(x)
+        neck_x, neck_p = neck[x], neck[p]
+        for y in inside:
+            b = e if y == p else min(neck_p[y], e)
+            if g[y] < b:
+                return False
+            neck_x[y] = neck[y][x] = b
+        inside.append(x)
+        for y in outside:
+            if g[y] > key[y]:
+                key[y], parent[y] = g[y], x
+    return True
+
+
+def _four_point_violation(m: Matrix, w: list[list[int | None]]) -> FourPointViolation | None:
+    """The first violating quadruple of m, or None; w is m's integer form.
+    The scan runs only when `_four_point_holds` rejects."""
+    return None if _four_point_holds(w) else _four_point_scan(m)
+
+
 def check_4pc(rows: Sequence[Sequence]) -> FourPointViolation | None:
     """Four-point condition, quadruples with repetition: of the three pair
     sums, the maximum must be attained at least twice.  Returns None when
     the matrix passes, otherwise the first violating quadruple."""
-    return _four_point_scan(check_dissimilarity(rows))
+    m = check_dissimilarity(rows)
+    return _four_point_violation(m, _integers(m)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +267,7 @@ def split_potentials(rows: Sequence[Sequence]) -> tuple[Matrix, list[Fraction]]:
                 raise ValueError(f"matrix is not symmetric at ({i},{j})")
     for i in range(n):
         for j in range(n):
-            if w[i][j] == MINUS_INF:
+            if type(w[i][j]) is float:
                 raise ValueError(f"entry ({i},{j}) is -inf; potentials need finite entries")
     p = [w[i][i] / 2 for i in range(n)]
     d = [[w[i][j] - p[i] - p[j] for j in range(n)] for i in range(n)]
@@ -197,7 +290,7 @@ def realize_tree(rows: Sequence[Sequence]) -> tuple[Tree, list[int]]:
     m = check_dissimilarity(rows)
     if not m:
         raise ValueError("empty matrix")
-    bad = _four_point_scan(m)
+    bad = _four_point_violation(m, _integers(m)[0])
     if bad is not None:
         raise NotTreeMetricError(bad)
     n = len(m)
@@ -347,12 +440,21 @@ def _subset_indices(subset: Iterable[int], n: int) -> list[int]:
     return idx
 
 
+def _positive_base(tau) -> Fraction:
+    """tau as a Fraction, checked before any entry is powered."""
+    tau = Fraction(tau)
+    if tau <= 0:
+        raise ValueError("base must be positive")
+    return tau
+
+
 def power_matrix(rows: Sequence[Sequence], tau, subset: Sequence[int] | None = None):
     """[tau^(m_ij)] on the rows and columns of the subset (default: all);
     the subset must list distinct indices in 0..n-1."""
     m = as_matrix(rows)
     n = len(m)
-    return _power(m, tau, range(n) if subset is None else _subset_indices(subset, n))
+    idx = range(n) if subset is None else _subset_indices(subset, n)
+    return _power(m, _positive_base(tau), idx)
 
 
 def _power(m: Matrix, tau, idx: Sequence[int]):
@@ -362,6 +464,39 @@ def _power(m: Matrix, tau, idx: Sequence[int]):
     exponents = dict.fromkeys(m[i][j] for i in idx for j in idx)
     powers = {d: power_entry(tau, d) for d in exponents}
     return [[powers[m[i][j]] for j in idx] for i in idx]
+
+
+def _powered_ints(w: list[list[int | None]], scale: int, tau: Fraction) -> list[list[int]] | None:
+    """[tau^(w_ij / scale)] (a None of w, -inf, powers to 0) as the integer
+    matrix s R of `_rational_form`, built from the exponents alone; None
+    when an exponent's denominator exceeds 2 or the matrix does not split.
+
+    With integer exponents R is the powered matrix itself.  With
+    half-integer ones and tau a square, tau^(w_ij / 2) = sqrt(tau)^w_ij is
+    rational.  Otherwise the parities c_i of a 2-colouring, w_ij = c_i + c_j
+    (mod 2) on every nonzero entry, give D = diag(sqrt(tau)^c_i) and the
+    rational R_ij = tau^((w_ij - c_i - c_j) / 2).  An entry tau^e of R, tau
+    = a/b, is scaled to a^(e - lo) b^(hi - e) with lo and hi the least and
+    largest e, so s = a^-lo b^hi > 0."""
+    if scale > 2:
+        return None
+    if scale == 2:
+        a, b = tau.numerator, tau.denominator
+        if isqrt(a) ** 2 == a and isqrt(b) ** 2 == b:
+            tau = Fraction(isqrt(a), isqrt(b))
+        else:
+            c = _parities([[None if x is None else x & 1 for x in row] for row in w])
+            if c is None:
+                return None
+            w = [
+                [None if x is None else (x - c_i - c_j) >> 1 for x, c_j in zip(row, c)]
+                for row, c_i in zip(w, c)
+            ]
+    exponents = {x for row in w for x in row if x is not None}
+    lo, hi = min(exponents, default=0), max(exponents, default=0)
+    a, b = tau.numerator, tau.denominator
+    powers = {e: a ** (e - lo) * b ** (hi - e) for e in exponents}
+    return [[0 if x is None else powers[x] for x in row] for row in w]
 
 
 def _check_symmetric(a: Sequence[Sequence]) -> None:
@@ -424,6 +559,22 @@ def _rational_form(a: Sequence[Sequence]) -> list[list[int]] | None:
                 radicand = part[1]
             out.append(part)
         parts.append(out)
+    parity = _parities([[(d != 1) if c else None for c, d in row] for row in parts])
+    if parity is None:
+        return None
+    r = [
+        [c / radicand if parity[i] and parity[j] else c for j, (c, _) in enumerate(row)]
+        for i, row in enumerate(parts)
+    ]
+    scale = lcm(*(x.denominator for row in r for x in row))
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in r]
+
+
+def _parities(odd: list[list[int | None]]) -> list[int] | None:
+    """p_i in {0, 1} with p_i ^ p_j == odd[i][j] wherever odd[i][j] is
+    not None, by a depth-first walk from each uncoloured index in turn;
+    None on an odd cycle."""
+    n = len(odd)
     parity: list[int | None] = [None] * n
     for start in range(n):
         if parity[start] is not None:
@@ -432,21 +583,16 @@ def _rational_form(a: Sequence[Sequence]) -> list[list[int]] | None:
         stack = [start]
         while stack:
             i = stack.pop()
-            for j, (c, d) in enumerate(parts[i]):
-                if not c:
+            for j, o in enumerate(odd[i]):
+                if o is None:
                     continue
-                want = parity[i] ^ (d != 1)
+                want = parity[i] ^ o
                 if parity[j] is None:
                     parity[j] = want
                     stack.append(j)
                 elif parity[j] != want:
                     return None
-    r = [
-        [c / radicand if parity[i] and parity[j] else c for j, (c, _) in enumerate(row)]
-        for i, row in enumerate(parts)
-    ]
-    scale = lcm(*(x.denominator for row in r for x in row))
-    return [[x.numerator * (scale // x.denominator) for x in row] for row in r]
+    return parity
 
 
 def _inertia(a: list[list]) -> tuple[int, int, int]:
@@ -499,7 +645,16 @@ def spectral_signature(
     rows: Sequence[Sequence], tau, subset: Sequence[int] | None = None
 ) -> tuple[int, int, int]:
     """Inertia of [tau^(d_ij)] restricted to the subset."""
-    return inertia(power_matrix(rows, tau, subset))
+    m = as_matrix(rows)
+    n = len(m)
+    idx = range(n) if subset is None else _subset_indices(subset, n)
+    tau = _positive_base(tau)
+    a = _powered_ints(*_integers(m, idx), tau)
+    if a is None:
+        return inertia(_power(m, tau, idx))
+    # a_ij = a_ji exactly when the powered entries are equal
+    _check_symmetric(a)
+    return _inertia(a)
 
 
 def star_condition_check(
@@ -559,20 +714,25 @@ def hpp_eigen_check(rows: Sequence[Sequence], taus: Iterable = (10, 100)):
     or the four-point certificate."""
     m = as_matrix(rows)
     n = len(m)
+    w, scale = _integers(m)
     for i in range(n):
         for j in range(i + 1, n):
-            if m[i][j] != m[j][i]:
+            if w[i][j] != w[j][i]:
                 raise ValueError(f"matrix is not symmetric at ({i},{j})")
-            if m[i][j] == MINUS_INF:
+            if w[i][j] is None:
                 raise ValueError(
                     f"-inf off the diagonal at ({i},{j}); only diagonal "
                     "entries may be -inf"
                 )
     for tau in taus:
-        positives, _, _ = _inertia(_exact_form(_power(m, tau, range(n))))
+        tau = _positive_base(tau)
+        a = _powered_ints(w, scale, tau)
+        if a is None:
+            a = _exact_form(_power(m, tau, range(n)))
+        positives, _, _ = _inertia(a)
         if positives > 1:
-            return Fraction(tau)
-    return _four_point_scan(m)
+            return tau
+    return _four_point_violation(m, w)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ square-cycle metric violates the four-point condition at the quadruple
 import hashlib
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -631,9 +632,11 @@ def test_decompose_rejects_minus_inf_like_realize(capsys, tmp_path, text, entry)
 
 @pytest.mark.parametrize("sub", ["check-4pc", "realize", "decompose"])
 def test_metric_commands_scan_quadruples_once(capsys, monkeypatch, tmp_path, sub):
-    scan = metric._four_point_scan
+    # the fast test runs once; the quadruple scan only after it rejects
+    scan, holds = metric._four_point_scan, metric._four_point_holds
     calls = []
-    monkeypatch.setattr(metric, "_four_point_scan", lambda m: calls.append(1) or scan(m))
+    monkeypatch.setattr(metric, "_four_point_scan", lambda m: calls.append("scan") or scan(m))
+    monkeypatch.setattr(metric, "_four_point_holds", lambda w: calls.append("holds") or holds(w))
     good = tmp_path / "tm.csv"
     good.write_text(tree_metric_csv(random_tree(5, seed=4)))
     c4 = tmp_path / "c4.csv"
@@ -642,8 +645,125 @@ def test_metric_commands_scan_quadruples_once(capsys, monkeypatch, tmp_path, sub
         calls.clear()
         code, out, _ = invoke(capsys, sub, "--matrix", str(path), "--format", "json")
         assert code == want_code
-        assert len(calls) == 1
+        assert calls == ["holds", "scan"][: 1 + want_code]
     assert json.loads(out)["violation"]["quadruple"] == [0, 1, 2, 3]
+
+
+def _pinned_metric_csvs():
+    """The matrices the metric commands' pinned stdout is taken on."""
+    half = Tree([(1, 2, F(1, 2)), (2, 3, F(3, 2)), (2, 4, 1), (4, 5, F(5, 2)),
+                 (4, 6, F(1, 2)), (6, 7, 2), (6, 8, F(3, 2))])
+    tm8 = [[half.dist(a, b) for b in half.vertices] for a in half.vertices]
+    rng = random.Random(5)
+    big = Tree([(rng.randint(1, v - 1), v, F(rng.randint(1, 8), 2)) for v in range(2, 25)])
+    tm24 = [[big.dist(a, b) for b in big.vertices] for a in big.vertices]
+    bad24 = [row[:] for row in tm24]
+    bad24[17][20] = bad24[20][17] = tm24[17][20] + F(1, 2)
+    # w = d + p_i + p_j off the diagonal, -inf on it: a leaf-potential map
+    p = [F(1), F(1, 2), F(0), F(2), F(3, 2)]
+    pot = [[metric.MINUS_INF if i == j else tm8[i][j] + p[i] + p[j] for j in range(5)]
+           for i in range(5)]
+    return {
+        "tm8": format_matrix_csv(tm8),
+        "tm24": format_matrix_csv(tm24),
+        "bad24": format_matrix_csv(bad24),
+        "pot5": format_matrix_csv(pot),
+        "wpot5": format_matrix_csv(
+            [[tm8[i][j] + p[i] + p[j] for j in range(5)] for i in range(5)]),
+        "c4": C4_CSV,
+        # three half-integer distances: an odd cycle of parities
+        "odd3": "0,1/2,1/2\n1/2,0,1/2\n1/2,1/2,0\n",
+        # only the repeated-index quadruple (0,1,1,2) fails: d(0,2) > d(0,1) + d(1,2)
+        "tri": "0,1,5\n1,0,1\n5,1,0\n",
+    }
+
+
+# sha256 of each metric command's --format json stdout, taken on the
+# matrices above before the fast four-point check and the integer powered
+# form went in: neither may change a byte of any report
+PINNED_METRIC = {
+    "hpp-check tm8":
+        "b35cde54073b444e505ed755fccee81741ca2f9779194c5dbcb1127bf8c9484f",
+    "hpp-check tm8 --taus 3/2,4,9/4,12,1":
+        "47ca15d36bbe0ae778dba772a9752b5ede9a11d106aa338ffe2a45c8c619fb4a",
+    "hpp-check tm24":
+        "b35cde54073b444e505ed755fccee81741ca2f9779194c5dbcb1127bf8c9484f",
+    "hpp-check pot5 --taus 10,3/2,9/4":
+        "2cd0bbaee6a93fe1fc4bf1e7f2d4861cb646555259cc5ec821fb855d37294ff3",
+    "hpp-check odd3 --taus 10,9/4":
+        "dde4d2bfba037528ebe5df06fa3cb2f7e3e934a9aa43394aa4da54cd6364fa9e",
+    "hpp-check bad24 --taus 1":
+        "00a6fb0250a7a38977f850a7a722c9c3da5cbb458679b0133ddfc7529d361bd1",
+    "hpp-check c4":
+        "1a65c3e8e0b6ed073a35aeb6bd7177128c8ed83bb9fd77b017487e1b49806ce9",
+    "hpp-check c4 --taus 1":
+        "8e780c6fb32f620613737fdefdd6ae654cdc396c4913b7b45d72e9c8747348ee",
+    "hpp-check tri":
+        "1a65c3e8e0b6ed073a35aeb6bd7177128c8ed83bb9fd77b017487e1b49806ce9",
+    "hpp-check tri --taus 1":
+        "42069f2e1a949b8d2dd988369b04dd6560962f8eb48bcbb25fa15ebb7f7b1199",
+    "signature --matrix tm8 --tau 10":
+        "27d07fdd7927e8b5005a5398d166354e4d2aef10c0bb98a9ce007ed3d46d7175",
+    "signature --matrix tm8 --tau 3/2 --X 0,3,5,6":
+        "ebf1ecc6f12b86d3c1e748d370b971e3635fd5819be0defde8a442cf6dcc8f00",
+    "signature --matrix tm24 --tau 100":
+        "2570ae152e108bbf9fef26e6efff53befeea7fdd96c4589ec511919a68a095ba",
+    "signature --matrix odd3 --tau 12":
+        "2e7227637e8d04ff4eea6ea2a5c3ddc668bd3578a781e4fc7552513a67915860",
+    "signature --matrix c4 --tau 10":
+        "76e268f34dae7e3bfb4ff64a1e4c8dc50ff05ddaab1d0362994428d4b19bdd56",
+    "signature --matrix c4 --tau 10 --X 0,1,2":
+        "11bf05c2adb4cdc80d928263cd0a8cce139ffbb4c296204ba8364670d6fb040c",
+    "check-4pc tm8":
+        "2a0ad0c14219e0ff4678d1651d64d324f60cacaee97792a10879d7829ca47359",
+    "check-4pc tm24":
+        "1a29a542a6a9b68b3d597639c320a2cfc670fa22f819efe8f8a248f54cafc7fe",
+    "check-4pc bad24":
+        "90885c2ffdc9ff5e56c2d15f559eabd955639faf631885a8f8aba5da1362d1ec",
+    "check-4pc c4":
+        "8b1effb6820bef5b9da911f8f3c6be2863a3d18f445724d3ccb64c6f1f411c2c",
+    "check-4pc tri":
+        "cc23175dc5b0d52e3a882ecda81c014d53f102e816017aa074cb0eb38d481a63",
+    "realize tm8":
+        "73cd4dd540210279494537553da9ee2d0fed8494478d14db8d41d3b1fd6177d6",
+    "realize tm24":
+        "0b7c2c9273a27fd000c77277bac3bce086d4861f3ccfe43b301fbcfeaffdbf10",
+    "realize bad24":
+        "00a6fb0250a7a38977f850a7a722c9c3da5cbb458679b0133ddfc7529d361bd1",
+    "realize c4":
+        "8e780c6fb32f620613737fdefdd6ae654cdc396c4913b7b45d72e9c8747348ee",
+    "realize tri":
+        "42069f2e1a949b8d2dd988369b04dd6560962f8eb48bcbb25fa15ebb7f7b1199",
+    "decompose wpot5":
+        "eb44d475b8a305357b9cb69476d939f0e0d19b4eaf00565d4a637cba765cc5ce",
+    "decompose c4":
+        "5ce10482aebc13df75d35037de8dd985643459399984ef185de2199f44891d84",
+}
+
+
+@pytest.mark.parametrize("argv", PINNED_METRIC)
+def test_metric_stdout_is_pinned(capsys, tmp_path, argv):
+    csvs = _pinned_metric_csvs()
+    words = argv.split()
+    sub, rest = words[0], words[1:]
+    if rest[0] == "--matrix":
+        rest = rest[1:]
+    path = tmp_path / f"{rest[0]}.csv"
+    path.write_text(csvs[rest[0]])
+    code, out, _ = invoke(capsys, sub, "--matrix", str(path), *rest[1:], "--format", "json")
+    assert code in (0, 1)
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_METRIC[argv]
+
+
+@pytest.mark.parametrize("text", ["-inf\n", C4_CSV])
+def test_metric_commands_refuse_a_nonpositive_base(capsys, tmp_path, text):
+    # a 1x1 -inf matrix powers no entry, yet its base is refused as well
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    for argv in (["hpp-check", "--taus", "-1"], ["signature", "--tau", "-2"]):
+        code, out, err = invoke(capsys, *argv, "--matrix", str(path))
+        assert (code, out) == (2, "")
+        assert "base must be positive" in err
 
 
 def test_hpp_check(capsys, tmp_path):

@@ -426,6 +426,126 @@ def test_integer_four_point_scan_matches_a_plain_fraction_scan(m):
     assert (got and (got.quadruple, got.sums)) == want
 
 
+@st.composite
+def _four_point_inputs(draw):
+    """Matrices of 0-9 points, denominators 1-2: tree metrics (points may
+    repeat), tree metrics with one pair perturbed, random symmetric ones,
+    and tree metrics plus potentials off the diagonal, with -inf, zero,
+    twice the potential or a perturbed diagonal entry; the last fail, if at
+    all, only on quadruples with a repeated index."""
+    n = draw(st.integers(0, 9))
+    kind = draw(st.sampled_from(["tree", "perturbed", "symmetric", "potentials"]))
+    seed = draw(st.integers(0, 10**6))
+    den = draw(st.integers(1, 2))
+    if kind == "symmetric":
+        m = random_symmetric_matrix(n, seed=seed, half_integers=den == 2, high=6)
+    else:
+        m = [[x / den for x in row] for row in random_tree_metric(n, seed=seed)]
+    if kind == "perturbed" and n >= 2:
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        m[i][j] = m[j][i] = max(F(0), m[i][j] + F(draw(st.integers(-2, 2)), den))
+    if kind == "potentials":
+        p = [F(draw(st.integers(-3, 3)), den) for _ in range(n)]
+        m = [[m[i][j] + p[i] + p[j] for j in range(n)] for i in range(n)]
+        for i in range(n):
+            m[i][i] = draw(st.sampled_from([MINUS_INF, F(0), 2 * p[i], 2 * p[i] + F(1, den)]))
+    return m
+
+
+@settings(max_examples=400, deadline=None)
+@given(_four_point_inputs())
+def test_fast_four_point_test_agrees_with_the_scan(m):
+    assert metric._four_point_holds(metric._integers(m)[0]) == (metric._four_point_scan(m) is None)
+
+
+def _repeated_index_cases():
+    """(matrix, certificate): matrices that pass on every quadruple of
+    distinct points and fail first at {a, a, b, b} or at {a, a, b, c}."""
+    path = Tree([(v, v + 1, 1) for v in range(1, 6)])
+    d = tree_distance_matrix(path, [1, 1, 2, 3, 4, 5])
+    aabb = [row[:] for row in d]
+    aabb[0][0] = aabb[1][1] = F(1)  # points 0 and 1 coincide
+    # potentials off the diagonal, zero on it: point 2 lies between 1 and 3
+    d = tree_distance_matrix(path, list(path.vertices))
+    p = [0, -1, 0, 0, 0, 0]
+    aabc = [[F(0) if i == j else d[i][j] + p[i] + p[j] for j in range(6)] for i in range(6)]
+    minus_inf = [row[:] for row in aabc]
+    minus_inf[0][0] = MINUS_INF
+    return [
+        ([[F(1), F(0)], [F(0), F(1)]], (0, 0, 1, 1)),
+        (aabb, (0, 0, 1, 1)),
+        (aabc, (0, 1, 1, 2)),
+        (minus_inf, (0, 1, 1, 2)),
+        ([[F(0), F(1), F(5)], [F(1), F(0), F(1)], [F(5), F(1), F(0)]], (0, 1, 1, 2)),
+    ]
+
+
+@pytest.mark.parametrize("m, certificate", _repeated_index_cases())
+def test_fast_four_point_test_sees_violations_at_repeated_indices(m, certificate):
+    bad = metric._four_point_scan(m)
+    assert bad.quadruple == certificate
+    for i, j, k, l in combinations(range(len(m)), 4):
+        sums = sorted([m[i][j] + m[k][l], m[i][k] + m[j][l], m[i][l] + m[j][k]])
+        assert sums[1] == sums[2]
+    assert not metric._four_point_holds(metric._integers(m)[0])
+
+
+def _qrad_inertia(a):
+    return metric._inertia([[QRad.of(x) for x in row] for row in a])
+
+
+_TAUS = [F(1), F(4), F(10), F(12), F(100), F(3, 2), F(9, 4)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_four_point_inputs(), st.sampled_from(_TAUS))
+def test_integer_powered_form_has_the_inertia_of_the_qrad_matrix(m, tau):
+    w, scale = metric._integers(m)
+    a = metric._powered_ints(w, scale, tau)
+    want = _qrad_inertia(metric._power(m, tau, range(len(m))))
+    if a is None:
+        # half-integer exponents on an odd cycle of parities; squares never
+        assert scale == 2 and tau not in (1, 4, 100, F(9, 4))
+        return
+    assert all(isinstance(x, int) for row in a for x in row)
+    assert metric._inertia(a) == want
+
+
+def test_odd_parity_cycle_falls_back_to_square_roots():
+    # three points at distance 1/2: every parity edge is odd
+    odd = [[F(0) if i == j else F(1, 2) for j in range(3)] for i in range(3)]
+    w, scale = metric._integers(odd)
+    assert metric._powered_ints(w, scale, F(10)) is None
+    assert metric._powered_ints(w, scale, F(9, 4)) is not None
+    for tau in (10, F(3, 2), F(9, 4)):
+        want = _qrad_inertia(power_matrix(odd, tau))
+        assert spectral_signature(odd, tau) == want == inertia(power_matrix(odd, tau))
+    assert want == (1, 2, 0)
+    assert hpp_eigen_check(odd, [10, F(3, 2)]) is None
+
+
+def test_exponents_beyond_half_integers_keep_their_error():
+    third = [[F(0), F(1, 3)], [F(1, 3), F(0)]]
+    message = "exponent 1/3 needs a 3-th root; only 2 is supported"
+    for check in (lambda: spectral_signature(third, 10), lambda: hpp_eigen_check(third)):
+        with pytest.raises(ValueError) as err:
+            check()
+        assert str(err.value) == message
+
+
+def test_base_is_checked_before_any_entry_is_powered():
+    for rows in ([[MINUS_INF]], [], [[F(0), F(1)], [F(1), F(0)]]):
+        for check in (
+            lambda: power_matrix(rows, -1),
+            lambda: spectral_signature(rows, 0),
+            lambda: hpp_eigen_check(rows, [10, F(-1, 2)]),
+        ):
+            with pytest.raises(ValueError, match="base must be positive"):
+                check()
+    with pytest.raises(ValueError, match="base must be positive"):
+        spectral_signature([[F(0), F(1)], [F(1), F(0)]], -2, [])
+
+
 def _qrad_star_violator(m):
     """First subset, by size and then lexicographically, whose determinant
     sign from one QRad elimination of its block breaks the star rule."""

@@ -136,22 +136,14 @@ def _four_point_scan(m: Matrix) -> FourPointViolation | None:
     """The first quadruple, with repetition, whose largest pair sum is
     attained only once.
 
-    The scan runs on integers: the entries times the lcm of their
-    denominators, with a -inf diagonal entry replaced by a sentinel below
-    every finite pair sum.  In a quadruple with a repeated index the two
-    pair sums without that diagonal entry are equal, so the sum holding it
-    decides the verdict only as the unique maximum, which neither -inf nor
-    the sentinel can be.  A violation reports the sums of the entries
+    The scan runs on m's integer form with the sentinel of `_sentineled`
+    for a -inf diagonal entry.  In a quadruple with a repeated index the
+    two pair sums without that diagonal entry are equal, so the sum holding
+    it decides the verdict only as the unique maximum, which neither -inf
+    nor the sentinel can be.  A violation reports the sums of the entries
     themselves."""
     n = len(m)
-    finite = [x for row in m for x in row if x != MINUS_INF]
-    scale = lcm(*(x.denominator for x in finite))
-    lo, hi = min(finite, default=0) * scale, max(finite, default=0) * scale
-    sentinel = int(2 * lo - hi) - 1
-    w = [
-        [sentinel if x == MINUS_INF else x.numerator * (scale // x.denominator) for x in row]
-        for row in m
-    ]
+    w = _sentineled(_integers(m)[0])
     for i, j, k, l in combinations_with_replacement(range(n), 4):
         a = w[i][j] + w[k][l]
         b = w[i][k] + w[j][l]
@@ -179,6 +171,14 @@ def _integers(m: Matrix, idx: Sequence[int] | None = None) -> tuple[list[list[in
     return w, scale
 
 
+def _sentineled(w: list[list[int | None]]) -> list[list[int]]:
+    """The integer form w with each None (-inf) replaced by a sentinel
+    below every finite pair sum."""
+    finite = [x for row in w for x in row if x is not None]
+    sentinel = 2 * min(finite, default=0) - max(finite, default=0) - 1
+    return [[sentinel if x is None else x for x in row] for row in w]
+
+
 def _four_point_holds(w: list[list[int | None]]) -> bool:
     """Whether the integer form w (None, for -inf, on the diagonal only)
     meets the four-point condition on quadruples with repetition, the
@@ -186,17 +186,15 @@ def _four_point_holds(w: list[list[int | None]]) -> bool:
 
     A quadruple {a, a, b, c} (b = c allowed) has two equal pair sums, so
     it fails only when w_aa + w_bc > w_ab + w_ac; a -inf w_aa never does,
-    and a -inf w_bb is replaced by the scan's sentinel, below every finite
-    pair sum.  On distinct points the condition holds exactly when the
-    Farris transform at point 0, g_xy = w_x0 + w_y0 - w_xy, meets the
-    three-point condition g_xy >= min(g_xz, g_zy) (0-hyperbolicity at one
-    base point; Bandelt, "Recognition of tree metrics", 1990), that is,
-    when each g_xy reaches the smallest g on the path from x to y in a
-    maximum spanning tree of g, which Prim's algorithm grows in O(n^2)."""
+    and a -inf w_bb is replaced by the sentinel of `_sentineled`.  On
+    distinct points the condition holds exactly when the Farris transform
+    at point 0, g_xy = w_x0 + w_y0 - w_xy, meets the three-point condition
+    g_xy >= min(g_xz, g_zy) (0-hyperbolicity at one base point; Bandelt,
+    "Recognition of tree metrics", 1990), that is, when each g_xy reaches
+    the smallest g on the path from x to y in a maximum spanning tree of g,
+    which Prim's algorithm grows in O(n^2)."""
     n = len(w)
-    finite = [x for row in w for x in row if x is not None]
-    sentinel = 2 * min(finite, default=0) - max(finite, default=0) - 1
-    v = [[sentinel if x is None else x for x in row] for row in w]
+    v = _sentineled(w)
     for a in range(n):
         row_a, w_aa = v[a], w[a][a]
         for b in range(a):
@@ -310,39 +308,13 @@ def realize_tree(rows: Sequence[Sequence]) -> tuple[Tree, list[int]]:
     if len(reps) == 1:
         return Tree([], vertices=[reps[0] + 1]), vertex_of
 
-    # grow the tree point by point; adjacency with explicit weights
-    adj: dict[int, dict[int, Fraction]] = {}
-
-    def link(u: int, v: int, w: Fraction) -> None:
-        adj.setdefault(u, {})[v] = w
-        adj.setdefault(v, {})[u] = w
-
-    def cut(u: int, v: int) -> Fraction:
-        w = adj[u].pop(v)
-        adj[v].pop(u)
-        return w
-
-    def walk(a: int, b: int) -> list[int]:
-        prev = {a: None}
-        stack = [a]
-        while stack:
-            x = stack.pop()
-            if x == b:
-                break
-            for y in adj[x]:
-                if y not in prev:
-                    prev[y] = x
-                    stack.append(y)
-        path = [b]
-        while prev[path[-1]] is not None:
-            path.append(prev[path[-1]])
-        path.reverse()
-        return path
-
+    # grow the tree point by point, rooted at the reference point r: up[v]
+    # is v's parent and wt[v] the weight of the edge between them
     fresh = n + 1
     r = reps[0]
-    first, second = r + 1, reps[1] + 1
-    link(first, second, m[r][reps[1]])
+    first = r + 1
+    up = {reps[1] + 1: first}
+    wt = {reps[1] + 1: m[r][reps[1]]}
     placed = [r, reps[1]]
 
     for q in reps[2:]:
@@ -355,19 +327,21 @@ def realize_tree(rows: Sequence[Sequence]) -> tuple[Tree, list[int]]:
                 best, h = a, g
         hang = m[r][q] - h
         # walk from the reference toward `best` for distance h
-        path = walk(first, best + 1)
+        path = [best + 1]
+        while path[-1] != first:
+            path.append(up[path[-1]])
+        path.reverse()
         run = Fraction(0)
         at = first
         for u, v in zip(path, path[1:]):
             if run == h:
                 break
-            w = adj[u][v]
+            w = wt[v]
             if run + w > h:
-                cut(u, v)
                 s = fresh
                 fresh += 1
-                link(u, s, h - run)
-                link(s, v, run + w - h)
+                up[s], wt[s] = u, h - run
+                up[v], wt[v] = s, run + w - h
                 at = s
                 break
             run += w
@@ -376,21 +350,15 @@ def realize_tree(rows: Sequence[Sequence]) -> tuple[Tree, list[int]]:
             # x coincides with an interior vertex: claim its label
             if at <= n:
                 raise ValueError(f"points {at - 1} and {q} at distance zero were not merged")
-            for y in list(adj[at]):
-                link(x, y, cut(at, y))
-            adj.pop(at, None)
+            for y, p in up.items():
+                if p == at:
+                    up[y] = x
+            up[x], wt[x] = up.pop(at), wt.pop(at)
         else:
-            link(x, at, hang)
+            up[x], wt[x] = at, hang
         placed.append(q)
 
-    edges = []
-    seen = set()
-    for u, nbrs in adj.items():
-        for v, w in nbrs.items():
-            if (v, u) not in seen:
-                seen.add((u, v))
-                edges.append((u, v, w))
-    tree = Tree(edges)
+    tree = Tree([(v, up[v], wt[v]) for v in up])
 
     # certify the construction before handing it back
     for i in range(n):
@@ -421,9 +389,7 @@ def power_entry(tau: Fraction, d: Fraction):
     deeper radicals."""
     if d == MINUS_INF:
         return Fraction(0)
-    tau, d = Fraction(tau), Fraction(d)
-    if tau <= 0:
-        raise ValueError("base must be positive")
+    tau, d = _positive_base(tau), Fraction(d)
     if d.denominator == 1:
         return tau ** d.numerator
     if d.denominator == 2:
@@ -497,6 +463,19 @@ def _powered_ints(w: list[list[int | None]], scale: int, tau: Fraction) -> list[
     a, b = tau.numerator, tau.denominator
     powers = {e: a ** (e - lo) * b ** (hi - e) for e in exponents}
     return [[0 if x is None else powers[x] for x in row] for row in w]
+
+
+def _powered_form(
+    m: Matrix, idx: Sequence[int], w: list[list[int | None]], scale: int, tau: Fraction
+) -> list[list]:
+    """[tau^(m_ij)] on the rows and columns idx, in scalars `_inertia` runs
+    on; (w, scale) is `_integers(m, idx)`.  The integer matrix of
+    `_powered_ints` when there is one, else `_power`'s entries, QRads at the
+    half-integer exponents (a denominator above 2 raises there).
+    `_rational_form` would find no split either: the odd exponents give it
+    the same parity graph."""
+    a = _powered_ints(w, scale, tau)
+    return _power(m, tau, idx) if a is None else a
 
 
 def _check_symmetric(a: Sequence[Sequence]) -> None:
@@ -648,11 +627,7 @@ def spectral_signature(
     m = as_matrix(rows)
     n = len(m)
     idx = range(n) if subset is None else _subset_indices(subset, n)
-    tau = _positive_base(tau)
-    a = _powered_ints(*_integers(m, idx), tau)
-    if a is None:
-        return inertia(_power(m, tau, idx))
-    # a_ij = a_ji exactly when the powered entries are equal
+    a = _powered_form(m, idx, *_integers(m, idx), _positive_base(tau))
     _check_symmetric(a)
     return _inertia(a)
 
@@ -708,8 +683,8 @@ def hpp_eigen_check(rows: Sequence[Sequence], taus: Iterable = (10, 100)):
     on the diagonal only (max-plus order: -inf powers to a zero entry).
 
     For each base in the grid, [tau^(f_ij)] must have at most one positive
-    eigenvalue (counted on its rational form when it has one, as in
-    `inertia`); the four-point condition on f itself is checked alongside.
+    eigenvalue (counted on its rational form, scaled to integers, when it
+    has one); the four-point condition on f itself is checked alongside.
     Returns None when everything holds, the first failing base otherwise,
     or the four-point certificate."""
     m = as_matrix(rows)
@@ -726,10 +701,7 @@ def hpp_eigen_check(rows: Sequence[Sequence], taus: Iterable = (10, 100)):
                 )
     for tau in taus:
         tau = _positive_base(tau)
-        a = _powered_ints(w, scale, tau)
-        if a is None:
-            a = _exact_form(_power(m, tau, range(n)))
-        positives, _, _ = _inertia(a)
+        positives, _, _ = _inertia(_powered_form(m, range(n), w, scale, tau))
         if positives > 1:
             return tau
     return _four_point_violation(m, w)

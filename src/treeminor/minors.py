@@ -234,14 +234,14 @@ def minor_leading(T: Tree, X: Iterable[int]) -> tuple[Fraction, Fraction]:
     """(exponent, coefficient) of the top term of the minor, read directly
     off the spanned subtree: exponent twice its weight, coefficient
     (-1)^{|X|+1} times the interior degree product."""
-    xs = frozenset(T.check_subset(X))
+    xs = T.check_subset(X)
     if not xs:
         raise ValueError("X must be nonempty")
-    _, edges = T.spanned_subtree(xs)
-    coeff = Fraction(forest_degree_product(edges, xs))
+    mask = T._spanned_mask(xs)
+    coeff = Fraction(forest_degree_product(T._edges_of(mask), frozenset(xs)))
     if len(xs) % 2 == 0:
         coeff = -coeff
-    return 2 * T.spanned_weight(xs), coeff
+    return 2 * T._weight_of(mask), coeff
 
 
 def minor_oracle(T: Tree, X: Sequence[int]) -> ExactPoly:

@@ -25,7 +25,7 @@ from treeminor.metric import (
     star_condition_check,
 )
 from treeminor.radicals import QRad
-from treeminor.tree import Tree, random_tree
+from treeminor.tree import Tree, format_tree, random_tree
 
 F = Fraction
 
@@ -154,6 +154,55 @@ def test_realize_random_roundtrip(seed):
                 else built.dist(vertex_of[i], vertex_of[j])
             )
             assert got == d[i][j]
+
+
+_QUARTET = Tree([(1, 5, 1), (2, 5, 2), (5, 6, F(1, 2)), (3, 6, 3), (4, 6, 1)])
+
+
+@pytest.mark.parametrize(
+    "d, text, placement",
+    [
+        # the third point splits the edge 1-2 at the fresh label 5, the
+        # fourth the edge 5-3 at 6
+        (
+            tree_distance_matrix(_QUARTET, [1, 2, 3, 4]),
+            "6\n1 5\n2 5 2\n3 6 3\n4 6\n5 6 1/2\n",
+            [1, 2, 3, 4],
+        ),
+        # path 1-2-3 with the points in the order 1, 3, 2: the last point
+        # claims the fresh label 4 of the middle vertex
+        (tree_distance_matrix(Tree([(1, 2), (2, 3)]), [1, 3, 2]), "3\n1 3\n2 3\n", [1, 2, 3]),
+        # a star whose centre comes last and claims the fresh label 5
+        (
+            tree_distance_matrix(Tree([(1, 4, 2), (2, 4, 1), (3, 4, 3)]), [1, 2, 3, 4]),
+            "4\n1 4 2\n2 4\n3 4 3\n",
+            [1, 2, 3, 4],
+        ),
+        # the fifth and sixth points claim the fresh labels 9 and 8, and the
+        # seventh hangs below the fifth
+        (
+            tree_distance_matrix(Tree([*_QUARTET.edges(), (6, 7)]), [1, 2, 3, 4, 6, 5, 7]),
+            "7\n1 6\n2 6 2\n3 5 3\n4 5\n5 6 1/2\n5 7\n",
+            [1, 2, 3, 4, 5, 6, 7],
+        ),
+        # points at distance zero share the label of the first of them; the
+        # last point claims the fresh label 7
+        (
+            tree_distance_matrix(
+                Tree([(1, 2), (2, 3, F(3, 2)), (2, 4, 2)]), [3, 1, 3, 4, 1, 2]
+            ),
+            "4\n1 6 3/2\n2 6\n4 6 2\n",
+            [1, 2, 1, 4, 2, 6],
+        ),
+        ([[0, 0, 0], [0, 0, 0], [0, 0, 0]], "1\n", [1, 1, 1]),
+        ([[0]], "1\n", [1]),
+        ([[0, F(5, 2)], [F(5, 2), 0]], "2\n1 2 5/2\n", [1, 2]),
+    ],
+)
+def test_realize_labels_are_pinned(d, text, placement):
+    built, vertex_of = realize_tree(d)
+    assert format_tree(built) == text
+    assert vertex_of == placement
 
 
 # --- powered matrices and signatures ---------------------------------------------
@@ -522,6 +571,32 @@ def test_odd_parity_cycle_falls_back_to_square_roots():
         assert spectral_signature(odd, tau) == want == inertia(power_matrix(odd, tau))
     assert want == (1, 2, 0)
     assert hpp_eigen_check(odd, [10, F(3, 2)]) is None
+
+
+def test_odd_parity_cycle_fallback_skips_the_rational_form(monkeypatch):
+    # after _powered_ints finds no split, the square-root entries go
+    # straight to the elimination
+    def unreachable(a):
+        raise AssertionError("_rational_form reached")
+
+    monkeypatch.setattr(metric, "_rational_form", unreachable)
+    odd = [[F(0) if i == j else F(1, 2) for j in range(3)] for i in range(3)]
+    # the same triangle and a far point: two positive eigenvalues
+    far = [
+        [F(0), F(1, 2), F(1, 2), F(5)],
+        [F(1, 2), F(0), F(1, 2), F(1)],
+        [F(1, 2), F(1, 2), F(0), F(1)],
+        [F(5), F(1), F(1), F(0)],
+    ]
+    for m in (odd, far):
+        for tau in (10, F(3, 2)):
+            want = _qrad_inertia(metric._power(m, F(tau), range(len(m))))
+            assert spectral_signature(m, tau) == want
+            assert spectral_signature(m, tau, [2, 0, 1]) == _qrad_inertia(
+                metric._power(m, F(tau), [2, 0, 1])
+            )
+            assert hpp_eigen_check(m, [tau]) == (F(tau) if want[0] > 1 else None)
+    assert spectral_signature(far, 10) == (2, 2, 0)
 
 
 def test_exponents_beyond_half_integers_keep_their_error():

@@ -51,7 +51,6 @@ from .metric import (
     MINUS_INF,
     NotTreeMetricError,
     check_4pc,
-    check_dissimilarity,
     format_matrix_csv,
     hpp_eigen_check,
     parse_matrix_csv,
@@ -588,19 +587,17 @@ def cmd_decompose(args):
     m = _read_matrix(args.matrix)
     d, p = split_potentials(m)
     try:
-        d = check_dissimilarity(d)
-    except ValueError as exc:
-        return 1, {
-            "ok": False,
-            "reason": f"potential-reduced part is not a dissimilarity matrix: {exc}",
-            "potentials": p,
-        }
-    try:
         T, placement = realize_tree(d)
     except NotTreeMetricError as exc:
         return 1, {
             "ok": False,
             "violation": _violation_dict(exc.violation),
+            "potentials": p,
+        }
+    except ValueError as exc:  # d is finite, square and symmetric: a negative entry
+        return 1, {
+            "ok": False,
+            "reason": f"potential-reduced part is not a dissimilarity matrix: {exc}",
             "potentials": p,
         }
     return 0, {
@@ -685,7 +682,7 @@ def cmd_dissimilarity(args):
 def cmd_check_matroid(args):
     with open(args.map, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    if "values" not in data and "map" in data:
+    if isinstance(data, dict) and "values" not in data and "map" in data:
         data = data["map"]  # tolerate a full `dissimilarity` report
     try:
         fn = ValuatedFn.from_json(data)
@@ -796,23 +793,15 @@ def cmd_represent_odd(args):
             "subsets; pass a smaller --ground"
         )
     rep = represent_odd(T, ground=ground)
-    fn = odd_dissimilarity(T, ground=rep.order)
     pairs = rep.value_pairs()
     mismatches = []
     checked = 0
     for r in range(0, len(rep.order) + 1, 2):
         for X in combinations(rep.order, r):
-            want = fn.value(X)
+            want = T.odd_weight(X)
             got, dual = pairs[X]
-            if got != want or dual != (-want if want != MINUS_INF else want):
-                mismatches.append(
-                    {
-                        "X": list(X),
-                        "value": got,
-                        "dual": dual,
-                        "expected": want,
-                    }
-                )
+            if got != want or dual != -want:
+                mismatches.append({"X": list(X), "value": got, "dual": dual, "expected": want})
             checked += 1
     report = {
         "tree": text,

@@ -119,13 +119,21 @@ class ValuatedFn:
     def from_json(cls, data) -> "ValuatedFn":
         if isinstance(data, str):
             data = json.loads(data)
+        if not isinstance(data, dict) or not isinstance(data["values"], dict):
+            raise ValueError('a map is a JSON object whose "values" is an object')
         values = {}
         for key, val in data["values"].items():
             s = tuple(int(x) for x in key.split(",")) if key else ()
             if isinstance(val, str) and val.strip() in ("-inf", "-Infinity"):
                 continue
-            values[s] = Fraction(val)
-        return cls(data["ground"], values, k=data.get("k"))
+            try:
+                values[s] = Fraction(val)
+            except (TypeError, OverflowError):  # null, a list, an object, Infinity
+                raise ValueError(f"value {val!r} of {key!r} is not a rational") from None
+        ground = data["ground"]
+        if not isinstance(ground, list) or not all(isinstance(x, int) for x in ground):
+            raise ValueError(f'"ground" must be a list of integers, got {ground!r}')
+        return cls(ground, values, k=data.get("k"))
 
 
 @dataclass(frozen=True)
@@ -379,22 +387,18 @@ class RootedRepresentation:
     """A k x n matrix of truncated series whose k x k column-block
     determinant valuations equal the rooted subtree-weight map.
 
-    `matrix` is the exact root-reduced power matrix M; `lower` a Cholesky
-    factor L of -M over truncated series (so -M = L L^T up to the window);
-    `mix` a random rational k x n matrix J; and `rows` the product J L^T.
+    `matrix` is the exact root-reduced power matrix M; `rows` is J L^T, L a
+    Cholesky factor of -M over series truncated at `window` (-M = L L^T up
+    to the window) and J a random rational k x n matrix drawn from `seed`.
     `valuations` holds the checked block valuation of every k-subset Y
     (a sorted tuple of ground elements), in `combinations` order.
     """
 
-    tree: Tree
-    root: int
     ground: tuple[int, ...]
     k: int
     window: Fraction
     seed: int
     matrix: PolyMatrix
-    lower: tuple[tuple[PuiseuxTrunc, ...], ...]
-    mix: tuple[tuple[Fraction, ...], ...]
     rows: tuple[tuple[PuiseuxTrunc, ...], ...]
     valuations: Mapping[tuple[int, ...], Value] = field(hash=False)
 
@@ -507,15 +511,11 @@ def verify_rooted_representation(
             problem = f"seed {seed + attempt}: {exc}"
         if problem is None:
             rep = RootedRepresentation(
-                tree=T,
-                root=root,
                 ground=g,
                 k=k,
                 window=w,
                 seed=seed + attempt,
                 matrix=M,
-                lower=tuple(tuple(row) for row in L),
-                mix=tuple(tuple(row) for row in J),
                 rows=rows,
                 valuations=MappingProxyType(vals),
             )

@@ -349,7 +349,9 @@ def realize_tree(rows: Sequence[Sequence]) -> tuple[Tree, list[int]]:
         if hang == 0:
             # x coincides with an interior vertex: claim its label
             if at <= n:
-                raise ValueError(f"points {at - 1} and {q} at distance zero were not merged")
+                raise AssertionError(
+                    f"points {at - 1} and {q} at distance zero were not merged"
+                )
             for y, p in up.items():
                 if p == at:
                     up[y] = x
@@ -414,13 +416,10 @@ def _positive_base(tau) -> Fraction:
     return tau
 
 
-def power_matrix(rows: Sequence[Sequence], tau, subset: Sequence[int] | None = None):
-    """[tau^(m_ij)] on the rows and columns of the subset (default: all);
-    the subset must list distinct indices in 0..n-1."""
+def power_matrix(rows: Sequence[Sequence], tau):
+    """[tau^(m_ij)]."""
     m = as_matrix(rows)
-    n = len(m)
-    idx = range(n) if subset is None else _subset_indices(subset, n)
-    return _power(m, _positive_base(tau), idx)
+    return _power(m, _positive_base(tau), range(len(m)))
 
 
 def _power(m: Matrix, tau, idx: Sequence[int]):

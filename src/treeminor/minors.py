@@ -4,12 +4,12 @@ The central objects are spanned forests: subforests of the subtree spanned
 by a vertex set X whose leaves all lie in X (isolated vertices of X are
 allowed and count as their own components).  Summing a sign and a degree
 product over them gives every principal minor of (t^{d_ij}) exactly.
-minor_formula evaluates that sum by a DP over the spanned subtree, and
-minor_formula_table runs the same DP once over the whole tree for every
-vertex set up to a size; the determinant computed from the matrix itself
-serves as the independent oracle, and the exponential forest enumerator as
-a small-n one.  minor_table gives every principal minor up to a size in
-one walk.
+minor_formula evaluates that sum by a DP over the tree's rooted walk that
+skips the branches without a member of X, and minor_formula_table runs the
+same DP once over the whole tree for every vertex set up to a size; the
+determinant computed from the matrix itself serves as the independent
+oracle, and the exponential forest enumerator as a small-n one.
+minor_table gives every principal minor up to a size in one walk.
 """
 
 from __future__ import annotations
@@ -138,47 +138,35 @@ def minor_formula(T: Tree, X: Iterable[int]) -> ExactPoly:
     sum over S of prod_{e in S} (-t^{2 w_e}) * prod_{v not in X} (1 - deg_S v),
     S ranging over all edge subsets of the spanned subtree (a vertex outside
     X of degree one contributes 0, which enforces the leaf rule).  A
-    post-order DP over the subtree, rooted at a vertex of X, evaluates it
-    with O(|E_X|) polynomial products.  Each vertex v returns
-    (parent edge out, parent edge in), built from A, the sum over its child
-    subtrees, and B, the same sum weighted by the number of chosen child
-    edges: (A, A) if v is in X, else (A - B, -B).  A child edge of weight w,
-    with x = -t^{2w} and s = out + x in, updates B <- B s + A x in and
-    A <- A s.  The polynomials are integer-coefficient dicts over the shared
-    exponent denominator.
+    post-order DP over the tree's rooted walk evaluates it with O(|E_X|)
+    polynomial products; as in minor_formula_table, a branch without a
+    member of X passes (1, 0) and is skipped, and the root passes the answer
+    on.  Each vertex v returns (parent edge out, parent edge in), built from
+    A, the sum over its child subtrees, and B, the same sum weighted by the
+    number of chosen child edges: (A, A) if v is in X, else (A - B, -B).  A
+    child edge of weight w, with x = -t^{2w} and s = out + x in, updates
+    B <- B s + A x in and A <- A s.  The polynomials are integer-coefficient
+    dicts over the shared exponent denominator.
     """
     xs = T.check_subset(X)
     if not xs:
         raise ValueError("X must be nonempty")
     in_x = frozenset(xs)
-    _, edges = T.spanned_subtree(xs)
-    den = 1
-    for e in edges:
-        den = lcm(den, (2 * T.weight(e)).denominator)
-    adj: dict[int, list[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    root = xs[0]
-    parent = {root: root}
-    order = [root]
-    for v in order:  # breadth-first; reversed, every child precedes its parent
-        for c in adj.get(v, ()):
-            if c not in parent:
-                parent[c] = v
-                order.append(c)
-    up: dict[int, tuple[dict, dict]] = {}
-    for v in reversed(order):
-        a: dict[int, int] = {0: 1}
-        b: dict[int, int] = {}
-        for c in adj.get(v, ()):
-            if c == parent[v]:
-                continue
-            out_c, in_c = up.pop(c)
-            s, x_in = _edge_terms(out_c, in_c, int(2 * T.weight((v, c)) * den))
-            a, b = _absorb(a, b, s, x_in, v in in_x)
-        up[v] = _close(a, b, v in in_x)
-    return ExactPoly._make(den, 1, up[root][0])
+    den = lcm(*((2 * w).denominator for _, _, w in T.edges()))
+    up: dict[int, tuple[dict, dict]] = {}  # the branches holding a member of X
+    for v in reversed(T._parent):  # the walk lists each vertex after its parent
+        a, b = {0: 1}, {}
+        held = in_v = v in in_x
+        for c in T._adj[v]:
+            if c in up:  # a child: the parent comes later in reversed order
+                out_c, in_c = up.pop(c)
+                s, x_in = _edge_terms(out_c, in_c, int(2 * T.weight((v, c)) * den))
+                a, b = _absorb(a, b, s, x_in, in_v)
+                held = True
+        if held:
+            up[v] = _close(a, b, in_v)
+    ((out, _),) = up.values()
+    return ExactPoly._make(den, 1, out)
 
 
 def minor_formula_table(T: Tree, max_size: int) -> dict[tuple[int, ...], ExactPoly]:

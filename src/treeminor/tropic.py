@@ -133,22 +133,17 @@ class PuiseuxTrunc:
 
     @staticmethod
     def constant(c) -> "PuiseuxTrunc":
-        return PuiseuxTrunc.from_terms([(Fraction(0), c)])
+        return PuiseuxTrunc.t_power(0, c)
 
     @staticmethod
     def t_power(e, coeff=1) -> "PuiseuxTrunc":
-        return PuiseuxTrunc.from_terms([(Fraction(e), coeff)])
+        e = Fraction(e)
+        return PuiseuxTrunc(e.denominator, {e.numerator: coeff})
 
     @staticmethod
     def from_terms(pairs: Iterable[tuple[Fraction, Coeff]]) -> "PuiseuxTrunc":
-        pairs = [(_as_fraction(e), c) for e, c in pairs]
-        ram = lcm(1, *(e.denominator for e, _ in pairs)) if pairs else 1
-        terms: dict[int, Coeff] = {}
-        for e, c in pairs:
-            k = int(e * ram)
-            prev = terms.get(k, Fraction(0))
-            terms[k] = prev + c
-        return PuiseuxTrunc(ram, terms)
+        monomials = (PuiseuxTrunc.t_power(_as_fraction(e), c) for e, c in pairs)
+        return sum(monomials, PuiseuxTrunc.zero())
 
     @staticmethod
     def from_poly(p: ExactPoly) -> "PuiseuxTrunc":

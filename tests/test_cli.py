@@ -649,6 +649,34 @@ def test_metric_commands_scan_quadruples_once(capsys, monkeypatch, tmp_path, sub
     assert json.loads(out)["violation"]["quadruple"] == [0, 1, 2, 3]
 
 
+def test_decompose_validates_its_matrix_once(capsys, monkeypatch, tmp_path):
+    real = metric.check_dissimilarity
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return real(rows)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("treeminor") and getattr(mod, "check_dissimilarity", None) is real:
+            monkeypatch.setattr(mod, "check_dissimilarity", counted)
+    t = random_tree(5, seed=4)
+    p = [F(1, 2), F(3), F(0), F(5, 2), F(1)]
+    d = [[t.dist(a, b) for b in t.vertices] for a in t.vertices]
+    good = tmp_path / "w.csv"
+    good.write_text(format_matrix_csv(
+        [[d[i][j] + p[i] + p[j] for j in range(5)] for i in range(5)]))
+    c4 = tmp_path / "c4.csv"
+    c4.write_text(C4_CSV)
+    neg = tmp_path / "neg.csv"
+    neg.write_text(PINNED_REPORT_FILES["neg3"])
+    for path, want_code in ((good, 0), (c4, 1), (neg, 1)):
+        calls.clear()
+        code, _, _ = invoke(capsys, "decompose", "--matrix", str(path))
+        assert code == want_code
+        assert len(calls) == 1
+
+
 def _pinned_metric_csvs():
     """The matrices the metric commands' pinned stdout is taken on."""
     half = Tree([(1, 2, F(1, 2)), (2, 3, F(3, 2)), (2, 4, 1), (4, 5, F(5, 2)),
@@ -824,6 +852,30 @@ def test_check_matroid_violation(capsys, tmp_path):
     assert data["violation"]["lhs"] == "20"
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        [1, 2],
+        5,
+        {"map": 7},
+        {"values": [1], "ground": [1]},
+        {"values": {"1": "2"}, "ground": 3},
+        {"ground": [1], "values": {"1": None}},
+        {"ground": [1], "values": {"1": float("inf")}},
+        {"ground": [1, "2"], "values": {"1": "0"}},
+    ],
+    ids=["list", "number", "map-number", "values-list", "ground-number", "value-null",
+         "value-infinity", "ground-string"],
+)
+def test_check_matroid_refuses_json_of_the_wrong_shape(capsys, tmp_path, payload):
+    # exit 1 means a counterexample, so a malformed map is a usage error
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = invoke(capsys, "check-matroid", "--map", str(path))
+    assert (code, out) == (2, "")
+    assert "bad map file" in err
+
+
 def test_represent_rooted_report(capsys, tmp_path):
     tree = tmp_path / "q.tree"
     tree.write_text("6\n1 5\n2 5\n5 6\n3 6\n4 6\n")
@@ -922,6 +974,53 @@ def test_represent_odd_accepts_13_vertices(capsys):
     data = json.loads(out)
     assert data["mismatches"] == []
     assert data["checked"] == 4096
+
+
+# the trees and matrices that PINNED_REPORTS names; q6 is the tree of
+# test_represent_rooted_report, and neg3's potential-reduced part has the
+# negative entry 1 - 1 - 2 at (0,1)
+PINNED_REPORT_FILES = {
+    "q6": "6\n1 5\n2 5\n5 6\n3 6\n4 6\n",
+    "q6r": "6\n1 5 1/2\n2 5 3/2\n5 6 2/3\n3 6 5/2\n4 6 1\n",
+    "neg3": "2,1,0\n1,4,3\n0,3,6\n",
+}
+
+# sha256 of each command's --format json stdout, taken before minor_formula
+# ran on the tree's rooted walk, decompose validated its matrix once and
+# represent-odd read the odd-edge weights straight off the tree
+PINNED_REPORTS = {
+    "minor --n 9 --seed 2 --X 1,3,4,7,9":
+        "ba3b1d06d5db9c932e51eefd92e2cdf52a7a52e39de8207fdc942641e6500d1e",
+    "minor --n 9 --seed 5 --weights rational --X 2,3,5,8":
+        "0ba19a9c0cdb483a295df313d8591ab1b8b40cfb0c165c5382ec2f242fd5c9c0",
+    "decompose --matrix neg3":
+        "3455f0fdd53f2ac86843433c1fad9244d653b4e178bc1c22f72f62a9d77b0e40",
+    "represent-odd --n 8 --seed 0":
+        "3c550b8d595d2df9a0a3a13f2b035ec385d7acfbcb73c669d37213604968bfd6",
+    "represent-odd --n 9 --seed 1 --weights rational":
+        "d07fc0acacb938ec7b57b48684fe281d6dcdce36de308e5decc3b48f97293d8f",
+    "represent-rooted --tree q6 --root 5 --k 1":
+        "90821393556cb34c385f847928024a1d9d4db803524de1c0b648e40e5ac649df",
+    "represent-rooted --tree q6 --root 5 --k 2":
+        "a82bb6831409b31c4b58bbe1d4100cc83b4794bd59b3fc122a077242ebe3be3e",
+    "represent-rooted --tree q6 --root 5 --k 3":
+        "9a29e6221b1095975e1963608053a9bc7b006cdbc052a204f0c41176a337b2c1",
+    "represent-rooted --tree q6r --root 5 --k 2":
+        "27568cfbe90b50d76bfb784f61e1a281cdb5607fc5e73e5d9bd9c2fa598d995d",
+}
+
+
+@pytest.mark.parametrize("argv", PINNED_REPORTS)
+def test_report_stdout_is_pinned(capsys, tmp_path, argv):
+    words = argv.split()
+    for i, word in enumerate(words):
+        if word in PINNED_REPORT_FILES:
+            path = tmp_path / word
+            path.write_text(PINNED_REPORT_FILES[word])
+            words[i] = str(path)
+    code, out, _ = invoke(capsys, *words, "--format", "json")
+    assert code in (0, 1)
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_REPORTS[argv]
 
 
 def test_csv_format_rows(capsys):

@@ -31,7 +31,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .metric import MINUS_INF
 from .pfaffian import build_skew_matrix, pf_table
-from .poly import ExactPoly, PolyMatrix, det, pfaffian
+from .poly import ExactPoly, PolyMatrix, _as_fraction, det, pfaffian
 from .tree import Tree
 from .tropic import PrecisionError, PuiseuxTrunc, cholesky, series_det
 
@@ -68,7 +68,7 @@ class ValuatedFn:
                 continue
             if k is not None and len(s) != k:
                 raise ValueError(f"finite value on {sorted(s)} but k={k}")
-            store[s] = Fraction(val)
+            store[s] = _as_fraction(val)
         self._values = store
 
     def value(self, X: Iterable[int]):
@@ -127,13 +127,16 @@ class ValuatedFn:
             if isinstance(val, str) and val.strip() in ("-inf", "-Infinity"):
                 continue
             try:
-                values[s] = Fraction(val)
-            except (TypeError, OverflowError):  # null, a list, an object, Infinity
+                values[s] = _as_fraction(val)
+            except (TypeError, ZeroDivisionError):  # null, a float, a list, "1/0"
                 raise ValueError(f"value {val!r} of {key!r} is not a rational") from None
         ground = data["ground"]
         if not isinstance(ground, list) or not all(isinstance(x, int) for x in ground):
             raise ValueError(f'"ground" must be a list of integers, got {ground!r}')
-        return cls(ground, values, k=data.get("k"))
+        k = data.get("k")
+        if k is not None and (not isinstance(k, int) or isinstance(k, bool)):
+            raise ValueError(f'"k" must be an integer or null, got {k!r}')
+        return cls(ground, values, k=k)
 
 
 @dataclass(frozen=True)
@@ -338,17 +341,14 @@ def _rooted_ground(T: Tree, root: int, ground: Iterable[int] | None) -> tuple[in
 def rooted_matrix(T: Tree, root: int, ground: Sequence[int]) -> PolyMatrix:
     """The symmetric matrix t^(d_ab) - t^(d_ra + d_rb) over the ground set,
     r the root: pairwise powers with the rank-one root part removed."""
-    g = tuple(ground)
-    depth = {a: T.dist(root, a) for a in g}
+    (depth, *dist), den = T._distance_ints((root, *ground))
     rows = []
-    for a in g:
-        row = []
-        for b in g:
-            row.append(
-                ExactPoly.t_power(T.dist(a, b))
-                - ExactPoly.t_power(depth[a] + depth[b])
-            )
-        rows.append(row)
+    for a, row in enumerate(dist, 1):
+        entries = []
+        for b in range(1, len(depth)):
+            e, f = row[b], depth[a] + depth[b]  # e = f when r is on the a-b path
+            entries.append(ExactPoly._make(den, 1, {e: 1, f: -1} if e != f else {}))
+        rows.append(entries)
     return PolyMatrix(rows)
 
 

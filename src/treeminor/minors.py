@@ -17,21 +17,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Sequence
 
 from .poly import ExactPoly, PolyMatrix, _principal_minors, _zadd, _zmul, det
-from .tree import Edge, Tree
+from .tree import Edge, Tree, edge_key
 
 
 def build_matrix(T: Tree, X: Sequence[int]) -> PolyMatrix:
     """The symmetric matrix (t^{d(x_i, x_j)}) over the listed vertices."""
-    xs = T.check_subset(X)
-    rows = [
-        [ExactPoly.t_power(T.dist(a, b)) for b in xs]
-        for a in xs
-    ]
-    return PolyMatrix(rows)
+    dist, den = T._distance_ints(T.check_subset(X))
+    return PolyMatrix([[ExactPoly._make(den, 1, {d: 1}) for d in row] for row in dist])
 
 
 @dataclass(frozen=True)
@@ -108,8 +103,8 @@ def forest_degree_product(T_or_forest_edges, X: frozenset[int]) -> int:
 
 
 def _edge_terms(out_c: dict, in_c: dict, shift: int) -> tuple[dict, dict]:
-    """(s, x in) for a child edge of weight shift / (2 den): x = -t^{2w},
-    s = out + x in."""
+    """(s, x in) for a child edge of weight shift / (2 T._den):
+    x = -t^{2w}, s = out + x in."""
     x_in = {k + shift: -val for k, val in in_c.items()}
     return _zadd(out_c, x_in), x_in
 
@@ -146,13 +141,12 @@ def minor_formula(T: Tree, X: Iterable[int]) -> ExactPoly:
     number of chosen child edges: (A, A) if v is in X, else (A - B, -B).  A
     child edge of weight w, with x = -t^{2w} and s = out + x in, updates
     B <- B s + A x in and A <- A s.  The polynomials are integer-coefficient
-    dicts over the shared exponent denominator.
+    dicts over the tree's weight denominator T._den.
     """
     xs = T.check_subset(X)
     if not xs:
         raise ValueError("X must be nonempty")
     in_x = frozenset(xs)
-    den = lcm(*((2 * w).denominator for _, _, w in T.edges()))
     up: dict[int, tuple[dict, dict]] = {}  # the branches holding a member of X
     for v in reversed(T._parent):  # the walk lists each vertex after its parent
         a, b = {0: 1}, {}
@@ -160,13 +154,13 @@ def minor_formula(T: Tree, X: Iterable[int]) -> ExactPoly:
         for c in T._adj[v]:
             if c in up:  # a child: the parent comes later in reversed order
                 out_c, in_c = up.pop(c)
-                s, x_in = _edge_terms(out_c, in_c, int(2 * T.weight((v, c)) * den))
+                s, x_in = _edge_terms(out_c, in_c, 2 * T._int_weight[edge_key(v, c)])
                 a, b = _absorb(a, b, s, x_in, in_v)
                 held = True
         if held:
             up[v] = _close(a, b, in_v)
     ((out, _),) = up.values()
-    return ExactPoly._make(den, 1, out)
+    return ExactPoly._make(T._den, 1, out)
 
 
 def minor_formula_table(T: Tree, max_size: int) -> dict[tuple[int, ...], ExactPoly]:
@@ -188,7 +182,6 @@ def minor_formula_table(T: Tree, max_size: int) -> dict[tuple[int, ...], ExactPo
     """
     verts = T.vertices
     bit = {v: 1 << i for i, v in enumerate(verts)}
-    den = lcm(*((2 * w).denominator for _, _, w in T.edges()))
     parent = T._parent
     up: dict[int, dict[int, tuple[dict, dict]]] = {}
     for v in reversed(parent):  # the walk lists each vertex after its parent
@@ -197,7 +190,7 @@ def minor_formula_table(T: Tree, max_size: int) -> dict[tuple[int, ...], ExactPo
         for c in T._adj[v]:
             if c == parent[v]:
                 continue
-            shift = int(2 * T.weight((v, c)) * den)
+            shift = 2 * T._int_weight[edge_key(v, c)]
             merged = dict(state)  # child mask 0
             for cm, (out_c, in_c) in up.pop(c).items():
                 if not cm:
@@ -214,7 +207,7 @@ def minor_formula_table(T: Tree, max_size: int) -> dict[tuple[int, ...], ExactPo
     for r in range(1, min(max_size, len(verts)) + 1):
         for key in itertools.combinations(verts, r):
             out, _ = root_out[sum(bit[x] for x in key)]
-            table[key] = ExactPoly._make(den, 1, out)
+            table[key] = ExactPoly._make(T._den, 1, out)
     return table
 
 
@@ -248,12 +241,11 @@ def minor_table(T: Tree, max_size: int) -> dict[tuple[int, ...], ExactPoly]:
     walk (poly._principal_minors) over the integer maps of the distance
     powers gives them all.  The table is complete: a principal minor over
     distinct vertices is a nonzero polynomial (minor_leading gives its top
-    term), so the walk meets no zero pivot.  Exponents are integers over
-    the lcm of the distance denominators.
+    term), so the walk meets no zero pivot.  Exponents are the tree's
+    integer distances, over the lcm of its weight denominators.
     """
-    dist = T.distance_matrix()
-    den = lcm(*(d.denominator for row in dist for d in row))
-    M = [[{d.numerator * (den // d.denominator): 1} for d in row] for row in dist]
+    dist, den = T._distance_ints(T.vertices)
+    M = [[{d: 1} for d in row] for row in dist]
     minors = _principal_minors(M, T.vertices, max_size)
     return {key: ExactPoly._make(den, 1, p) for key, p in minors.items()}
 

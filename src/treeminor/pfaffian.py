@@ -12,7 +12,6 @@ and pf_formula_table the monomial of each.
 
 from __future__ import annotations
 
-from math import lcm
 from typing import Sequence
 
 from .poly import ExactPoly, PolyMatrix, pfaffian
@@ -33,18 +32,15 @@ class NotNicelyOrderedError(ValueError):
 def build_skew_matrix(T: Tree, X: Sequence[int]) -> PolyMatrix:
     """Skew matrix with t^{d(x_a, x_b)} above the diagonal.
 
-    Every entry is a monomial, built from one distance matrix as an integer
-    map over the lcm of the distance denominators."""
-    xs = T.check_subset(X)
-    dist = T.distance_matrix(xs)
-    den = lcm(*(d.denominator for row in dist for d in row))
-    k = len(xs)
+    Every entry is a monomial, built from the tree's integer distances
+    over the lcm of its weight denominators."""
+    dist, den = T._distance_ints(T.check_subset(X))
+    k = len(dist)
     z = ExactPoly.zero()
     rows = [[z] * k for _ in range(k)]
     for a in range(k):
         for b in range(a + 1, k):
-            d = dist[a][b]
-            e = d.numerator * (den // d.denominator)
+            e = dist[a][b]
             rows[a][b] = ExactPoly._make(den, 1, {e: 1})
             rows[b][a] = ExactPoly._make(den, 1, {e: -1})
     return PolyMatrix(rows)
@@ -53,7 +49,7 @@ def build_skew_matrix(T: Tree, X: Sequence[int]) -> PolyMatrix:
 def _odd_monomial(T: Tree, odd: int) -> ExactPoly:
     """t^{w(odd)}, odd a mask of T's edges (bit b: the edge above the
     (b + 1)-th smallest label), as an integer map without Fraction."""
-    return ExactPoly._make(T._root_paths.den, 1, {T._weight_num(odd): 1})
+    return ExactPoly._make(T._den, 1, {T._weight_num(odd): 1})
 
 
 def pf_formula(T: Tree, X: Sequence[int]) -> ExactPoly:
@@ -111,14 +107,12 @@ def pf_table(T: Tree, order: Sequence[int]) -> dict[tuple[int, ...], ExactPoly]:
     Pf(S) = sum over j in S - f of (-1)^(r - 1) t^{d(f, j)} Pf(S - f - j),
     j the r-th member of S after f.  Every entry is a monomial, so each
     product shifts the exponents of a smaller Pfaffian: about n 2^(n-2)
-    shifts in all.  Exponents are integers over the lcm of the distance
-    denominators.
+    shifts in all.  Exponents are the tree's integer distances, over the
+    lcm of its weight denominators.
     """
     xs = T.check_subset(order)
     n = len(xs)
-    dist = T.distance_matrix(xs)
-    den = lcm(*(d.denominator for row in dist for d in row))
-    shift = [[d.numerator * (den // d.denominator) for d in row] for row in dist]
+    shift, den = T._distance_ints(xs)
     memo: list = [None] * (1 << n)
     memo[0] = {0: 1}
     table = {(): ExactPoly.one()}

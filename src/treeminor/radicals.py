@@ -21,33 +21,31 @@ from .poly import _as_fraction
 _SIGN_PRECISION_CAP = 1 << 16  # bits; unreachable for honest nonzero inputs
 
 
-def _squarefree_split(n: int) -> tuple[int, int]:
-    """n = s*s*d with d squarefree; returns (s, d).  Requires n >= 1."""
-    s, d, i = 1, 1, 2
+def _factorise(n: int) -> list[tuple[int, int]]:
+    """The (prime, exponent) pairs of n >= 1 by trial division, primes
+    ascending."""
+    out, i = [], 2
     while i * i <= n:
         if n % i == 0:
             e = 0
             while n % i == 0:
                 n //= i
                 e += 1
-            s *= i ** (e // 2)
-            if e % 2:
-                d *= i
-        i += 1 if i == 2 else 2
-    return s, d * n
-
-
-def _prime_factors(n: int) -> list[int]:
-    out, i = [], 2
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            while n % i == 0:
-                n //= i
+            out.append((i, e))
         i += 1 if i == 2 else 2
     if n > 1:
-        out.append(n)
+        out.append((n, 1))
     return out
+
+
+def _squarefree_split(n: int) -> tuple[int, int]:
+    """n = s*s*d with d squarefree; returns (s, d).  Requires n >= 1."""
+    s = d = 1
+    for p, e in _factorise(n):
+        s *= p ** (e // 2)
+        if e % 2:
+            d *= p
+    return s, d
 
 
 class QRad:
@@ -183,7 +181,7 @@ class QRad:
             raise ZeroDivisionError("inverse of zero")
         primes: set[int] = set()
         for d in self._terms:
-            primes.update(_prime_factors(d))
+            primes.update(p for p, _ in _factorise(d))
         num = QRad.of(1)
         cur = self
         for p in sorted(primes):

@@ -52,8 +52,8 @@ def _bits(mask: int):
 class _RootPaths(dict):
     """v -> P_v for one tree, built on first use by climbing from v to the
     nearest vertex whose mask is known (the root's, 0).  Bit b is the edge
-    edge[b] above the (b + 1)-th smallest label, of weight weight[b] / den,
-    den the lcm of the weight denominators."""
+    edge[b] above the (b + 1)-th smallest label, of weight weight[b] /
+    T._den."""
 
     def __init__(self, T: "Tree"):
         root, *below = T._verts
@@ -61,9 +61,7 @@ class _RootPaths(dict):
         self._up = T._parent
         self._bit = {v: b for b, v in enumerate(below)}
         self.edge = [edge_key(v, T._parent[v]) for v in below]
-        self.den = lcm(*(w.denominator for w in T._weights.values()))
-        ws = [T._weights[e] for e in self.edge]
-        self.weight = [w.numerator * (self.den // w.denominator) for w in ws]
+        self.weight = [T._int_weight[e] for e in self.edge]
 
     def __missing__(self, v: int) -> int:
         buf = bytearray(len(self._bit) // 8 + 1)
@@ -115,6 +113,12 @@ class Tree:
                 f"{len(verts)} vertices need {len(verts) - 1} edges, got {len(weighted)}"
             )
         self._weights = weighted
+        # every exponent the matrices and the forest expansion use is a sum
+        # of weights, so one integer form serves both: weight = int / _den
+        self._den = lcm(*(w.denominator for w in weighted.values()))
+        self._int_weight = {
+            e: w.numerator * (self._den // w.denominator) for e, w in weighted.items()
+        }
         self._adj = {v: tuple(sorted(adj.get(v, ()))) for v in verts}
         self._verts = tuple(verts)
         self._vert_set = frozenset(verts)
@@ -132,7 +136,7 @@ class Tree:
         if len(parent) != len(verts):
             raise ValueError("edges do not form a connected tree")
         self._parent = parent
-        self._dist_cache: dict[int, dict[int, Fraction]] = {}
+        self._dist_cache: dict[int, dict[int, int]] = {}
 
     # -- basic structure ---------------------------------------------------
 
@@ -171,24 +175,32 @@ class Tree:
     # -- paths and distances -------------------------------------------------
 
     def dist(self, i: int, j: int) -> Fraction:
-        from_i = self._dist_cache.get(i)
-        if from_i is None:
-            from_i = self._single_source(i)
-            self._dist_cache[i] = from_i
-        return from_i[j]
+        return Fraction(self._single_source(i)[j], self._den)
 
-    def _single_source(self, src: int) -> dict[int, Fraction]:
+    def _single_source(self, src: int) -> dict[int, int]:
+        """The distances from src, as integers over _den (cached)."""
+        out = self._dist_cache.get(src)
+        if out is not None:
+            return out
         if src not in self._vert_set:
             raise ValueError(f"vertex {src} is not in the tree")
-        out = {src: Fraction(0)}
+        out = {src: 0}
         stack = [src]
         while stack:
             x = stack.pop()
             for y in self._adj[x]:
                 if y not in out:
-                    out[y] = out[x] + self._weights[edge_key(x, y)]
+                    out[y] = out[x] + self._int_weight[edge_key(x, y)]
                     stack.append(y)
+        self._dist_cache[src] = out
         return out
+
+    def _distance_ints(self, order: Sequence[int]) -> tuple[list[list[int]], int]:
+        """(rows, _den): the distances between the listed vertices, row a
+        column b the a-b distance times _den.  order is not checked: a
+        repeated vertex repeats its row, and a missing one raises."""
+        rows = [self._single_source(a) for a in order]
+        return [[row[b] for b in order] for row in rows], self._den
 
     def path_edges(self, i: int, j: int) -> frozenset[Edge]:
         """Edges on the unique i-j path (empty when i = j)."""
@@ -205,12 +217,12 @@ class Tree:
         return frozenset(edge[b] for b in _bits(mask))
 
     def _weight_num(self, mask: int) -> int:
-        """The total weight of mask's edges times _root_paths.den."""
+        """The total weight of mask's edges times _den."""
         weight = self._root_paths.weight
         return sum(weight[b] for b in _bits(mask))
 
     def _weight_of(self, mask: int) -> Fraction:
-        return Fraction(self._weight_num(mask), self._root_paths.den)
+        return Fraction(self._weight_num(mask), self._den)
 
     def _spanned_mask(self, xs: tuple[int, ...]) -> int:
         P = self._root_paths
@@ -329,7 +341,8 @@ class Tree:
 
     def distance_matrix(self, order: Sequence[int] | None = None) -> list[list[Fraction]]:
         xs = self.check_subset(order) if order is not None else self._verts
-        return [[self.dist(i, j) for j in xs] for i in xs]
+        rows, den = self._distance_ints(xs)
+        return [[Fraction(d, den) for d in row] for row in rows]
 
     def __repr__(self):
         return f"Tree(n={self.n}, edges={self.edges()})"

@@ -79,6 +79,8 @@ def test_valuated_fn_validates():
         ValuatedFn([1, 2], {(1, 3): 0})
     with pytest.raises(ValueError):
         ValuatedFn([1, 2, 3], {(1, 2): 0, (3,): 1}, k=2)
+    with pytest.raises(TypeError):  # a float is not exact
+        ValuatedFn([1, 2], {(1, 2): 0.5})
     fn = ValuatedFn([1, 2], {(1, 2): 0})
     with pytest.raises(ValueError):
         fn.value([1, 7])
@@ -334,7 +336,7 @@ def test_represent_odd_small_cases():
 # the rooted (determinant / Cholesky) representation
 
 
-def test_rooted_matrix_entries():
+def test_rooted_matrix_entries(entry_trees):
     T = star_tree(3)
     M = rooted_matrix(T, 0, (1, 2, 3))
     one = ExactPoly.one()
@@ -342,6 +344,17 @@ def test_rooted_matrix_entries():
     assert M[0, 0] == one - tp(2)
     # leaf-to-leaf distance equals the sum of the depths: entry vanishes
     assert M[0, 1].is_zero()
+    for T in entry_trees:
+        root, *rest = T.vertices[::-1]
+        # the root inside the ground gives a zero row and column
+        for ground in (rest, T.vertices):
+            M = rooted_matrix(T, root, ground)
+            for i, a in enumerate(ground):
+                for j, b in enumerate(ground):
+                    want = tp(T.dist(a, b)) - tp(T.dist(root, a) + T.dist(root, b))
+                    assert M[i, j] == want
+                    assert str(M[i, j]) == str(want)
+        assert all(M[T.vertices.index(root), j].is_zero() for j in range(T.n))
 
 
 def _first_bad_leading_minor(M):

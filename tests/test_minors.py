@@ -23,6 +23,7 @@ from treeminor.minors import (
     signature,
     spanned_forests,
 )
+from treeminor.pfaffian import pf_formula, pf_formula_table, pf_oracle, pf_table
 from treeminor.poly import ExactPoly
 from treeminor.tree import Tree, random_tree
 
@@ -263,10 +264,41 @@ def test_weighted_minor_single_edge():
     assert minor_formula(T, [1, 2]) == ExactPoly.one() - tp(3)
 
 
-def test_build_matrix_is_symmetric_with_unit_diagonal():
-    T = random_tree(5, seed=2)
-    m = build_matrix(T, T.vertices)
-    for i in range(5):
-        assert m[i, i] == ExactPoly.one()
-        for j in range(5):
-            assert m[i, j] == m[j, i]
+def test_build_matrix_is_symmetric_with_unit_diagonal(entry_trees):
+    for T in entry_trees:
+        order = T.vertices[::-1]
+        m = build_matrix(T, order)
+        for i, a in enumerate(order):
+            assert m[i, i] == ExactPoly.one()
+            for j, b in enumerate(order):
+                assert m[i, j] == m[j, i] == tp(T.dist(a, b))
+                assert str(m[i, j]) == str(tp(T.dist(a, b)))
+
+
+def test_formula_and_oracle_sides_read_separate_integer_forms(monkeypatch):
+    # the oracles read only the distance walk, the formulas only the
+    # root-path masks, the rooted walk and the integer weights
+    def boom(*args):
+        raise AssertionError("read by the wrong side")
+
+    def tree():
+        return Tree([(1, 2, F(1, 2)), (2, 3, F(1, 3)), (3, 4, F(1, 4)), (3, 5, F(3, 4))])
+
+    with monkeypatch.context() as m:
+        m.setattr(Tree, "_root_paths", property(boom))
+        T = tree()
+        oracle = [minor_oracle(T, X) for X in ((1, 4), (2, 3, 5))]
+        table, pf_all = minor_table(T, 3), pf_table(T, (1, 2, 4, 5))
+        pf_one = pf_oracle(T, (1, 2, 4, 5))
+    with monkeypatch.context() as m:
+        m.setattr(Tree, "_single_source", boom)
+        T = tree()
+        formula = [minor_formula(T, X) for X in ((1, 4), (2, 3, 5))]
+        formula_table, pf_formulas = minor_formula_table(T, 3), pf_formula_table(T, (1, 2, 4, 5))
+        leading = minor_leading(T, (2, 3, 5))
+        pf_monomial = pf_formula(T, (1, 2, 4, 5))
+    assert formula == oracle
+    assert formula_table == table
+    assert leading == formula[1].leading_term()
+    assert pf_monomial == pf_one
+    assert all(p is None or p == pf_all[k] for k, p in pf_formulas.items())

@@ -158,15 +158,17 @@ def test_pf_formula_table_is_the_monomial_where_nicely_ordered(case):
                 assert value is None
 
 
-def test_build_skew_matrix_entries_are_the_distance_monomials():
-    for seed in range(12):
-        T = random_tree(6, seed=seed, weights="rational" if seed % 2 else "unit")
+def test_build_skew_matrix_entries_are_the_distance_monomials(entry_trees):
+    seeded = [random_tree(6, seed=s, weights="rational" if s % 2 else "unit") for s in range(12)]
+    for T in entry_trees + seeded:
         order = T.vertices[::-1]
         m = build_skew_matrix(T, order)
         for i, a in enumerate(order):
             for j, b in enumerate(order):
                 want = tp(T.dist(a, b)) if i < j else -tp(T.dist(a, b))
-                assert m[i, j] == (ExactPoly.zero() if i == j else want)
+                want = ExactPoly.zero() if i == j else want
+                assert m[i, j] == want
+                assert str(m[i, j]) == str(want)
 
 
 def test_build_skew_matrix_shape():

@@ -166,6 +166,7 @@ def cycle_sums(T: Tree, X: Iterable[int]) -> tuple[ExactPoly, ExactPoly]:
         walk(0, 0, 0, 0, 0)
     else:  # the one empty partition
         full[0] = tight[0] = 1
+    del walk  # break the closure's cycle through itself: D and P go on return
     return (
         ExactPoly._make(scale, 1, {n: c for n, c in full.items() if c}),
         ExactPoly._make(scale, 1, {n: c for n, c in tight.items() if c}),

@@ -127,6 +127,8 @@ class ValuatedFn:
             if isinstance(val, str) and val.strip() in ("-inf", "-Infinity"):
                 continue
             try:
+                if isinstance(val, bool):  # JSON true and false are ints to Python
+                    raise TypeError
                 values[s] = _as_fraction(val)
             except (TypeError, ZeroDivisionError):  # null, a float, a list, "1/0"
                 raise ValueError(f"value {val!r} of {key!r} is not a rational") from None

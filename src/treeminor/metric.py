@@ -1,12 +1,12 @@
 """Tree metrics: the four-point test, exact tree realization, potential
 splitting, and the spectral signature of powered distance matrices.
 
-Matrices here are plain lists of lists of Fractions (symmetric, zero
-diagonal for metrics).  Powered matrices substitute a rational base tau
-into tau^(d_ij); half-integer exponents stay exact through square-root
-field elements, so every sign and signature below is certified.  The
-four-point test and the signatures work on the exponents scaled to
-integers: the quadruple scan runs only to name a violation, and a powered
+Matrices come in as lists of lists of Fractions (symmetric, zero diagonal
+for metrics) and are read in one integer form, the entries times the lcm of
+their denominators (`_integers`).  Powered matrices substitute a rational
+base tau into tau^(d_ij); half-integer exponents stay exact through
+square-root field elements, so every sign and signature below is
+certified.  The quadruple scan runs only to name a violation, and a powered
 matrix that splits as D R D, R rational, is eliminated as R, built as
 integers without a square root.
 """
@@ -54,15 +54,13 @@ def as_matrix(rows: Sequence[Sequence]) -> Matrix:
 def check_dissimilarity(rows: Sequence[Sequence]) -> Matrix:
     """Validate a symmetric, zero-diagonal, nonnegative matrix."""
     m = as_matrix(rows)
-    n = len(m)
-    for i in range(n):
-        if m[i][i] != 0:
-            raise ValueError(f"diagonal entry ({i},{i}) is {m[i][i]}, not 0")
-        for j in range(i + 1, n):
-            if m[i][j] != m[j][i]:
-                raise ValueError(f"matrix is not symmetric at ({i},{j})")
-            if m[i][j] < 0:
-                raise ValueError(f"negative entry {m[i][j]} at ({i},{j})")
+    _check_symmetric(m)
+    for i, row in enumerate(m):
+        if row[i] != 0:
+            raise ValueError(f"diagonal entry ({i},{i}) is {row[i]}, not 0")
+        for j, x in enumerate(row[i + 1:], start=i + 1):
+            if x < 0:
+                raise ValueError(f"negative entry {x} at ({i},{j})")
     return m
 
 
@@ -257,18 +255,18 @@ def check_4pc(rows: Sequence[Sequence]) -> FourPointViolation | None:
 def split_potentials(rows: Sequence[Sequence]) -> tuple[Matrix, list[Fraction]]:
     """Write a symmetric matrix w_ij as d_ij + p_i + p_j with d zero on the
     diagonal: p_i = w_ii / 2.  Every entry must be finite."""
-    w = as_matrix(rows)
-    n = len(w)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if w[i][j] != w[j][i]:
-                raise ValueError(f"matrix is not symmetric at ({i},{j})")
-    for i in range(n):
-        for j in range(n):
-            if type(w[i][j]) is float:
-                raise ValueError(f"entry ({i},{j}) is -inf; potentials need finite entries")
-    p = [w[i][i] / 2 for i in range(n)]
-    d = [[w[i][j] - p[i] - p[j] for j in range(n)] for i in range(n)]
+    w, scale = _integers(as_matrix(rows))
+    _check_symmetric(w)
+    for i, row in enumerate(w):
+        if None in row:
+            j = row.index(None)
+            raise ValueError(f"entry ({i},{j}) is -inf; potentials need finite entries")
+    diag = [row[i] for i, row in enumerate(w)]
+    p = [Fraction(x, 2 * scale) for x in diag]
+    d = [
+        [Fraction(2 * x - w_ii - w_jj, 2 * scale) for x, w_jj in zip(row, diag)]
+        for row, w_ii in zip(w, diag)
+    ]
     return d, p
 
 
@@ -284,67 +282,67 @@ def realize_tree(rows: Sequence[Sequence]) -> tuple[Tree, list[int]]:
     forces get fresh labels above n.  Zero-distance points share a vertex.
     Raises NotTreeMetricError (a ValueError carrying the first violating
     quadruple) when the matrix is not a tree metric.
+
+    The tree is grown and certified on 2w, (w, s) the metric's integer
+    form, where every meet height (w_rq + w_ra - w_qa) / 2 is an integer.
     """
     m = check_dissimilarity(rows)
     if not m:
         raise ValueError("empty matrix")
-    bad = _four_point_violation(m, _integers(m)[0])
+    w, scale = _integers(m)
+    bad = _four_point_violation(m, w)
     if bad is not None:
         raise NotTreeMetricError(bad)
     n = len(m)
-    vertex_of = [0] * n
 
-    # merge zero-distance points
-    rep = list(range(n))
-    for i in range(n):
-        for j in range(i):
-            if m[i][j] == 0:
-                rep[i] = rep[j]
-                break
+    # merge zero-distance points into the first of them (the triangle
+    # inequality, part of the four-point condition, makes this transitive)
+    rep = [row.index(0) for row in w]
     reps = sorted(set(rep))
-    for i in range(n):
-        vertex_of[i] = rep[i] + 1
+    vertex_of = [i + 1 for i in rep]
 
     if len(reps) == 1:
         return Tree([], vertices=[reps[0] + 1]), vertex_of
 
     # grow the tree point by point, rooted at the reference point r: up[v]
-    # is v's parent and wt[v] the weight of the edge between them
+    # is v's parent and wt[v] the weight of the edge between them, on 2w
     fresh = n + 1
     r = reps[0]
     first = r + 1
+    w_r = w[r]
     up = {reps[1] + 1: first}
-    wt = {reps[1] + 1: m[r][reps[1]]}
+    wt = {reps[1] + 1: 2 * w_r[reps[1]]}
     placed = [r, reps[1]]
 
     for q in reps[2:]:
         x = q + 1
+        w_q = w[q]
         # deepest meet of x with any placed point, seen from the reference r
-        best, h = placed[1], Fraction(0)
+        best, h = placed[1], 0
         for a in placed[1:]:
-            g = (m[r][q] + m[r][a] - m[q][a]) / 2
+            g = w_r[q] + w_r[a] - w_q[a]
             if g > h:
                 best, h = a, g
-        hang = m[r][q] - h
+        hang = 2 * w_r[q] - h
         # walk from the reference toward `best` for distance h
         path = [best + 1]
         while path[-1] != first:
             path.append(up[path[-1]])
         path.reverse()
-        run = Fraction(0)
+        run = 0
         at = first
         for u, v in zip(path, path[1:]):
             if run == h:
                 break
-            w = wt[v]
-            if run + w > h:
+            e = wt[v]
+            if run + e > h:
                 s = fresh
                 fresh += 1
                 up[s], wt[s] = u, h - run
-                up[v], wt[v] = s, run + w - h
+                up[v], wt[v] = s, run + e - h
                 at = s
                 break
-            run += w
+            run += e
             at = v
         if hang == 0:
             # x coincides with an interior vertex: claim its label
@@ -360,15 +358,15 @@ def realize_tree(rows: Sequence[Sequence]) -> tuple[Tree, list[int]]:
             up[x], wt[x] = at, hang
         placed.append(q)
 
-    tree = Tree([(v, up[v], wt[v]) for v in up])
+    tree = Tree([(v, up[v], Fraction(wt[v], 2 * scale)) for v in up])
 
-    # certify the construction before handing it back
-    for i in range(n):
-        for j in range(n):
-            got = Fraction(0) if vertex_of[i] == vertex_of[j] else tree.dist(
-                vertex_of[i], vertex_of[j]
-            )
-            if got != m[i][j]:
+    # certify the construction before handing it back (tree._den divides 2s)
+    k = 2 * scale // tree._den
+    for i, v in enumerate(vertex_of):
+        dist = tree._single_source(v)
+        for j, u in enumerate(vertex_of):
+            if dist[u] * k != 2 * w[i][j]:
+                got = Fraction(dist[u], tree._den)
                 raise AssertionError(
                     f"realization is off at ({i},{j}): built {got}, wanted {m[i][j]}"
                 )
@@ -418,17 +416,18 @@ def _positive_base(tau) -> Fraction:
 
 def power_matrix(rows: Sequence[Sequence], tau):
     """[tau^(m_ij)]."""
-    m = as_matrix(rows)
-    return _power(m, _positive_base(tau), range(len(m)))
+    return _power(*_integers(as_matrix(rows)), _positive_base(tau))
 
 
-def _power(m: Matrix, tau, idx: Sequence[int]):
-    """power_matrix on a matrix that as_matrix has already converted."""
+def _power(w: list[list[int | None]], scale: int, tau: Fraction):
+    """[tau^(w_ij / scale)] entry by entry, a None of w (-inf) as 0."""
     # each distinct exponent is powered once, in row-major order of first
     # appearance, so a bad exponent raises as it would entry by entry
-    exponents = dict.fromkeys(m[i][j] for i in idx for j in idx)
-    powers = {d: power_entry(tau, d) for d in exponents}
-    return [[powers[m[i][j]] for j in idx] for i in idx]
+    powers = {
+        e: Fraction(0) if e is None else power_entry(tau, Fraction(e, scale))
+        for e in dict.fromkeys(x for row in w for x in row)
+    }
+    return [[powers[x] for x in row] for row in w]
 
 
 def _powered_ints(w: list[list[int | None]], scale: int, tau: Fraction) -> list[list[int]] | None:
@@ -464,17 +463,14 @@ def _powered_ints(w: list[list[int | None]], scale: int, tau: Fraction) -> list[
     return [[0 if x is None else powers[x] for x in row] for row in w]
 
 
-def _powered_form(
-    m: Matrix, idx: Sequence[int], w: list[list[int | None]], scale: int, tau: Fraction
-) -> list[list]:
-    """[tau^(m_ij)] on the rows and columns idx, in scalars `_inertia` runs
-    on; (w, scale) is `_integers(m, idx)`.  The integer matrix of
-    `_powered_ints` when there is one, else `_power`'s entries, QRads at the
-    half-integer exponents (a denominator above 2 raises there).
-    `_rational_form` would find no split either: the odd exponents give it
-    the same parity graph."""
+def _powered_form(w: list[list[int | None]], scale: int, tau: Fraction) -> list[list]:
+    """[tau^(w_ij / scale)] in scalars `_inertia` runs on: the integer
+    matrix of `_powered_ints` when there is one, else `_power`'s entries,
+    QRads at the half-integer exponents (a denominator above 2 raises
+    there).  `_rational_form` would find no split either: the odd exponents
+    give it the same parity graph."""
     a = _powered_ints(w, scale, tau)
-    return _power(m, tau, idx) if a is None else a
+    return _power(w, scale, tau) if a is None else a
 
 
 def _check_symmetric(a: Sequence[Sequence]) -> None:
@@ -626,7 +622,7 @@ def spectral_signature(
     m = as_matrix(rows)
     n = len(m)
     idx = range(n) if subset is None else _subset_indices(subset, n)
-    a = _powered_form(m, idx, *_integers(m, idx), _positive_base(tau))
+    a = _powered_form(*_integers(m, idx), _positive_base(tau))
     _check_symmetric(a)
     return _inertia(a)
 
@@ -687,20 +683,16 @@ def hpp_eigen_check(rows: Sequence[Sequence], taus: Iterable = (10, 100)):
     Returns None when everything holds, the first failing base otherwise,
     or the four-point certificate."""
     m = as_matrix(rows)
-    n = len(m)
     w, scale = _integers(m)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if w[i][j] != w[j][i]:
-                raise ValueError(f"matrix is not symmetric at ({i},{j})")
-            if w[i][j] is None:
-                raise ValueError(
-                    f"-inf off the diagonal at ({i},{j}); only diagonal "
-                    "entries may be -inf"
-                )
+    _check_symmetric(w)
+    for i, j in combinations(range(len(w)), 2):
+        if w[i][j] is None:
+            raise ValueError(
+                f"-inf off the diagonal at ({i},{j}); only diagonal entries may be -inf"
+            )
     for tau in taus:
         tau = _positive_base(tau)
-        positives, _, _ = _inertia(_powered_form(m, range(n), w, scale, tau))
+        positives, _, _ = _inertia(_powered_form(w, scale, tau))
         if positives > 1:
             return tau
     return _four_point_violation(m, w)

@@ -489,6 +489,7 @@ def _principal_minors(
 
     if max_size >= 1:
         grow((), {0: 1}, m, 0)
+    del grow  # break the closure's cycle through itself: the tables go on return
     return table
 
 
@@ -573,4 +574,6 @@ def pfaffian(m: PolyMatrix) -> ExactPoly:
         memo[key] = total
         return total
 
-    return ExactPoly._make(den, mult ** (n // 2), rec(tuple(range(n))))
+    total = rec(tuple(range(n)))
+    del rec  # break the closure's cycle through itself: the memo goes on return
+    return ExactPoly._make(den, mult ** (n // 2), total)

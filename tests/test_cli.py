@@ -868,10 +868,11 @@ def test_check_matroid_violation(capsys, tmp_path):
         {"ground": [1, 2], "k": [1], "values": {}},
         {"ground": [1, 2], "k": True, "values": {}},
         {"ground": [1, 2], "k": "2", "values": {}},
+        {"ground": [1, 2], "k": 2, "values": {"1,2": True}},
     ],
     ids=["list", "number", "map-number", "values-list", "ground-number", "value-null",
          "value-infinity", "ground-string", "value-float", "value-over-zero", "k-list",
-         "k-bool", "k-string"],
+         "k-bool", "k-string", "value-bool"],
 )
 def test_check_matroid_refuses_json_of_the_wrong_shape(capsys, tmp_path, payload):
     # exit 1 means a counterexample, so a malformed map is a usage error

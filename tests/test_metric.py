@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
@@ -203,6 +204,47 @@ def test_realize_labels_are_pinned(d, text, placement):
     built, vertex_of = realize_tree(d)
     assert format_tree(built) == text
     assert vertex_of == placement
+
+
+def _pinned_realization_cases():
+    """Tree metrics with weights over 3, 4 and 6 on points drawn with
+    repetition from all vertices (zero distances, points on interior
+    vertices that claim a fresh label), a single point, an all-zero matrix,
+    and the same metrics with potentials over 3 and 4 added."""
+    rng = random.Random(11)
+    metrics = [[[F(0)]], [[F(0)] * 4 for _ in range(4)]]
+    for _ in range(40):
+        n = rng.randint(2, 14)
+        t = Tree(
+            [(rng.randint(1, v - 1), v, F(rng.randint(1, 12), rng.choice((3, 4, 6))))
+             for v in range(2, n + 1)]
+        )
+        pts = [rng.choice(t.vertices) for _ in range(rng.randint(1, 12))]
+        metrics.append(tree_distance_matrix(t, pts))
+    potentials = []
+    for d in metrics:
+        p = [F(rng.randint(-6, 9), rng.choice((3, 4))) for _ in d]
+        potentials.append(
+            [[x + p[i] + p[j] for j, x in enumerate(row)] for i, row in enumerate(d)]
+        )
+    return metrics, potentials
+
+
+# sha256 of the repr of every realization (edges and placement) and every
+# split of the cases above, taken before realize_tree and split_potentials
+# moved from Fractions to the integer form
+PINNED_REALIZATIONS = "fdd0d689b1cd394eed0d03e79644f3d67a945e53ceffe51bf62c91a0bd48df57"
+
+
+def test_realizations_and_splits_are_pinned():
+    metrics, potentials = _pinned_realization_cases()
+    out = []
+    for d in metrics:
+        built, placement = realize_tree(d)
+        out.append((built.edges(), placement))
+    out.extend(split_potentials(w) for w in potentials)
+    digest = hashlib.sha256(repr(out).encode()).hexdigest()
+    assert digest == PINNED_REALIZATIONS
 
 
 # --- powered matrices and signatures ---------------------------------------------
@@ -551,7 +593,7 @@ _TAUS = [F(1), F(4), F(10), F(12), F(100), F(3, 2), F(9, 4)]
 def test_integer_powered_form_has_the_inertia_of_the_qrad_matrix(m, tau):
     w, scale = metric._integers(m)
     a = metric._powered_ints(w, scale, tau)
-    want = _qrad_inertia(metric._power(m, tau, range(len(m))))
+    want = _qrad_inertia(metric._power(*metric._integers(m), tau))
     if a is None:
         # half-integer exponents on an odd cycle of parities; squares never
         assert scale == 2 and tau not in (1, 4, 100, F(9, 4))
@@ -590,10 +632,10 @@ def test_odd_parity_cycle_fallback_skips_the_rational_form(monkeypatch):
     ]
     for m in (odd, far):
         for tau in (10, F(3, 2)):
-            want = _qrad_inertia(metric._power(m, F(tau), range(len(m))))
+            want = _qrad_inertia(metric._power(*metric._integers(m), F(tau)))
             assert spectral_signature(m, tau) == want
             assert spectral_signature(m, tau, [2, 0, 1]) == _qrad_inertia(
-                metric._power(m, F(tau), [2, 0, 1])
+                metric._power(*metric._integers(m, [2, 0, 1]), F(tau))
             )
             assert hpp_eigen_check(m, [tau]) == (F(tau) if want[0] > 1 else None)
     assert spectral_signature(far, 10) == (2, 2, 0)

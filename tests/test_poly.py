@@ -5,6 +5,8 @@ expansion on paper) before the implementation existed; they pin down sign
 and exponent conventions.
 """
 
+import gc
+import weakref
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import lcm
@@ -22,6 +24,8 @@ from treeminor.poly import (
     _principal_minors,
     _zdiv,
 )
+from treeminor.cyclekernel import cycle_sums
+from treeminor.tree import random_tree
 
 F = Fraction
 t = ExactPoly.t_power
@@ -280,6 +284,33 @@ def test_pfaffian_odd_size_rejected():
     m = PolyMatrix([[z]])
     with pytest.raises(ValueError):
         pfaffian(m)
+
+
+class _Labels(list):
+    """A list a weak reference can point at."""
+
+
+def test_recursive_walks_free_their_tables_without_the_cyclic_collector():
+    # _principal_minors, pfaffian and cycle_sums each recurse through a
+    # closure; one that kept a reference to itself would hold its tables
+    # (and the labels) until the cyclic collector ran
+    tree = random_tree(7, seed=3, weights="rational")
+    skew = skew_from_upper([[tp(i + j, j - i) for j in range(i + 1, 6)] for i in range(5)])
+    ones = [[{0: 2 if i == j else 1} for j in range(3)] for i in range(3)]
+    gc.collect()
+    gc.disable()
+    try:
+        labels = _Labels("abc")
+        alive = weakref.ref(labels)
+        assert len(_principal_minors(ones, labels, 3)) == 7
+        del labels
+        assert alive() is None
+        for _ in range(50):
+            cycle_sums(tree, tree.vertices[:5])
+            pfaffian(skew)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 small_entries = st.integers(min_value=-3, max_value=3)

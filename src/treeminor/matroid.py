@@ -122,8 +122,15 @@ class ValuatedFn:
         if not isinstance(data, dict) or not isinstance(data["values"], dict):
             raise ValueError('a map is a JSON object whose "values" is an object')
         values = {}
+        keys: dict[frozenset, str] = {}  # the key that named each set
         for key, val in data["values"].items():
             s = tuple(int(x) for x in key.split(",")) if key else ()
+            fs = frozenset(s)
+            if len(fs) != len(s):
+                raise ValueError(f"key {key!r} repeats an element")
+            if fs in keys:
+                raise ValueError(f"keys {keys[fs]!r} and {key!r} name the same set")
+            keys[fs] = key
             if isinstance(val, str) and val.strip() in ("-inf", "-Infinity"):
                 continue
             try:
@@ -133,7 +140,7 @@ class ValuatedFn:
             except (TypeError, ZeroDivisionError):  # null, a float, a list, "1/0"
                 raise ValueError(f"value {val!r} of {key!r} is not a rational") from None
         ground = data["ground"]
-        if not isinstance(ground, list) or not all(isinstance(x, int) for x in ground):
+        if not isinstance(ground, list) or not all(type(x) is int for x in ground):
             raise ValueError(f'"ground" must be a list of integers, got {ground!r}')
         k = data.get("k")
         if k is not None and (not isinstance(k, int) or isinstance(k, bool)):

@@ -79,7 +79,7 @@ def parse_matrix_csv(text: str) -> list[list[Fraction | float]]:
                 row.append(MINUS_INF)
                 continue
             try:
-                row.append(Fraction(tok))
+                row.append(_rational(tok))
             except (ValueError, ZeroDivisionError) as exc:
                 raise ValueError(f"line {lineno}: bad entry {tok!r}") from exc
         rows.append(row)
@@ -89,6 +89,17 @@ def parse_matrix_csv(text: str) -> list[list[Fraction | float]]:
     if any(len(r) != n for r in rows):
         raise ValueError("matrix is not square")
     return rows
+
+
+def _rational(tok: str) -> Fraction:
+    """Fraction(tok), with the plain ASCII forms n and n/d read by int;
+    every other token (decimals, exponents, underscores, other digits) goes
+    to Fraction itself, so both accept and refuse the same tokens."""
+    num, slash, den = tok.partition("/")
+    digits = num[1:] if num[:1] in ("+", "-") else num
+    if tok.isascii() and digits.isdigit() and (not slash or den.isdigit()):
+        return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+    return Fraction(tok)
 
 
 def format_matrix_csv(rows: Sequence[Sequence]) -> str:

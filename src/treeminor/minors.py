@@ -239,10 +239,13 @@ def minor_table(T: Tree, max_size: int) -> dict[tuple[int, ...], ExactPoly]:
     Keys are the sets as sorted tuples, as combinations(T.vertices, r)
     lists them, and each value equals minor_oracle(T, key).  One Sylvester
     walk (poly._principal_minors) over the integer maps of the distance
-    powers gives them all.  The table is complete: a principal minor over
-    distinct vertices is a nonzero polynomial (minor_leading gives its top
-    term), so the walk meets no zero pivot.  Exponents are the tree's
-    integer distances, over the lcm of its weight denominators.
+    powers gives them all; it runs on packed ints at t = 2^B, B from the
+    bound max_size! on the minors' coefficients, when the distances are
+    dense (unit weights), and on the maps otherwise (poly._kernel).  The
+    table is complete: a principal minor over distinct vertices is a
+    nonzero polynomial (minor_leading gives its top term), so the walk
+    meets no zero pivot.  Exponents are the tree's integer distances, over
+    the lcm of its weight denominators.
     """
     dist, den = T._distance_ints(T.vertices)
     M = [[{d: 1} for d in row] for row in dist]

@@ -9,17 +9,31 @@ structural equality.  Everything downstream (distance powers t^d, the
 signed forest sums, Schur complements) lives in this ring.
 
 The dict {k: c} is also the format of the integer kernel below (_zadd,
-_zmul, _zdiv): ring operations, det and pfaffian run on the stored maps,
-and the kernel's callers hand their results to ExactPoly._make unchanged.
+_zmul, _zdiv): ring operations and pfaffian run on the stored maps, and
+the kernel's callers hand their results to ExactPoly._make unchanged.
+
+The two fraction-free walks of the oracle side, Bareiss elimination (det)
+and the Sylvester walk over principal minors (_principal_minors), run on
+one of two integer forms of their matrix, chosen from the matrix alone
+(_kernel).  The packed form evaluates each entry once at t = 2^B (Kronecker
+substitution) and runs the walk on Python ints; B puts 2^(B - 1) above every
+coefficient of every minor the walk can form, bounded by the product of the
+rows' 1-norms and by r! times the product of their largest entries (r! on a
+matrix of monomials), and each value read is unpacked as signed base-2^B
+digits.  The map form runs the same walk on the dicts.  Packing is chosen
+when the exponents are >= 0 and dense: the largest one times B at most
+_DENSE_BITS (96) times the number of distinct exponents.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
+import struct
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Tuple
 
 
 def _as_fraction(x) -> Fraction:
@@ -403,30 +417,14 @@ class PolyMatrix:
 
 
 def det(m: PolyMatrix) -> ExactPoly:
-    """Determinant by fraction-free (Bareiss) elimination with exact
-    division, on the integer kernel over the scale of `_integer_rows`.  At
-    a zero pivot a lower row that is nonzero in its column is exchanged up,
-    negated so that the determinant is kept; when there is none det m = 0."""
+    """Determinant by fraction-free (Bareiss) elimination, `_bareiss`, on
+    the integer maps of `_integer_rows` in the form `_kernel` chooses for
+    them: packed ints at t = 2^B, 2^(B - 1) above every coefficient of
+    every minor (`_word_bits`), when the exponents' top times B is at most
+    _DENSE_BITS per distinct exponent, and the maps themselves otherwise."""
     a, den, scale, shift = _integer_rows(m)
-    n = len(a)
-    prev = {0: 1}
-    for k in range(n - 1):
-        if not a[k][k]:
-            r = next((r for r in range(k + 1, n) if a[r][k]), None)
-            if r is None:
-                return _ZERO
-            a[k], a[r] = [{e: -c for e, c in p.items()} for p in a[r]], a[k]
-        row_k = a[k]
-        pivot = row_k[k]
-        for i in range(k + 1, n):
-            row_i = a[i]
-            neg_ik = {e: -c for e, c in row_i[k].items()}
-            for j in range(k + 1, n):
-                num = _zadd(_zmul(pivot, row_i[j]), _zmul(neg_ik, row_k[j]))
-                row_i[j] = _zdiv(num, prev)
-        prev = pivot
-    last = a[-1][-1] if a else {0: 1}
-    return ExactPoly._make(den, scale, {k + shift: c for k, c in last.items()})
+    d = _bareiss(_kernel(a, len(a)))
+    return ExactPoly._make(den, scale, {k + shift: c for k, c in d.items()})
 
 
 def _integer_rows(m: PolyMatrix) -> tuple[list[list[dict[int, int]]], int, int, int]:
@@ -451,17 +449,72 @@ def _principal_minors(
     m: list[list[dict[int, int]]], labels: Sequence, max_size: int
 ) -> dict[tuple, dict[int, int]]:
     """det m[S] over the sets S of 1..max_size rows of a symmetric matrix
-    of integer maps, keyed by the tuple of S's labels in row order.
+    of integer maps, keyed by the tuple of S's labels in row order: the
+    Sylvester walk `_sylvester` on the form `_kernel` chooses for m, packed
+    ints at t = 2^B (B bounding the minors of at most max_size rows) when
+    the exponents are >= 0 and dense, the maps otherwise."""
+    return _sylvester(_kernel(m, max_size), labels, max_size)
+
+
+# ---------------------------------------------------------------------------
+# the two fraction-free walks, each written once over a _Form: the entries of
+# an integer matrix, the unit, the step (a b - c d) / p, an exact division,
+# and read, which turns a value back into a map {k: c}.  A value is true
+# when it is nonzero, in both forms.
+
+
+class _Form(NamedTuple):
+    rows: list[list]
+    one: object
+    step: Callable
+    read: Callable
+
+
+def _bareiss(form: _Form) -> dict[int, int]:
+    """det of form's matrix as a map, by Bareiss elimination: after step k
+    each entry (i, j) below and right of the pivot is the minor on rows
+    0..k, i and columns 0..k, j, so every value is a minor of the matrix.
+    At a zero pivot a lower row that is nonzero in its column is exchanged
+    up, which flips the determinant's sign; when there is none it is 0."""
+    a = [list(row) for row in form.rows]
+    step = form.step
+    n = len(a)
+    sign = 1
+    prev = form.one
+    for k in range(n - 1):
+        if not a[k][k]:
+            r = next((r for r in range(k + 1, n) if a[r][k]), None)
+            if r is None:
+                return {}
+            a[k], a[r] = a[r], a[k]
+            sign = -sign
+        row_k = a[k]
+        pivot = row_k[k]
+        for i in range(k + 1, n):
+            row_i = a[i]
+            ik = row_i[k]
+            for j in range(k + 1, n):
+                row_i[j] = step(pivot, row_i[j], ik, row_k[j], prev)
+        prev = pivot
+    last = form.read(a[-1][-1]) if a else {0: 1}
+    return {k: sign * c for k, c in last.items()} if sign < 0 else last
+
+
+def _sylvester(form: _Form, labels: Sequence, max_size: int) -> dict[tuple, dict[int, int]]:
+    """det m[S] over the sets S of 1..max_size rows of form's symmetric
+    matrix m, as maps keyed by the tuple of S's labels in row order.
 
     The walk adds rows depth-first in index order and carries p = det m[S]
     and the fraction-free Schur complement B_ij = det m[S+i, S+j] for i, j
-    after max S.  A child S+k has det B_kk, and by Sylvester's determinant
-    identity B'_ij = (B_kk B_ij - B_ik B_kj) / p, an exact division.  Below
-    a set S with det m[S] = 0 the walk still records each S+k but builds
-    nothing under it, so the sets that extend S by two or more rows after
-    max S are missing.
+    after max S, so every value is a minor of m.  A child S+k has det
+    B_kk, and by Sylvester's determinant identity
+    B'_ij = (B_kk B_ij - B_ik B_kj) / p, an exact division.  Below a set S
+    with det m[S] = 0 the walk still records each S+k but builds nothing
+    under it, so the sets that extend S by two or more rows after max S are
+    missing.
     """
-    n = len(m)
+    step, read = form.step, form.read
+    n = len(form.rows)
     table: dict[tuple, dict[int, int]] = {}
 
     def grow(S, p, B, start):
@@ -471,26 +524,135 @@ def _principal_minors(
             bk = B[k]
             pk = bk[k]
             key = S + (labels[k],)
-            table[key] = pk
+            table[key] = read(pk)
             size = len(key)
             if size >= max_size or k == n - 1 or not p:
                 continue
             diagonal_only = size + 1 == max_size or not pk
             child = [None] * n
             for i in range(k + 1, n):
-                neg_ki = {e: -c for e, c in bk[i].items()}
+                bki = bk[i]
                 bi = B[i]
                 out = [None] * n
                 for j in (i,) if diagonal_only else range(i, n):
-                    num = _zadd(_zmul(pk, bi[j]), _zmul(neg_ki, bk[j]))
-                    out[j] = _zdiv(num, p) if S else num
+                    out[j] = step(pk, bi[j], bki, bk[j], p)
                 child[i] = out
             grow(key, pk, child, k + 1)
 
     if max_size >= 1:
-        grow((), {0: 1}, m, 0)
+        grow((), form.one, form.rows, 0)
     del grow  # break the closure's cycle through itself: the tables go on return
     return table
+
+
+# The packed form pays when the entries' exponents fill most of their span:
+# then a product or quotient of packed ints does the work of a dense
+# convolution in C, while the maps multiply and divide term by term in
+# Python.  Both costs grow with the square of the operands' sizes, the
+# packed one in bits (top exponent times B), the map one in terms.  On
+# distance matrices of trees, packing wins below about this many bits per
+# distinct exponent of the entries and loses above it.
+_DENSE_BITS = 96
+
+
+def _kernel(m: list[list[dict[int, int]]], size: int) -> _Form:
+    """The form for a walk over m's minors of at most `size` rows, chosen
+    from m alone: packed when every exponent is >= 0 and the largest one
+    times B (`_word_bits`) is at most _DENSE_BITS times the number of
+    distinct exponents, the maps otherwise."""
+    exponents = {k for row in m for p in row for k in p}
+    if min(exponents, default=0) >= 0:
+        bits = _word_bits(m, size)
+        if max(exponents, default=0) * bits <= _DENSE_BITS * len(exponents):
+            return _packed(m, bits)
+    return _maps(m)
+
+
+_WORD_CODES = {8: "b", 16: "h", 32: "i", 64: "q"}  # struct's signed words
+
+
+def _word_bits(m: list[list[dict[int, int]]], size: int) -> int:
+    """B for packing m: 2^(B - 1) exceeds every coefficient of every minor
+    of m on at most `size` rows.  The bound used is the smaller of the
+    product of the `size` largest row 1-norms and size! times the product
+    of the `size` largest row peaks (the largest 1-norm of one entry), each
+    counted as at least 1; on a matrix of monomials t^(d_ij) it is size!.
+    B is rounded up to 8, 16, 32 or 64 bits, the words that `_unpack`
+    reads in one struct pass, and above 64 to whole bytes, which it reads
+    one slice a digit."""
+    size = min(size, len(m))
+    norms = []
+    peaks = []
+    for row in m:
+        weights = [sum(map(abs, p.values())) for p in row]
+        norms.append(max(sum(weights), 1))
+        peaks.append(max(max(weights, default=1), 1))
+    norms.sort(reverse=True)
+    peaks.sort(reverse=True)
+    bound = min(math.prod(norms[:size]), math.factorial(size) * math.prod(peaks[:size]))
+    bits = bound.bit_length() + 1
+    return next((w for w in _WORD_CODES if bits <= w), -(-bits // 8) * 8)
+
+
+def _packed(m: list[list[dict[int, int]]], bits: int) -> _Form:
+    """m evaluated at t = s = 2^bits, exponents >= 0.  Evaluation is a ring
+    map, so each exact division of the walks stays exact on the ints.  With
+    2^(bits - 1) above every coefficient of every minor (`_word_bits`), a
+    minor is 0 exactly when its value is, and read recovers its map as the
+    signed base-s digits of the value."""
+    rows = [[sum(c << (bits * k) for k, c in p.items()) for p in row] for row in m]
+    return _Form(rows, 1, _istep, functools.partial(_unpack, bits))
+
+
+def _maps(m: list[list[dict[int, int]]]) -> _Form:
+    """m as it is, on the sparse kernel (_zmul, _zdiv)."""
+    return _Form(m, _UNIT, _zstep, dict)
+
+
+_UNIT = {0: 1}
+
+
+def _istep(a: int, b: int, c: int, d: int, p: int) -> int:
+    """(a b - c d) / p on packed ints."""
+    return (a * b - c * d) // p
+
+
+def _zstep(a: dict, b: dict, c: dict, d: dict, p: dict) -> dict:
+    """(a b - c d) / p on integer maps, both products summed into one map."""
+    out: dict[int, int] = {}
+    get = out.get
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            k = ka + kb
+            out[k] = get(k, 0) + va * vb
+    for kc, vc in c.items():
+        for kd, vd in d.items():
+            k = kc + kd
+            out[k] = get(k, 0) - vc * vd
+    out = {k: v for k, v in out.items() if v}
+    return out if p == _UNIT else _zdiv(out, p)
+
+
+def _unpack(bits: int, v: int) -> dict[int, int]:
+    """The map {k: c} with v = sum c 2^(bits k) and every |c| < 2^(bits - 1):
+    the two's complement words of v, read as signed, each plus the borrow
+    that the word below it lent when it was negative."""
+    words = v.bit_length() // bits + 1
+    raw = v.to_bytes(words * bits // 8, "little", signed=True)
+    code = _WORD_CODES.get(bits)
+    if code:
+        digits = struct.unpack(f"<{words}{code}", raw)
+    else:
+        width = bits // 8
+        digits = [int.from_bytes(raw[i:i + width], "little", signed=True) for i in range(0, len(raw), width)]
+    out = {}
+    borrow = 0
+    for k, w in enumerate(digits):
+        c = w + borrow
+        borrow = w < 0
+        if c:
+            out[k] = c
+    return out
 
 
 def det_permutation(m: PolyMatrix) -> ExactPoly:

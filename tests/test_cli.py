@@ -883,6 +883,24 @@ def test_check_matroid_refuses_json_of_the_wrong_shape(capsys, tmp_path, payload
     assert "bad map file" in err
 
 
+@pytest.mark.parametrize(
+    "payload, error",
+    [
+        ({"ground": [1], "k": 1, "values": {"1,1": "0"}}, "key '1,1' repeats an element"),
+        ({"ground": [1, 2], "values": {"1,2": "0", "2,1": "1"}},
+         "keys '1,2' and '2,1' name the same set"),
+        ({"ground": [True, 2], "values": {"2": "0"}}, '"ground" must be a list of integers'),
+    ],
+    ids=["key-repeats-an-element", "two-keys-one-set", "ground-bool"],
+)
+def test_check_matroid_names_a_malformed_key_or_ground(capsys, tmp_path, payload, error):
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = invoke(capsys, "check-matroid", "--map", str(path))
+    assert (code, out) == (2, "")
+    assert error in err
+
+
 def test_represent_rooted_report(capsys, tmp_path):
     tree = tmp_path / "q.tree"
     tree.write_text("6\n1 5\n2 5\n5 6\n3 6\n4 6\n")

@@ -400,6 +400,26 @@ def test_matrix_csv_errors():
         parse_matrix_csv("# just a comment\n")
 
 
+def test_matrix_csv_reads_each_token_as_fraction_does():
+    # the int fast path for n and n/d must accept, refuse and value every
+    # token exactly as Fraction(token) does, with the same error text
+    tokens = [
+        "0", "7", "-7", "+3", " 2 ", "007", "3/2", "-3/2", "+3/4", "6/4", "0/5",
+        "1/0", "-0/1", "2.5", "-2.5e3", "1e2", "1_0", "1_0/2_0", "\u0663",
+        "\u0661/\u0662", "\uff13", "3 /4", "3/ 4", "3/-4", "--3", "+", "-", "/", "3/",
+        "/4", "1/2/3", "0x10", "zebra", "nan", "inf", "-inf",
+    ]
+    for tok in tokens:
+        try:
+            want = [[MINUS_INF if tok == "-inf" else F(tok.strip())]]
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(ValueError) as got:
+                parse_matrix_csv(f"{tok}\n")
+            assert str(got.value) == f"line 1: bad entry {tok.strip()!r}"
+        else:
+            assert parse_matrix_csv(f"{tok}\n") == want, tok
+
+
 def test_random_generators_shape():
     d = random_tree_metric(6, seed=4)
     assert check_4pc(d) is None

@@ -9,7 +9,7 @@ import gc
 import weakref
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import lcm
+from math import factorial, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +21,14 @@ from treeminor.poly import (
     det_permutation,
     divide_exact,
     pfaffian,
+    _bareiss,
+    _integer_rows,
+    _kernel,
+    _maps,
+    _packed,
     _principal_minors,
+    _sylvester,
+    _word_bits,
     _zdiv,
 )
 from treeminor.cyclekernel import cycle_sums
@@ -431,3 +438,123 @@ def test_principal_minor_walk_below_a_zero_minor(case):
     assert set(got) == {tuple(labels[i] for i in xs) for xs in present}
     for xs in present:
         assert ExactPoly._make(1, 1, got[tuple(labels[i] for i in xs)]) == minor[xs]
+
+
+# ---------------------------------------------------------------------------
+# the two forms of the oracle walks: packed ints at t = 2^B and the maps
+
+
+def _both_forms(a, size):
+    """(maps form, packed form) of one integer matrix; packing needs
+    exponents >= 0."""
+    return _maps(a), _packed(a, _word_bits(a, size))
+
+
+@st.composite
+def kernel_matrices(draw):
+    """n <= 5 matrices with rational coefficients, negative and rational
+    exponents and negative coefficients.  The spread of the exponents puts
+    them on either side of the packing crossover (spread 0: constants), and
+    zeroed entries, a zero row or a repeated row force row exchanges and
+    singular matrices."""
+    n = draw(st.integers(0, 5))
+    spread = draw(st.sampled_from([0, 1, 40]))
+    exps = st.builds(lambda e, q: F(e * spread, q), st.integers(-2, 3), st.sampled_from([1, 2]))
+    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    rows = [
+        [ExactPoly.from_terms(draw(st.lists(st.tuples(exps, coeff), max_size=2))) for _ in range(n)]
+        for _ in range(n)
+    ]
+    if n:
+        for i in range(draw(st.integers(0, n))):
+            rows[i][0] = ExactPoly.zero()
+        if n > 1 and draw(st.booleans()):
+            rows[draw(st.integers(1, n - 1))] = list(rows[0])
+    return PolyMatrix(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_matrices())
+def test_bareiss_packed_and_maps_agree(m):
+    a, den, scale, shift = _integer_rows(m)
+    maps, packed = _both_forms(a, len(a))
+    d = _bareiss(maps)
+    assert _bareiss(packed) == d
+    assert ExactPoly._make(den, scale, {k + shift: c for k, c in d.items()}) == det_permutation(m)
+    assert det(m) == det_permutation(m)
+
+
+@st.composite
+def symmetric_kernel_matrices(draw):
+    """Symmetric n <= 5 integer maps with exponents >= 0, dense, sparse or
+    constant, and a walk size; some rows repeat, so minors vanish."""
+    n = draw(st.integers(0, 5))
+    spread = draw(st.sampled_from([0, 1, 40]))
+    entry = st.dictionaries(st.integers(0, 3).map(lambda e: e * spread), st.integers(-3, 3), max_size=2)
+    m = [[{}] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = {k: c for k, c in draw(entry).items() if c}
+    if n > 2 and draw(st.booleans()):
+        m[2] = list(m[0])
+        for i in range(n):
+            m[i][2] = m[i][0]
+    return m, draw(st.integers(0, max(n, 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(symmetric_kernel_matrices())
+def test_sylvester_packed_and_maps_agree(case):
+    m, max_size = case
+    labels = range(len(m))
+    maps, packed = _both_forms(m, max_size)
+    table = _sylvester(maps, labels, max_size)
+    assert _sylvester(packed, labels, max_size) == table
+    assert _principal_minors(m, labels, max_size) == table
+    for xs, got in table.items():
+        sub = PolyMatrix([[ExactPoly._make(1, 1, m[i][j]) for j in xs] for i in xs])
+        assert ExactPoly._make(1, 1, got) == det_permutation(sub)
+
+
+def test_packing_holds_a_coefficient_at_the_bound():
+    # diag(1, ..., k) t^(e_i), rows reversed: det is +-k! t^(sum e), the
+    # bound of _word_bits exactly; the pivots need row exchanges, and at
+    # k = 20, 21, 26 the bound sits just below 2^63, above it, and at 2^89
+    for k in (1, 2, 5, 20, 21, 26):
+        a = [[{i % 3: i + 1} if i == j else {} for j in range(k)] for i in range(k)][::-1]
+        bits = _word_bits(a, k)
+        assert factorial(k) < 2 ** (bits - 1) <= 2 ** 8 * factorial(k)
+        sign = (-1) ** (k // 2)  # the reversal is k // 2 transpositions
+        want = {sum(i % 3 for i in range(k)): sign * factorial(k)}
+        maps, packed = _both_forms(a, k)
+        assert _bareiss(maps) == _bareiss(packed) == want
+    # entries whose 1-norm is 2^(B - 1) - 1 fit in B bits, with digits of
+    # either sign; a 1-norm of 2^(B - 1) moves to the next word size
+    for bits in (8, 16, 32, 64, 72, 96):
+        top, half = 2 ** (bits - 1) - 1, 2 ** (bits - 2)
+        for entry in ({3: top}, {3: -top}, {0: half, 2: 2 - half, 5: 1}, {0: -half, 2: half - 2, 5: -1}):
+            assert _word_bits([[entry]], 1) == bits
+            assert _bareiss(_both_forms([[entry]], 1)[1]) == entry
+        assert _word_bits([[{1: top + 1}]], 1) > bits
+
+
+def test_empty_and_one_by_one_in_both_forms():
+    for form in _both_forms([], 0):
+        assert _bareiss(form) == {0: 1}
+        assert _sylvester(form, (), 3) == {}
+    for entry in ({}, {0: -7}, {3: 2, 9: -1}):
+        for form in _both_forms([[entry]], 1):
+            assert _bareiss(form) == entry
+            assert _sylvester(form, "a", 1) == {("a",): entry}
+
+
+def test_kernel_packs_unit_tree_distances_and_keeps_sparse_maps():
+    # unit weights: every distance 0..diameter occurs, so the exponents are
+    # dense; exponents 0, 40, 80 leave 39 of every 40 slots empty
+    tree = random_tree(12, seed=2)
+    dist, _ = tree._distance_ints(tree.vertices)
+    assert _kernel([[{d: 1} for d in row] for row in dist], 12).one == 1
+    sparse = [[{40 * ((i + j) % 3): 1} for j in range(6)] for i in range(6)]
+    assert _kernel(sparse, 6).one == {0: 1}
+    assert _kernel([[{0: 3}, {0: -1}], [{0: -1}, {0: 3}]], 2).one == 1
+    assert _kernel([[{-1: 1}]], 1).one == {0: 1}  # a negative exponent cannot be packed

@@ -30,8 +30,8 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .metric import MINUS_INF
-from .pfaffian import build_skew_matrix, pf_table
-from .poly import ExactPoly, PolyMatrix, _as_fraction, det, pfaffian
+from .pfaffian import build_skew_matrix, pf_oracle, pf_table
+from .poly import ExactPoly, PolyMatrix, _as_fraction, det
 from .tree import Tree
 from .tropic import PrecisionError, PuiseuxTrunc, cholesky, series_det
 
@@ -282,15 +282,15 @@ class OddRepresentation:
     matrix: PolyMatrix
 
     def _pfaffian(self, X: Iterable[int]) -> ExactPoly | None:
-        """Pf(B[X]), or None when |X| is odd."""
-        idx = {v: i for i, v in enumerate(self.order)}
+        """Pf(B[X]), or None when |X| is odd: pf_oracle on X in the order's
+        order, whose skew matrix is that block of B."""
         xs = frozenset(X)
-        bad = [x for x in xs if x not in idx]
+        bad = xs.difference(self.order)
         if bad:
             raise ValueError(f"{sorted(bad)} are not represented vertices")
         if len(xs) % 2:
             return None
-        return pfaffian(self.matrix.principal_submatrix(sorted(idx[x] for x in xs)))
+        return pf_oracle(self.tree, [v for v in self.order if v in xs])
 
     def value_pair(self, X: Iterable[int]) -> tuple:
         """(value(X), dual_value(X)) from one Pfaffian of the block."""

@@ -51,17 +51,20 @@ def as_matrix(rows: Sequence[Sequence]) -> Matrix:
     return m
 
 
-def check_dissimilarity(rows: Sequence[Sequence]) -> Matrix:
-    """Validate a symmetric, zero-diagonal, nonnegative matrix."""
+def check_dissimilarity(rows: Sequence[Sequence]) -> tuple[Matrix, list[list[int | None]], int]:
+    """Validate a symmetric, zero-diagonal, nonnegative matrix m; return m
+    and its integer form (w, s) of `_integers`, on which the checks run (a
+    -inf is None).  The entries of m are read only to word an error."""
     m = as_matrix(rows)
-    _check_symmetric(m)
-    for i, row in enumerate(m):
+    w, scale = _integers(m)
+    _check_symmetric(w)
+    for i, row in enumerate(w):
         if row[i] != 0:
-            raise ValueError(f"diagonal entry ({i},{i}) is {row[i]}, not 0")
-        for j, x in enumerate(row[i + 1:], start=i + 1):
-            if x < 0:
-                raise ValueError(f"negative entry {x} at ({i},{j})")
-    return m
+            raise ValueError(f"diagonal entry ({i},{i}) is {m[i][i]}, not 0")
+        for j in range(i + 1, len(row)):
+            if row[j] is None or row[j] < 0:
+                raise ValueError(f"negative entry {m[i][j]} at ({i},{j})")
+    return m, w, scale
 
 
 def parse_matrix_csv(text: str) -> list[list[Fraction | float]]:
@@ -255,8 +258,8 @@ def check_4pc(rows: Sequence[Sequence]) -> FourPointViolation | None:
     """Four-point condition, quadruples with repetition: of the three pair
     sums, the maximum must be attained at least twice.  Returns None when
     the matrix passes, otherwise the first violating quadruple."""
-    m = check_dissimilarity(rows)
-    return _four_point_violation(m, _integers(m)[0])
+    m, w, _ = check_dissimilarity(rows)
+    return _four_point_violation(m, w)
 
 
 # ---------------------------------------------------------------------------
@@ -297,10 +300,9 @@ def realize_tree(rows: Sequence[Sequence]) -> tuple[Tree, list[int]]:
     The tree is grown and certified on 2w, (w, s) the metric's integer
     form, where every meet height (w_rq + w_ra - w_qa) / 2 is an integer.
     """
-    m = check_dissimilarity(rows)
+    m, w, scale = check_dissimilarity(rows)
     if not m:
         raise ValueError("empty matrix")
-    w, scale = _integers(m)
     bad = _four_point_violation(m, w)
     if bad is not None:
         raise NotTreeMetricError(bad)

@@ -9,24 +9,41 @@ skips the branches without a member of X, and minor_formula_table runs the
 same DP once over the whole tree for every vertex set up to a size; the
 determinant computed from the matrix itself serves as the independent
 oracle, and the exponential forest enumerator as a small-n one.
-minor_table gives every principal minor up to a size in one walk.
+minor_table gives every principal minor up to a size in one walk.  Both
+oracles read one matrix, the distance powers as integer maps built from
+the tree's integer distance rows (_power_maps), and run poly's walks on it
+directly; build_matrix is its PolyMatrix view.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .poly import ExactPoly, PolyMatrix, _principal_minors, _zadd, _zmul, det
+from .poly import ExactPoly, PolyMatrix, _bareiss, _kernel, _principal_minors, _zadd, _zmul
 from .tree import Edge, Tree, edge_key
+
+
+def _power_maps(T: Tree, xs: Sequence[int]) -> tuple[list[list[dict[int, int]]], int]:
+    """(t^{d(x_i, x_j)}) over the listed vertices as integer maps {d: 1},
+    and the exponents' denominator: the tree's integer distances and _den,
+    both divided by their gcd G.  That is the form poly.det reads off
+    build_matrix, whose entries each reduce their own exponent.  Over all
+    vertices G = 1: for each prime p of _den, the edge whose weight's
+    denominator holds p's full power in _den has an integer weight, its
+    endpoints' distance, prime to p."""
+    dist, den = T._distance_ints(xs)
+    g = math.gcd(den, *itertools.chain.from_iterable(dist))
+    return [[{d // g: 1} for d in row] for row in dist], den // g
 
 
 def build_matrix(T: Tree, X: Sequence[int]) -> PolyMatrix:
     """The symmetric matrix (t^{d(x_i, x_j)}) over the listed vertices."""
-    dist, den = T._distance_ints(T.check_subset(X))
-    return PolyMatrix([[ExactPoly._make(den, 1, {d: 1}) for d in row] for row in dist])
+    maps, den = _power_maps(T, T.check_subset(X))
+    return PolyMatrix([[ExactPoly._make(den, 1, p) for p in row] for row in maps])
 
 
 @dataclass(frozen=True)
@@ -226,11 +243,13 @@ def minor_leading(T: Tree, X: Iterable[int]) -> tuple[Fraction, Fraction]:
 
 
 def minor_oracle(T: Tree, X: Sequence[int]) -> ExactPoly:
-    """Independent evaluation: determinant of the actual matrix."""
+    """Independent evaluation: determinant of the actual matrix, by
+    poly.det's Bareiss walk on the integer maps of build_matrix."""
     xs = T.check_subset(X)
     if not xs:
         raise ValueError("X must be nonempty")
-    return det(build_matrix(T, xs))
+    maps, den = _power_maps(T, xs)
+    return ExactPoly._make(den, 1, _bareiss(_kernel(maps, len(maps))))
 
 
 def minor_table(T: Tree, max_size: int) -> dict[tuple[int, ...], ExactPoly]:
@@ -244,12 +263,10 @@ def minor_table(T: Tree, max_size: int) -> dict[tuple[int, ...], ExactPoly]:
     dense (unit weights), and on the maps otherwise (poly._kernel).  The
     table is complete: a principal minor over distinct vertices is a
     nonzero polynomial (minor_leading gives its top term), so the walk
-    meets no zero pivot.  Exponents are the tree's integer distances, over
-    the lcm of its weight denominators.
+    meets no zero pivot.  The maps are minor_oracle's (_power_maps).
     """
-    dist, den = T._distance_ints(T.vertices)
-    M = [[{d: 1} for d in row] for row in dist]
-    minors = _principal_minors(M, T.vertices, max_size)
+    maps, den = _power_maps(T, T.vertices)
+    minors = _principal_minors(maps, T.vertices, max_size)
     return {key: ExactPoly._make(den, 1, p) for key, p in minors.items()}
 
 

@@ -6,15 +6,18 @@ For an even tuple X that is nicely ordered (the cyclic tour x1 -> x2 -> ...
 monomial t^{w(O_X)}, where O_X is the set of edges splitting X oddly.  The
 generic expansion of the skew matrix is kept as the oracle; it is also what
 exposes non-nicely-ordered tuples, whose Pfaffians genuinely differ.
-pf_table gives the Pfaffian of every even sub-tuple of one order at once,
-and pf_formula_table the monomial of each.
+pf_oracle runs poly's memoised expansion on the skew matrix as integer
+maps built from the tree's integer distance rows (_skew_maps), skew by
+construction; build_skew_matrix is their PolyMatrix view.  pf_table gives
+the Pfaffian of every even sub-tuple of one order at once, and
+pf_formula_table the monomial of each.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .poly import ExactPoly, PolyMatrix, pfaffian
+from .poly import ExactPoly, PolyMatrix, _pfaffian_maps
 from .tree import Edge, Tree
 
 
@@ -29,21 +32,24 @@ class NotNicelyOrderedError(ValueError):
         )
 
 
+def _skew_maps(T: Tree, xs: Sequence[int]) -> tuple[list[list[dict[int, int]]], int]:
+    """The skew matrix over the listed vertices as integer maps, {d: 1}
+    above the diagonal, {d: -1} below it and {} on it, d the tree's integer
+    distance; and their denominator, _den."""
+    dist, den = T._distance_ints(xs)
+    return [
+        [{d: 1 if a < b else -1} if a != b else {} for b, d in enumerate(row)]
+        for a, row in enumerate(dist)
+    ], den
+
+
 def build_skew_matrix(T: Tree, X: Sequence[int]) -> PolyMatrix:
     """Skew matrix with t^{d(x_a, x_b)} above the diagonal.
 
     Every entry is a monomial, built from the tree's integer distances
     over the lcm of its weight denominators."""
-    dist, den = T._distance_ints(T.check_subset(X))
-    k = len(dist)
-    z = ExactPoly.zero()
-    rows = [[z] * k for _ in range(k)]
-    for a in range(k):
-        for b in range(a + 1, k):
-            e = dist[a][b]
-            rows[a][b] = ExactPoly._make(den, 1, {e: 1})
-            rows[b][a] = ExactPoly._make(den, 1, {e: -1})
-    return PolyMatrix(rows)
+    maps, den = _skew_maps(T, T.check_subset(X))
+    return PolyMatrix([[ExactPoly._make(den, 1, p) for p in row] for row in maps])
 
 
 def _odd_monomial(T: Tree, odd: int) -> ExactPoly:
@@ -90,11 +96,14 @@ def pf_formula_table(T: Tree, order: Sequence[int]) -> dict[tuple[int, ...], Exa
 
 
 def pf_oracle(T: Tree, X: Sequence[int]) -> ExactPoly:
-    """Pfaffian of the actual skew matrix, any ordering."""
+    """Pfaffian of the actual skew matrix, any ordering: poly.pfaffian's
+    memoised expansion on the integer maps of build_skew_matrix, which are
+    skew by construction."""
     xs = T.check_subset(X)
     if len(xs) % 2:
         raise ValueError("Pfaffian needs an even number of vertices")
-    return pfaffian(build_skew_matrix(T, xs))
+    maps, den = _skew_maps(T, xs)
+    return ExactPoly._make(den, 1, _pfaffian_maps(maps))
 
 
 def pf_table(T: Tree, order: Sequence[int]) -> dict[tuple[int, ...], ExactPoly]:

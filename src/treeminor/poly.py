@@ -9,20 +9,24 @@ structural equality.  Everything downstream (distance powers t^d, the
 signed forest sums, Schur complements) lives in this ring.
 
 The dict {k: c} is also the format of the integer kernel below (_zadd,
-_zmul, _zdiv): ring operations and pfaffian run on the stored maps, and
-the kernel's callers hand their results to ExactPoly._make unchanged.
+_zmul, _zdiv): ring operations run on the stored maps, and the kernel's
+callers hand their results to ExactPoly._make unchanged.  det and pfaffian
+turn their PolyMatrix into integer maps once and run _bareiss or
+_pfaffian_maps on them; the tree oracles build such maps from the tree's
+integer distances and call the walks directly.
 
-The two fraction-free walks of the oracle side, Bareiss elimination (det)
-and the Sylvester walk over principal minors (_principal_minors), run on
-one of two integer forms of their matrix, chosen from the matrix alone
-(_kernel).  The packed form evaluates each entry once at t = 2^B (Kronecker
-substitution) and runs the walk on Python ints; B puts 2^(B - 1) above every
-coefficient of every minor the walk can form, bounded by the product of the
-rows' 1-norms and by r! times the product of their largest entries (r! on a
-matrix of monomials), and each value read is unpacked as signed base-2^B
-digits.  The map form runs the same walk on the dicts.  Packing is chosen
-when the exponents are >= 0 and dense: the largest one times B at most
-_DENSE_BITS (96) times the number of distinct exponents.
+The two fraction-free walks of the oracle side, Bareiss elimination
+(_bareiss) and the Sylvester walk over principal minors
+(_principal_minors), run on one of two integer forms of their matrix,
+chosen from the matrix alone (_kernel).  The packed form evaluates each
+entry once at t = 2^B (Kronecker substitution) and runs the walk on Python
+ints; B puts 2^(B - 1) above every coefficient of every minor the walk can
+form, bounded by the product of the rows' 1-norms and by r! times the
+product of their largest entries (r! on a matrix of monomials), and each
+value read is unpacked as signed base-2^B digits.  The map form runs the
+same walk on the dicts.  Packing is chosen when the exponents are >= 0 and
+dense: the largest one times B at most _DENSE_BITS (96) times the number
+of distinct exponents.
 """
 
 from __future__ import annotations
@@ -694,10 +698,8 @@ def pfaffian(m: PolyMatrix) -> ExactPoly:
     """Pfaffian of a skew matrix of even size.
 
     Skewness (a zero diagonal and a_ji = -a_ij) is checked first, in one
-    pass over the upper triangle.  Expansion along the first remaining
-    index: pairing index i1 with the j-th remaining index contributes sign
-    (-1)^j; the empty matrix has Pfaffian 1.  The entries are multiplied by
-    the lcm L of their coefficient denominators, the expansion runs on the
+    pass over the upper triangle.  The entries are multiplied by the lcm L
+    of their coefficient denominators, `_pfaffian_maps` expands them on the
     integer kernel, and Pf(L A) = L^(n/2) Pf(A) gives the result's
     coefficient denominator.
     """
@@ -714,6 +716,15 @@ def pfaffian(m: PolyMatrix) -> ExactPoly:
     den = math.lcm(*(p._den for row in a for p in row))
     mult = math.lcm(*(p._cden for row in a for p in row))
     entries = [[_over(p, den, mult) for p in row] for row in a]
+    return ExactPoly._make(den, mult ** (n // 2), _pfaffian_maps(entries))
+
+
+def _pfaffian_maps(entries: list[list[dict[int, int]]]) -> dict[int, int]:
+    """Pfaffian of a skew matrix of integer maps of even size, by expansion
+    along the first remaining index, memoised on the remaining set: pairing
+    index i1 with the j-th remaining index contributes sign (-1)^j, and the
+    empty matrix has Pfaffian 1.  Skewness is not checked: only the upper
+    triangle is read."""
     memo: dict[frozenset, dict[int, int]] = {}
 
     def rec(idx: tuple) -> dict[int, int]:
@@ -736,6 +747,6 @@ def pfaffian(m: PolyMatrix) -> ExactPoly:
         memo[key] = total
         return total
 
-    total = rec(tuple(range(n)))
+    total = rec(tuple(range(len(entries))))
     del rec  # break the closure's cycle through itself: the memo goes on return
-    return ExactPoly._make(den, mult ** (n // 2), total)
+    return total

@@ -970,7 +970,7 @@ def test_represent_odd_reads_one_pfaffian_table(capsys, monkeypatch):
         return tables[-1]
 
     monkeypatch.setattr(matroid, "pf_table", counted)
-    monkeypatch.setattr(matroid, "pfaffian", None)  # no per-subset expansion
+    monkeypatch.setattr(matroid, "pf_oracle", None)  # no per-subset expansion
     code, out, _ = invoke(
         capsys, "represent-odd", "--n", "8", "--seed", "0", "--format", "json"
     )

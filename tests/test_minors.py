@@ -7,10 +7,12 @@ valued first; formula results must match it exactly, term by term.
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from treeminor import minors
 from treeminor.cyclekernel import ENUMERATION_CAP, cycle_sums
 from treeminor.minors import (
     build_matrix,
@@ -24,7 +26,7 @@ from treeminor.minors import (
     spanned_forests,
 )
 from treeminor.pfaffian import pf_formula, pf_formula_table, pf_oracle, pf_table
-from treeminor.poly import ExactPoly
+from treeminor.poly import ExactPoly, _integer_rows, det
 from treeminor.tree import Tree, random_tree
 
 F = Fraction
@@ -176,11 +178,23 @@ def test_minor_formula_table_on_trees_with_gaps_in_their_labels():
 
 @settings(max_examples=150, deadline=None)
 @given(trees_and_subsets())
+# distances 0 and 1 over _den = 2: the exponents share the factor G = 2
+@example((Tree([(1, 2, F(1, 2)), (2, 3, F(1, 2)), (2, 4, 1)]), [1, 3]))
 def test_dp_matches_forest_sum_and_determinant(case):
     T, X = case
     got = minor_formula(T, X)
     assert got == forest_sum(T, X)
-    assert got == minor_oracle(T, X)
+    # the oracle walks the integer maps that det reads off build_matrix
+    walked = []
+    kernel = minors._kernel
+    with mock.patch.object(minors, "_kernel", lambda m, size: walked.append(m) or kernel(m, size)):
+        oracle = minor_oracle(T, X)
+    a, den, scale, shift = _integer_rows(build_matrix(T, X))
+    assert walked == [a] and minors._power_maps(T, X) == (a, den)
+    assert (scale, shift) == (1, 0)
+    want = det(build_matrix(T, X))
+    assert got == oracle == want
+    assert str(got) == str(oracle) == str(want)
     assert minor_leading(T, X) == got.leading_term()
     if len(X) <= ENUMERATION_CAP:  # |X|! cycle partitions
         assert cycle_sums(T, X) == (got, got)

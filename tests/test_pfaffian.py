@@ -10,7 +10,9 @@ import itertools
 
 import pytest
 from fractions import Fraction
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+
+from treeminor.matroid import _value_pair, represent_odd
 
 from treeminor.pfaffian import (
     NotNicelyOrderedError,
@@ -20,7 +22,7 @@ from treeminor.pfaffian import (
     pf_oracle,
     pf_table,
 )
-from treeminor.poly import ExactPoly
+from treeminor.poly import ExactPoly, pfaffian
 from treeminor.tree import Tree, random_tree
 
 F = Fraction
@@ -129,15 +131,26 @@ def trees_and_orders(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(trees_and_orders())
+# distances over _den = 2 that share its factor 2 (d(1, 3) = 2 / 2)
+@example((Tree([(1, 2, F(1, 2)), (2, 3, F(1, 2)), (2, 4, 1)]), (3, 1, 4, 2)))
 def test_pf_table_matches_the_oracle_on_every_even_sub_tuple(case):
     T, shuffled = case
     nice = T.nice_order(T.vertices)
+    rep = represent_odd(T)
+    where = {v: i for i, v in enumerate(rep.order)}
     for order in (nice, shuffled):
         table = pf_table(T, order)
         want = [X for r in range(0, T.n + 1, 2) for X in itertools.combinations(order, r)]
         assert set(table) == set(want)
         for X in want:
-            assert table[X] == pf_oracle(T, X)
+            oracle = pf_oracle(T, X)
+            matrix = pfaffian(build_skew_matrix(T, X))
+            assert table[X] == oracle == matrix
+            assert str(oracle) == str(matrix)
+            # value_pair against the Pfaffian of rep's block on the PolyMatrix
+            block = pfaffian(rep.matrix.principal_submatrix(sorted(where[x] for x in X)))
+            got, expected = rep.value_pair(X), _value_pair(block)
+            assert got == expected and str(got) == str(expected)
             if order == nice:
                 # a restriction of a depth-first order is nicely ordered
                 assert T.is_nicely_ordered(X)[0]

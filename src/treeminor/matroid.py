@@ -279,7 +279,11 @@ class OddRepresentation:
 
     tree: Tree
     order: tuple[int, ...]
-    matrix: PolyMatrix
+
+    @property
+    def matrix(self) -> PolyMatrix:
+        """The skew matrix over the order, built each time it is read."""
+        return build_skew_matrix(self.tree, self.order)
 
     def _pfaffian(self, X: Iterable[int]) -> ExactPoly | None:
         """Pf(B[X]), or None when |X| is odd: pf_oracle on X in the order's
@@ -299,7 +303,7 @@ class OddRepresentation:
     def value_pairs(self) -> dict[tuple[int, ...], tuple]:
         """value_pair of every even sub-tuple of the order (keys in the
         order's order), read off one table of the principal Pfaffians of
-        the matrix that represent_odd builds (pfaffian.pf_table)."""
+        the matrix (pfaffian.pf_table)."""
         return {X: _value_pair(p) for X, p in pf_table(self.tree, self.order).items()}
 
     def value(self, X: Iterable[int]):
@@ -321,11 +325,11 @@ def _value_pair(p: ExactPoly | None) -> tuple:
 
 
 def represent_odd(T: Tree, ground: Iterable[int] | None = None) -> OddRepresentation:
-    """Build the skew distance-power matrix over a nice order of the ground
-    set (default: every vertex)."""
+    """The skew distance-power representation over a nice order of the
+    ground set (default: every vertex)."""
     g = tuple(T.vertices) if ground is None else T.check_subset(ground)
     order = tuple(T.nice_order(g))
-    return OddRepresentation(T, order, build_skew_matrix(T, order))
+    return OddRepresentation(T, order)
 
 
 # ---------------------------------------------------------------------------

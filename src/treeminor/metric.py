@@ -21,7 +21,7 @@ from math import isqrt, lcm
 from operator import sub
 from typing import Iterable, Sequence
 
-from .poly import _principal_minors
+from .poly import _Form, _istep, _sylvester
 from .radicals import QRad, exact_sign
 from .tree import Tree
 
@@ -635,9 +635,9 @@ def spectral_signature(
     m = as_matrix(rows)
     n = len(m)
     idx = range(n) if subset is None else _subset_indices(subset, n)
-    a = _powered_form(*_integers(m, idx), _positive_base(tau))
-    _check_symmetric(a)
-    return _inertia(a)
+    w, scale = _integers(m, idx)
+    _check_symmetric(w)
+    return _inertia(_powered_form(w, scale, _positive_base(tau)))
 
 
 def star_condition_check(
@@ -654,9 +654,9 @@ def star_condition_check(
     weak inequalities; a float entry raises TypeError.  When M = D R D
     with R rational and D a positive diagonal, the signs are read on R
     scaled to integers.  Listed subsets take one exact elimination each.
-    The default reads the signs off one Sylvester walk
-    (poly._principal_minors) over that integer matrix; the sets the walk
-    leaves out below a zero minor, and every set of a matrix with no
+    The default reads the signs off one Sylvester walk (poly._sylvester)
+    over that integer matrix, run on its ints as they are; the sets the
+    walk leaves out below a zero minor, and every set of a matrix with no
     rational form, take one elimination each.  Returns the first violating
     subset, in the listed order or by size and then lexicographically, or
     None."""
@@ -670,11 +670,10 @@ def star_condition_check(
     else:
         subsets = (xs for r in range(1, n + 1) for xs in combinations(range(n), r))
         if all(isinstance(x, int) for row in a for x in row):
-            z = [[{0: x} if x else {} for x in row] for row in a]
-            minors = _principal_minors(z, range(n), n)
+            minors = _sylvester(_Form(a, 1, _istep, int), range(n), n)
     for xs in subsets:
         minor = minors.get(xs)
-        sign = _det_sign(a, xs) if minor is None else exact_sign(minor.get(0, 0))
+        sign = _det_sign(a, xs) if minor is None else exact_sign(minor)
         if sign < 0 if len(xs) % 2 else sign > 0:
             return xs
     return None

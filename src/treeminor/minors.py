@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .poly import ExactPoly, PolyMatrix, _bareiss, _kernel, _principal_minors, _zadd, _zmul
+from .poly import ExactPoly, PolyMatrix, _bareiss, _kernel, _sylvester, _zadd, _zmul
 from .tree import Edge, Tree, edge_key
 
 
@@ -257,16 +257,16 @@ def minor_table(T: Tree, max_size: int) -> dict[tuple[int, ...], ExactPoly]:
 
     Keys are the sets as sorted tuples, as combinations(T.vertices, r)
     lists them, and each value equals minor_oracle(T, key).  One Sylvester
-    walk (poly._principal_minors) over the integer maps of the distance
-    powers gives them all; it runs on packed ints at t = 2^B, B from the
-    bound max_size! on the minors' coefficients, when the distances are
-    dense (unit weights), and on the maps otherwise (poly._kernel).  The
+    walk (poly._sylvester) over the integer maps of the distance powers
+    gives them all; it runs on packed ints at t = 2^B, B from the bound
+    max_size! on the minors' coefficients, when the distances are dense
+    (unit weights), and on the maps otherwise (poly._kernel).  The
     table is complete: a principal minor over distinct vertices is a
     nonzero polynomial (minor_leading gives its top term), so the walk
     meets no zero pivot.  The maps are minor_oracle's (_power_maps).
     """
     maps, den = _power_maps(T, T.vertices)
-    minors = _principal_minors(maps, T.vertices, max_size)
+    minors = _sylvester(_kernel(maps, max_size), T.vertices, max_size)
     return {key: ExactPoly._make(den, 1, p) for key, p in minors.items()}
 
 

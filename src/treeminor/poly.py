@@ -16,17 +16,19 @@ _pfaffian_maps on them; the tree oracles build such maps from the tree's
 integer distances and call the walks directly.
 
 The two fraction-free walks of the oracle side, Bareiss elimination
-(_bareiss) and the Sylvester walk over principal minors
-(_principal_minors), run on one of two integer forms of their matrix,
-chosen from the matrix alone (_kernel).  The packed form evaluates each
-entry once at t = 2^B (Kronecker substitution) and runs the walk on Python
-ints; B puts 2^(B - 1) above every coefficient of every minor the walk can
-form, bounded by the product of the rows' 1-norms and by r! times the
-product of their largest entries (r! on a matrix of monomials), and each
-value read is unpacked as signed base-2^B digits.  The map form runs the
-same walk on the dicts.  Packing is chosen when the exponents are >= 0 and
+(_bareiss) and the Sylvester walk over principal minors (_sylvester),
+run on one of two integer forms of their matrix, chosen from the matrix
+alone (_kernel).  The packed form evaluates each entry once at t = 2^B
+(Kronecker substitution) and runs the walk on Python ints; B puts
+2^(B - 1) above every coefficient of every minor the walk can form,
+bounded by the product of the rows' 1-norms and by r! times the product
+of their largest entries (r! on a matrix of monomials), and each value
+read is unpacked as signed base-2^B digits.  The map form runs the same
+walk on the dicts.  Packing is chosen when the exponents are >= 0 and
 dense: the largest one times B at most _DENSE_BITS (96) times the number
-of distinct exponents.
+of distinct exponents.  A matrix of plain ints needs neither: the star
+check (metric.star_condition_check) walks its own ints, with _istep and
+read the identity.
 """
 
 from __future__ import annotations
@@ -449,22 +451,12 @@ def _integer_rows(m: PolyMatrix) -> tuple[list[list[dict[int, int]]], int, int, 
     return a, den, scale, shift
 
 
-def _principal_minors(
-    m: list[list[dict[int, int]]], labels: Sequence, max_size: int
-) -> dict[tuple, dict[int, int]]:
-    """det m[S] over the sets S of 1..max_size rows of a symmetric matrix
-    of integer maps, keyed by the tuple of S's labels in row order: the
-    Sylvester walk `_sylvester` on the form `_kernel` chooses for m, packed
-    ints at t = 2^B (B bounding the minors of at most max_size rows) when
-    the exponents are >= 0 and dense, the maps otherwise."""
-    return _sylvester(_kernel(m, max_size), labels, max_size)
-
-
 # ---------------------------------------------------------------------------
 # the two fraction-free walks, each written once over a _Form: the entries of
 # an integer matrix, the unit, the step (a b - c d) / p, an exact division,
-# and read, which turns a value back into a map {k: c}.  A value is true
-# when it is nonzero, in both forms.
+# and read, which turns a value into what the walk reports: a map {k: c} in
+# the packed and map forms, the value itself on a matrix of plain ints.  A
+# value is true when it is nonzero, in every form.
 
 
 class _Form(NamedTuple):
@@ -504,9 +496,10 @@ def _bareiss(form: _Form) -> dict[int, int]:
     return {k: sign * c for k, c in last.items()} if sign < 0 else last
 
 
-def _sylvester(form: _Form, labels: Sequence, max_size: int) -> dict[tuple, dict[int, int]]:
+def _sylvester(form: _Form, labels: Sequence, max_size: int) -> dict[tuple, object]:
     """det m[S] over the sets S of 1..max_size rows of form's symmetric
-    matrix m, as maps keyed by the tuple of S's labels in row order.
+    matrix m, as form.read gives them, keyed by the tuple of S's labels in
+    row order.
 
     The walk adds rows depth-first in index order and carries p = det m[S]
     and the fraction-free Schur complement B_ij = det m[S+i, S+j] for i, j
@@ -519,7 +512,7 @@ def _sylvester(form: _Form, labels: Sequence, max_size: int) -> dict[tuple, dict
     """
     step, read = form.step, form.read
     n = len(form.rows)
-    table: dict[tuple, dict[int, int]] = {}
+    table: dict[tuple, object] = {}
 
     def grow(S, p, B, start):
         # B[i][j] for start <= i <= j; a child whose own children are the

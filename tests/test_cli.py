@@ -168,6 +168,14 @@ def test_signature_both_modes(capsys, tmp_path):
     assert code == 0
     assert json.loads(out)["inertia"] == [2, 2, 0]
 
+    # at --tau 1 every entry powers to 1: the asymmetry shows in the exponents
+    asym = tmp_path / "asym.csv"
+    asym.write_text("0,1\n2,0\n")
+    for tau in ("1", "2"):
+        code, out, err = invoke(capsys, "signature", "--matrix", str(asym), "--tau", tau)
+        assert (code, out) == (2, "")
+        assert "matrix is not symmetric at (1,0)" in err
+
     assert run(["signature"]) == 2  # neither source
     capsys.readouterr()
 

@@ -22,6 +22,7 @@ from itertools import combinations
 
 import pytest
 
+from treeminor import matroid
 from treeminor.matroid import (
     ExchangeViolation,
     OddRepresentation,
@@ -307,7 +308,7 @@ def test_dual_value_matches_the_pfaffian_of_the_inverted_matrix():
         shuffled = rng.sample(T.vertices, n)
         for rep in (
             represent_odd(T),
-            OddRepresentation(T, tuple(shuffled), build_skew_matrix(T, shuffled)),
+            OddRepresentation(T, tuple(shuffled)),
         ):
             image = PolyMatrix(
                 [[e.power_substitute(-1) for e in row] for row in rep.matrix.entries]
@@ -321,6 +322,24 @@ def test_dual_value_matches_the_pfaffian_of_the_inverted_matrix():
                     want = MINUS_INF if p.is_zero() else p.leading_term()[0]
                     assert rep.dual_value(X) == want
                     assert pairs[tuple(X)] == rep.value_pair(X)
+
+
+def test_represent_odd_builds_its_matrix_only_when_read(monkeypatch):
+    T = random_tree(7, seed=1, weights="rational")
+
+    def refuse(*args):
+        raise AssertionError("the skew matrix was built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(matroid, "build_skew_matrix", refuse)
+        rep = represent_odd(T)
+        pairs = rep.value_pairs()
+        assert len(pairs) == 2 ** 6
+        for X, pair in pairs.items():
+            assert rep.value_pair(X) == pair
+    want = build_skew_matrix(T, rep.order)
+    assert rep.matrix.entries == want.entries
+    assert str(rep.matrix) == str(want)
 
 
 def test_represent_odd_small_cases():

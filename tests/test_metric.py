@@ -6,7 +6,7 @@ from itertools import combinations, combinations_with_replacement
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treeminor import metric
+from treeminor import metric, poly
 from treeminor.metric import (
     MINUS_INF,
     check_4pc,
@@ -281,6 +281,10 @@ def test_inertia_small_cases():
     assert inertia([[F(2), QRad.sqrt_of(2)], [QRad.sqrt_of(2), F(1)]]) == (1, 0, 1)
     with pytest.raises(ValueError, match="symmetric"):
         inertia([[F(0), F(1)], [F(2), F(0)]])
+    # as exponents: at tau = 1 every entry powers to 1, so only they show it
+    for tau in (1, 2):
+        with pytest.raises(ValueError, match=r"not symmetric at \(1,0\)"):
+            spectral_signature([[0, 1], [2, 0]], tau)
 
 
 def test_floats_are_rejected_before_an_elimination():
@@ -733,6 +737,27 @@ def test_star_condition_walk_reads_minors_beneath_a_zero_pivot():
     pm = power_matrix([[x / 2 for x in row] for row in d], 10)
     assert _qrad_star_violator(pm) is None
     assert star_condition_check(pm) is None
+
+
+def test_star_condition_walks_its_own_ints_past_the_packed_kernel(monkeypatch):
+    # integers with a zero pivot, the powered square cycle (integers, a
+    # violation on all four points) and a powered half-integer tree metric,
+    # whose sqrt(10) entries split as D R D
+    t = random_tree(7, seed=4)
+    d = tree_distance_matrix(t, list(t.vertices))
+    pm = power_matrix([[x / 2 for x in row] for row in d], 10)
+    assert any(isinstance(x, QRad) for row in pm for x in row)
+    assert metric._rational_form(pm) is not None
+    cases = ([[0, 1, 0], [1, 0, 0], [0, 0, 1]], power_matrix(square_cycle_metric(), 10), pm)
+    want = [_qrad_star_violator(m) for m in cases]
+    assert want == [(0, 1, 2), (0, 1, 2, 3), None]
+
+    def refuse(*args):
+        raise AssertionError("the star check reached the packed kernel")
+
+    for name in ("_kernel", "_word_bits", "_unpack"):
+        monkeypatch.setattr(poly, name, refuse)
+    assert [star_condition_check(m) for m in cases] == want
 
 
 _ROOT2, _ROOT3 = QRad.sqrt_of(2), QRad.sqrt_of(3)

@@ -21,12 +21,13 @@ from treeminor.poly import (
     det_permutation,
     divide_exact,
     pfaffian,
+    _Form,
     _bareiss,
     _integer_rows,
+    _istep,
     _kernel,
     _maps,
     _packed,
-    _principal_minors,
     _sylvester,
     _word_bits,
     _zdiv,
@@ -298,7 +299,7 @@ class _Labels(list):
 
 
 def test_recursive_walks_free_their_tables_without_the_cyclic_collector():
-    # _principal_minors, pfaffian and cycle_sums each recurse through a
+    # _sylvester, pfaffian and cycle_sums each recurse through a
     # closure; one that kept a reference to itself would hold its tables
     # (and the labels) until the cyclic collector ran
     tree = random_tree(7, seed=3, weights="rational")
@@ -309,7 +310,7 @@ def test_recursive_walks_free_their_tables_without_the_cyclic_collector():
     try:
         labels = _Labels("abc")
         alive = weakref.ref(labels)
-        assert len(_principal_minors(ones, labels, 3)) == 7
+        assert len(_sylvester(_kernel(ones, 3), labels, 3)) == 7
         del labels
         assert alive() is None
         for _ in range(50):
@@ -420,7 +421,10 @@ def test_principal_minor_walk_below_a_zero_minor(case):
     m, max_size = case
     n = len(m)
     labels = "abcdef"[:n]
-    got = _principal_minors([[{0: x} if x else {} for x in row] for row in m], labels, max_size)
+    maps = [[{0: x} if x else {} for x in row] for row in m]
+    got = _sylvester(_kernel(maps, max_size), labels, max_size)
+    # the star check's route: the walk on the ints themselves
+    ints = _sylvester(_Form(m, 1, _istep, int), labels, max_size)
     minor = {
         xs: det_permutation(PolyMatrix([[ExactPoly.constant(m[i][j]) for j in xs] for i in xs]))
         for r in range(1, max_size + 1)
@@ -435,9 +439,10 @@ def test_principal_minor_walk_below_a_zero_minor(case):
         for more in combinations(range(xs[-1] + 1, n), r)
     }
     present = [xs for xs in minor if xs not in missing]
-    assert set(got) == {tuple(labels[i] for i in xs) for xs in present}
+    assert set(got) == set(ints) == {tuple(labels[i] for i in xs) for xs in present}
     for xs in present:
-        assert ExactPoly._make(1, 1, got[tuple(labels[i] for i in xs)]) == minor[xs]
+        key = tuple(labels[i] for i in xs)
+        assert ExactPoly._make(1, 1, got[key]) == minor[xs] == ints[key]
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +515,7 @@ def test_sylvester_packed_and_maps_agree(case):
     maps, packed = _both_forms(m, max_size)
     table = _sylvester(maps, labels, max_size)
     assert _sylvester(packed, labels, max_size) == table
-    assert _principal_minors(m, labels, max_size) == table
+    assert _sylvester(_kernel(m, max_size), labels, max_size) == table
     for xs, got in table.items():
         sub = PolyMatrix([[ExactPoly._make(1, 1, m[i][j]) for j in xs] for i in xs])
         assert ExactPoly._make(1, 1, got) == det_permutation(sub)

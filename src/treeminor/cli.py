@@ -31,11 +31,12 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from math import comb, factorial, lcm, perm
+from math import comb, factorial, perm
 
 from .cyclekernel import ENUMERATION_CAP, cycle_sums
 from .matroid import (
     ValuatedFn,
+    _exponent_gaps,
     _rooted_ground,
     check_delta_matroid,
     check_valuated_matroid,
@@ -724,9 +725,7 @@ def _check_rooted_size(T, args, ground, window) -> None:
     M = rooted_matrix(T, args.root, g)
     which = "the default window" if window is None else "--window"
     window = default_window(M) if window is None else window
-    entries = [p for row in M.entries for p in row if not p.is_zero()]
-    den = lcm(*(e.denominator for p in entries for e, _ in p.terms()))
-    gaps = {int((p.leading_term()[0] - p.trailing_term()[0]) * den) for p in entries}
+    gaps, den = _exponent_gaps(M)
     top = int(window * den)
     cofactor = sum(perm(args.k, m) for m in range(1, args.k))  # f(k)
     roots = 2 * len(g) * -(-top // min(gaps))
@@ -762,17 +761,16 @@ def cmd_represent_rooted(args):
         seed=args.seed,
         max_reseeds=args.max_reseeds,
     )
-    expected = rooted_k_dissimilarity(T, args.root, args.k, ground=rep.ground)
-    rows = []
-    for Y, valuation in rep.valuations.items():
-        rows.append(
-            {
-                "Y": ",".join(str(y) for y in Y),
-                "valuation": valuation,
-                "subtree_weight": expected.value(Y),
-                "exact_minor_valuation": rep.exact_minor_valuation(Y),
-            }
-        )
+    # verify checked every valuation against the subtree weight
+    rows = [
+        {
+            "Y": ",".join(str(y) for y in Y),
+            "valuation": valuation,
+            "subtree_weight": valuation,
+            "exact_minor_valuation": rep.exact_valuations[Y],
+        }
+        for Y, valuation in rep.valuations.items()
+    ]
     return 0, {
         "tree": text,
         "root": args.root,

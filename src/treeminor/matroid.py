@@ -12,16 +12,18 @@ truncated series) whose minor/Pfaffian top exponents reproduce the maps:
 * `represent_odd` -- a skew matrix of pairwise distance powers, taken in a
   nice vertex order; the top and bottom exponents of the Pfaffians of its
   principal submatrices give the odd-edge map and its negative.
-* `verify_rooted_representation` -- the pairwise-power matrix with the
-  rank-one root contribution removed, split through an exact Cholesky
-  factorisation and mixed by a random rectangular matrix of rationals.
-  Determinant valuations of k-column blocks give the rooted subtree-weight
-  map; each one is checked against the tree and kept with the result.
+* `verify_rooted_representation` -- the pairwise-power matrix M with the
+  rank-one root contribution removed, as integer maps, split through an
+  exact Cholesky factorisation and mixed by a random rectangular matrix
+  of rationals.  Determinant valuations of k-column blocks give the rooted
+  subtree-weight map; each is checked against the tree and kept with the
+  result, next to the top exponent of each k-minor of M (one walk).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -31,7 +33,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .metric import MINUS_INF
 from .pfaffian import build_skew_matrix, pf_oracle, pf_table
-from .poly import ExactPoly, PolyMatrix, _as_fraction, det
+from .poly import ExactPoly, PolyMatrix, _as_fraction, _kernel, _sylvester
 from .tree import Tree
 from .tropic import PrecisionError, PuiseuxTrunc, cholesky, series_det
 
@@ -205,25 +207,27 @@ def _exchange_scan(fn: ValuatedFn, axiom: str, pivots, swap) -> ExchangeViolatio
     """The first exchange violation over pairs X, Y of the support in
     support order, or None.  The pivot i runs over pivots(X, Y), its partner
     j over pivots(Y, X) - i, and the swap is scored f(swap(X, i, j)) +
-    f(swap(Y, j, i))."""
+    f(swap(Y, j, i)); a value off the support is None, never the float
+    -inf, which would send each Fraction comparison down its float path."""
     supp = fn.support()
+    get = fn._values.get
     for X in supp:
-        fx = fn.value(X)
+        fx = get(X)
         for Y in supp:
-            lhs = fx + fn.value(Y)
+            lhs = fx + get(Y)
             for i in pivots(X, Y):
-                best = MINUS_INF
+                best = None
                 for j in pivots(Y, X) - {i}:
-                    a, b = fn.value(swap(X, i, j)), fn.value(swap(Y, j, i))
-                    if a == MINUS_INF or b == MINUS_INF:
-                        # never beats best; Fraction + float could overflow
+                    a, b = get(swap(X, i, j)), get(swap(Y, j, i))
+                    if a is None or b is None:
                         continue
                     cand = a + b
-                    if cand > best:
+                    if best is None or cand > best:
                         best = cand
-                if lhs > best:
+                if best is None or lhs > best:
                     return ExchangeViolation(
-                        axiom, tuple(sorted(X)), tuple(sorted(Y)), i, lhs, best
+                        axiom, tuple(sorted(X)), tuple(sorted(Y)), i, lhs,
+                        MINUS_INF if best is None else best,
                     )
     return None
 
@@ -351,31 +355,39 @@ def _rooted_ground(T: Tree, root: int, ground: Iterable[int] | None) -> tuple[in
     return tuple(sorted(g))
 
 
+def _rooted_maps(T: Tree, root: int, ground: Sequence[int]) -> tuple[list[list[dict]], int]:
+    """(maps, den): the root-reduced matrix M over the ground set as integer
+    maps {d_ab: 1, d_ra + d_rb: -1} of exponents over den, read off the
+    tree's integer distances (Tree._distance_ints), r the root; an entry
+    is empty when r lies on the a-b path (d_ab = d_ra + d_rb)."""
+    ((_, *depth), *dist), den = T._distance_ints((root, *ground))
+    maps = [
+        [{e: 1, f: -1} if e != f else {} for e, f in zip(row[1:], [da + db for db in depth])]
+        for da, row in zip(depth, dist)
+    ]
+    return maps, den
+
+
 def rooted_matrix(T: Tree, root: int, ground: Sequence[int]) -> PolyMatrix:
     """The symmetric matrix t^(d_ab) - t^(d_ra + d_rb) over the ground set,
-    r the root: pairwise powers with the rank-one root part removed."""
-    (depth, *dist), den = T._distance_ints((root, *ground))
-    rows = []
-    for a, row in enumerate(dist, 1):
-        entries = []
-        for b in range(1, len(depth)):
-            e, f = row[b], depth[a] + depth[b]  # e = f when r is on the a-b path
-            entries.append(ExactPoly._make(den, 1, {e: 1, f: -1} if e != f else {}))
-        rows.append(entries)
-    return PolyMatrix(rows)
+    r the root: pairwise powers with the rank-one root part removed.  A
+    PolyMatrix view of _rooted_maps, which the rooted check runs on."""
+    maps, den = _rooted_maps(T, root, ground)
+    return PolyMatrix([[ExactPoly._make(den, 1, p) for p in row] for row in maps])
+
+
+def _exponent_gaps(M: PolyMatrix) -> tuple[set[int], int]:
+    """(gaps, den): the top-minus-bottom exponent gap of each nonzero entry
+    of M times den, the lcm of the entries' exponent denominators."""
+    entries = [p for row in M.entries for p in row if p]
+    den = math.lcm(*(p._den for p in entries))
+    return {(max(p._terms) - min(p._terms)) * (den // p._den) for p in entries}, den
 
 
 def exponent_spread(M: PolyMatrix) -> Fraction:
     """Largest top-minus-bottom exponent gap over the nonzero entries."""
-    best = Fraction(0)
-    for row in M.entries:
-        for p in row:
-            if p.is_zero():
-                continue
-            gap = p.leading_term()[0] - p.trailing_term()[0]
-            if gap > best:
-                best = gap
-    return best
+    gaps, den = _exponent_gaps(M)
+    return Fraction(max(gaps, default=0), den)
 
 
 def default_window(M: PolyMatrix) -> Fraction:
@@ -397,46 +409,38 @@ def _sample_mix(k: int, n: int, seed: int) -> list[list[Fraction]]:
 
 @dataclass(frozen=True)
 class RootedRepresentation:
-    """A k x n matrix of truncated series whose k x k column-block
-    determinant valuations equal the rooted subtree-weight map.
+    """The checked values of the rooted representation on every k-subset Y
+    of the ground set (a sorted tuple), in `combinations` order.
 
-    `matrix` is the exact root-reduced power matrix M; `rows` is J L^T, L a
-    Cholesky factor of -M over series truncated at `window` (-M = L L^T up
-    to the window) and J a random rational k x n matrix drawn from `seed`.
-    `valuations` holds the checked block valuation of every k-subset Y
-    (a sorted tuple of ground elements), in `combinations` order.
+    `valuations[Y]` is the valuation of det of the Y-column block of J L^T,
+    L a Cholesky factor of -M over series truncated at `window`, M the
+    root-reduced matrix (rooted_matrix) and J a random rational k x n mix:
+    the subtree weight of Y and the root.  `exact_valuations[Y]` is the top
+    exponent of det M[Y], twice that weight, from one Sylvester walk.
     """
 
     ground: tuple[int, ...]
     k: int
     window: Fraction
-    seed: int
-    matrix: PolyMatrix
-    rows: tuple[tuple[PuiseuxTrunc, ...], ...]
     valuations: Mapping[tuple[int, ...], Value] = field(hash=False)
+    exact_valuations: Mapping[tuple[int, ...], Fraction] = field(hash=False)
 
-    def _positions(self, Y: Iterable[int]) -> list[int]:
-        idx = {v: i for i, v in enumerate(self.ground)}
+    def _key(self, Y: Iterable[int]) -> tuple[int, ...]:
         ys = frozenset(Y)
-        bad = [y for y in ys if y not in idx]
+        bad = ys.difference(self.ground)
         if bad:
             raise ValueError(f"{sorted(bad)} are not ground elements")
         if len(ys) != self.k:
             raise ValueError(f"need exactly k={self.k} distinct elements")
-        return sorted(idx[y] for y in ys)
+        return tuple(sorted(ys))
 
     def series_valuation(self, Y: Iterable[int]):
         """Valuation of det of the Y-column block of the series matrix."""
-        pos = self._positions(Y)
-        return self.valuations[tuple(self.ground[p] for p in pos)]
+        return self.valuations[self._key(Y)]
 
-    def exact_minor_valuation(self, Y: Iterable[int]):
-        """Top exponent of det M[Y], from the exact polynomial matrix."""
-        pos = self._positions(Y)
-        d = det(self.matrix.principal_submatrix(pos))
-        if d.is_zero():
-            return MINUS_INF
-        return d.leading_term()[0]
+    def exact_minor_valuation(self, Y: Iterable[int]) -> Fraction:
+        """Top exponent of the exact principal minor det M[Y]."""
+        return self.exact_valuations[self._key(Y)]
 
 
 def _mixed_rows(
@@ -454,22 +458,6 @@ def _mixed_rows(
             r.append(acc)
         rows.append(tuple(r))
     return tuple(rows)
-
-
-def _rooted_core(T: Tree, root: int, g: tuple[int, ...], window):
-    M = rooted_matrix(T, root, g)
-    w = default_window(M) if window is None else Fraction(window)
-    # pivot j of -M is det(-M[1..j]) / det(-M[1..j-1]) and every sign the
-    # series decide is exact, so the factor itself certifies that -M is
-    # positive definite for large t; a pivot of the wrong sign raises
-    try:
-        L = cholesky([[-e for e in row] for row in M.entries], window=w)
-    except PrecisionError as exc:
-        raise ArithmeticError(
-            f"factorisation failed at truncation window {w} ({exc}); "
-            "raise the window and retry"
-        ) from exc
-    return M, w, L
 
 
 def verify_rooted_representation(
@@ -490,9 +478,11 @@ def verify_rooted_representation(
     spread of the matrix).  A disagreement or an unresolved (fully
     truncated) valuation is put down to an unlucky mixing matrix: the mix
     is resampled, at most `max_reseeds` times, and the failure is reported
-    if it persists; raising the window is the other remedy.  Returns the
-    verified representation, which carries the checked valuations, and the
-    number of reseeds used.
+    if it persists; raising the window is the other remedy.  Once an
+    attempt passes, one Sylvester walk (poly._sylvester) over M's integer
+    maps gives every exact minor det M[Y]: the Cholesky pivots certified
+    -M positive definite for large t, so the walk meets no zero minor.
+    Returns the representation and the number of reseeds used.
     """
     if max_reseeds < 0:
         raise ValueError(f"max_reseeds must be at least 0, got {max_reseeds}")
@@ -500,7 +490,19 @@ def verify_rooted_representation(
         raise ValueError("window must be positive")
     g = _rooted_ground(T, root, ground)
     expected = rooted_k_dissimilarity(T, root, k, ground=g)
-    M, w, L = _rooted_core(T, root, g, window)
+    maps, den = _rooted_maps(T, root, g)
+    neg = [[ExactPoly._make(den, 1, {e: -c for e, c in p.items()}) for p in row] for row in maps]
+    w = default_window(PolyMatrix(neg)) if window is None else Fraction(window)
+    # pivot j of -M is det(-M[1..j]) / det(-M[1..j-1]) and every sign the
+    # series decide is exact, so the factor itself certifies that -M is
+    # positive definite for large t; a pivot of the wrong sign raises
+    try:
+        L = cholesky(neg, window=w)
+    except PrecisionError as exc:
+        raise ArithmeticError(
+            f"factorisation failed at truncation window {w} ({exc}); "
+            "raise the window and retry"
+        ) from exc
     failures = []
     for attempt in range(max_reseeds + 1):
         J = _sample_mix(k, len(g), seed + attempt)
@@ -523,14 +525,14 @@ def verify_rooted_representation(
         except PrecisionError as exc:
             problem = f"seed {seed + attempt}: {exc}"
         if problem is None:
+            minors = _sylvester(_kernel(maps, k), g, k)
+            exact = {Y: Fraction(max(minors[Y]), den) for Y in vals}
             rep = RootedRepresentation(
                 ground=g,
                 k=k,
                 window=w,
-                seed=seed + attempt,
-                matrix=M,
-                rows=rows,
                 valuations=MappingProxyType(vals),
+                exact_valuations=MappingProxyType(exact),
             )
             return rep, attempt
         failures.append(problem)

@@ -387,8 +387,8 @@ def divide_exact(p: ExactPoly, q: ExactPoly) -> ExactPoly:
 class PolyMatrix:
     """Square matrix of ExactPoly entries.
 
-    No structure is declared: the functions that need one (pfaffian needs
-    a skew matrix, tropic.cholesky a symmetric one) check it themselves.
+    No structure is declared: a function that needs one (pfaffian needs a
+    skew matrix) checks it itself.
     """
 
     __slots__ = ("entries",)

@@ -501,7 +501,8 @@ def cholesky(
     m: Sequence[Sequence[ExactPoly | PuiseuxTrunc]],
     window: Fraction | None = None,
 ) -> list[list[PuiseuxTrunc]]:
-    """Lower-triangular L with L L^T = m, over truncated series.
+    """Lower-triangular L with L L^T = m, over truncated series; m is a
+    square grid of polynomials or series (a PolyMatrix passes its entries).
 
     `window` fixes the working precision: every entry is truncated to
     (max leading exponent) - window before elimination.  With window=None
@@ -514,8 +515,6 @@ def cholesky(
     PrecisionError if a pivot cannot be distinguished from zero at this
     window.
     """
-    if hasattr(m, "entries"):
-        m = m.entries
     n = len(m)
     grid = [[PuiseuxTrunc._coerce(x) for x in row] for row in m]
     if any(len(row) != n or any(x is None for x in row) for row in grid):

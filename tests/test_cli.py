@@ -305,6 +305,7 @@ BAD_OPTION_VALUES = [
     ("dissimilarity --n 400 --map k --k 3", "--map k would evaluate more than 65536 values"),
     ("dissimilarity --n 400 --map rooted --root 1 --k 3",
      "--map rooted would evaluate more than 65536 values"),
+    ("dissimilarity --n 6 --map rooted --k 2", "--map rooted needs --root"),
     ("represent-odd --n 18", "represent-odd would check more than 65536 even subsets"),
     ("represent-odd --n 3000", "represent-odd would check more than 65536 even subsets"),
     # rational weights: minor_table's polynomials grow with |X| (minutes at --n 16)
@@ -1040,6 +1041,8 @@ PINNED_REPORTS = {
         "9a29e6221b1095975e1963608053a9bc7b006cdbc052a204f0c41176a337b2c1",
     "represent-rooted --tree q6r --root 5 --k 2":
         "27568cfbe90b50d76bfb784f61e1a281cdb5607fc5e73e5d9bd9c2fa598d995d",
+    "dissimilarity --tree q6 --map rooted --root 5 --k 2":
+        "61ee30d8ab5ab94d9ecee6e4e92a0a271ef4a1284a26382a3719da1369bc703a",
 }
 
 
@@ -1054,6 +1057,23 @@ def test_report_stdout_is_pinned(capsys, tmp_path, argv):
     code, out, _ = invoke(capsys, *words, "--format", "json")
     assert code in (0, 1)
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_REPORTS[argv]
+
+
+@pytest.mark.parametrize(
+    "argv, lines",
+    [
+        ("check-4pc --matrix TM3", ["n,3", "ok,True"]),
+        # the tree file in "raw" is left out, as in the text format's fields
+        ("tree-gen --n 4 --seed 1", ["edges,\"[[1, 2, '1'], [1, 4, '1'], [2, 3, '1']]\"", "n,4"]),
+    ],
+)
+def test_csv_format_key_value_reports(capsys, tmp_path, argv, lines):
+    tm3 = tmp_path / "tm3.csv"
+    tm3.write_text("0,1,2\n1,0,3\n2,3,0\n")
+    argv = [str(tm3) if tok == "TM3" else tok for tok in argv.split()]
+    code, out, _ = invoke(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert out.split("\n") == [*lines, ""]
 
 
 def test_csv_format_rows(capsys):

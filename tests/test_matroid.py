@@ -16,13 +16,14 @@ and the Cholesky square root is what brings the series path back down to
 the subtree weights themselves.  The tests pin both scales.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from treeminor import matroid
+from treeminor import matroid, poly
 from treeminor.matroid import (
     ExchangeViolation,
     OddRepresentation,
@@ -472,22 +473,54 @@ def test_exponent_spread_and_default_window():
     assert default_window(M) == 16
 
 
+def _half_integer_tree(n, seed):
+    rng = random.Random(seed)
+    return Tree([(rng.randint(1, v - 1), v, F(rng.randint(1, 8), 2)) for v in range(2, n + 1)])
+
+
 def test_exact_minor_valuations_are_doubled_subtree_weights():
+    # the walk's exact minors against one det per k-subset of the
+    # PolyMatrix view, on unit, rational and half-integer trees, on grounds
+    # with interior vertices, k = 1..4
     rng = random.Random(11)
-    for seed in range(5):
-        T = random_tree(6, seed=seed, weights="rational" if seed % 2 else "unit")
+    for seed in range(9):
+        if seed % 3 == 2:
+            T = _half_integer_tree(6, seed)
+        else:
+            T = random_tree(6, seed=seed, weights="rational" if seed % 3 else "unit")
         root = next(v for v in T.vertices if T.degree(v) >= 2)
-        ground = [v for v in T.leaves() if v != root]
-        if len(ground) < 2:
-            continue
-        k = 2
-        rep = verify_rooted_representation(
-            T, root, k, ground=ground, seed=rng.randint(0, 99)
-        )[0]
-        fn = rooted_k_dissimilarity(T, root, k, ground=ground)
-        for Y in combinations(ground, k):
-            assert rep.exact_minor_valuation(Y) == 2 * fn.value(Y)
-            assert rep.exact_minor_valuation(Y) / 2 == fn.value(Y)
+        for k in range(1, 5):
+            rep = verify_rooted_representation(T, root, k, seed=rng.randint(0, 99),
+                                               ground=[v for v in T.vertices if v != root])[0]
+            M = rooted_matrix(T, root, rep.ground)
+            fn = rooted_k_dissimilarity(T, root, k, ground=rep.ground)
+            assert list(rep.exact_valuations) == list(combinations(rep.ground, k))
+            for pos in combinations(range(len(rep.ground)), k):
+                Y = tuple(rep.ground[p] for p in pos)
+                top = det(M.principal_submatrix(pos)).leading_term()[0]
+                assert rep.exact_minor_valuation(Y) == top == 2 * fn.value(Y)
+                assert rep.exact_minor_valuation(reversed(Y)) / 2 == fn.value(Y)
+
+
+def test_rooted_representation_keeps_values_off_one_walk(monkeypatch):
+    # no Bareiss determinant runs: the exact minors come from poly._sylvester
+    def refuse(form):
+        raise AssertionError("a determinant ran")
+
+    monkeypatch.setattr(poly, "_bareiss", refuse)
+    trees = [(quartet_tree(), 5), (random_tree(7, seed=1, weights="rational"), 6),
+             (_half_integer_tree(7, 2), 1)]
+    for T, root in trees:
+        for k in (1, 2, 3):
+            rep, _ = verify_rooted_representation(T, root, k, ground=[v for v in T.leaves() if v != root])
+            for Y in combinations(rep.ground, k):
+                assert rep.exact_minor_valuation(Y) == 2 * rep.series_valuation(Y)
+    fields = [f.name for f in dataclasses.fields(matroid.RootedRepresentation)]
+    assert fields == ["ground", "k", "window", "valuations", "exact_valuations"]
+    with pytest.raises(ValueError, match="are not ground elements"):
+        rep.exact_minor_valuation([1, 99])
+    with pytest.raises(ValueError, match="need exactly k=3"):
+        rep.exact_minor_valuation(rep.ground[:2])
 
 
 def test_series_valuations_recover_rooted_map():

@@ -281,6 +281,8 @@ def test_inertia_small_cases():
     assert inertia([[F(2), QRad.sqrt_of(2)], [QRad.sqrt_of(2), F(1)]]) == (1, 0, 1)
     with pytest.raises(ValueError, match="symmetric"):
         inertia([[F(0), F(1)], [F(2), F(0)]])
+    with pytest.raises(ValueError, match="matrix is not square"):
+        inertia([[F(0), F(1)], [F(1)]])
     # as exponents: at tau = 1 every entry powers to 1, so only they show it
     for tau in (1, 2):
         with pytest.raises(ValueError, match=r"not symmetric at \(1,0\)"):

@@ -398,6 +398,9 @@ def test_series_det_matches_poly():
     d = ExactPoly.constant(F(1, 2))
     grid = [[PuiseuxTrunc.from_poly(x) for x in row] for row in [[a, b], [c, d]]]
     assert series_det(grid) == PuiseuxTrunc.from_poly(a * d - b * c)
+    assert series_det([]) == PuiseuxTrunc.constant(1)
+    with pytest.raises(ValueError, match="matrix is not square"):
+        series_det(grid[:1])
 
 
 def test_cholesky_exact_integer_factor():
@@ -406,7 +409,7 @@ def test_cholesky_exact_integer_factor():
     a = [[ExactPoly.constant(2), zero, zero], [t, one, zero], [one, t, ExactPoly.constant(3)]]
     m = [[sum((a[i][k] * a[j][k] for k in range(3)), zero) for j in range(3)] for i in range(3)]
     sym = PolyMatrix(m)
-    low = cholesky(sym)
+    low = cholesky(sym.entries)
     for i in range(3):
         for j in range(3):
             assert low[i][j] == PuiseuxTrunc.from_poly(a[i][j])

@@ -13,11 +13,13 @@ truncated series) whose minor/Pfaffian top exponents reproduce the maps:
   nice vertex order; the top and bottom exponents of the Pfaffians of its
   principal submatrices give the odd-edge map and its negative.
 * `verify_rooted_representation` -- the pairwise-power matrix M with the
-  rank-one root contribution removed, as integer maps, split through an
-  exact Cholesky factorisation and mixed by a random rectangular matrix
-  of rationals.  Determinant valuations of k-column blocks give the rooted
-  subtree-weight map; each is checked against the tree and kept with the
-  result, next to the top exponent of each k-minor of M (one walk).
+  rank-one root contribution removed, as integer maps, factored as
+  -M = L1 D L1^T over truncated series (tropic.ldl, no square roots) and
+  mixed as J diag(t^(val(d_z)/2)) L1^T, J a random rectangular matrix of
+  rationals and d_z the LDL^T pivots.  Determinant valuations of k-column
+  blocks give the rooted subtree-weight map; each is checked against the
+  tree and kept with the result, next to the top exponent of each k-minor
+  of M (one walk).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .metric import MINUS_INF
 from .pfaffian import build_skew_matrix, pf_oracle, pf_table
 from .poly import ExactPoly, PolyMatrix, _as_fraction, _kernel, _sylvester
 from .tree import Tree
-from .tropic import PrecisionError, PuiseuxTrunc, cholesky, series_det
+from .tropic import PrecisionError, PuiseuxTrunc, ldl, series_det
 
 Value = "Fraction | float"  # a finite Fraction, or MINUS_INF
 
@@ -412,11 +414,12 @@ class RootedRepresentation:
     """The checked values of the rooted representation on every k-subset Y
     of the ground set (a sorted tuple), in `combinations` order.
 
-    `valuations[Y]` is the valuation of det of the Y-column block of J L^T,
-    L a Cholesky factor of -M over series truncated at `window`, M the
-    root-reduced matrix (rooted_matrix) and J a random rational k x n mix:
-    the subtree weight of Y and the root.  `exact_valuations[Y]` is the top
-    exponent of det M[Y], twice that weight, from one Sylvester walk.
+    `valuations[Y]` is the valuation of det of the Y-column block of
+    J diag(t^(val(d_z)/2)) L1^T, -M = L1 D L1^T an LDL^T factorisation over
+    series truncated at `window` (pivots d_z), M the root-reduced matrix
+    (rooted_matrix) and J a random rational k x n mix: the subtree weight of
+    Y and the root.  `exact_valuations[Y]` is the top exponent of det M[Y],
+    twice that weight, from one Sylvester walk.
     """
 
     ground: tuple[int, ...]
@@ -444,19 +447,19 @@ class RootedRepresentation:
 
 
 def _mixed_rows(
-    J: Sequence[Sequence[Fraction]], L: Sequence[Sequence[PuiseuxTrunc]]
+    J: Sequence[Sequence[Fraction]],
+    L1: Sequence[Sequence[PuiseuxTrunc]],
+    half: Sequence[Fraction],
 ) -> tuple[tuple[PuiseuxTrunc, ...], ...]:
-    """The rows of J L^T, L lower triangular."""
+    """The rows of J diag(t^half) L1^T, L1 unit lower triangular: entry
+    (i, j) is the sum over s <= j of the monomial J[i][s] t^half[s] times
+    L1[j][s], and the s = j term is the monomial itself."""
     rows = []
     for Ji in J:
-        r = []
-        for j, Lj in enumerate(L):
-            acc = None
-            for s in range(j + 1):
-                term = Ji[s] * Lj[s]
-                acc = term if acc is None else acc + term
-            r.append(acc)
-        rows.append(tuple(r))
+        cols = [PuiseuxTrunc.t_power(h, c) for h, c in zip(half, Ji)]
+        rows.append(tuple(
+            sum((cols[s] * Lj[s] for s in range(j)), cols[j]) for j, Lj in enumerate(L1)
+        ))
     return tuple(rows)
 
 
@@ -471,8 +474,13 @@ def verify_rooted_representation(
 ) -> tuple[RootedRepresentation, int]:
     """Build the k-row series representation of the rooted subtree-weight
     map and check it against the map computed straight from the tree, on
-    every k-subset: factor the negated root-reduced matrix as L L^T over
-    truncated series and mix L^T by a random rational k x n matrix.
+    every k-subset: factor the negated root-reduced matrix as L1 D L1^T
+    over truncated series (tropic.ldl) and mix diag(t^(val(d_z)/2)) L1^T by
+    a random rational k x n matrix J.  The monomial t^(val(d_z)/2) stands
+    for sqrt(d_z), the Cholesky factor's diagonal, with the same valuation:
+    by Cauchy-Binet each block of the mix has the valuation of the block of
+    J L^T, L the Cholesky factor, unless top terms cancel, and coefficients
+    stay rational.
 
     `window` is the truncation width (default: four times the exponent
     spread of the matrix).  A disagreement or an unresolved (fully
@@ -480,8 +488,9 @@ def verify_rooted_representation(
     is resampled, at most `max_reseeds` times, and the failure is reported
     if it persists; raising the window is the other remedy.  Once an
     attempt passes, one Sylvester walk (poly._sylvester) over M's integer
-    maps gives every exact minor det M[Y]: the Cholesky pivots certified
-    -M positive definite for large t, so the walk meets no zero minor.
+    maps gives every exact minor det M[Y]: the LDL^T pivots, each a ratio
+    of leading minors whose sign is decided exactly, certified -M positive
+    definite for large t, so the walk meets no zero minor.
     Returns the representation and the number of reseeds used.
     """
     if max_reseeds < 0:
@@ -497,16 +506,17 @@ def verify_rooted_representation(
     # series decide is exact, so the factor itself certifies that -M is
     # positive definite for large t; a pivot of the wrong sign raises
     try:
-        L = cholesky(neg, window=w)
+        L1, pivots = ldl(neg, window=w)
     except PrecisionError as exc:
         raise ArithmeticError(
             f"factorisation failed at truncation window {w} ({exc}); "
             "raise the window and retry"
         ) from exc
+    half = [d.valuation() / 2 for d in pivots]
     failures = []
     for attempt in range(max_reseeds + 1):
         J = _sample_mix(k, len(g), seed + attempt)
-        rows = _mixed_rows(J, L)
+        rows = _mixed_rows(J, L1, half)
         vals = {}
         problem = None
         try:

@@ -22,8 +22,10 @@ with poly._zadd.  A product convolves the maps per pair of radicands
 (sqrt(a) sqrt(b) = g sqrt(ab/g^2), g = gcd(a, b)) and never forms a pair
 of terms whose exponents sum to the product's cutoff or below.  A Fraction
 or QRad coefficient is built only where one is read (terms, leading,
-sign).  Division and square roots expand one binomial series down to what
-the operand's own cutoff supports; an exact non-monomial gives no stopping
+sign).  Division and square roots work down to what the operand's own
+cutoff supports: the inverse of a rational series runs the integer
+recurrence of 1/(1 + u), square roots and the inverse of a radical series
+expand one binomial series; an exact non-monomial gives no stopping
 point, so it must be truncated first.
 """
 
@@ -346,8 +348,9 @@ class PuiseuxTrunc:
         return (total * head).truncate(target)
 
     def inverse(self) -> "PuiseuxTrunc":
-        """1/self via the geometric series, down to what self's precision
-        supports: its cutoff minus twice its leading exponent.  An exact
+        """1/self, down to what self's precision supports: its cutoff minus
+        twice its leading exponent; by the recurrence of 1/(1 + u) when the
+        coefficients are rational, else by the geometric series.  An exact
         non-monomial must be truncated first.
         """
         lead_e, lead_c = self.leading()  # certifies a nonzero lead
@@ -356,7 +359,33 @@ class PuiseuxTrunc:
             return mono
         if self._cutoff is None:
             raise ValueError("inverting an exact non-monomial: truncate it first")
+        if self._parts.keys() == {1}:
+            return self._rational_inverse()
         return self._binomial(Fraction(-1), mono)
+
+    def _rational_inverse(self) -> "PuiseuxTrunc":
+        """inverse() of a truncated series with rational coefficients, by
+        the recurrence of 1/(1 + u) instead of powers of u.  With s =
+        t^(-1/ram), top the lead key and p its value, self = (p/den)
+        t^(top/ram) sum_m a_m s^m with a_m = n_(top-m)/p, and the inverse is
+        (den/p) t^(-top/ram) sum_m b_m s^m, b_0 = 1, b_m = -sum_i a_i
+        b_(m-i).  The integers c_m = b_m p^m follow c_m = -sum_i n_(top-i)
+        p^(i-1) c_(m-i); m runs while the term stays above the cutoff of
+        the binomial expansion, cutoff - 2 top/ram."""
+        ram, terms = self._ram, self._parts[1]
+        top = max(terms)
+        p = terms[top]
+        last = top - _floor_key(self._cutoff, ram) - 1
+        weights = sorted((top - k, v * p ** (top - k - 1)) for k, v in terms.items() if k != top)
+        c = [1]
+        for m in range(1, last + 1):
+            c.append(-sum(w * c[m - i] for i, w in weights if i <= m))
+        scale = p ** (last + 1)
+        sign = 1 if scale > 0 else -1
+        vals = {-top - m: sign * self._den * cm * p ** (last - m) for m, cm in enumerate(c)}
+        return PuiseuxTrunc._make(
+            ram, abs(scale), {1: vals}, self._cutoff - 2 * Fraction(top, ram)
+        )
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -497,24 +526,12 @@ def series_det(grid: Sequence[Sequence[PuiseuxTrunc]]) -> PuiseuxTrunc:
     return total
 
 
-def cholesky(
-    m: Sequence[Sequence[ExactPoly | PuiseuxTrunc]],
-    window: Fraction | None = None,
+def _symmetric_grid(
+    m: Sequence[Sequence[ExactPoly | PuiseuxTrunc]], window: Fraction | None
 ) -> list[list[PuiseuxTrunc]]:
-    """Lower-triangular L with L L^T = m, over truncated series; m is a
-    square grid of polynomials or series (a PolyMatrix passes its entries).
-
-    `window` fixes the working precision: every entry is truncated to
-    (max leading exponent) - window before elimination.  With window=None
-    everything stays exact, which only gets through when no division or
-    square root meets an exact non-monomial (diagonal matrices, say).
-
-    Only the lower triangle and the diagonal are read, so m must be
-    symmetric: an asymmetric m raises ValueError before any work.  Raises
-    ArithmeticError if a pivot is negative or exactly zero, and
-    PrecisionError if a pivot cannot be distinguished from zero at this
-    window.
-    """
+    """The square symmetric grid m as series, every entry truncated to (max
+    leading exponent) - window, or left exact when window is None.  An
+    asymmetric m raises ValueError before any work."""
     n = len(m)
     grid = [[PuiseuxTrunc._coerce(x) for x in row] for row in m]
     if any(len(row) != n or any(x is None for x in row) for row in grid):
@@ -533,16 +550,44 @@ def cholesky(
         if leads:
             cut = max(leads) - window
             grid = [[x.truncate(cut) for x in row] for row in grid]
+    return grid
+
+
+def _check_pivot(d: PuiseuxTrunc, j: int) -> None:
+    """Raise unless pivot j is positive for large t."""
+    s = d.sign()  # PrecisionError when the window is too small
+    if s < 0:
+        raise ArithmeticError(f"pivot {j} is negative; no real factorization")
+    if s == 0:
+        raise ArithmeticError(f"pivot {j} is exactly zero; matrix is singular")
+
+
+def cholesky(
+    m: Sequence[Sequence[ExactPoly | PuiseuxTrunc]],
+    window: Fraction | None = None,
+) -> list[list[PuiseuxTrunc]]:
+    """Lower-triangular L with L L^T = m, over truncated series; m is a
+    square grid of polynomials or series (a PolyMatrix passes its entries).
+
+    `window` fixes the working precision: every entry is truncated to
+    (max leading exponent) - window before elimination.  With window=None
+    everything stays exact, which only gets through when no division or
+    square root meets an exact non-monomial (diagonal matrices, say).
+
+    Only the lower triangle and the diagonal are read, so m must be
+    symmetric: an asymmetric m raises ValueError before any work.  Raises
+    ArithmeticError if a pivot is negative or exactly zero, and
+    PrecisionError if a pivot cannot be distinguished from zero at this
+    window.
+    """
+    grid = _symmetric_grid(m, window)
+    n = len(grid)
     lower = [[PuiseuxTrunc.zero() for _ in range(n)] for _ in range(n)]
     for j in range(n):
         d = grid[j][j]
         for k in range(j):
             d = d - lower[j][k] * lower[j][k]
-        s = d.sign()  # PrecisionError when the window is too small
-        if s < 0:
-            raise ArithmeticError(f"pivot {j} is negative; no real factorization")
-        if s == 0:
-            raise ArithmeticError(f"pivot {j} is exactly zero; matrix is singular")
+        _check_pivot(d, j)
         lower[j][j] = d.sqrt()
         inv = lower[j][j].inverse() if j + 1 < n else None
         for i in range(j + 1, n):
@@ -551,3 +596,43 @@ def cholesky(
                 num = num - lower[i][k] * lower[j][k]
             lower[i][j] = num * inv
     return lower
+
+
+def ldl(
+    m: Sequence[Sequence[ExactPoly | PuiseuxTrunc]],
+    window: Fraction | None = None,
+) -> tuple[list[list[PuiseuxTrunc]], list[PuiseuxTrunc]]:
+    """(L1, d): L1 unit lower triangular and d the pivots, with
+    L1 diag(d) L1^T = m over truncated series; cholesky without the square
+    roots, so its coefficients stay rational (L = L1 diag(sqrt d)).
+
+    Pivot d_j is det m[:j+1, :j+1] / det m[:j, :j].  Each pivot costs one
+    inverse, and each entry below it one product with that inverse: the
+    elimination keeps E[i][j] = L1[i][j] d_j.  `window`, the symmetry check
+    and the failure modes are cholesky's: a pivot that is negative or
+    exactly zero raises ArithmeticError, one that cannot be told from zero
+    at the window PrecisionError.
+    """
+    grid = _symmetric_grid(m, window)
+    n = len(grid)
+    unit = [
+        [PuiseuxTrunc.constant(1) if i == j else PuiseuxTrunc.zero() for j in range(n)]
+        for i in range(n)
+    ]
+    scaled = [[None] * n for _ in range(n)]  # E = L1 diag(d), below the diagonal
+    pivots = []
+    for j in range(n):
+        row, low = scaled[j], unit[j]
+        d = grid[j][j]
+        for k in range(j):
+            d = d - row[k] * low[k]
+        _check_pivot(d, j)
+        pivots.append(d)
+        inv = d.inverse() if j + 1 < n else None
+        for i in range(j + 1, n):
+            e = grid[i][j]
+            for k in range(j):
+                e = e - scaled[i][k] * low[k]
+            scaled[i][j] = e
+            unit[i][j] = e * inv
+    return unit, pivots

@@ -15,6 +15,7 @@ import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -910,6 +911,41 @@ def test_check_matroid_names_a_malformed_key_or_ground(capsys, tmp_path, payload
     assert error in err
 
 
+@pytest.mark.parametrize(
+    "argv, steps, code",
+    [
+        # 256 values on 9 ground elements: 256^2 (1 + 9 x 8) steps, 6.7 s
+        ("--n 9 --map odd", 4_784_128, 0),
+        ("--n 10 --map odd", 23_855_104, 2),
+        # C(16, 3) = 560 values: 560^2 (1 + 3^2), 11.5 s
+        ("--n 30 --map k --k 3 --ground " + ",".join(map(str, range(1, 17))), 3_136_000, 0),
+        ("--n 30 --map k --k 3 --ground " + ",".join(map(str, range(1, 19))), 6_658_560, 2),
+    ],
+)
+def test_check_matroid_counts_its_scan_before_any_work(
+    capsys, tmp_path, monkeypatch, argv, steps, code
+):
+    code_map, out, _ = invoke(capsys, "dissimilarity", *argv.split(), "--format", "json")
+    assert code_map == 0
+    path = tmp_path / "map.json"
+    path.write_text(out)
+    scans = []
+    for name in ("check_valuated_matroid", "check_delta_matroid"):
+        monkeypatch.setattr(cli, name, lambda fn, name=name: scans.append(name))
+    got, out, err = invoke(capsys, "check-matroid", "--map", str(path))
+    assert got == code
+    if code == 2:
+        assert (scans, out) == ([], "")
+        assert err == (
+            f"error: check-matroid would visit about {steps} pairs and swaps, "
+            "more than 5000000; pass a map with fewer values\n"
+        )
+    else:
+        assert len(scans) == 1
+        fn = matroid.ValuatedFn.from_json(json.loads(path.read_text())["map"])
+        assert cli._exchange_steps(fn, "delta" if fn.k is None else "matroid") == steps
+
+
 def test_represent_rooted_report(capsys, tmp_path):
     tree = tmp_path / "q.tree"
     tree.write_text("6\n1 5\n2 5\n5 6\n3 6\n4 6\n")
@@ -1057,6 +1093,32 @@ def test_report_stdout_is_pinned(capsys, tmp_path, argv):
     code, out, _ = invoke(capsys, *words, "--format", "json")
     assert code in (0, 1)
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_REPORTS[argv]
+
+
+def test_rooted_check_reaches_no_radical(capsys, tmp_path, monkeypatch):
+    # the LDL^T factor and the monomial column scale keep every coefficient
+    # rational: no square root is taken and no QRad is built, and the
+    # pinned represent-rooted reports still match
+    from treeminor import tropic
+
+    def no_sqrt(self):
+        raise AssertionError("PuiseuxTrunc.sqrt reached")
+
+    class NoQRad:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("QRad built")
+
+    monkeypatch.setattr(tropic.PuiseuxTrunc, "sqrt", no_sqrt)
+    monkeypatch.setattr(tropic, "QRad", NoQRad)
+    for name in ("q6", "q6r"):
+        T = parse_tree_text(PINNED_REPORT_FILES[name])
+        for k in (1, 2, 3):
+            rep, _ = matroid.verify_rooted_representation(T, 5, k)
+            assert len(rep.valuations) == len(list(combinations(rep.ground, k)))
+    pinned = [argv for argv in PINNED_REPORTS if argv.startswith("represent-rooted")]
+    assert len(pinned) == 4
+    for argv in pinned:
+        test_report_stdout_is_pinned(capsys, tmp_path, argv)
 
 
 @pytest.mark.parametrize(

@@ -18,6 +18,7 @@ the subtree weights themselves.  The tests pin both scales.
 
 import dataclasses
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -44,7 +45,7 @@ from treeminor.minors import minor_oracle
 from treeminor.pfaffian import build_skew_matrix
 from treeminor.poly import ExactPoly, PolyMatrix, det, pfaffian
 from treeminor.tree import Tree, random_tree
-from treeminor.tropic import cholesky
+from treeminor.tropic import PrecisionError, cholesky, ldl
 
 F = Fraction
 
@@ -388,8 +389,26 @@ def _first_bad_leading_minor(M):
 
 
 def _factor_negated(M):
-    """cholesky(-M) at the window represent-rooted defaults to."""
-    return cholesky([[-e for e in row] for row in M.entries], window=default_window(M))
+    """The LDL^T pivots of -M at the window represent-rooted defaults to,
+    the check's certificate, held against cholesky(-M) at that window: a
+    failure of one is the same failure of the other, and each pivot is the
+    square of cholesky's diagonal entry in sign and valuation."""
+    neg, w = [[-e for e in row] for row in M.entries], default_window(M)
+    try:
+        low = cholesky(neg, window=w)
+    except PrecisionError:
+        with pytest.raises(PrecisionError):
+            ldl(neg, window=w)
+        raise
+    except ArithmeticError as exc:
+        with pytest.raises(ArithmeticError, match=f"^{re.escape(str(exc))}$"):
+            ldl(neg, window=w)
+        raise
+    _, pivots = ldl(neg, window=w)
+    assert [(d.sign(), d.valuation()) for d in pivots] == [
+        (row[j].sign(), 2 * row[j].valuation()) for j, row in enumerate(low)
+    ]
+    return pivots
 
 
 def test_alternating_leading_minors():
@@ -424,7 +443,7 @@ def _congruent(diagonal, seed):
 
 
 def test_alternating_leading_minors_names_the_first_failing_size():
-    # the Cholesky pivots of -M are the certificate: they fail exactly when
+    # the LDL^T pivots of -M are the certificate: they fail exactly when
     # the reference finds a bad size, and a wrong sign names its pivot
     tp = ExactPoly.t_power
     n = 5

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from treeminor.matroid import default_window, rooted_matrix
 from treeminor.poly import ExactPoly, PolyMatrix
 from treeminor.radicals import QRad
-from treeminor.tree import random_tree
-from treeminor.tropic import PrecisionError, PuiseuxTrunc, cholesky, series_det
+from treeminor.tree import Tree, random_tree
+from treeminor.tropic import PrecisionError, PuiseuxTrunc, cholesky, ldl, series_det
 
 F = Fraction
 
@@ -377,6 +377,32 @@ def test_series_inverse_of_a_radical_series(s):
     assert not (s * s.inverse() - 1).terms()
 
 
+@st.composite
+def truncated_rational_series(draw):
+    """A truncated series with rational coefficients and at least two
+    known terms, so inverse() expands it."""
+    ram = draw(st.sampled_from((1, 2, 3, 6)))
+    keys = draw(st.lists(st.integers(-40, 40), min_size=2, max_size=8, unique=True))
+    terms = {k: draw(fractions.filter(bool)) for k in keys}
+    cutoff = draw(st.integers(-120 * ram, min(keys) - 1))
+    return PuiseuxTrunc(ram, terms, F(cutoff, ram) - F(draw(st.integers(0, 5)), 6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(truncated_rational_series())
+def test_rational_inverse_equals_the_binomial_expansion(s):
+    # inverse() runs the recurrence of 1/(1 + u) on rational series; the
+    # binomial expansion, still sqrt's and a radical series' inverse, gives
+    # the same terms, cutoff and canonical form
+    lead_e, lead_c = s.leading()
+    expanded = s._binomial(F(-1), PuiseuxTrunc.t_power(-lead_e, 1 / lead_c))
+    got = s.inverse()
+    assert (got._ram, got._den, got._parts, got.cutoff) == (
+        expanded._ram, expanded._den, expanded._parts, expanded.cutoff
+    )
+    assert not (s * got - 1).terms()
+
+
 @settings(max_examples=100, deadline=None)
 @given(series())
 def test_series_sqrt_of_a_radical_series(s):
@@ -488,3 +514,108 @@ def test_cholesky_failure_modes():
         )
     with pytest.raises(ValueError):
         cholesky([[ExactPoly.one() + ExactPoly.t_power(2)]])  # needs a window
+
+
+def _known_valuation(x: PuiseuxTrunc):
+    """x's valuation (None for an exact zero), or "unknown" when the
+    window truncated it to zero."""
+    try:
+        return x.valuation()
+    except PrecisionError:
+        return "unknown"
+
+
+@pytest.mark.parametrize("weights", ["unit", "rational"])
+def test_ldl_pivots_and_entries_match_cholesky_on_rooted_matrices(weights):
+    # cholesky shares no elimination step with ldl: L = L1 diag(sqrt d), so
+    # each pivot has L_jj's sign and twice its valuation, and each entry
+    # below it L1's valuation plus half the pivot's
+    checked = 0
+    for seed in range(4):
+        T = random_tree(6, seed=seed, weights=weights)
+        root = T.vertices[seed % len(T.vertices)]
+        g = tuple(v for v in T.vertices if v != root)
+        M = rooted_matrix(T, root, g)
+        neg = [[-e for e in row] for row in M.entries]
+        w = default_window(M)
+        low = cholesky(neg, window=w)
+        unit, pivots = ldl(neg, window=w)
+        n = len(g)
+        assert len(pivots) == n
+        for j, d in enumerate(pivots):
+            assert d.sign() == low[j][j].sign() == 1
+            assert d.valuation() == 2 * low[j][j].valuation()
+            assert unit[j][j] == PuiseuxTrunc.constant(1)
+            assert all(unit[j][i].is_exact_zero() for i in range(j + 1, n))
+            for i in range(j + 1, n):
+                v1, v = _known_valuation(unit[i][j]), _known_valuation(low[i][j])
+                if "unknown" in (v1, v):
+                    continue
+                if v1 is None or v is None:
+                    assert v1 is v is None
+                else:
+                    assert v1 + d.valuation() / 2 == v
+                    checked += 1
+    assert checked > 0
+
+
+def test_ldl_factor_reproduces_a_rooted_matrix_above_the_window():
+    T = random_tree(7, seed=1)
+    g = tuple(v for v in T.vertices if v != 6)
+    M = rooted_matrix(T, 6, g)
+    unit, pivots = ldl([[-e for e in row] for row in M.entries], window=default_window(M))
+    n = len(g)
+    # no square roots: every coefficient stays rational
+    assert all(
+        isinstance(c, Fraction) for row in unit for x in row for _, c in x.terms()
+    )
+    for i in range(n):
+        for j in range(n):
+            got = sum(
+                (unit[i][k] * pivots[k] * unit[j][k] for k in range(n)), PuiseuxTrunc.zero()
+            )
+            diff = got + PuiseuxTrunc.from_poly(M[i, j])
+            assert not diff.terms()
+            assert diff.cutoff is not None and diff.cutoff < M[i, j].leading_term()[0]
+
+
+def test_ldl_exact_factor_and_failure_modes():
+    t = ExactPoly.t_power(1)
+    one, zero = ExactPoly.one(), ExactPoly.zero()
+    # diag(4, t^2): exact, with pivots the diagonal itself
+    unit, pivots = ldl([[ExactPoly.constant(4), zero], [zero, ExactPoly.t_power(2)]])
+    assert pivots == [PuiseuxTrunc.constant(4), PuiseuxTrunc.t_power(2)]
+    assert unit[1][0].is_exact_zero()
+    # [[4, 2t], [2t, t^2 + 1]] = L1 diag(4, 1) L1^T, L1[1][0] = t / 2
+    unit, pivots = ldl([[ExactPoly.constant(4), 2 * t], [2 * t, t * t + one]])
+    assert unit[1][0] == PuiseuxTrunc.t_power(1, F(1, 2))
+    assert pivots[1] == PuiseuxTrunc.constant(1)
+    # a pivot of the wrong sign: the second leading minor of
+    # [[1, t], [t, 1]] is 1 - t^2, negative for large t
+    with pytest.raises(ArithmeticError, match="pivot 1 is negative"):
+        ldl([[one, t], [t, one]], window=F(4))
+    with pytest.raises(ArithmeticError, match="pivot 0 is negative"):
+        ldl([[ExactPoly.constant(-4)]])
+    with pytest.raises(ArithmeticError, match="singular"):
+        ldl([[zero]])
+    # the second pivot t^(-20) lies below a window of 4 under the top entry
+    with pytest.raises(PrecisionError):
+        ldl([[one, zero], [zero, ExactPoly.t_power(-20)]], window=F(4))
+    with pytest.raises(ValueError, match=r"not symmetric at \(0,1\)"):
+        ldl([[ExactPoly.constant(4), t], [zero, ExactPoly.constant(9)]])
+    with pytest.raises(ValueError, match="window must be positive"):
+        ldl([[one]], window=0)
+
+
+def test_ldl_small_window_on_a_rooted_matrix_raises_precision_error():
+    # root 0, leaves 3 and 4 below the path 0-1-2: -M has entries t^6 - 1
+    # and t^6 - t^2, and its second pivot is 2 t^2 + ..., which a window of
+    # 4 under the top exponent 6 cannot tell from zero; 9/2 can
+    M = rooted_matrix(Tree([(0, 1), (1, 2), (2, 3), (2, 4)]), 0, (3, 4))
+    neg = [[-e for e in row] for row in M.entries]
+    for factor in (cholesky, ldl):
+        with pytest.raises(PrecisionError):
+            factor(neg, window=F(4))
+    _, pivots = ldl(neg, window=F(9, 2))
+    assert pivots[1].leading() == (F(2), F(2))
+    assert cholesky(neg, window=F(9, 2))[1][1].valuation() == 1

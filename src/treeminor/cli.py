@@ -61,29 +61,39 @@ from .metric import (
     split_potentials,
 )
 from .minors import (
+    _formula_norm_bound,
     minor_formula,
     minor_formula_table,
     minor_leading,
+    minor_leading_table,
     minor_oracle,
     minor_table,
     signature,
 )
-from .pfaffian import NotNicelyOrderedError, pf_formula, pf_formula_table, pf_oracle, pf_table
-from .poly import ExactPoly
+from .pfaffian import (
+    NotNicelyOrderedError,
+    pf_bits,
+    pf_formula,
+    pf_formula_table,
+    pf_oracle,
+    pf_table,
+)
+from .poly import ExactPoly, _over, _pack, _top_digit, _unpack, _word_for
 from .tree import Tree, format_tree, random_tree, read_tree_file
 
 _SEED_STRIDE = 1_000_003  # tree index -> sub-seed, documented and fixed
 # subsets one tree of minor-verify or pf-verify may check: each sweep holds
-# a table of that many polynomials, built in about n 2^n products.  It also
+# a table of that many packed values, built in about n 2^n products.  It also
 # bounds the cycle partitions of one cycles-verify tree, the values of one
 # dissimilarity map and the even subsets one represent-odd run checks.
 _MAX_SUBSETS = 1 << 16
 # the cost one represent-rooted run may have, by _check_rooted_size's model
 _MAX_ROOTED_COST = 10**9
-# pairs and swaps one check-matroid scan may visit, by _exchange_steps: a
-# step took 1.4-5.1 us on a 2-vCPU VM (the delta scan of an odd map on 9
-# vertices, 4,784,128 steps, 6.7 s; k-subset maps at k = 1..4 up to 5.1)
+# steps one check-matroid scan may take, by _exchange_steps
 _MAX_EXCHANGE_STEPS = 5 * 10**6
+# steps _exchange_steps counts for one pair of support sets before any swap:
+# the scan spends about four swaps' time on a pair's set differences
+_PAIR_STEPS = 4
 # subsets one tree of a minor-verify sweep with rational weights may check:
 # the table's polynomials grow with |X| there, and a full 13-vertex sweep
 # (8,191 subsets) already takes about 26 s and 70 MB
@@ -336,9 +346,10 @@ def cmd_pfaffian(args):
 # pf-verify and cycles-verify.  A sweep is a per-tree builder
 # T -> (subset walk, check X -> (ok, values)) and, for pf-verify, a pass over
 # negative orders.  Each sweep reads its formula values off one table per
-# tree, and minor-verify and pf-verify their oracle values off another; a
-# subset that fails against them is decided again by the check its
-# certificate replays with (`minor`, `pfaffian`).
+# tree, and minor-verify and pf-verify their oracle values off another, all
+# packed at t^(1/T._den) = 2^B for one B the sweep picks and compared as
+# ints; a subset that fails against them is unpacked and decided again by
+# the check its certificate replays with (`minor`, `pfaffian`).
 
 
 def _str_values(values: dict) -> dict:
@@ -387,21 +398,54 @@ def _subsets(T, max_x):
         yield from combinations(T.vertices, r)
 
 
+def _minor_bits(T, max_x) -> int:
+    """B for comparing minors at t^(1/T._den) = 2^B: 2^(B - 1) above r! for
+    r = min(max_x, n), which bounds every coefficient of a minor on r rows
+    of a matrix of monomials t^(d_ij) and of a cycle-partition sum over r
+    points, and above every 1-norm bound the formula table carries on
+    correct code (_formula_norm_bound)."""
+    return _word_for(max(factorial(min(max_x, T.n)), _formula_norm_bound(T)))
+
+
+def _unpacked(T, bits, value) -> ExactPoly:
+    """The polynomial a table value packs at t^(1/T._den) = 2^bits."""
+    return ExactPoly._make(T._den, 1, _unpack(bits, value))
+
+
+def _formula_entry(T, bits, value, norm):
+    """The certificate's formula-table entry: the polynomial the value
+    packs, or, when the 1-norm bound carried with it is too large for bits,
+    that bound: the value then stands for no one polynomial."""
+    if norm >> (bits - 1):
+        return f"undecided: 1-norm bound {norm} at t^(1/{T._den}) = 2^{bits}"
+    return _unpacked(T, bits, value)
+
+
 def _minor_sweep(T, max_x):
-    """Formula against oracle and leading term on every subset up to max_x.
-    Both values come from tables: minor_formula_table, one post-order pass
-    over T that carries X in its state (a branch holding no member of X
-    passes (1, 0), so the sum may run over all of E(T)), and minor_table.
-    minor_leading stays per subset, the third path to the top term."""
-    table = minor_table(T, max_x)
-    formula = minor_formula_table(T, max_x)
+    """Formula against oracle and leading term on every subset up to max_x,
+    all three read off tables and compared as ints at t^(1/T._den) = 2^B
+    (_minor_bits): minor_table's packed minors; minor_formula_table, one
+    post-order pass over T that carries X in its state (a branch holding no
+    member of X passes (1, 0), so the sum may run over all of E(T)), which
+    decides only where its carried 1-norm bound is below 2^(B - 1); and
+    minor_leading_table, the third path to the top term, against the top
+    signed base-2^B digit of the oracle's int.  A failing subset is
+    unpacked for its certificate."""
+    bits = _minor_bits(T, max_x)
+    half = 1 << (bits - 1)
+    table = minor_table(T, max_x, bits)
+    formula = minor_formula_table(T, max_x, bits)
+    lead = minor_leading_table(T, max_x)
 
     def check(X):
         oracle = table[X]
-        if formula[X] == oracle and minor_leading(T, X) == oracle.leading_term():
+        value, norm = formula[X]
+        if value == oracle and norm < half and lead[X] == _top_digit(bits, oracle):
             return True, None
         return _redecide(
-            _minor_check, T, X, table=(oracle, "oracle"), formula_table=(formula[X], "formula")
+            _minor_check, T, X,
+            table=(_unpacked(T, bits, oracle), "oracle"),
+            formula_table=(_formula_entry(T, bits, value, norm), "formula"),
         )
 
     return _subsets(T, max_x), check
@@ -411,21 +455,26 @@ def _pf_sweep(T, _max_x):
     """The Pfaffian monomial against the Pfaffian on every nonempty even
     subset S, listed as omega|S: the members of S in the order of omega, a
     nice order of all vertices (a depth-first order), whose restrictions
-    are nicely ordered too.  pf_formula_table decides each key's niceness
-    again, by the hop count: the cyclic tour is nice iff the sum of
-    popcount(P_a ^ P_b) over its steps is twice the spanned edge count; a
-    key it finds not nice fails like a wrong value."""
+    are nicely ordered too.  Both tables hold ints at t^(1/T._den) = 2^B,
+    B = pf_bits(n), and are compared as ints: a monomial has 1-norm 1.
+    pf_formula_table decides each key's niceness again, by the hop count:
+    the cyclic tour is nice iff the sum of popcount(P_a ^ P_b) over its
+    steps is twice the spanned edge count; a key it finds not nice fails
+    like a wrong value.  A failing subset is unpacked for its certificate."""
     omega = T.nice_order(T.vertices)
-    table = pf_table(T, omega)
-    formula = pf_formula_table(T, omega)
+    bits = pf_bits(len(omega))
+    table = pf_table(T, omega, bits)
+    formula = pf_formula_table(T, omega, bits)
 
     def check(X):
         oracle = table[X]
         if formula[X] == oracle:
             return True, None
-        entry = "not nicely ordered" if formula[X] is None else formula[X]
+        entry = "not nicely ordered" if formula[X] is None else _unpacked(T, bits, formula[X])
         return _redecide(
-            _pf_check, T, X, table=(oracle, "oracle"), formula_table=(entry, "pfaffian")
+            _pf_check, T, X,
+            table=(_unpacked(T, bits, oracle), "oracle"),
+            formula_table=(entry, "pfaffian"),
         )
 
     return (X for X in table if X), check
@@ -433,15 +482,21 @@ def _pf_sweep(T, _max_x):
 
 def _cycles_sweep(T, max_x):
     """Both cycle-partition sums against the formula on every subset up to
-    max_x; the formula values come from minor_formula_table, as in
-    minor-verify (a branch without a member of X passes (1, 0))."""
-    formula = minor_formula_table(T, max_x)
+    max_x.  The formula values come from minor_formula_table, as in
+    minor-verify, and the two sums, each of 1-norm at most |X|!, are
+    packed at the same B (_minor_bits) and compared with them as ints."""
+    bits = _minor_bits(T, max_x)
+    half = 1 << (bits - 1)
+    formula = minor_formula_table(T, max_x, bits)
 
     def check(X):
+        value, norm = formula[X]
         full, tight = cycle_sums(T, X)
-        if full == tight == formula[X]:
+        if full == tight and norm < half and _pack(bits, _over(full, T._den, 1)) == value:
             return True, None
-        return _redecide(_cycles_check, T, X, formula_table=(formula[X], "formula"))
+        return _redecide(
+            _cycles_check, T, X, formula_table=(_formula_entry(T, bits, value, norm), "formula")
+        )
 
     return _subsets(T, max_x), check
 
@@ -685,10 +740,11 @@ def cmd_dissimilarity(args):
 
 
 def _exchange_steps(fn: ValuatedFn, axiom: str) -> int:
-    """How many pairs and swaps check-matroid's scan may visit: each of the
-    |supp|^2 ordered pairs X, Y plus up to p (p - 1) swaps for the delta
-    axiom (p = |X ^ Y|, at most min(|ground|, 2 max |X|)) and r^2 for the
-    matroid one (r = |X - Y|, at most min(max |X|, |ground| - min |X|))."""
+    """How many steps check-matroid's scan may take: each of the |supp|^2
+    ordered pairs X, Y counts _PAIR_STEPS (the scan's work on a pair before
+    any swap) plus up to p (p - 1) swaps for the delta axiom (p = |X ^ Y|,
+    at most min(|ground|, 2 max |X|)) and r^2 for the matroid one
+    (r = |X - Y|, at most min(max |X|, |ground| - min |X|))."""
     supp = fn.support()
     if not supp:
         return 0
@@ -699,7 +755,7 @@ def _exchange_steps(fn: ValuatedFn, axiom: str) -> int:
         swaps = p * (p - 1)
     else:
         swaps = min(max(sizes), n - min(sizes)) ** 2
-    return len(supp) ** 2 * (1 + swaps)
+    return len(supp) ** 2 * (_PAIR_STEPS + swaps)
 
 
 def cmd_check_matroid(args):

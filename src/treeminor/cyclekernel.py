@@ -20,12 +20,13 @@ alike; the flips, the brackets and the tests use it.
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from .poly import ExactPoly
-from .tree import Edge, Tree, edge_key
+from .tree import Edge, Tree, _bits, edge_key
 
 Cycle = tuple[int, ...]
 CyclePartition = frozenset[Cycle]
@@ -113,9 +114,10 @@ def cycle_sums(T: Tree, X: Iterable[int]) -> tuple[ExactPoly, ExactPoly]:
     sigma(x_1), ... of a permutation of X = {x_0 < x_1 < ...} visits every
     partition once, in integers only.  Two k x k tables serve it:
 
-    - D[i][j], the weight of the x_i-x_j path summed over its `path_edges`
-      and scaled to an int by the lcm of the weight denominators (it is not
-      read from `T.dist`, so the sums share no code with `minor_oracle`);
+    - D[i][j], the weight of the x_i-x_j path times T._den, read off its
+      edge mask P_{x_i} ^ P_{x_j} (`Tree._path_mask`, P the root-path
+      masks) by `Tree._weight_num`; it is not read from `T.dist`, so the
+      sums share no code with `minor_oracle`;
     - P[i][j], that path's edges packed into one int, a 4-bit field per
       edge that any of the paths meets.
 
@@ -131,16 +133,11 @@ def cycle_sums(T: Tree, X: Iterable[int]) -> tuple[ExactPoly, ExactPoly]:
     if k > ENUMERATION_CAP:
         raise ValueError(f"|X| = {k} exceeds the enumeration cap {ENUMERATION_CAP}")
     elems = sorted(xs)
-    paths = [[T.path_edges(a, b) for b in elems] for a in elems]
-    field: dict[Edge, int] = {}
-    for row in paths:
-        for es in row:
-            for e in es:
-                field.setdefault(e, 4 * len(field))
-    scale = math.lcm(*(T.weight(e).denominator for e in field))
-    wt = {e: int(T.weight(e) * scale) for e in field}
-    D = [[sum(wt[e] for e in es) for es in row] for row in paths]
-    P = [[sum(1 << field[e] for e in es) for es in row] for row in paths]
+    paths = [[T._path_mask(a, b) for b in elems] for a in elems]
+    met = reduce(or_, itertools.chain.from_iterable(paths), 0)
+    field = {b: 4 * i for i, b in enumerate(_bits(met))}
+    D = [[T._weight_num(m) for m in row] for row in paths]
+    P = [[sum(1 << field[b] for b in _bits(m)) for m in row] for row in paths]
     not_two = ~sum(2 << f for f in field.values())
     full: dict[int, int] = {}
     tight: dict[int, int] = {}
@@ -168,8 +165,8 @@ def cycle_sums(T: Tree, X: Iterable[int]) -> tuple[ExactPoly, ExactPoly]:
         full[0] = tight[0] = 1
     del walk  # break the closure's cycle through itself: D and P go on return
     return (
-        ExactPoly._make(scale, 1, {n: c for n, c in full.items() if c}),
-        ExactPoly._make(scale, 1, {n: c for n, c in tight.items() if c}),
+        ExactPoly._make(T._den, 1, {n: c for n, c in full.items() if c}),
+        ExactPoly._make(T._den, 1, {n: c for n, c in tight.items() if c}),
     )
 
 

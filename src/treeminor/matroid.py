@@ -34,8 +34,8 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .metric import MINUS_INF
-from .pfaffian import build_skew_matrix, pf_oracle, pf_table
-from .poly import ExactPoly, PolyMatrix, _as_fraction, _kernel, _sylvester
+from .pfaffian import build_skew_matrix, pf_bits, pf_oracle, pf_table
+from .poly import ExactPoly, PolyMatrix, _as_fraction, _kernel, _sylvester, _unpack
 from .tree import Tree
 from .tropic import PrecisionError, PuiseuxTrunc, ldl, series_det
 
@@ -309,8 +309,13 @@ class OddRepresentation:
     def value_pairs(self) -> dict[tuple[int, ...], tuple]:
         """value_pair of every even sub-tuple of the order (keys in the
         order's order), read off one table of the principal Pfaffians of
-        the matrix (pfaffian.pf_table)."""
-        return {X: _value_pair(p) for X, p in pf_table(self.tree, self.order).items()}
+        the matrix (pfaffian.pf_table), each unpacked."""
+        bits = pf_bits(len(self.order))
+        den = self.tree._den
+        return {
+            X: _value_pair(ExactPoly._make(den, 1, _unpack(bits, p)))
+            for X, p in pf_table(self.tree, self.order, bits).items()
+        }
 
     def value(self, X: Iterable[int]):
         """Top exponent of the Pfaffian of the X-rows-and-columns block."""

@@ -13,17 +13,32 @@ minor_table gives every principal minor up to a size in one walk.  Both
 oracles read one matrix, the distance powers as integer maps built from
 the tree's integer distance rows (_power_maps), and run poly's walks on it
 directly; build_matrix is its PolyMatrix view.
+
+The three tables a sweep compares (minor_table, minor_formula_table and
+minor_leading_table, the top terms read off root-path masks) hold ints:
+the first two each value at t^(1/T._den) = 2^B for the B their caller
+passes, the third the top term's exponent numerator and coefficient.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .poly import ExactPoly, PolyMatrix, _bareiss, _kernel, _sylvester, _zadd, _zmul
+from .poly import (
+    ExactPoly,
+    PolyMatrix,
+    _bareiss,
+    _kernel,
+    _packed_values,
+    _sylvester,
+    _zadd,
+    _zmul,
+)
 from .tree import Edge, Tree, edge_key
 
 
@@ -180,8 +195,11 @@ def minor_formula(T: Tree, X: Iterable[int]) -> ExactPoly:
     return ExactPoly._make(T._den, 1, out)
 
 
-def minor_formula_table(T: Tree, max_size: int) -> dict[tuple[int, ...], ExactPoly]:
-    """minor_formula over every set of 1..max_size vertices, in one pass.
+def minor_formula_table(
+    T: Tree, max_size: int, bits: int
+) -> dict[tuple[int, ...], tuple[int, int]]:
+    """minor_formula over every set of 1..max_size vertices, in one pass:
+    each value at t^(1/T._den) = 2^bits, beside a bound on its 1-norm.
 
     Keys are minor_table's: the sets as sorted tuples, in combinations
     order.  The DP of minor_formula runs once over the whole tree, rooted
@@ -196,35 +214,109 @@ def minor_formula_table(T: Tree, max_size: int) -> dict[tuple[int, ...], ExactPo
     s = 1, x in = 0, which leaves A and B as they are).  So the child mask
     0 is skipped, and a root outside the spanned subtree passes on the
     value of the branch below it unchanged.
+
+    The DP only adds and multiplies, and evaluation at 2^bits is a ring
+    map, so it runs on Python ints: the edge term x = -t^{2w} is
+    -(1 << 2 w bits).  Beside each value it carries a bound on the 1-norm
+    of the polynomial the value stands for, through the same operations
+    (|pq| <= |p| |q|, |p +- q| <= |p| + |q|), so a fault in the DP's
+    structure moves the bound too.  Where the bound is below 2^(bits - 1),
+    the value is that polynomial packed: equal to another such value
+    exactly when the polynomials are equal, and poly._unpack reads it.
     """
     verts = T.vertices
     bit = {v: 1 << i for i, v in enumerate(verts)}
     parent = T._parent
-    up: dict[int, dict[int, tuple[dict, dict]]] = {}
+    # mask -> (A, |A|, B, |B|) while a vertex merges its children, and
+    # mask -> (out, |out|, in, |in|) once it passes them up
+    up: dict[int, dict[int, tuple[int, int, int, int]]] = {}
     for v in reversed(parent):  # the walk lists each vertex after its parent
         vb = bit[v]
-        state = {0: ({0: 1}, {}), vb: ({0: 1}, {})}
+        state = {0: (1, 1, 0, 0), vb: (1, 1, 0, 0)}
         for c in T._adj[v]:
             if c == parent[v]:
                 continue
-            shift = 2 * T._int_weight[edge_key(v, c)]
+            shift = 2 * T._int_weight[edge_key(v, c)] * bits
             merged = dict(state)  # child mask 0
-            for cm, (out_c, in_c) in up.pop(c).items():
+            for cm, (out_c, n_out, in_c, n_in) in up.pop(c).items():
                 if not cm:
                     continue
-                s, x_in = _edge_terms(out_c, in_c, shift)
+                x_in = -(in_c << shift)
+                s, n_s = out_c + x_in, n_out + n_in
                 room = max_size - cm.bit_count()
-                for pm, (a, b) in state.items():
-                    if pm.bit_count() <= room:
-                        merged[pm | cm] = _absorb(a, b, s, x_in, pm & vb)
+                for pm, (a, n_a, b, n_b) in state.items():
+                    if pm.bit_count() > room:
+                        continue
+                    if pm & vb:  # B is not kept for a vertex of X
+                        merged[pm | cm] = (a * s, n_a * n_s, b, n_b)
+                    else:
+                        merged[pm | cm] = (
+                            a * s, n_a * n_s, b * s + a * x_in, n_b * n_s + n_a * n_in
+                        )
             state = merged
-        up[v] = {m: _close(a, b, m & vb) for m, (a, b) in state.items()}
+        up[v] = {
+            m: (a, n_a, a, n_a) if m & vb else (a - b, n_a + n_b, -b, n_b)
+            for m, (a, n_a, b, n_b) in state.items()
+        }
     (root_out,) = up.values()
     table = {}
     for r in range(1, min(max_size, len(verts)) + 1):
         for key in itertools.combinations(verts, r):
-            out, _ = root_out[sum(bit[x] for x in key)]
-            table[key] = ExactPoly._make(T._den, 1, out)
+            out, n_out, _, _ = root_out[sum(bit[x] for x in key)]
+            table[key] = (out, n_out)
+    return table
+
+
+def _formula_norm_bound(T: Tree) -> int:
+    """A bound on every 1-norm bound minor_formula_table carries, whatever
+    X and max_size: the product over the vertices of max(2, 2 c + 1), c
+    the vertex's children in the rooted walk.  With s = out + x in, the
+    bound |s| = |out| + |in| of a vertex is 2 |A| in X and |A| + 2 |B|
+    outside it, |A| is the product of its merged children's |s|, and
+    |B| <= d |A| for d merged children, since each child's |in| <= |s|.  So
+    |s| <= (2 d + 1) prod |s_c| outside X, a leaf of X has |s| = 2, and the
+    root's |out| is at most its |s|.  It serves to choose bits; the carried
+    bounds remain what decides."""
+    children = collections.Counter(T._parent.values())
+    return math.prod(max(2, 2 * children[v] + 1) for v in T.vertices)
+
+
+def minor_leading_table(T: Tree, max_size: int) -> dict[tuple[int, ...], tuple[int, int]]:
+    """minor_leading over every set of 1..max_size vertices, as ints: the
+    top exponent times T._den and the coefficient.  Keys are minor_table's,
+    and each size is built from the one below in combinations order: the
+    spanned edge mask of X + x is mask(X) | (P_x ^ P_{x_0}), P the
+    root-path masks.  A vertex's degree in the spanned subtree is the
+    popcount of its incident-edge mask within it.  Every leaf of the
+    spanned subtree lies in X, so a vertex outside X has degree 2 there
+    (factor 1) unless it has degree 3 or more in T, and the degree product
+    runs over those."""
+    P = T._root_paths
+    incident = dict.fromkeys(T.vertices, 0)
+    for v, p in T._parent.items():
+        if p is not None:
+            edge = P[v] ^ P[p]
+            incident[v] |= edge
+            incident[p] |= edge
+    branch = [(v, incident[v]) for v in T.vertices if len(T._adj[v]) > 2]
+    weight = T._weight_num
+    table = {}
+    span = {(): (0, 0)}  # key -> (spanned mask, its weight times T._den)
+    for r in range(1, min(max_size, T.n) + 1):
+        sign = 1 if r % 2 else -1
+        level = {}
+        for key in itertools.combinations(T.vertices, r):
+            below, w = span[key[:-1]]
+            mask = below | (P[key[-1]] ^ P[key[0]])
+            w += weight(mask ^ below)  # the edges x adds
+            level[key] = mask, w
+            coeff = sign
+            for v, edges in branch:
+                d = (edges & mask).bit_count()
+                if d > 2 and v not in key:
+                    coeff *= d - 1
+            table[key] = (2 * w, coeff)
+        span = level
     return table
 
 
@@ -252,22 +344,23 @@ def minor_oracle(T: Tree, X: Sequence[int]) -> ExactPoly:
     return ExactPoly._make(den, 1, _bareiss(_kernel(maps, len(maps))))
 
 
-def minor_table(T: Tree, max_size: int) -> dict[tuple[int, ...], ExactPoly]:
-    """det (t^{d_ij}) over every set of 1..max_size vertices.
+def minor_table(T: Tree, max_size: int, bits: int) -> dict[tuple[int, ...], int]:
+    """det (t^{d_ij}) over every set of 1..max_size vertices, each value at
+    t^(1/T._den) = 2^bits, bits at least poly._word_bits of the maps
+    (2^(bits - 1) above max_size!, which bounds every coefficient).
 
     Keys are the sets as sorted tuples, as combinations(T.vertices, r)
-    lists them, and each value equals minor_oracle(T, key).  One Sylvester
+    lists them, and each value packs minor_oracle(T, key).  One Sylvester
     walk (poly._sylvester) over the integer maps of the distance powers
-    gives them all; it runs on packed ints at t = 2^B, B from the bound
-    max_size! on the minors' coefficients, when the distances are dense
-    (unit weights), and on the maps otherwise (poly._kernel).  The
+    gives them all; it runs on packed ints when the distances are dense
+    (unit weights), and on the maps otherwise, each value packed once
+    (poly._packed_values); over all vertices the maps keep T._den.  The
     table is complete: a principal minor over distinct vertices is a
     nonzero polynomial (minor_leading gives its top term), so the walk
     meets no zero pivot.  The maps are minor_oracle's (_power_maps).
     """
-    maps, den = _power_maps(T, T.vertices)
-    minors = _sylvester(_kernel(maps, max_size), T.vertices, max_size)
-    return {key: ExactPoly._make(den, 1, p) for key, p in minors.items()}
+    maps, _ = _power_maps(T, T.vertices)
+    return _sylvester(_packed_values(maps, max_size, bits), T.vertices, max_size)
 
 
 @dataclass(frozen=True)

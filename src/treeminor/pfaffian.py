@@ -10,14 +10,16 @@ pf_oracle runs poly's memoised expansion on the skew matrix as integer
 maps built from the tree's integer distance rows (_skew_maps), skew by
 construction; build_skew_matrix is their PolyMatrix view.  pf_table gives
 the Pfaffian of every even sub-tuple of one order at once, and
-pf_formula_table the monomial of each.
+pf_formula_table the monomial of each, both as ints at t^(1/T._den) = 2^B
+for a B that holds every Pfaffian's coefficients (pf_bits).
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
-from .poly import ExactPoly, PolyMatrix, _pfaffian_maps
+from .poly import ExactPoly, PolyMatrix, _pfaffian_maps, _word_for
 from .tree import Edge, Tree
 
 
@@ -52,10 +54,24 @@ def build_skew_matrix(T: Tree, X: Sequence[int]) -> PolyMatrix:
     return PolyMatrix([[ExactPoly._make(den, 1, p) for p in row] for row in maps])
 
 
+def _odd_exponent(T: Tree, odd: int) -> int:
+    """w(odd) times T._den, odd a mask of T's edges (bit b: the edge above
+    the (b + 1)-th smallest label): the exponent of the Pfaffian monomial
+    over t^(1/T._den)."""
+    return T._weight_num(odd)
+
+
 def _odd_monomial(T: Tree, odd: int) -> ExactPoly:
-    """t^{w(odd)}, odd a mask of T's edges (bit b: the edge above the
-    (b + 1)-th smallest label), as an integer map without Fraction."""
-    return ExactPoly._make(T._den, 1, {T._weight_num(odd): 1})
+    """t^{w(odd)} as an integer map without Fraction."""
+    return ExactPoly._make(T._den, 1, {_odd_exponent(T, odd): 1})
+
+
+def pf_bits(size: int) -> int:
+    """The least word B (poly._word_for) with 2^(B - 1) above (m - 1)!!,
+    m the largest even number <= size: a Pfaffian over m points sums one
+    signed monomial per perfect matching, (m - 1)!! of them, so that bounds
+    its 1-norm, and that of every Pfaffian over fewer points."""
+    return _word_for(math.prod(range(size - 1 - size % 2, 0, -2)))
 
 
 def pf_formula(T: Tree, X: Sequence[int]) -> ExactPoly:
@@ -73,26 +89,40 @@ def pf_formula(T: Tree, X: Sequence[int]) -> ExactPoly:
     return _odd_monomial(T, T._odd_mask(xs))
 
 
-def pf_formula_table(T: Tree, order: Sequence[int]) -> dict[tuple[int, ...], ExactPoly | None]:
-    """pf_formula over every even sub-tuple of order, None where that
-    sub-tuple is not nicely ordered.
+def pf_formula_table(
+    T: Tree, order: Sequence[int], bits: int
+) -> dict[tuple[int, ...], int | None]:
+    """pf_formula over every even sub-tuple of order at t^(1/T._den) =
+    2^bits, 1 << (bits w) for a monomial t^(w / T._den), and None where
+    that sub-tuple is not nicely ordered.
 
-    Keys are pf_table(T, order)'s.  Tree.tour_table gives each sub-tuple's
-    XOR of root-path masks, its odd-splitting edges, and decides its
-    niceness by the hop count: the cyclic tour crosses every spanned edge
-    an even number of times, at least twice, so the order is nice iff the
-    tour is twice as long as the spanned subtree.  It reads edge weights,
-    the rooted walk and the masks, never the distances pf_table reads.
+    Keys are pf_table(T, order, bits)'s.  Tree.tour_table gives each
+    sub-tuple's XOR of root-path masks, its odd-splitting edges, and
+    decides its niceness by the hop count: the cyclic tour crosses every
+    spanned edge an even number of times, at least twice, so the order is
+    nice iff the tour is twice as long as the spanned subtree.  It reads
+    edge weights, the rooted walk and the masks, never the distances
+    pf_table reads.  A monomial has 1-norm 1, so for bits >= 2 its value
+    equals a Pfaffian's from pf_table exactly when the polynomials agree.
     """
     xs = T.check_subset(order)
     xor, nice = T.tour_table(xs)
-    table: dict[tuple[int, ...], ExactPoly | None] = {}
-    for mask in range(1 << len(xs)):
-        if mask.bit_count() % 2:
-            continue
-        key = tuple(x for i, x in enumerate(xs) if mask >> i & 1)
-        table[key] = _odd_monomial(T, xor[mask]) if nice[mask] else None
+    keys = _sub_tuples(xs)
+    table: dict[tuple[int, ...], int | None] = {}
+    for mask, key in enumerate(keys):
+        if not mask.bit_count() % 2:
+            table[key] = 1 << bits * _odd_exponent(T, xor[mask]) if nice[mask] else None
     return table
+
+
+def _sub_tuples(xs: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every sub-tuple of xs, indexed by the bitmask of its positions: the
+    one of mask is the one of mask without its top bit, extended by that
+    position's label."""
+    keys = [()]
+    for i, x in enumerate(xs):
+        keys += [key + (x,) for key in keys]
+    return keys
 
 
 def pf_oracle(T: Tree, X: Sequence[int]) -> ExactPoly:
@@ -106,45 +136,45 @@ def pf_oracle(T: Tree, X: Sequence[int]) -> ExactPoly:
     return ExactPoly._make(den, 1, _pfaffian_maps(maps))
 
 
-def pf_table(T: Tree, order: Sequence[int]) -> dict[tuple[int, ...], ExactPoly]:
-    """The Pfaffian of the skew matrix over every even sub-tuple of order.
+def pf_table(T: Tree, order: Sequence[int], bits: int) -> dict[tuple[int, ...], int]:
+    """The Pfaffian of the skew matrix over every even sub-tuple of order,
+    each at t^(1/T._den) = 2^bits, bits at least pf_bits(len(order)).
 
     Keys are the sub-tuples, listed in order's order (the empty one
-    included), and each value equals pf_oracle(T, key): every key's matrix
+    included), and each value packs pf_oracle(T, key): every key's matrix
     is a principal block of the one over order.  One memo over bitmasks of
     positions expands along the lowest position f of a set S,
     Pf(S) = sum over j in S - f of (-1)^(r - 1) t^{d(f, j)} Pf(S - f - j),
     j the r-th member of S after f.  Every entry is a monomial, so each
-    product shifts the exponents of a smaller Pfaffian: about n 2^(n-2)
-    shifts in all.  Exponents are the tree's integer distances, over the
-    lcm of its weight denominators.
+    product shifts the int of a smaller Pfaffian by d(f, j) bits bits:
+    about n 2^(n-2) shifts in all.  Exponents are the tree's integer distances,
+    over the lcm of its weight denominators; every coefficient stays below
+    2^(bits - 1) (pf_bits), so each int is its polynomial packed.
     """
     xs = T.check_subset(order)
     n = len(xs)
-    shift, den = T._distance_ints(xs)
-    memo: list = [None] * (1 << n)
-    memo[0] = {0: 1}
-    table = {(): ExactPoly.one()}
+    if bits < pf_bits(n):
+        raise ValueError(f"{bits} bits do not hold the Pfaffians over {n} points")
+    dist, _ = T._distance_ints(xs)
+    shift = [[d * bits for d in row] for row in dist]
+    memo = [0] * (1 << n)
+    memo[0] = 1
+    keys = _sub_tuples(xs)
+    table = {(): 1}
     for mask in range(3, 1 << n):
         if mask.bit_count() % 2:
             continue
         low = mask & -mask
         row = shift[low.bit_length() - 1]
         rest = mask ^ low
-        total: dict[int, int] = {}
-        get = total.get
-        sign = 1
-        bits = rest
-        while bits:
-            b = bits & -bits
-            bits ^= b
-            s = row[b.bit_length() - 1]
-            for k, c in memo[rest ^ b].items():
-                k += s
-                total[k] = get(k, 0) + sign * c
-            sign = -sign
-        pf = {k: c for k, c in total.items() if c}
-        memo[mask] = pf
-        key = tuple(x for i, x in enumerate(xs) if mask >> i & 1)
-        table[key] = ExactPoly._make(den, 1, pf)
+        total = 0
+        plus = True
+        todo = rest
+        while todo:
+            b = todo & -todo
+            todo ^= b
+            term = memo[rest ^ b] << row[b.bit_length() - 1]
+            total = total + term if plus else total - term
+            plus = not plus
+        memo[mask] = table[keys[mask]] = total
     return table

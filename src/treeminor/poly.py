@@ -26,7 +26,10 @@ of their largest entries (r! on a matrix of monomials), and each value
 read is unpacked as signed base-2^B digits.  The map form runs the same
 walk on the dicts.  Packing is chosen when the exponents are >= 0 and
 dense: the largest one times B at most _DENSE_BITS (96) times the number
-of distinct exponents.  A matrix of plain ints needs neither: the star
+of distinct exponents.  A caller that compares minors instead of reading
+them asks for them packed at its own B (_packed_values): two such ints are
+equal exactly when their maps are, and _top_digit reads the top term off
+one.  A matrix of plain ints needs neither: the star
 check (metric.star_condition_check) walks its own ints, with _istep and
 read the identity.
 """
@@ -554,15 +557,34 @@ _DENSE_BITS = 96
 
 def _kernel(m: list[list[dict[int, int]]], size: int) -> _Form:
     """The form for a walk over m's minors of at most `size` rows, chosen
-    from m alone: packed when every exponent is >= 0 and the largest one
-    times B (`_word_bits`) is at most _DENSE_BITS times the number of
-    distinct exponents, the maps otherwise."""
+    from m alone: packed at B = `_word_bits` when m is dense at B
+    (`_dense`), the maps otherwise."""
+    bits = _word_bits(m, size)
+    return _packed(m, bits) if _dense(m, bits) else _maps(m)
+
+
+def _packed_values(m: list[list[dict[int, int]]], size: int, bits: int) -> _Form:
+    """A form for a walk over m's minors of at most `size` rows, exponents
+    >= 0, whose read gives each value packed at t = 2^bits, 2^(bits - 1)
+    above every coefficient of every such minor (bits at least
+    `_word_bits`): the packed form at bits, each value read as it is, when
+    m is dense at bits, and the map form, each value read once into its
+    packed int, otherwise.  Two values are then equal exactly when their
+    ints are."""
+    if bits < _word_bits(m, size):
+        raise ValueError(f"{bits} bits do not hold the minors on {size} rows")
+    if _dense(m, bits):
+        return _packed(m, bits)._replace(read=int)
+    return _maps(m)._replace(read=functools.partial(_pack, bits))
+
+
+def _dense(m: list[list[dict[int, int]]], bits: int) -> bool:
+    """Whether packing m at bits pays: every exponent >= 0, and the largest
+    one times bits at most _DENSE_BITS times the number of distinct ones."""
     exponents = {k for row in m for p in row for k in p}
-    if min(exponents, default=0) >= 0:
-        bits = _word_bits(m, size)
-        if max(exponents, default=0) * bits <= _DENSE_BITS * len(exponents):
-            return _packed(m, bits)
-    return _maps(m)
+    return min(exponents, default=0) >= 0 and (
+        max(exponents, default=0) * bits <= _DENSE_BITS * len(exponents)
+    )
 
 
 _WORD_CODES = {8: "b", 16: "h", 32: "i", 64: "q"}  # struct's signed words
@@ -586,7 +608,12 @@ def _word_bits(m: list[list[dict[int, int]]], size: int) -> int:
         peaks.append(max(max(weights, default=1), 1))
     norms.sort(reverse=True)
     peaks.sort(reverse=True)
-    bound = min(math.prod(norms[:size]), math.factorial(size) * math.prod(peaks[:size]))
+    return _word_for(min(math.prod(norms[:size]), math.factorial(size) * math.prod(peaks[:size])))
+
+
+def _word_for(bound: int) -> int:
+    """The least B among 8, 16, 32, 64 and the whole bytes above 64 with
+    2^(B - 1) > bound."""
     bits = bound.bit_length() + 1
     return next((w for w in _WORD_CODES if bits <= w), -(-bits // 8) * 8)
 
@@ -599,6 +626,12 @@ def _packed(m: list[list[dict[int, int]]], bits: int) -> _Form:
     signed base-s digits of the value."""
     rows = [[sum(c << (bits * k) for k, c in p.items()) for p in row] for row in m]
     return _Form(rows, 1, _istep, functools.partial(_unpack, bits))
+
+
+def _pack(bits: int, p: dict[int, int]) -> int:
+    """The map p, exponents >= 0, evaluated at t = 2^bits, as `_packed`
+    evaluates each entry."""
+    return sum(c << (bits * k) for k, c in p.items())
 
 
 def _maps(m: list[list[dict[int, int]]]) -> _Form:
@@ -650,6 +683,17 @@ def _unpack(bits: int, v: int) -> dict[int, int]:
         if c:
             out[k] = c
     return out
+
+
+def _top_digit(bits: int, v: int) -> tuple[int, int]:
+    """(k, c): the top term c t^k of the map `_unpack(bits, v)` reads, v
+    nonzero.  Below the top digit c 2^(bits k) the lower digits sum to less
+    than 2^(bits k - 1) in absolute value, so k = |v|.bit_length() // bits,
+    and c is v / 2^(bits k) rounded to the nearest int, which takes back
+    the borrow of a negative digit below a top 1 or the carry of a positive
+    one below a top -1."""
+    shift = abs(v).bit_length() // bits * bits
+    return shift // bits, (v + (1 << shift >> 1)) >> shift
 
 
 def det_permutation(m: PolyMatrix) -> ExactPoly:

@@ -205,8 +205,12 @@ class Tree:
     def path_edges(self, i: int, j: int) -> frozenset[Edge]:
         """Edges on the unique i-j path (empty when i = j)."""
         self.check_subset({i, j})
+        return self._edges_of(self._path_mask(i, j))
+
+    def _path_mask(self, i: int, j: int) -> int:
+        """The edge mask of the i-j path, P_i ^ P_j (unchecked)."""
         P = self._root_paths
-        return self._edges_of(P[i] ^ P[j])
+        return P[i] ^ P[j]
 
     @cached_property
     def _root_paths(self) -> _RootPaths:
@@ -217,9 +221,14 @@ class Tree:
         return frozenset(edge[b] for b in _bits(mask))
 
     def _weight_num(self, mask: int) -> int:
-        """The total weight of mask's edges times _den."""
+        """The total weight of mask's edges times _den, a set bit at a time."""
         weight = self._root_paths.weight
-        return sum(weight[b] for b in _bits(mask))
+        total = 0
+        while mask:
+            low = mask & -mask
+            total += weight[low.bit_length() - 1]
+            mask ^= low
+        return total
 
     def _weight_of(self, mask: int) -> Fraction:
         return Fraction(self._weight_num(mask), self._den)

@@ -23,7 +23,7 @@ import pytest
 from treeminor import cli, matroid, metric, pfaffian
 from treeminor.cli import run
 from treeminor.metric import format_matrix_csv, square_cycle_metric
-from treeminor.poly import ExactPoly
+from treeminor.poly import ExactPoly, _unpack
 from treeminor.tree import Tree, parse_tree_text, random_tree
 
 F = Fraction
@@ -470,6 +470,11 @@ def _failing_sweep(capsys, monkeypatch, name, wrong, sweep, module=cli):
     certificate."""
     right = getattr(module, name)
     monkeypatch.setattr(module, name, lambda *a: wrong(right(*a)))
+    return _failing_row(capsys, sweep)
+
+
+def _failing_row(capsys, sweep):
+    """Run one tree of `sweep`, which must fail; return its certificate."""
     code, out, _ = invoke(
         capsys, sweep, "--trees", "1", "--n", "4", "--seed", "3", "--format", "json"
     )
@@ -489,9 +494,13 @@ def _replay(capsys, tmp_path, sub, cert):
 
 
 def test_minor_verify_certificate_replays_as_failure(capsys, monkeypatch, tmp_path):
-    # only the leading term is wrong: formula and oracle still agree
+    # only the leading term is wrong, in the sweep's table and in the
+    # single-instance check alike: formula and oracle still agree
+    right = cli.minor_leading
+    monkeypatch.setattr(cli, "minor_leading", lambda *a: (right(*a)[0] + 1, right(*a)[1]))
     cert = _failing_sweep(
-        capsys, monkeypatch, "minor_leading", lambda ec: (ec[0] + 1, ec[1]), "minor-verify"
+        capsys, monkeypatch, "minor_leading_table",
+        lambda table: {X: (e + 1, c) for X, (e, c) in table.items()}, "minor-verify",
     )
     assert set(cert) == {"tree", "X", "formula", "oracle"}
     code, out, _ = _replay(capsys, tmp_path, "minor", cert)
@@ -500,11 +509,10 @@ def test_minor_verify_certificate_replays_as_failure(capsys, monkeypatch, tmp_pa
 
 
 def test_pf_verify_certificate_replays_as_failure(capsys, monkeypatch, tmp_path):
-    # the monomial builder serves both pf_formula_table and pf_formula, so a
-    # fault there fails the sweep's table and the single-instance check alike
+    # the monomial's exponent serves both pf_formula_table and pf_formula, so
+    # a fault there fails the sweep's table and the single-instance check alike
     cert = _failing_sweep(
-        capsys, monkeypatch, "_odd_monomial", lambda p: p * ExactPoly.t_power(1), "pf-verify",
-        module=pfaffian,
+        capsys, monkeypatch, "_odd_exponent", lambda w: w + 1, "pf-verify", module=pfaffian
     )
     assert set(cert) == {"tree", "X", "pfaffian", "oracle"}
     code, out, _ = _replay(capsys, tmp_path, "pfaffian", cert)
@@ -532,14 +540,24 @@ def test_a_wrong_table_entry_fails_its_row(
     else:
         field, value = "table", "oracle"
     wrong = []
+    right = getattr(cli, table)
 
-    def corrupt(entries):
+    def corrupt(T, size, bits):
+        # times t: the packed int shifts by one exponent step of t, T._den
+        entries = right(T, size, bits)
         key = max(entries, key=len)
-        entries[key] = entries[key] * ExactPoly.t_power(1)
-        wrong.append((key, entries[key]))
+        if isinstance(entries[key], tuple):  # a formula value and its 1-norm bound
+            packed, norm = entries[key]
+            entries[key] = (packed << bits * T._den, norm)
+        else:
+            packed = entries[key]
+            entries[key] = packed << bits * T._den
+        entry = ExactPoly._make(T._den, 1, _unpack(bits, packed)) * ExactPoly.t_power(1)
+        wrong.append((key, entry))
         return entries
 
-    cert = _failing_sweep(capsys, monkeypatch, table, corrupt, sweep)
+    monkeypatch.setattr(cli, table, corrupt)
+    cert = _failing_row(capsys, sweep)
     ((key, entry),) = wrong
     # the certificate names the table that disagreed, and only that one
     assert set(cert) == {"tree", "X", field, *values}
@@ -549,6 +567,39 @@ def test_a_wrong_table_entry_fails_its_row(
         # the single-instance check passes: the fault is the table's
         code, out, _ = _replay(capsys, tmp_path, replay, cert)
         assert code == 0
+
+
+@pytest.mark.parametrize("sweep, replay", [("minor-verify", "minor"), ("cycles-verify", None)])
+def test_a_formula_value_changed_by_a_zero_at_the_packing_base_fails_its_row(
+    capsys, monkeypatch, tmp_path, sweep, replay
+):
+    # q = 2^B t^k - t^(k+1) packs to 2^B 2^(Bk) - 2^(B(k+1)) = 0, so adding
+    # it leaves the int as it is; only the 1-norm bound carried beside the
+    # value, |q| = 2^B + 1 more, shows it
+    right = cli.minor_formula_table
+    seen = []
+
+    def shifted(T, size, bits):
+        entries = right(T, size, bits)
+        key = max(entries, key=len)
+        value, norm = entries[key]
+        q = (1 << bits) * (1 << bits * 2) - (1 << bits * 3)  # k = 2
+        entries[key] = (value + q, norm + (1 << bits) + 1)
+        seen.append(key)
+        return entries
+
+    monkeypatch.setattr(cli, "minor_formula_table", shifted)
+    cert = _failing_row(capsys, sweep)
+    assert cert["X"] == list(seen[0])
+    assert cert["formula_table"].startswith("undecided: 1-norm bound ")
+    if replay is not None:
+        assert set(cert) == {"tree", "X", "formula_table", "formula", "oracle"}
+        assert cert["formula"] == cert["oracle"]
+        code, _, _ = _replay(capsys, tmp_path, replay, cert)
+        assert code == 0
+    else:
+        assert set(cert) == {"tree", "X", "formula_table", "all_cycles", "tight_cycles", "formula"}
+        assert cert["all_cycles"] == cert["tight_cycles"] == cert["formula"]
 
 
 def test_a_key_the_formula_table_finds_not_nice_fails_its_row(capsys, monkeypatch):
@@ -914,12 +965,15 @@ def test_check_matroid_names_a_malformed_key_or_ground(capsys, tmp_path, payload
 @pytest.mark.parametrize(
     "argv, steps, code",
     [
-        # 256 values on 9 ground elements: 256^2 (1 + 9 x 8) steps, 6.7 s
-        ("--n 9 --map odd", 4_784_128, 0),
-        ("--n 10 --map odd", 23_855_104, 2),
-        # C(16, 3) = 560 values: 560^2 (1 + 3^2), 11.5 s
-        ("--n 30 --map k --k 3 --ground " + ",".join(map(str, range(1, 17))), 3_136_000, 0),
-        ("--n 30 --map k --k 3 --ground " + ",".join(map(str, range(1, 19))), 6_658_560, 2),
+        # 4 steps a pair: 256 values on 9 ground elements, 256^2 (4 + 9 x 8)
+        ("--n 9 --map odd", 4_980_736, 0),
+        ("--n 10 --map odd", 24_641_536, 2),
+        # C(16, 3) = 560 values: 560^2 (4 + 3^2)
+        ("--n 30 --map k --k 3 --ground " + ",".join(map(str, range(1, 17))), 4_076_800, 0),
+        ("--n 30 --map k --k 3 --ground " + ",".join(map(str, range(1, 19))), 8_656_128, 2),
+        # C(40, 2) = 780 values: 780^2 (4 + 2^2), and C(41, 2) = 820 over it
+        ("--n 45 --map k --k 2 --ground " + ",".join(map(str, range(1, 41))), 4_867_200, 0),
+        ("--n 45 --map k --k 2 --ground " + ",".join(map(str, range(1, 42))), 5_379_200, 2),
     ],
 )
 def test_check_matroid_counts_its_scan_before_any_work(
@@ -1010,8 +1064,8 @@ def test_represent_odd_reads_one_pfaffian_table(capsys, monkeypatch):
     tables = []
     pf_table = matroid.pf_table
 
-    def counted(T, order):
-        tables.append(pf_table(T, order))
+    def counted(T, order, bits):
+        tables.append(pf_table(T, order, bits))
         return tables[-1]
 
     monkeypatch.setattr(matroid, "pf_table", counted)

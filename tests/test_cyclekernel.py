@@ -65,11 +65,21 @@ def reference_cycle_sums(t, xs):
 class FiveCycle:
     """A path oracle that is not a tree: the cycle 1-2-3-4-5-1 with edge
     (1, 5) of weight 3/2 and the others of weight 1, each path going the
-    lighter way round (ties upward).  The flips cancel only on trees, so
-    here the tight sum differs from the full one."""
+    lighter way round (ties upward), as an edge set and as a mask of the
+    edges in sorted order, with weights over _den = 2.  The flips cancel
+    only on trees, so here the tight sum differs from the full one."""
 
     _weights = {edge_key(v, v % 5 + 1): Fraction(1) for v in range(1, 6)}
     _weights[1, 5] = Fraction(3, 2)
+    _den = 2
+    _edge_bit = {e: 1 << b for b, e in enumerate(sorted(_weights))}
+
+    def _path_mask(self, a, b):
+        return sum(self._edge_bit[e] for e in self.path_edges(a, b))
+
+    def _weight_num(self, mask):
+        bits = self._edge_bit
+        return sum(int(w * self._den) for e, w in self._weights.items() if mask & bits[e])
 
     def check_subset(self, X):
         xs = tuple(X)

@@ -5,6 +5,7 @@ valued first; formula results must match it exactly, term by term.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -20,13 +21,14 @@ from treeminor.minors import (
     minor_formula,
     minor_formula_table,
     minor_leading,
+    minor_leading_table,
     minor_oracle,
     minor_table,
     signature,
     spanned_forests,
 )
 from treeminor.pfaffian import pf_formula, pf_formula_table, pf_oracle, pf_table
-from treeminor.poly import ExactPoly, _integer_rows, det
+from treeminor.poly import ExactPoly, _dense, _integer_rows, _top_digit, _unpack, _word_for, det
 from treeminor.tree import Tree, random_tree
 
 F = Fraction
@@ -135,15 +137,74 @@ def trees_and_sizes(draw):
     return T, draw(st.integers(1, n))
 
 
+def word_bits_for(T, k):
+    """The B a sweep over T's sets of up to k vertices compares at."""
+    return _word_for(max(math.factorial(min(k, T.n)), minors._formula_norm_bound(T)))
+
+
+def unpacked(T, bits, value):
+    return ExactPoly._make(T._den, 1, _unpack(bits, value))
+
+
+def leading_ints(T, X):
+    """minor_leading as (exponent times T._den, coefficient) ints."""
+    e, c = minor_leading(T, X)
+    assert (e * T._den).denominator == c.denominator == 1
+    return int(e * T._den), int(c)
+
+
+def gapped_tree(n, seed, weights):
+    """random_tree(n, seed)'s shape on the labels 3, 6, 9, ..."""
+    base = random_tree(n, seed=seed, weights=weights)
+    return Tree([(3 * u, 3 * v, w) for u, v, w in base.edges()])
+
+
 @settings(max_examples=60, deadline=None)
 @given(trees_and_sizes())
+# unit weights, rational ones (the maps form, _den 12) and labels with gaps
+@example((random_tree(8, seed=3), 8))
+@example((random_tree(8, seed=4, weights="rational"), 8))
+@example((gapped_tree(7, 2, "rational"), 4))
 def test_minor_table_holds_every_small_subset_and_matches_the_oracle(case):
     T, k = case
-    table = minor_table(T, k)
+    bits = word_bits_for(T, k)
+    table = minor_table(T, k, bits)
+    lead = minor_leading_table(T, k)
     want = [X for r in range(1, k + 1) for X in itertools.combinations(T.vertices, r)]
     assert set(table) == set(want)
+    assert list(lead) == want  # in combinations order
     for X in want:
-        assert table[X] == minor_oracle(T, X)
+        assert unpacked(T, bits, table[X]) == minor_oracle(T, X)
+        # the top signed digit of the packed minor is its leading term
+        assert _top_digit(bits, table[X]) == lead[X] == leading_ints(T, X)
+
+
+def test_the_rational_example_walks_the_maps_form():
+    T = random_tree(8, seed=4, weights="rational")
+    maps, _ = minors._power_maps(T, T.vertices)
+    assert T._den == 12 and not _dense(maps, word_bits_for(T, 8))
+
+
+def test_minor_table_refuses_too_few_bits():
+    T = random_tree(9, seed=1)
+    assert word_bits_for(T, 9) == 32  # 9! = 362,880 needs 20 bits
+    with pytest.raises(ValueError, match="16 bits do not hold the minors on 9 rows"):
+        minor_table(T, 9, 16)
+
+
+def test_the_top_digit_takes_back_a_borrow():
+    # the path 1-2-3: 1 - 2 t^2 + t^4, a top 1 above a negative digit
+    T = path_tree(3)
+    bits = word_bits_for(T, 3)
+    value = minor_table(T, 3, bits)[(1, 2, 3)]
+    assert unpacked(T, bits, value) == 1 - 2 * tp(2) + tp(4)
+    assert value.bit_length() == 4 * bits  # the borrow: the top word is 0
+    assert _top_digit(bits, value) == (4, 1) == leading_ints(T, (1, 2, 3))
+    for top, below in ((1, -5), (-1, 5), (-1, -5), (2, -1), (127, -127), (-127, 127)):
+        value = (top << 3 * 8) + (below << 2 * 8) + (-3 << 8)
+        assert _unpack(8, value) == {3: top, 2: below, 1: -3}
+        assert _top_digit(8, value) == (3, top)
+    assert _top_digit(8, -7) == (0, -7)
 
 
 @settings(max_examples=60, deadline=None)
@@ -157,23 +218,30 @@ def test_minor_formula_table_is_the_per_subset_formula(n, seed, mode, data):
     T = random_tree(n, seed=seed, weights=mode)
     # m = 1, m < n, m = n and a cap above n
     m = data.draw(st.sampled_from([1, max(n - 2, 1), n, n + 3]))
-    table = minor_formula_table(T, m)
+    bits = word_bits_for(T, m)
+    table = minor_formula_table(T, m, bits)
     assert list(table) == list(itertools.chain.from_iterable(
         itertools.combinations(T.vertices, r) for r in range(1, min(m, n) + 1)
     ))
-    assert set(table) == set(minor_table(T, m))
-    for X, value in table.items():
-        assert value == minor_formula(T, X)
+    assert set(table) == set(minor_table(T, m, bits))
+    bound = minors._formula_norm_bound(T)
+    for X, (value, norm) in table.items():
+        # the carried bound is a 1-norm bound, and stays under the a-priori one
+        got = minor_formula(T, X)
+        assert sum(abs(c) for _, c in got.terms()) <= norm <= bound < 1 << (bits - 1)
+        assert unpacked(T, bits, value) == got
 
 
 def test_minor_formula_table_on_trees_with_gaps_in_their_labels():
     # labels 3, 6, 9, ...: the table's masks follow the sorted labels
     for seed in range(6):
-        base = random_tree(7, seed=seed, weights="rational")
-        T = Tree([(3 * u, 3 * v, w) for u, v, w in base.edges()])
+        T = gapped_tree(7, seed, "rational")
         for m in (2, 7):
-            for X, value in minor_formula_table(T, m).items():
-                assert value == minor_formula(T, X) == minor_oracle(T, X)
+            bits = word_bits_for(T, m)
+            oracle = minor_table(T, m, bits)
+            for X, (value, _) in minor_formula_table(T, m, bits).items():
+                assert value == oracle[X]
+                assert unpacked(T, bits, value) == minor_formula(T, X) == minor_oracle(T, X)
 
 
 @settings(max_examples=150, deadline=None)
@@ -302,17 +370,21 @@ def test_formula_and_oracle_sides_read_separate_integer_forms(monkeypatch):
         m.setattr(Tree, "_root_paths", property(boom))
         T = tree()
         oracle = [minor_oracle(T, X) for X in ((1, 4), (2, 3, 5))]
-        table, pf_all = minor_table(T, 3), pf_table(T, (1, 2, 4, 5))
+        table, pf_all = minor_table(T, 3, 32), pf_table(T, (1, 2, 4, 5), 32)
         pf_one = pf_oracle(T, (1, 2, 4, 5))
     with monkeypatch.context() as m:
         m.setattr(Tree, "_single_source", boom)
         T = tree()
         formula = [minor_formula(T, X) for X in ((1, 4), (2, 3, 5))]
-        formula_table, pf_formulas = minor_formula_table(T, 3), pf_formula_table(T, (1, 2, 4, 5))
-        leading = minor_leading(T, (2, 3, 5))
+        formula_table = minor_formula_table(T, 3, 32)
+        pf_formulas = pf_formula_table(T, (1, 2, 4, 5), 32)
+        leading, leading_table = minor_leading(T, (2, 3, 5)), minor_leading_table(T, 3)
         pf_monomial = pf_formula(T, (1, 2, 4, 5))
+        sums = cycle_sums(T, (2, 3, 5))
     assert formula == oracle
-    assert formula_table == table
+    assert {X: value for X, (value, _) in formula_table.items()} == table
     assert leading == formula[1].leading_term()
+    assert leading_table[(2, 3, 5)] == (leading[0] * T._den, leading[1])
+    assert sums == (formula[1], formula[1])
     assert pf_monomial == pf_one
     assert all(p is None or p == pf_all[k] for k, p in pf_formulas.items())

@@ -18,15 +18,20 @@ from treeminor.pfaffian import (
     NotNicelyOrderedError,
     build_skew_matrix,
     pf_formula,
+    pf_bits,
     pf_formula_table,
     pf_oracle,
     pf_table,
 )
-from treeminor.poly import ExactPoly, pfaffian
+from treeminor.poly import ExactPoly, _unpack, pfaffian
 from treeminor.tree import Tree, random_tree
 
 F = Fraction
 tp = ExactPoly.t_power
+
+
+def unpacked(T, bits, value):
+    return ExactPoly._make(T._den, 1, _unpack(bits, value))
 
 
 def path_tree(n, w=1):
@@ -138,14 +143,15 @@ def test_pf_table_matches_the_oracle_on_every_even_sub_tuple(case):
     nice = T.nice_order(T.vertices)
     rep = represent_odd(T)
     where = {v: i for i, v in enumerate(rep.order)}
+    bits = pf_bits(T.n)
     for order in (nice, shuffled):
-        table = pf_table(T, order)
+        table = pf_table(T, order, bits)
         want = [X for r in range(0, T.n + 1, 2) for X in itertools.combinations(order, r)]
         assert set(table) == set(want)
         for X in want:
             oracle = pf_oracle(T, X)
             matrix = pfaffian(build_skew_matrix(T, X))
-            assert table[X] == oracle == matrix
+            assert unpacked(T, bits, table[X]) == oracle == matrix
             assert str(oracle) == str(matrix)
             # value_pair against the Pfaffian of rep's block on the PolyMatrix
             block = pfaffian(rep.matrix.principal_submatrix(sorted(where[x] for x in X)))
@@ -154,21 +160,45 @@ def test_pf_table_matches_the_oracle_on_every_even_sub_tuple(case):
             if order == nice:
                 # a restriction of a depth-first order is nicely ordered
                 assert T.is_nicely_ordered(X)[0]
-                assert table[X] == pf_formula(T, X)
+                assert unpacked(T, bits, table[X]) == pf_formula(T, X)
 
 
 @settings(max_examples=60, deadline=None)
 @given(trees_and_orders())
+# rational weights (_den 12) and labels with gaps
+@example((random_tree(8, seed=4, weights="rational"), (5, 1, 8, 3, 2, 7, 4, 6)))
+@example((Tree([(3, 9, F(1, 2)), (9, 6, F(2, 3)), (9, 12, 1), (12, 15, F(5, 4))]), (15, 3, 12, 6, 9)))
 def test_pf_formula_table_is_the_monomial_where_nicely_ordered(case):
     T, shuffled = case
+    bits = pf_bits(T.n)
     for order in (T.nice_order(T.vertices), shuffled):
-        table = pf_formula_table(T, order)
-        assert list(table) == list(pf_table(T, order))
+        table = pf_formula_table(T, order, bits)
+        oracle = pf_table(T, order, bits)
+        assert list(table) == list(oracle)
         for X, value in table.items():
             if T.is_nicely_ordered(X)[0]:
-                assert value == pf_formula(T, X)
+                assert unpacked(T, bits, value) == pf_formula(T, X)
+                assert value == oracle[X]
             else:
                 assert value is None
+
+
+def test_pf_table_bits_hold_at_17_vertices():
+    # a Pfaffian over 2k points sums one signed monomial per perfect
+    # matching: (2k - 1)!! of them, counted here by pairing the first point
+    def matchings(m):
+        return 1 if m == 0 else (m - 1) * matchings(m - 2)
+
+    assert [pf_bits(n) for n in (2, 9, 10, 16, 17)] == [8, 8, 16, 32, 32]
+    assert matchings(16) == 2_027_025 < 1 << 31  # 16 of 17 points
+    assert matchings(8) == 105 < 1 << 7 <= matchings(10) == 945  # 8 bits hold 9 points, not 10
+    T = random_tree(17, seed=12)
+    order = T.nice_order(T.vertices)
+    with pytest.raises(ValueError, match="16 bits do not hold the Pfaffians over 17 points"):
+        pf_table(T, order, 16)
+    table = pf_table(T, order, 32)
+    for X in list(table)[::4099]:
+        assert unpacked(T, 32, table[X]) == pf_oracle(T, X)
 
 
 def test_build_skew_matrix_entries_are_the_distance_monomials(entry_trees):

@@ -33,7 +33,7 @@ from functools import cache
 from itertools import combinations
 from math import comb, factorial, perm
 
-from .cyclekernel import ENUMERATION_CAP, cycle_sums
+from .cyclekernel import ENUMERATION_CAP, cycle_sums, cycle_table
 from .matroid import (
     ValuatedFn,
     _exponent_gaps,
@@ -78,7 +78,7 @@ from .pfaffian import (
     pf_oracle,
     pf_table,
 )
-from .poly import ExactPoly, _over, _pack, _top_digit, _unpack, _word_for
+from .poly import ExactPoly, _top_digit, _unpack, _word_for
 from .tree import Tree, format_tree, random_tree, read_tree_file
 
 _SEED_STRIDE = 1_000_003  # tree index -> sub-seed, documented and fixed
@@ -346,14 +346,15 @@ def cmd_pfaffian(args):
 # pf-verify and cycles-verify.  A sweep is a per-tree builder
 # T -> (subset walk, check X -> (ok, values)) and, for pf-verify, a pass over
 # negative orders.  Each sweep reads its formula values off one table per
-# tree, and minor-verify and pf-verify their oracle values off another, all
-# packed at t^(1/T._den) = 2^B for one B the sweep picks and compared as
-# ints; a subset that fails against them is unpacked and decided again by
-# the check its certificate replays with (`minor`, `pfaffian`).
+# tree, and its oracle values (the cycle sums for cycles-verify) off
+# another, all packed at t^(1/T._den) = 2^B for one B the sweep picks and
+# compared as ints; a subset that fails against them is unpacked and
+# decided again by the check its certificate replays with (`minor`,
+# `pfaffian`; cycles-verify has none).
 
 
 def _str_values(values: dict) -> dict:
-    return {k: str(v) for k, v in values.items()}
+    return {k: list(map(str, v)) if isinstance(v, tuple) else str(v) for k, v in values.items()}
 
 
 def _minor_check(T, X):
@@ -380,14 +381,16 @@ def _cycles_check(T, X):
 def _redecide(check, T, X, **entries):
     """X failed against the tables: decide it with the single-instance check,
     whose values the certificate carries.  entries maps a certificate field
-    (`table` for the oracle table, `formula_table`) to the table's entry and
-    the name of the check's value it stands for.  If the check passes, a
-    table is at fault, and the certificate carries each entry that differs
-    from the check's value under its field."""
+    (`table` for the oracle or cycle table, `formula_table`) to the table's
+    entry and the name of the check's value it stands for, or a tuple of
+    entries and the tuple of their names.  If the check passes, a table is
+    at fault, and the certificate carries each entry that differs from the
+    check's value under its field."""
     ok, values = check(T, X)
     if ok:
         for field, (entry, name) in entries.items():
-            if entry != values[name]:
+            want = tuple(values[n] for n in name) if isinstance(name, tuple) else values[name]
+            if entry != want:
                 values[field] = entry
     return False, values
 
@@ -482,20 +485,24 @@ def _pf_sweep(T, _max_x):
 
 def _cycles_sweep(T, max_x):
     """Both cycle-partition sums against the formula on every subset up to
-    max_x.  The formula values come from minor_formula_table, as in
-    minor-verify, and the two sums, each of 1-norm at most |X|!, are
-    packed at the same B (_minor_bits) and compared with them as ints."""
+    max_x, all read off tables at one B (_minor_bits) and compared as ints:
+    cycle_table's full and tight sums, each of 1-norm at most |X|!, and
+    minor_formula_table's values, as in minor-verify.  A failing subset is
+    unpacked for its certificate."""
     bits = _minor_bits(T, max_x)
     half = 1 << (bits - 1)
     formula = minor_formula_table(T, max_x, bits)
+    cycles = cycle_table(T, T.vertices, max_x, bits)
 
     def check(X):
         value, norm = formula[X]
-        full, tight = cycle_sums(T, X)
-        if full == tight and norm < half and _pack(bits, _over(full, T._den, 1)) == value:
+        full, tight = cycles[X]
+        if full == tight == value and norm < half:
             return True, None
         return _redecide(
-            _cycles_check, T, X, formula_table=(_formula_entry(T, bits, value, norm), "formula")
+            _cycles_check, T, X,
+            table=((_unpacked(T, bits, full), _unpacked(T, bits, tight)), ("all_cycles", "tight_cycles")),
+            formula_table=(_formula_entry(T, bits, value, norm), "formula"),
         )
 
     return _subsets(T, max_x), check

@@ -9,23 +9,26 @@ element -> successor), so there are exactly |X|! of them.
 
 Summing sign(W) t^{||W||} over all cycle partitions reproduces the minor
 over X; the support-preserving flips explain the cancellation down to the
-tight ({0,2}-supported) partitions.  `cycle_sums` returns both sums from
-one integer walk over the permutations, each support packed into one int
-from per-pair tables; `det_via_cycles` and `det_via_tight_cycles` read one
-of them each.  `support` traces one partition's support through
-`path_edges` as an edge dict, so it serves a `Tree` and a bracket `Forest`
-alike; the flips, the brackets and the tests use it.
+tight ({0,2}-supported) partitions.  `cycle_table` gives both sums for
+every subset up to a size from one subset DP over cycles, in packed
+integers, each support packed into one int from per-pair tables; it never
+lists the partitions.  `cycle_sums` reads X's own entry of that DP over X,
+and `det_via_cycles` and `det_via_tight_cycles` read one sum each.
+`support` traces one partition's support through `path_edges` as an edge
+dict, so it serves a `Tree` and a bracket `Forest` alike; the flips, the
+brackets and the tests use it.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import reduce
 from operator import or_
 from typing import Iterable, Iterator, Sequence
 
-from .poly import ExactPoly
+from .poly import ExactPoly, _unpack, _word_for
 from .tree import Edge, Tree, _bits, edge_key
 
 Cycle = tuple[int, ...]
@@ -108,66 +111,134 @@ def is_tight(supp: dict[Edge, int]) -> bool:
 def cycle_sums(T: Tree, X: Iterable[int]) -> tuple[ExactPoly, ExactPoly]:
     """Minor over X as the signed sum over all cycle partitions, and the
     same sum restricted to tight ({0,2}-supported) partitions; the flips
-    cancel everything else, so the two agree.
-
-    One depth-first walk over the successor choices sigma(x_0),
-    sigma(x_1), ... of a permutation of X = {x_0 < x_1 < ...} visits every
-    partition once, in integers only.  Two k x k tables serve it:
-
-    - D[i][j], the weight of the x_i-x_j path times T._den, read off its
-      edge mask P_{x_i} ^ P_{x_j} (`Tree._path_mask`, P the root-path
-      masks) by `Tree._weight_num`; it is not read from `T.dist`, so the
-      sums share no code with `minor_oracle`;
-    - P[i][j], that path's edges packed into one int, a 4-bit field per
-      edge that any of the paths meets.
-
-    A partition's support is the sum of its k entries of P.  Each path
-    meets an edge at most once, so a field holds at most
-    k <= ENUMERATION_CAP < 16 and never carries into the next one.  Every
-    field of a complete support is even, so the partition is tight exactly
-    when no bit outside TWO (2 in every field) is set.  The sign, which is
-    `partition_sign`, is the permutation's parity: choosing sigma(x_i) = x_j
-    adds one inversion per value above j already taken."""
+    cancel everything else, so the two agree.  Both are `cycle_table`'s
+    entry for X itself, packed at 2^B with 2^(B - 1) above |X|!, which
+    bounds every coefficient of either sum, and unpacked here."""
     xs = T.check_subset(X)
     k = len(xs)
     if k > ENUMERATION_CAP:
         raise ValueError(f"|X| = {k} exceeds the enumeration cap {ENUMERATION_CAP}")
-    elems = sorted(xs)
+    if not k:  # the one empty partition
+        return ExactPoly.one(), ExactPoly.one()
+    elems = tuple(sorted(xs))
+    bits = _word_for(math.factorial(k))
+    sums = cycle_table(T, elems, k, bits)[elems]
+    return tuple(ExactPoly._make(T._den, 1, _unpack(bits, v)) for v in sums)
+
+
+def cycle_table(
+    T: Tree, elems: Sequence[int], max_size: int, bits: int
+) -> dict[tuple[int, ...], tuple[int, int]]:
+    """(full, tight) cycle sums over every set of 1..max_size members of
+    elems, each packed at t^(1/T._den) = 2^bits, from one subset DP.
+
+    Keys are minor_table's when elems is sorted: the sets as tuples in
+    combinations order.  A permutation of a set S splits into the cycle C
+    through min(S) and a permutation of S \\ C, and its sign, t-exponent
+    and support split with it.  So f(S) = sum over C of g(C) f(S \\ C), with
+    f({}) = 1 and g(C) the sum of sign t^(norm) over the cycles with member
+    set C (the cycle-cover expansion of the determinant; Mahajan and Vinay,
+    1997).  The index c runs down from the last member.  The cycles through
+    c over members above c are summed per member set, and then every such
+    C joins every S' above c outside it, up to max_size members in all,
+    whose f is complete.  Evaluation at 2^bits is a ring map, so the full
+    sums are Python ints.  Two per-pair tables serve the cycles:
+
+    - D[i][j], the weight of the path between members i and j times
+      T._den, read off its edge mask P_i ^ P_j (`Tree._path_mask`, P the
+      root-path masks) by `Tree._weight_num`; it is not read from `T.dist`,
+      so the sums share no code with `minor_oracle`;
+    - P[i][j], that path's edges packed into one int, a 4-bit field per
+      edge that any of the paths meets, with D[i][j] above the fields.
+
+    A partition's support is the sum of its paths' entries of P, which
+    carries its norm on top, and the tight sum runs the same recurrence on
+    maps {support: signed count}.  A field never shrinks, so a support with
+    a field above 2 is dropped as soon as it appears: fields then stay
+    below 5 and never carry.  A set's tight sum keeps the supports whose
+    fields are all 0 or 2.  On a tree these are the partitions into tight
+    cycles with disjoint supports, but not on every path oracle, so the
+    test is made on the whole support.
+
+    The full sums of a c are gathered by member set and last member before
+    c, each set from the one without that member, which comes first in
+    numeric order: about 2^m m^2 steps for m members above c, not m!.  The
+    tight cycles are walked path by path with a stack, which keeps only the
+    paths whose fields all stay at most 2."""
+    k = len(elems)
+    if max_size == 1:  # no pair tables (k^2 paths): a point's partition is itself
+        return {(x,): (1, 1) for x in elems}
     paths = [[T._path_mask(a, b) for b in elems] for a in elems]
     met = reduce(or_, itertools.chain.from_iterable(paths), 0)
     field = {b: 4 * i for i, b in enumerate(_bits(met))}
+    top = 4 * len(field)
     D = [[T._weight_num(m) for m in row] for row in paths]
-    P = [[sum(1 << field[b] for b in _bits(m)) for m in row] for row in paths]
-    not_two = ~sum(2 << f for f in field.values())
-    full: dict[int, int] = {}
-    tight: dict[int, int] = {}
-    last = k - 1
+    P = [
+        [(d << top) + sum(1 << field[b] for b in _bits(m)) for d, m in zip(drow, row)]
+        for drow, row in zip(D, paths)
+    ]
+    ones = sum(1 << f for f in field.values())
+    fours = ones << 2  # field + 1 reaches 4 exactly when the field passes 2
+    shift = [[bits * d for d in row] for row in D]  # t^(D[i][j]) at 2^bits
 
-    def walk(i: int, used: int, norm: int, supp: int, odd: int) -> None:
-        Di, Pi = D[i], P[i]
-        if i == last:  # one value is left, and every value above it is taken
-            j = (~used & (used + 1)).bit_length() - 1
-            norm += Di[j]
-            s = -1 if odd ^ ((last - j) & 1) else 1
-            full[norm] = full.get(norm, 0) + s
-            if not (supp + Pi[j]) & not_two:
-                tight[norm] = tight.get(norm, 0) + s
-            return
-        for j in range(k):
-            bit = 1 << j
-            if not used & bit:
-                above = (used >> j).bit_count() & 1
-                walk(i + 1, used | bit, norm + Di[j], supp + Pi[j], odd ^ above)
+    full = {0: 1}  # member mask -> packed full sum
+    tight = {0: {0: 1}}  # member mask -> {support: signed count}
+    for c in reversed(range(k)):
+        first = 1 << c
+        g: dict[int, int] = {}
+        ends = {first: {c: 1}}  # C -> {last member: packed signed path sum}
+        for size in range(1, max_size + 1):  # the sets of one size at a time
+            longer: dict[int, dict[int, int]] = {}
+            for C, by_last in ends.items():
+                g[C] = sum(v << shift[last][c] for last, v in by_last.items())
+                if size < max_size:
+                    for j in range(c + 1, k):
+                        if not C >> j & 1:
+                            longer.setdefault(C | 1 << j, {})[j] = -sum(
+                                v << shift[last][j] for last, v in by_last.items()
+                            )
+            ends = longer
+        g_tight: dict[int, dict[int, int]] = {}
+        stack = [(c, first, 0, 1)]  # open paths: last member, members, support, sign
+        while stack:
+            last, C, supp, sign = stack.pop()
+            s = supp + P[last][c]
+            if not (s + ones) & fours:
+                at = g_tight.setdefault(C, {})
+                at[s] = at.get(s, 0) + sign
+            if C.bit_count() < max_size:
+                for j in range(c + 1, k):
+                    s = supp + P[last][j]
+                    if not C >> j & 1 and not (s + ones) & fours:
+                        stack.append((j, C | 1 << j, s, -sign))
+        for C, value in g.items():
+            room = max_size - C.bit_count()
+            subs = [0]  # every S' above c outside C with at most room members
+            for j in range(c + 1, k):
+                if not C >> j & 1:
+                    subs += [sub | 1 << j for sub in subs if sub.bit_count() < room]
+            cycles = g_tight.get(C)
+            for sub in subs:
+                S = C | sub
+                full[S] = full.get(S, 0) + value * full[sub]
+                below = tight.get(sub) if cycles else None
+                if below:
+                    at = tight.setdefault(S, {})
+                    for s2, n2 in below.items():
+                        for s1, n1 in cycles.items():
+                            s = s1 + s2
+                            if not (s + ones) & fours:
+                                at[s] = at.get(s, 0) + n1 * n2
+        del g, g_tight  # the cycles of c are in f now
 
-    if k:
-        walk(0, 0, 0, 0, 0)
-    else:  # the one empty partition
-        full[0] = tight[0] = 1
-    del walk  # break the closure's cycle through itself: D and P go on return
-    return (
-        ExactPoly._make(T._den, 1, {n: c for n, c in full.items() if c}),
-        ExactPoly._make(T._den, 1, {n: c for n, c in tight.items() if c}),
-    )
+    bit = {v: 1 << i for i, v in enumerate(elems)}
+    table = {}
+    for r in range(1, min(max_size, k) + 1):
+        for key in itertools.combinations(elems, r):
+            S = sum(bit[x] for x in key)
+            supports = tight.get(S, {}).items()
+            table[key] = full[S], sum(n << bits * (s >> top) for s, n in supports if not s & ones)
+    return table
 
 
 def det_via_cycles(T: Tree, X: Iterable[int]) -> ExactPoly:

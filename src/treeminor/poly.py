@@ -229,16 +229,24 @@ class ExactPoly:
     # -- rendering -----------------------------------------------------------
 
     def __str__(self) -> str:
+        """Terms by decreasing exponent, each coefficient and exponent in
+        lowest terms: c/cden and k/den reduced by their gcd, as Fraction
+        would print them."""
         if not self._terms:
             return "0"
+        den, cden = self._den, self._cden
         parts = []
-        for e, c in self.terms():
-            mag = abs(c)
-            if e == 0:
-                body = _coeff_str(mag)
+        for k in sorted(self._terms, reverse=True):
+            c = self._terms[k]
+            g = math.gcd(c, cden)
+            coeff = str(abs(c) // g) if g == cden else f"({abs(c) // g}/{cden // g})"
+            if k:
+                g = math.gcd(k, den)
+                e = str(k // g) if g == den else f"{k // g}/{den // g}"
+                tpart = "t" if e == "1" else f"t^{e}" if e.isdigit() else f"t^({e})"
+                body = tpart if coeff == "1" else f"{coeff}*{tpart}"
             else:
-                tpart = "t" if e == 1 else f"t^{_exp_str(e)}"
-                body = tpart if mag == 1 else f"{_coeff_str(mag)}*{tpart}"
+                body = coeff
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")
             else:
@@ -247,16 +255,6 @@ class ExactPoly:
 
     def __repr__(self) -> str:
         return f"ExactPoly({self})"
-
-
-def _coeff_str(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"({c})"
-
-
-def _exp_str(e: Fraction) -> str:
-    if e.denominator == 1 and e >= 0:
-        return str(e.numerator)
-    return f"({e})"
 
 
 def _canonical(den: int, cden: int, ints: dict[int, int]) -> tuple[int, int, dict[int, int]]:

@@ -63,6 +63,18 @@ class _RootPaths(dict):
         self.edge = [edge_key(v, T._parent[v]) for v in below]
         self.weight = [T._int_weight[e] for e in self.edge]
 
+    @cached_property
+    def byte_weights(self) -> list[list[int]]:
+        """[i][x]: the weight of the edges that byte value x marks in byte i
+        of a mask, times T._den; built on the first weight read."""
+        table = []
+        for i in range(0, len(self.weight), 8):
+            sums = [0]  # sums[x] for x below 2^j after the byte's first j edges
+            for w in self.weight[i:i + 8]:
+                sums += [s + w for s in sums]
+            table.append(sums)
+        return table
+
     def __missing__(self, v: int) -> int:
         buf = bytearray(len(self._bit) // 8 + 1)
         x = v
@@ -221,14 +233,9 @@ class Tree:
         return frozenset(edge[b] for b in _bits(mask))
 
     def _weight_num(self, mask: int) -> int:
-        """The total weight of mask's edges times _den, a set bit at a time."""
-        weight = self._root_paths.weight
-        total = 0
-        while mask:
-            low = mask & -mask
-            total += weight[low.bit_length() - 1]
-            mask ^= low
-        return total
+        """The total weight of mask's edges times _den, a byte at a time."""
+        table = self._root_paths.byte_weights
+        return sum(map(list.__getitem__, table, mask.to_bytes(len(table), "little")))
 
     def _weight_of(self, mask: int) -> Fraction:
         return Fraction(self._weight_num(mask), self._den)

@@ -615,11 +615,40 @@ def test_a_key_the_formula_table_finds_not_nice_fails_its_row(capsys, monkeypatc
 
 
 def test_cycles_verify_failure_lists_all_three_values(capsys, monkeypatch):
+    # the tight sum is negated in the sweep's table and in cycle_sums alike,
+    # so the single-instance check fails as well and no table is named
+    right = cli.cycle_table
+    monkeypatch.setattr(
+        cli, "cycle_table", lambda *a: {X: (f, -t) for X, (f, t) in right(*a).items()}
+    )
     cert = _failing_sweep(
         capsys, monkeypatch, "cycle_sums", lambda pair: (pair[0], -pair[1]), "cycles-verify"
     )
     assert set(cert) == {"tree", "X", "all_cycles", "tight_cycles", "formula"}
     assert cert["tight_cycles"] != cert["all_cycles"] == cert["formula"]
+
+
+def test_a_wrong_cycle_table_entry_fails_its_row(capsys, monkeypatch):
+    # one entry's tight sum times t: the single-instance check passes, so
+    # the certificate carries the table's two sums under `table`
+    right = cli.cycle_table
+    wrong = []
+
+    def corrupt(T, elems, size, bits):
+        entries = right(T, elems, size, bits)
+        key = max(entries, key=len)
+        full, tight = entries[key]
+        entries[key] = full, tight << bits * T._den
+        wrong.append((key, [str(ExactPoly._make(T._den, 1, _unpack(bits, v))) for v in entries[key]]))
+        return entries
+
+    monkeypatch.setattr(cli, "cycle_table", corrupt)
+    cert = _failing_row(capsys, "cycles-verify")
+    ((key, sums),) = wrong
+    assert set(cert) == {"tree", "X", "table", "all_cycles", "tight_cycles", "formula"}
+    assert cert["X"] == list(key)
+    assert cert["table"] == sums
+    assert sums[0] == cert["all_cycles"] == cert["tight_cycles"] == cert["formula"] != sums[1]
 
 
 # --- metric subcommands ----------------------------------------------------------

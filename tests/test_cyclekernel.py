@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from treeminor.cyclekernel import (
     crossings,
     cycle_partitions,
     cycle_sums,
+    cycle_table,
     det_via_cycles,
     det_via_tight_cycles,
     flip,
@@ -24,7 +26,7 @@ from treeminor.cyclekernel import (
     support_norm,
 )
 from treeminor.minors import minor_formula
-from treeminor.poly import ExactPoly
+from treeminor.poly import ExactPoly, _unpack, _word_for
 from treeminor.tree import Tree, edge_key, random_tree
 
 
@@ -62,17 +64,23 @@ def reference_cycle_sums(t, xs):
     return ExactPoly.from_terms(full), ExactPoly.from_terms(tight)
 
 
-class FiveCycle:
-    """A path oracle that is not a tree: the cycle 1-2-3-4-5-1 with edge
-    (1, 5) of weight 3/2 and the others of weight 1, each path going the
+class Ring:
+    """A path oracle that is not a tree: the cycle 1-2-...-m-1 with edge
+    (1, m) of weight 3/2 and the others of weight 1, each path going the
     lighter way round (ties upward), as an edge set and as a mask of the
     edges in sorted order, with weights over _den = 2.  The flips cancel
-    only on trees, so here the tight sum differs from the full one."""
+    only on trees, so here the tight sum differs from the full one.  From
+    m = 6 on, the cycles (1 3 5) and (2 4 6) each go once round the ring,
+    so together they meet every edge twice: a tight partition whose cycles
+    are not tight."""
 
-    _weights = {edge_key(v, v % 5 + 1): Fraction(1) for v in range(1, 6)}
-    _weights[1, 5] = Fraction(3, 2)
     _den = 2
-    _edge_bit = {e: 1 << b for b, e in enumerate(sorted(_weights))}
+
+    def __init__(self, m):
+        self.m = m
+        self._weights = {edge_key(v, v % m + 1): Fraction(1) for v in range(1, m + 1)}
+        self._weights[1, m] = Fraction(3, 2)
+        self._edge_bit = {e: 1 << b for b, e in enumerate(sorted(self._weights))}
 
     def _path_mask(self, a, b):
         return sum(self._edge_bit[e] for e in self.path_edges(a, b))
@@ -83,7 +91,7 @@ class FiveCycle:
 
     def check_subset(self, X):
         xs = tuple(X)
-        assert set(xs) <= set(range(1, 6)) and len(set(xs)) == len(xs)
+        assert set(xs) <= set(range(1, self.m + 1)) and len(set(xs)) == len(xs)
         return xs
 
     def weight(self, e):
@@ -184,7 +192,7 @@ def test_cycle_sums_match_the_partition_by_partition_reference(kind):
     if kind == "five-cycle":
         # off a tree the two sums differ, so a tight test that keeps every
         # partition fails here
-        t = FiveCycle()
+        t = Ring(5)
         sums = [check(t, xs) for r in range(1, 6) for xs in itertools.combinations(range(1, 6), r)]
         assert any(full != tight for full, tight in sums)
         return
@@ -197,6 +205,38 @@ def test_cycle_sums_match_the_partition_by_partition_reference(kind):
     # one subset at the cap: 5,040 partitions
     t = weighted_tree(9, 2, kind)
     check(t, sorted(t.vertices)[:ENUMERATION_CAP])
+
+
+@pytest.mark.parametrize("kind", ["unit", "rational", "half", "five-cycle", "six-cycle"])
+def test_cycle_table_matches_the_partition_by_partition_reference(kind):
+    def check(t, elems, max_size):
+        bits = _word_for(math.factorial(max_size))
+        table = cycle_table(t, elems, max_size, bits)
+        keys = [X for r in range(1, max_size + 1) for X in itertools.combinations(elems, r)]
+        assert list(table) == keys
+        sums = {}
+        for X, packed in table.items():
+            got = tuple(ExactPoly._make(t._den, 1, _unpack(bits, v)) for v in packed)
+            want = reference_cycle_sums(t, X)
+            assert got == want
+            assert tuple(map(str, got)) == tuple(map(str, want))
+            sums[X] = got
+        return sums
+
+    if kind.endswith("-cycle"):
+        # a tight sum over the tight cycles with disjoint supports agrees on
+        # trees and on the five-cycle, and loses (1 3 5)(2 4 6) on six
+        m = 5 if kind == "five-cycle" else 6
+        sums = check(Ring(m), tuple(range(1, m + 1)), m)
+        assert any(full != tight for full, tight in sums.values())
+        return
+    for n in range(1, 7):
+        for seed in (0, 1):
+            t = weighted_tree(n, seed, kind)
+            check(t, t.vertices, n)
+    # a size cap below |elems| drops the larger sets, and only those
+    t = weighted_tree(7, 3, kind)
+    check(t, t.vertices, 3)
 
 
 def test_cycle_sums_refuse_more_labels_than_the_cap():

@@ -149,6 +149,48 @@ def polys(draw, max_terms=4):
     return ExactPoly.from_terms(pairs)
 
 
+def fraction_str(p):
+    """p rendered from its terms as Fractions: the reference for the
+    int-map rendering of ExactPoly.__str__."""
+
+    def coeff(c):
+        return str(c.numerator) if c.denominator == 1 else f"({c})"
+
+    def exponent(e):
+        return str(e.numerator) if e.denominator == 1 and e >= 0 else f"({e})"
+
+    parts = []
+    for e, c in p.terms():
+        mag = abs(c)
+        if e == 0:
+            body = coeff(mag)
+        else:
+            tpart = "t" if e == 1 else f"t^{exponent(e)}"
+            body = tpart if mag == 1 else f"{coeff(mag)}*{tpart}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f" + {body}" if c > 0 else f" - {body}")
+    return "".join(parts) or "0"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.fractions(min_value=-7, max_value=7, max_denominator=6),
+            st.one_of(st.sampled_from([F(1), F(-1)]), st.fractions(-9, 9, max_denominator=6)),
+        ),
+        max_size=6,
+    )
+)
+def test_str_matches_the_fraction_rendering(pairs):
+    # zero, negative and fractional exponents, coefficients +-1 and
+    # fractions whose denominators reduce apart from the others'
+    p = ExactPoly.from_terms(pairs)
+    assert str(p) == fraction_str(p)
+
+
 @settings(max_examples=60, deadline=None)
 @given(polys(), polys(), polys())
 def test_ring_axioms(a, b, c):
@@ -299,9 +341,9 @@ class _Labels(list):
 
 
 def test_recursive_walks_free_their_tables_without_the_cyclic_collector():
-    # _sylvester, pfaffian and cycle_sums each recurse through a
-    # closure; one that kept a reference to itself would hold its tables
-    # (and the labels) until the cyclic collector ran
+    # _sylvester and pfaffian each recurse through a closure, and
+    # cycle_sums builds nested tables; one that kept a reference to itself
+    # would hold its tables (and the labels) until the cyclic collector ran
     tree = random_tree(7, seed=3, weights="rational")
     skew = skew_from_upper([[tp(i + j, j - i) for j in range(i + 1, 6)] for i in range(5)])
     ones = [[{0: 2 if i == j else 1} for j in range(3)] for i in range(3)]

@@ -12,7 +12,8 @@ oracle, and the exponential forest enumerator as a small-n one.
 minor_table gives every principal minor up to a size in one walk.  Both
 oracles read one matrix, the distance powers as integer maps built from
 the tree's integer distance rows (_power_maps), and run poly's walks on it
-directly; build_matrix is its PolyMatrix view.
+directly, from the most central point out (_central_first); build_matrix is
+its PolyMatrix view.
 
 The three tables a sweep compares (minor_table, minor_formula_table and
 minor_leading_table, the top terms read off root-path masks) hold ints:
@@ -53,6 +54,16 @@ def _power_maps(T: Tree, xs: Sequence[int]) -> tuple[list[list[dict[int, int]]],
     dist, den = T._distance_ints(xs)
     g = math.gcd(den, *itertools.chain.from_iterable(dist))
     return [[{d // g: 1} for d in row] for row in dist], den // g
+
+
+def _central_first(T: Tree, xs: Sequence[int]) -> list[int]:
+    """xs by ascending sum of their distances to the others, ties by
+    position: the most central point first.  A simultaneous permutation of
+    rows and columns leaves every principal minor as it is; on tree
+    distance matrices the eliminations' intermediate minors come out
+    shorter from this end than in label order."""
+    dist, _ = T._distance_ints(xs)
+    return [xs[i] for i in sorted(range(len(xs)), key=lambda i: sum(dist[i]))]
 
 
 def build_matrix(T: Tree, X: Sequence[int]) -> PolyMatrix:
@@ -336,11 +347,13 @@ def minor_leading(T: Tree, X: Iterable[int]) -> tuple[Fraction, Fraction]:
 
 def minor_oracle(T: Tree, X: Sequence[int]) -> ExactPoly:
     """Independent evaluation: determinant of the actual matrix, by
-    poly.det's Bareiss walk on the integer maps of build_matrix."""
+    poly.det's Bareiss walk on the integer maps of build_matrix, rows and
+    columns both in central-first order (_central_first).  The matrix is
+    symmetric, so the walk computes half of each step's block."""
     xs = T.check_subset(X)
     if not xs:
         raise ValueError("X must be nonempty")
-    maps, den = _power_maps(T, xs)
+    maps, den = _power_maps(T, _central_first(T, xs))
     return ExactPoly._make(den, 1, _bareiss(_kernel(maps, len(maps))))
 
 
@@ -349,18 +362,22 @@ def minor_table(T: Tree, max_size: int, bits: int) -> dict[tuple[int, ...], int]
     t^(1/T._den) = 2^bits, bits at least poly._word_bits of the maps
     (2^(bits - 1) above max_size!, which bounds every coefficient).
 
-    Keys are the sets as sorted tuples, as combinations(T.vertices, r)
-    lists them, and each value packs minor_oracle(T, key).  One Sylvester
-    walk (poly._sylvester) over the integer maps of the distance powers
-    gives them all; it runs on packed ints when the distances are dense
-    (unit weights), and on the maps otherwise, each value packed once
+    Keys are the sets as sorted tuples, and each value packs
+    minor_oracle(T, key); the table is listed in the walk's order, not in
+    combinations order.  One Sylvester walk (poly._sylvester) over the
+    integer maps of the distance powers, its rows in central-first order
+    (_central_first), gives them all, each re-keyed to its sorted tuple;
+    it runs on packed ints when the distances are dense (unit weights),
+    and on the maps otherwise, each value packed once
     (poly._packed_values); over all vertices the maps keep T._den.  The
     table is complete: a principal minor over distinct vertices is a
     nonzero polynomial (minor_leading gives its top term), so the walk
     meets no zero pivot.  The maps are minor_oracle's (_power_maps).
     """
-    maps, _ = _power_maps(T, T.vertices)
-    return _sylvester(_packed_values(maps, max_size, bits), T.vertices, max_size)
+    order = _central_first(T, T.vertices)
+    maps, _ = _power_maps(T, order)
+    table = _sylvester(_packed_values(maps, max_size, bits), order, max_size)
+    return {tuple(sorted(key)): value for key, value in table.items()}
 
 
 @dataclass(frozen=True)

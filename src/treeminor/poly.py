@@ -16,10 +16,11 @@ _pfaffian_maps on them; the tree oracles build such maps from the tree's
 integer distances and call the walks directly.
 
 The two fraction-free walks of the oracle side, Bareiss elimination
-(_bareiss) and the Sylvester walk over principal minors (_sylvester),
-run on one of two integer forms of their matrix, chosen from the matrix
-alone (_kernel).  The packed form evaluates each entry once at t = 2^B
-(Kronecker substitution) and runs the walk on Python ints; B puts
+(_bareiss, which computes half of each step on a symmetric matrix) and
+the Sylvester walk over principal minors (_sylvester), run on one of two
+integer forms of their matrix, chosen from the matrix alone (_kernel).
+The packed form evaluates each entry once at t = 2^B (Kronecker
+substitution) and runs the walk on Python ints; B puts
 2^(B - 1) above every coefficient of every minor the walk can form,
 bounded by the product of the rows' 1-norms and by r! times the product
 of their largest entries (r! on a matrix of monomials), and each value
@@ -428,7 +429,9 @@ def det(m: PolyMatrix) -> ExactPoly:
     the integer maps of `_integer_rows` in the form `_kernel` chooses for
     them: packed ints at t = 2^B, 2^(B - 1) above every coefficient of
     every minor (`_word_bits`), when the exponents' top times B is at most
-    _DENSE_BITS per distinct exponent, and the maps themselves otherwise."""
+    _DENSE_BITS per distinct exponent, and the maps themselves otherwise.
+    When those rows are symmetric (a symmetric m whose rows need no scale
+    or shift, as build_matrix's), the walk computes half of each step."""
     a, den, scale, shift = _integer_rows(m)
     d = _bareiss(_kernel(a, len(a)))
     return ExactPoly._make(den, scale, {k + shift: c for k, c in d.items()})
@@ -472,10 +475,18 @@ def _bareiss(form: _Form) -> dict[int, int]:
     each entry (i, j) below and right of the pivot is the minor on rows
     0..k, i and columns 0..k, j, so every value is a minor of the matrix.
     At a zero pivot a lower row that is nonzero in its column is exchanged
-    up, which flips the determinant's sign; when there is none it is 0."""
+    up, which flips the determinant's sign; when there is none it is 0.
+
+    On a symmetric matrix that block stays symmetric (Sylvester's identity:
+    rows and columns enter each minor alike), so a step computes only the
+    entries with j >= i and writes each to (j, i) as well, about n^3/6
+    steps in place of n^3/3.  The mirror keeps column k below the pivot
+    current for the zero-pivot search; a row exchange breaks the symmetry,
+    and the walk goes on over full rows."""
     a = [list(row) for row in form.rows]
     step = form.step
     n = len(a)
+    symmetric = all(a[i][j] == a[j][i] for i in range(n) for j in range(i))
     sign = 1
     prev = form.one
     for k in range(n - 1):
@@ -485,13 +496,18 @@ def _bareiss(form: _Form) -> dict[int, int]:
                 return {}
             a[k], a[r] = a[r], a[k]
             sign = -sign
+            symmetric = False
         row_k = a[k]
         pivot = row_k[k]
         for i in range(k + 1, n):
             row_i = a[i]
             ik = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = step(pivot, row_i[j], ik, row_k[j], prev)
+            if symmetric:
+                for j in range(i, n):
+                    row_i[j] = a[j][i] = step(pivot, row_i[j], ik, row_k[j], prev)
+            else:
+                for j in range(k + 1, n):
+                    row_i[j] = step(pivot, row_i[j], ik, row_k[j], prev)
         prev = pivot
     last = form.read(a[-1][-1]) if a else {0: 1}
     return {k: sign * c for k, c in last.items()} if sign < 0 else last

@@ -28,7 +28,17 @@ from treeminor.minors import (
     spanned_forests,
 )
 from treeminor.pfaffian import pf_formula, pf_formula_table, pf_oracle, pf_table
-from treeminor.poly import ExactPoly, _dense, _integer_rows, _top_digit, _unpack, _word_for, det
+from treeminor.poly import (
+    ExactPoly,
+    _dense,
+    _integer_rows,
+    _packed_values,
+    _sylvester,
+    _top_digit,
+    _unpack,
+    _word_for,
+    det,
+)
 from treeminor.tree import Tree, random_tree
 
 F = Fraction
@@ -159,6 +169,13 @@ def gapped_tree(n, seed, weights):
     return Tree([(3 * u, 3 * v, w) for u, v, w in base.edges()])
 
 
+ORDER_TREES = (
+    random_tree(9, seed=5),  # unit weights: the packed form
+    random_tree(9, seed=3, weights="rational"),  # _den 12: the maps form
+    gapped_tree(8, 3, "rational"),
+)
+
+
 @settings(max_examples=60, deadline=None)
 @given(trees_and_sizes())
 # unit weights, rational ones (the maps form, _den 12) and labels with gaps
@@ -180,9 +197,9 @@ def test_minor_table_holds_every_small_subset_and_matches_the_oracle(case):
 
 
 def test_the_rational_example_walks_the_maps_form():
-    T = random_tree(8, seed=4, weights="rational")
-    maps, _ = minors._power_maps(T, T.vertices)
-    assert T._den == 12 and not _dense(maps, word_bits_for(T, 8))
+    for T, k in ((random_tree(8, seed=4, weights="rational"), 8), *((T, 5) for T in ORDER_TREES[1:])):
+        maps, _ = minors._power_maps(T, T.vertices)
+        assert T._den == 12 and not _dense(maps, word_bits_for(T, k))
 
 
 def test_minor_table_refuses_too_few_bits():
@@ -244,6 +261,28 @@ def test_minor_formula_table_on_trees_with_gaps_in_their_labels():
                 assert unpacked(T, bits, value) == minor_formula(T, X) == minor_oracle(T, X)
 
 
+@pytest.mark.parametrize("T", ORDER_TREES, ids=["unit", "rational", "gapped"])
+def test_the_oracles_do_not_depend_on_the_order_they_walk(T):
+    # both oracles eliminate central-first; a simultaneous permutation of
+    # rows and columns leaves every principal minor as it is
+    rng = random.Random(7)
+    for r in (2, 5, T.n):
+        for _ in range(3):
+            X = rng.sample(T.vertices, r)
+            shuffled = rng.sample(X, r)
+            want = det(build_matrix(T, X))
+            for order in (X, X[::-1], shuffled):
+                got = minor_oracle(T, order)
+                assert got == want and str(got) == str(want)
+    m = 5
+    bits = word_bits_for(T, m)
+    table = minor_table(T, m, bits)
+    assert all(list(X) == sorted(X) for X in table)
+    # the reference: one walk in label order
+    maps, _ = minors._power_maps(T, T.vertices)
+    assert table == _sylvester(_packed_values(maps, m, bits), T.vertices, m)
+
+
 @settings(max_examples=150, deadline=None)
 @given(trees_and_subsets())
 # distances 0 and 1 over _den = 2: the exponents share the factor G = 2
@@ -252,13 +291,17 @@ def test_dp_matches_forest_sum_and_determinant(case):
     T, X = case
     got = minor_formula(T, X)
     assert got == forest_sum(T, X)
-    # the oracle walks the integer maps that det reads off build_matrix
+    # the oracle walks the integer maps that det reads off build_matrix,
+    # rows and columns both in central-first order: ascending distance sum,
+    # ties by position
     walked = []
     kernel = minors._kernel
     with mock.patch.object(minors, "_kernel", lambda m, size: walked.append(m) or kernel(m, size)):
         oracle = minor_oracle(T, X)
     a, den, scale, shift = _integer_rows(build_matrix(T, X))
-    assert walked == [a] and minors._power_maps(T, X) == (a, den)
+    order = sorted(range(len(X)), key=lambda i: (sum(T.dist(X[i], y) for y in X), i))
+    assert walked == [[[a[i][j] for j in order] for i in order]]
+    assert minors._power_maps(T, X) == (a, den)
     assert (scale, shift) == (1, 0)
     want = det(build_matrix(T, X))
     assert got == oracle == want

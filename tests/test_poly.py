@@ -12,7 +12,7 @@ from itertools import combinations, permutations
 from math import factorial, lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from treeminor.poly import (
     ExactPoly,
@@ -31,6 +31,7 @@ from treeminor.poly import (
     _sylvester,
     _word_bits,
     _zdiv,
+    _zmul,
 )
 from treeminor.cyclekernel import cycle_sums
 from treeminor.tree import random_tree
@@ -529,6 +530,60 @@ def test_bareiss_packed_and_maps_agree(m):
     assert _bareiss(packed) == d
     assert ExactPoly._make(den, scale, {k + shift: c for k, c in d.items()}) == det_permutation(m)
     assert det(m) == det_permutation(m)
+
+
+@st.composite
+def symmetric_bareiss_matrices(draw):
+    """Symmetric n <= 5 integer maps with exponents >= 0, dense, sparse or
+    constant.  Some diagonal entries are zero, and in some matrices
+    a_00 = 1 and a_11 = a_01^2, so the leading 2 x 2 minor vanishes: the
+    walk makes one symmetric step and then needs a row exchange."""
+    n = draw(st.integers(0, 5))
+    spread = draw(st.sampled_from([0, 1, 40]))
+    entry = st.dictionaries(st.integers(0, 3).map(lambda e: e * spread), st.integers(-3, 3), max_size=2)
+    m = [[{}] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = {k: c for k, c in draw(entry).items() if c}
+    for i in draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=n)):
+        m[i][i] = {}
+    if n > 2 and draw(st.booleans()):
+        m[0][0] = {0: 1}
+        m[1][1] = _zmul(m[0][1], m[0][1])
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_bareiss_matrices())
+# one symmetric step, then row 2 exchanged up for the zero pivot (1, 1)
+@example([[{0: 1}, {1: 1}, {0: 2}], [{1: 1}, {2: 1}, {3: 1}], [{0: 2}, {3: 1}, {1: -1}]])
+def test_symmetric_bareiss_matches_the_permutation_sum(m):
+    want = det_permutation(PolyMatrix([[ExactPoly._make(1, 1, p) for p in row] for row in m]))
+    for form in _both_forms(m, len(m)):
+        assert ExactPoly._make(1, 1, _bareiss(form)) == want
+
+
+def test_bareiss_steps_on_half_a_symmetric_matrix():
+    # (min(i, j) + 1) is symmetric and each of its leading minors is 1;
+    # raising its top right entry changes no pivot but breaks the symmetry
+    for n in range(2, 7):
+        symmetric = [[{0: min(i, j) + 1} for j in range(n)] for i in range(n)]
+        skewed = [list(row) for row in symmetric]
+        skewed[0][n - 1] = {0: 2}
+        for a, steps in (
+            (symmetric, sum(m * (m + 1) // 2 for m in range(1, n))),
+            (skewed, sum(m * m for m in range(1, n))),
+        ):
+            want = det_permutation(PolyMatrix([[ExactPoly._make(1, 1, p) for p in row] for row in a]))
+            for form in _both_forms(a, n):
+                calls = []
+
+                def step(*args, inner=form.step):
+                    calls.append(args)
+                    return inner(*args)
+
+                assert ExactPoly._make(1, 1, _bareiss(form._replace(step=step))) == want
+                assert len(calls) == steps
 
 
 @st.composite

@@ -10,10 +10,13 @@ same DP once over the whole tree for every vertex set up to a size; the
 determinant computed from the matrix itself serves as the independent
 oracle, and the exponential forest enumerator as a small-n one.
 minor_table gives every principal minor up to a size in one walk.  Both
-oracles read one matrix, the distance powers as integer maps built from
-the tree's integer distance rows (_power_maps), and run poly's walks on it
-directly, from the most central point out (_central_first); build_matrix is
-its PolyMatrix view.
+oracles read the tree's integer distance rows once, as one block ordered
+from the most central point out (_central_block), build integer maps from
+it and run poly's walks on them directly.  minor_table walks the distance
+powers (_power_maps; build_matrix is their PolyMatrix view), minor_oracle
+their Farris transform at the most central point r (_farris_maps):
+M_ij = u^{e_ij}, e_ij = (d(x_i, r) + d(x_j, r) - d_ij) / G, and
+det (t^{d_ij}) = t^{2 sum_i d(x_i, r)} det M(t^{-G}).
 
 The three tables a sweep compares (minor_table, minor_formula_table and
 minor_leading_table, the top terms read off root-path masks) hold ints:
@@ -33,6 +36,7 @@ from typing import Iterable, Sequence
 from .poly import (
     ExactPoly,
     PolyMatrix,
+    _FARRIS_DENSE_BITS,
     _bareiss,
     _kernel,
     _packed_values,
@@ -43,32 +47,52 @@ from .poly import (
 from .tree import Edge, Tree, edge_key
 
 
-def _power_maps(T: Tree, xs: Sequence[int]) -> tuple[list[list[dict[int, int]]], int]:
-    """(t^{d(x_i, x_j)}) over the listed vertices as integer maps {d: 1},
-    and the exponents' denominator: the tree's integer distances and _den,
+def _central_block(T: Tree, xs: Sequence[int]) -> tuple[list[int], list[list[int]], int]:
+    """(order, dist, _den): xs by ascending sum of their distances to the
+    others, ties by position, so the most central point comes first, and
+    their integer distance block in that order, from one read of the
+    tree's distances.  A simultaneous permutation of rows and columns
+    leaves every principal minor as it is; on tree distance matrices the
+    eliminations' intermediate minors come out shorter from this end than
+    in label order."""
+    dist, den = T._distance_ints(xs)
+    order = sorted(range(len(xs)), key=lambda i: sum(dist[i]))
+    return [xs[i] for i in order], [[dist[i][j] for j in order] for i in order], den
+
+
+def _power_maps(dist: list[list[int]], den: int) -> tuple[list[list[dict[int, int]]], int]:
+    """(t^{d_ij}) over a block of integer distances over den as integer
+    maps {d: 1}, and the exponents' denominator: the distances and den
     both divided by their gcd G.  That is the form poly.det reads off
     build_matrix, whose entries each reduce their own exponent.  Over all
     vertices G = 1: for each prime p of _den, the edge whose weight's
     denominator holds p's full power in _den has an integer weight, its
     endpoints' distance, prime to p."""
-    dist, den = T._distance_ints(xs)
     g = math.gcd(den, *itertools.chain.from_iterable(dist))
     return [[{d // g: 1} for d in row] for row in dist], den // g
 
 
-def _central_first(T: Tree, xs: Sequence[int]) -> list[int]:
-    """xs by ascending sum of their distances to the others, ties by
-    position: the most central point first.  A simultaneous permutation of
-    rows and columns leaves every principal minor as it is; on tree
-    distance matrices the eliminations' intermediate minors come out
-    shorter from this end than in label order."""
-    dist, _ = T._distance_ints(xs)
-    return [xs[i] for i in sorted(range(len(xs)), key=lambda i: sum(dist[i]))]
+def _farris_maps(dist: list[list[int]]) -> tuple[list[list[dict[int, int]]], int, int]:
+    """(maps, G, lift): the Farris transform of a distance block at its
+    first point r, M_ij = u^{e_ij} with e_ij = (d(i, r) + d(j, r) - d_ij) / G
+    and G the gcd of those sums, and lift = 2 sum_i d(i, r).
+
+    (t^{d_ij}) = D M(t^{-G}) D with D = diag(t^{d(i, r)}), so its
+    determinant is t^lift det M(t^{-G}).  On a tree each sum
+    d(i, r) + d(j, r) - d_ij is twice the length that the paths from i and
+    j to r share (twice their Gromov product at r), so G is even; M's row
+    and column of r are all 1, and its exponents are at most
+    2 max_i d(i, r) / G, no more than the largest distance.  The sums are
+    all 0 only on the one-point block, where G is taken as 1 and M = (1)."""
+    to_r = dist[0]
+    farris = [[to_r[i] + to_r[j] - d for j, d in enumerate(row)] for i, row in enumerate(dist)]
+    g = math.gcd(*itertools.chain.from_iterable(farris)) or 1
+    return [[{e // g: 1} for e in row] for row in farris], g, 2 * sum(to_r)
 
 
 def build_matrix(T: Tree, X: Sequence[int]) -> PolyMatrix:
     """The symmetric matrix (t^{d(x_i, x_j)}) over the listed vertices."""
-    maps, den = _power_maps(T, T.check_subset(X))
+    maps, den = _power_maps(*T._distance_ints(T.check_subset(X)))
     return PolyMatrix([[ExactPoly._make(den, 1, p) for p in row] for row in maps])
 
 
@@ -346,15 +370,21 @@ def minor_leading(T: Tree, X: Iterable[int]) -> tuple[Fraction, Fraction]:
 
 
 def minor_oracle(T: Tree, X: Sequence[int]) -> ExactPoly:
-    """Independent evaluation: determinant of the actual matrix, by
-    poly.det's Bareiss walk on the integer maps of build_matrix, rows and
-    columns both in central-first order (_central_first).  The matrix is
-    symmetric, so the walk computes half of each step's block."""
+    """Independent evaluation: the determinant of the actual matrix
+    (t^{d_ij}), by poly's Bareiss walk on the integer maps of its Farris
+    transform M at the most central point (_central_block, _farris_maps),
+    rows and columns both in central-first order, and
+    det (t^{d_ij}) = t^{2 sum_i d(x_i, r)} det M(t^{-G}).  The change of
+    variable is a diagonal congruence and shares no code with the formula;
+    M is symmetric, so the walk computes half of each step's block, and on
+    packed ints whenever M is dense at _FARRIS_DENSE_BITS."""
     xs = T.check_subset(X)
     if not xs:
         raise ValueError("X must be nonempty")
-    maps, den = _power_maps(T, _central_first(T, xs))
-    return ExactPoly._make(den, 1, _bareiss(_kernel(maps, len(maps))))
+    _, dist, den = _central_block(T, xs)
+    maps, g, lift = _farris_maps(dist)
+    det_m = _bareiss(_kernel(maps, len(maps), _FARRIS_DENSE_BITS))
+    return ExactPoly._make(den, 1, {lift - g * k: c for k, c in det_m.items()})
 
 
 def minor_table(T: Tree, max_size: int, bits: int) -> dict[tuple[int, ...], int]:
@@ -365,17 +395,18 @@ def minor_table(T: Tree, max_size: int, bits: int) -> dict[tuple[int, ...], int]
     Keys are the sets as sorted tuples, and each value packs
     minor_oracle(T, key); the table is listed in the walk's order, not in
     combinations order.  One Sylvester walk (poly._sylvester) over the
-    integer maps of the distance powers, its rows in central-first order
-    (_central_first), gives them all, each re-keyed to its sorted tuple;
-    it runs on packed ints when the distances are dense (unit weights),
-    and on the maps otherwise, each value packed once
+    integer maps of the distance powers (_power_maps), its rows in
+    central-first order (_central_block), gives them all, each re-keyed to
+    its sorted tuple; it runs on packed ints when the distances are dense
+    (unit weights), and on the maps otherwise, each value packed once
     (poly._packed_values); over all vertices the maps keep T._den.  The
     table is complete: a principal minor over distinct vertices is a
     nonzero polynomial (minor_leading gives its top term), so the walk
-    meets no zero pivot.  The maps are minor_oracle's (_power_maps).
+    meets no zero pivot.  It keeps the distance powers, not minor_oracle's
+    Farris transform: its packed ints are compared with the formula's.
     """
-    order = _central_first(T, T.vertices)
-    maps, _ = _power_maps(T, order)
+    order, dist, den = _central_block(T, T.vertices)
+    maps, _ = _power_maps(dist, den)
     table = _sylvester(_packed_values(maps, max_size, bits), order, max_size)
     return {tuple(sorted(key)): value for key, value in table.items()}
 

@@ -20,14 +20,16 @@ The two fraction-free walks of the oracle side, Bareiss elimination
 the Sylvester walk over principal minors (_sylvester), run on one of two
 integer forms of their matrix, chosen from the matrix alone (_kernel).
 The packed form evaluates each entry once at t = 2^B (Kronecker
-substitution) and runs the walk on Python ints; B puts
-2^(B - 1) above every coefficient of every minor the walk can form,
-bounded by the product of the rows' 1-norms and by r! times the product
-of their largest entries (r! on a matrix of monomials), and each value
-read is unpacked as signed base-2^B digits.  The map form runs the same
-walk on the dicts.  Packing is chosen when the exponents are >= 0 and
-dense: the largest one times B at most _DENSE_BITS (96) times the number
-of distinct exponents.  A caller that compares minors instead of reading
+substitution) and runs the walk on Python ints; B, a whole number of
+bytes, puts 2^(B - 1) above every coefficient of every minor the walk can
+form, bounded by the product of the rows' 1-norms and by r! times the
+product of their largest entries (r! on a matrix of monomials), and each
+value read is unpacked as signed base-2^B digits.  The map form runs the
+same walk on the dicts.  Packing is chosen when the exponents are >= 0
+and dense: the largest one times B at most a threshold times the number
+of distinct exponents, _DENSE_BITS (96) by default and _FARRIS_DENSE_BITS
+(900) for minors.minor_oracle's Bareiss walk on the Farris transform of a
+tree distance matrix.  A caller that compares minors instead of reading
 them asks for them packed at its own B (_packed_values): two such ints are
 equal exactly when their maps are, and _top_digit reads the top term off
 one.  A matrix of plain ints needs neither: the star
@@ -567,14 +569,22 @@ def _sylvester(form: _Form, labels: Sequence, max_size: int) -> dict[tuple, obje
 # distance matrices of trees, packing wins below about this many bits per
 # distinct exponent of the entries and loses above it.
 _DENSE_BITS = 96
+# The Bareiss walk on the Farris transform of a tree distance matrix
+# (minors.minor_oracle) packs up to this many bits per distinct exponent: its
+# exponents are small Gromov products and its first row and column are all
+# 1.  At whole-byte B the packed walk won on every measured rational leaf set
+# and subset (den 12, ratios up to 859, 2-14x) and lost on 9-leaf stars with
+# one edge 1/p from ratio 432 (p = 53, 1.9x) up; sparser matrices, such as
+# p = 997 (ratio 7,984) or den 2,310, stay on the maps.
+_FARRIS_DENSE_BITS = 900
 
 
-def _kernel(m: list[list[dict[int, int]]], size: int) -> _Form:
+def _kernel(m: list[list[dict[int, int]]], size: int, dense_bits: int = _DENSE_BITS) -> _Form:
     """The form for a walk over m's minors of at most `size` rows, chosen
-    from m alone: packed at B = `_word_bits` when m is dense at B
-    (`_dense`), the maps otherwise."""
+    from m alone: packed at B = `_word_bits` when m is dense at B for the
+    walk's threshold (`_dense`), the maps otherwise."""
     bits = _word_bits(m, size)
-    return _packed(m, bits) if _dense(m, bits) else _maps(m)
+    return _packed(m, bits) if _dense(m, bits, dense_bits) else _maps(m)
 
 
 def _packed_values(m: list[list[dict[int, int]]], size: int, bits: int) -> _Form:
@@ -592,12 +602,12 @@ def _packed_values(m: list[list[dict[int, int]]], size: int, bits: int) -> _Form
     return _maps(m)._replace(read=functools.partial(_pack, bits))
 
 
-def _dense(m: list[list[dict[int, int]]], bits: int) -> bool:
+def _dense(m: list[list[dict[int, int]]], bits: int, dense_bits: int = _DENSE_BITS) -> bool:
     """Whether packing m at bits pays: every exponent >= 0, and the largest
-    one times bits at most _DENSE_BITS times the number of distinct ones."""
+    one times bits at most dense_bits times the number of distinct ones."""
     exponents = {k for row in m for p in row for k in p}
     return min(exponents, default=0) >= 0 and (
-        max(exponents, default=0) * bits <= _DENSE_BITS * len(exponents)
+        max(exponents, default=0) * bits <= dense_bits * len(exponents)
     )
 
 
@@ -610,9 +620,7 @@ def _word_bits(m: list[list[dict[int, int]]], size: int) -> int:
     product of the `size` largest row 1-norms and size! times the product
     of the `size` largest row peaks (the largest 1-norm of one entry), each
     counted as at least 1; on a matrix of monomials t^(d_ij) it is size!.
-    B is rounded up to 8, 16, 32 or 64 bits, the words that `_unpack`
-    reads in one struct pass, and above 64 to whole bytes, which it reads
-    one slice a digit."""
+    B is rounded up to whole bytes (`_word_for`)."""
     size = min(size, len(m))
     norms = []
     peaks = []
@@ -626,10 +634,10 @@ def _word_bits(m: list[list[dict[int, int]]], size: int) -> int:
 
 
 def _word_for(bound: int) -> int:
-    """The least B among 8, 16, 32, 64 and the whole bytes above 64 with
-    2^(B - 1) > bound."""
-    bits = bound.bit_length() + 1
-    return next((w for w in _WORD_CODES if bits <= w), -(-bits // 8) * 8)
+    """The least whole number of bytes B, in bits, with 2^(B - 1) > bound:
+    8, 16, 24, ...  `_unpack` reads the widths 8, 16, 32 and 64 in one
+    struct pass and the others one slice a digit."""
+    return -(-(bound.bit_length() + 1) // 8) * 8
 
 
 def _packed(m: list[list[dict[int, int]]], bits: int) -> _Form:

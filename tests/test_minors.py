@@ -38,6 +38,7 @@ from treeminor.poly import (
     _unpack,
     _word_for,
     det,
+    det_permutation,
 )
 from treeminor.tree import Tree, random_tree
 
@@ -198,13 +199,13 @@ def test_minor_table_holds_every_small_subset_and_matches_the_oracle(case):
 
 def test_the_rational_example_walks_the_maps_form():
     for T, k in ((random_tree(8, seed=4, weights="rational"), 8), *((T, 5) for T in ORDER_TREES[1:])):
-        maps, _ = minors._power_maps(T, T.vertices)
+        maps, _ = minors._power_maps(*T._distance_ints(T.vertices))
         assert T._den == 12 and not _dense(maps, word_bits_for(T, k))
 
 
 def test_minor_table_refuses_too_few_bits():
     T = random_tree(9, seed=1)
-    assert word_bits_for(T, 9) == 32  # 9! = 362,880 needs 20 bits
+    assert word_bits_for(T, 9) == 24  # 9! = 362,880 needs 20 bits
     with pytest.raises(ValueError, match="16 bits do not hold the minors on 9 rows"):
         minor_table(T, 9, 16)
 
@@ -279,8 +280,83 @@ def test_the_oracles_do_not_depend_on_the_order_they_walk(T):
     table = minor_table(T, m, bits)
     assert all(list(X) == sorted(X) for X in table)
     # the reference: one walk in label order
-    maps, _ = minors._power_maps(T, T.vertices)
+    maps, _ = minors._power_maps(*T._distance_ints(T.vertices))
     assert table == _sylvester(_packed_values(maps, m, bits), T.vertices, m)
+
+
+@st.composite
+def oracle_cases(draw):
+    mode = draw(st.sampled_from(["unit", "rational", "half", "gapped"]))
+    n = draw(st.integers(2 if mode == "gapped" else 1, 9))
+    seed = draw(st.integers(0, 10 ** 6))
+    if mode == "half":
+        T = half_integer_tree(n, seed)
+    elif mode == "gapped":
+        T = gapped_tree(n, seed, "rational")
+    else:
+        T = random_tree(n, seed=seed, weights=mode)
+    X = draw(st.lists(st.sampled_from(T.vertices), min_size=1, max_size=n, unique=True))
+    return T, draw(st.permutations(X))
+
+
+@settings(max_examples=80, deadline=None)
+@given(oracle_cases())
+# |X| = 1 and 2, and a gapped rational tree in shuffled order
+@example((random_tree(6, seed=2, weights="rational"), [4]))
+@example((half_integer_tree(6, 3), [5, 2]))
+@example((gapped_tree(8, 1, "rational"), [21, 3, 12, 9, 24, 6]))
+def test_minor_oracle_matches_the_untransformed_walk_and_the_permutation_sum(case):
+    # the oracle eliminates the Farris transform; det walks (t^{d_ij}) as
+    # build_matrix gives it, and det_permutation sums its permutations
+    T, X = case
+    got = minor_oracle(T, X)
+    refs = [det(build_matrix(T, X))]
+    if len(X) <= 6:
+        refs.append(det_permutation(build_matrix(T, X)))
+    for want in refs:
+        assert got == want and str(got) == str(want)
+
+
+def test_the_oracle_packs_dense_farris_matrices_and_keeps_sparse_ones_on_the_maps():
+    # which form minor_oracle builds: packed ints (unit 1) or the maps
+    built = []
+
+    class Built(Exception):
+        pass
+
+    def record(form):
+        built.append(form.one)
+        raise Built  # the choice is all this test reads; no walk runs
+
+    def form_of(T, X):
+        with mock.patch.object(minors, "_bareiss", record), pytest.raises(Built):
+            minor_oracle(T, X)
+        return "packed" if built.pop() == 1 else "maps"
+
+    star = Tree([(0, 1, F(1, 997))] + [(0, i) for i in range(2, 10)])
+    rng = random.Random(0)
+    den2310 = Tree([(rng.randint(1, v - 1), v, F(rng.randint(1, 2310), 2310)) for v in range(2, 25)])
+    assert den2310._den == 2310
+    assert form_of(star, range(1, 10)) == form_of(den2310, den2310.leaves()) == "maps"
+    # a minor-large kind: 8 random vertices of an 18-vertex rational tree,
+    # 12 spanned edges over the denominator 12
+    T = random_tree(18, seed=1, weights="rational")
+    X = [2, 3, 5, 8, 9, 12, 13, 14]
+    assert len(T.spanned_subtree(X)[1]) == 12 and T._den == 12
+    rational30 = random_tree(30, seed=1, weights="rational")
+    assert len(rational30.leaves()) == 11
+    assert form_of(T, X) == form_of(rational30, rational30.leaves()) == "packed"
+
+
+def test_each_oracle_reads_its_distance_block_once(monkeypatch):
+    # the central-first order and the maps come from one read
+    T = random_tree(9, seed=3, weights="rational")
+    reads = []
+    read = Tree._distance_ints
+    monkeypatch.setattr(Tree, "_distance_ints", lambda self, order: reads.append(list(order)) or read(self, order))
+    minor_oracle(T, T.leaves())
+    minor_table(T, 3, 32)
+    assert reads == [list(T.leaves()), list(T.vertices)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -291,17 +367,23 @@ def test_dp_matches_forest_sum_and_determinant(case):
     T, X = case
     got = minor_formula(T, X)
     assert got == forest_sum(T, X)
-    # the oracle walks the integer maps that det reads off build_matrix,
-    # rows and columns both in central-first order: ascending distance sum,
-    # ties by position
+    # the oracle walks the Farris transform of the distance powers at the
+    # most central point r, rows and columns both in central-first order
+    # (ascending distance sum, ties by position): u^{e_ij} with
+    # e_ij = (d(x_i, r) + d(x_j, r) - d_ij) / G, G the gcd of those sums
     walked = []
     kernel = minors._kernel
-    with mock.patch.object(minors, "_kernel", lambda m, size: walked.append(m) or kernel(m, size)):
+    with mock.patch.object(minors, "_kernel", lambda m, *args: walked.append(m) or kernel(m, *args)):
         oracle = minor_oracle(T, X)
+    order = sorted(X, key=lambda x: sum(T.dist(x, y) for y in X))
+    r = order[0]
+    sums = [[(T.dist(x, r) + T.dist(y, r) - T.dist(x, y)) * T._den for y in order] for x in order]
+    assert all(e.denominator == 1 and e % 2 == 0 for row in sums for e in row)  # twice a Gromov product
+    G = math.gcd(*(int(e) for row in sums for e in row)) or 1
+    assert walked == [[[{int(e) // G: 1} for e in row] for row in sums]]
+    # build_matrix is the view of the untransformed maps that det reads
     a, den, scale, shift = _integer_rows(build_matrix(T, X))
-    order = sorted(range(len(X)), key=lambda i: (sum(T.dist(X[i], y) for y in X), i))
-    assert walked == [[[a[i][j] for j in order] for i in order]]
-    assert minors._power_maps(T, X) == (a, den)
+    assert minors._power_maps(*T._distance_ints(X)) == (a, den)
     assert (scale, shift) == (1, 0)
     want = det(build_matrix(T, X))
     assert got == oracle == want

@@ -27,8 +27,11 @@ from treeminor.poly import (
     _istep,
     _kernel,
     _maps,
+    _pack,
     _packed,
     _sylvester,
+    _top_digit,
+    _unpack,
     _word_bits,
     _zdiv,
     _zmul,
@@ -632,12 +635,41 @@ def test_packing_holds_a_coefficient_at_the_bound():
         assert _bareiss(maps) == _bareiss(packed) == want
     # entries whose 1-norm is 2^(B - 1) - 1 fit in B bits, with digits of
     # either sign; a 1-norm of 2^(B - 1) moves to the next word size
-    for bits in (8, 16, 32, 64, 72, 96):
+    for bits in (8, 16, 24, 32, 40, 64, 72, 96):
         top, half = 2 ** (bits - 1) - 1, 2 ** (bits - 2)
         for entry in ({3: top}, {3: -top}, {0: half, 2: 2 - half, 5: 1}, {0: -half, 2: half - 2, 5: -1}):
             assert _word_bits([[entry]], 1) == bits
             assert _bareiss(_both_forms([[entry]], 1)[1]) == entry
         assert _word_bits([[{1: top + 1}]], 1) > bits
+
+
+@st.composite
+def signed_digit_maps(draw):
+    """(B, p): a map of signed base-2^B digits at a width that struct does
+    not read, with negative digits side by side and, often, a top +-1 just
+    above a borrow or a carry."""
+    bits = draw(st.sampled_from((24, 40, 48, 56)))
+    big = 2 ** (bits - 1) - 1
+    digit = st.one_of(st.integers(-big, big), st.sampled_from((-big, -1, 1, big)))
+    low = draw(st.lists(digit, max_size=8))
+    top = draw(st.one_of(st.sampled_from((1, -1)), digit.filter(bool)))
+    return bits, {k: c for k, c in enumerate(low + [top]) if c}
+
+
+@settings(max_examples=200, deadline=None)
+@given(signed_digit_maps())
+@example((24, {0: -5, 1: -7, 2: 1}))  # a top 1 above two negative digits
+@example((40, {1: 2 ** 39 - 1, 2: 5, 3: -1}))  # a top -1 above a carry
+@example((48, {0: -(2 ** 47 - 1), 1: -(2 ** 47 - 1)}))
+@example((56, {4: -1}))
+def test_pack_unpack_and_top_digit_at_whole_byte_widths(case):
+    bits, p = case
+    value = _pack(bits, p)
+    assert _unpack(bits, value) == p
+    top = max(p)
+    assert _top_digit(bits, value) == (top, p[top])
+    # one byte wider: 32 and 64 go through struct, 48 and 56 by slices
+    assert _unpack(bits + 8, _pack(bits + 8, p)) == p
 
 
 def test_empty_and_one_by_one_in_both_forms():

@@ -114,10 +114,6 @@ class QRad:
             return c, d
         return Fraction(0), 1
 
-    def components(self):
-        """The (d, c) pairs of self = sum c sqrt(d), every c nonzero."""
-        return self._terms.items()
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 

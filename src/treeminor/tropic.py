@@ -11,22 +11,23 @@ conservatively, so a leading term you can read off is certified; when a
 sign or valuation would depend on dropped terms the operation raises
 PrecisionError instead of guessing.
 
-Coefficients are rationals, or sums c_d sqrt(d) over squarefree radicands
-d where square roots force them to be irrational (Cholesky pivots).  A
-series is stored as what its arithmetic runs on: one integer map
-{k: n} per radicand d, standing for sum_d sqrt(d) sum_k n/den t^(k/ram),
-with the ramification ram and the coefficient denominator den both kept
-minimal, so equal series are structurally equal (the format of
-poly.ExactPoly, split by radicand).  A sum adds the maps of each radicand
-with poly._zadd.  A product convolves the maps per pair of radicands
-(sqrt(a) sqrt(b) = g sqrt(ab/g^2), g = gcd(a, b)) and never forms a pair
-of terms whose exponents sum to the product's cutoff or below.  A Fraction
-or QRad coefficient is built only where one is read (terms, leading,
-sign).  Division and square roots work down to what the operand's own
-cutoff supports: the inverse of a rational series runs the integer
-recurrence of 1/(1 + u), square roots and the inverse of a radical series
-expand one binomial series; an exact non-monomial gives no stopping
-point, so it must be truncated first.
+Coefficients are rationals, or rationals times sqrt(d) for one squarefree
+radicand d where a square root forces them to be irrational (a column of
+a Cholesky factor).  A series is stored as what its arithmetic runs on:
+one integer map {k: n} and one radicand d, standing for
+sqrt(d) sum_k n/den t^(k/ram), with the ramification ram and the
+coefficient denominator den both kept minimal and d = 1 for a rational
+series, so equal series are structurally equal (the format of
+poly.ExactPoly, times sqrt(d)).  A sum adds the maps with poly._zadd, and
+series over two different radicands do not add.  A product convolves the
+maps once (sqrt(a) sqrt(b) = g sqrt(ab/g^2), g = gcd(a, b)) and never
+forms a pair of terms whose exponents sum to the product's cutoff or
+below.  A Fraction or QRad coefficient is built only where one is read
+(terms, leading).  Division and square roots work down to what the
+operand's own cutoff supports: the inverse runs the integer recurrence of
+1/(1 + u) on the map (1/sqrt(d) = sqrt(d)/d), and the square root of a
+rational series expands one binomial series; an exact non-monomial gives
+no stopping point, so it must be truncated first.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .poly import ExactPoly, _as_fraction, _zadd
-from .radicals import QRad, exact_sign
+from .poly import _canonical as _poly_canonical
+from .radicals import QRad
 
 
 class PrecisionError(ArithmeticError):
@@ -46,19 +48,6 @@ class PrecisionError(ArithmeticError):
 Coeff = Fraction | QRad
 
 
-def _coeff_inv(c: Coeff) -> Coeff:
-    if isinstance(c, QRad):
-        return c.inverse()
-    return 1 / c
-
-
-def _coeff_sqrt(c: Coeff) -> QRad:
-    # a series builds a QRad coefficient only where it is irrational
-    if isinstance(c, QRad):
-        raise ArithmeticError(f"nested radical: sqrt of {c}")
-    return QRad.sqrt_of(c)
-
-
 def _floor_key(cutoff: Fraction, ram: int) -> int:
     """The largest exponent key k with k/ram <= cutoff: a term survives the
     cutoff exactly when its key is above this."""
@@ -66,64 +55,61 @@ def _floor_key(cutoff: Fraction, ram: int) -> int:
 
 
 def _canonical(
-    ram: int, den: int, parts: dict[int, dict[int, int]], cutoff: Fraction | None
-) -> tuple[int, int, dict[int, dict[int, int]]]:
-    """(ram, den, parts) without zero values, keys at or below the cutoff
-    and empty maps, divided through by gcd(ram, *keys) and gcd(den,
-    *values); ram = den = 1 when nothing is left."""
+    ram: int, den: int, rad: int, terms: dict[int, int], cutoff: Fraction | None
+) -> tuple[int, int, int, dict[int, int]]:
+    """(ram, den, rad, terms) without zero values or keys at or below the
+    cutoff, reduced by poly._canonical; rad = 1 when no term is left."""
     kmin = None if cutoff is None else _floor_key(cutoff, ram)
-    clean = {}
-    g, h = ram, den
-    for d, m in parts.items():
-        m = {k: v for k, v in m.items() if v and (kmin is None or k > kmin)}
-        if m:
-            clean[d] = m
-            g = gcd(g, *m)
-            h = gcd(h, *m.values())
-    if not clean:
-        return 1, 1, clean
-    if g > 1 or h > 1:
-        clean = {d: {k // g: v // h for k, v in m.items()} for d, m in clean.items()}
-    return ram // g, den // h, clean
+    terms = {k: v for k, v in terms.items() if v and (kmin is None or k > kmin)}
+    ram, den, terms = _poly_canonical(ram, den, terms)
+    return ram, den, rad if terms else 1, terms
 
 
 class PuiseuxTrunc:
     """A truncated (or exact) Puiseux series, highest exponents first.
 
-    Stored as (ram, den, parts, cutoff): parts maps each squarefree
-    radicand d to {k: n}, nonzero ints, for the known terms
-    n/den sqrt(d) t^(k/ram), all above the cutoff; gcd(ram, *keys) =
-    gcd(den, *values) = 1, and ram = den = 1 without known terms.
+    Stored as (ram, den, rad, terms, cutoff): terms maps keys k to nonzero
+    ints n for the known terms n/den sqrt(rad) t^(k/ram), all above the
+    cutoff, rad one squarefree radicand; gcd(ram, *keys) = gcd(den,
+    *values) = 1, and ram = den = rad = 1 without known terms.
     """
 
-    __slots__ = ("_ram", "_den", "_parts", "_cutoff")
+    __slots__ = ("_ram", "_den", "_rad", "_terms", "_cutoff")
 
     def __init__(self, ram: int, terms: dict[int, Coeff], cutoff: Fraction | None = None):
         if ram < 1:
             raise ValueError("ramification index must be positive")
-        comps = {}
+        coeffs: dict[int, Fraction] = {}
+        rad = 1
         for k, c in terms.items():
             ki = int(k)
             if ki != k:
                 raise ValueError(f"exponent key {k} is not an integer")
-            comps[ki] = c.components() if isinstance(c, QRad) else ((1, _as_fraction(c)),)
-        den = lcm(1, *(q.denominator for cs in comps.values() for _, q in cs))
-        parts: dict[int, dict[int, int]] = {}
-        for k, cs in comps.items():
-            for d, q in cs:
-                parts.setdefault(d, {})[k] = q.numerator * (den // q.denominator)
+            if isinstance(c, QRad):
+                mono = c.monomial()
+                if mono is None:
+                    raise ValueError(f"coefficient {c} is a sum over several radicands")
+                q, d = mono
+            else:
+                q, d = _as_fraction(c), 1
+            if q:
+                if coeffs and d != rad:
+                    raise ValueError(f"terms over two radicands, {rad} and {d}")
+                coeffs[ki], rad = q, d
+        den = lcm(1, *(q.denominator for q in coeffs.values()))
+        ints = {k: q.numerator * (den // q.denominator) for k, q in coeffs.items()}
         cutoff = None if cutoff is None else Fraction(cutoff)
-        self._ram, self._den, self._parts = _canonical(ram, den, parts, cutoff)
+        self._ram, self._den, self._rad, self._terms = _canonical(ram, den, rad, ints, cutoff)
         self._cutoff = cutoff
 
     @staticmethod
     def _make(
-        ram: int, den: int, parts: dict[int, dict[int, int]], cutoff: Fraction | None
+        ram: int, den: int, rad: int, terms: dict[int, int], cutoff: Fraction | None
     ) -> "PuiseuxTrunc":
-        """sum_d sqrt(d) sum_k parts[d][k]/den t^(k/ram) + O(t^cutoff); the
-        canonical form is taken here and parts is never mutated."""
+        """sqrt(rad) sum_k terms[k]/den t^(k/ram) + O(t^cutoff); the
+        canonical form is taken here and terms is never mutated."""
         s = object.__new__(PuiseuxTrunc)
-        s._ram, s._den, s._parts = _canonical(ram, den, parts, cutoff)
+        s._ram, s._den, s._rad, s._terms = _canonical(ram, den, rad, terms, cutoff)
         s._cutoff = cutoff
         return s
 
@@ -131,7 +117,7 @@ class PuiseuxTrunc:
 
     @staticmethod
     def zero() -> "PuiseuxTrunc":
-        return PuiseuxTrunc._make(1, 1, {}, None)
+        return PuiseuxTrunc._make(1, 1, 1, {}, None)
 
     @staticmethod
     def constant(c) -> "PuiseuxTrunc":
@@ -149,7 +135,7 @@ class PuiseuxTrunc:
 
     @staticmethod
     def from_poly(p: ExactPoly) -> "PuiseuxTrunc":
-        return PuiseuxTrunc._make(p._den, p._cden, {1: p._terms}, None)
+        return PuiseuxTrunc._make(p._den, p._cden, 1, p._terms, None)
 
     # -- inspection ------------------------------------------------------------
 
@@ -159,21 +145,32 @@ class PuiseuxTrunc:
 
     def _top(self) -> int | None:
         """The largest key of a known term; None without known terms."""
-        return max(map(max, self._parts.values()), default=None)
+        return max(self._terms, default=None)
+
+    def _lead_key(self) -> int:
+        """The key of the certified leading term.  Raises PrecisionError on
+        a truncated zero and ValueError on an exact zero."""
+        if self._terms:
+            return max(self._terms)
+        if self._cutoff is None:
+            raise ValueError("exact zero has no leading term")
+        raise PrecisionError(
+            f"insufficient precision: only O(t^{self._cutoff}) is known"
+        )
 
     def _coeff(self, k: int) -> Coeff:
-        """The coefficient at key k: a Fraction unless an irrational
-        radicand has a term there."""
-        comps = {d: Fraction(m[k], self._den) for d, m in self._parts.items() if k in m}
-        return comps[1] if comps.keys() == {1} else QRad(comps, _raw=True)
+        """The coefficient at key k: a Fraction unless the radicand is
+        irrational."""
+        q = Fraction(self._terms[k], self._den)
+        return q if self._rad == 1 else QRad({self._rad: q}, _raw=True)
 
     def terms(self) -> list[tuple[Fraction, Coeff]]:
         """Known terms, highest exponent first."""
-        keys = set().union(*self._parts.values())
-        return [(Fraction(k, self._ram), self._coeff(k)) for k in sorted(keys, reverse=True)]
+        keys = sorted(self._terms, reverse=True)
+        return [(Fraction(k, self._ram), self._coeff(k)) for k in keys]
 
     def is_exact_zero(self) -> bool:
-        return not self._parts and self._cutoff is None
+        return not self._terms and self._cutoff is None
 
     def leading(self) -> tuple[Fraction, Coeff]:
         """Certified leading (exponent, coefficient).
@@ -181,14 +178,8 @@ class PuiseuxTrunc:
         Raises PrecisionError on a truncated zero and ValueError on an
         exact zero.
         """
-        k = self._top()
-        if k is not None:
-            return Fraction(k, self._ram), self._coeff(k)
-        if self._cutoff is None:
-            raise ValueError("exact zero has no leading term")
-        raise PrecisionError(
-            f"insufficient precision: only O(t^{self._cutoff}) is known"
-        )
+        k = self._lead_key()
+        return Fraction(k, self._ram), self._coeff(k)
 
     def valuation(self) -> Fraction | None:
         """Leading exponent; None for an exact zero; PrecisionError when the
@@ -207,18 +198,21 @@ class PuiseuxTrunc:
         return max(cands) if cands else None
 
     def sign(self) -> int:
-        """Sign for t -> infinity.  Exact zero gives 0; a truncated zero
+        """Sign for t -> infinity, the sign of the lead numerator (den and
+        sqrt(rad) are positive).  Exact zero gives 0; a truncated zero
         raises PrecisionError rather than guessing."""
-        return 0 if self.is_exact_zero() else exact_sign(self.leading()[1])
+        if self.is_exact_zero():
+            return 0
+        return 1 if self._terms[self._lead_key()] > 0 else -1
 
     # -- arithmetic --------------------------------------------------------------
 
-    def _over(self, ram: int, den: int) -> dict[int, dict[int, int]]:
-        """The parts over multiples ram and den of the stored denominators."""
+    def _over(self, ram: int, den: int) -> dict[int, int]:
+        """The terms over multiples ram and den of the stored denominators."""
         fe, fc = ram // self._ram, den // self._den
         if fe == fc == 1:
-            return self._parts
-        return {d: {k * fe: v * fc for k, v in m.items()} for d, m in self._parts.items()}
+            return self._terms
+        return {k * fe: v * fc for k, v in self._terms.items()}
 
     @staticmethod
     def _coerce(x) -> "PuiseuxTrunc | None":
@@ -234,22 +228,19 @@ class PuiseuxTrunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if self._terms and o._terms and self._rad != o._rad:
+            raise ValueError(f"adding series over two radicands, {self._rad} and {o._rad}")
         ram, den = lcm(self._ram, o._ram), lcm(self._den, o._den)
-        parts = dict(self._over(ram, den))
-        for d, m in o._over(ram, den).items():
-            parts[d] = _zadd(parts[d], m) if d in parts else m
+        terms = _zadd(self._over(ram, den), o._over(ram, den))
+        rad = self._rad if self._terms else o._rad
         cuts = [c for c in (self._cutoff, o._cutoff) if c is not None]
-        return PuiseuxTrunc._make(ram, den, parts, max(cuts) if cuts else None)
+        return PuiseuxTrunc._make(ram, den, rad, terms, max(cuts) if cuts else None)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PuiseuxTrunc._make(
-            self._ram,
-            self._den,
-            {d: {k: -v for k, v in m.items()} for d, m in self._parts.items()},
-            self._cutoff,
-        )
+        negated = {k: -v for k, v in self._terms.items()}
+        return PuiseuxTrunc._make(self._ram, self._den, self._rad, negated, self._cutoff)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -278,37 +269,32 @@ class PuiseuxTrunc:
         cutoff = max(cuts) if cuts else None
         r = lcm(self._ram, o._ram)
         fa, fb = r // self._ram, r // o._ram
-        if cutoff is None:  # both exact and nonzero: every pair is kept
-            low_a, low_b = (min(map(min, s._parts.values())) for s in (self, o))
-            kmin = low_a * fa + low_b * fb - 1
-        else:
-            kmin = _floor_key(cutoff, r)
-        # integer convolution per pair of radicands, sqrt(da) sqrt(db) =
-        # g sqrt(da db / g^2), each map's terms in descending exponent order;
-        # pairs at or below the cutoff are never formed
-        pb = {
-            db: [(k * fb, v) for k, v in sorted(mb.items(), reverse=True)]
-            for db, mb in o._parts.items()
-        }
-        out: dict[int, dict[int, int]] = {}
-        for da, ma in self._parts.items():
-            qa = [(k * fa, v) for k, v in sorted(ma.items(), reverse=True)]
-            for db, qb in pb.items():
-                g = gcd(da, db)
-                acc = out.setdefault(da // g * (db // g), {})
-                get = acc.get
-                top_b = qb[0][0]
-                for ka, va in qa:
-                    floor_b = kmin - ka
-                    if top_b <= floor_b:
+        g = gcd(self._rad, o._rad)
+        out: dict[int, int] = {}
+        if top_a is not None and top_b is not None:
+            if cutoff is None:  # both exact: every pair is kept
+                kmin = min(self._terms) * fa + min(o._terms) * fb - 1
+            else:
+                kmin = _floor_key(cutoff, r)
+            # one integer convolution, sqrt(ra) sqrt(rb) = g sqrt(ra rb /
+            # g^2), each map's terms in descending exponent order; pairs at
+            # or below the cutoff are never formed
+            qb = [(k * fb, v) for k, v in sorted(o._terms.items(), reverse=True)]
+            high_b = top_b * fb
+            get = out.get
+            for ka, va in sorted(self._terms.items(), reverse=True):
+                ka *= fa
+                floor_b = kmin - ka
+                if high_b <= floor_b:
+                    break
+                va *= g
+                for kb, vb in qb:
+                    if kb <= floor_b:
                         break
-                    va *= g
-                    for kb, vb in qb:
-                        if kb <= floor_b:
-                            break
-                        k = ka + kb
-                        acc[k] = get(k, 0) + va * vb
-        return PuiseuxTrunc._make(r, self._den * o._den, out, cutoff)
+                    k = ka + kb
+                    out[k] = get(k, 0) + va * vb
+        rad = self._rad // g * (o._rad // g)
+        return PuiseuxTrunc._make(r, self._den * o._den, rad, out, cutoff)
 
     __rmul__ = __mul__
 
@@ -320,10 +306,7 @@ class PuiseuxTrunc:
         cutoff = Fraction(cutoff)
         if self._cutoff is not None:
             cutoff = max(cutoff, self._cutoff)
-        return PuiseuxTrunc._make(self._ram, self._den, self._parts, cutoff)
-
-    def _monomial(self) -> bool:
-        return self._cutoff is None and len(set().union(*self._parts.values())) == 1
+        return PuiseuxTrunc._make(self._ram, self._den, self._rad, self._terms, cutoff)
 
     def _binomial(self, alpha: Fraction, head: "PuiseuxTrunc") -> "PuiseuxTrunc":
         """self^alpha for a truncated self, alpha = -1 or 1/2, with head the
@@ -333,7 +316,7 @@ class PuiseuxTrunc:
         exponent), which is what self's precision supports."""
         lead_e, lead_c = self.leading()
         target = self._cutoff + (alpha - 1) * lead_e
-        u = self * PuiseuxTrunc.t_power(-lead_e, _coeff_inv(lead_c)) - 1
+        u = self * PuiseuxTrunc.t_power(-lead_e, 1 / lead_c) - 1
         total = acc = PuiseuxTrunc.constant(1)
         coeff = Fraction(1)
         j = 0
@@ -349,33 +332,23 @@ class PuiseuxTrunc:
 
     def inverse(self) -> "PuiseuxTrunc":
         """1/self, down to what self's precision supports: its cutoff minus
-        twice its leading exponent; by the recurrence of 1/(1 + u) when the
-        coefficients are rational, else by the geometric series.  An exact
+        twice its leading exponent (exact for an exact monomial).  An exact
         non-monomial must be truncated first.
-        """
-        lead_e, lead_c = self.leading()  # certifies a nonzero lead
-        mono = PuiseuxTrunc.t_power(-lead_e, _coeff_inv(lead_c))
-        if self._monomial():
-            return mono
-        if self._cutoff is None:
-            raise ValueError("inverting an exact non-monomial: truncate it first")
-        if self._parts.keys() == {1}:
-            return self._rational_inverse()
-        return self._binomial(Fraction(-1), mono)
 
-    def _rational_inverse(self) -> "PuiseuxTrunc":
-        """inverse() of a truncated series with rational coefficients, by
-        the recurrence of 1/(1 + u) instead of powers of u.  With s =
-        t^(-1/ram), top the lead key and p its value, self = (p/den)
+        By the recurrence of 1/(1 + u) instead of powers of u: with s =
+        t^(-1/ram), top the lead key and p its value, self = sqrt(rad) (p/den)
         t^(top/ram) sum_m a_m s^m with a_m = n_(top-m)/p, and the inverse is
-        (den/p) t^(-top/ram) sum_m b_m s^m, b_0 = 1, b_m = -sum_i a_i
-        b_(m-i).  The integers c_m = b_m p^m follow c_m = -sum_i n_(top-i)
-        p^(i-1) c_(m-i); m runs while the term stays above the cutoff of
-        the binomial expansion, cutoff - 2 top/ram."""
-        ram, terms = self._ram, self._parts[1]
-        top = max(terms)
+        sqrt(rad) (den/(p rad)) t^(-top/ram) sum_m b_m s^m, b_0 = 1, b_m =
+        -sum_i a_i b_(m-i).  The integers c_m = b_m p^m follow c_m = -sum_i
+        n_(top-i) p^(i-1) c_(m-i); m runs while the term stays above the
+        cutoff of the binomial expansion, cutoff - 2 top/ram.
+        """
+        top = self._lead_key()  # certifies a nonzero lead
+        if self._cutoff is None and len(self._terms) > 1:
+            raise ValueError("inverting an exact non-monomial: truncate it first")
+        ram, terms = self._ram, self._terms
         p = terms[top]
-        last = top - _floor_key(self._cutoff, ram) - 1
+        last = 0 if self._cutoff is None else top - _floor_key(self._cutoff, ram) - 1
         weights = sorted((top - k, v * p ** (top - k - 1)) for k, v in terms.items() if k != top)
         c = [1]
         for m in range(1, last + 1):
@@ -383,9 +356,8 @@ class PuiseuxTrunc:
         scale = p ** (last + 1)
         sign = 1 if scale > 0 else -1
         vals = {-top - m: sign * self._den * cm * p ** (last - m) for m, cm in enumerate(c)}
-        return PuiseuxTrunc._make(
-            ram, abs(scale), {1: vals}, self._cutoff - 2 * Fraction(top, ram)
-        )
+        cutoff = None if self._cutoff is None else self._cutoff - 2 * Fraction(top, ram)
+        return PuiseuxTrunc._make(ram, abs(scale) * self._rad, self._rad, vals, cutoff)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -398,16 +370,18 @@ class PuiseuxTrunc:
     def sqrt(self) -> "PuiseuxTrunc":
         """Square root via the binomial series, down to self's cutoff minus
         half its leading exponent; an exact non-monomial must be truncated
-        first.  The leading coefficient must be positive (rational or
-        already a resolved radical); ramification doubles when the leading
-        exponent is odd over the current one."""
+        first.  self must be rational (a radical series raises: the root
+        would nest) with a positive leading coefficient; ramification
+        doubles when the leading exponent is odd over the current one."""
         if self.is_exact_zero():
             return self
+        if self._rad != 1:
+            raise ArithmeticError(f"nested radical: sqrt of {self}")
         lead_e, lead_c = self.leading()
-        if exact_sign(lead_c) < 0:
+        if lead_c < 0:
             raise ArithmeticError(f"sqrt of a series with negative lead {lead_c}")
-        root = PuiseuxTrunc.t_power(lead_e / 2, _coeff_sqrt(lead_c))
-        if self._monomial():
+        root = PuiseuxTrunc.t_power(lead_e / 2, QRad.sqrt_of(lead_c))
+        if self._cutoff is None and len(self._terms) == 1:
             return root
         if self._cutoff is None:
             raise ValueError("sqrt of an exact non-monomial: truncate it first")
@@ -444,19 +418,20 @@ class PuiseuxTrunc:
         return (
             self._ram == o._ram
             and self._den == o._den
-            and self._parts == o._parts
+            and self._rad == o._rad
+            and self._terms == o._terms
             and self._cutoff == o._cutoff
         )
 
     def __hash__(self):
         # an exact series must hash like the scalar or ExactPoly it equals
         if self._cutoff is None:
-            if self._parts.keys() <= {1}:
-                return hash(ExactPoly._make(self._ram, self._den, self._parts.get(1, {})))
-            if all(m.keys() == {0} for m in self._parts.values()):
+            if self._rad == 1:
+                return hash(ExactPoly._make(self._ram, self._den, self._terms))
+            if self._terms.keys() == {0}:
                 return hash(self._coeff(0))
-        parts = frozenset((d, frozenset(m.items())) for d, m in self._parts.items())
-        return hash((self._ram, self._den, parts, self._cutoff))
+        terms = frozenset(self._terms.items())
+        return hash((self._ram, self._den, self._rad, terms, self._cutoff))
 
     # -- rendering -------------------------------------------------------------
 
@@ -531,11 +506,16 @@ def _symmetric_grid(
 ) -> list[list[PuiseuxTrunc]]:
     """The square symmetric grid m as series, every entry truncated to (max
     leading exponent) - window, or left exact when window is None.  An
-    asymmetric m raises ValueError before any work."""
+    asymmetric m, or an entry over an irrational radicand, raises
+    ValueError before any work."""
     n = len(m)
     grid = [[PuiseuxTrunc._coerce(x) for x in row] for row in m]
     if any(len(row) != n or any(x is None for x in row) for row in grid):
         raise ValueError("need a square grid of series or polynomials")
+    for i in range(n):
+        for j in range(n):
+            if grid[i][j]._rad != 1:
+                raise ValueError(f"entry ({i},{j}) is not rational: {grid[i][j]}")
     for i in range(n):
         for j in range(i + 1, n):
             if grid[i][j] != grid[j][i]:
@@ -567,7 +547,9 @@ def cholesky(
     window: Fraction | None = None,
 ) -> list[list[PuiseuxTrunc]]:
     """Lower-triangular L with L L^T = m, over truncated series; m is a
-    square grid of polynomials or series (a PolyMatrix passes its entries).
+    square grid of polynomials or rational series (a PolyMatrix passes its
+    entries).  Column j of L is sqrt(d_j) times a rational series, so every
+    sum here runs over one radicand.
 
     `window` fixes the working precision: every entry is truncated to
     (max leading exponent) - window before elimination.  With window=None

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from treeminor.matroid import default_window, rooted_matrix
-from treeminor.poly import ExactPoly, PolyMatrix
+from treeminor.matroid import _rooted_maps, default_window, rooted_matrix
+from treeminor.poly import ExactPoly, PolyMatrix, _kernel, _sylvester
 from treeminor.radicals import QRad
 from treeminor.tree import Tree, random_tree
 from treeminor.tropic import PrecisionError, PuiseuxTrunc, cholesky, ldl, series_det
@@ -198,6 +198,10 @@ def test_series_sqrt_irrational_lead():
     assert "sqrt(6)" in str(r)
     with pytest.raises(ArithmeticError):
         PuiseuxTrunc.from_terms([(F(2), F(-1))]).sqrt()
+    # the root of a radical series would nest, exact or truncated
+    for radical in (r, PuiseuxTrunc.t_power(2, QRad.sqrt_of(2))):
+        with pytest.raises(ArithmeticError, match="nested radical"):
+            radical.sqrt()
 
 
 @st.composite
@@ -261,20 +265,23 @@ fractions = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
 
 
 @st.composite
-def coefficients(draw):
-    """A Fraction or a QRad over the radicands, zero included."""
-    if draw(st.booleans()):
+def coefficients(draw, radicand=None):
+    """A rational c as a Fraction or a QRad, or c sqrt(d) for one of the
+    radicands d (the given one, if any), zero included."""
+    d = draw(st.sampled_from(RADICANDS)) if radicand is None else radicand
+    if d == 1 and draw(st.booleans()):
         return draw(fractions)
-    ds = draw(st.lists(st.sampled_from(RADICANDS), min_size=1, max_size=3, unique=True))
-    return QRad({d: draw(fractions) for d in ds})
+    return QRad({d: draw(fractions)})
 
 
 @st.composite
-def series(draw):
-    """Exact zeros, truncated zeros, exact series and truncated series."""
+def series(draw, radicand=None):
+    """Exact zeros, truncated zeros, exact series and truncated series, each
+    over one radicand (the given one, if any)."""
     ram = draw(st.sampled_from((1, 2, 3, 6)))
+    d = draw(st.sampled_from(RADICANDS)) if radicand is None else radicand
     keys = draw(st.lists(st.integers(-12, 12), max_size=6, unique=True))
-    terms = {k: draw(coefficients()) for k in keys}
+    terms = {k: draw(coefficients(d)) for k in keys}
     cutoff = draw(
         st.none() | st.builds(F, st.integers(-30, 15), st.sampled_from((1, 2, 3, 4, 6)))
     )
@@ -327,8 +334,16 @@ def naive_add(a: PuiseuxTrunc, b: PuiseuxTrunc) -> PuiseuxTrunc:
 
 
 @settings(max_examples=150, deadline=None)
-@given(series(), series())
-def test_series_add_matches_the_termwise_sum(a, b):
+@given(st.data())
+def test_series_add_matches_the_termwise_sum(data):
+    a = data.draw(series())
+    b = data.draw(series(a._rad) | series())
+    if a.terms() and b.terms() and a._rad != b._rad:
+        # a series holds one radicand, so such a sum has no representation
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match="two radicands"):
+                x + y
+        return
     want = naive_add(a, b)
     for got in (a + b, b + a):
         assert got == want
@@ -378,40 +393,66 @@ def test_series_inverse_of_a_radical_series(s):
 
 
 @st.composite
-def truncated_rational_series(draw):
-    """A truncated series with rational coefficients and at least two
-    known terms, so inverse() expands it."""
+def truncated_series(draw):
+    """A truncated series, rational or over one irrational radicand, with
+    at least two known terms, so inverse() expands it."""
     ram = draw(st.sampled_from((1, 2, 3, 6)))
+    d = draw(st.sampled_from(RADICANDS))
     keys = draw(st.lists(st.integers(-40, 40), min_size=2, max_size=8, unique=True))
-    terms = {k: draw(fractions.filter(bool)) for k in keys}
+    terms = {k: QRad({d: draw(fractions.filter(bool))}) for k in keys}
     cutoff = draw(st.integers(-120 * ram, min(keys) - 1))
     return PuiseuxTrunc(ram, terms, F(cutoff, ram) - F(draw(st.integers(0, 5)), 6))
 
 
 @settings(max_examples=200, deadline=None)
-@given(truncated_rational_series())
+@given(truncated_series())
 def test_rational_inverse_equals_the_binomial_expansion(s):
-    # inverse() runs the recurrence of 1/(1 + u) on rational series; the
-    # binomial expansion, still sqrt's and a radical series' inverse, gives
-    # the same terms, cutoff and canonical form
+    # inverse() runs the recurrence of 1/(1 + u) on every series, a radical
+    # one times sqrt(d)/d; the binomial expansion, which sqrt still runs,
+    # gives the same terms, radicand, cutoff and canonical form
     lead_e, lead_c = s.leading()
     expanded = s._binomial(F(-1), PuiseuxTrunc.t_power(-lead_e, 1 / lead_c))
     got = s.inverse()
-    assert (got._ram, got._den, got._parts, got.cutoff) == (
-        expanded._ram, expanded._den, expanded._parts, expanded.cutoff
+    assert (got._ram, got._den, got._rad, got._terms, got.cutoff) == (
+        expanded._ram, expanded._den, expanded._rad, expanded._terms, expanded.cutoff
     )
     assert not (s * got - 1).terms()
 
 
 @settings(max_examples=100, deadline=None)
-@given(series())
+@given(series(1))
 def test_series_sqrt_of_a_radical_series(s):
+    # the root of a rational series is a radical series
     assume(s.terms())
-    lead = s.leading()[1]
-    assume(isinstance(lead, F))
-    s = s if lead > 0 else -s
+    s = s if s.sign() > 0 else -s
     r = _truncated_unless_monomial(s).sqrt()
     assert not (r * r - s).terms()
+
+
+def test_series_holds_one_radicand():
+    r2, r3 = QRad.sqrt_of(2), QRad.sqrt_of(3)
+    with pytest.raises(ValueError, match="several radicands"):
+        PuiseuxTrunc.constant(1 + r2)
+    with pytest.raises(ValueError, match="several radicands"):
+        PuiseuxTrunc(1, {0: 1, 1: r2 + r3})
+    with pytest.raises(ValueError, match="two radicands"):
+        PuiseuxTrunc(1, {0: r2, 1: r3})
+    with pytest.raises(ValueError, match="two radicands"):
+        PuiseuxTrunc.from_terms([(F(1), 1), (F(0), r2)])
+    # zero coefficients carry no radicand
+    assert PuiseuxTrunc(1, {0: r2, 1: QRad(), 2: F(0)}) == PuiseuxTrunc.constant(r2)
+
+
+def test_series_product_of_two_radicands_is_one_radicand():
+    # (sqrt 2 t + sqrt 2)(sqrt 3 t - 2 sqrt 3) = sqrt 6 (t^2 - t - 2)
+    r2, r3, r6 = QRad.sqrt_of(2), QRad.sqrt_of(3), QRad.sqrt_of(6)
+    a = PuiseuxTrunc(1, {1: r2, 0: r2})
+    b = PuiseuxTrunc(1, {1: r3, 0: -2 * r3})
+    p = a * b
+    assert p._rad == 6
+    assert p == PuiseuxTrunc(1, {2: r6, 1: -r6, 0: -2 * r6})
+    # sqrt 6 sqrt 2 = 2 sqrt 3
+    assert p * a == PuiseuxTrunc(1, {3: 2 * r3, 1: -6 * r3, 0: -4 * r3})
 
 
 # --- matrices ------------------------------------------------------------------
@@ -516,6 +557,17 @@ def test_cholesky_failure_modes():
         cholesky([[ExactPoly.one() + ExactPoly.t_power(2)]])  # needs a window
 
 
+@pytest.mark.parametrize("factor", [cholesky, ldl], ids=["cholesky", "ldl"])
+def test_factor_rejects_a_radical_grid_before_any_work(factor):
+    # eliminating [[1, sqrt 2, sqrt 3], [sqrt 2, 4, 1], [sqrt 3, 1, 9]] meets
+    # 1 - sqrt 6 at (2,1), a sum over two radicands: the grid is refused
+    # before the first pivot instead
+    c = PuiseuxTrunc.constant
+    r2, r3 = c(QRad.sqrt_of(2)), c(QRad.sqrt_of(3))
+    with pytest.raises(ValueError, match=r"entry \(0,1\) is not rational"):
+        factor([[c(1), r2, r3], [r2, c(4), c(1)], [r3, c(1), c(9)]])
+
+
 def _known_valuation(x: PuiseuxTrunc):
     """x's valuation (None for an exact zero), or "unknown" when the
     window truncated it to zero."""
@@ -557,6 +609,33 @@ def test_ldl_pivots_and_entries_match_cholesky_on_rooted_matrices(weights):
                     assert v1 + d.valuation() / 2 == v
                     checked += 1
     assert checked > 0
+
+
+@pytest.mark.parametrize("weights", ["unit", "rational"])
+def test_ldl_pivots_match_ratios_of_exact_leading_minors(weights):
+    # an oracle sharing no code with ldl or cholesky: pivot j of -M is
+    # det(-M[:j+1]) / det(-M[:j]), so its sign and valuation follow from the
+    # top terms of two exact leading minors of M, read off one Sylvester
+    # walk over M's integer maps
+    checked = 0
+    for seed in range(12):
+        T = random_tree(7, seed=seed, weights=weights)
+        g = tuple(sorted(T.leaves()))
+        for root in (v for v in T.vertices if v not in g):
+            maps, den = _rooted_maps(T, root, g)
+            minors = _sylvester(_kernel(maps, len(g)), g, len(g))
+            M = rooted_matrix(T, root, g)
+            _, pivots = ldl([[-e for e in row] for row in M.entries], window=default_window(M))
+            for j, d in enumerate(pivots):
+                hi = minors[g[: j + 1]]
+                lo = minors[g[:j]] if j else {0: 1}
+                top_hi, top_lo = max(hi), max(lo)
+                # det(-M[:j+1]) / det(-M[:j]) = -det M[:j+1] / det M[:j]
+                sign = -1 if (hi[top_hi] > 0) == (lo[top_lo] > 0) else 1
+                assert d.sign() == sign
+                assert d.valuation() == F(top_hi - top_lo, den)
+                checked += 1
+    assert checked > 100
 
 
 def test_ldl_factor_reproduces_a_rooted_matrix_above_the_window():

@@ -72,6 +72,7 @@ from .minors import (
 )
 from .pfaffian import (
     NotNicelyOrderedError,
+    _pf_packed,
     pf_bits,
     pf_formula,
     pf_formula_table,
@@ -309,7 +310,8 @@ def cmd_minor(args):
 def _over_pfaffian_bound(k: int) -> bool:
     """Would the memoised expansion in pf_oracle of k labels visit more than
     _MAX_SUBSETS sets?  It visits F(k + 1) - 1, F(1) = F(2) = 1 (28,656 at
-    k = 22, 75,024 at 24); the terms stop once over the bound."""
+    k = 22, 75,024 at 24), on the packed ints as on the maps (counted for
+    k = 2..16); the terms stop once over the bound."""
     a, b = 1, 1
     for _ in range(k - 1):
         a, b = b, a + b
@@ -523,16 +525,19 @@ _LEAST_MAX_X = {"minor-verify": 0, "cycles-verify": 1}
 def _negative_hits(T, rng, negatives: int) -> int:
     """Draw orders that are not nice and count those whose Pfaffian is not
     the plain odd-weight monomial (a non-nice order may still coincide by
-    luck; those draws are skipped, not failures)."""
+    luck; those draws are skipped, not failures).  Both sides are ints at
+    t^(1/T._den) = 2^B, B = pf_bits(r), compared as the sweep compares
+    them: the Pfaffian from pfaffian._pf_packed, the monomial 2^(B w)."""
     hit = 0
     tried = 0
     while hit < negatives and tried < 50 * max(negatives, 1):
         tried += 1
         r = rng.randrange(2, T.n + 1, 2)
-        sub = rng.sample(T.vertices, r)
+        sub = tuple(rng.sample(T.vertices, r))
         if T.is_nicely_ordered(sub)[0]:
             continue
-        if pf_oracle(T, sub) != ExactPoly.t_power(T.odd_weight(sub)):
+        bits = pf_bits(r)
+        if _pf_packed(T, sub, bits) != 1 << bits * T._weight_num(T._odd_mask(sub)):
             hit += 1
     return hit
 

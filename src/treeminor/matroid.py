@@ -34,8 +34,8 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .metric import MINUS_INF
-from .pfaffian import build_skew_matrix, pf_bits, pf_oracle, pf_table
-from .poly import ExactPoly, PolyMatrix, _as_fraction, _kernel, _sylvester, _unpack
+from .pfaffian import _packs, _skew_maps, build_skew_matrix, pf_bits, pf_oracle, pf_table
+from .poly import ExactPoly, PolyMatrix, _as_fraction, _kernel, _pfaffian_maps, _sylvester, _unpack
 from .tree import Tree
 from .tropic import PrecisionError, PuiseuxTrunc, ldl, series_det
 
@@ -308,10 +308,23 @@ class OddRepresentation:
 
     def value_pairs(self) -> dict[tuple[int, ...], tuple]:
         """value_pair of every even sub-tuple of the order (keys in the
-        order's order), read off one table of the principal Pfaffians of
-        the matrix (pfaffian.pf_table), each unpacked."""
-        bits = pf_bits(len(self.order))
-        den = self.tree._den
+        order's order).  Where the matrix packs (pfaffian._packs) they are
+        read off one table of its principal Pfaffians (pfaffian.pf_table),
+        each unpacked.  Otherwise that table's ints would be too wide, and
+        every block is expanded on the integer maps (poly._pfaffian_maps),
+        all of them sharing one memo of the blocks' Pfaffians."""
+        n = len(self.order)
+        bits = pf_bits(n)
+        maps, den = _skew_maps(self.tree, self.order)
+        if not _packs(maps, bits):
+            memo: dict = {}
+            return {
+                tuple(self.order[p] for p in pos): _value_pair(
+                    ExactPoly._make(den, 1, _pfaffian_maps(maps, pos, memo))
+                )
+                for r in range(0, n + 1, 2)
+                for pos in combinations(range(n), r)
+            }
         return {
             X: _value_pair(ExactPoly._make(den, 1, _unpack(bits, p)))
             for X, p in pf_table(self.tree, self.order, bits).items()

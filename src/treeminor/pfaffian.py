@@ -6,12 +6,14 @@ For an even tuple X that is nicely ordered (the cyclic tour x1 -> x2 -> ...
 monomial t^{w(O_X)}, where O_X is the set of edges splitting X oddly.  The
 generic expansion of the skew matrix is kept as the oracle; it is also what
 exposes non-nicely-ordered tuples, whose Pfaffians genuinely differ.
-pf_oracle runs poly's memoised expansion on the skew matrix as integer
-maps built from the tree's integer distance rows (_skew_maps), skew by
-construction; build_skew_matrix is their PolyMatrix view.  pf_table gives
-the Pfaffian of every even sub-tuple of one order at once, and
-pf_formula_table the monomial of each, both as ints at t^(1/T._den) = 2^B
-for a B that holds every Pfaffian's coefficients (pf_bits).
+The skew matrix is built as integer maps from the tree's integer distance
+rows (_skew_maps), skew by construction; build_skew_matrix is their
+PolyMatrix view.  pf_table gives the Pfaffian of every even sub-tuple of
+one order at once, and pf_formula_table the monomial of each, both as ints
+at t^(1/T._den) = 2^B for a B that holds every Pfaffian's coefficients
+(pf_bits).  pf_oracle expands one tuple's matrix top down, on such ints
+where the matrix is dense enough to pack (_packs) and on poly's integer
+maps otherwise.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .poly import ExactPoly, PolyMatrix, _pfaffian_maps, _word_for
+from .poly import _FARRIS_DENSE_BITS, ExactPoly, PolyMatrix, _dense, _pfaffian_maps, _unpack, _word_for
 from .tree import Edge, Tree
 
 
@@ -126,14 +128,65 @@ def _sub_tuples(xs: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 
 def pf_oracle(T: Tree, X: Sequence[int]) -> ExactPoly:
-    """Pfaffian of the actual skew matrix, any ordering: poly.pfaffian's
-    memoised expansion on the integer maps of build_skew_matrix, which are
-    skew by construction."""
+    """Pfaffian of the actual skew matrix, any ordering, expanded top down
+    from X's own matrix: on ints at t^(1/T._den) = 2^B, B = pf_bits(|X|),
+    where its skew maps pack (_packs, _pf_packed), else poly's memoised
+    expansion on those maps (_pfaffian_maps)."""
     xs = T.check_subset(X)
     if len(xs) % 2:
         raise ValueError("Pfaffian needs an even number of vertices")
     maps, den = _skew_maps(T, xs)
+    bits = pf_bits(len(xs))
+    if _packs(maps, bits):
+        return ExactPoly._make(den, 1, _unpack(bits, _pf_packed(T, xs, bits)))
     return ExactPoly._make(den, 1, _pfaffian_maps(maps))
+
+
+def _packs(maps: list[list[dict[int, int]]], bits: int) -> bool:
+    """Whether a Pfaffian of the skew maps runs on ints packed at bits:
+    poly._dense at _FARRIS_DENSE_BITS.  A packed int grows with the top
+    distance times bits, so the sparse distances of trees whose weights
+    share a large denominator stay on the maps."""
+    return _dense(maps, bits, _FARRIS_DENSE_BITS)
+
+
+def _pf_packed(T: Tree, xs: tuple[int, ...], bits: int) -> int:
+    """The Pfaffian of the skew matrix over xs, an even tuple of T's
+    vertices (unchecked), at t^(1/T._den) = 2^bits, bits at least
+    pf_bits(len(xs)).  pf_table's expansion along the lowest position f,
+    each term the int of Pf(S - f - j) shifted by d(f, j) bits bits and
+    added or subtracted by the parity of j's rank, but driven top down from
+    the full set and memoised on position bitmasks: from k points it
+    expands the F(k + 1) - 1 nonempty sets that poly's expansion visits
+    (F(1) = F(2) = 1), not pf_table's 2^(k - 1) even ones."""
+    dist, _ = T._distance_ints(xs)
+    shift = [[d * bits for d in row] for row in dist]
+    memo = {0: 1}
+    get = memo.get
+
+    def pf(mask: int) -> int:
+        low = mask & -mask
+        row = shift[low.bit_length() - 1]
+        rest = mask ^ low
+        total = 0
+        plus = True
+        todo = rest
+        while todo:
+            b = todo & -todo
+            todo ^= b
+            sub = rest ^ b
+            value = get(sub)
+            if value is None:
+                value = pf(sub)
+            term = value << row[b.bit_length() - 1]
+            total = total + term if plus else total - term
+            plus = not plus
+        memo[mask] = total
+        return total
+
+    total = pf((1 << len(xs)) - 1) if xs else 1
+    del pf  # break the closure's cycle through itself: the memo goes on return
+    return total
 
 
 def pf_table(T: Tree, order: Sequence[int], bits: int) -> dict[tuple[int, ...], int]:

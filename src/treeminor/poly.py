@@ -29,10 +29,11 @@ same walk on the dicts.  Packing is chosen when the exponents are >= 0
 and dense: the largest one times B at most a threshold times the number
 of distinct exponents, _DENSE_BITS (96) by default and _FARRIS_DENSE_BITS
 (900) for minors.minor_oracle's Bareiss walk on the Farris transform of a
-tree distance matrix.  A caller that compares minors instead of reading
-them asks for them packed at its own B (_packed_values): two such ints are
-equal exactly when their maps are, and _top_digit reads the top term off
-one.  A matrix of plain ints needs neither: the star
+tree distance matrix and for pfaffian.pf_oracle's expansion of a skew
+matrix of distance monomials.  A caller that compares minors instead of
+reading them asks for them packed at its own B (_packed_values): two such
+ints are equal exactly when their maps are, and _top_digit reads the top
+term off one.  A matrix of plain ints needs neither: the star
 check (metric.star_condition_check) walks its own ints, with _istep and
 read the identity.
 """
@@ -575,7 +576,17 @@ _DENSE_BITS = 96
 # 1.  At whole-byte B the packed walk won on every measured rational leaf set
 # and subset (den 12, ratios up to 859, 2-14x) and lost on 9-leaf stars with
 # one edge 1/p from ratio 432 (p = 53, 1.9x) up; sparser matrices, such as
-# p = 997 (ratio 7,984) or den 2,310, stay on the maps.
+# p = 997 (ratio 7,984) or den 2,310, stay on the maps.  A second reader,
+# pfaffian.pf_oracle, picks its expansion with the same threshold on the
+# skew matrix of distance monomials at B = pfaffian.pf_bits.  All vertices
+# of random unit and rational trees (n 2-22, 60 seeds each) read 8-169 there
+# and pack.  On 48 shuffled tuples of
+# k = 10 and 14 points, on trees with every other edge over p = 1 to 9,973
+# (Python 3.11, one 2-vCPU VM), packing won 2.2-6.0x up to ratio 197 and
+# 1.35-1.65x at 351-442; from 405 to 688 the maps won by up to 1.6x at
+# k = 14 and the two were within 1.15x at k = 10; the maps won 1.2-4.2x
+# at 973-1,677 and 4.5-50x from 3,165 up.  So this threshold packs some
+# skew matrices that the maps expand faster.
 _FARRIS_DENSE_BITS = 900
 
 
@@ -778,13 +789,20 @@ def pfaffian(m: PolyMatrix) -> ExactPoly:
     return ExactPoly._make(den, mult ** (n // 2), _pfaffian_maps(entries))
 
 
-def _pfaffian_maps(entries: list[list[dict[int, int]]]) -> dict[int, int]:
+def _pfaffian_maps(
+    entries: list[list[dict[int, int]]],
+    idx: Sequence[int] | None = None,
+    memo: dict[frozenset, dict[int, int]] | None = None,
+) -> dict[int, int]:
     """Pfaffian of a skew matrix of integer maps of even size, by expansion
     along the first remaining index, memoised on the remaining set: pairing
     index i1 with the j-th remaining index contributes sign (-1)^j, and the
     empty matrix has Pfaffian 1.  Skewness is not checked: only the upper
-    triangle is read."""
-    memo: dict[frozenset, dict[int, int]] = {}
+    triangle is read.  idx, ascending, picks the principal block on those
+    indices (all of them by default); a memo passed in keeps the Pfaffian
+    of every block expanded, for later calls on the same entries."""
+    if memo is None:
+        memo = {}
 
     def rec(idx: tuple) -> dict[int, int]:
         if not idx:
@@ -806,6 +824,6 @@ def _pfaffian_maps(entries: list[list[dict[int, int]]]) -> dict[int, int]:
         memo[key] = total
         return total
 
-    total = rec(tuple(range(len(entries))))
+    total = rec(tuple(range(len(entries)) if idx is None else idx))
     del rec  # break the closure's cycle through itself: the memo goes on return
     return total

@@ -12,10 +12,13 @@ import pytest
 from fractions import Fraction
 from hypothesis import example, given, settings, strategies as st
 
+from treeminor import matroid, pfaffian as pfaffian_module
 from treeminor.matroid import _value_pair, represent_odd
 
 from treeminor.pfaffian import (
     NotNicelyOrderedError,
+    _packs,
+    _skew_maps,
     build_skew_matrix,
     pf_formula,
     pf_bits,
@@ -199,6 +202,96 @@ def test_pf_table_bits_hold_at_17_vertices():
     table = pf_table(T, order, 24)
     for X in list(table)[::4099]:
         assert unpacked(T, 24, table[X]) == pf_oracle(T, X)
+
+
+# weights over a large denominator: den 971,230,541 and sparse distances
+SPARSE8 = Tree([
+    (1, 2, F(5, 991)), (2, 3, F(7, 991)), (3, 4, F(8, 997)), (3, 5, F(2, 997)),
+    (2, 6, F(8, 997)), (3, 7, F(7, 983)), (7, 8, F(5, 991)),
+])
+
+
+def sparse_star(p):
+    """A 9-leaf star whose first edge weighs 1/p and the others 1."""
+    return Tree([(0, 1, F(1, p))] + [(0, i, 1) for i in range(2, 10)])
+
+
+@st.composite
+def skew_cases(draw):
+    """A tree on 2..10 vertices and a shuffled order of all of them but
+    the last when n is odd (mostly not nicely ordered).  The tree is a unit or rational random
+    tree, or one whose edge weights k / q are over q = 1 and one p of 997
+    and 2,310, whose distances are few and far apart."""
+    n = draw(st.integers(2, 10))
+    seed = draw(st.integers(0, 10 ** 6))
+    mode = draw(st.sampled_from(["unit", "rational", 997, 2310]))
+    T = random_tree(n, seed=seed, weights=mode if isinstance(mode, str) else "unit")
+    if not isinstance(mode, str):
+        nums = draw(st.lists(st.integers(1, 9), min_size=n - 1, max_size=n - 1))
+        dens = draw(st.lists(st.sampled_from([1, mode]), min_size=n - 1, max_size=n - 1))
+        T = Tree(
+            [(u, v, F(k, q)) for (u, v, _), k, q in zip(T.edges(), nums, dens)],
+            vertices=T.vertices,
+        )
+    shuffled = draw(st.permutations(T.vertices))
+    return T, tuple(shuffled[: n - n % 2])
+
+
+@settings(max_examples=80, deadline=None)
+@given(skew_cases())
+@example((SPARSE8, (1, 2, 3, 4, 5, 7, 8, 6)))
+@example((sparse_star(997), (3, 1, 0, 5, 2, 4)))
+@example((random_tree(10, seed=3, weights="rational"), (4, 9, 1, 7, 2, 10, 6, 3, 8, 5)))
+def test_pf_oracle_is_the_pfaffian_of_the_skew_matrix(case):
+    # the packed expansion shares no code with poly.pfaffian's maps
+    T, X = case
+    got = pf_oracle(T, X)
+    want = pfaffian(build_skew_matrix(T, X))
+    assert got == want
+    assert str(got) == str(want)
+
+
+def test_pf_oracle_packs_exactly_the_dense_skew_matrices(monkeypatch):
+    # pf_oracle takes the form _packs picks: ints on random trees, whose
+    # rational weights are over den 12, the maps on sparse distances
+    def refuse(form):
+        def run(*args):
+            raise AssertionError(f"pf_oracle ran on the {form}")
+        return run
+
+    dense = [random_tree(n, seed=s, weights=w) for n in (10, 14) for s in range(6) for w in ("unit", "rational")]
+    assert {T._den for T in dense} >= {1, 12}
+    sparse = [SPARSE8, sparse_star(997)]
+    with monkeypatch.context() as patch:
+        patch.setattr(pfaffian_module, "_pfaffian_maps", refuse("maps"))
+        for T in dense:
+            maps, _ = _skew_maps(T, T.vertices)
+            assert _packs(maps, pf_bits(T.n))
+            order = T.nice_order(T.vertices)
+            assert pf_oracle(T, order) == pf_formula(T, order)
+    with monkeypatch.context() as patch:
+        patch.setattr(pfaffian_module, "_pf_packed", refuse("packed ints"))
+        for T in sparse:
+            maps, _ = _skew_maps(T, T.vertices)
+            assert not _packs(maps, pf_bits(T.n))
+            order = T.nice_order(T.vertices[: T.n - T.n % 2])
+            assert pf_oracle(T, order) == pf_formula(T, order)
+
+
+def test_value_pairs_of_a_sparse_tree_stay_on_the_maps(monkeypatch):
+    # one pf_table over SPARSE8 would hold ints of about den * distance * B
+    # bits; value_pairs expands the blocks on the integer maps instead
+    def refuse(*args):
+        raise AssertionError("pf_table ran on a sparse tree")
+
+    monkeypatch.setattr(matroid, "pf_table", refuse)
+    rep = represent_odd(SPARSE8)
+    pairs = rep.value_pairs()
+    want = [X for r in range(0, 9, 2) for X in itertools.combinations(rep.order, r)]
+    assert sorted(pairs) == sorted(want) and len(pairs) == 128
+    for X, (value, dual) in pairs.items():
+        assert value == SPARSE8.odd_weight(X) == -dual
+        assert rep.value_pair(X) == (value, dual)  # one pf_oracle, no shared memo
 
 
 def test_build_skew_matrix_entries_are_the_distance_monomials(entry_trees):

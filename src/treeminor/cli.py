@@ -79,7 +79,7 @@ from .pfaffian import (
     pf_oracle,
     pf_table,
 )
-from .poly import ExactPoly, _top_digit, _unpack, _word_for
+from .poly import ExactPoly, _top_digit, _unpack, _unpack_even, _word_for
 from .tree import Tree, format_tree, random_tree, read_tree_file
 
 _SEED_STRIDE = 1_000_003  # tree index -> sub-seed, documented and fixed
@@ -97,8 +97,9 @@ _MAX_EXCHANGE_STEPS = 5 * 10**6
 _PAIR_STEPS = 4
 # subsets one tree of a minor-verify sweep with rational weights may check:
 # the table's polynomials grow with |X| there, and a full 13-vertex sweep
-# (8,191 subsets, --seed 27) already takes 12-15 s and 110 MB peak RSS on a
-# 2-vCPU VM with Python 3.11, start-up included
+# (8,191 subsets, --seed 27) takes 3-3.5 s and 67 MB peak RSS on a 2-vCPU VM
+# with Python 3.11, start-up included (11-15 s and 110 MB with its minors
+# packed at t^(1/den), where minor_table's walk stayed on the maps)
 _MAX_RATIONAL_SUBSETS = 1 << 13
 
 
@@ -405,35 +406,40 @@ def _subsets(T, max_x):
 
 
 def _minor_bits(T, max_x) -> int:
-    """B for comparing minors at t^(1/T._den) = 2^B: 2^(B - 1) above r! for
-    r = min(max_x, n), which bounds every coefficient of a minor on r rows
-    of a matrix of monomials t^(d_ij) and of a cycle-partition sum over r
-    points, and above every 1-norm bound the formula table carries on
+    """B for comparing minors at u = t^(2/T._den) = 2^B: 2^(B - 1) above
+    r! for r = min(max_x, n), which bounds every coefficient of a minor on
+    r rows of a matrix of monomials t^(d_ij) and of a cycle-partition sum
+    over r points, and above every 1-norm bound the formula table carries on
     correct code (_formula_norm_bound)."""
     return _word_for(max(factorial(min(max_x, T.n)), _formula_norm_bound(T)))
 
 
-def _unpacked(T, bits, value) -> ExactPoly:
-    """The polynomial a table value packs at t^(1/T._den) = 2^bits."""
-    return ExactPoly._make(T._den, 1, _unpack(bits, value))
+def _unpacked(T, bits, value, read=_unpack_even) -> ExactPoly:
+    """The polynomial a table value packs: at u = t^(2/T._den) = 2^bits,
+    its exponents doubled (read=_unpack_even), for the minor and cycle
+    tables, and at t^(1/T._den) = 2^bits (read=_unpack) for the Pfaffian
+    ones."""
+    return ExactPoly._make(T._den, 1, read(bits, value))
 
 
 def _formula_entry(T, bits, value, norm):
     """The certificate's formula-table entry: the polynomial the value
-    packs, or, when the 1-norm bound carried with it is too large for bits,
-    that bound: the value then stands for no one polynomial."""
+    packs at u = t^(2/T._den), or, when the 1-norm bound carried with it is
+    too large for bits, that bound: the value then stands for no one
+    polynomial."""
     if norm >> (bits - 1):
-        return f"undecided: 1-norm bound {norm} at t^(1/{T._den}) = 2^{bits}"
+        return f"undecided: 1-norm bound {norm} at t^(2/{T._den}) = 2^{bits}"
     return _unpacked(T, bits, value)
 
 
 def _minor_sweep(T, max_x):
     """Formula against oracle and leading term on every subset up to max_x,
-    all three read off tables and compared as ints at t^(1/T._den) = 2^B
-    (_minor_bits): minor_table's packed minors; minor_formula_table, one
-    post-order pass over T that carries X in its state (a branch holding no
-    member of X passes (1, 0), so the sum may run over all of E(T)), which
-    decides only where its carried 1-norm bound is below 2^(B - 1); and
+    all three read off tables and compared as ints at u = t^(2/T._den) = 2^B
+    (_minor_bits; every exponent of a minor over t^(1/T._den) is even):
+    minor_table's packed minors; minor_formula_table, one post-order pass
+    over T that carries X in its state (a branch holding no member of X
+    passes (1, 0), so the sum may run over all of E(T)), which decides only
+    where its carried 1-norm bound is below 2^(B - 1); and
     minor_leading_table, the third path to the top term, against the top
     signed base-2^B digit of the oracle's int.  A failing subset is
     unpacked for its certificate."""
@@ -476,10 +482,11 @@ def _pf_sweep(T, _max_x):
         oracle = table[X]
         if formula[X] == oracle:
             return True, None
-        entry = "not nicely ordered" if formula[X] is None else _unpacked(T, bits, formula[X])
+        entry = formula[X]
+        entry = "not nicely ordered" if entry is None else _unpacked(T, bits, entry, _unpack)
         return _redecide(
             _pf_check, T, X,
-            table=(_unpacked(T, bits, oracle), "oracle"),
+            table=(_unpacked(T, bits, oracle, _unpack), "oracle"),
             formula_table=(entry, "pfaffian"),
         )
 
@@ -488,10 +495,10 @@ def _pf_sweep(T, _max_x):
 
 def _cycles_sweep(T, max_x):
     """Both cycle-partition sums against the formula on every subset up to
-    max_x, all read off tables at one B (_minor_bits) and compared as ints:
-    cycle_table's full and tight sums, each of 1-norm at most |X|!, and
-    minor_formula_table's values, as in minor-verify.  A failing subset is
-    unpacked for its certificate."""
+    max_x, all read off tables at one B (_minor_bits) and compared as ints
+    at u = t^(2/T._den) = 2^B: cycle_table's full and tight sums, each of
+    1-norm at most |X|!, and minor_formula_table's values, as in
+    minor-verify.  A failing subset is unpacked for its certificate."""
     bits = _minor_bits(T, max_x)
     half = 1 << (bits - 1)
     formula = minor_formula_table(T, max_x, bits)

@@ -11,9 +11,11 @@ Summing sign(W) t^{||W||} over all cycle partitions reproduces the minor
 over X; the support-preserving flips explain the cancellation down to the
 tight ({0,2}-supported) partitions.  `cycle_table` gives both sums for
 every subset up to a size from one subset DP over cycles, in packed
-integers, each support packed into one int from per-pair tables; it never
-lists the partitions.  `cycle_sums` reads X's own entry of that DP over X,
-and `det_via_cycles` and `det_via_tight_cycles` read one sum each.
+integers at u = t^(2/T._den) (a cycle partition's paths form closed walks,
+so its exponent over t^(1/T._den) is even), each support packed into one
+int from per-pair tables; it never lists the partitions.  `cycle_sums`
+reads X's own entry of that DP over X, and `det_via_cycles` and
+`det_via_tight_cycles` read one sum each.
 `support` traces one partition's support through `path_edges` as an edge
 dict, so it serves a `Tree` and a bracket `Forest` alike; the flips, the
 brackets and the tests use it.
@@ -28,7 +30,7 @@ from functools import reduce
 from operator import or_
 from typing import Iterable, Iterator, Sequence
 
-from .poly import ExactPoly, _unpack, _word_for
+from .poly import ExactPoly, _unpack_even, _word_for
 from .tree import Edge, Tree, _bits, edge_key
 
 Cycle = tuple[int, ...]
@@ -112,8 +114,9 @@ def cycle_sums(T: Tree, X: Iterable[int]) -> tuple[ExactPoly, ExactPoly]:
     """Minor over X as the signed sum over all cycle partitions, and the
     same sum restricted to tight ({0,2}-supported) partitions; the flips
     cancel everything else, so the two agree.  Both are `cycle_table`'s
-    entry for X itself, packed at 2^B with 2^(B - 1) above |X|!, which
-    bounds every coefficient of either sum, and unpacked here."""
+    entry for X itself, packed at u = t^(2/T._den) = 2^B with 2^(B - 1)
+    above |X|!, which bounds every coefficient of either sum, and unpacked
+    here with doubled exponents."""
     xs = T.check_subset(X)
     k = len(xs)
     if k > ENUMERATION_CAP:
@@ -123,14 +126,14 @@ def cycle_sums(T: Tree, X: Iterable[int]) -> tuple[ExactPoly, ExactPoly]:
     elems = tuple(sorted(xs))
     bits = _word_for(math.factorial(k))
     sums = cycle_table(T, elems, k, bits)[elems]
-    return tuple(ExactPoly._make(T._den, 1, _unpack(bits, v)) for v in sums)
+    return tuple(ExactPoly._make(T._den, 1, _unpack_even(bits, v)) for v in sums)
 
 
 def cycle_table(
     T: Tree, elems: Sequence[int], max_size: int, bits: int
 ) -> dict[tuple[int, ...], tuple[int, int]]:
     """(full, tight) cycle sums over every set of 1..max_size members of
-    elems, each packed at t^(1/T._den) = 2^bits, from one subset DP.
+    elems, each packed at u = t^(2/T._den) = 2^bits, from one subset DP.
 
     Keys are minor_table's when elems is sorted: the sets as tuples in
     combinations order.  A permutation of a set S splits into the cycle C
@@ -142,19 +145,28 @@ def cycle_table(
     c over members above c are summed per member set, and then every such
     C joins every S' above c outside it, up to max_size members in all,
     whose f is complete.  Evaluation at 2^bits is a ring map, so the full
-    sums are Python ints.  Two per-pair tables serve the cycles:
+    sums are Python ints.  Every cycle through C has the sign
+    (-1)^(|C| - 1), so g(C) is never 0; it is m 2^z with m odd, and each
+    product g(C) f(S') is computed as (m f(S')) << z, which multiplies none
+    of g(C)'s zero low digits.  Three per-pair tables serve the cycles:
 
     - D[i][j], the weight of the path between members i and j times
       T._den, read off its edge mask P_i ^ P_j (`Tree._path_mask`, P the
       root-path masks) by `Tree._weight_num`; it is not read from `T.dist`,
       so the sums share no code with `minor_oracle`;
+    - E[i][j] = (D[i][j] - p_i + p_j) / 2, p_i = D[i][0] mod 2, the
+      half-weights: p 2-colours the members by D mod 2, as it does on every
+      tree (D[i][j] = D[i][0] + D[j][0] - 2 (their shared length)), so E is
+      integral and a cycle's E sum is half its D sum, its exponent over u
+      (the p terms cancel round it).  A path oracle whose D has no such
+      colouring closes an odd walk, and raises ValueError;
     - P[i][j], that path's edges packed into one int, a 4-bit field per
-      edge that any of the paths meets, with D[i][j] above the fields.
+      edge that any of the paths meets, with E[i][j] above the fields.
 
     A partition's support is the sum of its paths' entries of P, which
-    carries its norm on top, and the tight sum runs the same recurrence on
-    maps {support: signed count}.  A field never shrinks, so a support with
-    a field above 2 is dropped as soon as it appears: fields then stay
+    carries its exponent on top, and the tight sum runs the same recurrence
+    on maps {support: signed count}.  A field never shrinks, so a support
+    with a field above 2 is dropped as soon as it appears: fields then stay
     below 5 and never carry.  A set's tight sum keeps the supports whose
     fields are all 0 or 2.  On a tree these are the partitions into tight
     cycles with disjoint supports, but not on every path oracle, so the
@@ -164,7 +176,9 @@ def cycle_table(
     c, each set from the one without that member, which comes first in
     numeric order: about 2^m m^2 steps for m members above c, not m!.  The
     tight cycles are walked path by path with a stack, which keeps only the
-    paths whose fields all stay at most 2."""
+    paths whose fields all stay at most 2.  The sets S' that a C joins are
+    all subsets of the members above c outside C when they number at most
+    room = max_size - |C|, and otherwise those of each size up to room."""
     k = len(elems)
     if max_size == 1:  # no pair tables (k^2 paths): a point's partition is itself
         return {(x,): (1, 1) for x in elems}
@@ -173,13 +187,17 @@ def cycle_table(
     field = {b: 4 * i for i, b in enumerate(_bits(met))}
     top = 4 * len(field)
     D = [[T._weight_num(m) for m in row] for row in paths]
+    parity = [d & 1 for d in D[0]]
+    if any((d + p + q) & 1 for row, p in zip(D, parity) for d, q in zip(row, parity)):
+        raise ValueError("the paths close a walk of odd weight: the sums are not in t^(2/T._den)")
+    E = [[(d - p + q) >> 1 for d, q in zip(row, parity)] for row, p in zip(D, parity)]
     P = [
-        [(d << top) + sum(1 << field[b] for b in _bits(m)) for d, m in zip(drow, row)]
-        for drow, row in zip(D, paths)
+        [(e << top) + sum(1 << field[b] for b in _bits(m)) for e, m in zip(erow, row)]
+        for erow, row in zip(E, paths)
     ]
     ones = sum(1 << f for f in field.values())
     fours = ones << 2  # field + 1 reaches 4 exactly when the field passes 2
-    shift = [[bits * d for d in row] for row in D]  # t^(D[i][j]) at 2^bits
+    shift = [[bits * e for e in row] for row in E]  # u^(E[i][j]) at 2^bits
 
     full = {0: 1}  # member mask -> packed full sum
     tight = {0: {0: 1}}  # member mask -> {support: signed count}
@@ -212,15 +230,22 @@ def cycle_table(
                     if not C >> j & 1 and not (s + ones) & fours:
                         stack.append((j, C | 1 << j, s, -sign))
         for C, value in g.items():
+            z = (value & -value).bit_length() - 1
+            odd = value >> z
             room = max_size - C.bit_count()
-            subs = [0]  # every S' above c outside C with at most room members
-            for j in range(c + 1, k):
-                if not C >> j & 1:
-                    subs += [sub | 1 << j for sub in subs if sub.bit_count() < room]
+            free = [1 << j for j in range(c + 1, k) if not C >> j & 1]
+            if len(free) <= room:  # every S' above c outside C
+                subs = [0]
+                for b in free:
+                    subs += [sub | b for sub in subs]
+            else:
+                subs = [
+                    sum(part) for r in range(room + 1) for part in itertools.combinations(free, r)
+                ]
             cycles = g_tight.get(C)
             for sub in subs:
                 S = C | sub
-                full[S] = full.get(S, 0) + value * full[sub]
+                full[S] = full.get(S, 0) + (odd * full[sub] << z)
                 below = tight.get(sub) if cycles else None
                 if below:
                     at = tight.setdefault(S, {})

@@ -19,9 +19,12 @@ M_ij = u^{e_ij}, e_ij = (d(x_i, r) + d(x_j, r) - d_ij) / G, and
 det (t^{d_ij}) = t^{2 sum_i d(x_i, r)} det M(t^{-G}).
 
 The three tables a sweep compares (minor_table, minor_formula_table and
-minor_leading_table, the top terms read off root-path masks) hold ints:
-the first two each value at t^(1/T._den) = 2^B for the B their caller
-passes, the third the top term's exponent numerator and coefficient.
+minor_leading_table, the top terms read off root-path masks) hold ints.
+Every principal minor is a sum over closed walks on the tree, each of
+which crosses every edge an even number of times, so every exponent over
+t^(1/T._den) is even: the first two tables hold each value at
+u = t^(2/T._den) = 2^B for the B their caller passes, and the third the
+top term's exponent over u and its coefficient.
 """
 
 from __future__ import annotations
@@ -88,6 +91,21 @@ def _farris_maps(dist: list[list[int]]) -> tuple[list[list[dict[int, int]]], int
     farris = [[to_r[i] + to_r[j] - d for j, d in enumerate(row)] for i, row in enumerate(dist)]
     g = math.gcd(*itertools.chain.from_iterable(farris)) or 1
     return [[{e // g: 1} for e in row] for row in farris], g, 2 * sum(to_r)
+
+
+def _half_power_maps(dist: list[list[int]]) -> tuple[list[list[dict[int, int]]], list[int]]:
+    """(maps, parity): the matrix B_ij = u^((d_ij + p_i + p_j) / 2) over a
+    block of integer distances, u = t^(2/_den) and p_i = d(x_i, x_0) mod 2
+    for the block's first point x_0, as integer maps {e: 1}; and p.
+
+    On a tree d_ij = d(x_i, x_0) + d(x_j, x_0) - 2 (the length that their
+    paths to x_0 share), so d_ij + p_i + p_j is even.  B is (t^{d_ij}) under
+    the congruence by diag(t^{p_i}), so det B[S] is the minor over S times
+    u^(sum of p_i over S)."""
+    parity = [d % 2 for d in dist[0]]
+    return [
+        [{(d + p + q) >> 1: 1} for d, q in zip(row, parity)] for row, p in zip(dist, parity)
+    ], parity
 
 
 def build_matrix(T: Tree, X: Sequence[int]) -> PolyMatrix:
@@ -234,7 +252,7 @@ def minor_formula_table(
     T: Tree, max_size: int, bits: int
 ) -> dict[tuple[int, ...], tuple[int, int]]:
     """minor_formula over every set of 1..max_size vertices, in one pass:
-    each value at t^(1/T._den) = 2^bits, beside a bound on its 1-norm.
+    each value at u = t^(2/T._den) = 2^bits, beside a bound on its 1-norm.
 
     Keys are minor_table's: the sets as sorted tuples, in combinations
     order.  The DP of minor_formula runs once over the whole tree, rooted
@@ -251,13 +269,16 @@ def minor_formula_table(
     value of the branch below it unchanged.
 
     The DP only adds and multiplies, and evaluation at 2^bits is a ring
-    map, so it runs on Python ints: the edge term x = -t^{2w} is
-    -(1 << 2 w bits).  Beside each value it carries a bound on the 1-norm
-    of the polynomial the value stands for, through the same operations
-    (|pq| <= |p| |q|, |p +- q| <= |p| + |q|), so a fault in the DP's
-    structure moves the bound too.  Where the bound is below 2^(bits - 1),
-    the value is that polynomial packed: equal to another such value
-    exactly when the polynomials are equal, and poly._unpack reads it.
+    map, so it runs on Python ints: the edge term x = -t^{2w} = -u^W,
+    W = w T._den the edge's integer weight, is -(1 << W bits), and a product
+    by it multiplies first and shifts after, A x in = -((A in) << W bits),
+    so no zero low digits are multiplied.  Beside each value it carries a
+    bound on the 1-norm of the polynomial the value stands for, through the
+    same operations (|pq| <= |p| |q|, |p +- q| <= |p| + |q|), so a fault in
+    the DP's structure moves the bound too.  Where the bound is below
+    2^(bits - 1), the value is that polynomial packed: equal to another
+    such value exactly when the polynomials are equal, and
+    poly._unpack_even reads it.
     """
     verts = T.vertices
     bit = {v: 1 << i for i, v in enumerate(verts)}
@@ -271,13 +292,12 @@ def minor_formula_table(
         for c in T._adj[v]:
             if c == parent[v]:
                 continue
-            shift = 2 * T._int_weight[edge_key(v, c)] * bits
+            shift = T._int_weight[edge_key(v, c)] * bits
             merged = dict(state)  # child mask 0
             for cm, (out_c, n_out, in_c, n_in) in up.pop(c).items():
                 if not cm:
                     continue
-                x_in = -(in_c << shift)
-                s, n_s = out_c + x_in, n_out + n_in
+                s, n_s = out_c - (in_c << shift), n_out + n_in
                 room = max_size - cm.bit_count()
                 for pm, (a, n_a, b, n_b) in state.items():
                     if pm.bit_count() > room:
@@ -286,7 +306,7 @@ def minor_formula_table(
                         merged[pm | cm] = (a * s, n_a * n_s, b, n_b)
                     else:
                         merged[pm | cm] = (
-                            a * s, n_a * n_s, b * s + a * x_in, n_b * n_s + n_a * n_in
+                            a * s, n_a * n_s, b * s - ((a * in_c) << shift), n_b * n_s + n_a * n_in
                         )
             state = merged
         up[v] = {
@@ -318,14 +338,14 @@ def _formula_norm_bound(T: Tree) -> int:
 
 def minor_leading_table(T: Tree, max_size: int) -> dict[tuple[int, ...], tuple[int, int]]:
     """minor_leading over every set of 1..max_size vertices, as ints: the
-    top exponent times T._den and the coefficient.  Keys are minor_table's,
-    and each size is built from the one below in combinations order: the
-    spanned edge mask of X + x is mask(X) | (P_x ^ P_{x_0}), P the
-    root-path masks.  A vertex's degree in the spanned subtree is the
-    popcount of its incident-edge mask within it.  Every leaf of the
-    spanned subtree lies in X, so a vertex outside X has degree 2 there
-    (factor 1) unless it has degree 3 or more in T, and the degree product
-    runs over those."""
+    top exponent over u = t^(2/T._den), the spanned weight times T._den,
+    and the coefficient.  Keys are minor_table's, and each size is built
+    from the one below in combinations order: the spanned edge mask of
+    X + x is mask(X) | (P_x ^ P_{x_0}), P the root-path masks.  A vertex's
+    degree in the spanned subtree is the popcount of its incident-edge mask
+    within it.  Every leaf of the spanned subtree lies in X, so a vertex
+    outside X has degree 2 there (factor 1) unless it has degree 3 or more
+    in T, and the degree product runs over those."""
     P = T._root_paths
     incident = dict.fromkeys(T.vertices, 0)
     for v, p in T._parent.items():
@@ -350,7 +370,7 @@ def minor_leading_table(T: Tree, max_size: int) -> dict[tuple[int, ...], tuple[i
                 d = (edges & mask).bit_count()
                 if d > 2 and v not in key:
                     coeff *= d - 1
-            table[key] = (2 * w, coeff)
+            table[key] = (w, coeff)
         span = level
     return table
 
@@ -389,26 +409,34 @@ def minor_oracle(T: Tree, X: Sequence[int]) -> ExactPoly:
 
 def minor_table(T: Tree, max_size: int, bits: int) -> dict[tuple[int, ...], int]:
     """det (t^{d_ij}) over every set of 1..max_size vertices, each value at
-    t^(1/T._den) = 2^bits, bits at least poly._word_bits of the maps
+    u = t^(2/T._den) = 2^bits, bits at least poly._word_bits of the maps
     (2^(bits - 1) above max_size!, which bounds every coefficient).
 
     Keys are the sets as sorted tuples, and each value packs
-    minor_oracle(T, key); the table is listed in the walk's order, not in
-    combinations order.  One Sylvester walk (poly._sylvester) over the
-    integer maps of the distance powers (_power_maps), its rows in
-    central-first order (_central_block), gives them all, each re-keyed to
-    its sorted tuple; it runs on packed ints when the distances are dense
-    (unit weights), and on the maps otherwise, each value packed once
-    (poly._packed_values); over all vertices the maps keep T._den.  The
-    table is complete: a principal minor over distinct vertices is a
-    nonzero polynomial (minor_leading gives its top term), so the walk
-    meets no zero pivot.  It keeps the distance powers, not minor_oracle's
-    Farris transform: its packed ints are compared with the formula's.
+    minor_oracle(T, key) at u; the table is listed in the walk's order, not
+    in combinations order.  One Sylvester walk (poly._sylvester) over the
+    integer maps of B = diag(t^{p_i}) (t^{d_ij}) diag(t^{p_i}), whose
+    exponents over u are whole (_half_power_maps), its rows in central-first
+    order (_central_block) and p_i the parity of the distance to the first
+    of them, gives them all: det B[S] is the minor over S times u^(sum of p_i
+    over S), so each value is the walk's shifted right by bits times that
+    sum, an exact shift, and re-keyed to its sorted tuple.  The walk runs on
+    packed ints when the exponents are dense (unit weights, and the
+    denominator 12 of random rational ones), and on the maps otherwise,
+    each value packed once (poly._packed_values).  The table is
+    complete: a principal minor over distinct vertices is a nonzero
+    polynomial (minor_leading gives its top term), so the walk meets no zero
+    pivot.  It keeps the distance powers, not minor_oracle's Farris
+    transform: its packed ints are compared with the formula's.
     """
-    order, dist, den = _central_block(T, T.vertices)
-    maps, _ = _power_maps(dist, den)
+    order, dist, _ = _central_block(T, T.vertices)
+    maps, parity = _half_power_maps(dist)
+    odd = dict(zip(order, parity))
     table = _sylvester(_packed_values(maps, max_size, bits), order, max_size)
-    return {tuple(sorted(key)): value for key, value in table.items()}
+    return {
+        tuple(sorted(key)): value >> bits * sum(map(odd.__getitem__, key))
+        for key, value in table.items()
+    }
 
 
 @dataclass(frozen=True)

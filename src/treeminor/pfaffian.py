@@ -56,11 +56,21 @@ def build_skew_matrix(T: Tree, X: Sequence[int]) -> PolyMatrix:
     return PolyMatrix([[ExactPoly._make(den, 1, p) for p in row] for row in maps])
 
 
-def _odd_exponent(T: Tree, odd: int) -> int:
+def _odd_exponent(T: Tree, odd: int, sums: list[int] | None = None) -> int:
     """w(odd) times T._den, odd a mask of T's edges (bit b: the edge above
     the (b + 1)-th smallest label): the exponent of the Pfaffian monomial
-    over t^(1/T._den)."""
-    return T._weight_num(odd)
+    over t^(1/T._den).  It reads sums[odd] when given the sums of every
+    edge mask (_mask_sums), and T._weight_num(odd) otherwise."""
+    return T._weight_num(odd) if sums is None else sums[odd]
+
+
+def _mask_sums(T: Tree) -> list[int]:
+    """The weight of every mask of T's edges times T._den, indexed by the
+    mask: 2^(n - 1) ints, each one addition from a smaller mask's."""
+    sums = [0]
+    for w in T._root_paths.weight:
+        sums += [s + w for s in sums]
+    return sums
 
 
 def _odd_monomial(T: Tree, odd: int) -> ExactPoly:
@@ -98,23 +108,24 @@ def pf_formula_table(
     2^bits, 1 << (bits w) for a monomial t^(w / T._den), and None where
     that sub-tuple is not nicely ordered.
 
-    Keys are pf_table(T, order, bits)'s.  Tree.tour_table gives each
-    sub-tuple's XOR of root-path masks, its odd-splitting edges, and
-    decides its niceness by the hop count: the cyclic tour crosses every
-    spanned edge an even number of times, at least twice, so the order is
-    nice iff the tour is twice as long as the spanned subtree.  It reads
+    Keys are pf_table(T, order, bits)'s, in its order.  Tree.tour_table
+    gives each even sub-tuple's XOR of root-path masks, its odd-splitting
+    edges, and decides its niceness by the hop count: the cyclic tour
+    crosses every spanned edge an even number of times, at least twice, so
+    the order is nice iff the tour is twice as long as the spanned subtree.
+    The odd edges' weights are read off one table of every edge mask's
+    weight (_mask_sums) when T has fewer edges than order has points, as
+    when order lists all of T, and by T._weight_num otherwise.  It reads
     edge weights, the rooted walk and the masks, never the distances
     pf_table reads.  A monomial has 1-norm 1, so for bits >= 2 its value
     equals a Pfaffian's from pf_table exactly when the polynomials agree.
     """
     xs = T.check_subset(order)
-    xor, nice = T.tour_table(xs)
-    keys = _sub_tuples(xs)
-    table: dict[tuple[int, ...], int | None] = {}
-    for mask, key in enumerate(keys):
-        if not mask.bit_count() % 2:
-            table[key] = 1 << bits * _odd_exponent(T, xor[mask]) if nice[mask] else None
-    return table
+    sums = _mask_sums(T) if T.n <= len(xs) else None
+    return {
+        key: 1 << bits * _odd_exponent(T, odd, sums) if nice else None
+        for key, (odd, nice) in T.tour_table(xs).items()
+    }
 
 
 def _sub_tuples(xs: tuple[int, ...]) -> list[tuple[int, ...]]:

@@ -718,6 +718,12 @@ def _unpack(bits: int, v: int) -> dict[int, int]:
     return out
 
 
+def _unpack_even(bits: int, v: int) -> dict[int, int]:
+    """The map {2k: c} of a polynomial with even exponents only, packed at
+    u = t^2 = 2^bits: `_unpack`'s map with every exponent doubled."""
+    return {2 * k: c for k, c in _unpack(bits, v).items()}
+
+
 def _top_digit(bits: int, v: int) -> tuple[int, int]:
     """(k, c): the top term c t^k of the map `_unpack(bits, v)` reads, v
     nonzero.  Below the top digit c 2^(bits k) the lower digits sum to less

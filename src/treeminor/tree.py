@@ -287,39 +287,51 @@ class Tree:
                 counts[b] = counts.get(b, 0) + 1
         return all(c <= 2 for c in counts.values()), {P.edge[b]: c for b, c in counts.items()}
 
-    def tour_table(self, order: Sequence[int]) -> tuple[list[int], list[bool]]:
-        """For every sub-tuple of order, indexed by the bitmask of its
-        positions in order: the XOR of its root-path masks (its odd-splitting
-        edges when its size is even) and whether it is nicely ordered.
+    def tour_table(self, order: Sequence[int]) -> dict[tuple[int, ...], tuple[int, bool]]:
+        """For every sub-tuple of order of even size, in increasing order of
+        the bitmask of its positions in order: the XOR of its root-path
+        masks (its odd-splitting edges) and whether it is nicely ordered.
 
         A cyclic tour crosses every edge of the spanned subtree E_S an even
         number of times, and at least twice, and no other edge.  So S is
         nicely ordered iff the tour's length, the sum of the hops
         hop(a, b) = popcount(P_a ^ P_b) between cyclic neighbours, is
-        2 |E_S|.  Each sub-tuple is its first member f followed by a shorter
-        one, R, starting at g: its XOR adds P_f, its spanned mask adds the
-        f-g path and its open tour adds hop(f, g), so each entry costs O(1)
-        mask operations.
+        2 |E_S|.  A nonempty even sub-tuple is a shorter even one, R, from f
+        to l, followed by its last two members a < b: its XOR adds the a-b
+        path P_a ^ P_b, its spanned mask the l-a and a-b paths, and its
+        open tour hop(l, a) + hop(a, b), closed by hop(b, f).  So each entry
+        costs O(1) mask operations, and no odd sub-tuple is built.  Taken by
+        b, then a, then R (the 2^(a - 1) - 1 nonempty even sub-tuples below
+        position a, the first ones listed), the sub-tuples come in
+        increasing mask order.
         """
         xs = self.check_subset(order)
         P = self._root_paths
         paths = [P[x] for x in xs]
-        hop = [[(p ^ q).bit_count() for q in paths] for p in paths]
-        size = 1 << len(xs)
-        xor, span, walk = [0] * size, [0] * size, [0] * size
-        nice = [True] * size
-        for mask in range(1, size):
-            low = mask & -mask
-            f = low.bit_length() - 1
-            rest = mask ^ low
-            xor[mask] = xor[rest] ^ paths[f]
-            if rest:
-                g = (rest & -rest).bit_length() - 1
-                span[mask] = span[rest] | (paths[f] ^ paths[g])
-                walk[mask] = walk[rest] + hop[f][g]
-                tour = walk[mask] + hop[mask.bit_length() - 1][f]
-                nice[mask] = tour == 2 * span[mask].bit_count()
-        return xor, nice
+        path = [[p ^ q for q in paths] for p in paths]
+        hop = [[m.bit_count() for m in row] for row in path]
+        table = {(): (0, True)}
+        # the nonempty even sub-tuples so far: (sub-tuple, XOR, spanned mask,
+        # open tour, first position, last position)
+        listed: list[tuple[tuple[int, ...], int, int, int, int, int]] = []
+        for b, xb in enumerate(xs):
+            hop_b = hop[b]
+            for a in range(b):
+                ab, hop_ab = path[a][b], hop[a][b]
+                path_a, hop_a = path[a], hop[a]
+                pair = (xs[a], xb)
+                table[pair] = ab, True
+                grown = [(pair, ab, ab, hop_ab, a, b)]
+                below = (1 << a >> 1) - 1 if a else 0  # the nonempty even R below a
+                for key, odd, span, walk, f, l in listed[:below]:
+                    key += pair
+                    odd ^= ab
+                    span |= path_a[l] | ab
+                    walk += hop_a[l] + hop_ab
+                    table[key] = odd, walk + hop_b[f] == 2 * span.bit_count()
+                    grown.append((key, odd, span, walk, f, b))
+                listed += grown
+        return table
 
     def nice_order(self, X: Iterable[int]) -> tuple[int, ...]:
         """X reordered by first visit of a depth-first walk.

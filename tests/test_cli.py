@@ -23,7 +23,7 @@ import pytest
 from treeminor import cli, matroid, metric, pfaffian
 from treeminor.cli import run
 from treeminor.metric import format_matrix_csv, square_cycle_metric
-from treeminor.poly import ExactPoly, _unpack
+from treeminor.poly import ExactPoly, _unpack, _unpack_even
 from treeminor.tree import Tree, parse_tree_text, random_tree
 
 F = Fraction
@@ -540,9 +540,11 @@ def test_a_wrong_table_entry_fails_its_row(
         field, value = "table", "oracle"
     wrong = []
     right = getattr(cli, table)
+    # the Pfaffian tables pack at t^(1/_den), the minor ones at u = t^(2/_den)
+    read, power = (_unpack, 1) if sweep == "pf-verify" else (_unpack_even, 2)
 
     def corrupt(T, size, bits):
-        # times t: the packed int shifts by one exponent step of t, T._den
+        # times t^power: the packed int shifts by T._den exponent steps
         entries = right(T, size, bits)
         key = max(entries, key=len)
         if isinstance(entries[key], tuple):  # a formula value and its 1-norm bound
@@ -551,7 +553,7 @@ def test_a_wrong_table_entry_fails_its_row(
         else:
             packed = entries[key]
             entries[key] = packed << bits * T._den
-        entry = ExactPoly._make(T._den, 1, _unpack(bits, packed)) * ExactPoly.t_power(1)
+        entry = ExactPoly._make(T._den, 1, read(bits, packed)) * ExactPoly.t_power(power)
         wrong.append((key, entry))
         return entries
 
@@ -628,8 +630,9 @@ def test_cycles_verify_failure_lists_all_three_values(capsys, monkeypatch):
 
 
 def test_a_wrong_cycle_table_entry_fails_its_row(capsys, monkeypatch):
-    # one entry's tight sum times t: the single-instance check passes, so
-    # the certificate carries the table's two sums under `table`
+    # one entry's tight sum times t^2 (u^_den, u = t^(2/_den)): the
+    # single-instance check passes, so the certificate carries the table's
+    # two sums under `table`
     right = cli.cycle_table
     wrong = []
 
@@ -638,7 +641,8 @@ def test_a_wrong_cycle_table_entry_fails_its_row(capsys, monkeypatch):
         key = max(entries, key=len)
         full, tight = entries[key]
         entries[key] = full, tight << bits * T._den
-        wrong.append((key, [str(ExactPoly._make(T._den, 1, _unpack(bits, v))) for v in entries[key]]))
+        sums = [str(ExactPoly._make(T._den, 1, _unpack_even(bits, v))) for v in entries[key]]
+        wrong.append((key, sums))
         return entries
 
     monkeypatch.setattr(cli, "cycle_table", corrupt)

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from treeminor.cyclekernel import (
     ENUMERATION_CAP,
@@ -25,8 +26,14 @@ from treeminor.cyclekernel import (
     support,
     support_norm,
 )
-from treeminor.minors import minor_formula
-from treeminor.poly import ExactPoly, _unpack, _word_for
+from treeminor.minors import (
+    _formula_norm_bound,
+    minor_formula,
+    minor_formula_table,
+    minor_oracle,
+    minor_table,
+)
+from treeminor.poly import ExactPoly, _unpack_even, _word_for
 from treeminor.tree import Tree, edge_key, random_tree
 
 
@@ -68,16 +75,18 @@ class Ring:
     """A path oracle that is not a tree: the cycle 1-2-...-m-1 with edge
     (1, m) of weight 3/2 and the others of weight 1, each path going the
     lighter way round (ties upward), as an edge set and as a mask of the
-    edges in sorted order, with weights over _den = 2.  The flips cancel
-    only on trees, so here the tight sum differs from the full one.  From
-    m = 6 on, the cycles (1 3 5) and (2 4 6) each go once round the ring,
-    so together they meet every edge twice: a tight partition whose cycles
-    are not tight."""
+    edges in sorted order, with weights over _den (4 unless given).  The
+    flips cancel only on trees, so here the tight sum differs from the full
+    one.  From m = 6 on, the cycles (1 3 5) and (2 4 6) each go once round
+    the ring, so together they meet every edge twice: a tight partition
+    whose cycles are not tight.  A cycle that goes once round weighs
+    m - 1 + 3/2, an odd number of halves, so over _den = 2 the integer
+    weights admit no 2-colouring, which cycle_table needs; over _den = 4
+    every integer weight is even."""
 
-    _den = 2
-
-    def __init__(self, m):
+    def __init__(self, m, den=4):
         self.m = m
+        self._den = den
         self._weights = {edge_key(v, v % m + 1): Fraction(1) for v in range(1, m + 1)}
         self._weights[1, m] = Fraction(3, 2)
         self._edge_bit = {e: 1 << b for b, e in enumerate(sorted(self._weights))}
@@ -216,7 +225,7 @@ def test_cycle_table_matches_the_partition_by_partition_reference(kind):
         assert list(table) == keys
         sums = {}
         for X, packed in table.items():
-            got = tuple(ExactPoly._make(t._den, 1, _unpack(bits, v)) for v in packed)
+            got = tuple(ExactPoly._make(t._den, 1, _unpack_even(bits, v)) for v in packed)
             want = reference_cycle_sums(t, X)
             assert got == want
             assert tuple(map(str, got)) == tuple(map(str, want))
@@ -237,6 +246,65 @@ def test_cycle_table_matches_the_partition_by_partition_reference(kind):
     # a size cap below |elems| drops the larger sets, and only those
     t = weighted_tree(7, 3, kind)
     check(t, t.vertices, 3)
+
+
+def test_a_path_oracle_with_an_odd_closed_walk_is_refused():
+    # over _den = 2 the ring's cycles round it have odd integer weights:
+    # their sums are not polynomials in u = t^(2/_den)
+    for m in (5, 6):
+        ring = Ring(m, den=2)
+        elems = tuple(range(1, m + 1))
+        with pytest.raises(ValueError, match="odd weight"):
+            cycle_table(ring, elems, m, _word_for(math.factorial(m)))
+        with pytest.raises(ValueError, match="odd weight"):
+            cycle_sums(ring, elems)
+    # a size cap of 1 builds no pair tables: each point's partition is itself
+    assert cycle_table(Ring(5, den=2), (1, 2), 1, 8) == {(1,): (1, 1), (2,): (1, 1)}
+
+
+def sparse_tree(n, seed):
+    """random_tree(n, seed)'s shape, unit weights but one edge of 1/997."""
+    (u, v, _), *rest = random_tree(n, seed=seed).edges()
+    return Tree([(u, v, Fraction(1, 997)), *rest])
+
+
+@st.composite
+def grid_cases(draw):
+    kind = draw(st.sampled_from(["unit", "rational", "gapped", "sparse"]))
+    n = draw(st.integers(1, 7))
+    seed = draw(st.integers(0, 10 ** 6))
+    if kind == "gapped":  # random_tree's shape on the labels 3, 6, 9, ...
+        base = random_tree(n, seed=seed, weights="rational")
+        T = Tree([(3 * u, 3 * v, w) for u, v, w in base.edges()], vertices=range(3, 3 * n + 1, 3))
+    elif kind == "sparse":
+        T = sparse_tree(n, seed) if n > 1 else random_tree(1)
+    else:
+        T = random_tree(n, seed=seed, weights=kind)
+    return T, draw(st.integers(1, n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid_cases())
+@example((sparse_tree(7, 5), 7))
+@example((random_tree(7, seed=1, weights="rational"), 4))
+def test_the_u_grid_tables_read_back_as_the_t_grid_references(case):
+    # minor_table, minor_formula_table and cycle_table pack each value at
+    # u = t^(2/_den); read back with doubled exponents, every value is the
+    # polynomial in t that the determinant and the partition-by-partition
+    # sums give
+    T, k = case
+    bits = _word_for(max(math.factorial(k), _formula_norm_bound(T)))
+    dets, formulas = minor_table(T, k, bits), minor_formula_table(T, k, bits)
+    cycles = cycle_table(T, T.vertices, k, bits)
+    assert set(dets) == set(formulas) == set(cycles)
+
+    def read(value):
+        return ExactPoly._make(T._den, 1, _unpack_even(bits, value))
+
+    for X, (full, tight) in cycles.items():
+        oracle = minor_oracle(T, X)
+        assert read(dets[X]) == read(formulas[X][0]) == oracle
+        assert (read(full), read(tight)) == reference_cycle_sums(T, X) == (oracle, oracle)
 
 
 def test_cycle_sums_refuse_more_labels_than_the_cap():

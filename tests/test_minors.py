@@ -36,6 +36,7 @@ from treeminor.poly import (
     _sylvester,
     _top_digit,
     _unpack,
+    _unpack_even,
     _word_for,
     det,
     det_permutation,
@@ -154,14 +155,18 @@ def word_bits_for(T, k):
 
 
 def unpacked(T, bits, value):
-    return ExactPoly._make(T._den, 1, _unpack(bits, value))
+    """The polynomial a minor table's value packs at u = t^(2/T._den) =
+    2^bits, read back over t with doubled exponents."""
+    return ExactPoly._make(T._den, 1, _unpack_even(bits, value))
 
 
 def leading_ints(T, X):
-    """minor_leading as (exponent times T._den, coefficient) ints."""
+    """minor_leading as (exponent over u = t^(2/T._den), coefficient) ints:
+    the exponent times T._den is even, and halved."""
     e, c = minor_leading(T, X)
     assert (e * T._den).denominator == c.denominator == 1
-    return int(e * T._den), int(c)
+    assert int(e * T._den) % 2 == 0
+    return int(e * T._den) // 2, int(c)
 
 
 def gapped_tree(n, seed, weights):
@@ -170,19 +175,28 @@ def gapped_tree(n, seed, weights):
     return Tree([(3 * u, 3 * v, w) for u, v, w in base.edges()])
 
 
+def sparse_tree(n, seed):
+    """random_tree(n, seed)'s shape, unit weights but one edge of 1/997."""
+    (u, v, _), *rest = random_tree(n, seed=seed).edges()
+    return Tree([(u, v, F(1, 997)), *rest])
+
+
 ORDER_TREES = (
     random_tree(9, seed=5),  # unit weights: the packed form
-    random_tree(9, seed=3, weights="rational"),  # _den 12: the maps form
+    random_tree(9, seed=3, weights="rational"),  # _den 12: packed at u = t^(2/12)
     gapped_tree(8, 3, "rational"),
+    sparse_tree(9, 3),  # _den 997: the maps form
 )
 
 
 @settings(max_examples=60, deadline=None)
 @given(trees_and_sizes())
-# unit weights, rational ones (the maps form, _den 12) and labels with gaps
+# unit weights, rational ones (_den 12), labels with gaps and an edge of
+# 1/997 (the maps form)
 @example((random_tree(8, seed=3), 8))
 @example((random_tree(8, seed=4, weights="rational"), 8))
 @example((gapped_tree(7, 2, "rational"), 4))
+@example((sparse_tree(8, 4), 8))
 def test_minor_table_holds_every_small_subset_and_matches_the_oracle(case):
     T, k = case
     bits = word_bits_for(T, k)
@@ -198,9 +212,21 @@ def test_minor_table_holds_every_small_subset_and_matches_the_oracle(case):
 
 
 def test_the_rational_example_walks_the_maps_form():
-    for T, k in ((random_tree(8, seed=4, weights="rational"), 8), *((T, 5) for T in ORDER_TREES[1:])):
+    # minor_table walks the half exponents (u = t^(2/_den)), which pack the
+    # _den-12 examples that walked the maps form at t^(1/_den); an edge of
+    # 1/997 keeps the walk on the maps
+    def packs(T, k):
+        _, dist, _ = minors._central_block(T, T.vertices)
+        maps, _ = minors._half_power_maps(dist)
+        return _dense(maps, word_bits_for(T, k))
+
+    rational = (random_tree(8, seed=4, weights="rational"), 8), *((T, 5) for T in ORDER_TREES[1:3])
+    for T, k in rational:
         maps, _ = minors._power_maps(*T._distance_ints(T.vertices))
         assert T._den == 12 and not _dense(maps, word_bits_for(T, k))
+        assert packs(T, k)
+    for T, k in ((sparse_tree(8, 4), 8), (ORDER_TREES[3], 5)):
+        assert T._den == 997 and not packs(T, k)
 
 
 def test_minor_table_refuses_too_few_bits():
@@ -211,13 +237,14 @@ def test_minor_table_refuses_too_few_bits():
 
 
 def test_the_top_digit_takes_back_a_borrow():
-    # the path 1-2-3: 1 - 2 t^2 + t^4, a top 1 above a negative digit
+    # the path 1-2-3: 1 - 2 t^2 + t^4 = 1 - 2 u + u^2 at u = t^2, a top 1
+    # above a negative digit
     T = path_tree(3)
     bits = word_bits_for(T, 3)
     value = minor_table(T, 3, bits)[(1, 2, 3)]
     assert unpacked(T, bits, value) == 1 - 2 * tp(2) + tp(4)
-    assert value.bit_length() == 4 * bits  # the borrow: the top word is 0
-    assert _top_digit(bits, value) == (4, 1) == leading_ints(T, (1, 2, 3))
+    assert value.bit_length() == 2 * bits  # the borrow: the top word is 0
+    assert _top_digit(bits, value) == (2, 1) == leading_ints(T, (1, 2, 3))
     for top, below in ((1, -5), (-1, 5), (-1, -5), (2, -1), (127, -127), (-127, 127)):
         value = (top << 3 * 8) + (below << 2 * 8) + (-3 << 8)
         assert _unpack(8, value) == {3: top, 2: below, 1: -3}
@@ -262,7 +289,7 @@ def test_minor_formula_table_on_trees_with_gaps_in_their_labels():
                 assert unpacked(T, bits, value) == minor_formula(T, X) == minor_oracle(T, X)
 
 
-@pytest.mark.parametrize("T", ORDER_TREES, ids=["unit", "rational", "gapped"])
+@pytest.mark.parametrize("T", ORDER_TREES, ids=["unit", "rational", "gapped", "sparse"])
 def test_the_oracles_do_not_depend_on_the_order_they_walk(T):
     # both oracles eliminate central-first; a simultaneous permutation of
     # rows and columns leaves every principal minor as it is
@@ -279,9 +306,12 @@ def test_the_oracles_do_not_depend_on_the_order_they_walk(T):
     bits = word_bits_for(T, m)
     table = minor_table(T, m, bits)
     assert all(list(X) == sorted(X) for X in table)
-    # the reference: one walk in label order
-    maps, _ = minors._power_maps(*T._distance_ints(T.vertices))
-    assert table == _sylvester(_packed_values(maps, m, bits), T.vertices, m)
+    # the reference: one walk in label order, the parities taken from the
+    # smallest label
+    maps, parity = minors._half_power_maps(T._distance_ints(T.vertices)[0])
+    odd = dict(zip(T.vertices, parity))
+    walked = _sylvester(_packed_values(maps, m, bits), T.vertices, m)
+    assert table == {X: v >> bits * sum(odd[x] for x in X) for X, v in walked.items()}
 
 
 @st.composite
@@ -509,7 +539,7 @@ def test_formula_and_oracle_sides_read_separate_integer_forms(monkeypatch):
     assert formula == oracle
     assert {X: value for X, (value, _) in formula_table.items()} == table
     assert leading == formula[1].leading_term()
-    assert leading_table[(2, 3, 5)] == (leading[0] * T._den, leading[1])
+    assert leading_table[(2, 3, 5)] == (leading[0] * T._den / 2, leading[1])
     assert sums == (formula[1], formula[1])
     assert pf_monomial == pf_one
     assert all(p is None or p == pf_all[k] for k, p in pf_formulas.items())

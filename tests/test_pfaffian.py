@@ -186,6 +186,37 @@ def test_pf_formula_table_is_the_monomial_where_nicely_ordered(case):
                 assert value is None
 
 
+def test_pf_formula_table_reads_the_same_weights_from_both_sources(monkeypatch):
+    # over every vertex of a tree (fewer edges than points) the odd edges'
+    # weights come from one table of every edge mask's sum; with that table
+    # withheld, and over 4 points of a 30-vertex tree, from T._weight_num
+    built = []
+    mask_sums = pfaffian_module._mask_sums
+    monkeypatch.setattr(pfaffian_module, "_mask_sums", lambda T: built.append(T) or mask_sums(T))
+    trees = (
+        random_tree(9, seed=4, weights="rational"),
+        Tree([(3, 9, F(1, 2)), (9, 6, F(2, 3)), (9, 12, 1), (12, 15, F(5, 4))]),
+        random_tree(10, seed=2),
+    )
+    for T in trees:
+        bits = pf_bits(T.n)
+        for order in (T.nice_order(T.vertices), T.vertices[::-1]):
+            table = pf_formula_table(T, order, bits)
+            assert built.pop() is T
+            with monkeypatch.context() as m:
+                m.setattr(pfaffian_module, "_mask_sums", lambda T: None)
+                assert pf_formula_table(T, order, bits) == table
+    T = random_tree(30, seed=1, weights="rational")
+    order = T.vertices[3:28:7]
+    table = pf_formula_table(T, order, pf_bits(4))
+    assert not built and len(table) == 8
+    for X, value in table.items():
+        if T.is_nicely_ordered(X)[0]:
+            assert unpacked(T, pf_bits(4), value) == pf_formula(T, X)
+        else:
+            assert value is None
+
+
 def test_pf_table_bits_hold_at_17_vertices():
     # a Pfaffian over 2k points sums one signed monomial per perfect
     # matching: (2k - 1)!! of them, counted here by pairing the first point

@@ -72,7 +72,8 @@ from .minors import (
 )
 from .pfaffian import (
     NotNicelyOrderedError,
-    _pf_packed,
+    _pf_top_down,
+    _shift_rows,
     pf_bits,
     pf_formula,
     pf_formula_table,
@@ -534,7 +535,8 @@ def _negative_hits(T, rng, negatives: int) -> int:
     the plain odd-weight monomial (a non-nice order may still coincide by
     luck; those draws are skipped, not failures).  Both sides are ints at
     t^(1/T._den) = 2^B, B = pf_bits(r), compared as the sweep compares
-    them: the Pfaffian from pfaffian._pf_packed, the monomial 2^(B w)."""
+    them: the Pfaffian from pfaffian._pf_top_down on packed ints, the
+    monomial 2^(B w)."""
     hit = 0
     tried = 0
     while hit < negatives and tried < 50 * max(negatives, 1):
@@ -544,7 +546,7 @@ def _negative_hits(T, rng, negatives: int) -> int:
         if T.is_nicely_ordered(sub)[0]:
             continue
         bits = pf_bits(r)
-        if _pf_packed(T, sub, bits) != 1 << bits * T._weight_num(T._odd_mask(sub)):
+        if _pf_top_down(_shift_rows(T, sub, bits), 1) != 1 << bits * T._weight_num(T._odd_mask(sub)):
             hit += 1
     return hit
 

@@ -11,7 +11,9 @@ truncated series) whose minor/Pfaffian top exponents reproduce the maps:
 
 * `represent_odd` -- a skew matrix of pairwise distance powers, taken in a
   nice vertex order; the top and bottom exponents of the Pfaffians of its
-  principal submatrices give the odd-edge map and its negative.
+  principal submatrices give the odd-edge map and its negative, every
+  block's read off one bottom-up table (pfaffian._pf_bottom_up) on packed
+  ints or shifted integer maps, whichever form pfaffian._pf_form picks.
 * `verify_rooted_representation` -- the pairwise-power matrix M with the
   rank-one root contribution removed, as integer maps, factored as
   -M = L1 D L1^T over truncated series (tropic.ldl, no square roots) and
@@ -34,8 +36,8 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .metric import MINUS_INF
-from .pfaffian import _packs, _skew_maps, build_skew_matrix, pf_bits, pf_oracle, pf_table
-from .poly import ExactPoly, PolyMatrix, _as_fraction, _kernel, _pfaffian_maps, _sylvester, _unpack
+from .pfaffian import _pf_bottom_up, _pf_form, build_skew_matrix, pf_oracle
+from .poly import ExactPoly, PolyMatrix, _as_fraction, _kernel, _sylvester
 from .tree import Tree
 from .tropic import PrecisionError, PuiseuxTrunc, ldl, series_det
 
@@ -308,26 +310,15 @@ class OddRepresentation:
 
     def value_pairs(self) -> dict[tuple[int, ...], tuple]:
         """value_pair of every even sub-tuple of the order (keys in the
-        order's order).  Where the matrix packs (pfaffian._packs) they are
-        read off one table of its principal Pfaffians (pfaffian.pf_table),
-        each unpacked.  Otherwise that table's ints would be too wide, and
-        every block is expanded on the integer maps (poly._pfaffian_maps),
-        all of them sharing one memo of the blocks' Pfaffians."""
-        n = len(self.order)
-        bits = pf_bits(n)
-        maps, den = _skew_maps(self.tree, self.order)
-        if not _packs(maps, bits):
-            memo: dict = {}
-            return {
-                tuple(self.order[p] for p in pos): _value_pair(
-                    ExactPoly._make(den, 1, _pfaffian_maps(maps, pos, memo))
-                )
-                for r in range(0, n + 1, 2)
-                for pos in combinations(range(n), r)
-            }
+        order's order), read off one bottom-up table of its principal
+        Pfaffians (pfaffian._pf_bottom_up, pf_table's expansion), on the
+        form pfaffian._pf_form picks: packed ints where the matrix is dense,
+        shifted integer maps where its weights share a large denominator
+        and one table's ints would be too wide."""
+        rows, unit, read = _pf_form(self.tree, self.order)
         return {
-            X: _value_pair(ExactPoly._make(den, 1, _unpack(bits, p)))
-            for X, p in pf_table(self.tree, self.order, bits).items()
+            X: _value_pair(ExactPoly._make(self.tree._den, 1, read(p)))
+            for X, p in _pf_bottom_up(self.order, rows, unit).items()
         }
 
     def value(self, X: Iterable[int]):

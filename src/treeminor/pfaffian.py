@@ -8,20 +8,29 @@ generic expansion of the skew matrix is kept as the oracle; it is also what
 exposes non-nicely-ordered tuples, whose Pfaffians genuinely differ.
 The skew matrix is built as integer maps from the tree's integer distance
 rows (_skew_maps), skew by construction; build_skew_matrix is their
-PolyMatrix view.  pf_table gives the Pfaffian of every even sub-tuple of
-one order at once, and pf_formula_table the monomial of each, both as ints
-at t^(1/T._den) = 2^B for a B that holds every Pfaffian's coefficients
-(pf_bits).  pf_oracle expands one tuple's matrix top down, on such ints
-where the matrix is dense enough to pack (_packs) and on poly's integer
-maps otherwise.
+PolyMatrix view.  Every entry is a signed monomial +-t^d, so every step of
+an expansion shifts a smaller Pfaffian by d and adds or subtracts it.  The
+two expansions, top down from one tuple (_pf_top_down) and bottom up over
+every even sub-tuple of one order (_pf_bottom_up), are written once over
+those operations and run on either of two forms: ints at t^(1/T._den) =
+2^B for a B that holds every Pfaffian's coefficients (pf_bits), shifted by
+d B from the unit 1, or integer maps shifted by d from the unit {0: 1}
+(_Shifted).  _pf_form picks the ints where the matrix is dense enough to
+pack (_packs) and the maps where the weights share a large denominator.
+pf_oracle runs the top-down expansion on that form, and
+matroid.OddRepresentation.value_pairs the bottom-up one; pf_table is the
+bottom-up expansion on ints, and pf_formula_table the monomial of every
+even sub-tuple, packed alike.  Neither expansion reaches poly's
+(poly.pfaffian), the reference the tests hold them against.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .poly import _FARRIS_DENSE_BITS, ExactPoly, PolyMatrix, _dense, _pfaffian_maps, _unpack, _word_for
+from .poly import _FARRIS_DENSE_BITS, ExactPoly, PolyMatrix, _dense, _unpack, _word_for
 from .tree import Edge, Tree
 
 
@@ -73,11 +82,6 @@ def _mask_sums(T: Tree) -> list[int]:
     return sums
 
 
-def _odd_monomial(T: Tree, odd: int) -> ExactPoly:
-    """t^{w(odd)} as an integer map without Fraction."""
-    return ExactPoly._make(T._den, 1, {_odd_exponent(T, odd): 1})
-
-
 def pf_bits(size: int) -> int:
     """The least word B (poly._word_for) with 2^(B - 1) above (m - 1)!!,
     m the largest even number <= size: a Pfaffian over m points sums one
@@ -98,7 +102,7 @@ def pf_formula(T: Tree, X: Sequence[int]) -> ExactPoly:
         raise ValueError("Pfaffian needs an even number of vertices")
     if not ok:
         raise NotNicelyOrderedError(*min((e, c) for e, c in counts.items() if c > 2))
-    return _odd_monomial(T, T._odd_mask(xs))
+    return ExactPoly._make(T._den, 1, {_odd_exponent(T, T._odd_mask(xs)): 1})
 
 
 def pf_formula_table(
@@ -128,29 +132,17 @@ def pf_formula_table(
     }
 
 
-def _sub_tuples(xs: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Every sub-tuple of xs, indexed by the bitmask of its positions: the
-    one of mask is the one of mask without its top bit, extended by that
-    position's label."""
-    keys = [()]
-    for i, x in enumerate(xs):
-        keys += [key + (x,) for key in keys]
-    return keys
-
-
 def pf_oracle(T: Tree, X: Sequence[int]) -> ExactPoly:
     """Pfaffian of the actual skew matrix, any ordering, expanded top down
-    from X's own matrix: on ints at t^(1/T._den) = 2^B, B = pf_bits(|X|),
-    where its skew maps pack (_packs, _pf_packed), else poly's memoised
-    expansion on those maps (_pfaffian_maps)."""
+    from X's own matrix (_pf_top_down) in the form _pf_form picks: packed
+    ints at t^(1/T._den) = 2^B, B = pf_bits(|X|), where the matrix packs,
+    and shifted integer maps otherwise.  It never reaches poly's expansion
+    (poly.pfaffian), which the tests hold it against."""
     xs = T.check_subset(X)
     if len(xs) % 2:
         raise ValueError("Pfaffian needs an even number of vertices")
-    maps, den = _skew_maps(T, xs)
-    bits = pf_bits(len(xs))
-    if _packs(maps, bits):
-        return ExactPoly._make(den, 1, _unpack(bits, _pf_packed(T, xs, bits)))
-    return ExactPoly._make(den, 1, _pfaffian_maps(maps))
+    rows, unit, read = _pf_form(T, xs)
+    return ExactPoly._make(T._den, 1, read(_pf_top_down(rows, unit)))
 
 
 def _packs(maps: list[list[dict[int, int]]], bits: int) -> bool:
@@ -161,23 +153,69 @@ def _packs(maps: list[list[dict[int, int]]], bits: int) -> bool:
     return _dense(maps, bits, _FARRIS_DENSE_BITS)
 
 
-def _pf_packed(T: Tree, xs: tuple[int, ...], bits: int) -> int:
-    """The Pfaffian of the skew matrix over xs, an even tuple of T's
-    vertices (unchecked), at t^(1/T._den) = 2^bits, bits at least
-    pf_bits(len(xs)).  pf_table's expansion along the lowest position f,
-    each term the int of Pf(S - f - j) shifted by d(f, j) bits bits and
+def _shift_rows(T: Tree, xs: Sequence[int], bits: int) -> list[list[int]]:
+    """The tree's integer distances over xs (unchecked) times bits: the
+    entry t^d of the skew matrix shifts a Pfaffian packed at t^(1/T._den)
+    = 2^bits left by d * bits bits, and a shifted map (bits 1) by d."""
+    return [[d * bits for d in row] for row in T._distance_ints(xs)[0]]
+
+
+def _pf_form(T: Tree, xs: tuple[int, ...]) -> tuple[list[list[int]], object, Callable]:
+    """(rows, unit, read) for the expansions over xs or its sub-tuples, in
+    the form _packs picks at B = pf_bits(len(xs)): packed ints, rows d B,
+    unit 1 and each value read by poly._unpack; or shifted maps, rows d,
+    unit {0: 1} and each value read into a plain dict."""
+    bits = pf_bits(len(xs))
+    if _packs(_skew_maps(T, xs)[0], bits):
+        return _shift_rows(T, xs, bits), 1, functools.partial(_unpack, bits)
+    return _shift_rows(T, xs, 1), _Shifted({0: 1}), dict
+
+
+class _Shifted(dict):
+    """An integer map {k: c}, sum c t^k over t^(1/T._den), with the three
+    operations the expansions apply to a packed int: << d adds d to every
+    exponent, + and - add and subtract maps, and the int 0 that a sum
+    starts from is the zero (0 + m is m).  So one loop runs on either
+    form; a map grows with its terms, not with its top exponent."""
+
+    __slots__ = ()
+
+    def __lshift__(self, d: int) -> _Shifted:
+        return _Shifted({k + d: c for k, c in self.items()})
+
+    def __radd__(self, zero: int) -> _Shifted:
+        return self
+
+    def __sub__(self, other: _Shifted) -> _Shifted:
+        return self + _Shifted({k: -c for k, c in other.items()})
+
+    def __add__(self, other: _Shifted) -> _Shifted:
+        out = _Shifted(self)
+        get = out.get
+        for k, c in other.items():
+            c += get(k, 0)
+            if c:
+                out[k] = c
+            else:
+                del out[k]
+        return out
+
+
+def _pf_top_down(rows: list[list[int]], unit):
+    """The Pfaffian of the skew matrix whose entry a < b is t^d, rows[a][b]
+    its shift (_shift_rows), from the unit of the form (1 for packed ints,
+    {0: 1} for shifted maps).  pf_table's expansion along the lowest
+    position f, each term the value of Pf(S - f - j) shifted by row f and
     added or subtracted by the parity of j's rank, but driven top down from
     the full set and memoised on position bitmasks: from k points it
     expands the F(k + 1) - 1 nonempty sets that poly's expansion visits
     (F(1) = F(2) = 1), not pf_table's 2^(k - 1) even ones."""
-    dist, _ = T._distance_ints(xs)
-    shift = [[d * bits for d in row] for row in dist]
-    memo = {0: 1}
+    memo = {0: unit}
     get = memo.get
 
-    def pf(mask: int) -> int:
+    def pf(mask: int):
         low = mask & -mask
-        row = shift[low.bit_length() - 1]
+        row = rows[low.bit_length() - 1]
         rest = mask ^ low
         total = 0
         plus = True
@@ -195,50 +233,61 @@ def _pf_packed(T: Tree, xs: tuple[int, ...], bits: int) -> int:
         memo[mask] = total
         return total
 
-    total = pf((1 << len(xs)) - 1) if xs else 1
+    total = pf((1 << len(rows)) - 1) if rows else unit
     del pf  # break the closure's cycle through itself: the memo goes on return
     return total
 
 
 def pf_table(T: Tree, order: Sequence[int], bits: int) -> dict[tuple[int, ...], int]:
     """The Pfaffian of the skew matrix over every even sub-tuple of order,
-    each at t^(1/T._den) = 2^bits, bits at least pf_bits(len(order)).
+    each at t^(1/T._den) = 2^bits, bits at least pf_bits(len(order)): the
+    bottom-up expansion (_pf_bottom_up) on packed ints.
 
     Keys are the sub-tuples, listed in order's order (the empty one
     included), and each value packs pf_oracle(T, key): every key's matrix
-    is a principal block of the one over order.  One memo over bitmasks of
-    positions expands along the lowest position f of a set S,
-    Pf(S) = sum over j in S - f of (-1)^(r - 1) t^{d(f, j)} Pf(S - f - j),
-    j the r-th member of S after f.  Every entry is a monomial, so each
-    product shifts the int of a smaller Pfaffian by d(f, j) bits bits:
-    about n 2^(n-2) shifts in all.  Exponents are the tree's integer distances,
-    over the lcm of its weight denominators; every coefficient stays below
-    2^(bits - 1) (pf_bits), so each int is its polynomial packed.
+    is a principal block of the one over order.  Exponents are the tree's
+    integer distances, over the lcm of its weight denominators; every
+    coefficient stays below 2^(bits - 1) (pf_bits), so each int is its
+    polynomial packed.
     """
     xs = T.check_subset(order)
-    n = len(xs)
-    if bits < pf_bits(n):
-        raise ValueError(f"{bits} bits do not hold the Pfaffians over {n} points")
-    dist, _ = T._distance_ints(xs)
-    shift = [[d * bits for d in row] for row in dist]
-    memo = [0] * (1 << n)
-    memo[0] = 1
-    keys = _sub_tuples(xs)
-    table = {(): 1}
-    for mask in range(3, 1 << n):
-        if mask.bit_count() % 2:
-            continue
-        low = mask & -mask
-        row = shift[low.bit_length() - 1]
-        rest = mask ^ low
-        total = 0
-        plus = True
-        todo = rest
-        while todo:
-            b = todo & -todo
-            todo ^= b
-            term = memo[rest ^ b] << row[b.bit_length() - 1]
-            total = total + term if plus else total - term
-            plus = not plus
-        memo[mask] = table[keys[mask]] = total
-    return table
+    if bits < pf_bits(len(xs)):
+        raise ValueError(f"{bits} bits do not hold the Pfaffians over {len(xs)} points")
+    return _pf_bottom_up(xs, _shift_rows(T, xs, bits), 1)
+
+
+def _pf_bottom_up(xs: tuple[int, ...], rows: list[list[int]], unit) -> dict[tuple[int, ...], object]:
+    """The Pfaffian of every even sub-tuple of xs, keyed by the sub-tuple,
+    in increasing order of the bitmask of its positions, from rows and
+    unit as _pf_top_down takes them.  One memo over position bitmasks
+    expands along the lowest position f of a set S,
+    Pf(S) = sum over j in S - f of (-1)^(r - 1) t^{d(f, j)} Pf(S - f - j),
+    j the r-th member of S after f: each product shifts a smaller value by
+    row f, about n 2^(n - 2) shifts in all.  Only even sets are built, as
+    Tree.tour_table builds them: a nonempty one is a shorter even one R
+    followed by its last two positions a < b, and taken by b, then a, then
+    R (the 2^(a - 1) even sets below position a, the first ones listed),
+    the masks come in increasing order."""
+    memo = [unit] * (1 << len(xs))
+    listed = [(0, ())]  # the even sets so far: (mask, sub-tuple)
+    for b, xb in enumerate(xs):
+        for a in range(b):
+            pair, ends = (xs[a], xb), 1 << a | 1 << b
+            for mask, key in listed[: 1 << a >> 1 or 1]:
+                mask |= ends
+                key += pair
+                low = mask & -mask
+                row = rows[low.bit_length() - 1]
+                rest = mask ^ low
+                total = 0
+                plus = True
+                todo = rest
+                while todo:
+                    j = todo & -todo
+                    todo ^= j
+                    term = memo[rest ^ j] << row[j.bit_length() - 1]
+                    total = total + term if plus else total - term
+                    plus = not plus
+                memo[mask] = total
+                listed.append((mask, key))
+    return {key: memo[mask] for mask, key in listed}

@@ -13,7 +13,10 @@ _zmul, _zdiv): ring operations run on the stored maps, and the kernel's
 callers hand their results to ExactPoly._make unchanged.  det and pfaffian
 turn their PolyMatrix into integer maps once and run _bareiss or
 _pfaffian_maps on them; the tree oracles build such maps from the tree's
-integer distances and call the walks directly.
+integer distances and call _bareiss and _sylvester directly.  The tree's
+Pfaffians run their own expansions (pfaffian._pf_top_down and
+_pf_bottom_up), so _pfaffian_maps is the kernel of the reference pfaffian
+alone.
 
 The two fraction-free walks of the oracle side, Bareiss elimination
 (_bareiss, which computes half of each step on a symmetric matrix) and
@@ -29,13 +32,13 @@ same walk on the dicts.  Packing is chosen when the exponents are >= 0
 and dense: the largest one times B at most a threshold times the number
 of distinct exponents, _DENSE_BITS (96) by default and _FARRIS_DENSE_BITS
 (900) for minors.minor_oracle's Bareiss walk on the Farris transform of a
-tree distance matrix and for pfaffian.pf_oracle's expansion of a skew
-matrix of distance monomials.  A caller that compares minors instead of
-reading them asks for them packed at its own B (_packed_values): two such
-ints are equal exactly when their maps are, and _top_digit reads the top
-term off one.  A matrix of plain ints needs neither: the star
-check (metric.star_condition_check) walks its own ints, with _istep and
-read the identity.
+tree distance matrix and for the form of pfaffian's expansions of a skew
+matrix of distance monomials (pfaffian._packs).  A caller that compares
+minors instead of reading them asks for them packed at its own B
+(_packed_values): two such ints are equal exactly when their maps are,
+and _top_digit reads the top term off one.  A matrix of plain ints needs
+neither: the star check (metric.star_condition_check) walks its own ints,
+with _istep and read the identity.
 """
 
 from __future__ import annotations
@@ -577,16 +580,18 @@ _DENSE_BITS = 96
 # and subset (den 12, ratios up to 859, 2-14x) and lost on 9-leaf stars with
 # one edge 1/p from ratio 432 (p = 53, 1.9x) up; sparser matrices, such as
 # p = 997 (ratio 7,984) or den 2,310, stay on the maps.  A second reader,
-# pfaffian.pf_oracle, picks its expansion with the same threshold on the
-# skew matrix of distance monomials at B = pfaffian.pf_bits.  All vertices
-# of random unit and rational trees (n 2-22, 60 seeds each) read 8-169 there
-# and pack.  On 48 shuffled tuples of
-# k = 10 and 14 points, on trees with every other edge over p = 1 to 9,973
-# (Python 3.11, one 2-vCPU VM), packing won 2.2-6.0x up to ratio 197 and
-# 1.35-1.65x at 351-442; from 405 to 688 the maps won by up to 1.6x at
-# k = 14 and the two were within 1.15x at k = 10; the maps won 1.2-4.2x
-# at 973-1,677 and 4.5-50x from 3,165 up.  So this threshold packs some
-# skew matrices that the maps expand faster.
+# pfaffian._packs, picks the form of the Pfaffian expansions with the same
+# threshold on the skew matrix of distance monomials at B = pfaffian.pf_bits.
+# All vertices of random unit and rational trees (n 2-22, 60 seeds each)
+# read 8-169 there and pack.  On 60 shuffled tuples of all k = 10 and 14
+# vertices of random trees with every other edge 1/p, p = 1 to 9,973
+# (Python 3.11, one 2-vCPU VM), the top-down expansion on packed ints won
+# 1.2-6x against the shifted maps at every ratio up to 1,366 and 1.1-1.5x
+# at 1,606-2,336 (k = 10); the two were within 1.1x at 1,230, 1,555 and
+# 2,106, and the maps won 1.3-1.4x at 2,030-3,500, 1.7-2.1x at
+# 3,040-5,804 and 2.7-26x from 5,041 up.  So this threshold
+# packs no measured skew matrix that the maps expand faster, and keeps some
+# from 900 to 1,366 on the maps that pack up to 1.6x faster.
 _FARRIS_DENSE_BITS = 900
 
 
@@ -795,20 +800,13 @@ def pfaffian(m: PolyMatrix) -> ExactPoly:
     return ExactPoly._make(den, mult ** (n // 2), _pfaffian_maps(entries))
 
 
-def _pfaffian_maps(
-    entries: list[list[dict[int, int]]],
-    idx: Sequence[int] | None = None,
-    memo: dict[frozenset, dict[int, int]] | None = None,
-) -> dict[int, int]:
+def _pfaffian_maps(entries: list[list[dict[int, int]]]) -> dict[int, int]:
     """Pfaffian of a skew matrix of integer maps of even size, by expansion
     along the first remaining index, memoised on the remaining set: pairing
     index i1 with the j-th remaining index contributes sign (-1)^j, and the
     empty matrix has Pfaffian 1.  Skewness is not checked: only the upper
-    triangle is read.  idx, ascending, picks the principal block on those
-    indices (all of them by default); a memo passed in keeps the Pfaffian
-    of every block expanded, for later calls on the same entries."""
-    if memo is None:
-        memo = {}
+    triangle is read."""
+    memo: dict[frozenset, dict[int, int]] = {}
 
     def rec(idx: tuple) -> dict[int, int]:
         if not idx:
@@ -830,6 +828,6 @@ def _pfaffian_maps(
         memo[key] = total
         return total
 
-    total = rec(tuple(range(len(entries)) if idx is None else idx))
+    total = rec(tuple(range(len(entries))))
     del rec  # break the closure's cycle through itself: the memo goes on return
     return total

@@ -1094,13 +1094,13 @@ def test_represent_odd_report(capsys):
 
 def test_represent_odd_reads_one_pfaffian_table(capsys, monkeypatch):
     tables = []
-    pf_table = matroid.pf_table
+    bottom_up = matroid._pf_bottom_up
 
-    def counted(T, order, bits):
-        tables.append(pf_table(T, order, bits))
+    def counted(xs, rows, unit):
+        tables.append(bottom_up(xs, rows, unit))
         return tables[-1]
 
-    monkeypatch.setattr(matroid, "pf_table", counted)
+    monkeypatch.setattr(matroid, "_pf_bottom_up", counted)
     monkeypatch.setattr(matroid, "pf_oracle", None)  # no per-subset expansion
     code, out, _ = invoke(
         capsys, "represent-odd", "--n", "8", "--seed", "0", "--format", "json"

@@ -6,18 +6,24 @@ from the three-pairings expansion by hand); the reordering (1,3,2,4) gives
 2t^4 - t^2, which is the standing counterexample showing the order matters.
 """
 
+import functools
 import itertools
+from unittest import mock
 
 import pytest
 from fractions import Fraction
 from hypothesis import example, given, settings, strategies as st
 
-from treeminor import matroid, pfaffian as pfaffian_module
+from treeminor import matroid, pfaffian as pfaffian_module, poly as poly_module
 from treeminor.matroid import _value_pair, represent_odd
 
 from treeminor.pfaffian import (
     NotNicelyOrderedError,
     _packs,
+    _pf_bottom_up,
+    _pf_top_down,
+    _shift_rows,
+    _Shifted,
     _skew_maps,
     build_skew_matrix,
     pf_formula,
@@ -248,12 +254,12 @@ def sparse_star(p):
 
 
 @st.composite
-def skew_cases(draw):
-    """A tree on 2..10 vertices and a shuffled order of all of them but
+def skew_cases(draw, max_n=10):
+    """A tree on 2..max_n vertices and a shuffled order of all of them but
     the last when n is odd (mostly not nicely ordered).  The tree is a unit or rational random
     tree, or one whose edge weights k / q are over q = 1 and one p of 997
     and 2,310, whose distances are few and far apart."""
-    n = draw(st.integers(2, 10))
+    n = draw(st.integers(2, max_n))
     seed = draw(st.integers(0, 10 ** 6))
     mode = draw(st.sampled_from(["unit", "rational", 997, 2310]))
     T = random_tree(n, seed=seed, weights=mode if isinstance(mode, str) else "unit")
@@ -268,40 +274,65 @@ def skew_cases(draw):
     return T, tuple(shuffled[: n - n % 2])
 
 
+def refuse(what):
+    def run(*args):
+        raise AssertionError(f"reached {what}")
+    return run
+
+
 @settings(max_examples=80, deadline=None)
 @given(skew_cases())
 @example((SPARSE8, (1, 2, 3, 4, 5, 7, 8, 6)))
 @example((sparse_star(997), (3, 1, 0, 5, 2, 4)))
 @example((random_tree(10, seed=3, weights="rational"), (4, 9, 1, 7, 2, 10, 6, 3, 8, 5)))
 def test_pf_oracle_is_the_pfaffian_of_the_skew_matrix(case):
-    # the packed expansion shares no code with poly.pfaffian's maps
+    # the tree-side expansions share no code with poly.pfaffian's maps: each
+    # side runs with the other's expansion made to raise (poly's, and the
+    # kernel product it runs on, wherever the expansion is bound)
     T, X = case
-    got = pf_oracle(T, X)
-    want = pfaffian(build_skew_matrix(T, X))
+    with mock.patch.multiple(
+        poly_module,
+        _pfaffian_maps=refuse("poly's maps expansion"),
+        _zmul=refuse("poly's maps expansion"),
+    ):
+        got = pf_oracle(T, X)
+    with mock.patch.multiple(
+        pfaffian_module,
+        _pf_top_down=refuse("the top-down loop"),
+        _pf_bottom_up=refuse("the table loop"),
+    ):
+        want = pfaffian(build_skew_matrix(T, X))
     assert got == want
     assert str(got) == str(want)
 
 
+def refuse_packed(patch):
+    """Make every packed int of the Pfaffian forms raise: the unpacking and
+    the shift rows scaled by some B > 1."""
+    shift_rows = pfaffian_module._shift_rows
+    patch.setattr(pfaffian_module, "_unpack", refuse("packed ints"))
+    patch.setattr(
+        pfaffian_module,
+        "_shift_rows",
+        lambda T, xs, bits: refuse("packed ints")() if bits > 1 else shift_rows(T, xs, bits),
+    )
+
+
 def test_pf_oracle_packs_exactly_the_dense_skew_matrices(monkeypatch):
     # pf_oracle takes the form _packs picks: ints on random trees, whose
-    # rational weights are over den 12, the maps on sparse distances
-    def refuse(form):
-        def run(*args):
-            raise AssertionError(f"pf_oracle ran on the {form}")
-        return run
-
+    # rational weights are over den 12, shifted maps on sparse distances
     dense = [random_tree(n, seed=s, weights=w) for n in (10, 14) for s in range(6) for w in ("unit", "rational")]
     assert {T._den for T in dense} >= {1, 12}
     sparse = [SPARSE8, sparse_star(997)]
     with monkeypatch.context() as patch:
-        patch.setattr(pfaffian_module, "_pfaffian_maps", refuse("maps"))
+        patch.setattr(pfaffian_module, "_Shifted", refuse("shifted maps"))
         for T in dense:
             maps, _ = _skew_maps(T, T.vertices)
             assert _packs(maps, pf_bits(T.n))
             order = T.nice_order(T.vertices)
             assert pf_oracle(T, order) == pf_formula(T, order)
     with monkeypatch.context() as patch:
-        patch.setattr(pfaffian_module, "_pf_packed", refuse("packed ints"))
+        refuse_packed(patch)
         for T in sparse:
             maps, _ = _skew_maps(T, T.vertices)
             assert not _packs(maps, pf_bits(T.n))
@@ -310,19 +341,44 @@ def test_pf_oracle_packs_exactly_the_dense_skew_matrices(monkeypatch):
 
 
 def test_value_pairs_of_a_sparse_tree_stay_on_the_maps(monkeypatch):
-    # one pf_table over SPARSE8 would hold ints of about den * distance * B
-    # bits; value_pairs expands the blocks on the integer maps instead
-    def refuse(*args):
-        raise AssertionError("pf_table ran on a sparse tree")
-
-    monkeypatch.setattr(matroid, "pf_table", refuse)
+    # one packed table over SPARSE8 would hold ints of about den * distance
+    # * B bits; value_pairs runs the one table loop on shifted maps instead
+    tables = []
+    bottom_up = matroid._pf_bottom_up
     rep = represent_odd(SPARSE8)
-    pairs = rep.value_pairs()
+    with monkeypatch.context() as patch:
+        patch.setattr(matroid, "_pf_bottom_up", lambda *args: tables.append(args) or bottom_up(*args))
+        refuse_packed(patch)
+        pairs = rep.value_pairs()
+    assert len(tables) == 1
     want = [X for r in range(0, 9, 2) for X in itertools.combinations(rep.order, r)]
     assert sorted(pairs) == sorted(want) and len(pairs) == 128
     for X, (value, dual) in pairs.items():
         assert value == SPARSE8.odd_weight(X) == -dual
         assert rep.value_pair(X) == (value, dual)  # one pf_oracle, no shared memo
+
+
+@settings(max_examples=40, deadline=None)
+@given(skew_cases(max_n=8))
+def test_both_loops_give_one_map_on_both_forms(case):
+    # packed at B = pf_bits(|X|) and on shifted maps, the top-down expansion
+    # of every block and the one table over X read the same map (at most 8
+    # points: packed, a den-2310 tree's ints run to about a million bits)
+    T, X = case
+    bits = pf_bits(len(X))
+    forms = (
+        (lambda xs: _shift_rows(T, xs, bits), 1, functools.partial(_unpack, bits)),
+        (lambda xs: _shift_rows(T, xs, 1), _Shifted({0: 1}), dict),
+    )
+    tables = [
+        {Y: read(value) for Y, value in _pf_bottom_up(X, rows(X), unit).items()}
+        for rows, unit, read in forms
+    ]
+    assert tables[0] == tables[1]
+    assert list(tables[0]) == list(tables[1])
+    for Y, value in tables[0].items():
+        for rows, unit, read in forms:
+            assert read(_pf_top_down(rows(Y), unit)) == value
 
 
 def test_build_skew_matrix_entries_are_the_distance_monomials(entry_trees):

@@ -69,23 +69,25 @@ def check_dissimilarity(rows: Sequence[Sequence]) -> tuple[Matrix, list[list[int
 
 def parse_matrix_csv(text: str) -> list[list[Fraction | float]]:
     """Comma-separated rows; entries are rationals like 3, 1/2, 2.5, or the
-    token -inf."""
+    token -inf, spaces around them ignored.  Each distinct token text is
+    stripped and parsed once, and its value shared by every entry that
+    repeats it; a tree metric has few distinct entries among its n^2.  A
+    token that fails is not remembered: the error names its line."""
+    values: dict[str, Fraction | float] = {"-inf": MINUS_INF}
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        row: list[Fraction | float] = []
-        for tok in line.split(","):
-            tok = tok.strip()
-            if tok == "-inf":
-                row.append(MINUS_INF)
-                continue
-            try:
-                row.append(_rational(tok))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ValueError(f"line {lineno}: bad entry {tok!r}") from exc
-        rows.append(row)
+        toks = line.split(",")
+        for tok in toks:
+            if tok not in values:
+                s = tok.strip()
+                try:
+                    values[tok] = values[s] if s in values else _rational(s)
+                except (ValueError, ZeroDivisionError) as exc:
+                    raise ValueError(f"line {lineno}: bad entry {s!r}") from exc
+        rows.append([values[tok] for tok in toks])
     if not rows:
         raise ValueError("empty matrix")
     n = len(rows)
@@ -194,32 +196,52 @@ def _sentineled(w: list[list[int | None]]) -> list[list[int]]:
 def _four_point_holds(w: list[list[int | None]]) -> bool:
     """Whether the integer form w (None, for -inf, on the diagonal only)
     meets the four-point condition on quadruples with repetition, the
-    verdict of `_four_point_scan` in O(n^3) instead of O(n^4).
+    verdict of `_four_point_scan` in O(n^2) instead of O(n^4).
 
-    A quadruple {a, a, b, c} (b = c allowed) has two equal pair sums, so
-    it fails only when w_aa + w_bc > w_ab + w_ac; a -inf w_aa never does,
-    and a -inf w_bb is replaced by the sentinel of `_sentineled`.  On
-    distinct points the condition holds exactly when the Farris transform
-    at point 0, g_xy = w_x0 + w_y0 - w_xy, meets the three-point condition
-    g_xy >= min(g_xz, g_zy) (0-hyperbolicity at one base point; Bandelt,
-    "Recognition of tree metrics", 1990), that is, when each g_xy reaches
-    the smallest g on the path from x to y in a maximum spanning tree of g,
-    which Prim's algorithm grows in O(n^2)."""
+    Quadruples of distinct points go first (`_distinct_four_point_holds`,
+    needed only from n = 4).  Every other quadruple is {a, a, b, c}.  With
+    G_a(b, c) = w_ab + w_ac - w_bc its pair sums are w_aa + w_bc and, twice,
+    w_ab + w_ac, so it fails exactly when w_aa > G_a(b, c).  A -inf w_aa
+    never does, and the sentinel of `_sentineled` for a -inf w_bb makes
+    G_a(b, b) larger than any finite w_aa.  So with a finite w_aa and any
+    b0 != a, the repeated-index condition at a is w_aa <= G_a(b, c) for all
+    b, c, and it is enough to test w_aa <= min over every c of G_a(b0, c):
+
+    - c = a gives G_a(b0, a) = w_aa, which never fails, and c = b0 gives
+      G_a(b0, b0) = 2 w_ab0 - w_b0b0, the quadruple {a, a, b0, b0}.
+    - A pair b != c, neither a, meets b0 or else a, b0, b, c are distinct.
+      Then K = w_ab + w_ac + w_ab0 turns the pair sums of {a, b0, b, c}
+      into K - G_a(b, c), K - G_a(b0, c) and K - G_a(b, b0), and the
+      four-point condition there (the first is at most the larger of the
+      other two) reads G_a(b, c) >= min(G_a(b, b0), G_a(b0, c)).
+    - {a, a, b, b}, b != a, holds when w_bb is -inf.  Otherwise, at
+      n >= 3, take c a third point: G_a(b, c) + G_b(a, c) = 2 w_ab, so the
+      tests at a and at b give w_aa + w_bb <= 2 w_ab.  At n = 2, b is b0.
+
+    b0 is the previous point, cyclically; at n = 1 it is a itself, and
+    every G_a(a, c) is w_aa."""
     n = len(w)
     v = _sentineled(w)
-    for a in range(n):
-        row_a, w_aa = v[a], w[a][a]
-        for b in range(a):
-            # gap[c] = w_ac - w_bc; the pattern {a, a, b, c} needs
-            # gap[c] >= w_aa - w_ab, the pattern {b, b, a, c} gap[c] <= w_ab - w_bb
-            gap = list(map(sub, row_a, v[b]))
-            w_bb = w[b][b]
-            if w_aa is not None and min(gap) < w_aa - row_a[b]:
-                return False
-            if w_bb is not None and max(gap) > row_a[b] - w_bb:
-                return False
-    if n < 4:
-        return True
+    if n >= 4 and not _distinct_four_point_holds(v):
+        return False
+    for a, row in enumerate(v):
+        w_aa = w[a][a]
+        # min over c of G_a(b0, c) = w_ab0 + min over c of (w_ac - w_b0c)
+        if w_aa is not None and row[a - 1] + min(map(sub, row, v[a - 1])) < w_aa:
+            return False
+    return True
+
+
+def _distinct_four_point_holds(v: list[list[int]]) -> bool:
+    """Whether the sentineled integer form v of at least 4 points meets the
+    four-point condition on quadruples of distinct points, in O(n^2).  It
+    does exactly when the Farris transform at point 0, g_xy = w_x0 + w_y0 -
+    w_xy, meets the three-point condition g_xy >= min(g_xz, g_zy)
+    (0-hyperbolicity at one base point; Bandelt, "Recognition of tree
+    metrics", 1990), that is, when each g_xy reaches the smallest g on the
+    path from x to y in a maximum spanning tree of g, which Prim's
+    algorithm grows.  No diagonal entry enters the verdict."""
+    n = len(v)
     w0 = [row[0] for row in v]
 
     def farris(x: int) -> list[int]:

@@ -426,6 +426,68 @@ def test_matrix_csv_reads_each_token_as_fraction_does():
             assert parse_matrix_csv(f"{tok}\n") == want, tok
 
 
+def test_matrix_csv_shares_one_value_per_token_text():
+    # repeated, padded and decimal or exponent tokens: each entry is what
+    # Fraction gives for its stripped text
+    toks = ["3", " 3 ", "3", "-inf", " -inf ", "2.5", "1e1", " 1e1", "3/6", "1/2", "0", "-0"]
+    n = len(toks)
+    text = "\n".join(",".join(toks[(i + k) % n] for k in range(n)) for i in range(n))
+    got = parse_matrix_csv(text)
+    for i, row in enumerate(got):
+        for k, x in enumerate(row):
+            tok = toks[(i + k) % n].strip()
+            if tok == "-inf":
+                assert x == MINUS_INF and type(x) is float
+            else:
+                assert x == F(tok) and type(x) is F, tok
+
+
+def test_matrix_csv_bad_entry_names_its_line_after_good_repeats():
+    for bad in ("x", "1/0"):
+        texts = [
+            f"{bad},1,2\n1,0,1\n2,1,0\n",
+            f"0,1,2\n {bad},0,1\n2,1,0\n",
+            f"0,1,2\n1,0,1\n2, {bad},0\n",
+        ]
+        for k, text in enumerate(texts, start=1):
+            with pytest.raises(ValueError) as got:
+                parse_matrix_csv(text)
+            assert str(got.value) == f"line {k}: bad entry {bad!r}"
+
+
+_CSV_TOKENS = st.sampled_from(
+    ["0", "1", "-1", "3/2", "6/4", "2.5", "1e1", "-2.5e-1", "007", "1_0", "-inf", "x", "1/0", "nan"]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.lists(
+            st.lists(
+                st.tuples(_CSV_TOKENS, st.sampled_from(["", " ", "  "])), min_size=n, max_size=n
+            ),
+            min_size=n,
+            max_size=n,
+        )
+    )
+)
+def test_matrix_csv_matches_a_plain_fraction_parse(grid):
+    lines = [",".join(pad + tok + pad[:1] for tok, pad in row) for row in grid]
+    text = "\n".join(lines) + "\n"
+    want = []
+    for lineno, row in enumerate(grid, start=1):
+        try:
+            want.append([MINUS_INF if tok == "-inf" else F(tok) for tok, _ in row])
+        except (ValueError, ZeroDivisionError):
+            bad = next(tok for tok, _ in row if tok in ("x", "1/0", "nan"))
+            with pytest.raises(ValueError) as got:
+                parse_matrix_csv(text)
+            assert str(got.value) == f"line {lineno}: bad entry {bad!r}"
+            return
+    assert parse_matrix_csv(text) == want
+
+
 def test_random_generators_shape():
     d = random_tree_metric(6, seed=4)
     assert check_4pc(d) is None
@@ -588,12 +650,31 @@ def _repeated_index_cases():
     aabc = [[F(0) if i == j else d[i][j] + p[i] + p[j] for j in range(6)] for i in range(6)]
     minus_inf = [row[:] for row in aabc]
     minus_inf[0][0] = MINUS_INF
+    # a caterpillar, spine 1-6 with edges 2 and leaves 7-11 on it, and a
+    # point a on leaf 12, hung from spine vertex 3 by an edge 1, with w_aa
+    # = 3: {a, a, b, c} fails exactly when the path b-c passes vertex 3.
+    # The first failing pair holds neither a nor the point before it,
+    # cyclically, the one base point `_four_point_holds` reads at a
+    cat = Tree(
+        [(v, v + 1, 2) for v in range(1, 6)]
+        + [(1, 7, 1), (2, 8, 3), (4, 9, 1), (5, 10, 2), (6, 11, 1), (3, 12, 1)]
+    )
+    away = []
+    for a, pts in [
+        (0, [12, 1, 7, 8, 2, 4, 9, 5, 10, 11]),
+        (5, [7, 1, 9, 6, 10, 12, 2, 8, 4, 5, 11]),
+    ]:
+        m = tree_distance_matrix(cat, pts)
+        m[a][a] = F(3)
+        away.append(m)
     return [
         ([[F(1), F(0)], [F(0), F(1)]], (0, 0, 1, 1)),
         (aabb, (0, 0, 1, 1)),
         (aabc, (0, 1, 1, 2)),
         (minus_inf, (0, 1, 1, 2)),
         ([[F(0), F(1), F(5)], [F(1), F(0), F(1)], [F(5), F(1), F(0)]], (0, 1, 1, 2)),
+        (away[0], (0, 0, 1, 5)),
+        (away[1], (0, 2, 5, 5)),
     ]
 
 
@@ -605,6 +686,29 @@ def test_fast_four_point_test_sees_violations_at_repeated_indices(m, certificate
         sums = sorted([m[i][j] + m[k][l], m[i][k] + m[j][l], m[i][l] + m[j][k]])
         assert sums[1] == sums[2]
     assert not metric._four_point_holds(metric._integers(m)[0])
+
+
+@st.composite
+def _tree_metrics_with_potentials(draw):
+    """Tree metrics of 10-24 points, denominators 1-3, plus potentials on
+    one or two points off the diagonal, and diagonal entries -inf, 2 p_i or
+    2 p_i + 1/den."""
+    n = draw(st.integers(10, 24))
+    den = draw(st.integers(1, 3))
+    d = random_tree_metric(n, seed=draw(st.integers(0, 10**6)))
+    p = [F(0)] * n
+    for i in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True)):
+        p[i] = F(draw(st.integers(-4, 4)), den)
+    m = [[d[i][j] / den + p[i] + p[j] for j in range(n)] for i in range(n)]
+    for i in range(n):
+        m[i][i] = draw(st.sampled_from([MINUS_INF, 2 * p[i], 2 * p[i] + F(1, den)]))
+    return m
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tree_metrics_with_potentials())
+def test_fast_four_point_test_agrees_with_the_scan_on_larger_tree_metrics(m):
+    assert metric._four_point_holds(metric._integers(m)[0]) == (metric._four_point_scan(m) is None)
 
 
 def _qrad_inertia(a):

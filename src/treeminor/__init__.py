@@ -3,7 +3,9 @@ four-point-condition machinery, and dissimilarity-map representations.
 
 Everything is computed over rationals (or square-root extensions and
 truncated series where the pipelines need them); no floating point touches
-a result.
+a finite result.  The one float is metric.MINUS_INF, float("-inf"), which
+stands for an absent value: it appears in valuations, map values and
+violations, until an exact sentinel replaces it (ROADMAP item 3).
 """
 
 from .poly import ExactPoly, PolyMatrix, det, pfaffian

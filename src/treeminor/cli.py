@@ -80,7 +80,7 @@ from .pfaffian import (
     pf_oracle,
     pf_table,
 )
-from .poly import ExactPoly, _top_digit, _unpack, _unpack_even, _word_for
+from .poly import ExactPoly, _as_fraction, _top_digit, _unpack, _unpack_even, _word_for
 from .tree import Tree, format_tree, random_tree, read_tree_file
 
 _SEED_STRIDE = 1_000_003  # tree index -> sub-seed, documented and fixed
@@ -208,7 +208,7 @@ def _parse_labels(text: str) -> list[int]:
 
 def _parse_fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        return _as_fraction(text)
     except ZeroDivisionError:
         raise CliError(f"zero denominator in {text!r}")
 
@@ -266,7 +266,7 @@ def _run_tasks(worker, tasks, jobs: int) -> list[dict]:
     if jobs <= 1 or len(tasks) <= 1:
         rows = [worker(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             rows = list(pool.map(worker, tasks))
     return sorted(rows, key=lambda r: r["tree_index"])
 
@@ -977,7 +977,7 @@ def _add_sweep(sub, name, help, trees, n, flag, default, flag_help, description=
     p.add_argument(flag, type=int, default=default, help=flag_help)
     _add_seed(p)
     p.add_argument(
-        "--jobs", type=int, default=1, help="parallel workers for sweeps"
+        "--jobs", type=int, default=1, help="parallel workers for sweeps, at most one per tree"
     )
     _add_format(p)
     p.set_defaults(handler=_cmd_sweep)

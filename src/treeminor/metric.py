@@ -21,7 +21,7 @@ from math import isqrt, lcm
 from operator import sub
 from typing import Iterable, Sequence
 
-from .poly import _Form, _istep, _sylvester
+from .poly import _Form, _as_fraction, _istep, _sylvester
 from .radicals import QRad, exact_sign
 from .tree import Tree
 
@@ -68,7 +68,8 @@ def check_dissimilarity(rows: Sequence[Sequence]) -> tuple[Matrix, list[list[int
 
 
 def parse_matrix_csv(text: str) -> list[list[Fraction | float]]:
-    """Comma-separated rows; entries are rationals like 3, 1/2, 2.5, or the
+    """Comma-separated rows; entries are rationals like 3, 1/2, 2.5, read by
+    poly._as_fraction (which refuses one of more than 4,300 digits), or the
     token -inf, spaces around them ignored.  Each distinct token text is
     stripped and parsed once, and its value shared by every entry that
     repeats it; a tree metric has few distinct entries among its n^2.  A
@@ -84,7 +85,7 @@ def parse_matrix_csv(text: str) -> list[list[Fraction | float]]:
             if tok not in values:
                 s = tok.strip()
                 try:
-                    values[tok] = values[s] if s in values else _rational(s)
+                    values[tok] = values[s] if s in values else _as_fraction(s)
                 except (ValueError, ZeroDivisionError) as exc:
                     raise ValueError(f"line {lineno}: bad entry {s!r}") from exc
         rows.append([values[tok] for tok in toks])
@@ -94,17 +95,6 @@ def parse_matrix_csv(text: str) -> list[list[Fraction | float]]:
     if any(len(r) != n for r in rows):
         raise ValueError("matrix is not square")
     return rows
-
-
-def _rational(tok: str) -> Fraction:
-    """Fraction(tok), with the plain ASCII forms n and n/d read by int;
-    every other token (decimals, exponents, underscores, other digits) goes
-    to Fraction itself, so both accept and refuse the same tokens."""
-    num, slash, den = tok.partition("/")
-    digits = num[1:] if num[:1] in ("+", "-") else num
-    if tok.isascii() and digits.isdigit() and (not slash or den.isdigit()):
-        return Fraction(int(num), int(den)) if slash else Fraction(int(num))
-    return Fraction(tok)
 
 
 def format_matrix_csv(rows: Sequence[Sequence]) -> str:

@@ -52,12 +52,44 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Tuple
 
 
+# Python's default limit on int-to-str conversion, so that every value the
+# reader accepts can be printed; a constant, not sys.get_int_max_str_digits(),
+# which PYTHONINTMAXSTRDIGITS would move
+_MAX_DIGITS = 4300
+
+
 def _as_fraction(x) -> Fraction:
+    """x as a Fraction: a Fraction as it is, an int exactly, and a str as
+    Fraction(x) reads it.  This is the one reader of rationals from text:
+    tree files, matrix CSVs, map files and the CLI's rational flags.
+
+    The plain ASCII forms n and n/d are read by int, which refuses more
+    than _MAX_DIGITS digits itself; every other token (decimals, exponents,
+    underscores, other digits) goes to Fraction, so both accept and refuse
+    the same tokens with the same exception types.  Fraction builds 10^e
+    in full before anything checks its size, so a decimal is first sized
+    from its digits and exponent: a ValueError refuses one whose unreduced
+    numerator or denominator would have more than _MAX_DIGITS digits (a
+    zero mantissa counting as one digit, as 10^e is built all the same)."""
+    if isinstance(x, str):  # first: isinstance of a str against Fraction, an ABC, is slow
+        num, slash, den = x.partition("/")
+        digits = num[1:] if num[:1] in ("+", "-") else num
+        if x.isascii() and digits.isdigit() and (not slash or den.isdigit()):
+            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+        mantissa, e, exponent = x.lower().partition("e")
+        try:
+            shift = int(exponent) if e else 0
+        except ValueError:  # not a decimal exponent: Fraction refuses the token
+            return Fraction(x)
+        whole, _, decimals = mantissa.strip().lstrip("+-").replace("_", "").partition(".")
+        top = max(len((whole + decimals).lstrip("0")), 1) + max(shift, 0)
+        bottom = 1 + len(decimals) + max(-shift, 0)
+        if max(top, bottom) > _MAX_DIGITS:
+            raise ValueError(f"{x!r} is a rational of more than {_MAX_DIGITS} digits")
+        return Fraction(x)
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"expected a rational, got {type(x).__name__}")
 

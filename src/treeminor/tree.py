@@ -20,6 +20,8 @@ from math import lcm
 from operator import or_, xor
 from typing import Iterable, Sequence
 
+from .poly import _as_fraction
+
 Edge = tuple[int, int]
 
 
@@ -430,6 +432,12 @@ def random_tree(n: int, seed: int | None = None, weights: str = "unit") -> Tree:
 
 
 def parse_tree_text(text: str) -> Tree:
+    """A tree from its file format: a vertex count, then one edge 'u v
+    [weight]' a line, the weight 1 when omitted; blank lines and lines
+    starting with # are skipped.  A weight is a positive rational as
+    poly._as_fraction reads it (n, p/q or a decimal with an optional
+    exponent, of at most 4,300 digits); a TreeFormatError names the line of
+    any other."""
     lines = text.splitlines()
     rows = [(i + 1, ln.strip()) for i, ln in enumerate(lines)]
     rows = [(no, ln) for no, ln in rows if ln and not ln.startswith("#")]
@@ -466,7 +474,7 @@ def parse_tree_text(text: str) -> Tree:
             raise TreeFormatError(f"self-loop at vertex {u}", no)
         if len(parts) == 3:
             try:
-                w = Fraction(parts[2])
+                w = _as_fraction(parts[2])
             except (ValueError, ZeroDivisionError):
                 raise TreeFormatError(f"bad weight {parts[2]!r}", no) from None
             if w <= 0:

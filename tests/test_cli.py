@@ -206,6 +206,31 @@ def test_minor_verify_sweep_and_jobs_determinism(capsys):
     assert all(r["ok"] for r in data["rows"])
 
 
+def test_jobs_forks_at_most_one_worker_per_tree(capsys, monkeypatch):
+    # a fork pool starts all max_workers processes at its first submit
+    seen = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    argv = ["minor-verify", "--trees", "3", "--n", "5", "--seed", "11"]
+    code1, out1, _ = invoke(capsys, *argv, "--jobs", "1")
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    code64, out64, _ = invoke(capsys, *argv, "--jobs", "64")
+    assert seen == [3]
+    assert (code64, out64) == (code1, out1) == (0, out1)
+
+
 def test_pf_verify_sweep(capsys):
     code, out, _ = invoke(
         capsys, "pf-verify", "--trees", "4", "--n", "6", "--seed", "2",
@@ -340,6 +365,59 @@ def test_bad_option_values_are_usage_errors(capsys, tmp_path, argv, message):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and message in err
+
+
+# every rational read from text goes through one reader, which refuses a
+# value of more than 4,300 digits before Fraction builds 10^e in full; each
+# input keeps its own wording
+RATIONAL_INPUTS = {
+    "tree-weight": ("minor --tree FILE --X 1,2", "2\n1 2 {}\n", "line 2: bad weight"),
+    "csv-entry": ("check-4pc --matrix FILE", "0,{0}\n{0},0\n", "line 1: bad entry"),
+    "map-value": ("check-matroid --map FILE", '{{"ground": [1], "values": {{"1": "{}"}}}}',
+                  "bad map file: "),
+    "--tau": ("signature --matrix C4 --tau {}", None, "of more than 4300 digits"),
+    "--taus": ("hpp-check --matrix C4 --taus 10,{}", None, "expected comma-separated rationals"),
+    "--window": ("represent-rooted --n 6 --root 2 --ground 1,3 --window {}", None,
+                 "of more than 4300 digits"),
+}
+
+
+def _rational_argv(tmp_path, where, tok):
+    argv, file_text, _ = RATIONAL_INPUTS[where]
+    (tmp_path / "c4.csv").write_text(C4_CSV)
+    if file_text:
+        (tmp_path / "input").write_text(file_text.format(tok))
+    subs = {"C4": str(tmp_path / "c4.csv"), "FILE": str(tmp_path / "input")}
+    return [subs.get(arg, arg) for arg in argv.format(tok).split()]
+
+
+@pytest.mark.parametrize("tok", ["1e5000", "1e-5000", "0." + "0" * 4400 + "1"],
+                         ids=["1e5000", "1e-5000", "0.0...01"])
+@pytest.mark.parametrize("where", list(RATIONAL_INPUTS))
+def test_oversized_rationals_exit_2_with_their_inputs_wording(capsys, tmp_path, where, tok):
+    code, out, err = invoke(capsys, *_rational_argv(tmp_path, where, tok))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and RATIONAL_INPUTS[where][2] in err
+
+
+@pytest.mark.parametrize("where", list(RATIONAL_INPUTS))
+def test_rationals_at_the_digit_limit_are_read(capsys, tmp_path, where):
+    # 10^4299 and 10^-4299 have 4,300 digits: read, then judged as any value
+    # (--window 1e4299 is over represent-rooted's cost bound), never refused
+    # for their size
+    for tok in ("1e4299", "1e-4299"):
+        _, _, err = invoke(capsys, *_rational_argv(tmp_path, where, tok))
+        assert RATIONAL_INPUTS[where][2] not in err and "digits" not in err, (where, tok)
+    for tok in ("1e4300", "1e-4300"):
+        code, _, err = invoke(capsys, *_rational_argv(tmp_path, where, tok))
+        assert code == 2 and RATIONAL_INPUTS[where][2] in err, (where, tok)
+
+
+def test_a_weight_at_the_digit_limit_is_printed_back(capsys, tmp_path):
+    code, out, _ = invoke(capsys, *_rational_argv(tmp_path, "tree-weight", "1e4299"),
+                          "--format", "json")
+    assert code == 0
+    assert json.loads(out)["tree"] == f"2\n1 2 {10**4299}\n"
 
 
 @pytest.mark.parametrize(

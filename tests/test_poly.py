@@ -6,13 +6,14 @@ and exponent conventions.
 """
 
 import gc
+import re
 import weakref
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial, lcm
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from treeminor.poly import (
     ExactPoly,
@@ -21,7 +22,9 @@ from treeminor.poly import (
     det_permutation,
     divide_exact,
     pfaffian,
+    _MAX_DIGITS,
     _Form,
+    _as_fraction,
     _bareiss,
     _integer_rows,
     _istep,
@@ -109,6 +112,63 @@ def test_str_fractional_and_negative_exponents():
     assert str(tp(-1, F(-1, 8))) == "-(1/8)*t^(-1)"
     assert str(tp(1)) == "t"
     assert str(ExactPoly.zero()) == "0"
+
+
+# ---------------------------------------------------------------------------
+# reading rationals from text
+
+
+def test_reader_sizes_a_decimal_before_fraction_builds_it():
+    # 10^4299 and 10^-4299 have 4,300 digits, Python's default int-to-str
+    # limit; one more digit is refused before Fraction builds 10^e in full
+    assert _MAX_DIGITS == 4300
+    assert _as_fraction("1e4299") == 10**4299
+    assert _as_fraction("1e-4299") == F(1, 10**4299)
+    assert len(str(_as_fraction("1e4299"))) == _MAX_DIGITS
+    for tok in ("1e4300", "1e-4300", "1e5000", "1e-5000", "0.5e4300", "1.5e-4299",
+                "0e4300", "0." + "0" * 4400 + "1", "1e100000000", "-1E+100000000"):
+        with pytest.raises(ValueError, match="more than 4300 digits"):
+            _as_fraction(tok)
+
+
+_DIGITS = st.text("0123456789", max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["", "+", "-", " ", " -"]),
+    _DIGITS,
+    st.none() | _DIGITS,
+    st.none() | st.tuples(st.sampled_from(["e", "E"]), st.integers(-50, 50), st.booleans()),
+    st.sampled_from(["", " "]),
+)
+def test_reader_reads_a_decimal_as_fraction_does(sign, whole, decimals, exponent, pad):
+    tok = sign + whole + ("" if decimals is None else "." + decimals)
+    if exponent is not None:
+        e, shift, plus = exponent
+        tok += e + ("+" if plus and shift >= 0 else "") + str(shift)
+    tok += pad
+    try:
+        want = F(tok)
+    except ValueError:  # no digits at all
+        with pytest.raises(ValueError):
+            _as_fraction(tok)
+    else:
+        assert _as_fraction(tok) == want, tok
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text("0123456789+-._eE/ x\u0663", max_size=10))
+def test_reader_refuses_a_malformed_token_as_fraction_does(tok):
+    # exponents of at most three digits: the size check has nothing to refuse
+    assume(not re.search(r"[eE][+-]?[\d_]{4}", tok))
+    try:
+        want = F(tok)
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc)):
+            _as_fraction(tok)
+    else:
+        assert _as_fraction(tok) == want, tok
 
 
 # ---------------------------------------------------------------------------

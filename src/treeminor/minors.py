@@ -12,11 +12,13 @@ oracle, and the exponential forest enumerator as a small-n one.
 minor_table gives every principal minor up to a size in one walk.  Both
 oracles read the tree's integer distance rows once, as one block ordered
 from the most central point out (_central_block), build integer maps from
-it and run poly's walks on them directly.  minor_table walks the distance
-powers (_power_maps; build_matrix is their PolyMatrix view), minor_oracle
-their Farris transform at the most central point r (_farris_maps):
-M_ij = u^{e_ij}, e_ij = (d(x_i, r) + d(x_j, r) - d_ij) / G, and
-det (t^{d_ij}) = t^{2 sum_i d(x_i, r)} det M(t^{-G}).
+it and run poly's walks on them directly.  Both walk the same congruent
+form of the distance powers (_half_power_maps):
+B = diag(t^{p_i}) (t^{d_ij}) diag(t^{p_i}), p_i the parity of the integer
+distance to the block's first point, whose exponents are whole over
+u = t^(2/T._den), and det B[S] is the minor over S times u^(sum of p_i
+over S).  build_matrix is the PolyMatrix view of the plain distance powers
+(_power_maps), which poly.det reads.
 
 The three tables a sweep compares (minor_table, minor_formula_table and
 minor_leading_table, the top terms read off root-path masks) hold ints.
@@ -39,13 +41,15 @@ from typing import Iterable, Sequence
 from .poly import (
     ExactPoly,
     PolyMatrix,
-    _FARRIS_DENSE_BITS,
+    _TREE_DENSE_BITS,
+    _Shifted,
     _bareiss,
+    _dense,
     _kernel,
     _packed_values,
     _sylvester,
-    _zadd,
-    _zmul,
+    _unpack_even,
+    _word_for,
 )
 from .tree import Edge, Tree, edge_key
 
@@ -75,24 +79,6 @@ def _power_maps(dist: list[list[int]], den: int) -> tuple[list[list[dict[int, in
     return [[{d // g: 1} for d in row] for row in dist], den // g
 
 
-def _farris_maps(dist: list[list[int]]) -> tuple[list[list[dict[int, int]]], int, int]:
-    """(maps, G, lift): the Farris transform of a distance block at its
-    first point r, M_ij = u^{e_ij} with e_ij = (d(i, r) + d(j, r) - d_ij) / G
-    and G the gcd of those sums, and lift = 2 sum_i d(i, r).
-
-    (t^{d_ij}) = D M(t^{-G}) D with D = diag(t^{d(i, r)}), so its
-    determinant is t^lift det M(t^{-G}).  On a tree each sum
-    d(i, r) + d(j, r) - d_ij is twice the length that the paths from i and
-    j to r share (twice their Gromov product at r), so G is even; M's row
-    and column of r are all 1, and its exponents are at most
-    2 max_i d(i, r) / G, no more than the largest distance.  The sums are
-    all 0 only on the one-point block, where G is taken as 1 and M = (1)."""
-    to_r = dist[0]
-    farris = [[to_r[i] + to_r[j] - d for j, d in enumerate(row)] for i, row in enumerate(dist)]
-    g = math.gcd(*itertools.chain.from_iterable(farris)) or 1
-    return [[{e // g: 1} for e in row] for row in farris], g, 2 * sum(to_r)
-
-
 def _half_power_maps(dist: list[list[int]]) -> tuple[list[list[dict[int, int]]], list[int]]:
     """(maps, parity): the matrix B_ij = u^((d_ij + p_i + p_j) / 2) over a
     block of integer distances, u = t^(2/_den) and p_i = d(x_i, x_0) mod 2
@@ -101,11 +87,14 @@ def _half_power_maps(dist: list[list[int]]) -> tuple[list[list[dict[int, int]]],
     On a tree d_ij = d(x_i, x_0) + d(x_j, x_0) - 2 (the length that their
     paths to x_0 share), so d_ij + p_i + p_j is even.  B is (t^{d_ij}) under
     the congruence by diag(t^{p_i}), so det B[S] is the minor over S times
-    u^(sum of p_i over S)."""
-    parity = [d % 2 for d in dist[0]]
-    return [
-        [{(d + p + q) >> 1: 1} for d, q in zip(row, parity)] for row, p in zip(dist, parity)
-    ], parity
+    u^(sum of p_i over S).  A block where some d_ij + p_i + p_j is odd has
+    no such 2-colouring (its distances close a walk of odd weight), and
+    raises ValueError."""
+    parity = [d & 1 for d in dist[0]]
+    sums = [[d + p + q for d, q in zip(row, parity)] for row, p in zip(dist, parity)]
+    if any(e & 1 for row in sums for e in row):
+        raise ValueError("the distances close a walk of odd weight: the minors are not in t^(2/_den)")
+    return [[{e >> 1: 1} for e in row] for row in sums], parity
 
 
 def build_matrix(T: Tree, X: Sequence[int]) -> PolyMatrix:
@@ -181,34 +170,6 @@ def forest_degree_product(T_or_forest_edges, X: frozenset[int]) -> int:
     return prod
 
 
-# One child-merge step of the minor DP (see minor_formula): a vertex keeps
-# A, the sum over the edge choices of its merged child subtrees, and B, the
-# same sum weighted by the number of chosen child edges; (out, in) is what
-# it passes across its parent edge.
-
-
-def _edge_terms(out_c: dict, in_c: dict, shift: int) -> tuple[dict, dict]:
-    """(s, x in) for a child edge of weight shift / (2 T._den):
-    x = -t^{2w}, s = out + x in."""
-    x_in = {k + shift: -val for k, val in in_c.items()}
-    return _zadd(out_c, x_in), x_in
-
-
-def _absorb(a: dict, b: dict, s: dict, x_in: dict, in_x) -> tuple[dict, dict]:
-    """B <- B s + A x in, A <- A s; B is not kept for a vertex of X."""
-    if not in_x:
-        b = _zadd(_zmul(b, s), _zmul(a, x_in))
-    return _zmul(a, s), b
-
-
-def _close(a: dict, b: dict, in_x) -> tuple[dict, dict]:
-    """(out, in): (A, A) for a vertex of X, else (A - B, -B)."""
-    if in_x:
-        return a, a
-    neg_b = {k: -val for k, val in b.items()}
-    return _zadd(a, neg_b), neg_b
-
-
 def minor_formula(T: Tree, X: Iterable[int]) -> ExactPoly:
     """det of (t^{d_ij}) over X as a signed sum over spanned forests:
     each forest F contributes (-1)^{|X| + c(F)} t^{2 w(F)} times the product
@@ -220,32 +181,100 @@ def minor_formula(T: Tree, X: Iterable[int]) -> ExactPoly:
     X of degree one contributes 0, which enforces the leaf rule).  A
     post-order DP over the tree's rooted walk evaluates it with O(|E_X|)
     polynomial products; as in minor_formula_table, a branch without a
-    member of X passes (1, 0) and is skipped, and the root passes the answer
-    on.  Each vertex v returns (parent edge out, parent edge in), built from
-    A, the sum over its child subtrees, and B, the same sum weighted by the
+    member of X passes (1, 0) and is skipped, and the top of the spanned
+    subtree gives the answer (a root above it would pass it on unchanged).
+    Each vertex v returns (parent edge out, parent edge in), built from A,
+    the sum over its child subtrees, and B, the same sum weighted by the
     number of chosen child edges: (A, A) if v is in X, else (A - B, -B).  A
     child edge of weight w, with x = -t^{2w} and s = out + x in, updates
-    B <- B s + A x in and A <- A s.  The polynomials are integer-coefficient
-    dicts over the tree's weight denominator T._den.
+    B <- B s + A x in and A <- A s.
+
+    Every exponent is even over t^(1/T._den), so the packed form runs over
+    u = t^(2/T._den), where x = -u^W, W = w T._den the edge's integer
+    weight.  _forest_merges lists the merges and carries
+    minor_formula_table's 1-norm bounds through them; _forest_values runs
+    them once, on ints packed at u = 2^B, for the B that puts 2^(B - 1)
+    above the bound carried to the top, or on integer maps over
+    t^(1/T._den) (poly._Shifted), where x = -t^(2W).  B comes from the DP's
+    own bound, not from the |X|! that bounds the determinant's
+    coefficients, so a fault in the DP's structure moves B with it.  The
+    ints are chosen when poly._dense holds at _TREE_DENSE_BITS on the
+    spanned edges' weights as one row of monomials {W: 1}: a packed value
+    grows with the weights times B, a map with its terms.
     """
     xs = T.check_subset(X)
     if not xs:
         raise ValueError("X must be nonempty")
+    merges, bound = _forest_merges(T, xs)
+    bits = _word_for(bound)
+    weights = [{w: 1} for _, _, children in merges for _, w in children]
+    if _dense([weights], bits, _TREE_DENSE_BITS):
+        terms = _unpack_even(bits, _forest_values(merges, 1, bits))
+    else:
+        terms = _forest_values(merges, _Shifted({0: 1}), 2)
+    return ExactPoly._make(T._den, 1, terms)
+
+
+def _forest_merges(T: Tree, xs: Sequence[int]) -> tuple[list, int]:
+    """(merges, bound): minor_formula's DP over X = xs as a list of
+    (v, v in X, [(c, W) for each child c whose branch holds a member of X,
+    W the edge's integer weight]), children before parents, up to the top
+    of the spanned subtree, and a bound on the 1-norm of the value there.
+
+    The bound runs the DP on 1-norm bounds, as minor_formula_table carries
+    them: |s| = |out| + |in|, |A s| <= |A| |s|,
+    |B s + A x in| <= |B| |s| + |A| |in|, and (A, A) or (A - B, -B) close
+    to (|A|, |A|) or (|A| + |B|, |B|)."""
     in_x = frozenset(xs)
-    up: dict[int, tuple[dict, dict]] = {}  # the branches holding a member of X
+    left = len(in_x)
+    norms: dict[int, tuple[int, int]] = {}  # the branches holding a member of X
+    merges = []
     for v in reversed(T._parent):  # the walk lists each vertex after its parent
-        a, b = {0: 1}, {}
-        held = in_v = v in in_x
+        in_v = v in in_x
+        children = []
+        n_a, n_b = 1, 0
         for c in T._adj[v]:
-            if c in up:  # a child: the parent comes later in reversed order
-                out_c, in_c = up.pop(c)
-                s, x_in = _edge_terms(out_c, in_c, 2 * T._int_weight[edge_key(v, c)])
-                a, b = _absorb(a, b, s, x_in, in_v)
-                held = True
-        if held:
-            up[v] = _close(a, b, in_v)
-    ((out, _),) = up.values()
-    return ExactPoly._make(T._den, 1, out)
+            if c in norms:  # a child: the parent comes later in reversed order
+                n_out, n_in = norms.pop(c)
+                n_s = n_out + n_in
+                if not in_v:
+                    n_b = n_b * n_s + n_a * n_in
+                n_a *= n_s
+                children.append((c, T._int_weight[edge_key(v, c)]))
+        if in_v or children:
+            norms[v] = (n_a, n_a) if in_v else (n_a + n_b, n_b)
+            merges.append((v, in_v, children))
+            left -= in_v
+            if not left and len(norms) == 1:  # v is the top: every branch met
+                break
+    return merges, norms[v][0]
+
+
+def _forest_values(merges: list, unit, scale: int):
+    """The out value of the last vertex of merges (_forest_merges), by
+    minor_formula's DP on the form of unit: ints at u = 2^scale (unit 1),
+    where u^W shifts by W scale bits, or integer maps (unit {0: 1}), where
+    it adds W scale to every exponent: over t^(1/T._den) at scale 2.  A
+    vertex starts from A = 1 and B = 0, so its first child sets A = s and
+    B = x in, with no product.  Every later product by a shifted factor
+    multiplies first and shifts after, so no zero low digits are
+    multiplied."""
+    up = {}
+    for v, in_v, children in merges:
+        a = unit
+        for i, (c, w) in enumerate(children):
+            out_c, in_c = up.pop(c)
+            shift = w * scale
+            u_in = in_c << shift  # u^W in = -x in
+            s = out_c - u_in
+            if not i:
+                a, b = s, -u_in
+                continue
+            if not in_v:  # B is not kept for a vertex of X
+                b = b * s - ((a * in_c) << shift)
+            a = a * s
+        up[v] = (a, a) if in_v else (a - b, -b)
+    return up[v][0]
 
 
 def minor_formula_table(
@@ -391,20 +420,22 @@ def minor_leading(T: Tree, X: Iterable[int]) -> tuple[Fraction, Fraction]:
 
 def minor_oracle(T: Tree, X: Sequence[int]) -> ExactPoly:
     """Independent evaluation: the determinant of the actual matrix
-    (t^{d_ij}), by poly's Bareiss walk on the integer maps of its Farris
-    transform M at the most central point (_central_block, _farris_maps),
-    rows and columns both in central-first order, and
-    det (t^{d_ij}) = t^{2 sum_i d(x_i, r)} det M(t^{-G}).  The change of
-    variable is a diagonal congruence and shares no code with the formula;
-    M is symmetric, so the walk computes half of each step's block, and on
-    packed ints whenever M is dense at _FARRIS_DENSE_BITS."""
+    (t^{d_ij}), by poly's Bareiss walk on the integer maps of its
+    congruent form B = diag(t^{p_i}) (t^{d_ij}) diag(t^{p_i})
+    (_half_power_maps), rows and columns both in central-first order
+    (_central_block).  det B = minor times u^H over u = t^(2/T._den),
+    H = sum_i p_i, so each exponent k of det B reads back as 2 (k - H) over
+    t^(1/T._den).  The congruence is diagonal and shares no code with the
+    formula; B is symmetric, so the walk computes half of each step's
+    block, and on packed ints whenever B is dense at _TREE_DENSE_BITS."""
     xs = T.check_subset(X)
     if not xs:
         raise ValueError("X must be nonempty")
     _, dist, den = _central_block(T, xs)
-    maps, g, lift = _farris_maps(dist)
-    det_m = _bareiss(_kernel(maps, len(maps), _FARRIS_DENSE_BITS))
-    return ExactPoly._make(den, 1, {lift - g * k: c for k, c in det_m.items()})
+    maps, parity = _half_power_maps(dist)
+    lift = sum(parity)
+    det_b = _bareiss(_kernel(maps, len(maps), _TREE_DENSE_BITS))
+    return ExactPoly._make(den, 1, {2 * (k - lift): c for k, c in det_b.items()})
 
 
 def minor_table(T: Tree, max_size: int, bits: int) -> dict[tuple[int, ...], int]:
@@ -426,8 +457,9 @@ def minor_table(T: Tree, max_size: int, bits: int) -> dict[tuple[int, ...], int]
     each value packed once (poly._packed_values).  The table is
     complete: a principal minor over distinct vertices is a nonzero
     polynomial (minor_leading gives its top term), so the walk meets no zero
-    pivot.  It keeps the distance powers, not minor_oracle's Farris
-    transform: its packed ints are compared with the formula's.
+    pivot.  It walks the form minor_oracle walks, and the shift back packs
+    each value as minor_formula_table does, so the two tables compare as
+    ints.
     """
     order, dist, _ = _central_block(T, T.vertices)
     maps, parity = _half_power_maps(dist)

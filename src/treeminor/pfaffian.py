@@ -15,8 +15,8 @@ every even sub-tuple of one order (_pf_bottom_up), are written once over
 those operations and run on either of two forms: ints at t^(1/T._den) =
 2^B for a B that holds every Pfaffian's coefficients (pf_bits), shifted by
 d B from the unit 1, or integer maps shifted by d from the unit {0: 1}
-(_Shifted).  _pf_form picks the ints where the matrix is dense enough to
-pack (_packs) and the maps where the weights share a large denominator.
+(poly._Shifted).  _pf_form picks the ints where the matrix is dense enough
+to pack (_packs) and the maps where the weights share a large denominator.
 pf_oracle runs the top-down expansion on that form, and
 matroid.OddRepresentation.value_pairs the bottom-up one; pf_table is the
 bottom-up expansion on ints, and pf_formula_table the monomial of every
@@ -30,7 +30,7 @@ import functools
 import math
 from typing import Callable, Sequence
 
-from .poly import _FARRIS_DENSE_BITS, ExactPoly, PolyMatrix, _dense, _unpack, _word_for
+from .poly import _TREE_DENSE_BITS, ExactPoly, PolyMatrix, _Shifted, _dense, _unpack, _word_for
 from .tree import Edge, Tree
 
 
@@ -147,10 +147,10 @@ def pf_oracle(T: Tree, X: Sequence[int]) -> ExactPoly:
 
 def _packs(maps: list[list[dict[int, int]]], bits: int) -> bool:
     """Whether a Pfaffian of the skew maps runs on ints packed at bits:
-    poly._dense at _FARRIS_DENSE_BITS.  A packed int grows with the top
+    poly._dense at _TREE_DENSE_BITS.  A packed int grows with the top
     distance times bits, so the sparse distances of trees whose weights
     share a large denominator stay on the maps."""
-    return _dense(maps, bits, _FARRIS_DENSE_BITS)
+    return _dense(maps, bits, _TREE_DENSE_BITS)
 
 
 def _shift_rows(T: Tree, xs: Sequence[int], bits: int) -> list[list[int]]:
@@ -164,41 +164,11 @@ def _pf_form(T: Tree, xs: tuple[int, ...]) -> tuple[list[list[int]], object, Cal
     """(rows, unit, read) for the expansions over xs or its sub-tuples, in
     the form _packs picks at B = pf_bits(len(xs)): packed ints, rows d B,
     unit 1 and each value read by poly._unpack; or shifted maps, rows d,
-    unit {0: 1} and each value read into a plain dict."""
+    unit {0: 1} (poly._Shifted) and each value read into a plain dict."""
     bits = pf_bits(len(xs))
     if _packs(_skew_maps(T, xs)[0], bits):
         return _shift_rows(T, xs, bits), 1, functools.partial(_unpack, bits)
     return _shift_rows(T, xs, 1), _Shifted({0: 1}), dict
-
-
-class _Shifted(dict):
-    """An integer map {k: c}, sum c t^k over t^(1/T._den), with the three
-    operations the expansions apply to a packed int: << d adds d to every
-    exponent, + and - add and subtract maps, and the int 0 that a sum
-    starts from is the zero (0 + m is m).  So one loop runs on either
-    form; a map grows with its terms, not with its top exponent."""
-
-    __slots__ = ()
-
-    def __lshift__(self, d: int) -> _Shifted:
-        return _Shifted({k + d: c for k, c in self.items()})
-
-    def __radd__(self, zero: int) -> _Shifted:
-        return self
-
-    def __sub__(self, other: _Shifted) -> _Shifted:
-        return self + _Shifted({k: -c for k, c in other.items()})
-
-    def __add__(self, other: _Shifted) -> _Shifted:
-        out = _Shifted(self)
-        get = out.get
-        for k, c in other.items():
-            c += get(k, 0)
-            if c:
-                out[k] = c
-            else:
-                del out[k]
-        return out
 
 
 def _pf_top_down(rows: list[list[int]], unit):

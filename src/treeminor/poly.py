@@ -16,7 +16,9 @@ _pfaffian_maps on them; the tree oracles build such maps from the tree's
 integer distances and call _bareiss and _sylvester directly.  The tree's
 Pfaffians run their own expansions (pfaffian._pf_top_down and
 _pf_bottom_up), so _pfaffian_maps is the kernel of the reference pfaffian
-alone.
+alone.  Those expansions and minors.minor_formula's DP are each written
+once over <<, + and - (and * for the DP), and run on packed ints or on
+_Shifted, an integer map with those operators.
 
 The two fraction-free walks of the oracle side, Bareiss elimination
 (_bareiss, which computes half of each step on a symmetric matrix) and
@@ -30,13 +32,15 @@ product of their largest entries (r! on a matrix of monomials), and each
 value read is unpacked as signed base-2^B digits.  The map form runs the
 same walk on the dicts.  Packing is chosen when the exponents are >= 0
 and dense: the largest one times B at most a threshold times the number
-of distinct exponents, _DENSE_BITS (96) by default and _FARRIS_DENSE_BITS
-(900) for minors.minor_oracle's Bareiss walk on the Farris transform of a
-tree distance matrix and for the form of pfaffian's expansions of a skew
-matrix of distance monomials (pfaffian._packs).  A caller that compares
-minors instead of reading them asks for them packed at its own B
-(_packed_values): two such ints are equal exactly when their maps are,
-and _top_digit reads the top term off one.  A matrix of plain ints needs
+of distinct exponents, _DENSE_BITS (96) by default and _TREE_DENSE_BITS
+(900) for the tree paths on monomials of tree distances:
+minors.minor_oracle's Bareiss walk on the half powers of a distance block,
+the form of minors.minor_formula's DP (its edge weights as one row of
+monomials), and that of pfaffian's expansions of a skew matrix
+(pfaffian._packs).  A caller that compares minors instead of reading them
+asks for them packed at its own B (_packed_values): two such ints are
+equal exactly when their maps are, and _top_digit reads the top term off
+one.  A matrix of plain ints needs
 neither: the star check (metric.star_condition_check) walks its own ints,
 with _istep and read the identity.
 """
@@ -353,14 +357,65 @@ def _zadd(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
     return out
 
 
-def _zmul(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
-    out: dict[int, int] = {}
+def _zmul(p: dict[int, int], q: dict[int, int], into: type = dict) -> dict[int, int]:
+    """The product of two maps, built as an `into` (a dict or a subclass),
+    the shorter map on the outer loop."""
+    if len(p) > len(q):
+        p, q = q, p
+    out = into()
     get = out.get
     for kp, vp in p.items():
         for kq, vq in q.items():
             k = kp + kq
             out[k] = get(k, 0) + vp * vq
-    return {k: v for k, v in out.items() if v}
+    for k in [k for k, v in out.items() if not v]:
+        del out[k]
+    return out
+
+
+class _Shifted(dict):
+    """An integer map {k: c}, sum c t^k, with the operations that tree
+    recursions apply to a packed int: << d adds d to every exponent, +, -
+    and * add, subtract and multiply maps (* by _zmul), unary - negates,
+    and the int 0 that a sum starts from is the zero (0 + m is m).  So one
+    loop runs on either form (pfaffian's expansions, minors.minor_formula);
+    a map grows with its terms, not with its top exponent."""
+
+    __slots__ = ()
+
+    def __lshift__(self, d: int) -> _Shifted:
+        return _Shifted({k + d: c for k, c in self.items()})
+
+    def __radd__(self, zero: int) -> _Shifted:
+        return self
+
+    def __neg__(self) -> _Shifted:
+        return _Shifted({k: -c for k, c in self.items()})
+
+    def __add__(self, other: _Shifted) -> _Shifted:
+        out = _Shifted(self)
+        get = out.get
+        for k, c in other.items():
+            c += get(k, 0)
+            if c:
+                out[k] = c
+            else:
+                del out[k]
+        return out
+
+    def __sub__(self, other: _Shifted) -> _Shifted:
+        out = _Shifted(self)
+        get = out.get
+        for k, c in other.items():
+            c = get(k, 0) - c
+            if c:
+                out[k] = c
+            else:
+                del out[k]
+        return out
+
+    def __mul__(self, other: _Shifted) -> _Shifted:
+        return _zmul(self, other, _Shifted)
 
 
 def _zdiv(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
@@ -605,26 +660,33 @@ def _sylvester(form: _Form, labels: Sequence, max_size: int) -> dict[tuple, obje
 # distance matrices of trees, packing wins below about this many bits per
 # distinct exponent of the entries and loses above it.
 _DENSE_BITS = 96
-# The Bareiss walk on the Farris transform of a tree distance matrix
-# (minors.minor_oracle) packs up to this many bits per distinct exponent: its
-# exponents are small Gromov products and its first row and column are all
-# 1.  At whole-byte B the packed walk won on every measured rational leaf set
-# and subset (den 12, ratios up to 859, 2-14x) and lost on 9-leaf stars with
-# one edge 1/p from ratio 432 (p = 53, 1.9x) up; sparser matrices, such as
-# p = 997 (ratio 7,984) or den 2,310, stay on the maps.  A second reader,
-# pfaffian._packs, picks the form of the Pfaffian expansions with the same
-# threshold on the skew matrix of distance monomials at B = pfaffian.pf_bits.
-# All vertices of random unit and rational trees (n 2-22, 60 seeds each)
-# read 8-169 there and pack.  On 60 shuffled tuples of all k = 10 and 14
-# vertices of random trees with every other edge 1/p, p = 1 to 9,973
-# (Python 3.11, one 2-vCPU VM), the top-down expansion on packed ints won
-# 1.2-6x against the shifted maps at every ratio up to 1,366 and 1.1-1.5x
-# at 1,606-2,336 (k = 10); the two were within 1.1x at 1,230, 1,555 and
-# 2,106, and the maps won 1.3-1.4x at 2,030-3,500, 1.7-2.1x at
-# 3,040-5,804 and 2.7-26x from 5,041 up.  So this threshold
-# packs no measured skew matrix that the maps expand faster, and keeps some
-# from 900 to 1,366 on the maps that pack up to 1.6x faster.
-_FARRIS_DENSE_BITS = 900
+# The tree paths on monomials of tree distances pack up to this many bits
+# per distinct exponent; their exponents are few and small.  Three readers:
+# minors.minor_oracle's Bareiss walk on the half powers of a distance block
+# (minors._half_power_maps) at B = _word_bits, minors.minor_formula's DP on
+# the spanned edges' integer weights as one row of monomials at the B of its
+# carried bound, and pfaffian._packs on the skew matrix of distance
+# monomials at B = pfaffian.pf_bits.  Rational leaf sets (den 12, ratios
+# 109-270 on the leaves of random 30-vertex trees, at most 324 on the
+# minor-large items of four seeds) pack, and both walks win there: the
+# leaves of random_tree(30, seed=7) took 105 against 2,782 ms in the oracle
+# and 1.4 against 5.1 ms in the formula, forced packed against forced maps
+# (Python 3.11, one 2-vCPU VM).  The formula packed 2.2-3.7x faster at den
+# 60-120 (ratios 79-135) and 1.4x at den 240 (270), and 4.3x slower at den
+# 2,310 (2,530).  The 9-leaf stars with one edge 1/p read 8 p in both, so
+# both pack up to p = 101 and keep p = 199 and 997 on the maps; packed,
+# the formula wins 1.4x at p = 53 and loses from p = 71 (1.1x) to p = 101
+# (1.9x), and the oracle loses 2.2-6.4x.  All vertices of random unit and
+# rational trees (n 2-22, 60 seeds each) read 8-169 on the skew matrices
+# and pack.  On 60 shuffled tuples of all k = 10 and 14 vertices of random
+# trees with every other edge 1/p, p = 1 to 9,973, the top-down expansion
+# on packed ints won 1.2-6x against the shifted maps at every ratio up to
+# 1,366 and 1.1-1.5x at 1,606-2,336 (k = 10); the two were within 1.1x at
+# 1,230, 1,555 and 2,106, and the maps won 1.3-1.4x at 2,030-3,500,
+# 1.7-2.1x at 3,040-5,804 and 2.7-26x from 5,041 up.  So this threshold
+# packs no measured skew matrix that the maps expand faster, and keeps
+# some from 900 to 1,366 on the maps that pack up to 1.6x faster.
+_TREE_DENSE_BITS = 900
 
 
 def _kernel(m: list[list[dict[int, int]]], size: int, dense_bits: int = _DENSE_BITS) -> _Form:

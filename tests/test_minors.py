@@ -13,7 +13,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from treeminor import minors
+from treeminor import minors, poly
 from treeminor.cyclekernel import ENUMERATION_CAP, cycle_sums
 from treeminor.minors import (
     build_matrix,
@@ -336,8 +336,9 @@ def oracle_cases(draw):
 @example((half_integer_tree(6, 3), [5, 2]))
 @example((gapped_tree(8, 1, "rational"), [21, 3, 12, 9, 24, 6]))
 def test_minor_oracle_matches_the_untransformed_walk_and_the_permutation_sum(case):
-    # the oracle eliminates the Farris transform; det walks (t^{d_ij}) as
-    # build_matrix gives it, and det_permutation sums its permutations
+    # the oracle eliminates the half powers of (t^{d_ij}); det walks
+    # (t^{d_ij}) as build_matrix gives it, and det_permutation sums its
+    # permutations
     T, X = case
     got = minor_oracle(T, X)
     refs = [det(build_matrix(T, X))]
@@ -347,7 +348,7 @@ def test_minor_oracle_matches_the_untransformed_walk_and_the_permutation_sum(cas
         assert got == want and str(got) == str(want)
 
 
-def test_the_oracle_packs_dense_farris_matrices_and_keeps_sparse_ones_on_the_maps():
+def test_the_oracle_packs_dense_half_power_matrices_and_keeps_sparse_ones_on_the_maps():
     # which form minor_oracle builds: packed ints (unit 1) or the maps
     built = []
 
@@ -378,6 +379,143 @@ def test_the_oracle_packs_dense_farris_matrices_and_keeps_sparse_ones_on_the_map
     assert form_of(T, X) == form_of(rational30, rational30.leaves()) == "packed"
 
 
+def test_the_half_powers_refuse_a_block_without_a_parity_colouring():
+    # distances 1, 1, 1 close a walk of odd weight: no p makes every
+    # d_ij + p_i + p_j even, so the minors are not polynomials in u
+    with pytest.raises(ValueError, match="odd weight"):
+        minors._half_power_maps([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+    maps, parity = minors._half_power_maps([[0, 1, 2], [1, 0, 3], [2, 3, 0]])
+    assert parity == [0, 1, 0]
+    assert maps == [[{0: 1}, {1: 1}, {1: 1}], [{1: 1}, {1: 1}, {2: 1}], [{1: 1}, {2: 1}, {0: 1}]]
+
+
+def refuse(what):
+    def run(*args, **kwargs):
+        raise AssertionError(f"reached {what}")
+    return run
+
+
+def den_tree(n, seed, den):
+    """random_tree(n, seed)'s shape with weights k / den, k in 1..den."""
+    rng = random.Random(seed)
+    return Tree([(u, v, F(rng.randint(1, den), den)) for u, v, _ in random_tree(n, seed=seed).edges()])
+
+
+def sparse16():
+    """random_tree(16, seed=3)'s edges weighted k/p, p in {991, 997, 983}."""
+    rng = random.Random(16)
+    return Tree([
+        (u, v, F(rng.randint(1, 9), rng.choice((991, 997, 983))))
+        for u, v, _ in random_tree(16, seed=3).edges()
+    ])
+
+
+@st.composite
+def form_cases(draw):
+    mode = draw(st.sampled_from(["unit", "rational", "997", "2310"]))
+    n = draw(st.integers(1, 9))
+    seed = draw(st.integers(0, 10 ** 6))
+    if mode == "997":
+        T = sparse_tree(n, seed) if n > 1 else random_tree(1)
+    elif mode == "2310":
+        T = den_tree(n, seed, 2310) if n > 1 else random_tree(1)
+    else:
+        T = random_tree(n, seed=seed, weights=mode)
+    X = draw(st.lists(st.sampled_from(T.vertices), min_size=1, max_size=n, unique=True))
+    return T, X
+
+
+@settings(max_examples=80, deadline=None)
+@given(form_cases())
+@example((den_tree(9, 4, 2310), [1, 3, 5, 7, 9]))
+@example((sparse_tree(9, 2), list(range(1, 10))))
+def test_the_formula_and_the_oracle_share_no_code(case):
+    # each side runs with the other's walk made to raise: the formula with
+    # the Bareiss walk, its forms, its step, the half powers and the
+    # distance rows, the oracle with the forest DP and the maps' product
+    T, X = case
+    with mock.patch.multiple(
+        poly, _bareiss=refuse("Bareiss"), _kernel=refuse("the kernel"), _zstep=refuse("a step")
+    ), mock.patch.multiple(
+        minors,
+        _bareiss=refuse("Bareiss"),
+        _kernel=refuse("the kernel"),
+        _half_power_maps=refuse("the half powers"),
+    ), mock.patch.object(Tree, "_distance_ints", refuse("the distance rows")):
+        formula = minor_formula(T, X)
+    with mock.patch.multiple(
+        minors, _forest_merges=refuse("the forest DP"), _forest_values=refuse("the forest DP")
+    ), mock.patch.object(poly._Shifted, "__mul__", refuse("the maps' product")):
+        oracle = minor_oracle(T, X)
+    assert formula == oracle and str(formula) == str(oracle)
+
+
+@settings(max_examples=80, deadline=None)
+@given(form_cases(), st.booleans())
+@example((den_tree(9, 4, 2310), [1, 3, 5, 7, 9]), True)
+@example((random_tree(9, seed=2), list(range(1, 10))), False)
+def test_both_forms_of_the_formula_give_one_polynomial(case, packs):
+    # minor_formula forced onto packed ints or onto the maps; the bound it
+    # packs under is a 1-norm bound, at most the table's a-priori one
+    T, X = case
+    with mock.patch.object(minors, "_dense", lambda *args: packs):
+        got = minor_formula(T, X)
+    want = minor_oracle(T, X)
+    assert got == want and str(got) == str(want)
+    _, bound = minors._forest_merges(T, X)
+    assert sum(abs(c) for _, c in got.terms()) <= bound <= minors._formula_norm_bound(T)
+
+
+def test_the_formula_packs_dense_sets_and_keeps_sparse_ones_on_the_maps():
+    # which form minor_formula runs its DP on: packed ints (unit 1) or the
+    # maps; no DP runs
+    units = []
+
+    class Chosen(Exception):
+        pass
+
+    def record(merges, unit, scale):
+        units.append(unit)
+        raise Chosen
+
+    def form_of(T, X):
+        with mock.patch.object(minors, "_forest_values", record), pytest.raises(Chosen):
+            minor_formula(T, X)
+        return "packed" if units.pop() == 1 else "maps"
+
+    dense = random_tree(20, seed=1), random_tree(18, seed=1, weights="rational")
+    assert [T._den for T in dense] == [1, 12]
+    for T in dense:
+        assert form_of(T, T.leaves()) == form_of(T, T.vertices) == "packed"
+    star = Tree([(0, 1, F(1, 997))] + [(0, i) for i in range(2, 10)])
+    den2310, sparse = den_tree(30, 0, 2310), sparse16()
+    assert den2310._den == 2310 and sparse._den == 971_230_541
+    huge = Tree([(1, 2, F(10 ** 4299))])
+    for T, X in ((star, range(1, 10)), (den2310, den2310.leaves()), (sparse, sparse.leaves()),
+                 (sparse, sparse.vertices), (huge, [1, 2])):
+        assert form_of(T, X) == "maps"
+    # on the maps, a weight of 4,300 digits costs two terms
+    assert minor_formula(huge, [1, 2]) == 1 - tp(2 * 10 ** 4299)
+
+
+def test_the_formula_packs_at_the_bound_it_carries():
+    # a 16-leaf star, its centre outside X: the carried bound is
+    # 2^16 + 16 2^15, so B = 24, and the coefficient C(16, 9) 8 of u^9 needs
+    # all of it: at 16 bits it would not fit a signed digit
+    k = 16
+    T = star_tree(k)
+    X = list(range(1, k + 1))
+    _, bound = minors._forest_merges(T, X)
+    assert bound == 2 ** k + k * 2 ** (k - 1) and _word_for(bound) == 24
+    got = minor_formula(T, X)
+    # each forest keeps j >= 2 of the star's edges: (-t^2)^j (1 - j)
+    want = ExactPoly.from_terms(
+        (2 * j, math.comb(k, j) * (1 - j) * (-1) ** j) for j in range(k + 1) if j != 1
+    )
+    assert got == want == minor_oracle(T, X)
+    assert max(abs(c) for _, c in got.terms()) >= 1 << 15
+
+
 def test_each_oracle_reads_its_distance_block_once(monkeypatch):
     # the central-first order and the maps come from one read
     T = random_tree(9, seed=3, weights="rational")
@@ -397,20 +535,22 @@ def test_dp_matches_forest_sum_and_determinant(case):
     T, X = case
     got = minor_formula(T, X)
     assert got == forest_sum(T, X)
-    # the oracle walks the Farris transform of the distance powers at the
-    # most central point r, rows and columns both in central-first order
-    # (ascending distance sum, ties by position): u^{e_ij} with
-    # e_ij = (d(x_i, r) + d(x_j, r) - d_ij) / G, G the gcd of those sums
+    # the oracle walks the half powers of the distance matrix, rows and
+    # columns both in central-first order (ascending distance sum, ties by
+    # position): u^((d_ij + p_i + p_j) / 2) over u = t^(2/_den), p_i the
+    # parity of the integer distance to the first point r
     walked = []
     kernel = minors._kernel
     with mock.patch.object(minors, "_kernel", lambda m, *args: walked.append(m) or kernel(m, *args)):
         oracle = minor_oracle(T, X)
     order = sorted(X, key=lambda x: sum(T.dist(x, y) for y in X))
     r = order[0]
-    sums = [[(T.dist(x, r) + T.dist(y, r) - T.dist(x, y)) * T._den for y in order] for x in order]
-    assert all(e.denominator == 1 and e % 2 == 0 for row in sums for e in row)  # twice a Gromov product
-    G = math.gcd(*(int(e) for row in sums for e in row)) or 1
-    assert walked == [[[{int(e) // G: 1} for e in row] for row in sums]]
+    ints = [[T.dist(x, y) * T._den for y in order] for x in order]
+    assert all(d.denominator == 1 for row in ints for d in row)
+    parity = [int(T.dist(x, r) * T._den) % 2 for x in order]
+    sums = [[d + p + q for d, q in zip(row, parity)] for row, p in zip(ints, parity)]
+    assert all(e % 2 == 0 for row in sums for e in row)  # p 2-colours the tree's points
+    assert walked == [[[{int(e) // 2: 1} for e in row] for row in sums]]
     # build_matrix is the view of the untransformed maps that det reads
     a, den, scale, shift = _integer_rows(build_matrix(T, X))
     assert minors._power_maps(*T._distance_ints(X)) == (a, den)

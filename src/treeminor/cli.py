@@ -38,12 +38,12 @@ from .matroid import (
     ValuatedFn,
     _exponent_gaps,
     _rooted_ground,
+    _value_pair,
     check_delta_matroid,
     check_valuated_matroid,
     default_window,
     k_dissimilarity,
     odd_dissimilarity,
-    represent_odd,
     rooted_k_dissimilarity,
     rooted_matrix,
     verify_rooted_representation,
@@ -55,7 +55,6 @@ from .metric import (
     format_matrix_csv,
     hpp_eigen_check,
     parse_matrix_csv,
-    power_matrix,
     realize_tree,
     spectral_signature,
     split_potentials,
@@ -80,7 +79,7 @@ from .pfaffian import (
     pf_oracle,
     pf_table,
 )
-from .poly import ExactPoly, _as_fraction, _top_digit, _unpack, _unpack_even, _word_for
+from .poly import ExactPoly, _as_fraction, _top_digit, _unpack_even, _word_for
 from .tree import Tree, format_tree, random_tree, read_tree_file
 
 _SEED_STRIDE = 1_000_003  # tree index -> sub-seed, documented and fixed
@@ -166,33 +165,44 @@ def _scalar_text(v):
 
 
 def emit(report: dict, fmt: str) -> None:
-    report = _jsonable(report)
-    if fmt == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
-        return
-    if fmt == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        rows = report.get("rows")
-        if isinstance(rows, list) and rows and all(isinstance(r, dict) for r in rows):
-            header = sorted({k for r in rows for k in r})
-            writer.writerow(header)
-            for r in rows:
-                writer.writerow([_scalar_text(r.get(k)) for k in header])
-        else:
-            for k in sorted(report):
-                if k == "raw":
-                    continue
-                writer.writerow([k, _scalar_text(report[k])])
-        sys.stdout.write(out.getvalue())
-        return
-    # text; a "raw" payload (e.g. a tree file) replaces the field dump so it
-    # can be piped straight into a file
-    raw = report.pop("raw", None)
-    if raw is not None:
-        sys.stdout.write(raw)
-        return
-    print("\n".join(_text_lines(report)))
+    """Print report in fmt.  The reader bounds every number it accepts
+    (poly._MAX_DIGITS), but a value computed from accepted ones, twice a
+    weight or the sum of two, may pass Python's int-to-str limit (on
+    interpreters that have one): the limit is lifted while the report
+    prints and restored afterwards."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # int() = 0: no limit
+    set_limit = getattr(sys, "set_int_max_str_digits", int)
+    set_limit(0)
+    try:
+        report = _jsonable(report)
+        if fmt == "json":
+            print(json.dumps(report, indent=2, sort_keys=True))
+            return
+        if fmt == "csv":
+            out = io.StringIO()
+            writer = csv.writer(out, lineterminator="\n")
+            rows = report.get("rows")
+            if isinstance(rows, list) and rows and all(isinstance(r, dict) for r in rows):
+                header = sorted({k for r in rows for k in r})
+                writer.writerow(header)
+                for r in rows:
+                    writer.writerow([_scalar_text(r.get(k)) for k in header])
+            else:
+                for k in sorted(report):
+                    if k == "raw":
+                        continue
+                    writer.writerow([k, _scalar_text(report[k])])
+            sys.stdout.write(out.getvalue())
+            return
+        # text; a "raw" payload (e.g. a tree file) replaces the field dump so it
+        # can be piped straight into a file
+        raw = report.pop("raw", None)
+        if raw is not None:
+            sys.stdout.write(raw)
+            return
+        print("\n".join(_text_lines(report)))
+    finally:
+        set_limit(limit)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +312,7 @@ def cmd_minor(args):
     report = {
         "tree": text,
         "X": X,
-        **_str_values(values),
+        **values,
         "equal": equal,
         "leading": _leading_dict(values["formula"]),
     }
@@ -339,7 +349,7 @@ def cmd_pfaffian(args):
     report = {
         "tree": text,
         "X": X,
-        **_str_values(values),
+        **values,
         "equal": equal,
         "leading": _leading_dict(values["pfaffian"]),
     }
@@ -352,14 +362,11 @@ def cmd_pfaffian(args):
 # T -> (subset walk, check X -> (ok, values)) and, for pf-verify, a pass over
 # negative orders.  Each sweep reads its formula values off one table per
 # tree, and its oracle values (the cycle sums for cycles-verify) off
-# another, all packed at t^(1/T._den) = 2^B for one B the sweep picks and
-# compared as ints; a subset that fails against them is unpacked and
-# decided again by the check its certificate replays with (`minor`,
-# `pfaffian`; cycles-verify has none).
-
-
-def _str_values(values: dict) -> dict:
-    return {k: list(map(str, v)) if isinstance(v, tuple) else str(v) for k, v in values.items()}
+# another: the minor and cycle tables packed at u = t^(2/T._den) = 2^B for
+# one B the sweep picks, the Pfaffian table in the form pfaffian._pf_form
+# picks against the monomial's exponent (_pf_misses).  A subset that fails
+# against them is read back and decided again by the check its certificate
+# replays with (`minor`, `pfaffian`; cycles-verify has none).
 
 
 def _minor_check(T, X):
@@ -415,12 +422,10 @@ def _minor_bits(T, max_x) -> int:
     return _word_for(max(factorial(min(max_x, T.n)), _formula_norm_bound(T)))
 
 
-def _unpacked(T, bits, value, read=_unpack_even) -> ExactPoly:
-    """The polynomial a table value packs: at u = t^(2/T._den) = 2^bits,
-    its exponents doubled (read=_unpack_even), for the minor and cycle
-    tables, and at t^(1/T._den) = 2^bits (read=_unpack) for the Pfaffian
-    ones."""
-    return ExactPoly._make(T._den, 1, read(bits, value))
+def _unpacked(T, bits, value) -> ExactPoly:
+    """The polynomial a minor or cycle table value packs at u = t^(2/T._den)
+    = 2^bits, its exponents doubled."""
+    return ExactPoly._make(T._den, 1, _unpack_even(bits, value))
 
 
 def _formula_entry(T, bits, value, norm):
@@ -464,34 +469,45 @@ def _minor_sweep(T, max_x):
     return _subsets(T, max_x), check
 
 
+def _pf_misses(T, order):
+    """The one check of the Pfaffian identity over every even sub-tuple of
+    order: pf_table's value, in the form pfaffian._pf_form picks, against
+    unit << shift w, w the monomial's exponent from pf_formula_table (None
+    where its hop count finds the key not nice: the cyclic tour is nice iff
+    the sum of popcount(P_a ^ P_b) over its steps is twice the spanned edge
+    count).  A monomial has 1-norm 1, so the two agree exactly when the
+    Pfaffian is the monomial.  Returns the exponents, keyed in pf_table's
+    order, and each key that fails with its Pfaffian read back."""
+    table, unit, shift, read = pf_table(T, order)
+    formula = pf_formula_table(T, order)
+    return formula, {
+        X: ExactPoly._make(T._den, 1, read(value))
+        for X, value in table.items()
+        if (w := formula[X]) is None or value != unit << shift * w
+    }
+
+
 def _pf_sweep(T, _max_x):
     """The Pfaffian monomial against the Pfaffian on every nonempty even
     subset S, listed as omega|S: the members of S in the order of omega, a
     nice order of all vertices (a depth-first order), whose restrictions
-    are nicely ordered too.  Both tables hold ints at t^(1/T._den) = 2^B,
-    B = pf_bits(n), and are compared as ints: a monomial has 1-norm 1.
-    pf_formula_table decides each key's niceness again, by the hop count:
-    the cyclic tour is nice iff the sum of popcount(P_a ^ P_b) over its
-    steps is twice the spanned edge count; a key it finds not nice fails
-    like a wrong value.  A failing subset is unpacked for its certificate."""
-    omega = T.nice_order(T.vertices)
-    bits = pf_bits(len(omega))
-    table = pf_table(T, omega, bits)
-    formula = pf_formula_table(T, omega, bits)
+    are nicely ordered too, checked by _pf_misses.  A failing subset's
+    certificate carries the Pfaffian read back and the monomial, or "not
+    nicely ordered" where the formula table found the key not nice."""
+    formula, misses = _pf_misses(T, T.nice_order(T.vertices))
 
     def check(X):
-        oracle = table[X]
-        if formula[X] == oracle:
+        if X not in misses:
             return True, None
-        entry = formula[X]
-        entry = "not nicely ordered" if entry is None else _unpacked(T, bits, entry, _unpack)
+        w = formula[X]
+        entry = "not nicely ordered" if w is None else ExactPoly._make(T._den, 1, {w: 1})
         return _redecide(
             _pf_check, T, X,
-            table=(_unpacked(T, bits, oracle, _unpack), "oracle"),
+            table=(misses[X], "oracle"),
             formula_table=(entry, "pfaffian"),
         )
 
-    return (X for X in table if X), check
+    return (X for X in formula if X), check
 
 
 def _cycles_sweep(T, max_x):
@@ -546,7 +562,8 @@ def _negative_hits(T, rng, negatives: int) -> int:
         if T.is_nicely_ordered(sub)[0]:
             continue
         bits = pf_bits(r)
-        if _pf_top_down(_shift_rows(T, sub, bits), 1) != 1 << bits * T._weight_num(T._odd_mask(sub)):
+        rows = _shift_rows(T._distance_ints(sub)[0], bits)
+        if _pf_top_down(rows, 1) != 1 << bits * T._weight_num(T._odd_mask(sub)):
             hit += 1
     return hit
 
@@ -563,7 +580,7 @@ def _sweep_one(task: tuple) -> dict:
     for X in walk:
         ok, values = check(X)
         if not ok:
-            certificate = {"tree": format_tree(T), "X": list(X), **_str_values(values)}
+            certificate = {"tree": format_tree(T), "X": list(X), **values}
             break
         checked += 1
     row["checked"] = checked
@@ -903,21 +920,22 @@ def cmd_represent_odd(args):
             f"represent-odd would check more than {_MAX_SUBSETS} even "
             "subsets; pass a smaller --ground"
         )
-    rep = represent_odd(T, ground=ground)
-    pairs = rep.value_pairs()
+    # every even subset in a nice order, checked as pf-verify checks them;
+    # only a miss is read back into its value pair, so a Pfaffian c t^w with
+    # c != 1 still represents the map.  Misses are listed in combinations
+    # order: by size, then by their positions in the order.
+    order = T.nice_order(ground)
+    formula, misses = _pf_misses(T, order)
     mismatches = []
-    checked = 0
-    for r in range(0, len(rep.order) + 1, 2):
-        for X in combinations(rep.order, r):
-            want = T.odd_weight(X)
-            got, dual = pairs[X]
-            if got != want or dual != -want:
-                mismatches.append({"X": list(X), "value": got, "dual": dual, "expected": want})
-            checked += 1
+    for X in sorted(misses, key=lambda X: (len(X), [order.index(v) for v in X])):
+        want = T.odd_weight(X)
+        got, dual = _value_pair(misses[X])
+        if got != want or dual != -want:
+            mismatches.append({"X": list(X), "value": got, "dual": dual, "expected": want})
     report = {
         "tree": text,
-        "order": list(rep.order),
-        "checked": checked,
+        "order": list(order),
+        "checked": len(formula),
         "mismatches": mismatches,
     }
     return (1 if mismatches else 0), report

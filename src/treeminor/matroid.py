@@ -11,9 +11,7 @@ truncated series) whose minor/Pfaffian top exponents reproduce the maps:
 
 * `represent_odd` -- a skew matrix of pairwise distance powers, taken in a
   nice vertex order; the top and bottom exponents of the Pfaffians of its
-  principal submatrices give the odd-edge map and its negative, every
-  block's read off one bottom-up table (pfaffian._pf_bottom_up) on packed
-  ints or shifted integer maps, whichever form pfaffian._pf_form picks.
+  principal submatrices give the odd-edge map and its negative.
 * `verify_rooted_representation` -- the pairwise-power matrix M with the
   rank-one root contribution removed, as integer maps, factored as
   -M = L1 D L1^T over truncated series (tropic.ldl, no square roots) and
@@ -36,7 +34,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .metric import MINUS_INF
-from .pfaffian import _pf_bottom_up, _pf_form, build_skew_matrix, pf_oracle
+from .pfaffian import build_skew_matrix, pf_oracle
 from .poly import ExactPoly, PolyMatrix, _as_fraction, _kernel, _sylvester
 from .tree import Tree
 from .tropic import PrecisionError, PuiseuxTrunc, ldl, series_det
@@ -307,19 +305,6 @@ class OddRepresentation:
     def value_pair(self, X: Iterable[int]) -> tuple:
         """(value(X), dual_value(X)) from one Pfaffian of the block."""
         return _value_pair(self._pfaffian(X))
-
-    def value_pairs(self) -> dict[tuple[int, ...], tuple]:
-        """value_pair of every even sub-tuple of the order (keys in the
-        order's order), read off one bottom-up table of its principal
-        Pfaffians (pfaffian._pf_bottom_up, pf_table's expansion), on the
-        form pfaffian._pf_form picks: packed ints where the matrix is dense,
-        shifted integer maps where its weights share a large denominator
-        and one table's ints would be too wide."""
-        rows, unit, read = _pf_form(self.tree, self.order)
-        return {
-            X: _value_pair(ExactPoly._make(self.tree._den, 1, read(p)))
-            for X, p in _pf_bottom_up(self.order, rows, unit).items()
-        }
 
     def value(self, X: Iterable[int]):
         """Top exponent of the Pfaffian of the X-rows-and-columns block."""

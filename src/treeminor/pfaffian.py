@@ -15,13 +15,13 @@ every even sub-tuple of one order (_pf_bottom_up), are written once over
 those operations and run on either of two forms: ints at t^(1/T._den) =
 2^B for a B that holds every Pfaffian's coefficients (pf_bits), shifted by
 d B from the unit 1, or integer maps shifted by d from the unit {0: 1}
-(poly._Shifted).  _pf_form picks the ints where the matrix is dense enough
-to pack (_packs) and the maps where the weights share a large denominator.
-pf_oracle runs the top-down expansion on that form, and
-matroid.OddRepresentation.value_pairs the bottom-up one; pf_table is the
-bottom-up expansion on ints, and pf_formula_table the monomial of every
-even sub-tuple, packed alike.  Neither expansion reaches poly's
-(poly.pfaffian), the reference the tests hold them against.
+(poly._Shifted).  _pf_form picks the ints where the distances are dense
+enough to pack and the maps where the weights share a large denominator.
+pf_oracle runs the top-down expansion on that form, and pf_table the
+bottom-up one; pf_formula_table gives the monomial's exponent w of every
+even sub-tuple, and the monomial is unit << shift w in either form.  Neither
+expansion reaches poly's (poly.pfaffian), the reference the tests hold
+them against.
 """
 
 from __future__ import annotations
@@ -105,29 +105,26 @@ def pf_formula(T: Tree, X: Sequence[int]) -> ExactPoly:
     return ExactPoly._make(T._den, 1, {_odd_exponent(T, T._odd_mask(xs)): 1})
 
 
-def pf_formula_table(
-    T: Tree, order: Sequence[int], bits: int
-) -> dict[tuple[int, ...], int | None]:
-    """pf_formula over every even sub-tuple of order at t^(1/T._den) =
-    2^bits, 1 << (bits w) for a monomial t^(w / T._den), and None where
-    that sub-tuple is not nicely ordered.
+def pf_formula_table(T: Tree, order: Sequence[int]) -> dict[tuple[int, ...], int | None]:
+    """The exponent w of pf_formula's monomial t^(w / T._den) over every
+    even sub-tuple of order, and None where that sub-tuple is not nicely
+    ordered.
 
-    Keys are pf_table(T, order, bits)'s, in its order.  Tree.tour_table
-    gives each even sub-tuple's XOR of root-path masks, its odd-splitting
-    edges, and decides its niceness by the hop count: the cyclic tour
-    crosses every spanned edge an even number of times, at least twice, so
-    the order is nice iff the tour is twice as long as the spanned subtree.
+    Keys are pf_table(T, order)'s, in its order.  Tree.tour_table gives
+    each even sub-tuple's XOR of root-path masks, its odd-splitting edges,
+    and decides its niceness by the hop count: the cyclic tour crosses
+    every spanned edge an even number of times, at least twice, so the
+    order is nice iff the tour is twice as long as the spanned subtree.
     The odd edges' weights are read off one table of every edge mask's
     weight (_mask_sums) when T has fewer edges than order has points, as
     when order lists all of T, and by T._weight_num otherwise.  It reads
     edge weights, the rooted walk and the masks, never the distances
-    pf_table reads.  A monomial has 1-norm 1, so for bits >= 2 its value
-    equals a Pfaffian's from pf_table exactly when the polynomials agree.
+    pf_table reads.
     """
     xs = T.check_subset(order)
     sums = _mask_sums(T) if T.n <= len(xs) else None
     return {
-        key: 1 << bits * _odd_exponent(T, odd, sums) if nice else None
+        key: _odd_exponent(T, odd, sums) if nice else None
         for key, (odd, nice) in T.tour_table(xs).items()
     }
 
@@ -141,34 +138,33 @@ def pf_oracle(T: Tree, X: Sequence[int]) -> ExactPoly:
     xs = T.check_subset(X)
     if len(xs) % 2:
         raise ValueError("Pfaffian needs an even number of vertices")
-    rows, unit, read = _pf_form(T, xs)
+    rows, unit, _, read = _pf_form(T, xs)
     return ExactPoly._make(T._den, 1, read(_pf_top_down(rows, unit)))
 
 
-def _packs(maps: list[list[dict[int, int]]], bits: int) -> bool:
-    """Whether a Pfaffian of the skew maps runs on ints packed at bits:
-    poly._dense at _TREE_DENSE_BITS.  A packed int grows with the top
-    distance times bits, so the sparse distances of trees whose weights
-    share a large denominator stay on the maps."""
-    return _dense(maps, bits, _TREE_DENSE_BITS)
+def _shift_rows(dist: list[list[int]], shift: int) -> list[list[int]]:
+    """The tree's integer distance rows times shift: the entry t^d of the
+    skew matrix shifts a Pfaffian packed at t^(1/T._den) = 2^B left by d B
+    bits (shift B), and a shifted map by d (shift 1)."""
+    return [[d * shift for d in row] for row in dist]
 
 
-def _shift_rows(T: Tree, xs: Sequence[int], bits: int) -> list[list[int]]:
-    """The tree's integer distances over xs (unchecked) times bits: the
-    entry t^d of the skew matrix shifts a Pfaffian packed at t^(1/T._den)
-    = 2^bits left by d * bits bits, and a shifted map (bits 1) by d."""
-    return [[d * bits for d in row] for row in T._distance_ints(xs)[0]]
-
-
-def _pf_form(T: Tree, xs: tuple[int, ...]) -> tuple[list[list[int]], object, Callable]:
-    """(rows, unit, read) for the expansions over xs or its sub-tuples, in
-    the form _packs picks at B = pf_bits(len(xs)): packed ints, rows d B,
-    unit 1 and each value read by poly._unpack; or shifted maps, rows d,
-    unit {0: 1} (poly._Shifted) and each value read into a plain dict."""
+def _pf_form(T: Tree, xs: tuple[int, ...]) -> tuple[list[list[int]], object, int, Callable]:
+    """(rows, unit, shift, read) for the expansions over xs or its
+    sub-tuples, from one read of the tree's distance rows: packed ints at
+    B = pf_bits(len(xs)), shift B, unit 1 and each value read by
+    poly._unpack, where poly._dense holds at _TREE_DENSE_BITS on the
+    off-diagonal distances as one row of monomials; or shifted maps, shift
+    1, unit {0: 1} (poly._Shifted) and each value read into a plain dict.
+    A packed int grows with the top distance times B, so the sparse
+    distances of trees whose weights share a large denominator stay on the
+    maps.  Either way the monomial t^(w / T._den) is unit << shift w."""
+    dist = T._distance_ints(xs)[0]
     bits = pf_bits(len(xs))
-    if _packs(_skew_maps(T, xs)[0], bits):
-        return _shift_rows(T, xs, bits), 1, functools.partial(_unpack, bits)
-    return _shift_rows(T, xs, 1), _Shifted({0: 1}), dict
+    monomials = [{d: 1} for a, row in enumerate(dist) for b, d in enumerate(row) if a != b]
+    if _dense([monomials], bits, _TREE_DENSE_BITS):
+        return _shift_rows(dist, bits), 1, bits, functools.partial(_unpack, bits)
+    return _shift_rows(dist, 1), _Shifted({0: 1}), 1, dict
 
 
 def _pf_top_down(rows: list[list[int]], unit):
@@ -208,22 +204,24 @@ def _pf_top_down(rows: list[list[int]], unit):
     return total
 
 
-def pf_table(T: Tree, order: Sequence[int], bits: int) -> dict[tuple[int, ...], int]:
-    """The Pfaffian of the skew matrix over every even sub-tuple of order,
-    each at t^(1/T._den) = 2^bits, bits at least pf_bits(len(order)): the
-    bottom-up expansion (_pf_bottom_up) on packed ints.
+def pf_table(
+    T: Tree, order: Sequence[int]
+) -> tuple[dict[tuple[int, ...], object], object, int, Callable]:
+    """The Pfaffian of every even sub-tuple of order: the bottom-up
+    expansion (_pf_bottom_up) in the form _pf_form picks, returned as
+    (table, unit, shift, read) with that form's unit, shift and read.
 
     Keys are the sub-tuples, listed in order's order (the empty one
-    included), and each value packs pf_oracle(T, key): every key's matrix
-    is a principal block of the one over order.  Exponents are the tree's
-    integer distances, over the lcm of its weight denominators; every
-    coefficient stays below 2^(bits - 1) (pf_bits), so each int is its
-    polynomial packed.
+    included), and read(table[key]) is pf_oracle(T, key)'s integer map:
+    every key's matrix is a principal block of the one over order.
+    Exponents are the tree's integer distances, over the lcm of its weight
+    denominators.  A monomial has 1-norm 1, so a value equals
+    unit << shift w, w from pf_formula_table, exactly when the Pfaffian is
+    t^(w / T._den).
     """
     xs = T.check_subset(order)
-    if bits < pf_bits(len(xs)):
-        raise ValueError(f"{bits} bits do not hold the Pfaffians over {len(xs)} points")
-    return _pf_bottom_up(xs, _shift_rows(T, xs, bits), 1)
+    rows, unit, shift, read = _pf_form(T, xs)
+    return _pf_bottom_up(xs, rows, unit), unit, shift, read
 
 
 def _pf_bottom_up(xs: tuple[int, ...], rows: list[list[int]], unit) -> dict[tuple[int, ...], object]:

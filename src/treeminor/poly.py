@@ -36,8 +36,8 @@ of distinct exponents, _DENSE_BITS (96) by default and _TREE_DENSE_BITS
 (900) for the tree paths on monomials of tree distances:
 minors.minor_oracle's Bareiss walk on the half powers of a distance block,
 the form of minors.minor_formula's DP (its edge weights as one row of
-monomials), and that of pfaffian's expansions of a skew matrix
-(pfaffian._packs).  A caller that compares minors instead of reading them
+monomials), and that of pfaffian's expansions of a skew matrix (its
+off-diagonal distances as one row of monomials, pfaffian._pf_form).  A caller that compares minors instead of reading them
 asks for them packed at its own B (_packed_values): two such ints are
 equal exactly when their maps are, and _top_digit reads the top term off
 one.  A matrix of plain ints needs
@@ -665,8 +665,8 @@ _DENSE_BITS = 96
 # minors.minor_oracle's Bareiss walk on the half powers of a distance block
 # (minors._half_power_maps) at B = _word_bits, minors.minor_formula's DP on
 # the spanned edges' integer weights as one row of monomials at the B of its
-# carried bound, and pfaffian._packs on the skew matrix of distance
-# monomials at B = pfaffian.pf_bits.  Rational leaf sets (den 12, ratios
+# carried bound, and pfaffian._pf_form on the off-diagonal distances of a
+# skew matrix as one row of monomials at B = pfaffian.pf_bits.  Rational leaf sets (den 12, ratios
 # 109-270 on the leaves of random 30-vertex trees, at most 324 on the
 # minor-large items of four seeds) pack, and both walks win there: the
 # leaves of random_tree(30, seed=7) took 105 against 2,782 ms in the oracle

@@ -20,10 +20,10 @@ from pathlib import Path
 
 import pytest
 
-from treeminor import cli, matroid, metric, pfaffian
+from treeminor import cli, matroid, metric, pfaffian, poly
 from treeminor.cli import run
 from treeminor.metric import format_matrix_csv, square_cycle_metric
-from treeminor.poly import ExactPoly, _unpack, _unpack_even
+from treeminor.poly import ExactPoly, _unpack_even
 from treeminor.tree import Tree, parse_tree_text, random_tree
 
 F = Fraction
@@ -420,6 +420,33 @@ def test_a_weight_at_the_digit_limit_is_printed_back(capsys, tmp_path):
     assert json.loads(out)["tree"] == f"2\n1 2 {10**4299}\n"
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("weight, exponent", [("9e4299", "18" + "0" * 4299), ("5e4299", "1" + "0" * 4300)],
+                         ids=["9e4299", "5e4299"])
+def test_a_minor_past_the_int_to_str_limit_is_printed(capsys, tmp_path, weight, exponent, fmt):
+    # the reader accepts an edge weight of 4,300 digits; the minor on the
+    # edge's ends has the exponent twice that, of 4,301 digits, and prints
+    # with the interpreter's int-to-str limit lifted only while it prints
+    limit = sys.get_int_max_str_digits()
+    code, out, err = invoke(capsys, *_rational_argv(tmp_path, "tree-weight", weight), "--format", fmt)
+    assert (code, err) == (0, "")
+    assert f"-t^{exponent}" in out
+    assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_pfaffian_summing_two_weights_at_the_digit_limit_is_printed(capsys, tmp_path, fmt):
+    # the odd edges of the path 1-2-3-4 are its first and last, each of
+    # 4,300 digits: the monomial's exponent is their sum, of 4,301 digits
+    path = tmp_path / "p4.tree"
+    path.write_text("4\n1 2 9e4299\n2 3 1\n3 4 9e4299\n")
+    limit = sys.get_int_max_str_digits()
+    code, out, err = invoke(capsys, "pfaffian", "--tree", str(path), "--X", "1,2,3,4", "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out.count("t^18" + "0" * 4299) == 2  # the formula and the oracle
+    assert sys.get_int_max_str_digits() == limit
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -618,20 +645,32 @@ def test_a_wrong_table_entry_fails_its_row(
         field, value = "table", "oracle"
     wrong = []
     right = getattr(cli, table)
-    # the Pfaffian tables pack at t^(1/_den), the minor ones at u = t^(2/_den)
-    read, power = (_unpack, 1) if sweep == "pf-verify" else (_unpack_even, 2)
 
-    def corrupt(T, size, bits):
-        # times t^power: the packed int shifts by T._den exponent steps
-        entries = right(T, size, bits)
+    def corrupt(T, *args):
+        # times t: the Pfaffian table's value, in its form, shifts by T._den
+        # exponent steps, and so does the Pfaffian formula's exponent; the
+        # minor tables' values pack at u = t^(2/_den), so times t^2 there
+        if table == "pf_table":
+            entries, unit, shift, read = right(T, *args)
+            key = max(entries, key=len)
+            entry = ExactPoly._make(T._den, 1, read(entries[key])) * ExactPoly.t_power(1)
+            entries[key] <<= shift * T._den
+            wrong.append((key, entry))
+            return entries, unit, shift, read
+        entries = right(T, *args)
         key = max(entries, key=len)
-        if isinstance(entries[key], tuple):  # a formula value and its 1-norm bound
-            packed, norm = entries[key]
-            entries[key] = (packed << bits * T._den, norm)
+        if sweep == "pf-verify":
+            entry = ExactPoly._make(T._den, 1, {entries[key]: 1}) * ExactPoly.t_power(1)
+            entries[key] += T._den
         else:
-            packed = entries[key]
-            entries[key] = packed << bits * T._den
-        entry = ExactPoly._make(T._den, 1, read(bits, packed)) * ExactPoly.t_power(power)
+            bits = args[-1]
+            if isinstance(entries[key], tuple):  # a formula value and its 1-norm bound
+                packed, norm = entries[key]
+                entries[key] = (packed << bits * T._den, norm)
+            else:
+                packed = entries[key]
+                entries[key] = packed << bits * T._den
+            entry = ExactPoly._make(T._den, 1, _unpack_even(bits, packed)) * ExactPoly.t_power(2)
         wrong.append((key, entry))
         return entries
 
@@ -1172,14 +1211,15 @@ def test_represent_odd_report(capsys):
 
 def test_represent_odd_reads_one_pfaffian_table(capsys, monkeypatch):
     tables = []
-    bottom_up = matroid._pf_bottom_up
+    bottom_up = pfaffian._pf_bottom_up
 
     def counted(xs, rows, unit):
         tables.append(bottom_up(xs, rows, unit))
         return tables[-1]
 
-    monkeypatch.setattr(matroid, "_pf_bottom_up", counted)
+    monkeypatch.setattr(pfaffian, "_pf_bottom_up", counted)
     monkeypatch.setattr(matroid, "pf_oracle", None)  # no per-subset expansion
+    monkeypatch.setattr(cli, "pf_oracle", None)
     code, out, _ = invoke(
         capsys, "represent-odd", "--n", "8", "--seed", "0", "--format", "json"
     )
@@ -1188,11 +1228,148 @@ def test_represent_odd_reads_one_pfaffian_table(capsys, monkeypatch):
     assert [len(t) for t in tables] == [128]
 
 
+SPARSE8_TREE = "8\n1 2 5/991\n2 3 7/991\n3 4 8/997\n3 5 2/997\n2 6 8/997\n3 7 7/983\n7 8 5/991\n"
+
+# values planted in one represent-odd table, each a function of the value v
+# and of the shift s of one power of t in the table's form, and the
+# mismatch list the command reported for them when it read every block's
+# value pair off the table: times t, plus the term t^(w + 1), zero, and 2
+# t^w, which has the block's valuation and is no mismatch
+PLANTS = {
+    "t": lambda v, s: v << s,
+    "top": lambda v, s: v + (v << s),
+    "zero": lambda v, s: v - v,
+    "two": lambda v, s: v + v,
+}
+PLANTED_CASES = [
+    (
+        ["--n", "9", "--seed", "1", "--weights", "rational"],
+        96,  # packed at pf_bits(9) = 8 bits, den 12
+        {(2, 7): "t", (1, 3, 2, 5): "top", (4, 8, 6, 9): "zero", (1, 9): "two"},
+        [
+            {"X": [2, 7], "dual": "-29/3", "expected": "26/3", "value": "29/3"},
+            {"X": [1, 3, 2, 5], "dual": "-21/2", "expected": "21/2", "value": "23/2"},
+            {"X": [4, 8, 6, 9], "dual": "-inf", "expected": "179/12", "value": "-inf"},
+        ],
+    ),
+    (
+        ["--tree", "SPARSE8"],
+        971230541,  # on shifted maps, den 971,230,541
+        {(2, 4): "t", (1, 2, 3, 5): "top", (3, 4, 7, 8): "zero", (1, 6): "two"},
+        [
+            {"X": [2, 4], "dual": "-1002934/988027", "expected": "14907/988027", "value": "1002934/988027"},
+            {"X": [1, 2, 3, 5], "dual": "-6967/988027", "expected": "6967/988027", "value": "994994/988027"},
+            {"X": [3, 4, 7, 8], "dual": "-inf", "expected": "12913/988027", "value": "-inf"},
+        ],
+    ),
+]
+
+
+def _planted_represent_odd(capsys, monkeypatch, tmp_path, source, step, plants):
+    """Run represent-odd on source with plants (key -> PLANTS name) put into
+    the CLI's Pfaffian table; check the step of one power of t in the form
+    the table took, and return the exit code, the JSON report and the tree."""
+    right = cli.pf_table
+    trees = []
+
+    def planted(T, order):
+        trees.append(T)
+        table, unit, shift, read = right(T, order)
+        assert shift * T._den == step
+        for X, name in plants.items():
+            table[X] = PLANTS[name](table[X], step)
+        return table, unit, shift, read
+
+    monkeypatch.setattr(cli, "pf_table", planted)
+    if "SPARSE8" in source:
+        path = tmp_path / "sparse8.tree"
+        path.write_text(SPARSE8_TREE)
+        source = [str(path) if word == "SPARSE8" else word for word in source]
+    code, out, _ = invoke(capsys, "represent-odd", *source, "--format", "json")
+    (T,) = trees
+    return code, json.loads(out), T
+
+
+@pytest.mark.parametrize("source, step, plants, mismatches", PLANTED_CASES)
+def test_a_planted_pfaffian_table_value_gives_the_same_mismatch_entry(
+    capsys, monkeypatch, tmp_path, source, step, plants, mismatches
+):
+    code, report, _ = _planted_represent_odd(capsys, monkeypatch, tmp_path, source, step, plants)
+    assert code == 1
+    assert report["mismatches"] == mismatches
+    assert report["checked"] == 2 ** (len(report["order"]) - 1)
+
+
+@pytest.mark.parametrize("source, step, plants, mismatches", PLANTED_CASES)
+def test_a_planted_multiple_of_the_monomial_passes_the_valuation_test(
+    capsys, monkeypatch, tmp_path, source, step, plants, mismatches
+):
+    # 2 t^w fails the table comparison, so it is read back, and its value
+    # pair is the block's: no mismatch
+    read_back = []
+    value_pair = cli._value_pair
+    monkeypatch.setattr(cli, "_value_pair", lambda p: read_back.append(p) or value_pair(p))
+    two = {X: name for X, name in plants.items() if name == "two"}
+    code, report, T = _planted_represent_odd(capsys, monkeypatch, tmp_path, source, step, two)
+    assert code == 0 and report["mismatches"] == []
+    (X,) = two
+    assert read_back == [2 * pfaffian.pf_oracle(T, X)]
+
+
+def test_a_key_the_formula_table_finds_not_nice_is_read_back(capsys, monkeypatch):
+    # the key's table value is its monomial, but with no exponent to compare
+    # it with, the check reads it back; its value pair is the block's
+    right = cli.pf_formula_table
+    keys = []
+
+    def not_nice(T, order):
+        entries = right(T, order)
+        keys.append(max(entries, key=len))
+        entries[keys[-1]] = None
+        return entries
+
+    read_back = []
+    value_pair = cli._value_pair
+    monkeypatch.setattr(cli, "pf_formula_table", not_nice)
+    monkeypatch.setattr(cli, "_value_pair", lambda p: read_back.append(p) or value_pair(p))
+    code, out, _ = invoke(capsys, "represent-odd", "--n", "8", "--seed", "0", "--format", "json")
+    assert code == 0 and json.loads(out)["mismatches"] == []
+    (X,) = keys
+    assert read_back == [pfaffian.pf_oracle(random_tree(8, seed=0), X)]
+
+
+@pytest.mark.parametrize("source, step, plants, mismatches", PLANTED_CASES)
+def test_represent_odd_decides_without_the_oracles(
+    capsys, monkeypatch, tmp_path, source, step, plants, mismatches
+):
+    # neither pf_oracle nor poly's expansion is reached, the read-back of a
+    # mismatch included, and the formula side reads no distance
+    def refuse(*args):
+        raise AssertionError("reached an oracle or the distances")
+
+    for module, name in (
+        (pfaffian, "pf_oracle"), (matroid, "pf_oracle"), (cli, "pf_oracle"),
+        (poly, "pfaffian"), (poly, "_pfaffian_maps"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
+    formula_table = cli.pf_formula_table
+
+    def no_distances(T, order):
+        with monkeypatch.context() as m:
+            m.setattr(Tree, "_distance_ints", refuse)
+            return formula_table(T, order)
+
+    monkeypatch.setattr(cli, "pf_formula_table", no_distances)
+    code, report, _ = _planted_represent_odd(capsys, monkeypatch, tmp_path, source, step, plants)
+    assert code == 1
+    assert report["mismatches"] == mismatches
+
+
 def test_represent_odd_checks_its_size_before_building(capsys, monkeypatch):
     def unreachable(*args, **kwargs):
-        raise AssertionError("represent_odd ran on an over-size ground set")
+        raise AssertionError("the Pfaffian table was built on an over-size ground set")
 
-    monkeypatch.setattr(cli, "represent_odd", unreachable)
+    monkeypatch.setattr(cli, "pf_table", unreachable)
     code, out, err = invoke(capsys, "represent-odd", "--n", "18")
     assert code == 2
     assert out == ""

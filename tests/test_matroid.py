@@ -29,6 +29,7 @@ from treeminor.matroid import (
     ExchangeViolation,
     OddRepresentation,
     ValuatedFn,
+    _value_pair,
     check_delta_matroid,
     check_valuated_matroid,
     default_window,
@@ -42,7 +43,7 @@ from treeminor.matroid import (
 )
 from treeminor.metric import MINUS_INF, square_cycle_metric
 from treeminor.minors import minor_oracle
-from treeminor.pfaffian import build_skew_matrix
+from treeminor.pfaffian import build_skew_matrix, pf_table
 from treeminor.poly import ExactPoly, PolyMatrix, det, pfaffian
 from treeminor.tree import Tree, random_tree
 from treeminor.tropic import PrecisionError, cholesky, ldl
@@ -315,7 +316,8 @@ def test_dual_value_matches_the_pfaffian_of_the_inverted_matrix():
             image = PolyMatrix(
                 [[e.power_substitute(-1) for e in row] for row in rep.matrix.entries]
             )
-            pairs = rep.value_pairs()  # read off one table of Pfaffians
+            table, _, _, read = pf_table(T, rep.order)  # one table of Pfaffians
+            pairs = {X: _value_pair(ExactPoly._make(T._den, 1, read(p))) for X, p in table.items()}
             assert len(pairs) == 2 ** (n - 1)
             for r in range(0, n + 1, 2):
                 for pos in combinations(range(n), r):
@@ -335,10 +337,10 @@ def test_represent_odd_builds_its_matrix_only_when_read(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(matroid, "build_skew_matrix", refuse)
         rep = represent_odd(T)
-        pairs = rep.value_pairs()
-        assert len(pairs) == 2 ** 6
-        for X, pair in pairs.items():
-            assert rep.value_pair(X) == pair
+        table, _, _, read = pf_table(T, rep.order)
+        assert len(table) == 2 ** 6
+        for X, p in table.items():
+            assert rep.value_pair(X) == _value_pair(ExactPoly._make(T._den, 1, read(p)))
     want = build_skew_matrix(T, rep.order)
     assert rep.matrix.entries == want.entries
     assert str(rep.matrix) == str(want)

@@ -665,14 +665,14 @@ def test_formula_and_oracle_sides_read_separate_integer_forms(monkeypatch):
         m.setattr(Tree, "_root_paths", property(boom))
         T = tree()
         oracle = [minor_oracle(T, X) for X in ((1, 4), (2, 3, 5))]
-        table, pf_all = minor_table(T, 3, 32), pf_table(T, (1, 2, 4, 5), 32)
+        table, (pf_all, unit, shift, _) = minor_table(T, 3, 32), pf_table(T, (1, 2, 4, 5))
         pf_one = pf_oracle(T, (1, 2, 4, 5))
     with monkeypatch.context() as m:
         m.setattr(Tree, "_single_source", boom)
         T = tree()
         formula = [minor_formula(T, X) for X in ((1, 4), (2, 3, 5))]
         formula_table = minor_formula_table(T, 3, 32)
-        pf_formulas = pf_formula_table(T, (1, 2, 4, 5), 32)
+        pf_formulas = pf_formula_table(T, (1, 2, 4, 5))
         leading, leading_table = minor_leading(T, (2, 3, 5)), minor_leading_table(T, 3)
         pf_monomial = pf_formula(T, (1, 2, 4, 5))
         sums = cycle_sums(T, (2, 3, 5))
@@ -682,4 +682,4 @@ def test_formula_and_oracle_sides_read_separate_integer_forms(monkeypatch):
     assert leading_table[(2, 3, 5)] == (leading[0] * T._den / 2, leading[1])
     assert sums == (formula[1], formula[1])
     assert pf_monomial == pf_one
-    assert all(p is None or p == pf_all[k] for k, p in pf_formulas.items())
+    assert all(w is None or unit << shift * w == pf_all[k] for k, w in pf_formulas.items())

@@ -14,13 +14,13 @@ import pytest
 from fractions import Fraction
 from hypothesis import example, given, settings, strategies as st
 
-from treeminor import matroid, pfaffian as pfaffian_module, poly as poly_module
+from treeminor import cli, pfaffian as pfaffian_module, poly as poly_module
 from treeminor.matroid import _value_pair, represent_odd
 
 from treeminor.pfaffian import (
     NotNicelyOrderedError,
-    _packs,
     _pf_bottom_up,
+    _pf_form,
     _pf_top_down,
     _shift_rows,
     _Shifted,
@@ -32,15 +32,19 @@ from treeminor.pfaffian import (
     pf_oracle,
     pf_table,
 )
-from treeminor.poly import ExactPoly, _unpack, pfaffian
+from treeminor.poly import _TREE_DENSE_BITS, ExactPoly, _dense, _unpack, pfaffian
 from treeminor.tree import Tree, random_tree
 
 F = Fraction
 tp = ExactPoly.t_power
 
 
-def unpacked(T, bits, value):
-    return ExactPoly._make(T._den, 1, _unpack(bits, value))
+def read_back(T, read, value):
+    return ExactPoly._make(T._den, 1, read(value))
+
+
+def monomial(T, w):
+    return ExactPoly._make(T._den, 1, {w: 1})
 
 
 def path_tree(n, w=1):
@@ -152,15 +156,14 @@ def test_pf_table_matches_the_oracle_on_every_even_sub_tuple(case):
     nice = T.nice_order(T.vertices)
     rep = represent_odd(T)
     where = {v: i for i, v in enumerate(rep.order)}
-    bits = pf_bits(T.n)
     for order in (nice, shuffled):
-        table = pf_table(T, order, bits)
+        table, _, _, read = pf_table(T, order)
         want = [X for r in range(0, T.n + 1, 2) for X in itertools.combinations(order, r)]
         assert set(table) == set(want)
         for X in want:
             oracle = pf_oracle(T, X)
             matrix = pfaffian(build_skew_matrix(T, X))
-            assert unpacked(T, bits, table[X]) == oracle == matrix
+            assert read_back(T, read, table[X]) == oracle == matrix
             assert str(oracle) == str(matrix)
             # value_pair against the Pfaffian of rep's block on the PolyMatrix
             block = pfaffian(rep.matrix.principal_submatrix(sorted(where[x] for x in X)))
@@ -169,7 +172,7 @@ def test_pf_table_matches_the_oracle_on_every_even_sub_tuple(case):
             if order == nice:
                 # a restriction of a depth-first order is nicely ordered
                 assert T.is_nicely_ordered(X)[0]
-                assert unpacked(T, bits, table[X]) == pf_formula(T, X)
+                assert read_back(T, read, table[X]) == pf_formula(T, X)
 
 
 @settings(max_examples=60, deadline=None)
@@ -179,17 +182,16 @@ def test_pf_table_matches_the_oracle_on_every_even_sub_tuple(case):
 @example((Tree([(3, 9, F(1, 2)), (9, 6, F(2, 3)), (9, 12, 1), (12, 15, F(5, 4))]), (15, 3, 12, 6, 9)))
 def test_pf_formula_table_is_the_monomial_where_nicely_ordered(case):
     T, shuffled = case
-    bits = pf_bits(T.n)
     for order in (T.nice_order(T.vertices), shuffled):
-        table = pf_formula_table(T, order, bits)
-        oracle = pf_table(T, order, bits)
+        table = pf_formula_table(T, order)
+        oracle, unit, shift, _ = pf_table(T, order)
         assert list(table) == list(oracle)
-        for X, value in table.items():
+        for X, w in table.items():
             if T.is_nicely_ordered(X)[0]:
-                assert unpacked(T, bits, value) == pf_formula(T, X)
-                assert value == oracle[X]
+                assert monomial(T, w) == pf_formula(T, X)
+                assert unit << shift * w == oracle[X]
             else:
-                assert value is None
+                assert w is None
 
 
 def test_pf_formula_table_reads_the_same_weights_from_both_sources(monkeypatch):
@@ -205,22 +207,21 @@ def test_pf_formula_table_reads_the_same_weights_from_both_sources(monkeypatch):
         random_tree(10, seed=2),
     )
     for T in trees:
-        bits = pf_bits(T.n)
         for order in (T.nice_order(T.vertices), T.vertices[::-1]):
-            table = pf_formula_table(T, order, bits)
+            table = pf_formula_table(T, order)
             assert built.pop() is T
             with monkeypatch.context() as m:
                 m.setattr(pfaffian_module, "_mask_sums", lambda T: None)
-                assert pf_formula_table(T, order, bits) == table
+                assert pf_formula_table(T, order) == table
     T = random_tree(30, seed=1, weights="rational")
     order = T.vertices[3:28:7]
-    table = pf_formula_table(T, order, pf_bits(4))
+    table = pf_formula_table(T, order)
     assert not built and len(table) == 8
-    for X, value in table.items():
+    for X, w in table.items():
         if T.is_nicely_ordered(X)[0]:
-            assert unpacked(T, pf_bits(4), value) == pf_formula(T, X)
+            assert monomial(T, w) == pf_formula(T, X)
         else:
-            assert value is None
+            assert w is None
 
 
 def test_pf_table_bits_hold_at_17_vertices():
@@ -232,13 +233,14 @@ def test_pf_table_bits_hold_at_17_vertices():
     assert [pf_bits(n) for n in (2, 9, 10, 16, 17)] == [8, 8, 16, 24, 24]
     assert matchings(16) == 2_027_025 < 1 << 23  # 16 of 17 points
     assert matchings(8) == 105 < 1 << 7 <= matchings(10) == 945  # 8 bits hold 9 points, not 10
+    # pf_table packs a 17-point order at pf_bits(17), not at 16 bits
     T = random_tree(17, seed=12)
     order = T.nice_order(T.vertices)
-    with pytest.raises(ValueError, match="16 bits do not hold the Pfaffians over 17 points"):
-        pf_table(T, order, 16)
-    table = pf_table(T, order, 24)
+    table, unit, shift, read = pf_table(T, order)
+    assert (unit, shift) == (1, 24)
     for X in list(table)[::4099]:
-        assert unpacked(T, 24, table[X]) == pf_oracle(T, X)
+        assert read_back(T, read, table[X]) == pf_oracle(T, X)
+        assert read(table[X]) == _unpack(24, table[X])
 
 
 # weights over a large denominator: den 971,230,541 and sparse distances
@@ -314,12 +316,19 @@ def refuse_packed(patch):
     patch.setattr(
         pfaffian_module,
         "_shift_rows",
-        lambda T, xs, bits: refuse("packed ints")() if bits > 1 else shift_rows(T, xs, bits),
+        lambda dist, shift: refuse("packed ints")() if shift > 1 else shift_rows(dist, shift),
     )
 
 
+def skew_maps_pack(T, xs):
+    """The form rule on the skew maps themselves: poly._dense at
+    _TREE_DENSE_BITS and B = pf_bits(|xs|), the rule _pf_form reads off the
+    distance rows."""
+    return _dense(_skew_maps(T, xs)[0], pf_bits(len(xs)), _TREE_DENSE_BITS)
+
+
 def test_pf_oracle_packs_exactly_the_dense_skew_matrices(monkeypatch):
-    # pf_oracle takes the form _packs picks: ints on random trees, whose
+    # pf_oracle takes the form _pf_form picks: ints on random trees, whose
     # rational weights are over den 12, shifted maps on sparse distances
     dense = [random_tree(n, seed=s, weights=w) for n in (10, 14) for s in range(6) for w in ("unit", "rational")]
     assert {T._den for T in dense} >= {1, 12}
@@ -327,35 +336,53 @@ def test_pf_oracle_packs_exactly_the_dense_skew_matrices(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(pfaffian_module, "_Shifted", refuse("shifted maps"))
         for T in dense:
-            maps, _ = _skew_maps(T, T.vertices)
-            assert _packs(maps, pf_bits(T.n))
+            assert skew_maps_pack(T, T.vertices)
+            assert _pf_form(T, T.vertices)[1:3] == (1, pf_bits(T.n))
             order = T.nice_order(T.vertices)
             assert pf_oracle(T, order) == pf_formula(T, order)
     with monkeypatch.context() as patch:
         refuse_packed(patch)
         for T in sparse:
-            maps, _ = _skew_maps(T, T.vertices)
-            assert not _packs(maps, pf_bits(T.n))
+            assert not skew_maps_pack(T, T.vertices)
+            assert _pf_form(T, T.vertices)[2] == 1
             order = T.nice_order(T.vertices[: T.n - T.n % 2])
             assert pf_oracle(T, order) == pf_formula(T, order)
 
 
-def test_value_pairs_of_a_sparse_tree_stay_on_the_maps(monkeypatch):
+@settings(max_examples=80, deadline=None)
+@given(skew_cases(max_n=17))
+@example((SPARSE8, (1, 2, 3, 4, 5, 7, 8, 6)))
+@example((sparse_star(997), (3, 1, 0, 5, 2, 4)))
+@example((random_tree(2, seed=0), (2, 1)))
+# one distance 150 at B = 8: 1,200 bits for one exponent stays on the maps,
+# as would not 1,200 for two, were the zero diagonal counted
+@example((Tree([(1, 2, 150)]), (1, 2)))
+def test_pf_form_reads_the_form_rule_off_the_distance_rows(case):
+    # _pf_form judges the off-diagonal distances as one row of monomials,
+    # and decides as the rule does on the skew maps over the same tuple
+    T, X = case
+    _, unit, shift, _ = _pf_form(T, X)
+    packs = skew_maps_pack(T, X)
+    assert (unit, shift) == ((1, pf_bits(len(X))) if packs else (_Shifted({0: 1}), 1))
+
+
+def test_represent_odd_on_a_sparse_tree_stays_on_the_maps(monkeypatch):
     # one packed table over SPARSE8 would hold ints of about den * distance
-    # * B bits; value_pairs runs the one table loop on shifted maps instead
+    # * B bits; represent-odd's check runs the one table loop on shifted maps
+    # instead, and every one of its values is the monomial
     tables = []
-    bottom_up = matroid._pf_bottom_up
+    bottom_up = pfaffian_module._pf_bottom_up
     rep = represent_odd(SPARSE8)
     with monkeypatch.context() as patch:
-        patch.setattr(matroid, "_pf_bottom_up", lambda *args: tables.append(args) or bottom_up(*args))
+        patch.setattr(pfaffian_module, "_pf_bottom_up", lambda *args: tables.append(args) or bottom_up(*args))
         refuse_packed(patch)
-        pairs = rep.value_pairs()
-    assert len(tables) == 1
+        formula, misses = cli._pf_misses(SPARSE8, rep.order)
+    assert len(tables) == 1 and misses == {}
     want = [X for r in range(0, 9, 2) for X in itertools.combinations(rep.order, r)]
-    assert sorted(pairs) == sorted(want) and len(pairs) == 128
-    for X, (value, dual) in pairs.items():
-        assert value == SPARSE8.odd_weight(X) == -dual
-        assert rep.value_pair(X) == (value, dual)  # one pf_oracle, no shared memo
+    assert sorted(formula) == sorted(want) and len(formula) == 128
+    for X in formula:
+        value = SPARSE8.odd_weight(X)
+        assert rep.value_pair(X) == (value, -value)  # one pf_oracle, no shared memo
 
 
 @settings(max_examples=40, deadline=None)
@@ -367,8 +394,8 @@ def test_both_loops_give_one_map_on_both_forms(case):
     T, X = case
     bits = pf_bits(len(X))
     forms = (
-        (lambda xs: _shift_rows(T, xs, bits), 1, functools.partial(_unpack, bits)),
-        (lambda xs: _shift_rows(T, xs, 1), _Shifted({0: 1}), dict),
+        (lambda xs: _shift_rows(T._distance_ints(xs)[0], bits), 1, functools.partial(_unpack, bits)),
+        (lambda xs: _shift_rows(T._distance_ints(xs)[0], 1), _Shifted({0: 1}), dict),
     )
     tables = [
         {Y: read(value) for Y, value in _pf_bottom_up(X, rows(X), unit).items()}

@@ -191,63 +191,83 @@ def minor_formula(T: Tree, X: Iterable[int]) -> ExactPoly:
 
     Every exponent is even over t^(1/T._den), so the packed form runs over
     u = t^(2/T._den), where x = -u^W, W = w T._den the edge's integer
-    weight.  _forest_merges lists the merges and carries
-    minor_formula_table's 1-norm bounds through them; _forest_values runs
-    them once, on ints packed at u = 2^B, for the B that puts 2^(B - 1)
-    above the bound carried to the top, or on integer maps over
-    t^(1/T._den) (poly._Shifted), where x = -t^(2W).  B comes from the DP's
-    own bound, not from the |X|! that bounds the determinant's
-    coefficients, so a fault in the DP's structure moves B with it.  The
-    ints are chosen when poly._dense holds at _TREE_DENSE_BITS on the
-    spanned edges' weights as one row of monomials {W: 1}: a packed value
-    grows with the weights times B, a map with its terms.
+    weight.  _forest_merges lists the merges and carries 1-norm bounds
+    through them; _forest_values runs them once, on ints packed at
+    u = 2^B, for the B that puts 2^(B - 1) above the bound carried to the
+    top, or on integer maps over t^(1/T._den) (poly._Shifted), where
+    x = -t^(2W).  B comes from the DP's own bound, not from the
+    |X|^(|X|/2) that bounds the determinant's coefficients, so a fault in
+    the DP's structure moves B with it; that bound carries a pass-through
+    vertex (outside X, one merged child) exactly.  The ints are chosen when
+    poly._dense holds at _TREE_DENSE_BITS on the spanned edges' weights as
+    one row of monomials {W: 1}, at the word of minor_formula_table's
+    carried bound, which grows at a pass-through too: the width the
+    threshold was measured at.  A packed value grows with the weights
+    times B, a map with its terms.
     """
     xs = T.check_subset(X)
     if not xs:
         raise ValueError("X must be nonempty")
-    merges, bound = _forest_merges(T, xs)
+    merges, bound, judged = _forest_merges(T, xs)
     bits = _word_for(bound)
     weights = [{w: 1} for _, _, children in merges for _, w in children]
-    if _dense([weights], bits, _TREE_DENSE_BITS):
+    if _dense([weights], _word_for(judged), _TREE_DENSE_BITS):
         terms = _unpack_even(bits, _forest_values(merges, 1, bits))
     else:
         terms = _forest_values(merges, _Shifted({0: 1}), 2)
     return ExactPoly._make(T._den, 1, terms)
 
 
-def _forest_merges(T: Tree, xs: Sequence[int]) -> tuple[list, int]:
-    """(merges, bound): minor_formula's DP over X = xs as a list of
+def _forest_merges(T: Tree, xs: Sequence[int]) -> tuple[list, int, int]:
+    """(merges, bound, judged): minor_formula's DP over X = xs as a list of
     (v, v in X, [(c, W) for each child c whose branch holds a member of X,
     W the edge's integer weight]), children before parents, up to the top
-    of the spanned subtree, and a bound on the 1-norm of the value there.
+    of the spanned subtree, and two bounds on the 1-norm of the value
+    there.
 
-    The bound runs the DP on 1-norm bounds, as minor_formula_table carries
-    them: |s| = |out| + |in|, |A s| <= |A| |s|,
+    Both run the DP on 1-norm bounds: |s| = |out| + |in|, |A s| <= |A| |s|,
     |B s + A x in| <= |B| |s| + |A| |in|, and (A, A) or (A - B, -B) close
-    to (|A|, |A|) or (|A| + |B|, |B|)."""
+    to (|A|, |A|) or (|A| + |B|, |B|).  judged is minor_formula_table's
+    bound, which closes every vertex so.  bound closes a pass-through, a
+    vertex outside X with one merged child c, exactly: there A = s and
+    B = x in_c, so it passes (out_c, -x in_c) up, and x is a monomial of
+    coefficient -1, so it carries (|out_c|, |in_c|) in place of
+    (|out_c| + 2 |in_c|, |in_c|).  Every step is monotone in the bounds it
+    reads, so bound <= judged <= _formula_norm_bound(T)."""
     in_x = frozenset(xs)
     left = len(in_x)
-    norms: dict[int, tuple[int, int]] = {}  # the branches holding a member of X
+    # the branches holding a member of X: (|out|, |in|) as bound carries
+    # them, then as judged does
+    norms: dict[int, tuple[int, int, int, int]] = {}
     merges = []
     for v in reversed(T._parent):  # the walk lists each vertex after its parent
         in_v = v in in_x
         children = []
-        n_a, n_b = 1, 0
+        n_a = t_a = 1
+        n_b = t_b = 0
         for c in T._adj[v]:
             if c in norms:  # a child: the parent comes later in reversed order
-                n_out, n_in = norms.pop(c)
-                n_s = n_out + n_in
+                n_out, n_in, t_out, t_in = norms.pop(c)
+                n_s, t_s = n_out + n_in, t_out + t_in
                 if not in_v:
                     n_b = n_b * n_s + n_a * n_in
+                    t_b = t_b * t_s + t_a * t_in
                 n_a *= n_s
+                t_a *= t_s
                 children.append((c, T._int_weight[edge_key(v, c)]))
         if in_v or children:
-            norms[v] = (n_a, n_a) if in_v else (n_a + n_b, n_b)
+            if in_v:
+                norms[v] = (n_a, n_a, t_a, t_a)
+            elif len(children) == 1:  # a pass-through
+                norms[v] = (n_out, n_in, t_a + t_b, t_b)
+            else:
+                norms[v] = (n_a + n_b, n_b, t_a + t_b, t_b)
             merges.append((v, in_v, children))
             left -= in_v
             if not left and len(norms) == 1:  # v is the top: every branch met
                 break
-    return merges, norms[v][0]
+    bound, _, judged, _ = norms[v]
+    return merges, bound, judged
 
 
 def _forest_values(merges: list, unit, scale: int):
@@ -427,7 +447,9 @@ def minor_oracle(T: Tree, X: Sequence[int]) -> ExactPoly:
     H = sum_i p_i, so each exponent k of det B reads back as 2 (k - H) over
     t^(1/T._den).  The congruence is diagonal and shares no code with the
     formula; B is symmetric, so the walk computes half of each step's
-    block, and on packed ints whenever B is dense at _TREE_DENSE_BITS."""
+    block, and on packed ints whenever B is dense at _TREE_DENSE_BITS
+    (poly._kernel: judged at the word of |X|!, packed at that of Hadamard's
+    bound, |X|^(|X|/2) on these monomials)."""
     xs = T.check_subset(X)
     if not xs:
         raise ValueError("X must be nonempty")
@@ -441,7 +463,8 @@ def minor_oracle(T: Tree, X: Sequence[int]) -> ExactPoly:
 def minor_table(T: Tree, max_size: int, bits: int) -> dict[tuple[int, ...], int]:
     """det (t^{d_ij}) over every set of 1..max_size vertices, each value at
     u = t^(2/T._den) = 2^bits, bits at least poly._word_bits of the maps
-    (2^(bits - 1) above max_size!, which bounds every coefficient).
+    (2^(bits - 1) above Hadamard's max_size^(max_size/2), which bounds
+    every coefficient; the sweeps pass the word above max_size!).
 
     Keys are the sets as sorted tuples, and each value packs
     minor_oracle(T, key) at u; the table is listed in the walk's order, not

@@ -27,22 +27,25 @@ integer forms of their matrix, chosen from the matrix alone (_kernel).
 The packed form evaluates each entry once at t = 2^B (Kronecker
 substitution) and runs the walk on Python ints; B, a whole number of
 bytes, puts 2^(B - 1) above every coefficient of every minor the walk can
-form, bounded by the product of the rows' 1-norms and by r! times the
-product of their largest entries (r! on a matrix of monomials), and each
-value read is unpacked as signed base-2^B digits.  The map form runs the
-same walk on the dicts.  Packing is chosen when the exponents are >= 0
-and dense: the largest one times B at most a threshold times the number
-of distinct exponents, _DENSE_BITS (96) by default and _TREE_DENSE_BITS
-(900) for the tree paths on monomials of tree distances:
-minors.minor_oracle's Bareiss walk on the half powers of a distance block,
-the form of minors.minor_formula's DP (its edge weights as one row of
-monomials), and that of pfaffian's expansions of a skew matrix (its
-off-diagonal distances as one row of monomials, pfaffian._pf_form).  A caller that compares minors instead of reading them
-asks for them packed at its own B (_packed_values): two such ints are
-equal exactly when their maps are, and _top_digit reads the top term off
-one.  A matrix of plain ints needs
-neither: the star check (metric.star_condition_check) walks its own ints,
-with _istep and read the identity.
+form, bounded by Hadamard's inequality on the unit circle: the square root
+of the product of the rows' sums of squared entry 1-norms (r^(r/2) on r
+rows of monomials), and each value read is unpacked as signed base-2^B
+digits.  The map form runs the same walk on the dicts.  Packing is chosen
+when the exponents are >= 0 and dense: the largest one times the word of
+the product bound (the product of the rows' 1-norms or r! times that of
+their largest entries, r! on monomials), the width the thresholds were
+measured at, at most a threshold times the number of distinct exponents:
+_DENSE_BITS (96) by default and _TREE_DENSE_BITS (900) for the tree paths
+on monomials of tree distances: minors.minor_oracle's Bareiss walk on the
+half powers of a distance block, the form of minors.minor_formula's DP
+(its edge weights as one row of monomials), and that of pfaffian's
+expansions of a skew matrix (its off-diagonal distances as one row of
+monomials, pfaffian._pf_form).  A caller that compares minors instead of
+reading them asks for them packed at its own B (_packed_values): two such
+ints are equal exactly when their maps are, and _top_digit reads the top
+term off one.  A matrix of plain ints needs neither: the star check
+(metric.star_condition_check) walks its own ints, with _istep and read
+the identity.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ import functools
 import heapq
 import itertools
 import math
+import operator
 import struct
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Tuple
@@ -521,8 +525,9 @@ def det(m: PolyMatrix) -> ExactPoly:
     """Determinant by fraction-free (Bareiss) elimination, `_bareiss`, on
     the integer maps of `_integer_rows` in the form `_kernel` chooses for
     them: packed ints at t = 2^B, 2^(B - 1) above every coefficient of
-    every minor (`_word_bits`), when the exponents' top times B is at most
-    _DENSE_BITS per distinct exponent, and the maps themselves otherwise.
+    every minor (`_word_bits`), when the exponents' top times the product
+    bound's word is at most _DENSE_BITS per distinct exponent, and the maps
+    themselves otherwise.
     When those rows are symmetric (a symmetric m whose rows need no scale
     or shift, as build_matrix's), the walk computes half of each step."""
     a, den, scale, shift = _integer_rows(m)
@@ -663,10 +668,11 @@ _DENSE_BITS = 96
 # The tree paths on monomials of tree distances pack up to this many bits
 # per distinct exponent; their exponents are few and small.  Three readers:
 # minors.minor_oracle's Bareiss walk on the half powers of a distance block
-# (minors._half_power_maps) at B = _word_bits, minors.minor_formula's DP on
-# the spanned edges' integer weights as one row of monomials at the B of its
-# carried bound, and pfaffian._pf_form on the off-diagonal distances of a
-# skew matrix as one row of monomials at B = pfaffian.pf_bits.  Rational leaf sets (den 12, ratios
+# (minors._half_power_maps), judged at the product bound's word (_kernel),
+# minors.minor_formula's DP on the spanned edges' integer weights as one row
+# of monomials at the B of minor_formula_table's carried bound, and
+# pfaffian._pf_form on the off-diagonal distances of a skew matrix as one
+# row of monomials at B = pfaffian.pf_bits.  Rational leaf sets (den 12, ratios
 # 109-270 on the leaves of random 30-vertex trees, at most 324 on the
 # minor-large items of four seeds) pack, and both walks win there: the
 # leaves of random_tree(30, seed=7) took 105 against 2,782 ms in the oracle
@@ -691,10 +697,14 @@ _TREE_DENSE_BITS = 900
 
 def _kernel(m: list[list[dict[int, int]]], size: int, dense_bits: int = _DENSE_BITS) -> _Form:
     """The form for a walk over m's minors of at most `size` rows, chosen
-    from m alone: packed at B = `_word_bits` when m is dense at B for the
-    walk's threshold (`_dense`), the maps otherwise."""
-    bits = _word_bits(m, size)
-    return _packed(m, bits) if _dense(m, bits, dense_bits) else _maps(m)
+    from m alone: packed at B = `_word_bits` when m is dense for the walk's
+    threshold (`_dense`), the maps otherwise.  The thresholds were measured
+    at the word of the product bound (`_coefficient_bounds`), so density is
+    judged at that word, and the packed ints run at Hadamard's."""
+    bound, judged = _coefficient_bounds(m, size)
+    if _dense(m, _word_for(judged), dense_bits):
+        return _packed(m, _word_for(bound))
+    return _maps(m)
 
 
 def _packed_values(m: list[list[dict[int, int]]], size: int, bits: int) -> _Form:
@@ -726,21 +736,57 @@ _WORD_CODES = {8: "b", 16: "h", 32: "i", 64: "q"}  # struct's signed words
 
 def _word_bits(m: list[list[dict[int, int]]], size: int) -> int:
     """B for packing m: 2^(B - 1) exceeds every coefficient of every minor
-    of m on at most `size` rows.  The bound used is the smaller of the
-    product of the `size` largest row 1-norms and size! times the product
-    of the `size` largest row peaks (the largest 1-norm of one entry), each
-    counted as at least 1; on a matrix of monomials t^(d_ij) it is size!.
-    B is rounded up to whole bytes (`_word_for`)."""
+    of m on at most `size` rows, by the Hadamard bound of
+    `_coefficient_bounds`; on a matrix of monomials t^(d_ij) that bound is
+    size^(size/2).  B is rounded up to whole bytes (`_word_for`)."""
+    return _word_for(_coefficient_bounds(m, size)[0])
+
+
+def _coefficient_bounds(m: list[list[dict[int, int]]], size: int) -> tuple[int, int]:
+    """(bound, judged): two bounds on the coefficients of every minor of
+    m on at most `size` rows, from one pass over the rows.  With w_ij the
+    1-norm of entry (i, j) and s = min(size, len(m)):
+
+    - bound, Hadamard's: isqrt of the product of the s largest H_i, H_i
+      the sum of the s largest w_ij^2 in row i, at least 1;
+    - judged, the product bound: the smaller of the product of the s
+      largest row 1-norms N_i and s! times the product of the s largest
+      row peaks P_i (the largest w_ij), each at least 1.
+
+    bound holds (Goldstein and Graham, SIAM Review 1974): the coefficients
+    c_k of a minor M on rows R and columns C, |R| = |C| = r <= s, are
+    those of a Laurent polynomial on the unit circle, so by Parseval and
+    Hadamard's inequality there,
+    c_k^2 <= sum c_k^2 = mean |det M(z)|^2
+          <= max prod_{i in R} sum_{j in C} |m_ij(z)|^2
+          <= prod_{i in R} sum_{j in C} w_ij^2 <= prod_{i in R} H_i,
+    at most the product of the s largest H_i, as each is at least 1; c_k
+    is an int, so |c_k| <= bound.
+
+    bound <= judged: H_i <= N_i^2 (a sum of squares of nonnegative ints is
+    at most the square of their sum) and H_i <= s P_i^2, and a bound that
+    holds row by row holds between the s largest values, so
+    bound^2 <= (prod N)^2 and bound^2 <= s^s (prod P)^2 <= (s! prod P)^2,
+    since (s!)^2 = prod_{k=1..s} k (s + 1 - k) and each k (s + 1 - k) >= s.
+    On an s x s matrix of +-1 with orthogonal rows (Sylvester's Hadamard
+    matrices) |det| = s^(s/2) = bound, so bound is tight."""
     size = min(size, len(m))
     norms = []
     peaks = []
+    squares = []
     for row in m:
         weights = [sum(map(abs, p.values())) for p in row]
-        norms.append(max(sum(weights), 1))
-        peaks.append(max(max(weights, default=1), 1))
-    norms.sort(reverse=True)
-    peaks.sort(reverse=True)
-    return _word_for(min(math.prod(norms[:size]), math.factorial(size) * math.prod(peaks[:size])))
+        norms.append(sum(weights) or 1)
+        peaks.append(max(weights, default=0) or 1)
+        if size < len(weights):
+            weights = heapq.nlargest(size, weights)
+        squares.append(sum(map(operator.mul, weights, weights)) or 1)
+    if size < len(m):
+        for bounds in (norms, peaks, squares):
+            bounds.sort(reverse=True)
+            del bounds[size:]
+    judged = min(math.prod(norms), math.factorial(size) * math.prod(peaks))
+    return math.isqrt(math.prod(squares)), judged
 
 
 def _word_for(bound: int) -> int:

@@ -230,10 +230,16 @@ def test_the_rational_example_walks_the_maps_form():
 
 
 def test_minor_table_refuses_too_few_bits():
+    # Hadamard bounds the minors on 9 rows of monomials by 9^4.5 = 19,683,
+    # which needs 15 bits and a sign: 16 hold them, the word below does not
     T = random_tree(9, seed=1)
     assert word_bits_for(T, 9) == 24  # 9! = 362,880 needs 20 bits
-    with pytest.raises(ValueError, match="16 bits do not hold the minors on 9 rows"):
-        minor_table(T, 9, 16)
+    _, dist, _ = minors._central_block(T, T.vertices)
+    assert poly._word_bits(minors._half_power_maps(dist)[0], 9) == 16
+    with pytest.raises(ValueError, match="8 bits do not hold the minors on 9 rows"):
+        minor_table(T, 9, 8)
+    table = minor_table(T, 9, 16)
+    assert unpacked(T, 16, table[tuple(T.vertices)]) == minor_oracle(T, T.vertices)
 
 
 def test_the_top_digit_takes_back_a_borrow():
@@ -462,7 +468,7 @@ def test_both_forms_of_the_formula_give_one_polynomial(case, packs):
         got = minor_formula(T, X)
     want = minor_oracle(T, X)
     assert got == want and str(got) == str(want)
-    _, bound = minors._forest_merges(T, X)
+    _, bound, _ = minors._forest_merges(T, X)
     assert sum(abs(c) for _, c in got.terms()) <= bound <= minors._formula_norm_bound(T)
 
 
@@ -505,7 +511,7 @@ def test_the_formula_packs_at_the_bound_it_carries():
     k = 16
     T = star_tree(k)
     X = list(range(1, k + 1))
-    _, bound = minors._forest_merges(T, X)
+    _, bound, _ = minors._forest_merges(T, X)
     assert bound == 2 ** k + k * 2 ** (k - 1) and _word_for(bound) == 24
     got = minor_formula(T, X)
     # each forest keeps j >= 2 of the star's edges: (-t^2)^j (1 - j)
@@ -514,6 +520,82 @@ def test_the_formula_packs_at_the_bound_it_carries():
     )
     assert got == want == minor_oracle(T, X)
     assert max(abs(c) for _, c in got.terms()) >= 1 << 15
+
+
+def test_a_pass_through_carries_its_childs_bound_unchanged():
+    # a 40-vertex path rooted at 1, X its two ends: each of the 38 vertices
+    # between passes (out_c, -x in_c) up, so the carried bound stays at the
+    # (1, 1) of the end 40 until the end 1 closes it to 2; the table's bound
+    # adds 2 |in_c| at each of them, 2 + 2 38 = 78
+    T = path_tree(40)
+    X = [1, 40]
+    merges, bound, judged = minors._forest_merges(T, X)
+    assert len(merges) == 40 and (bound, judged) == (2, 78)
+    scales = []
+    values = minors._forest_values
+
+    def record(merges, unit, scale):
+        scales.append((unit, scale))
+        return values(merges, unit, scale)
+
+    with mock.patch.object(minors, "_forest_values", record):
+        got = minor_formula(T, X)
+    assert scales == [(1, 8)]  # packed at B = 8
+    assert got == 1 - tp(78) == minor_oracle(T, X)
+
+
+def test_each_side_judges_density_at_the_wider_word():
+    # the oracle packs at Hadamard's word and the formula at its exactly
+    # carried bound, but both judge density at the wider word that
+    # _TREE_DENSE_BITS was measured at (|X|! and minor_formula_table's
+    # bound); judged at the narrow word, these inputs would pack, and the
+    # maps serve them faster
+    forms = []
+
+    class Built(Exception):
+        pass
+
+    def record(form):
+        forms.append(form)
+        raise Built  # the choice is all this reads; no walk runs
+
+    def oracle_form(T, X):
+        with mock.patch.object(minors, "_bareiss", record), pytest.raises(Built):
+            minor_oracle(T, X)
+        form = forms.pop()
+        return ("packed", form.read.args[0]) if form.one == 1 else ("maps", None)
+
+    def star(p):
+        return Tree([(0, 1, F(1, p))] + [(0, i) for i in range(2, 10)])
+
+    for p in (53, 101):
+        assert oracle_form(star(p), range(1, 10)) == ("packed", 16)  # judged at 24
+    for p in (113, 127, 167, 199):
+        T = star(p)
+        _, dist, _ = minors._central_block(T, list(range(1, 10)))
+        maps, _ = minors._half_power_maps(dist)
+        assert poly._word_bits(maps, 9) == 16
+        assert _dense(maps, 16, poly._TREE_DENSE_BITS) == (p < 199)
+        assert not _dense(maps, 24, poly._TREE_DENSE_BITS)
+        assert oracle_form(T, range(1, 10)) == ("maps", None)
+    # four members of a 30-vertex tree weighted k/480: the carried bound
+    # needs 8 bits, the table's 16
+    T, X = den_tree(30, 8, 480), [14, 16, 29, 30]
+    merges, bound, judged = minors._forest_merges(T, X)
+    assert (_word_for(bound), _word_for(judged)) == (8, 16)
+    weights = [{w: 1} for _, _, children in merges for _, w in children]
+    assert _dense([weights], 8, poly._TREE_DENSE_BITS)
+    assert not _dense([weights], 16, poly._TREE_DENSE_BITS)
+    units = []
+    values = minors._forest_values
+
+    def chosen(merges, unit, scale):
+        units.append(unit)
+        return values(merges, unit, scale)
+
+    with mock.patch.object(minors, "_forest_values", chosen):
+        got = minor_formula(T, X)
+    assert units == [{0: 1}] and got == minor_oracle(T, X)
 
 
 def test_each_oracle_reads_its_distance_block_once(monkeypatch):

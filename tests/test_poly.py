@@ -10,7 +10,7 @@ import re
 import weakref
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import factorial, lcm
+from math import factorial, lcm, prod
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -26,6 +26,7 @@ from treeminor.poly import (
     _Form,
     _as_fraction,
     _bareiss,
+    _coefficient_bounds,
     _integer_rows,
     _istep,
     _kernel,
@@ -36,6 +37,7 @@ from treeminor.poly import (
     _top_digit,
     _unpack,
     _word_bits,
+    _word_for,
     _zdiv,
     _zmul,
 )
@@ -679,6 +681,48 @@ def test_sylvester_packed_and_maps_agree(case):
     for xs, got in table.items():
         sub = PolyMatrix([[ExactPoly._make(1, 1, m[i][j]) for j in xs] for i in xs])
         assert ExactPoly._make(1, 1, got) == det_permutation(sub)
+
+
+@settings(max_examples=150, deadline=None)
+@given(symmetric_kernel_matrices())
+def test_the_hadamard_word_is_never_above_the_product_bounds(case):
+    # the product bound: the smaller of the product of the size largest row
+    # 1-norms and size! times the product of the size largest row peaks,
+    # each at least 1; _kernel judges density at its word
+    m, size = case
+    s = min(size, len(m))
+    weights = [[sum(map(abs, p.values())) for p in row] for row in m]
+    norms = sorted((max(sum(row), 1) for row in weights), reverse=True)
+    peaks = sorted((max(row + [1]) for row in weights), reverse=True)
+    product = min(prod(norms[:s]), factorial(s) * prod(peaks[:s]))
+    bound, judged = _coefficient_bounds(m, size)
+    assert judged == product and bound <= product
+    assert _word_bits(m, size) == _word_for(bound) <= _word_for(product)
+
+
+def sylvester_hadamard(r):
+    """Sylvester's r x r matrix of +-1 with orthogonal rows, r a power of 2."""
+    h = [[1]]
+    while len(h) < r:
+        h = [row + row for row in h] + [row + [-x for x in row] for row in h]
+    return h
+
+
+def test_the_word_is_tight_on_hadamard_matrices():
+    # r rows of constant maps +-1, each row's squared 1-norms summing to r:
+    # Hadamard's bound r^(r/2) is the determinant's size, so _word_bits is
+    # exactly its word, 16 at r = 8 where 8! = 40,320 took 24
+    for r, bits, product in ((4, 8, 8), (8, 16, 24)):
+        a = [[{0: x} for x in row] for row in sylvester_hadamard(r)]
+        assert _coefficient_bounds(a, r) == (r ** (r // 2), factorial(r))
+        assert _word_bits(a, r) == _word_for(r ** (r // 2)) == bits
+        assert _word_for(factorial(r)) == product
+        maps, packed = _both_forms(a, r)
+        d = _bareiss(maps)
+        assert _bareiss(packed) == d and list(d) == [0] and abs(d[0]) == r ** (r // 2)
+        if r <= 6:
+            m = PolyMatrix([[ExactPoly.constant(x) for x in row] for row in sylvester_hadamard(r)])
+            assert det_permutation(m) == ExactPoly._make(1, 1, d) == det(m)
 
 
 def test_packing_holds_a_coefficient_at_the_bound():

@@ -11,9 +11,12 @@ determinant computed from the matrix itself serves as the independent
 oracle, and the exponential forest enumerator as a small-n one.
 minor_table gives every principal minor up to a size in one walk.  Both
 oracles read the tree's integer distance rows once, as one block ordered
-from the most central point out (_central_block), build integer maps from
-it and run poly's walks on them directly.  Both walk the same congruent
-form of the distance powers (_half_power_maps):
+from the most central point out (_central_block), and run poly's walks on
+the whole exponents it gives directly: minor_oracle hands them to
+poly._monomial_kernel, which packs them, or builds integer maps from them
+only where the maps are walked, and minor_table builds the maps it hands
+to poly._packed_values.  Both walk the same congruent form of the distance
+powers (_half_powers):
 B = diag(t^{p_i}) (t^{d_ij}) diag(t^{p_i}), p_i the parity of the integer
 distance to the block's first point, whose exponents are whole over
 u = t^(2/T._den), and det B[S] is the minor over S times u^(sum of p_i
@@ -45,7 +48,7 @@ from .poly import (
     _Shifted,
     _bareiss,
     _dense,
-    _kernel,
+    _monomial_kernel,
     _packed_values,
     _sylvester,
     _unpack_even,
@@ -79,10 +82,10 @@ def _power_maps(dist: list[list[int]], den: int) -> tuple[list[list[dict[int, in
     return [[{d // g: 1} for d in row] for row in dist], den // g
 
 
-def _half_power_maps(dist: list[list[int]]) -> tuple[list[list[dict[int, int]]], list[int]]:
-    """(maps, parity): the matrix B_ij = u^((d_ij + p_i + p_j) / 2) over a
-    block of integer distances, u = t^(2/_den) and p_i = d(x_i, x_0) mod 2
-    for the block's first point x_0, as integer maps {e: 1}; and p.
+def _half_powers(dist: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """(rows, parity): the exponents e_ij = (d_ij + p_i + p_j) / 2 of the
+    matrix B_ij = u^(e_ij) over a block of integer distances, u = t^(2/_den)
+    and p_i = d(x_i, x_0) mod 2 for the block's first point x_0; and p.
 
     On a tree d_ij = d(x_i, x_0) + d(x_j, x_0) - 2 (the length that their
     paths to x_0 share), so d_ij + p_i + p_j is even.  B is (t^{d_ij}) under
@@ -94,7 +97,7 @@ def _half_power_maps(dist: list[list[int]]) -> tuple[list[list[dict[int, int]]],
     sums = [[d + p + q for d, q in zip(row, parity)] for row, p in zip(dist, parity)]
     if any(e & 1 for row in sums for e in row):
         raise ValueError("the distances close a walk of odd weight: the minors are not in t^(2/_den)")
-    return [[{e >> 1: 1} for e in row] for row in sums], parity
+    return [[e >> 1 for e in row] for row in sums], parity
 
 
 def build_matrix(T: Tree, X: Sequence[int]) -> PolyMatrix:
@@ -431,32 +434,35 @@ def minor_leading(T: Tree, X: Iterable[int]) -> tuple[Fraction, Fraction]:
     xs = T.check_subset(X)
     if not xs:
         raise ValueError("X must be nonempty")
-    mask = T._spanned_mask(xs)
-    coeff = Fraction(forest_degree_product(T._edges_of(mask), frozenset(xs)))
+    edges = T._edges_of(T._spanned_mask(xs))
+    coeff = Fraction(forest_degree_product(edges, frozenset(xs)))
     if len(xs) % 2 == 0:
         coeff = -coeff
-    return 2 * T._weight_of(mask), coeff
+    return Fraction(2 * sum(map(T._int_weight.__getitem__, edges)), T._den), coeff
 
 
 def minor_oracle(T: Tree, X: Sequence[int]) -> ExactPoly:
     """Independent evaluation: the determinant of the actual matrix
-    (t^{d_ij}), by poly's Bareiss walk on the integer maps of its
-    congruent form B = diag(t^{p_i}) (t^{d_ij}) diag(t^{p_i})
-    (_half_power_maps), rows and columns both in central-first order
-    (_central_block).  det B = minor times u^H over u = t^(2/T._den),
+    (t^{d_ij}), by poly's Bareiss walk on its congruent form
+    B = diag(t^{p_i}) (t^{d_ij}) diag(t^{p_i}), read as the whole
+    exponents of u (_half_powers), rows and columns both in central-first
+    order (_central_block).  det B = minor times u^H over u = t^(2/T._den),
     H = sum_i p_i, so each exponent k of det B reads back as 2 (k - H) over
     t^(1/T._den).  The congruence is diagonal and shares no code with the
     formula; B is symmetric, so the walk computes half of each step's
-    block, and on packed ints whenever B is dense at _TREE_DENSE_BITS
-    (poly._kernel: judged at the word of |X|!, packed at that of Hadamard's
-    bound, |X|^(|X|/2) on these monomials)."""
+    block, and on packed ints whenever B is dense at _TREE_DENSE_BITS.
+    B's entries are monomials of coefficient 1, so poly._monomial_kernel
+    makes poly._kernel's choice from the exponents alone: judged at the
+    word of |X|!, packed at that of Hadamard's bound |X|^(|X|/2), each
+    entry 1 << B e_ij, and the maps {e_ij: 1} built only when they are
+    walked."""
     xs = T.check_subset(X)
     if not xs:
         raise ValueError("X must be nonempty")
     _, dist, den = _central_block(T, xs)
-    maps, parity = _half_power_maps(dist)
+    rows, parity = _half_powers(dist)
     lift = sum(parity)
-    det_b = _bareiss(_kernel(maps, len(maps), _TREE_DENSE_BITS))
+    det_b = _bareiss(_monomial_kernel(rows, _TREE_DENSE_BITS))
     return ExactPoly._make(den, 1, {2 * (k - lift): c for k, c in det_b.items()})
 
 
@@ -470,7 +476,7 @@ def minor_table(T: Tree, max_size: int, bits: int) -> dict[tuple[int, ...], int]
     minor_oracle(T, key) at u; the table is listed in the walk's order, not
     in combinations order.  One Sylvester walk (poly._sylvester) over the
     integer maps of B = diag(t^{p_i}) (t^{d_ij}) diag(t^{p_i}), whose
-    exponents over u are whole (_half_power_maps), its rows in central-first
+    exponents over u are whole (_half_powers), its rows in central-first
     order (_central_block) and p_i the parity of the distance to the first
     of them, gives them all: det B[S] is the minor over S times u^(sum of p_i
     over S), so each value is the walk's shifted right by bits times that
@@ -485,7 +491,8 @@ def minor_table(T: Tree, max_size: int, bits: int) -> dict[tuple[int, ...], int]
     ints.
     """
     order, dist, _ = _central_block(T, T.vertices)
-    maps, parity = _half_power_maps(dist)
+    rows, parity = _half_powers(dist)
+    maps = [[{e: 1} for e in row] for row in rows]
     odd = dict(zip(order, parity))
     table = _sylvester(_packed_values(maps, max_size, bits), order, max_size)
     return {

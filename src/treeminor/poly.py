@@ -12,8 +12,10 @@ The dict {k: c} is also the format of the integer kernel below (_zadd,
 _zmul, _zdiv): ring operations run on the stored maps, and the kernel's
 callers hand their results to ExactPoly._make unchanged.  det and pfaffian
 turn their PolyMatrix into integer maps once and run _bareiss or
-_pfaffian_maps on them; the tree oracles build such maps from the tree's
-integer distances and call _bareiss and _sylvester directly.  The tree's
+_pfaffian_maps on them; the tree oracles call _bareiss and _sylvester
+directly on the tree's integer distances, minors.minor_table on maps it
+builds from them and minors.minor_oracle on the form _monomial_kernel
+reads off their exponents.  The tree's
 Pfaffians run their own expansions (pfaffian._pf_top_down and
 _pf_bottom_up), so _pfaffian_maps is the kernel of the reference pfaffian
 alone.  Those expansions and minors.minor_formula's DP are each written
@@ -23,7 +25,8 @@ _Shifted, an integer map with those operators.
 The two fraction-free walks of the oracle side, Bareiss elimination
 (_bareiss, which computes half of each step on a symmetric matrix) and
 the Sylvester walk over principal minors (_sylvester), run on one of two
-integer forms of their matrix, chosen from the matrix alone (_kernel).
+integer forms of their matrix, chosen from the matrix alone (_kernel,
+and _monomial_kernel on a matrix of monomials of coefficient 1).
 The packed form evaluates each entry once at t = 2^B (Kronecker
 substitution) and runs the walk on Python ints; B, a whole number of
 bytes, puts 2^(B - 1) above every coefficient of every minor the walk can
@@ -668,7 +671,8 @@ _DENSE_BITS = 96
 # The tree paths on monomials of tree distances pack up to this many bits
 # per distinct exponent; their exponents are few and small.  Three readers:
 # minors.minor_oracle's Bareiss walk on the half powers of a distance block
-# (minors._half_power_maps), judged at the product bound's word (_kernel),
+# (minors._half_powers), judged at the product bound's word, r! on r rows of
+# monomials, as _kernel judges them (_monomial_kernel),
 # minors.minor_formula's DP on the spanned edges' integer weights as one row
 # of monomials at the B of minor_formula_table's carried bound, and
 # pfaffian._pf_form on the off-diagonal distances of a skew matrix as one
@@ -705,6 +709,24 @@ def _kernel(m: list[list[dict[int, int]]], size: int, dense_bits: int = _DENSE_B
     if _dense(m, _word_for(judged), dense_bits):
         return _packed(m, _word_for(bound))
     return _maps(m)
+
+
+def _monomial_kernel(e: list[list[int]], dense_bits: int) -> _Form:
+    """What `_kernel(m, len(m), dense_bits)` gives on the monomials
+    m_ij = {e_ij: 1}, exponents e_ij >= 0, read off the exponents alone.
+    Every entry's 1-norm is 1, so on r rows Hadamard's bound is
+    isqrt(r^r), the product bound min(r^r, r! 1) = r!, and `_dense` reads
+    only the largest exponent and the number of distinct ones.  Packed, the
+    entries are 1 << B e_ij; the maps are built only when they are
+    chosen."""
+    r = len(e)
+    exponents = set(itertools.chain.from_iterable(e))
+    if max(exponents, default=0) * _word_for(math.factorial(r)) > dense_bits * len(exponents):
+        return _maps([[{k: 1} for k in row] for row in e])
+    bits = _word_for(math.isqrt(r ** r))
+    power = {k: 1 << bits * k for k in exponents}
+    rows = [list(map(power.__getitem__, row)) for row in e]
+    return _Form(rows, 1, _istep, functools.partial(_unpack, bits))
 
 
 def _packed_values(m: list[list[dict[int, int]]], size: int, bits: int) -> _Form:

@@ -4,6 +4,7 @@ The oracle (determinant of the literal matrix) was implemented and spot
 valued first; formula results must match it exactly, term by term.
 """
 
+import functools
 import itertools
 import math
 import random
@@ -62,6 +63,13 @@ def half_integer_tree(n, seed):
         [(u, v, F(rng.randint(1, 4), 2)) for u, v, _ in random_tree(n, seed=seed).edges()],
         vertices=range(1, n + 1),
     )
+
+
+def half_power_maps(dist):
+    """The half powers of a distance block as the integer maps {e_ij: 1}
+    that poly's map-reading helpers take, beside the parities."""
+    rows, parity = minors._half_powers(dist)
+    return [[{e: 1} for e in row] for row in rows], parity
 
 
 def forest_sum(T, X):
@@ -217,7 +225,7 @@ def test_the_rational_example_walks_the_maps_form():
     # 1/997 keeps the walk on the maps
     def packs(T, k):
         _, dist, _ = minors._central_block(T, T.vertices)
-        maps, _ = minors._half_power_maps(dist)
+        maps, _ = half_power_maps(dist)
         return _dense(maps, word_bits_for(T, k))
 
     rational = (random_tree(8, seed=4, weights="rational"), 8), *((T, 5) for T in ORDER_TREES[1:3])
@@ -235,7 +243,7 @@ def test_minor_table_refuses_too_few_bits():
     T = random_tree(9, seed=1)
     assert word_bits_for(T, 9) == 24  # 9! = 362,880 needs 20 bits
     _, dist, _ = minors._central_block(T, T.vertices)
-    assert poly._word_bits(minors._half_power_maps(dist)[0], 9) == 16
+    assert poly._word_bits(half_power_maps(dist)[0], 9) == 16
     with pytest.raises(ValueError, match="8 bits do not hold the minors on 9 rows"):
         minor_table(T, 9, 8)
     table = minor_table(T, 9, 16)
@@ -314,7 +322,7 @@ def test_the_oracles_do_not_depend_on_the_order_they_walk(T):
     assert all(list(X) == sorted(X) for X in table)
     # the reference: one walk in label order, the parities taken from the
     # smallest label
-    maps, parity = minors._half_power_maps(T._distance_ints(T.vertices)[0])
+    maps, parity = half_power_maps(T._distance_ints(T.vertices)[0])
     odd = dict(zip(T.vertices, parity))
     walked = _sylvester(_packed_values(maps, m, bits), T.vertices, m)
     assert table == {X: v >> bits * sum(odd[x] for x in X) for X, v in walked.items()}
@@ -389,10 +397,10 @@ def test_the_half_powers_refuse_a_block_without_a_parity_colouring():
     # distances 1, 1, 1 close a walk of odd weight: no p makes every
     # d_ij + p_i + p_j even, so the minors are not polynomials in u
     with pytest.raises(ValueError, match="odd weight"):
-        minors._half_power_maps([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
-    maps, parity = minors._half_power_maps([[0, 1, 2], [1, 0, 3], [2, 3, 0]])
+        minors._half_powers([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+    rows, parity = minors._half_powers([[0, 1, 2], [1, 0, 3], [2, 3, 0]])
     assert parity == [0, 1, 0]
-    assert maps == [[{0: 1}, {1: 1}, {1: 1}], [{1: 1}, {1: 1}, {2: 1}], [{1: 1}, {2: 1}, {0: 1}]]
+    assert rows == [[0, 1, 1], [1, 1, 2], [1, 2, 0]]
 
 
 def refuse(what):
@@ -414,6 +422,11 @@ def sparse16():
         (u, v, F(rng.randint(1, 9), rng.choice((991, 997, 983))))
         for u, v, _ in random_tree(16, seed=3).edges()
     ])
+
+
+def one_edge_star(p):
+    """The 9-leaf star with one edge 1/p."""
+    return Tree([(0, 1, F(1, p))] + [(0, i) for i in range(2, 10)])
 
 
 @st.composite
@@ -441,12 +454,16 @@ def test_the_formula_and_the_oracle_share_no_code(case):
     # distance rows, the oracle with the forest DP and the maps' product
     T, X = case
     with mock.patch.multiple(
-        poly, _bareiss=refuse("Bareiss"), _kernel=refuse("the kernel"), _zstep=refuse("a step")
+        poly,
+        _bareiss=refuse("Bareiss"),
+        _kernel=refuse("the kernel"),
+        _monomial_kernel=refuse("the monomial kernel"),
+        _zstep=refuse("a step"),
     ), mock.patch.multiple(
         minors,
         _bareiss=refuse("Bareiss"),
-        _kernel=refuse("the kernel"),
-        _half_power_maps=refuse("the half powers"),
+        _monomial_kernel=refuse("the monomial kernel"),
+        _half_powers=refuse("the half powers"),
     ), mock.patch.object(Tree, "_distance_ints", refuse("the distance rows")):
         formula = minor_formula(T, X)
     with mock.patch.multiple(
@@ -565,15 +582,12 @@ def test_each_side_judges_density_at_the_wider_word():
         form = forms.pop()
         return ("packed", form.read.args[0]) if form.one == 1 else ("maps", None)
 
-    def star(p):
-        return Tree([(0, 1, F(1, p))] + [(0, i) for i in range(2, 10)])
-
     for p in (53, 101):
-        assert oracle_form(star(p), range(1, 10)) == ("packed", 16)  # judged at 24
+        assert oracle_form(one_edge_star(p), range(1, 10)) == ("packed", 16)  # judged at 24
     for p in (113, 127, 167, 199):
-        T = star(p)
+        T = one_edge_star(p)
         _, dist, _ = minors._central_block(T, list(range(1, 10)))
-        maps, _ = minors._half_power_maps(dist)
+        maps, _ = half_power_maps(dist)
         assert poly._word_bits(maps, 9) == 16
         assert _dense(maps, 16, poly._TREE_DENSE_BITS) == (p < 199)
         assert not _dense(maps, 24, poly._TREE_DENSE_BITS)
@@ -596,6 +610,69 @@ def test_each_side_judges_density_at_the_wider_word():
     with mock.patch.object(minors, "_forest_values", chosen):
         got = minor_formula(T, X)
     assert units == [{0: 1}] and got == minor_oracle(T, X)
+
+
+def form_parts(form):
+    """A walk's form as comparable parts: rows, unit, step, and read with
+    the word a packed read unpacks at."""
+    read = form.read
+    if isinstance(read, functools.partial):
+        read = read.func, read.args
+    return form.rows, form.one, form.step, read
+
+
+R80 = random_tree(80, seed=1)
+D2310 = den_tree(30, 0, 2310)
+
+
+@settings(max_examples=80, deadline=None)
+@given(form_cases())
+@example((one_edge_star(53), range(1, 10)))
+@example((one_edge_star(101), range(1, 10)))
+@example((one_edge_star(113), range(1, 10)))
+@example((one_edge_star(199), range(1, 10)))
+@example((one_edge_star(997), range(1, 10)))
+@example((D2310, D2310.leaves()))
+@example((R80, R80.leaves()))
+def test_the_oracle_form_is_the_kernels_on_its_monomials(case):
+    # poly._monomial_kernel reads the form off the half powers' exponents;
+    # poly._kernel, on the maps {e_ij: 1}, must pick the same form, unit and
+    # word, and pack the same ints
+    T, X = case
+    _, dist, _ = minors._central_block(T, T.check_subset(X))
+    rows, _ = minors._half_powers(dist)
+    maps = [[{e: 1} for e in row] for row in rows]
+    got = poly._monomial_kernel(rows, poly._TREE_DENSE_BITS)
+    assert form_parts(got) == form_parts(poly._kernel(maps, len(maps), poly._TREE_DENSE_BITS))
+
+
+def test_the_packed_oracle_builds_no_maps():
+    # on dense leaf sets the oracle packs straight from the exponents: no
+    # maps are built, bounded or packed; the p = 199 star still walks them
+    dense = random_tree(16, seed=3), random_tree(30, seed=7, weights="rational"), R80
+    built = []
+    maps = poly._maps
+
+    def record(m):
+        built.append(m)
+        return maps(m)
+
+    with mock.patch.multiple(
+        poly,
+        _coefficient_bounds=refuse("the coefficient bounds"),
+        _kernel=refuse("the kernel"),
+        _pack=refuse("a map's packing"),
+        _maps=record,
+    ):
+        for T in dense:
+            got = minor_oracle(T, T.leaves())
+            assert built == []
+            assert got.leading_term() == minor_leading(T, T.leaves())
+        star, X = one_edge_star(199), list(range(1, 10))
+        got = minor_oracle(star, X)
+    rows, _ = minors._half_powers(minors._central_block(star, X)[1])
+    assert built == [[[{e: 1} for e in row] for row in rows]]
+    assert got == det(build_matrix(star, X)) == minor_formula(star, X)
 
 
 def test_each_oracle_reads_its_distance_block_once(monkeypatch):
@@ -622,8 +699,13 @@ def test_dp_matches_forest_sum_and_determinant(case):
     # position): u^((d_ij + p_i + p_j) / 2) over u = t^(2/_den), p_i the
     # parity of the integer distance to the first point r
     walked = []
-    kernel = minors._kernel
-    with mock.patch.object(minors, "_kernel", lambda m, *args: walked.append(m) or kernel(m, *args)):
+    kernel = minors._monomial_kernel
+
+    def record(e, *args):
+        walked.append(e)
+        return kernel(e, *args)
+
+    with mock.patch.object(minors, "_monomial_kernel", record):
         oracle = minor_oracle(T, X)
     order = sorted(X, key=lambda x: sum(T.dist(x, y) for y in X))
     r = order[0]
@@ -632,7 +714,7 @@ def test_dp_matches_forest_sum_and_determinant(case):
     parity = [int(T.dist(x, r) * T._den) % 2 for x in order]
     sums = [[d + p + q for d, q in zip(row, parity)] for row, p in zip(ints, parity)]
     assert all(e % 2 == 0 for row in sums for e in row)  # p 2-colours the tree's points
-    assert walked == [[[{int(e) // 2: 1} for e in row] for row in sums]]
+    assert walked == [[[int(e) // 2 for e in row] for row in sums]]
     # build_matrix is the view of the untransformed maps that det reads
     a, den, scale, shift = _integer_rows(build_matrix(T, X))
     assert minors._power_maps(*T._distance_ints(X)) == (a, den)

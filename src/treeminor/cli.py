@@ -835,11 +835,13 @@ def _check_rooted_size(T, args, ground, window) -> None:
     _MAX_ROOTED_COST.  verify_rooted_representation's refusals come first.
 
     The model was fitted to a Cholesky factor, whose square roots put each
-    column's coefficients over an irrational radicand of their own; the
-    LDL^T factor and its monomial column scale keep coefficients rational,
-    so the model now overstates the cost.  It is kept on purpose, and the
-    bounds with it, until they are re-sized from counted work rather than
-    from fresh timings."""
+    column's coefficients over an irrational radicand of their own, and to
+    one cofactor expansion per block.  The LDL^T factor and its monomial
+    column scale keep coefficients rational, and the block phase now reads
+    every block from one memo over column sets, sum_{j=2..k} j C(|g|, j)
+    products per attempt on integer maps, so the model overstates the cost
+    further.  It is kept on purpose, and the bounds with it, until they are
+    re-sized from counted work rather than from fresh timings."""
     if args.max_reseeds < 0 or (window is not None and window <= 0):
         return
     g = _rooted_ground(T, args.root, ground)

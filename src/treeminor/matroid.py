@@ -19,7 +19,8 @@ truncated series) whose minor/Pfaffian top exponents reproduce the maps:
   rationals and d_z the LDL^T pivots.  Determinant valuations of k-column
   blocks give the rooted subtree-weight map; each is checked against the
   tree and kept with the result, next to the top exponent of each k-minor
-  of M (one walk).
+  of M (one walk).  The blocks are expanded on integer maps over one
+  exponent grid, every sub-determinant once (one memo over column sets).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .metric import MINUS_INF
 from .pfaffian import build_skew_matrix, pf_oracle
 from .poly import ExactPoly, PolyMatrix, _as_fraction, _kernel, _sylvester
 from .tree import Tree
-from .tropic import PrecisionError, PuiseuxTrunc, ldl, series_det
+from .tropic import PrecisionError, PuiseuxTrunc, ldl
 
 Value = "Fraction | float"  # a finite Fraction, or MINUS_INF
 
@@ -440,21 +441,144 @@ class RootedRepresentation:
         return self.exact_valuations[self._key(Y)]
 
 
-def _mixed_rows(
+# The block phase runs on one exponent grid R: a grid series is (terms, cut),
+# terms its nonzero int coefficients as (key, n) pairs for n t^(key/R),
+# highest key first, all above the cutoff key cut (None: exact).  Its sums
+# and products are PuiseuxTrunc's, less the reduction to lowest terms.
+
+
+def _grid_series(terms: dict[int, int], cut: int | None) -> tuple:
+    """The grid series of the map terms + O(t^(cut/R)): its nonzero terms
+    above cut, highest first; PuiseuxTrunc's sum keeps the same terms."""
+    kept = ((e, n) for e, n in terms.items() if n and (cut is None or e > cut))
+    return tuple(sorted(kept, reverse=True)), cut
+
+
+def _grid_addmul(out: dict[int, int], sign: int, a: tuple, b: tuple) -> int | None:
+    """Add sign a b to the map out and return the product's cutoff key, as
+    PuiseuxTrunc.__mul__ forms the product: an exact zero when a or b is
+    one; else the cutoff is the largest error term of top(a) + cut(b),
+    top(b) + cut(a) and cut(a) + cut(b), and no pair of terms whose keys
+    sum to it or below is formed (None: no error term)."""
+    (ta, ca), (tb, cb) = a, b
+    if not ta and ca is None or not tb and cb is None:
+        return None
+    cuts = []
+    if cb is not None and ta:
+        cuts.append(ta[0][0] + cb)
+    if ca is not None and tb:
+        cuts.append(tb[0][0] + ca)
+    if ca is not None and cb is not None:
+        cuts.append(ca + cb)
+    cut = max(cuts, default=None)
+    if ta and tb:
+        floor = ta[-1][0] + tb[-1][0] - 1 if cut is None else cut
+        high_b = tb[0][0]
+        get = out.get
+        for ka, va in ta:
+            floor_b = floor - ka
+            if high_b <= floor_b:
+                break
+            va *= sign
+            for kb, vb in tb:
+                if kb <= floor_b:
+                    break
+                e = ka + kb
+                out[e] = get(e, 0) + va * vb
+    return cut
+
+
+def _grid_valuation(s: tuple, R: int):
+    """PuiseuxTrunc.valuation of the grid series s over R, MINUS_INF for an
+    exact zero; PrecisionError, with its text, for a truncated zero."""
+    terms, cut = s
+    if terms:
+        return Fraction(terms[0][0], R)
+    if cut is None:
+        return MINUS_INF
+    raise PrecisionError(f"insufficient precision: only O(t^{Fraction(cut, R)}) is known")
+
+
+def _mixed_grid(
     J: Sequence[Sequence[Fraction]],
     L1: Sequence[Sequence[PuiseuxTrunc]],
     half: Sequence[Fraction],
-) -> tuple[tuple[PuiseuxTrunc, ...], ...]:
-    """The rows of J diag(t^half) L1^T, L1 unit lower triangular: entry
-    (i, j) is the sum over s <= j of the monomial J[i][s] t^half[s] times
-    L1[j][s], and the s = j term is the monomial itself."""
+) -> tuple[list[tuple], int]:
+    """(rows, R): the rows of J diag(t^half) L1^T, L1 unit lower
+    triangular, as grid series.  R is the lcm of L1's ramifications and
+    cutoff denominators and of half's denominators, so every exponent and
+    cutoff is a key.  Entry (i, j) is the PuiseuxTrunc sum over s <= j of
+    the monomial J[i][s] t^half[s] times L1[j][s] (for s = j the monomial
+    itself), times a_i b_j: a_i the lcm of J[i]'s denominators and b_j that
+    of L1[j]'s coefficient denominators.  So coefficients are ints, and a
+    block determinant is scaled by a positive constant, which changes
+    neither its valuation, nor whether it is zero, nor any cutoff."""
+    low = [[(s, x) for s, x in enumerate(Lj[:j]) if not x.is_exact_zero()]
+           for j, Lj in enumerate(L1)]
+    R = math.lcm(
+        *(h.denominator for h in half),
+        *(x._ram for row in low for _, x in row),
+        *(x._cutoff.denominator for row in low for _, x in row if x._cutoff is not None),
+    )
+    hk = [h.numerator * (R // h.denominator) for h in half]
+    cols = []  # (b_j, [(s, map, cut) for each nonzero L1[j][s], s < j])
+    for row in low:
+        b = math.lcm(1, *(x._den for _, x in row))
+        cols.append((b, [
+            (s, {e * (R // x._ram): n * (b // x._den) for e, n in x._terms.items()},
+             None if x._cutoff is None else x._cutoff.numerator * (R // x._cutoff.denominator))
+            for s, x in row
+        ]))
     rows = []
     for Ji in J:
-        cols = [PuiseuxTrunc.t_power(h, c) for h, c in zip(half, Ji)]
-        rows.append(tuple(
-            sum((cols[s] * Lj[s] for s in range(j)), cols[j]) for j, Lj in enumerate(L1)
-        ))
-    return tuple(rows)
+        a = math.lcm(*(q.denominator for q in Ji))
+        c = [q.numerator * (a // q.denominator) for q in Ji]
+        row = []
+        for j, (b, entries) in enumerate(cols):
+            terms, cuts = {hk[j]: c[j] * b}, []
+            for s, m, cut in entries:
+                h, cs = hk[s], c[s]
+                for e, n in m.items():
+                    e += h
+                    terms[e] = terms.get(e, 0) + cs * n
+                if cut is not None:
+                    cuts.append(h + cut)
+            row.append(_grid_series(terms, max(cuts, default=None)))
+        rows.append(tuple(row))
+    return rows, R
+
+
+class _ColumnMinors(dict):
+    """det(rows r..k-1, columns C) of k grid rows, keyed by the column
+    tuple C, r = k - |C|, each set built on its first read.  A set of two
+    or more columns is expanded along row r as tropic.series_det expands a
+    block (columns in order, sign (-1)^j), its minors read from the memo;
+    so each value is series_det's on that block of the mixed rows, scaled
+    as _mixed_grid scales them.  Over |g| columns, reading every k-set
+    builds every set of at most k columns once: sum_{j=2..k} j C(|g|, j)
+    products, where a cofactor expansion per block makes C(|g|, k) f(k),
+    f(k) = k (1 + f(k - 1))."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: Sequence[tuple]):
+        super().__init__()
+        self.rows = rows
+
+    def __missing__(self, cols: tuple[int, ...]) -> tuple:
+        row = self.rows[len(self.rows) - len(cols)]
+        if len(cols) == 1:
+            value = row[cols[0]]
+        else:
+            terms: dict[int, int] = {}
+            cuts = []
+            for j, c in enumerate(cols):
+                cut = _grid_addmul(terms, -1 if j % 2 else 1, row[c], self[cols[:j] + cols[j + 1:]])
+                if cut is not None:
+                    cuts.append(cut)
+            value = _grid_series(terms, max(cuts, default=None))
+        self[cols] = value
+        return value
 
 
 def verify_rooted_representation(
@@ -474,7 +598,9 @@ def verify_rooted_representation(
     for sqrt(d_z), the Cholesky factor's diagonal, with the same valuation:
     by Cauchy-Binet each block of the mix has the valuation of the block of
     J L^T, L the Cholesky factor, unless top terms cancel, and coefficients
-    stay rational.
+    stay rational.  Each attempt reads the blocks in combinations order
+    from one memo of sub-determinants over column sets (_ColumnMinors) on
+    one integer exponent grid, and stops at the first block that fails.
 
     `window` is the truncation width (default: four times the exponent
     spread of the matrix).  A disagreement or an unresolved (fully
@@ -509,15 +635,14 @@ def verify_rooted_representation(
     half = [d.valuation() / 2 for d in pivots]
     failures = []
     for attempt in range(max_reseeds + 1):
-        J = _sample_mix(k, len(g), seed + attempt)
-        rows = _mixed_rows(J, L1, half)
+        rows, R = _mixed_grid(_sample_mix(k, len(g), seed + attempt), L1, half)
+        minors = _ColumnMinors(rows)
         vals = {}
         problem = None
         try:
             for pos in combinations(range(len(g)), k):
                 Y = tuple(g[p] for p in pos)
-                v = series_det([[row[p] for p in pos] for row in rows]).valuation()
-                got = MINUS_INF if v is None else v
+                got = _grid_valuation(minors[pos], R)
                 want = expected.value(Y)
                 if got != want:
                     problem = (

@@ -16,6 +16,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -1164,18 +1165,31 @@ def test_represent_rooted_report(capsys, tmp_path):
         assert F(row["exact_minor_valuation"]) == 2 * F(row["subtree_weight"])
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_represent_rooted_runs_each_block_determinant_once(capsys, tmp_path, monkeypatch, k):
-    from treeminor import matroid
+    # the block phase reads each k-subset's determinant once per attempt,
+    # builds each column set of a memo once, and makes sum_{j=2..k} j C(|g|, j)
+    # products in a full attempt, where each block's cofactor expansion made
+    # C(|g|, k) f(k), f(k) = k (1 + f(k - 1))
+    reads, builds, products = [], [], []
+    read, build, addmul = (matroid._grid_valuation, matroid._ColumnMinors.__missing__,
+                           matroid._grid_addmul)
 
-    calls = []
-    real = matroid.series_det
+    def counted_read(s, R):
+        reads.append(s)
+        return read(s, R)
 
-    def counted(grid):
-        calls.append(len(grid))
-        return real(grid)
+    def counted_build(self, cols):
+        builds.append((id(self), cols))
+        return build(self, cols)
 
-    monkeypatch.setattr(matroid, "series_det", counted)
+    def counted_addmul(*args):
+        products.append(args)
+        return addmul(*args)
+
+    monkeypatch.setattr(matroid, "_grid_valuation", counted_read)
+    monkeypatch.setattr(matroid._ColumnMinors, "__missing__", counted_build)
+    monkeypatch.setattr(matroid, "_grid_addmul", counted_addmul)
     tree = tmp_path / "q.tree"
     tree.write_text("6\n1 5\n2 5\n5 6\n3 6\n4 6\n")
     code, out, _ = invoke(
@@ -1184,8 +1198,13 @@ def test_represent_rooted_runs_each_block_determinant_once(capsys, tmp_path, mon
     )
     assert code == 0
     data = json.loads(out)
-    assert len(calls) == len(data["rows"]) * (data["reseeds"] + 1)
-    assert set(calls) == {k}
+    g = len(data["ground"])
+    assert data["reseeds"] == 0  # no attempt stopped early
+    assert len(reads) == len(data["rows"]) == comb(g, k)
+    assert len(set(builds)) == len(builds)
+    assert sorted(len(cols) for _, cols in builds) == [
+        j for j in range(1, k + 1) for _ in range(comb(g, j))]
+    assert len(products) == sum(j * comb(g, j) for j in range(2, k + 1))
 
 
 def test_represent_rooted_window_failure(capsys, tmp_path):

@@ -46,7 +46,7 @@ from treeminor.minors import minor_oracle
 from treeminor.pfaffian import build_skew_matrix, pf_table
 from treeminor.poly import ExactPoly, PolyMatrix, det, pfaffian
 from treeminor.tree import Tree, random_tree
-from treeminor.tropic import PrecisionError, cholesky, ldl
+from treeminor.tropic import PrecisionError, PuiseuxTrunc, cholesky, ldl, series_det
 
 F = Fraction
 
@@ -569,16 +569,177 @@ def test_series_valuations_random_trees():
         assert ValuatedFn(rep.ground, rep.valuations, k=2) == want
 
 
+def _reference_rows(J, L1, half):
+    """The rows of J diag(t^half) L1^T on PuiseuxTrunc: the mixed rows the
+    grid's block phase must reproduce, scaled."""
+    rows = []
+    for Ji in J:
+        cols = [PuiseuxTrunc.t_power(h, c) for h, c in zip(half, Ji)]
+        rows.append([
+            sum((cols[s] * Lj[s] for s in range(j)), cols[j]) for j, Lj in enumerate(L1)
+        ])
+    return rows
+
+
+def _assert_scaled(s, R, ref):
+    """The grid series s over R is ref times a positive constant: the same
+    exponents and cutoff, and one positive ratio of coefficients."""
+    terms, cut = s
+    assert (None if cut is None else F(cut, R)) == ref.cutoff
+    want = ref.terms()
+    assert [F(e, R) for e, _ in terms] == [e for e, _ in want]
+    ratios = {F(n) / c for (_, n), (_, c) in zip(terms, want)}
+    assert len(ratios) <= 1 and all(q > 0 for q in ratios), ratios
+
+
+def _valuation_or_text(read):
+    try:
+        v = read()
+    except PrecisionError as exc:
+        return str(exc)
+    return MINUS_INF if v is None else v
+
+
+def test_column_minors_are_series_det_on_random_grids():
+    # grid rows in general position, every entry exact, truncated, a
+    # truncated zero or an exact zero: every block of the memo is series_det
+    # of the same block as PuiseuxTrunc, cutoff and terms, and reads the
+    # same valuation or PrecisionError text
+    rng = random.Random(19)
+    R = 6
+
+    def draw():
+        kind = rng.randrange(6)
+        if kind == 0:
+            return (), None
+        cut = None if kind == 1 else rng.randint(-12, 6)
+        low = -12 if cut is None else cut + 1
+        size = 0 if kind == 2 else rng.randint(1, 4)
+        terms = {rng.randint(low, 18): rng.choice((-1, 1)) * rng.randint(1, 5) for _ in range(size)}
+        return matroid._grid_series(terms, cut)
+
+    def as_series(s):
+        terms, cut = s
+        return PuiseuxTrunc(R, dict(terms), None if cut is None else F(cut, R))
+
+    for _ in range(40):
+        k = rng.randint(1, 4)
+        n = rng.randint(k, 5)
+        rows = [tuple(draw() for _ in range(n)) for _ in range(k)]
+        ref = [[as_series(s) for s in row] for row in rows]
+        minors = matroid._ColumnMinors(rows)
+        for pos in combinations(range(n), k):
+            want = series_det([[row[p] for p in pos] for row in ref])
+            assert as_series(minors[pos]) == want
+            assert (_valuation_or_text(lambda: matroid._grid_valuation(minors[pos], R))
+                    == _valuation_or_text(want.valuation))
+
+
+def _check_block_phase(T, root, k, ground, window=None, seed=0, every=1):
+    """Hold one attempt of the rooted block phase to series_det on the
+    PuiseuxTrunc mixed rows: every entry, and every `every`-th k-column
+    block in combinations order, is a positive multiple of its reference
+    with the same cutoff, and every block has the reference's valuation or
+    PrecisionError text.  Then verify_rooted_representation, at max_reseeds
+    0, must fail on the first block that fails against the tree, with the
+    reference's text, or pass with the reference's valuations.  Returns
+    that first problem, or None."""
+    g = tuple(ground)
+    M = rooted_matrix(T, root, g)
+    w = default_window(M) if window is None else F(window)
+    L1, pivots = ldl([[-p for p in row] for row in M.entries], window=w)
+    half = [d.valuation() / 2 for d in pivots]
+    J = matroid._sample_mix(k, len(g), seed)
+    ref = _reference_rows(J, L1, half)
+    rows, R = matroid._mixed_grid(J, L1, half)
+    for got_row, ref_row in zip(rows, ref):
+        for got, want in zip(got_row, ref_row):
+            _assert_scaled(got, R, want)
+    minors = matroid._ColumnMinors(rows)
+    expected = rooted_k_dissimilarity(T, root, k, ground=g)
+    vals, problem = {}, None
+    for i, pos in enumerate(combinations(range(len(g)), k)):
+        Y = tuple(g[p] for p in pos)
+        got = _valuation_or_text(lambda: matroid._grid_valuation(minors[pos], R))
+        if i % every == 0:
+            det_ref = series_det([[row[p] for p in pos] for row in ref])
+            _assert_scaled(minors[pos], R, det_ref)
+            assert got == _valuation_or_text(det_ref.valuation)
+        if problem is None:
+            if isinstance(got, str):
+                problem = f"seed {seed}: {got}"
+            elif got != expected.value(Y):
+                problem = (f"seed {seed}: valuation {got} != {expected.value(Y)} at "
+                           f"Y={Y} (degenerate mix suspected)")
+            vals[Y] = got
+    try:
+        rep, reseeds = verify_rooted_representation(
+            T, root, k, ground=g, window=window, seed=seed, max_reseeds=0)
+    except ArithmeticError as exc:
+        assert problem is not None and str(exc).endswith("\n  " + problem), str(exc)
+    else:
+        assert problem is None and reseeds == 0
+        assert dict(rep.valuations) == vals
+    return problem
+
+
+def test_block_phase_matches_series_det_on_the_reference_rows():
+    # random unit and rational trees at every k, at the default window and
+    # at windows small enough that some blocks are fully truncated
+    rng = random.Random(47)
+    problems = []
+    for seed in range(16):
+        T = random_tree(rng.randint(5, 7), seed=seed,
+                        weights="rational" if seed % 2 else "unit")
+        root = next(v for v in T.vertices if T.degree(v) >= 2)
+        g = [v for v in T.vertices if v != root][:5]
+        dw = default_window(rooted_matrix(T, root, g))
+        for window in (None, dw / 2, dw / 3):
+            for k in range(1, len(g) + 1):
+                try:
+                    problems.append(_check_block_phase(T, root, k, g, window, seed=seed + k))
+                except PrecisionError:  # the factor itself needs a wider window
+                    assert window is not None
+    assert None in problems
+    assert any(p is not None and "insufficient precision" in p for p in problems)
+
+
+def test_block_phase_reports_an_exact_zero_block(monkeypatch):
+    # on a star the matrix is diagonal and exact, so a mix with two equal
+    # rows makes every block exactly zero: valuation -inf at the first Y
+    J = [[F(3, 7), F(-2), F(5, 3), F(1)]] * 2
+    monkeypatch.setattr(matroid, "_sample_mix", lambda k, n, seed: J)
+    assert _check_block_phase(star_tree(4), 0, 2, (1, 2, 3, 4)) == (
+        "seed 0: valuation -inf != 2 at Y=(1, 2) (degenerate mix suspected)")
+
+
+def _caterpillar(leaves):
+    """CI's caterpillar: spine 1-2-3-4, leaves 5.. hung on it in turn."""
+    return Tree([(v, v + 1) for v in (1, 2, 3)]
+                + [((v - 5) % 4 + 1, v) for v in range(5, 5 + leaves)])
+
+
+def test_block_phase_on_ci_caterpillars():
+    # represent-rooted's CI runs at --root 1 --window 19: 9 leaves at k = 6
+    # (84 blocks, every 21st against the reference) and 8 leaves at k = 8
+    # (one block, 69,280 reference products)
+    for leaves, k, every in ((9, 6, 21), (8, 8, 1)):
+        T = _caterpillar(leaves)
+        assert _check_block_phase(T, 1, k, T.leaves(), window=19, every=every) is None
+
+
 def test_series_valuation_reads_the_verified_valuations(monkeypatch):
-    import treeminor.matroid as matroid
+    from treeminor import tropic
 
     T = quartet_tree()
     rep, _ = verify_rooted_representation(T, 5, 2)
 
-    def refuse(grid):
-        raise AssertionError("series_det called after verification")
+    def refuse(*args):
+        raise AssertionError("a block determinant ran after verification")
 
-    monkeypatch.setattr(matroid, "series_det", refuse)
+    monkeypatch.setattr(tropic, "series_det", refuse)
+    monkeypatch.setattr(matroid, "_ColumnMinors", refuse)
+    monkeypatch.setattr(matroid, "_grid_addmul", refuse)
     want = rooted_k_dissimilarity(T, 5, 2)
     for Y in combinations(rep.ground, 2):
         assert rep.series_valuation(reversed(Y)) == want.value(Y)

@@ -31,11 +31,12 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from math import comb, factorial, perm
+from math import comb, factorial
 
 from .cyclekernel import ENUMERATION_CAP, cycle_sums, cycle_table
 from .matroid import (
     ValuatedFn,
+    _block_products,
     _exponent_gaps,
     _rooted_ground,
     _value_pair,
@@ -71,9 +72,8 @@ from .minors import (
 )
 from .pfaffian import (
     NotNicelyOrderedError,
+    _pf_form,
     _pf_top_down,
-    _shift_rows,
-    pf_bits,
     pf_formula,
     pf_formula_table,
     pf_oracle,
@@ -549,10 +549,9 @@ _LEAST_MAX_X = {"minor-verify": 0, "cycles-verify": 1}
 def _negative_hits(T, rng, negatives: int) -> int:
     """Draw orders that are not nice and count those whose Pfaffian is not
     the plain odd-weight monomial (a non-nice order may still coincide by
-    luck; those draws are skipped, not failures).  Both sides are ints at
-    t^(1/T._den) = 2^B, B = pf_bits(r), compared as the sweep compares
-    them: the Pfaffian from pfaffian._pf_top_down on packed ints, the
-    monomial 2^(B w)."""
+    luck; those draws are skipped, not failures).  Both sides are in the
+    form pfaffian._pf_form picks, compared as the sweep compares them: the
+    Pfaffian from pfaffian._pf_top_down, the monomial unit << shift w."""
     hit = 0
     tried = 0
     while hit < negatives and tried < 50 * max(negatives, 1):
@@ -561,9 +560,8 @@ def _negative_hits(T, rng, negatives: int) -> int:
         sub = tuple(rng.sample(T.vertices, r))
         if T.is_nicely_ordered(sub)[0]:
             continue
-        bits = pf_bits(r)
-        rows = _shift_rows(T._distance_ints(sub)[0], bits)
-        if _pf_top_down(rows, 1) != 1 << bits * T._weight_num(T._odd_mask(sub)):
+        rows, unit, shift, _ = _pf_form(T, sub)
+        if _pf_top_down(rows, unit) != unit << shift * T._weight_num(T._odd_mask(sub)):
             hit += 1
     return hit
 
@@ -822,33 +820,25 @@ def cmd_check_matroid(args):
 
 
 def _check_rooted_size(T, args, ground, window) -> None:
-    """represent-rooted's bounds before any work, sized from measured runs.
-    A run makes |g|^3 series products for the factor and, in each of
-    --max-reseeds + 1 attempts, one block determinant per k-subset: at most
-    _MAX_SUBSETS, k! per block.  The cost counts f(k) = k (1 + f(k - 1))
-    products per block (f(1) = 0, the cofactor expansion) weighted by k^2/4,
-    which the runs at k = 3..6 need, and window / gap for each column's
-    square root and inverse (gap: the least exponent gap of an entry of M).
-    A product costs up to slots^2 coefficient products (slots: the sums of
-    entry gaps up to the window; they overstate sparse series), and
-    coefficients grow with |g|: |g| x products x slots^2 is at most
-    _MAX_ROOTED_COST.  verify_rooted_representation's refusals come first.
-
-    The model was fitted to a Cholesky factor, whose square roots put each
-    column's coefficients over an irrational radicand of their own, and to
-    one cofactor expansion per block.  The LDL^T factor and its monomial
-    column scale keep coefficients rational, and the block phase now reads
-    every block from one memo over column sets, sum_{j=2..k} j C(|g|, j)
-    products per attempt on integer maps, so the model overstates the cost
-    further.  It is kept on purpose, and the bounds with it, until they are
-    re-sized from counted work rather than from fresh timings."""
+    """represent-rooted's bounds before any work.  A run makes |g|^3 series
+    products for the LDL^T factor and, in each of --max-reseeds + 1
+    attempts, matroid._block_products(|g|, k) for the blocks' memo: at most
+    _MAX_SUBSETS in all.  The cost weighs each block product by k^2/4 (1 at
+    k = 2; a minor on more columns has longer series and wider
+    coefficients) and adds 2 |g| window/gap for the pivots' inverses (gap:
+    the least exponent gap of an entry of M; the 2 is the weight the k = 2
+    limits were sized with).  A product costs up to slots^2 coefficient
+    products (slots: the sums of entry gaps up to the window; they overstate
+    sparse series), and coefficients grow with |g|: |g| x products x
+    slots^2 is at most _MAX_ROOTED_COST.  verify_rooted_representation's
+    refusals come first."""
     if args.max_reseeds < 0 or (window is not None and window <= 0):
         return
     g = _rooted_ground(T, args.root, ground)
     if not 1 <= args.k <= len(g):
         return
-    blocks = (args.max_reseeds + 1) * comb(len(g), args.k)
-    products = len(g) ** 3 + blocks * factorial(args.k)
+    memo = (args.max_reseeds + 1) * _block_products(len(g), args.k)
+    products = len(g) ** 3 + memo
     if products > _MAX_SUBSETS:
         raise CliError(
             f"represent-rooted would make about {products} series products, more "
@@ -859,9 +849,8 @@ def _check_rooted_size(T, args, ground, window) -> None:
     window = default_window(M) if window is None else window
     gaps, den = _exponent_gaps(M)
     top = int(window * den)
-    cofactor = sum(perm(args.k, m) for m in range(1, args.k))  # f(k)
-    roots = 2 * len(g) * -(-top // min(gaps))
-    products = len(g) ** 3 + blocks * cofactor * args.k**2 // 4 + roots
+    inverses = 2 * len(g) * -(-top // min(gaps))
+    products = len(g) ** 3 + memo * args.k**2 // 4 + inverses
     budget = _MAX_ROOTED_COST // (len(g) * products)  # for slots^2
     slots = {0}  # the sums of gaps up to top, counted while in budget
     todo = [0]
@@ -1133,9 +1122,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "represent-rooted",
         help="series representation of the rooted subtree-weight map, verified",
-        description=f"A run may make at most {_MAX_SUBSETS} series products "
-        f"and cost at most {_MAX_ROOTED_COST} coefficient products over its "
-        "window (the model: cli._check_rooted_size); more exits 2.",
+        description=f"A run may make at most {_MAX_SUBSETS} series products, "
+        "|g|^3 for the factor and sum_{j=2..k} j C(|g|, j) for each attempt's "
+        f"blocks, and cost at most {_MAX_ROOTED_COST} coefficient products over "
+        "its window, each block product weighted by k^2/4 (the model: "
+        "cli._check_rooted_size); more exits 2.",
     )
     _add_tree_source(p)
     p.add_argument("--root", type=int, required=True)

@@ -38,7 +38,7 @@ from .metric import MINUS_INF
 from .pfaffian import build_skew_matrix, pf_oracle
 from .poly import ExactPoly, PolyMatrix, _as_fraction, _kernel, _sylvester
 from .tree import Tree
-from .tropic import PrecisionError, PuiseuxTrunc, ldl
+from .tropic import PrecisionError, PuiseuxTrunc, _mul_into, _truncated_zero, ldl
 
 Value = "Fraction | float"  # a finite Fraction, or MINUS_INF
 
@@ -441,10 +441,9 @@ class RootedRepresentation:
         return self.exact_valuations[self._key(Y)]
 
 
-# The block phase runs on one exponent grid R: a grid series is (terms, cut),
-# terms its nonzero int coefficients as (key, n) pairs for n t^(key/R),
-# highest key first, all above the cutoff key cut (None: exact).  Its sums
-# and products are PuiseuxTrunc's, less the reduction to lowest terms.
+# The block phase runs on grid series over one exponent grid R
+# (tropic._mul_into): its sums and products are PuiseuxTrunc's, less the
+# reduction to lowest terms.
 
 
 def _grid_series(terms: dict[int, int], cut: int | None) -> tuple:
@@ -452,40 +451,6 @@ def _grid_series(terms: dict[int, int], cut: int | None) -> tuple:
     above cut, highest first; PuiseuxTrunc's sum keeps the same terms."""
     kept = ((e, n) for e, n in terms.items() if n and (cut is None or e > cut))
     return tuple(sorted(kept, reverse=True)), cut
-
-
-def _grid_addmul(out: dict[int, int], sign: int, a: tuple, b: tuple) -> int | None:
-    """Add sign a b to the map out and return the product's cutoff key, as
-    PuiseuxTrunc.__mul__ forms the product: an exact zero when a or b is
-    one; else the cutoff is the largest error term of top(a) + cut(b),
-    top(b) + cut(a) and cut(a) + cut(b), and no pair of terms whose keys
-    sum to it or below is formed (None: no error term)."""
-    (ta, ca), (tb, cb) = a, b
-    if not ta and ca is None or not tb and cb is None:
-        return None
-    cuts = []
-    if cb is not None and ta:
-        cuts.append(ta[0][0] + cb)
-    if ca is not None and tb:
-        cuts.append(tb[0][0] + ca)
-    if ca is not None and cb is not None:
-        cuts.append(ca + cb)
-    cut = max(cuts, default=None)
-    if ta and tb:
-        floor = ta[-1][0] + tb[-1][0] - 1 if cut is None else cut
-        high_b = tb[0][0]
-        get = out.get
-        for ka, va in ta:
-            floor_b = floor - ka
-            if high_b <= floor_b:
-                break
-            va *= sign
-            for kb, vb in tb:
-                if kb <= floor_b:
-                    break
-                e = ka + kb
-                out[e] = get(e, 0) + va * vb
-    return cut
 
 
 def _grid_valuation(s: tuple, R: int):
@@ -496,7 +461,7 @@ def _grid_valuation(s: tuple, R: int):
         return Fraction(terms[0][0], R)
     if cut is None:
         return MINUS_INF
-    raise PrecisionError(f"insufficient precision: only O(t^{Fraction(cut, R)}) is known")
+    raise _truncated_zero(Fraction(cut, R))
 
 
 def _mixed_grid(
@@ -521,14 +486,10 @@ def _mixed_grid(
         *(x._cutoff.denominator for row in low for _, x in row if x._cutoff is not None),
     )
     hk = [h.numerator * (R // h.denominator) for h in half]
-    cols = []  # (b_j, [(s, map, cut) for each nonzero L1[j][s], s < j])
+    cols = []  # (b_j, [(s, L1[j][s] as a grid series, b_j / its den) for s < j])
     for row in low:
         b = math.lcm(1, *(x._den for _, x in row))
-        cols.append((b, [
-            (s, {e * (R // x._ram): n * (b // x._den) for e, n in x._terms.items()},
-             None if x._cutoff is None else x._cutoff.numerator * (R // x._cutoff.denominator))
-            for s, x in row
-        ]))
+        cols.append((b, [(s, x._grid(R), b // x._den) for s, x in row]))
     rows = []
     for Ji in J:
         a = math.lcm(*(q.denominator for q in Ji))
@@ -536,9 +497,9 @@ def _mixed_grid(
         row = []
         for j, (b, entries) in enumerate(cols):
             terms, cuts = {hk[j]: c[j] * b}, []
-            for s, m, cut in entries:
-                h, cs = hk[s], c[s]
-                for e, n in m.items():
+            for s, (m, cut), f in entries:
+                h, cs = hk[s], c[s] * f
+                for e, n in m:
                     e += h
                     terms[e] = terms.get(e, 0) + cs * n
                 if cut is not None:
@@ -554,10 +515,9 @@ class _ColumnMinors(dict):
     or more columns is expanded along row r as tropic.series_det expands a
     block (columns in order, sign (-1)^j), its minors read from the memo;
     so each value is series_det's on that block of the mixed rows, scaled
-    as _mixed_grid scales them.  Over |g| columns, reading every k-set
-    builds every set of at most k columns once: sum_{j=2..k} j C(|g|, j)
-    products, where a cofactor expansion per block makes C(|g|, k) f(k),
-    f(k) = k (1 + f(k - 1))."""
+    as _mixed_grid scales them.  Reading every k-set of |g| columns builds
+    every set of at most k columns once, in _block_products(|g|, k)
+    products."""
 
     __slots__ = ("rows",)
 
@@ -573,12 +533,18 @@ class _ColumnMinors(dict):
             terms: dict[int, int] = {}
             cuts = []
             for j, c in enumerate(cols):
-                cut = _grid_addmul(terms, -1 if j % 2 else 1, row[c], self[cols[:j] + cols[j + 1:]])
+                cut = _mul_into(terms, -1 if j % 2 else 1, row[c], self[cols[:j] + cols[j + 1:]])
                 if cut is not None:
                     cuts.append(cut)
             value = _grid_series(terms, max(cuts, default=None))
         self[cols] = value
         return value
+
+
+def _block_products(n: int, k: int) -> int:
+    """The series products _ColumnMinors makes when every k-set of n
+    columns is read: sum_{j=2..k} j C(n, j), j for each set of j columns."""
+    return sum(j * math.comb(n, j) for j in range(2, k + 1))
 
 
 def verify_rooted_representation(

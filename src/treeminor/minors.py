@@ -452,17 +452,17 @@ def minor_oracle(T: Tree, X: Sequence[int]) -> ExactPoly:
     formula; B is symmetric, so the walk computes half of each step's
     block, and on packed ints whenever B is dense at _TREE_DENSE_BITS.
     B's entries are monomials of coefficient 1, so poly._monomial_kernel
-    makes poly._kernel's choice from the exponents alone: judged at the
-    word of |X|!, packed at that of Hadamard's bound |X|^(|X|/2), each
-    entry 1 << B e_ij, and the maps {e_ij: 1} built only when they are
-    walked."""
+    makes poly._kernel's choice at that threshold from the exponents
+    alone: judged at the word of |X|!, packed at that of Hadamard's bound
+    |X|^(|X|/2), each entry 1 << B e_ij, and the maps {e_ij: 1} built only
+    when they are walked."""
     xs = T.check_subset(X)
     if not xs:
         raise ValueError("X must be nonempty")
     _, dist, den = _central_block(T, xs)
     rows, parity = _half_powers(dist)
     lift = sum(parity)
-    det_b = _bareiss(_monomial_kernel(rows, _TREE_DENSE_BITS))
+    det_b = _bareiss(_monomial_kernel(rows))
     return ExactPoly._make(den, 1, {2 * (k - lift): c for k, c in det_b.items()})
 
 

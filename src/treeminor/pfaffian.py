@@ -154,15 +154,16 @@ def _pf_form(T: Tree, xs: tuple[int, ...]) -> tuple[list[list[int]], object, int
     sub-tuples, from one read of the tree's distance rows: packed ints at
     B = pf_bits(len(xs)), shift B, unit 1 and each value read by
     poly._unpack, where poly._dense holds at _TREE_DENSE_BITS on the
-    off-diagonal distances as one row of monomials; or shifted maps, shift
-    1, unit {0: 1} (poly._Shifted) and each value read into a plain dict.
+    distances above the diagonal as the keys of one map (it reads only
+    their set); or shifted maps, shift 1, unit {0: 1} (poly._Shifted) and
+    each value read into a plain dict.
     A packed int grows with the top distance times B, so the sparse
     distances of trees whose weights share a large denominator stay on the
     maps.  Either way the monomial t^(w / T._den) is unit << shift w."""
     dist = T._distance_ints(xs)[0]
     bits = pf_bits(len(xs))
-    monomials = [{d: 1} for a, row in enumerate(dist) for b, d in enumerate(row) if a != b]
-    if _dense([monomials], bits, _TREE_DENSE_BITS):
+    upper = dict.fromkeys(d for a, row in enumerate(dist) for d in row[a + 1:])
+    if _dense([[upper]], bits, _TREE_DENSE_BITS):
         return _shift_rows(dist, bits), 1, bits, functools.partial(_unpack, bits)
     return _shift_rows(dist, 1), _Shifted({0: 1}), 1, dict
 

@@ -699,20 +699,20 @@ _DENSE_BITS = 96
 _TREE_DENSE_BITS = 900
 
 
-def _kernel(m: list[list[dict[int, int]]], size: int, dense_bits: int = _DENSE_BITS) -> _Form:
+def _kernel(m: list[list[dict[int, int]]], size: int) -> _Form:
     """The form for a walk over m's minors of at most `size` rows, chosen
-    from m alone: packed at B = `_word_bits` when m is dense for the walk's
-    threshold (`_dense`), the maps otherwise.  The thresholds were measured
-    at the word of the product bound (`_coefficient_bounds`), so density is
-    judged at that word, and the packed ints run at Hadamard's."""
+    from m alone: packed at B = `_word_bits` when m is dense (`_dense`),
+    the maps otherwise.  The thresholds were measured at the word of the
+    product bound (`_coefficient_bounds`), so density is judged at that
+    word, and the packed ints run at Hadamard's."""
     bound, judged = _coefficient_bounds(m, size)
-    if _dense(m, _word_for(judged), dense_bits):
+    if _dense(m, _word_for(judged)):
         return _packed(m, _word_for(bound))
     return _maps(m)
 
 
-def _monomial_kernel(e: list[list[int]], dense_bits: int) -> _Form:
-    """What `_kernel(m, len(m), dense_bits)` gives on the monomials
+def _monomial_kernel(e: list[list[int]]) -> _Form:
+    """What `_kernel(m, len(m))` gives at _TREE_DENSE_BITS on the monomials
     m_ij = {e_ij: 1}, exponents e_ij >= 0, read off the exponents alone.
     Every entry's 1-norm is 1, so on r rows Hadamard's bound is
     isqrt(r^r), the product bound min(r^r, r! 1) = r!, and `_dense` reads
@@ -721,7 +721,8 @@ def _monomial_kernel(e: list[list[int]], dense_bits: int) -> _Form:
     chosen."""
     r = len(e)
     exponents = set(itertools.chain.from_iterable(e))
-    if max(exponents, default=0) * _word_for(math.factorial(r)) > dense_bits * len(exponents):
+    judged = _word_for(math.factorial(r))
+    if max(exponents, default=0) * judged > _TREE_DENSE_BITS * len(exponents):
         return _maps([[{k: 1} for k in row] for row in e])
     bits = _word_for(math.isqrt(r ** r))
     power = {k: 1 << bits * k for k in exponents}

@@ -20,10 +20,11 @@ coefficient denominator den both kept minimal and d = 1 for a rational
 series, so equal series are structurally equal (the format of
 poly.ExactPoly, times sqrt(d)).  A sum adds the maps with poly._zadd, and
 series over two different radicands do not add.  A product convolves the
-maps once (sqrt(a) sqrt(b) = g sqrt(ab/g^2), g = gcd(a, b)) and never
-forms a pair of terms whose exponents sum to the product's cutoff or
-below.  A Fraction or QRad coefficient is built only where one is read
-(terms, leading).  Division and square roots work down to what the
+maps once, on one exponent grid (sqrt(a) sqrt(b) = g sqrt(ab/g^2), g =
+gcd(a, b)), and never forms a pair of terms whose exponents sum to the
+product's cutoff or below: _mul_into, which matroid's rooted block phase
+runs on too.  A Fraction or QRad coefficient is built only where one is
+read (terms, leading).  Division and square roots work down to what the
 operand's own cutoff supports: the inverse runs the integer recurrence of
 1/(1 + u) on the map (1/sqrt(d) = sqrt(d)/d), and the square root of a
 rational series expands one binomial series; an exact non-monomial gives
@@ -63,6 +64,52 @@ def _canonical(
     terms = {k: v for k, v in terms.items() if v and (kmin is None or k > kmin)}
     ram, den, terms = _poly_canonical(ram, den, terms)
     return ram, den, rad if terms else 1, terms
+
+
+def _truncated_zero(cutoff: Fraction) -> PrecisionError:
+    """The error for a series known only as O(t^cutoff)."""
+    return PrecisionError(f"insufficient precision: only O(t^{cutoff}) is known")
+
+
+# A grid series over R is (terms, cut): its nonzero int coefficients as
+# (key, n) pairs for n t^(key/R), highest key first, all above the cutoff
+# key cut (None: exact).  Every product of series is formed on two of them:
+# PuiseuxTrunc's over the lcm of the factors' ramifications and cutoff
+# denominators, and the rooted check's block phase over its own grid.
+
+
+def _mul_into(out: dict[int, int], scale: int, a: tuple, b: tuple) -> int | None:
+    """Add scale a b to the map out, a and b grid series, and return the
+    product's cutoff key: None when a or b is an exact zero (out is left
+    alone) or both are exact; else the largest error term of top(a) +
+    cut(b), top(b) + cut(a) and cut(a) + cut(b).  No pair of terms whose
+    keys sum to the cutoff or below is formed."""
+    (ta, ca), (tb, cb) = a, b
+    if not ta and ca is None or not tb and cb is None:
+        return None
+    cuts = []
+    if cb is not None and ta:
+        cuts.append(ta[0][0] + cb)
+    if ca is not None and tb:
+        cuts.append(tb[0][0] + ca)
+    if ca is not None and cb is not None:
+        cuts.append(ca + cb)
+    cut = max(cuts, default=None)
+    if ta and tb:
+        floor = ta[-1][0] + tb[-1][0] - 1 if cut is None else cut
+        high_b = tb[0][0]
+        get = out.get
+        for ka, va in ta:
+            floor_b = floor - ka
+            if high_b <= floor_b:
+                break
+            va *= scale
+            for kb, vb in tb:
+                if kb <= floor_b:
+                    break
+                e = ka + kb
+                out[e] = get(e, 0) + va * vb
+    return cut
 
 
 class PuiseuxTrunc:
@@ -154,9 +201,7 @@ class PuiseuxTrunc:
             return max(self._terms)
         if self._cutoff is None:
             raise ValueError("exact zero has no leading term")
-        raise PrecisionError(
-            f"insufficient precision: only O(t^{self._cutoff}) is known"
-        )
+        raise _truncated_zero(self._cutoff)
 
     def _coeff(self, k: int) -> Coeff:
         """The coefficient at key k: a Fraction unless the radicand is
@@ -251,50 +296,28 @@ class PuiseuxTrunc:
     def __rsub__(self, other):
         return -(self - other)
 
+    def _grid(self, R: int) -> tuple:
+        """self as a grid series over R, a multiple of its ramification
+        and of its cutoff's denominator, coefficients over self._den."""
+        terms = sorted(self._terms.items(), reverse=True)
+        f = R // self._ram
+        if f > 1:
+            terms = [(k * f, v) for k, v in terms]
+        c = self._cutoff
+        return terms, None if c is None else c.numerator * (R // c.denominator)
+
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.is_exact_zero() or o.is_exact_zero():
-            return PuiseuxTrunc.zero()
-        top_a, top_b = self._top(), o._top()
-        # error terms: known(a) * O(b), known(b) * O(a), O(a) * O(b)
-        cuts = []
-        if o._cutoff is not None and top_a is not None:
-            cuts.append(Fraction(top_a, self._ram) + o._cutoff)
-        if self._cutoff is not None and top_b is not None:
-            cuts.append(Fraction(top_b, o._ram) + self._cutoff)
-        if self._cutoff is not None and o._cutoff is not None:
-            cuts.append(self._cutoff + o._cutoff)
-        cutoff = max(cuts) if cuts else None
-        r = lcm(self._ram, o._ram)
-        fa, fb = r // self._ram, r // o._ram
-        g = gcd(self._rad, o._rad)
+        cuts = [c.denominator for c in (self._cutoff, o._cutoff) if c is not None]
+        R = lcm(self._ram, o._ram, *cuts)
+        g = gcd(self._rad, o._rad)  # sqrt(ra) sqrt(rb) = g sqrt(ra rb / g^2)
         out: dict[int, int] = {}
-        if top_a is not None and top_b is not None:
-            if cutoff is None:  # both exact: every pair is kept
-                kmin = min(self._terms) * fa + min(o._terms) * fb - 1
-            else:
-                kmin = _floor_key(cutoff, r)
-            # one integer convolution, sqrt(ra) sqrt(rb) = g sqrt(ra rb /
-            # g^2), each map's terms in descending exponent order; pairs at
-            # or below the cutoff are never formed
-            qb = [(k * fb, v) for k, v in sorted(o._terms.items(), reverse=True)]
-            high_b = top_b * fb
-            get = out.get
-            for ka, va in sorted(self._terms.items(), reverse=True):
-                ka *= fa
-                floor_b = kmin - ka
-                if high_b <= floor_b:
-                    break
-                va *= g
-                for kb, vb in qb:
-                    if kb <= floor_b:
-                        break
-                    k = ka + kb
-                    out[k] = get(k, 0) + va * vb
+        cut = _mul_into(out, g, self._grid(R), o._grid(R))
         rad = self._rad // g * (o._rad // g)
-        return PuiseuxTrunc._make(r, self._den * o._den, rad, out, cutoff)
+        cutoff = None if cut is None else Fraction(cut, R)
+        return PuiseuxTrunc._make(R, self._den * o._den, rad, out, cutoff)
 
     __rmul__ = __mul__
 

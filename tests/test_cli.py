@@ -516,26 +516,33 @@ def _caterpillar(path, leaves):
     return str(path)
 
 
-def test_represent_rooted_counts_block_products_at_large_k(capsys, tmp_path):
+def test_represent_rooted_counts_block_products_at_large_k(capsys, monkeypatch, tmp_path):
     # a star's matrix is diagonal, so its series are short and the slot term
-    # is small; the product count alone refuses 14^3 + C(14, 6) 6! products
-    star = tmp_path / "star.tree"
-    star.write_text("15\n" + "".join(f"1 {v}\n" for v in range(2, 16)))
-    argv = ["represent-rooted", "--tree", str(star), "--root", "1", "--k", "6"]
-    code, out, err = invoke(capsys, *argv, "--max-reseeds", "0")
-    assert (code, out) == (2, "")
-    assert "would make about 2164904 series products, more than 65536" in err
+    # is small: the memo's products decide.  14^3 + sum_{j=2..6} j C(14, j)
+    # = 36,050 pass at k = 6; 15^3 + sum_{j=2..7} j C(15, j) = 100,500 do not
+    def reached(*args, **kwargs):
+        raise ArithmeticError("factorisation reached")
+
+    monkeypatch.setattr(cli, "verify_rooted_representation", reached)
+    for leaves, k, code in ((14, 6, 1), (15, 7, 2)):
+        star = tmp_path / f"star{leaves}.tree"
+        star.write_text(f"{leaves + 1}\n" + "".join(f"1 {v}\n" for v in range(2, leaves + 2)))
+        argv = ["represent-rooted", "--tree", str(star), "--root", "1", "--k", str(k)]
+        out_code, out, err = invoke(capsys, *argv, "--max-reseeds", "0")
+        assert (out_code, out) == (code, "")
+    assert "would make about 100500 series products, more than 65536" in err
 
 
 @pytest.mark.parametrize(
     "leaves, k, window, code",
-    [(9, 6, "19", 1), (9, 6, "20", 2), (8, 8, "19", 1), (8, 8, "20", 2)],
+    [(9, 6, "19", 1), (9, 6, "149", 1), (9, 6, "150", 2),
+     (8, 8, "19", 1), (8, 8, "165", 1), (8, 8, "166", 2)],
 )
 def test_represent_rooted_bound_at_large_k(
     capsys, monkeypatch, tmp_path, leaves, k, window, code
 ):
-    # the cofactor expansion's products, weighted by k^2 / 4, shrink the
-    # window: 9 leaves at k = 6 and 8 at k = 8 (one block) stop at 19
+    # the memo's products, weighted by k^2 / 4, shrink the window: 9 leaves
+    # at k = 6 (1,962 products) stop at 149 and 8 at k = 8 (1,016) at 165
     def reached(*args, **kwargs):
         raise ArithmeticError("factorisation reached")
 
@@ -1169,11 +1176,10 @@ def test_represent_rooted_report(capsys, tmp_path):
 def test_represent_rooted_runs_each_block_determinant_once(capsys, tmp_path, monkeypatch, k):
     # the block phase reads each k-subset's determinant once per attempt,
     # builds each column set of a memo once, and makes sum_{j=2..k} j C(|g|, j)
-    # products in a full attempt, where each block's cofactor expansion made
-    # C(|g|, k) f(k), f(k) = k (1 + f(k - 1))
+    # products in a full attempt: the count the CLI's bound prices
     reads, builds, products = [], [], []
     read, build, addmul = (matroid._grid_valuation, matroid._ColumnMinors.__missing__,
-                           matroid._grid_addmul)
+                           matroid._mul_into)
 
     def counted_read(s, R):
         reads.append(s)
@@ -1189,7 +1195,7 @@ def test_represent_rooted_runs_each_block_determinant_once(capsys, tmp_path, mon
 
     monkeypatch.setattr(matroid, "_grid_valuation", counted_read)
     monkeypatch.setattr(matroid._ColumnMinors, "__missing__", counted_build)
-    monkeypatch.setattr(matroid, "_grid_addmul", counted_addmul)
+    monkeypatch.setattr(matroid, "_mul_into", counted_addmul)
     tree = tmp_path / "q.tree"
     tree.write_text("6\n1 5\n2 5\n5 6\n3 6\n4 6\n")
     code, out, _ = invoke(
@@ -1205,6 +1211,7 @@ def test_represent_rooted_runs_each_block_determinant_once(capsys, tmp_path, mon
     assert sorted(len(cols) for _, cols in builds) == [
         j for j in range(1, k + 1) for _ in range(comb(g, j))]
     assert len(products) == sum(j * comb(g, j) for j in range(2, k + 1))
+    assert len(products) == cli._block_products(g, k)
 
 
 def test_represent_rooted_window_failure(capsys, tmp_path):

@@ -739,7 +739,7 @@ def test_series_valuation_reads_the_verified_valuations(monkeypatch):
 
     monkeypatch.setattr(tropic, "series_det", refuse)
     monkeypatch.setattr(matroid, "_ColumnMinors", refuse)
-    monkeypatch.setattr(matroid, "_grid_addmul", refuse)
+    monkeypatch.setattr(matroid, "_mul_into", refuse)
     want = rooted_k_dissimilarity(T, 5, 2)
     for Y in combinations(rep.ground, 2):
         assert rep.series_valuation(reversed(Y)) == want.value(Y)

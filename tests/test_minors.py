@@ -636,14 +636,17 @@ D2310 = den_tree(30, 0, 2310)
 @example((R80, R80.leaves()))
 def test_the_oracle_form_is_the_kernels_on_its_monomials(case):
     # poly._monomial_kernel reads the form off the half powers' exponents;
-    # poly._kernel, on the maps {e_ij: 1}, must pick the same form, unit and
-    # word, and pack the same ints
+    # poly._kernel, on the maps {e_ij: 1} and judging density at
+    # _TREE_DENSE_BITS, must pick the same form, unit and word, and pack the
+    # same ints
     T, X = case
     _, dist, _ = minors._central_block(T, T.check_subset(X))
     rows, _ = minors._half_powers(dist)
     maps = [[{e: 1} for e in row] for row in rows]
-    got = poly._monomial_kernel(rows, poly._TREE_DENSE_BITS)
-    assert form_parts(got) == form_parts(poly._kernel(maps, len(maps), poly._TREE_DENSE_BITS))
+    got = poly._monomial_kernel(rows)
+    dense = poly._dense
+    with mock.patch.object(poly, "_dense", lambda m, bits: dense(m, bits, poly._TREE_DENSE_BITS)):
+        assert form_parts(got) == form_parts(poly._kernel(maps, len(maps)))
 
 
 def test_the_packed_oracle_builds_no_maps():

@@ -16,13 +16,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
-from math import isqrt, lcm
+from itertools import chain, combinations, combinations_with_replacement, compress
+from math import lcm
 from operator import sub
 from typing import Iterable, Sequence
 
 from .poly import _Form, _as_fraction, _istep, _sylvester
-from .radicals import QRad, exact_sign
+from .radicals import QRad
 from .tree import Tree
 
 Matrix = list[list[Fraction]]
@@ -164,13 +164,13 @@ def _four_point_scan(m: Matrix) -> FourPointViolation | None:
 def _integers(m: Matrix, idx: Sequence[int] | None = None) -> tuple[list[list[int | None]], int]:
     """The block of m on the rows and columns idx (default: all) as
     integers, each entry times s, the lcm of the block's denominators, with
-    -inf as None; and s."""
-    idx = range(len(m)) if idx is None else idx
-    block = [[m[i][j] for j in idx] for i in idx]
-    scale = lcm(*{x.denominator for row in block for x in row if type(x) is Fraction})
+    -inf as None; and s.  A Fraction's numerator and denominator are read
+    from its slots: the properties cost a Python call per read."""
+    rows = m if idx is None else [[m_i[j] for j in idx] for m_i in (m[i] for i in idx)]
+    scale = lcm(*{x._denominator for row in rows for x in row if type(x) is Fraction})
     w = [
-        [None if type(x) is float else x.numerator * (scale // x.denominator) for x in row]
-        for row in block
+        [None if type(x) is float else x._numerator * (scale // x._denominator) for x in row]
+        for row in rows
     ]
     return w, scale
 
@@ -409,18 +409,40 @@ def square_cycle_metric() -> Matrix:
 
 
 def power_entry(tau: Fraction, d: Fraction):
-    """tau^d exactly: a Fraction for integer d, a square-root extension for
-    half-integer d, zero for d = -inf.  Denominators beyond 2 would need
-    deeper radicals."""
+    """tau^d exactly: a Fraction for integer d and wherever tau has an
+    exact root of d's denominator (`_exact_root`), a square-root extension
+    for other half-integer d, zero for d = -inf.  Other denominators would
+    need deeper radicals."""
     if d == MINUS_INF:
         return Fraction(0)
     tau, d = _positive_base(tau), Fraction(d)
-    if d.denominator == 1:
-        return tau ** d.numerator
+    root = _exact_root(tau, d.denominator)
+    if root is not None:
+        return root ** d.numerator
     if d.denominator == 2:
         whole = d.numerator // 2  # floor; remainder is 1/2
         return (tau ** whole) * QRad.sqrt_of(tau)
     raise ValueError(f"exponent {d} needs a {d.denominator}-th root; only 2 is supported")
+
+
+def _exact_root(tau: Fraction, s: int) -> Fraction | None:
+    """tau^(1/s) for tau > 0 when its numerator and denominator are s-th
+    powers of integers, else None.  Each integer root is found by Newton's
+    iteration from above, 2^ceil(L/s) for an L-bit x; from s >= L on, no
+    integer r >= 2 has r^s = x."""
+    roots = []
+    for x in (tau.numerator, tau.denominator):
+        if x > 1 and s > 1:
+            if s >= x.bit_length():
+                return None
+            r = 1 << -(-x.bit_length() // s)
+            while (y := ((s - 1) * r + x // r ** (s - 1)) // s) < r:
+                r = y
+            if r**s != x:
+                return None
+            x = r
+        roots.append(x)
+    return Fraction(*roots)
 
 
 def _subset_indices(subset: Iterable[int], n: int) -> list[int]:
@@ -458,42 +480,61 @@ def _power(w: list[list[int | None]], scale: int, tau: Fraction):
 def _powered_ints(w: list[list[int | None]], scale: int, tau: Fraction) -> list[list[int]] | None:
     """[tau^(w_ij / scale)] (a None of w, -inf, powers to 0) as the integer
     matrix s R of `_rational_form`, built from the exponents alone; None
-    when an exponent's denominator exceeds 2 or the matrix does not split.
+    when the entries need roots of tau beyond square roots or the matrix
+    does not split.
 
-    With integer exponents R is the powered matrix itself.  With
-    half-integer ones and tau a square, tau^(w_ij / 2) = sqrt(tau)^w_ij is
-    rational.  Otherwise the parities c_i of a 2-colouring, w_ij = c_i + c_j
-    (mod 2) on every nonzero entry, give D = diag(sqrt(tau)^c_i) and the
-    rational R_ij = tau^((w_ij - c_i - c_j) / 2).  An entry tau^e of R, tau
-    = a/b, is scaled to a^(e - lo) b^(hi - e) with lo and hi the least and
-    largest e, so s = a^-lo b^hi > 0."""
+    With integer exponents, or tau an exact scale-th power (`_exact_root`),
+    R is the powered matrix itself.  Otherwise, at scale 2, the parities c_i
+    of a 2-colouring, w_ij = c_i + c_j (mod 2) on every entry that is not
+    None, give D = diag(sqrt(tau)^c_i) and the rational R_ij = tau^((w_ij -
+    c_i - c_j) / 2), whose exponent is (w_ij - c_i) >> 1, as w_ij - c_i has
+    the parity of c_j.  The colouring is read off row 0, or found by
+    `_parities` when row 0 holds a None, and checked on the distinct values
+    of w at each shift c_i + c_j, gathered a row at a time.  An entry tau^e
+    of R, tau = a/b, is scaled to a^(e - lo) b^(hi - e) with lo and hi the
+    least and largest e, so s = a^-lo b^hi > 0; each row reads its entries
+    off the table of its parity."""
+    if scale > 1 and (root := _exact_root(tau, scale)) is not None:
+        tau, scale = root, 1
     if scale > 2:
         return None
-    if scale == 2:
-        a, b = tau.numerator, tau.denominator
-        if isqrt(a) ** 2 == a and isqrt(b) ** 2 == b:
-            tau = Fraction(isqrt(a), isqrt(b))
-        else:
+    c = [0] * len(w)
+    if scale == 1:
+        values = [set().union(*w)]
+    else:
+        if None in w[0]:
             c = _parities([[None if x is None else x & 1 for x in row] for row in w])
             if c is None:
                 return None
-            w = [
-                [None if x is None else (x - c_i - c_j) >> 1 for x, c_j in zip(row, c)]
-                for row, c_i in zip(w, c)
-            ]
-    exponents = {x for row in w for x in row if x is not None}
-    lo, hi = min(exponents, default=0), max(exponents, default=0)
+        else:
+            c = [x & 1 for x in w[0]]
+        seen: list[set] = [set(), set(), set()]
+        even = [1 - c_j for c_j in c]
+        for row, c_i in zip(w, c):
+            seen[c_i].update(compress(row, even))
+            seen[c_i + 1].update(compress(row, c))
+        if any((x - s) & 1 for s, xs in enumerate(seen) for x in xs if x is not None):
+            return None
+        values = [seen[0] | seen[1], seen[1] | seen[2]]
+    # R's exponent at a value x of w in a row of parity c_i is (x - c_i) // scale
+    for xs in values:
+        xs.discard(None)
+    lo = min(((min(xs) - c_i) // scale for c_i, xs in enumerate(values) if xs), default=0)
+    hi = max(((max(xs) - c_i) // scale for c_i, xs in enumerate(values) if xs), default=0)
     a, b = tau.numerator, tau.denominator
-    powers = {e: a ** (e - lo) * b ** (hi - e) for e in exponents}
-    return [[0 if x is None else powers[x] for x in row] for row in w]
+    tables = [
+        {x: a ** ((x - c_i) // scale - lo) * b ** (hi - (x - c_i) // scale) for x in xs} | {None: 0}
+        for c_i, xs in enumerate(values)
+    ]
+    return [[t[x] for x in row] for row, t in zip(w, map(tables.__getitem__, c))]
 
 
 def _powered_form(w: list[list[int | None]], scale: int, tau: Fraction) -> list[list]:
     """[tau^(w_ij / scale)] in scalars `_inertia` runs on: the integer
     matrix of `_powered_ints` when there is one, else `_power`'s entries,
-    QRads at the half-integer exponents (a denominator above 2 raises
-    there).  `_rational_form` would find no split either: the odd exponents
-    give it the same parity graph."""
+    QRads at the half-integer exponents (a denominator above 2 with no
+    exact root of tau raises there).  At scale 2 `_rational_form` would find
+    no split either: the odd exponents give it the same parity graph."""
     a = _powered_ints(w, scale, tau)
     return _power(w, scale, tau) if a is None else a
 
@@ -602,18 +643,58 @@ def _inertia(a: list[list]) -> tuple[int, int, int]:
     with S the indices eliminated so far and prev = det a[S], each live
     a_ij is det a[S+i, S+j], so dividing by prev is exact.  A pivot
     p = a_kk != 0 sets a_ij <- (p a_ij - a_ik a_kj) / prev and adds an
-    eigenvalue of the sign of p / prev.  When every live diagonal entry is
-    zero but some a_ij = b is not, the congruence e_i -> e_i + e_j (of
-    determinant 1, so entries stay minors) adds row and column j to i,
-    and a_ii = 2b.  What is left when no live entry is nonzero is zero."""
-    integral = all(isinstance(x, int) for row in a for x in row)
-    live = list(range(len(a)))
+    eigenvalue of the sign of p / prev.
+
+    Pivots are taken in index order, and only the upper triangle of the
+    live block is read and written: the division (floor division of ints,
+    else one inverse of prev per pivot) is chosen once per call.  The first
+    zero pivot hands the live block, its lower triangle filled in, to
+    `_inertia_search`."""
+    n = len(a)
+    integral = {int}.issuperset(map(type, chain.from_iterable(a)))
     prev = 1
     pos = neg = 0
+    for k, row_k in enumerate(a):
+        p = row_k[k]
+        if not p:
+            for i in range(k, n):
+                row_i = a[i]
+                for j in range(i + 1, n):
+                    a[j][i] = row_i[j]
+            return _inertia_search(a, list(range(k, n)), prev, pos, neg, integral)
+        if (p > 0) == (prev > 0):
+            pos += 1
+        else:
+            neg += 1
+        if integral:
+            for i in range(k + 1, n):
+                row_i, c = a[i], row_k[i]
+                for j in range(i, n):
+                    row_i[j] = (p * row_i[j] - c * row_k[j]) // prev
+        else:
+            inv = Fraction(1) / prev
+            for i in range(k + 1, n):
+                row_i, c = a[i], row_k[i]
+                for j in range(i, n):
+                    row_i[j] = (p * row_i[j] - c * row_k[j]) * inv
+        prev = p
+    return pos, neg, 0
+
+
+def _inertia_search(
+    a: list[list], live: list[int], prev, pos: int, neg: int, integral: bool
+) -> tuple[int, int, int]:
+    """`_inertia` from a zero pivot on, over the symmetric live block of
+    `a` with prev = det a[S] and the counts so far.  Each step pivots on
+    the lowest live nonzero diagonal entry and updates both triangles.
+    When every live diagonal entry is zero but some a_ij = b is not, the
+    congruence e_i -> e_i + e_j (of determinant 1, so entries stay minors)
+    adds row and column j to i, and a_ii = 2b.  What is left when no live
+    entry is nonzero is zero."""
     while live:
-        k = next((i for i in live if exact_sign(a[i][i]) != 0), None)
+        k = next((i for i in live if a[i][i]), None)
         if k is None:
-            pair = next(((i, j) for i in live for j in live if exact_sign(a[i][j]) != 0), None)
+            pair = next(((i, j) for i in live for j in live if a[i][j]), None)
             if pair is None:
                 break
             k, j = pair
@@ -621,14 +702,14 @@ def _inertia(a: list[list]) -> tuple[int, int, int]:
                 a[k][c] = a[c][k] = a[k][c] + a[j][c]
             a[k][k] = 2 * a[k][j]
         p = a[k][k]
-        if exact_sign(p) == exact_sign(prev):
+        if (p > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
         live.remove(k)
         row_k = a[k]
         # exact division by prev: floor division of ints, else one inverse
-        inv = None if integral else QRad.of(1) / prev
+        inv = None if integral else Fraction(1) / prev
         # the entries stay symmetric: update i <= j and mirror
         for ii, i in enumerate(live):
             row_i = a[i]
@@ -685,8 +766,9 @@ def star_condition_check(
             minors = _sylvester(_Form(a, 1, _istep, int), range(n), n)
     for xs in subsets:
         minor = minors.get(xs)
-        sign = _det_sign(a, xs) if minor is None else exact_sign(minor)
-        if sign < 0 if len(xs) % 2 else sign > 0:
+        if minor is None:
+            minor = _det_sign(a, xs)
+        if minor < 0 if len(xs) % 2 else minor > 0:
             return xs
     return None
 
@@ -709,8 +791,9 @@ def hpp_eigen_check(rows: Sequence[Sequence], taus: Iterable = (10, 100)):
     m = as_matrix(rows)
     w, scale = _integers(m)
     _check_symmetric(w)
-    for i, j in combinations(range(len(w)), 2):
-        if w[i][j] is None:
+    for i, row in enumerate(w):
+        if None in row[i + 1:]:
+            j = row.index(None, i + 1)
             raise ValueError(
                 f"-inf off the diagonal at ({i},{j}); only diagonal entries may be -inf"
             )

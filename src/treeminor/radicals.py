@@ -296,10 +296,3 @@ class QRad:
 
     def __repr__(self) -> str:
         return f"QRad({self})"
-
-
-def exact_sign(x: "Fraction | QRad") -> int:
-    """Sign of a rational or of a square-root extension element."""
-    if isinstance(x, QRad):
-        return x.sign()
-    return 1 if x > 0 else (-1 if x < 0 else 0)

@@ -2,6 +2,7 @@ import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -780,6 +781,45 @@ def test_exponents_beyond_half_integers_keep_their_error():
         assert str(err.value) == message
 
 
+def test_exact_roots_of_a_perfect_power_base():
+    # 8^(k/3) = 2^k and (27/8)^(k/3) = (3/2)^k: thirds are powered exactly
+    assert power_entry(8, F(1, 3)) == 2
+    assert power_entry(F(27, 8), F(-2, 3)) == F(4, 9)
+    assert power_entry(4, F(3, 2)) == 8
+    assert metric._exact_root(F(2**64, 3**128), 64) == F(2, 9)
+    assert metric._exact_root(F(10), 3) is None
+    assert metric._exact_root(F(8), 10**9) is None
+    t = random_tree(7, seed=2)
+    thirds = [[x / 3 for x in row] for row in tree_distance_matrix(t, list(t.vertices))]
+    whole = [[3 * x for x in row] for row in thirds]
+    sym = [[x / 3 for x in row] for row in random_symmetric_matrix(5, seed=4, half_integers=False)]
+    for m in (thirds, sym, [[F(0), F(1, 3)], [F(1, 3), F(0)]]):
+        for tau, root in ((8, 2), (F(27, 8), F(3, 2))):
+            w, scale = metric._integers(m)
+            assert scale == 3
+            a = metric._powered_ints(w, scale, F(tau))
+            assert all(isinstance(x, int) for row in a for x in row)
+            want = spectral_signature([[3 * x for x in row] for row in m], root)
+            assert spectral_signature(m, tau) == want
+            assert spectral_signature(m, tau, [1, 0]) == spectral_signature(
+                [[3 * x for x in row] for row in m], root, [1, 0]
+            )
+    assert spectral_signature(thirds, 8) == (1, 6, 0)
+    assert hpp_eigen_check(thirds, [8, F(27, 8)]) is None
+    assert hpp_eigen_check(whole, [2]) is None
+
+
+def test_hpp_eigen_check_names_the_first_minus_inf_off_the_diagonal():
+    m = [[F(0)] * 4 for _ in range(4)]
+    m[2][2] = MINUS_INF
+    for i, j in ((3, 1), (2, 3)):
+        m[i][j] = m[j][i] = MINUS_INF
+    message = "-inf off the diagonal at (1,3); only diagonal entries may be -inf"
+    with pytest.raises(ValueError) as err:
+        hpp_eigen_check(m)
+    assert str(err.value) == message
+
+
 def test_base_is_checked_before_any_entry_is_powered():
     for rows in ([[MINUS_INF]], [], [[F(0), F(1)], [F(1), F(0)]]):
         for check in (
@@ -927,11 +967,13 @@ def _descartes_inertia(m):
 @st.composite
 def _oracle_matrices(draw):
     """(matrix, has a rational form): symmetric rational matrices with zero
-    diagonals, repeated rows or hyperbolic-only blocks [[0, B], [B^T, 0]],
-    and matrices of rational multiples of sqrt 2 (an odd cycle of them) or
-    of sqrt 2 and sqrt 3, which have no rational form."""
-    kind = draw(st.sampled_from(["plain", "zero diagonal", "repeated", "hyperbolic", "odd cycle", "two radicands"]))
-    n = draw(st.integers(3 if kind in ("odd cycle", "two radicands") else 1, 5))
+    diagonals, repeated rows, hyperbolic-only blocks [[0, B], [B^T, 0]] or a
+    zero pivot after a nonzero one, and matrices of rational multiples of
+    sqrt 2 (an odd cycle of them) or of sqrt 2 and sqrt 3, which have no
+    rational form."""
+    kinds = ["plain", "zero diagonal", "repeated", "hyperbolic", "pivot, then hyperbolic"]
+    kind = draw(st.sampled_from(kinds + ["odd cycle", "two radicands"]))
+    n = draw(st.integers(1 if kind in kinds[:4] else 3, 5))
     entry = st.builds(F, st.integers(-4, 4), _DENOMINATORS)
     nonzero = st.builds(F, st.integers(1, 4) | st.integers(-4, -1), _DENOMINATORS)
     m = [[F(0)] * n for _ in range(n)]
@@ -968,6 +1010,21 @@ def _oracle_matrices(draw):
                 m[i][j] = m[j][i] = m[i][j] * draw(st.sampled_from([1, _ROOT2, _ROOT3]))
         m[0][1] = m[1][0] = draw(nonzero) * _ROOT2
         m[1][2] = m[2][1] = draw(nonzero) * _ROOT3
+    if kind == "pivot, then hyperbolic":
+        # U^T B U, B = (d) + [[0, b], [b, 0]] + a diagonal rest and U upper
+        # unitriangular: the first pivot is d, and the Schur complement of
+        # it, V^T B[1:, 1:] V with V = U[1:, 1:], starts with a zero
+        b = [[F(0)] * n for _ in range(n)]
+        b[0][0] = draw(nonzero)
+        b[1][2] = b[2][1] = draw(nonzero)
+        for i in range(3, n):
+            b[i][i] = draw(entry)
+        u = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                u[i][j] = F(draw(st.integers(-2, 2)))
+        bu = [[sum(b[i][k] * u[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+        m = [[sum(u[k][i] * bu[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
     return m, kind not in ("odd cycle", "two radicands")
 
 
@@ -977,6 +1034,43 @@ def test_inertia_matches_the_characteristic_polynomial(case):
     m, rational = case
     assert (metric._rational_form(m) is not None) == rational
     assert inertia(m) == _descartes_inertia(m)
+
+
+def _scalar_kinds(m, rational):
+    """m as each scalar kind `_inertia` runs on: its own entries (Fractions,
+    with QRads when it has no rational form), QRads, and, when it is
+    rational, ints, m times the lcm of its denominators."""
+    forms = [m, [[QRad.of(x) for x in row] for row in m]]
+    if rational:
+        s = lcm(*(x.denominator for row in m for x in row))
+        forms.append([[int(x * s) for x in row] for row in m])
+    return forms
+
+
+@settings(max_examples=200, deadline=None)
+@given(_oracle_matrices())
+def test_inertia_walk_matches_the_characteristic_polynomial_on_every_scalar_kind(case):
+    m, rational = case
+    want = _descartes_inertia(m)
+    for a in _scalar_kinds(m, rational):
+        assert metric._inertia([row[:] for row in a]) == want
+
+
+def test_inertia_resumes_at_a_zero_pivot_with_the_last_pivot():
+    # U^T B U with B = (-1) + [[0, 1], [1, 0]] + (1): the walk pivots on -1,
+    # then meets a zero; resumed with prev = 1, each later sign would flip
+    # and read the rest, inertia (2, 1), as (1, 2)
+    b = [[-1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
+    u = [[1, 1, -1, 2], [0, 1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1]]
+    m = [
+        [sum(u[k][i] * b[k][l] * u[l][j] for k in range(4) for l in range(4)) for j in range(4)]
+        for i in range(4)
+    ]
+    assert m[0][0] * m[1][1] - m[0][1] ** 2 == 0
+    fm = [[F(x) for x in row] for row in m]
+    assert _descartes_inertia(fm) == (2, 2, 0)
+    for a in _scalar_kinds(fm, True):
+        assert metric._inertia([row[:] for row in a]) == (2, 2, 0)
 
 
 def test_rational_form_refuses_what_does_not_split():

@@ -562,10 +562,12 @@ def _exact_form(rows: Sequence[Sequence]) -> list[list[int]] | list[list[QRad]]:
 
 def inertia(rows: Sequence[Sequence]) -> tuple[int, int, int]:
     """(positive, negative, zero) inertia of a symmetric matrix of exact
-    scalars (a float raises TypeError) by fraction-free congruence.  A
-    matrix of square-root entries that is D R D, with R rational and D a
-    positive diagonal (every powered tree metric is), is eliminated as R
-    scaled to integers: by Sylvester's law of inertia the two agree."""
+    scalars (a float raises TypeError) by fraction-free congruence, in
+    one principal-pivot walk that settles a zero pivot by a swap or by
+    e_m -> e_m + e_j on the rows left.  A matrix of square-root entries
+    that is D R D, with R rational and D a positive diagonal (every
+    powered tree metric is), is eliminated as R scaled to integers: by
+    Sylvester's law of inertia the two agree."""
     return _inertia(_exact_form(rows))
 
 
@@ -647,21 +649,38 @@ def _inertia(a: list[list]) -> tuple[int, int, int]:
 
     Pivots are taken in index order, and only the upper triangle of the
     live block is read and written: the division (floor division of ints,
-    else one inverse of prev per pivot) is chosen once per call.  The first
-    zero pivot hands the live block, its lower triangle filled in, to
-    `_inertia_search`."""
+    else one inverse of prev per pivot) is chosen once per call.  A zero
+    pivot a_kk is settled in place by congruences of determinant +-1 on
+    the live block, so entries stay minors and the inertia is kept
+    (Sylvester's law): k swaps with the lowest live m with a_mm != 0.  When
+    the live diagonal is all zero, e_m -> e_m + e_j on the first nonzero
+    a_mj comes first: it adds row and column j to m and sets a_mm = 2 a_mj.
+    A live block of zeros is that many zero eigenvalues."""
     n = len(a)
     integral = {int}.issuperset(map(type, chain.from_iterable(a)))
     prev = 1
     pos = neg = 0
     for k, row_k in enumerate(a):
+        if not row_k[k]:
+            m = next((i for i in range(k + 1, n) if a[i][i]), None)
+            if m is None:
+                pair = next(((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j]), None)
+                if pair is None:
+                    return pos, neg, n - k
+                m, j = pair
+                row_m, row_j = a[m], a[j]
+                # rows k..m-1 of the live block are zero, as is a_mc for c < j
+                for c in range(m + 1, n):
+                    row_m[c] += a[c][j] if c < j else row_j[c]
+                row_m[m] = 2 * row_m[j]
+            if m != k:
+                row_m = a[m]
+                row_k[k], row_m[m] = row_m[m], row_k[k]
+                for j in range(k + 1, m):
+                    row_k[j], a[j][m] = a[j][m], row_k[j]
+                for j in range(m + 1, n):
+                    row_k[j], row_m[j] = row_m[j], row_k[j]
         p = row_k[k]
-        if not p:
-            for i in range(k, n):
-                row_i = a[i]
-                for j in range(i + 1, n):
-                    a[j][i] = row_i[j]
-            return _inertia_search(a, list(range(k, n)), prev, pos, neg, integral)
         if (p > 0) == (prev > 0):
             pos += 1
         else:
@@ -679,46 +698,6 @@ def _inertia(a: list[list]) -> tuple[int, int, int]:
                     row_i[j] = (p * row_i[j] - c * row_k[j]) * inv
         prev = p
     return pos, neg, 0
-
-
-def _inertia_search(
-    a: list[list], live: list[int], prev, pos: int, neg: int, integral: bool
-) -> tuple[int, int, int]:
-    """`_inertia` from a zero pivot on, over the symmetric live block of
-    `a` with prev = det a[S] and the counts so far.  Each step pivots on
-    the lowest live nonzero diagonal entry and updates both triangles.
-    When every live diagonal entry is zero but some a_ij = b is not, the
-    congruence e_i -> e_i + e_j (of determinant 1, so entries stay minors)
-    adds row and column j to i, and a_ii = 2b.  What is left when no live
-    entry is nonzero is zero."""
-    while live:
-        k = next((i for i in live if a[i][i]), None)
-        if k is None:
-            pair = next(((i, j) for i in live for j in live if a[i][j]), None)
-            if pair is None:
-                break
-            k, j = pair
-            for c in live:
-                a[k][c] = a[c][k] = a[k][c] + a[j][c]
-            a[k][k] = 2 * a[k][j]
-        p = a[k][k]
-        if (p > 0) == (prev > 0):
-            pos += 1
-        else:
-            neg += 1
-        live.remove(k)
-        row_k = a[k]
-        # exact division by prev: floor division of ints, else one inverse
-        inv = None if integral else Fraction(1) / prev
-        # the entries stay symmetric: update i <= j and mirror
-        for ii, i in enumerate(live):
-            row_i = a[i]
-            a_ik = row_i[k]
-            for j in live[ii:]:
-                x = p * row_i[j] - a_ik * row_k[j]
-                row_i[j] = a[j][i] = x // prev if integral else x * inv
-        prev = p
-    return pos, neg, len(live)
 
 
 def spectral_signature(

@@ -967,13 +967,16 @@ def _descartes_inertia(m):
 @st.composite
 def _oracle_matrices(draw):
     """(matrix, has a rational form): symmetric rational matrices with zero
-    diagonals, repeated rows, hyperbolic-only blocks [[0, B], [B^T, 0]] or a
-    zero pivot after a nonzero one, and matrices of rational multiples of
-    sqrt 2 (an odd cycle of them) or of sqrt 2 and sqrt 3, which have no
-    rational form."""
-    kinds = ["plain", "zero diagonal", "repeated", "hyperbolic", "pivot, then hyperbolic"]
+    diagonals, repeated rows, hyperbolic-only blocks [[0, B], [B^T, 0]], a
+    zero pivot after a nonzero one, or a nonzero first pivot whose Schur
+    complement S has S_00 = S_11 = 0 != S_22, an all-zero diagonal or no
+    nonzero entry; and matrices of rational multiples of sqrt 2 (an odd
+    cycle of them) or of sqrt 2 and sqrt 3, which have no rational form."""
+    schur = ["pivot, then far swap", "pivot, then hollow", "pivot, then zero"]
+    kinds = ["plain", "zero diagonal", "repeated", "hyperbolic", "pivot, then hyperbolic", *schur]
     kind = draw(st.sampled_from(kinds + ["odd cycle", "two radicands"]))
-    n = draw(st.integers(1 if kind in kinds[:4] else 3, 5))
+    least = {"pivot, then far swap": 4, "pivot, then zero": 2}
+    n = draw(st.integers(1 if kind in kinds[:4] else least.get(kind, 3), 5))
     entry = st.builds(F, st.integers(-4, 4), _DENOMINATORS)
     nonzero = st.builds(F, st.integers(1, 4) | st.integers(-4, -1), _DENOMINATORS)
     m = [[F(0)] * n for _ in range(n)]
@@ -1025,6 +1028,25 @@ def _oracle_matrices(draw):
                 u[i][j] = F(draw(st.integers(-2, 2)))
         bu = [[sum(b[i][k] * u[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
         m = [[sum(u[k][i] * bu[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    if kind in schur:
+        # [[d, r^T], [r, S + r r^T / d]]: the pivot d leaves d S, whose zero
+        # pivot at k = 1 takes a swap over the band k < j < m = 3, the
+        # congruence, or ends the walk
+        s = [row[1:] for row in m[1:]]
+        if kind == "pivot, then zero":
+            s = [[F(0)] * (n - 1) for _ in range(n - 1)]
+        elif kind == "pivot, then hollow":
+            for i in range(n - 1):
+                s[i][i] = F(0)
+            pairs = [(i, j) for i in range(n - 1) for j in range(i + 1, n - 1)]
+            i, j = draw(st.sampled_from(pairs))
+            s[i][j] = s[j][i] = draw(nonzero)
+        else:
+            s[0][0] = s[1][1] = F(0)
+            s[2][2] = draw(nonzero)
+        d, r = draw(nonzero), [draw(entry) for _ in range(n - 1)]
+        rest = [[x + r[i] * r[j] / d for j, x in enumerate(row)] for i, row in enumerate(s)]
+        m = [[d, *r]] + [[r_i, *row] for r_i, row in zip(r, rest)]
     return m, kind not in ("odd cycle", "two radicands")
 
 

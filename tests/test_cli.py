@@ -21,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from cli_runs import caterpillar, path_tree, star
 from treeminor import cli, matroid, metric, pfaffian, poly
 from treeminor.cli import run
 from treeminor.metric import format_matrix_csv, square_cycle_metric
@@ -124,19 +125,13 @@ def test_pfaffian_rejects_bad_order_with_hint(capsys, tmp_path):
     assert json.loads(out)["pfaffian"] == "t^2"
 
 
-def _path_file(tmp_path, n):
-    path = tmp_path / f"p{n}.tree"
-    path.write_text(f"{n}\n" + "".join(f"{v} {v + 1}\n" for v in range(1, n)))
-    return str(path)
-
-
 def test_pfaffian_checks_its_size_before_expanding(capsys, monkeypatch, tmp_path):
     def unreachable(*args):
         raise AssertionError("pf_oracle ran on an over-size X")
 
     monkeypatch.setattr(cli, "pf_oracle", unreachable)
     X = ",".join(map(str, range(1, 25)))
-    code, out, err = invoke(capsys, "pfaffian", "--tree", _path_file(tmp_path, 24), "--X", X)
+    code, out, err = invoke(capsys, "pfaffian", "--tree", path_tree(tmp_path / "p24.tree", 24), "--X", X)
     assert code == 2
     assert out == ""
     assert "more than 65536 sets at |X| = 24" in err
@@ -146,7 +141,7 @@ def test_pfaffian_accepts_22_labels(capsys, tmp_path):
     # the oracle expands 28,656 sets, on packed ints
     X = ",".join(map(str, range(1, 23)))
     code, out, _ = invoke(
-        capsys, "pfaffian", "--tree", _path_file(tmp_path, 22), "--X", X, "--format", "json"
+        capsys, "pfaffian", "--tree", path_tree(tmp_path / "p22.tree", 22), "--X", X, "--format", "json"
     )
     assert code == 0
     assert json.loads(out)["equal"] is True
@@ -508,14 +503,6 @@ def test_represent_rooted_small_window_on_rational_ground(capsys):
     assert "raise the window" in err
 
 
-def _caterpillar(path, leaves):
-    """spine 1-2-3-4 with leaves 5, 6, ... hung on it in turn"""
-    lines = [str(leaves + 4), "1 2", "2 3", "3 4"]
-    lines += [f"{(v - 5) % 4 + 1} {v}" for v in range(5, leaves + 5)]
-    path.write_text("\n".join(lines) + "\n")
-    return str(path)
-
-
 def test_represent_rooted_counts_block_products_at_large_k(capsys, monkeypatch, tmp_path):
     # a star's matrix is diagonal, so its series are short and the slot term
     # is small: the memo's products decide.  14^3 + sum_{j=2..6} j C(14, j)
@@ -525,9 +512,8 @@ def test_represent_rooted_counts_block_products_at_large_k(capsys, monkeypatch, 
 
     monkeypatch.setattr(cli, "verify_rooted_representation", reached)
     for leaves, k, code in ((14, 6, 1), (15, 7, 2)):
-        star = tmp_path / f"star{leaves}.tree"
-        star.write_text(f"{leaves + 1}\n" + "".join(f"1 {v}\n" for v in range(2, leaves + 2)))
-        argv = ["represent-rooted", "--tree", str(star), "--root", "1", "--k", str(k)]
+        tree = star(tmp_path / f"star{leaves}.tree", leaves)
+        argv = ["represent-rooted", "--tree", tree, "--root", "1", "--k", str(k)]
         out_code, out, err = invoke(capsys, *argv, "--max-reseeds", "0")
         assert (out_code, out) == (code, "")
     assert "would make about 100500 series products, more than 65536" in err
@@ -547,7 +533,7 @@ def test_represent_rooted_bound_at_large_k(
         raise ArithmeticError("factorisation reached")
 
     monkeypatch.setattr(cli, "verify_rooted_representation", reached)
-    tree = _caterpillar(tmp_path / "c.tree", leaves)
+    tree = caterpillar(tmp_path / "c.tree", leaves)
     argv = ["represent-rooted", "--tree", tree, "--root", "1", "--k", str(k)]
     out_code, out, err = invoke(capsys, *argv, "--max-reseeds", "0", "--window", window)
     assert (out_code, out) == (code, "")
@@ -566,7 +552,7 @@ def test_represent_rooted_bound_on_38_leaves(capsys, monkeypatch, tmp_path, wind
         raise ArithmeticError("factorisation reached")
 
     monkeypatch.setattr(cli, "verify_rooted_representation", reached)
-    argv = ["represent-rooted", "--tree", _caterpillar(tmp_path / "c.tree", 38), "--root", "1"]
+    argv = ["represent-rooted", "--tree", caterpillar(tmp_path / "c.tree", 38), "--root", "1"]
     out_code, out, err = invoke(capsys, *argv, *(["--window", window] if window else []))
     assert out_code == code
     assert out == ""

@@ -8,7 +8,8 @@ base tau into tau^(d_ij); half-integer exponents stay exact through
 square-root field elements, so every sign and signature below is
 certified.  The quadruple scan runs only to name a violation, and a powered
 matrix that splits as D R D, R rational, is eliminated as R, built as
-integers without a square root.
+integers without a square root.  A finite tree metric's powered matrix is
+never built: its inertia has a closed form in its distinct points.
 """
 
 from __future__ import annotations
@@ -309,8 +310,9 @@ def realize_tree(rows: Sequence[Sequence]) -> tuple[Tree, list[int]]:
     Raises NotTreeMetricError (a ValueError carrying the first violating
     quadruple) when the matrix is not a tree metric.
 
-    The tree is grown and certified on 2w, (w, s) the metric's integer
-    form, where every meet height (w_rq + w_ra - w_qa) / 2 is an integer.
+    The tree is grown and certified by `_grow` on 2w, (w, s) the metric's
+    integer form, where every meet height (w_rq + w_ra - w_qa) / 2 is an
+    integer; its edge weights are those integers over 2s.
     """
     m, w, scale = check_dissimilarity(rows)
     if not m:
@@ -318,16 +320,40 @@ def realize_tree(rows: Sequence[Sequence]) -> tuple[Tree, list[int]]:
     bad = _four_point_violation(m, w)
     if bad is not None:
         raise NotTreeMetricError(bad)
-    n = len(m)
+    up, wt, vertex_of = _grow(w, 2 * scale)
+    if not up:
+        return Tree([], vertices=[vertex_of[0]]), vertex_of
+    return Tree([(v, up[v], Fraction(wt[v], 2 * scale)) for v in up]), vertex_of
 
+
+def _grow(w: list[list[int]], den: int) -> tuple[dict[int, int], dict[int, int], list[int]]:
+    """The tree that realizes a tree metric, grown and certified on 2w: w
+    is the metric's integer form, zero on the diagonal and passing the
+    four-point test, and den the denominator of 2w, read only by an error
+    text.  Returns (up, wt, vertex_of): up[v] is v's parent in the tree
+    rooted at the vertex of point 0, wt[v] the weight of that edge on 2w,
+    and vertex_of[i] the vertex of point i.
+
+    Point i gets the label i + 1 of the first point at distance zero from
+    it.  The tree grows point by point: a new point climbs from its deepest
+    meet with the placed points toward the root, and there it splits an
+    edge at a fresh label above n and hangs below it, hangs below a vertex,
+    or claims a fresh label.  So every fresh vertex has degree 3 or more,
+    and every edge a positive weight.
+
+    The certificate is every distance.  A point shares its vertex only with
+    points of an equal row.  The distances from each vertex to the distinct
+    points, in preorder of their vertices, are its parent's plus e outside
+    the vertex's interval of that order and minus e inside, e the edge
+    between them; one row walks the tree so, less an offset that carries
+    the +e, so a step rewrites only the interval.  At each point's vertex
+    the row must be twice the point's row of w."""
+    n = len(w)
     # merge zero-distance points into the first of them (the triangle
     # inequality, part of the four-point condition, makes this transitive)
     rep = [row.index(0) for row in w]
     reps = sorted(set(rep))
     vertex_of = [i + 1 for i in rep]
-
-    if len(reps) == 1:
-        return Tree([], vertices=[reps[0] + 1]), vertex_of
 
     # grow the tree point by point, rooted at the reference point r: up[v]
     # is v's parent and wt[v] the weight of the edge between them, on 2w
@@ -335,9 +361,11 @@ def realize_tree(rows: Sequence[Sequence]) -> tuple[Tree, list[int]]:
     r = reps[0]
     first = r + 1
     w_r = w[r]
-    up = {reps[1] + 1: first}
-    wt = {reps[1] + 1: 2 * w_r[reps[1]]}
-    placed = [r, reps[1]]
+    up: dict[int, int] = {}
+    wt: dict[int, int] = {}
+    if len(reps) > 1:
+        up[reps[1] + 1], wt[reps[1] + 1] = first, 2 * w_r[reps[1]]
+    placed = reps[:2]
 
     for q in reps[2:]:
         x = q + 1
@@ -383,19 +411,60 @@ def realize_tree(rows: Sequence[Sequence]) -> tuple[Tree, list[int]]:
             up[x], wt[x] = at, hang
         placed.append(q)
 
-    tree = Tree([(v, up[v], Fraction(wt[v], 2 * scale)) for v in up])
+    # certify the construction before handing it back
+    for i, r in enumerate(rep):
+        if w[i] != w[r]:
+            raise AssertionError(f"points {r} and {i} share a vertex but not their distances")
+    kids: dict[int, list[int]] = {}
+    for v, u in up.items():
+        kids.setdefault(u, []).append(v)
+    order, stack = [], [first]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        stack += kids.get(v, ())
+    # cols[lo[v]:lo[v] + size[v]] are the points in v's subtree; the row
+    # starts at the root, a point, as the depths of the points
+    cols: list[int] = []
+    lo, depth = {}, {first: 0}
+    for v in order:
+        lo[v] = len(cols)
+        if v <= n:
+            cols.append(v - 1)
+        if v != first:
+            depth[v] = depth[up[v]] + wt[v]
+    size = dict.fromkeys(order, 0)
+    for v in reversed(order):
+        size[v] += v <= n
+        if v != first:
+            size[up[v]] += size[v]
+    row, off, path = [depth[c + 1] for c in cols], 0, [first]
 
-    # certify the construction before handing it back (tree._den divides 2s)
-    k = 2 * scale // tree._den
-    for i, v in enumerate(vertex_of):
-        dist = tree._single_source(v)
-        for j, u in enumerate(vertex_of):
-            if dist[u] * k != 2 * w[i][j]:
-                got = Fraction(dist[u], tree._den)
+    def step(u: int, e: int) -> int:
+        """Move the row across the edge above u, e its weight going down and
+        minus that going up: u's interval takes -2e, the offset e."""
+        a, b = lo[u], lo[u] + size[u]
+        row[a:b] = [x - 2 * e for x in row[a:b]]
+        return e
+
+    for v in order:
+        if v != first:
+            while path[-1] != up[v]:
+                u = path.pop()
+                off += step(u, -wt[u])
+            off += step(v, wt[v])
+            path.append(v)
+        if v <= n:
+            w_i = w[v - 1]
+            got = [x + off for x in row]
+            want = [2 * w_i[c] for c in cols]
+            if got != want:
+                x, y, j = next(t for t in zip(got, want, cols) if t[0] != t[1])
                 raise AssertionError(
-                    f"realization is off at ({i},{j}): built {got}, wanted {m[i][j]}"
+                    f"realization is off at ({v - 1},{j}): "
+                    f"built {Fraction(x, den)}, wanted {Fraction(y, den)}"
                 )
-    return tree, vertex_of
+    return up, wt, vertex_of
 
 
 def square_cycle_metric() -> Matrix:
@@ -477,6 +546,16 @@ def _power(w: list[list[int | None]], scale: int, tau: Fraction):
     return [[powers[x] for x in row] for row in w]
 
 
+def _rooted(tau: Fraction, scale: int) -> tuple[Fraction, int]:
+    """(tau^(1/scale), 1) when tau is an exact scale-th power
+    (`_exact_root`), else (tau, scale): the base and the denominator of
+    the exponents that `_powered_ints` powers.  Past scale 2 there, entries
+    need roots beyond square roots."""
+    if scale > 1 and (root := _exact_root(tau, scale)) is not None:
+        return root, 1
+    return tau, scale
+
+
 def _powered_ints(w: list[list[int | None]], scale: int, tau: Fraction) -> list[list[int]] | None:
     """[tau^(w_ij / scale)] (a None of w, -inf, powers to 0) as the integer
     matrix s R of `_rational_form`, built from the exponents alone; None
@@ -494,8 +573,7 @@ def _powered_ints(w: list[list[int | None]], scale: int, tau: Fraction) -> list[
     of R, tau = a/b, is scaled to a^(e - lo) b^(hi - e) with lo and hi the
     least and largest e, so s = a^-lo b^hi > 0; each row reads its entries
     off the table of its parity."""
-    if scale > 1 and (root := _exact_root(tau, scale)) is not None:
-        tau, scale = root, 1
+    tau, scale = _rooted(tau, scale)
     if scale > 2:
         return None
     c = [0] * len(w)
@@ -703,13 +781,73 @@ def _inertia(a: list[list]) -> tuple[int, int, int]:
 def spectral_signature(
     rows: Sequence[Sequence], tau, subset: Sequence[int] | None = None
 ) -> tuple[int, int, int]:
-    """Inertia of [tau^(d_ij)] restricted to the subset."""
+    """Inertia of [tau^(d_ij)] restricted to the subset.
+
+    A block with every entry finite that passes the four-point test takes
+    the closed form of `_tree_points`, at every base that `_tree_base`
+    admits: (1, k - 1, n - k) for tau > 1 and (k, 0, n - k) for tau < 1,
+    k its distinct points.  Every other input, and every other base, runs
+    the walk `_inertia` on the powered matrix."""
     m = as_matrix(rows)
     n = len(m)
     idx = range(n) if subset is None else _subset_indices(subset, n)
     w, scale = _integers(m, idx)
     _check_symmetric(w)
-    return _inertia(_powered_form(w, scale, _positive_base(tau)))
+    tau = _positive_base(tau)
+    if _tree_base(tau, scale) and w and all(None not in row for row in w) and _four_point_holds(w):
+        k = _tree_points(w, scale)
+        return (1, k - 1, len(w) - k) if tau > 1 else (k, 0, len(w) - k)
+    return _inertia(_powered_form(w, scale, tau))
+
+
+def _tree_base(tau: Fraction, scale: int) -> bool:
+    """Whether a tree metric with exponents over `scale` takes the closed
+    form of `_tree_points` at tau: tau != 1, and no entry needs a root of
+    tau beyond a square root (`_rooted`).  So every exponent that `_power`
+    refuses still reaches the walk, and its error."""
+    return tau != 1 and _rooted(tau, scale)[1] <= 2
+
+
+def _tree_points(w: list[list[int]], scale: int) -> int:
+    """The number k of distinct points of a tree metric, read off its
+    realizing tree, grown and certified once (`_grow`).  (w, s) is a
+    nonempty integer form with every entry finite that passes the
+    four-point test.  A nonzero diagonal is reduced first to d_ij = (2 w_ij
+    - w_ii - w_jj) / 2s, which passes it too (the three pair sums of a
+    quadruple move by the same potentials); the congruence by
+    diag(tau^(w_ii / 2s)) > 0 takes [tau^(d_ij)] to [tau^(w_ij / s)] and
+    keeps the inertia.
+
+    For tau != 1, [tau^(d_ij)] on n points with k distinct has inertia
+    (1, k - 1, n - k) when tau > 1 and (k, 0, n - k) when tau < 1:
+
+    - Root the realized tree, on vertices V, at a point r, and let q_e =
+      tau^(w_e) on each edge e.  Then E = (tau^(d_uv)) over V is
+      L diag(1, 1 - q_e^2) L^T, where L's column of r holds tau^(d_ur)
+      and its column of the edge e above v holds tau^(d_uv) at every u
+      below v: along the common ancestors of u and x the sum telescopes to
+      tau^(d_ux).  L is unit triangular in preorder, so In(E) = (1, |V| -
+      1, 0) for tau > 1 and (|V|, 0, 0) for tau < 1 (Sylvester's law).
+    - tau < 1: E is positive definite, so is its block on the points.
+    - tau > 1: E^-1 is supported on the edges (Bapat, Lal and Pati, "A
+      q-analogue of the distance matrix of a tree", 2006): -q_e / (1 -
+      q_e^2) on an edge e = uv, and 1 + sum q_e^2 / (1 - q_e^2) over the
+      edges at v on the diagonal.  Each fresh (Steiner) vertex has degree 3
+      or more, so on them, Y, (E^-1)_YY has a negative diagonal and is
+      strictly diagonally dominant: a row's margin is at least the sum of
+      q_e / (q_e + 1) > 1/2 over its three or more edges, less 1, which is
+      above 1/2.  So (E^-1)_YY is
+      negative definite, the block E_P on the points P = V - Y is
+      nonsingular (Jacobi: det E_P = det E det (E^-1)_YY), and Haynsworth's
+      additivity, In(E) = In(E_P) + In(((E^-1)_YY)^-1), leaves In(E_P) =
+      (1, |P| - 1, 0).
+    - The n x n matrix is S^T E_P S, S the k x n incidence of points to
+      their vertices, of full row rank: the n - k repeats add zeros."""
+    diag = [row[i] for i, row in enumerate(w)]
+    if any(diag):
+        w = [[2 * x - w_ii - w_jj for x, w_jj in zip(row, diag)] for row, w_ii in zip(w, diag)]
+        scale *= 2
+    return len(set(_grow(w, 2 * scale)[2]))
 
 
 def star_condition_check(
@@ -763,10 +901,14 @@ def hpp_eigen_check(rows: Sequence[Sequence], taus: Iterable = (10, 100)):
     on the diagonal only (max-plus order: -inf powers to a zero entry).
 
     For each base in the grid, [tau^(f_ij)] must have at most one positive
-    eigenvalue (counted on its rational form, scaled to integers, when it
-    has one); the four-point condition on f itself is checked alongside.
-    Returns None when everything holds, the first failing base otherwise,
-    or the four-point certificate."""
+    eigenvalue; the four-point condition on f itself is checked alongside,
+    once.  When f passes it with a finite diagonal, its realizing tree is
+    grown once, and every base that `_tree_base` admits reads the count off
+    the closed form of `_tree_points`: 1 for tau > 1, the k distinct points
+    for tau < 1.  Every other base, and every other input, counts on the
+    walk `_inertia` over the powered matrix (its rational form, scaled to
+    integers, when it has one).  Returns None when everything holds, the
+    first failing base otherwise, or the four-point certificate."""
     m = as_matrix(rows)
     w, scale = _integers(m)
     _check_symmetric(w)
@@ -776,12 +918,18 @@ def hpp_eigen_check(rows: Sequence[Sequence], taus: Iterable = (10, 100)):
             raise ValueError(
                 f"-inf off the diagonal at ({i},{j}); only diagonal entries may be -inf"
             )
+    holds = _four_point_holds(w)
+    tree = holds and bool(w) and all(row[i] is not None for i, row in enumerate(w))
+    k = _tree_points(w, scale) if tree else None
     for tau in taus:
         tau = _positive_base(tau)
-        positives, _, _ = _inertia(_powered_form(w, scale, tau))
+        if tree and _tree_base(tau, scale):
+            positives = 1 if tau > 1 else k
+        else:
+            positives, _, _ = _inertia(_powered_form(w, scale, tau))
         if positives > 1:
             return tau
-    return _four_point_violation(m, w)
+    return None if holds else _four_point_scan(m)
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,9 @@ def write_inputs(tmp):
         f[f"star{p}"] = _write(tmp / f"star{p}.tree", 10, f"10 1 1/{p}", *edges)
     f["star14"] = star(tmp / "star14.tree", 14)
     f["tm320"], d, rng = _tree_metric(tmp / "tm320.csv", 320, 8, 2)
+    order = list(range(len(d)))
+    random.Random(1).shuffle(order)
+    f["tm320s"] = _csv(tmp / "tm320s.csv", [[d[i][j] for j in order] for i in order])
     p = [Fraction(rng.randint(0, 8), 2) for _ in d]
     w = [[x + p[i] + p[j] for j, x in enumerate(row)] for i, row in enumerate(d)]
     f["w320"] = _csv(tmp / "w320.csv", w)
@@ -127,6 +130,9 @@ def write_inputs(tmp):
     f["tm1000"], _, _ = _tree_metric(tmp / "tm1000.csv", 1000, 8, 2)
     f["rep320"], d, _ = _tree_metric(tmp / "rep320.csv", 200, 12, 6, draws=320)
     f["distinct"] = len({tuple(row) for row in d})
+    d[0][0] = float("-inf")
+    f["rep320x"] = _csv(tmp / "rep320x.csv", d)
+    f["tri"] = _write(tmp / "tri.csv", "0,1/2,1/2", "1/2,0,1/2", "1/2,1/2,0")
     f["hollow3"] = _write(tmp / "hollow3.csv", "-inf,1,2", "1,-inf,1", "2,1,-inf")
     return f
 
@@ -160,6 +166,14 @@ def distinct_inertia(report, f):
     """d distinct points of 320: one positive, d - 1 negative, 320 - d zero"""
     d = f["distinct"]
     return report["inertia"] == [1, d - 1, 320 - d]
+
+
+def hollow0_inertia(report, f):
+    """point 0 shares its vertex with a point j, so with its diagonal entry
+    powered to 0, row 0 less row j is -e_0: one more negative than the d
+    distinct points give, one zero fewer"""
+    d = f["distinct"]
+    return report["inertia"] == [1, d, 319 - d]
 
 
 RUNS = [
@@ -232,19 +246,35 @@ RUNS = [
     ("check-4pc --matrix {tm320}", 0),
     ("realize --matrix {tm320}", 0),
     ("decompose --matrix {tm320}", 0),
+    # signature and hpp-check read tree metrics' inertia off the realized tree
     ("signature --tau 10 --matrix {tm320}", 0, inertia(1, 319, 0)),
+    ("signature --tau 1/2 --matrix {tm320}", 0, inertia(320, 0, 0)),
     ("hpp-check --matrix {tm320}", 0, ok),
+    # the same with its rows shuffled: the dense walk took 66 s on this order
+    ("signature --tau 10 --matrix {tm320s}", 0, inertia(1, 319, 0)),
+    ("hpp-check --matrix {tm320s}", 0, ok),
+    # tau = 2^61 - 1: powered entries would factorise tau (tri.csv: three
+    # points at distance 1/2, a star of quarter edges)
+    ("signature --tau 2305843009213693951 --matrix {tm320}", 0, inertia(1, 319, 0)),
+    ("hpp-check --taus 2305843009213693951 --matrix {tm320}", 0, ok),
+    ("signature --tau 2305843009213693951 --matrix {tri}", 0, inertia(1, 2, 0)),
+    ("hpp-check --taus 2305843009213693951 --matrix {tri}", 0, ok),
     # the same with potentials p added, w_ij = d_ij + p_i + p_j
     ("decompose --matrix {w320}", 0, potentials),
+    ("hpp-check --matrix {w320}", 0, ok),
     ("check-4pc --matrix {tm1000}", 0),
     ("realize --matrix {tm1000}", 0),
+    ("hpp-check --matrix {tm1000}", 0, ok),
     # 320 points drawn with repetition: zero distances, interior points
     ("check-4pc --matrix {rep320}", 0),
     ("realize --matrix {rep320}", 0),
     ("decompose --matrix {rep320}", 0),
-    # tau = 64 has an exact sixth root; the repeated points give zero pivots to settle
+    # tau = 64 has an exact sixth root; the 157 distinct points give 163 zeros
     ("signature --tau 64 --matrix {rep320}", 0, distinct_inertia),
     ("hpp-check --taus 64 --matrix {rep320}", 0, ok),
+    # with a -inf diagonal entry it is no tree metric: the walk settles 133 zero pivots
+    ("signature --tau 64 --matrix {rep320x}", 0, hollow0_inertia),
+    ("hpp-check --taus 64 --matrix {rep320x}", 0, ok),
     # a -inf diagonal, zero when powered: the walk starts with a congruence
     ("signature --tau 10 --matrix {hollow3}", 0, inertia(1, 2, 0)),
     ("hpp-check --taus 10 --matrix {hollow3}", 0, ok),

@@ -833,6 +833,119 @@ def test_base_is_checked_before_any_entry_is_powered():
         spectral_signature([[F(0), F(1)], [F(1), F(0)]], -2, [])
 
 
+# --- the tree route of spectral_signature and hpp_eigen_check ----------------
+
+
+def _walk(m, subset, tau):
+    """The route's oracle: the walk on the powered matrix, as for any input."""
+    idx = range(len(m)) if subset is None else subset
+    return metric._inertia(metric._powered_form(*metric._integers(metric.as_matrix(m), idx), tau))
+
+
+_ROUTE_TAUS = [F(1), F(10), F(4), F(16), F(3, 2), F(9, 4), F(81, 16), F(1, 2), F(1, 4), F(4, 9)]
+
+
+@st.composite
+def _tree_route_inputs(draw):
+    """Tree metrics on 1-10 points drawn with repetition from the vertices
+    of a random tree of 1-12 vertices, weights k or k/2, then potentials
+    over 1, 2 or 4 or none, and an index subset in any order or none."""
+    size = draw(st.integers(1, 12))
+    den = draw(st.sampled_from([1, 2]))
+    t = Tree(
+        [(draw(st.integers(1, v - 1)), v, F(draw(st.integers(1, 8)), den)) for v in range(2, size + 1)],
+        vertices=range(1, size + 1),
+    )
+    pts = draw(st.lists(st.sampled_from(t.vertices), min_size=1, max_size=10))
+    m = tree_distance_matrix(t, pts)
+    pden = draw(st.sampled_from([None, 1, 2, 4]))
+    if pden is not None:
+        p = [F(draw(st.integers(-6, 6)), pden) for _ in pts]
+        m = [[x + p[i] + p[j] for j, x in enumerate(row)] for i, row in enumerate(m)]
+    order = draw(st.permutations(range(len(pts))))
+    subset = draw(st.none() | st.integers(0, len(pts)).map(lambda r: order[:r]))
+    return m, subset
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tree_route_inputs(), st.sampled_from(_ROUTE_TAUS))
+def test_tree_route_matches_the_walk(case, tau):
+    def outcome(f):
+        # quarter potentials at a base with no fourth root: the walk's refusal
+        try:
+            return f()
+        except ValueError as exc:
+            return str(exc)
+
+    m, subset = case
+    assert outcome(lambda: spectral_signature(m, tau, subset)) == outcome(lambda: _walk(m, subset, tau))
+    assert outcome(lambda: hpp_eigen_check(m, [tau])) == outcome(
+        lambda: tau if _walk(m, None, tau)[0] > 1 else None
+    )
+
+
+def _steiner_edge_metrics():
+    """(name, metric): the leaves of a quartet and of random trees, whose
+    realized trees join fresh (Steiner) vertices by an edge, and tri.csv,
+    three points at distance 1/2, realized as a star of quarter edges."""
+    out = [("quartet", tree_distance_matrix(_QUARTET, [1, 2, 3, 4]))]
+    for seed in (0, 1, 2, 4):
+        t = random_tree(14, seed=seed)
+        d = tree_distance_matrix(t, t.leaves())
+        out.append((f"leaves{seed}", [[x / (1 + seed % 2) for x in row] for row in d]))
+    out.append(("tri", [[F(0) if i == j else F(1, 2) for j in range(3)] for i in range(3)]))
+    return out
+
+
+@pytest.mark.parametrize("name, d", _steiner_edge_metrics())
+def test_tree_route_on_steiner_steiner_and_quarter_edges(name, d):
+    built, _ = realize_tree(d)
+    n = len(d)
+    if name == "tri":
+        assert {w for _, _, w in built.edges()} == {F(1, 4)}
+    else:
+        assert any(u > n and v > n for u, v, _ in built.edges())
+    for tau in _ROUTE_TAUS + [F(2**61 - 1)]:
+        if tau.denominator == 1 and tau > 100:
+            want = (1, n - 1, 0)  # the walk would factorise tau
+        else:
+            want = _walk(d, None, tau)
+        assert spectral_signature(d, tau) == want
+        assert spectral_signature(d, tau, [2, 0]) == _walk(d, [2, 0], tau)
+        assert hpp_eigen_check(d, [tau]) == (tau if want[0] > 1 else None)
+
+
+def test_tree_route_leaves_every_other_input_to_the_walk(monkeypatch):
+    walked = []
+    walk = metric._inertia
+    monkeypatch.setattr(metric, "_inertia", lambda a: walked.append(len(a)) or walk(a))
+    t = random_tree(6, seed=1)
+    d = tree_distance_matrix(t, [1, 2, 3, 3, 5, 6])
+    # tree metrics at tau != 1: no walk, 5 distinct points of 6
+    assert spectral_signature(d, 10) == (1, 4, 1)
+    assert spectral_signature(d, F(1, 3)) == (5, 0, 1)
+    assert spectral_signature(d, F(1, 3), [3, 0, 2]) == (2, 0, 1)
+    assert hpp_eigen_check(d, [10, 100]) is None
+    assert hpp_eigen_check(d, [10, F(1, 2)]) == F(1, 2)
+    assert walked == []
+    # tau = 1 powers every entry to 1
+    assert spectral_signature(d, 1) == (1, 0, 5)
+    assert hpp_eigen_check(d, [1]) is None
+    assert walked == [6, 6]
+    walked.clear()
+    # not a tree metric
+    assert spectral_signature(square_cycle_metric(), 10) == (2, 2, 0)
+    assert hpp_eigen_check(square_cycle_metric(), [10]) == 10
+    # -inf off the diagonal (spectral_signature alone accepts it) and on it
+    off = [row[:] for row in d]
+    off[0][4] = off[4][0] = MINUS_INF
+    assert spectral_signature(off, 10) == walk(metric._powered_form(*metric._integers(off), F(10)))
+    hollow = [row[:] for row in d]
+    hollow[0][0] = MINUS_INF
+    assert hpp_eigen_check(hollow, [10]) is None
+    assert walked == [4, 4, 6, 6]
+
+
 def _qrad_star_violator(m):
     """First subset, by size and then lexicographically, whose determinant
     sign from one QRad elimination of its block breaks the star rule."""

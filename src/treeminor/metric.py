@@ -6,10 +6,12 @@ for metrics) and are read in one integer form, the entries times the lcm of
 their denominators (`_integers`).  Powered matrices substitute a rational
 base tau into tau^(d_ij); half-integer exponents stay exact through
 square-root field elements, so every sign and signature below is
-certified.  The quadruple scan runs only to name a violation, and a powered
-matrix that splits as D R D, R rational, is eliminated as R, built as
-integers without a square root.  A finite tree metric's powered matrix is
-never built: its inertia has a closed form in its distinct points.
+certified.  A tree metric is recognised by growing its realizing tree and
+checking every distance against it; the quadruple scan runs only when the
+grower refuses, and names the violation.  A powered matrix that splits as
+D R D, R rational, is eliminated as R, built as integers without a square
+root.  A finite tree metric's powered matrix is never built: its inertia
+has a closed form in its distinct points.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, combinations_with_replacement, compress
 from math import lcm
-from operator import sub
 from typing import Iterable, Sequence
 
 from .poly import _Form, _as_fraction, _istep, _sylvester
@@ -184,95 +185,14 @@ def _sentineled(w: list[list[int | None]]) -> list[list[int]]:
     return [[sentinel if x is None else x for x in row] for row in w]
 
 
-def _four_point_holds(w: list[list[int | None]]) -> bool:
-    """Whether the integer form w (None, for -inf, on the diagonal only)
-    meets the four-point condition on quadruples with repetition, the
-    verdict of `_four_point_scan` in O(n^2) instead of O(n^4).
-
-    Quadruples of distinct points go first (`_distinct_four_point_holds`,
-    needed only from n = 4).  Every other quadruple is {a, a, b, c}.  With
-    G_a(b, c) = w_ab + w_ac - w_bc its pair sums are w_aa + w_bc and, twice,
-    w_ab + w_ac, so it fails exactly when w_aa > G_a(b, c).  A -inf w_aa
-    never does, and the sentinel of `_sentineled` for a -inf w_bb makes
-    G_a(b, b) larger than any finite w_aa.  So with a finite w_aa and any
-    b0 != a, the repeated-index condition at a is w_aa <= G_a(b, c) for all
-    b, c, and it is enough to test w_aa <= min over every c of G_a(b0, c):
-
-    - c = a gives G_a(b0, a) = w_aa, which never fails, and c = b0 gives
-      G_a(b0, b0) = 2 w_ab0 - w_b0b0, the quadruple {a, a, b0, b0}.
-    - A pair b != c, neither a, meets b0 or else a, b0, b, c are distinct.
-      Then K = w_ab + w_ac + w_ab0 turns the pair sums of {a, b0, b, c}
-      into K - G_a(b, c), K - G_a(b0, c) and K - G_a(b, b0), and the
-      four-point condition there (the first is at most the larger of the
-      other two) reads G_a(b, c) >= min(G_a(b, b0), G_a(b0, c)).
-    - {a, a, b, b}, b != a, holds when w_bb is -inf.  Otherwise, at
-      n >= 3, take c a third point: G_a(b, c) + G_b(a, c) = 2 w_ab, so the
-      tests at a and at b give w_aa + w_bb <= 2 w_ab.  At n = 2, b is b0.
-
-    b0 is the previous point, cyclically; at n = 1 it is a itself, and
-    every G_a(a, c) is w_aa."""
-    n = len(w)
-    v = _sentineled(w)
-    if n >= 4 and not _distinct_four_point_holds(v):
-        return False
-    for a, row in enumerate(v):
-        w_aa = w[a][a]
-        # min over c of G_a(b0, c) = w_ab0 + min over c of (w_ac - w_b0c)
-        if w_aa is not None and row[a - 1] + min(map(sub, row, v[a - 1])) < w_aa:
-            return False
-    return True
-
-
-def _distinct_four_point_holds(v: list[list[int]]) -> bool:
-    """Whether the sentineled integer form v of at least 4 points meets the
-    four-point condition on quadruples of distinct points, in O(n^2).  It
-    does exactly when the Farris transform at point 0, g_xy = w_x0 + w_y0 -
-    w_xy, meets the three-point condition g_xy >= min(g_xz, g_zy)
-    (0-hyperbolicity at one base point; Bandelt, "Recognition of tree
-    metrics", 1990), that is, when each g_xy reaches the smallest g on the
-    path from x to y in a maximum spanning tree of g, which Prim's
-    algorithm grows.  No diagonal entry enters the verdict."""
-    n = len(v)
-    w0 = [row[0] for row in v]
-
-    def farris(x: int) -> list[int]:
-        return [w0[x] + w0_y - w_xy for w0_y, w_xy in zip(w0, v[x])]
-
-    # Prim from point 1; neck[x][y] is the smallest g on the tree path x-y
-    key, parent = farris(1), [1] * n
-    outside = set(range(2, n))
-    inside = [1]
-    neck = [[0] * n for _ in range(n)]
-    while outside:
-        x = max(outside, key=key.__getitem__)
-        outside.remove(x)
-        p, e = parent[x], key[x]
-        g = farris(x)
-        neck_x, neck_p = neck[x], neck[p]
-        for y in inside:
-            b = e if y == p else min(neck_p[y], e)
-            if g[y] < b:
-                return False
-            neck_x[y] = neck[y][x] = b
-        inside.append(x)
-        for y in outside:
-            if g[y] > key[y]:
-                key[y], parent[y] = g[y], x
-    return True
-
-
-def _four_point_violation(m: Matrix, w: list[list[int | None]]) -> FourPointViolation | None:
-    """The first violating quadruple of m, or None; w is m's integer form.
-    The scan runs only when `_four_point_holds` rejects."""
-    return None if _four_point_holds(w) else _four_point_scan(m)
-
-
 def check_4pc(rows: Sequence[Sequence]) -> FourPointViolation | None:
     """Four-point condition, quadruples with repetition: of the three pair
     sums, the maximum must be attained at least twice.  Returns None when
-    the matrix passes, otherwise the first violating quadruple."""
+    the matrix passes, otherwise the first violating quadruple.  A realizing
+    tree that `_grow` certifies proves the condition; the quadruple scan
+    runs only when the grower refuses, and decides."""
     m, w, _ = check_dissimilarity(rows)
-    return _four_point_violation(m, w)
+    return None if _grow(w) is not None else _four_point_scan(m)
 
 
 # ---------------------------------------------------------------------------
@@ -312,34 +232,40 @@ def realize_tree(rows: Sequence[Sequence]) -> tuple[Tree, list[int]]:
 
     The tree is grown and certified by `_grow` on 2w, (w, s) the metric's
     integer form, where every meet height (w_rq + w_ra - w_qa) / 2 is an
-    integer; its edge weights are those integers over 2s.
+    integer; its edge weights are those integers over 2s.  When the grower
+    refuses, the quadruple scan names the violation; a refused matrix
+    that the scan passes is the grower's fault, an AssertionError.
     """
     m, w, scale = check_dissimilarity(rows)
     if not m:
         raise ValueError("empty matrix")
-    bad = _four_point_violation(m, w)
-    if bad is not None:
+    grown = _grow(w)
+    if grown is None:
+        bad = _four_point_scan(m)
+        if bad is None:
+            raise AssertionError("the realizing tree of a tree metric was refused")
         raise NotTreeMetricError(bad)
-    up, wt, vertex_of = _grow(w, 2 * scale)
+    up, wt, vertex_of = grown
     if not up:
         return Tree([], vertices=[vertex_of[0]]), vertex_of
     return Tree([(v, up[v], Fraction(wt[v], 2 * scale)) for v in up]), vertex_of
 
 
-def _grow(w: list[list[int]], den: int) -> tuple[dict[int, int], dict[int, int], list[int]]:
-    """The tree that realizes a tree metric, grown and certified on 2w: w
-    is the metric's integer form, zero on the diagonal and passing the
-    four-point test, and den the denominator of 2w, read only by an error
-    text.  Returns (up, wt, vertex_of): up[v] is v's parent in the tree
-    rooted at the vertex of point 0, wt[v] the weight of that edge on 2w,
-    and vertex_of[i] the vertex of point i.
+def _grow(w: list[list[int]]) -> tuple[dict[int, int], dict[int, int], list[int]] | None:
+    """The tree that realizes w, grown and certified on 2w, or None: w is
+    a symmetric integer form, zero on the diagonal.  Returns (up, wt,
+    vertex_of): up[v] is v's parent in the tree rooted at the vertex of
+    point 0, wt[v] the weight of that edge on 2w, and vertex_of[i] the
+    vertex of point i.
 
     Point i gets the label i + 1 of the first point at distance zero from
     it.  The tree grows point by point: a new point climbs from its deepest
     meet with the placed points toward the root, and there it splits an
     edge at a fresh label above n and hangs below it, hangs below a vertex,
-    or claims a fresh label.  So every fresh vertex has degree 3 or more,
-    and every edge a positive weight.
+    or claims a fresh label.  So every fresh vertex has degree 3 or more.
+    A first edge that is not positive, a negative hang or a point that
+    would claim a point's vertex returns None, so every edge has a positive
+    weight.
 
     The certificate is every distance.  A point shares its vertex only with
     points of an equal row.  The distances from each vertex to the distinct
@@ -347,10 +273,19 @@ def _grow(w: list[list[int]], den: int) -> tuple[dict[int, int], dict[int, int],
     the vertex's interval of that order and minus e inside, e the edge
     between them; one row walks the tree so, less an offset that carries
     the +e, so a step rewrites only the interval.  At each point's vertex
-    the row must be twice the point's row of w."""
+    the row must be twice the point's row of w, or None is returned.
+
+    A tree with positive edge weights that reproduces every distance
+    proves w a tree metric (Buneman, "A note on the metric properties of
+    trees", 1974): an acceptance decides the four-point condition.  A tree
+    metric is never refused, but the callers read a refusal only as "not
+    proved": the quadruple scan or the walk decides then, so a fault here
+    costs time, not a wrong answer.  An empty w grows the empty tree."""
     n = len(w)
-    # merge zero-distance points into the first of them (the triangle
-    # inequality, part of the four-point condition, makes this transitive)
+    if not n:
+        return {}, {}, []
+    # merge zero-distance points into the first of them; the certificate
+    # checks that merged points have equal rows
     rep = [row.index(0) for row in w]
     reps = sorted(set(rep))
     vertex_of = [i + 1 for i in rep]
@@ -364,6 +299,8 @@ def _grow(w: list[list[int]], den: int) -> tuple[dict[int, int], dict[int, int],
     up: dict[int, int] = {}
     wt: dict[int, int] = {}
     if len(reps) > 1:
+        if w_r[reps[1]] <= 0:
+            return None
         up[reps[1] + 1], wt[reps[1] + 1] = first, 2 * w_r[reps[1]]
     placed = reps[:2]
 
@@ -377,6 +314,8 @@ def _grow(w: list[list[int]], den: int) -> tuple[dict[int, int], dict[int, int],
             if g > h:
                 best, h = a, g
         hang = 2 * w_r[q] - h
+        if hang < 0:
+            return None
         # walk from the reference toward `best` for distance h
         path = [best + 1]
         while path[-1] != first:
@@ -400,9 +339,7 @@ def _grow(w: list[list[int]], den: int) -> tuple[dict[int, int], dict[int, int],
         if hang == 0:
             # x coincides with an interior vertex: claim its label
             if at <= n:
-                raise AssertionError(
-                    f"points {at - 1} and {q} at distance zero were not merged"
-                )
+                return None
             for y, p in up.items():
                 if p == at:
                     up[y] = x
@@ -412,9 +349,8 @@ def _grow(w: list[list[int]], den: int) -> tuple[dict[int, int], dict[int, int],
         placed.append(q)
 
     # certify the construction before handing it back
-    for i, r in enumerate(rep):
-        if w[i] != w[r]:
-            raise AssertionError(f"points {r} and {i} share a vertex but not their distances")
+    if any(w[i] != w[r] for i, r in enumerate(rep)):
+        return None
     kids: dict[int, list[int]] = {}
     for v, u in up.items():
         kids.setdefault(u, []).append(v)
@@ -456,14 +392,8 @@ def _grow(w: list[list[int]], den: int) -> tuple[dict[int, int], dict[int, int],
             path.append(v)
         if v <= n:
             w_i = w[v - 1]
-            got = [x + off for x in row]
-            want = [2 * w_i[c] for c in cols]
-            if got != want:
-                x, y, j = next(t for t in zip(got, want, cols) if t[0] != t[1])
-                raise AssertionError(
-                    f"realization is off at ({v - 1},{j}): "
-                    f"built {Fraction(x, den)}, wanted {Fraction(y, den)}"
-                )
+            if [x + off for x in row] != [2 * w_i[c] for c in cols]:
+                return None
     return up, wt, vertex_of
 
 
@@ -783,20 +713,22 @@ def spectral_signature(
 ) -> tuple[int, int, int]:
     """Inertia of [tau^(d_ij)] restricted to the subset.
 
-    A block with every entry finite that passes the four-point test takes
-    the closed form of `_tree_points`, at every base that `_tree_base`
-    admits: (1, k - 1, n - k) for tau > 1 and (k, 0, n - k) for tau < 1,
-    k its distinct points.  Every other input, and every other base, runs
-    the walk `_inertia` on the powered matrix."""
+    A nonempty block with every entry finite whose realizing tree `_grow`
+    certifies takes the closed form of `_tree_points`, at every base that
+    `_tree_base` admits: (1, k - 1, n - k) for tau > 1 and (k, 0, n - k)
+    for tau < 1, k its distinct points.  Every other input, a block the
+    grower refuses among them, and every other base, runs the walk
+    `_inertia` on the powered matrix."""
     m = as_matrix(rows)
     n = len(m)
     idx = range(n) if subset is None else _subset_indices(subset, n)
     w, scale = _integers(m, idx)
     _check_symmetric(w)
     tau = _positive_base(tau)
-    if _tree_base(tau, scale) and w and all(None not in row for row in w) and _four_point_holds(w):
-        k = _tree_points(w, scale)
-        return (1, k - 1, len(w) - k) if tau > 1 else (k, 0, len(w) - k)
+    if _tree_base(tau, scale) and w and all(None not in row for row in w):
+        k = _tree_points(w)
+        if k is not None:
+            return (1, k - 1, len(w) - k) if tau > 1 else (k, 0, len(w) - k)
     return _inertia(_powered_form(w, scale, tau))
 
 
@@ -808,15 +740,18 @@ def _tree_base(tau: Fraction, scale: int) -> bool:
     return tau != 1 and _rooted(tau, scale)[1] <= 2
 
 
-def _tree_points(w: list[list[int]], scale: int) -> int:
+def _tree_points(w: list[list[int | None]]) -> int | None:
     """The number k of distinct points of a tree metric, read off its
-    realizing tree, grown and certified once (`_grow`).  (w, s) is a
-    nonempty integer form with every entry finite that passes the
-    four-point test.  A nonzero diagonal is reduced first to d_ij = (2 w_ij
-    - w_ii - w_jj) / 2s, which passes it too (the three pair sums of a
-    quadruple move by the same potentials); the congruence by
-    diag(tau^(w_ii / 2s)) > 0 takes [tau^(d_ij)] to [tau^(w_ij / s)] and
-    keeps the inertia.
+    realizing tree, grown and certified once (`_grow`), or None when the
+    grower refuses.  w is a symmetric integer form over s, finite off the
+    diagonal; a None (-inf) on it is read as the sentinel of `_sentineled`,
+    which keeps the four-point verdict (`_four_point_scan`).  A nonzero
+    diagonal is reduced first to d_ij = (2 w_ij - w_ii - w_jj) / 2s, which
+    passes the four-point test exactly when w does (the three pair sums of
+    a quadruple move by the same potentials).  So a k that is not None
+    proves the four-point condition on w.  With a finite diagonal, the
+    congruence by diag(tau^(w_ii / 2s)) > 0 takes [tau^(d_ij)] to
+    [tau^(w_ij / s)] and keeps the inertia.
 
     For tau != 1, [tau^(d_ij)] on n points with k distinct has inertia
     (1, k - 1, n - k) when tau > 1 and (k, 0, n - k) when tau < 1:
@@ -843,11 +778,13 @@ def _tree_points(w: list[list[int]], scale: int) -> int:
       (1, |P| - 1, 0).
     - The n x n matrix is S^T E_P S, S the k x n incidence of points to
       their vertices, of full row rank: the n - k repeats add zeros."""
+    if any(row[i] is None for i, row in enumerate(w)):
+        w = _sentineled(w)
     diag = [row[i] for i, row in enumerate(w)]
     if any(diag):
         w = [[2 * x - w_ii - w_jj for x, w_jj in zip(row, diag)] for row, w_ii in zip(w, diag)]
-        scale *= 2
-    return len(set(_grow(w, 2 * scale)[2]))
+    grown = _grow(w)
+    return None if grown is None else len(set(grown[2]))
 
 
 def star_condition_check(
@@ -902,13 +839,16 @@ def hpp_eigen_check(rows: Sequence[Sequence], taus: Iterable = (10, 100)):
 
     For each base in the grid, [tau^(f_ij)] must have at most one positive
     eigenvalue; the four-point condition on f itself is checked alongside,
-    once.  When f passes it with a finite diagonal, its realizing tree is
-    grown once, and every base that `_tree_base` admits reads the count off
-    the closed form of `_tree_points`: 1 for tau > 1, the k distinct points
-    for tau < 1.  Every other base, and every other input, counts on the
-    walk `_inertia` over the powered matrix (its rational form, scaled to
-    integers, when it has one).  Returns None when everything holds, the
-    first failing base otherwise, or the four-point certificate."""
+    once: f's realizing tree is grown once (`_tree_points`, a -inf on the
+    diagonal read as a sentinel), and a certified tree proves the
+    condition, while a refusal leaves the verdict to the quadruple scan.
+    With a certified tree and a finite diagonal, every base that
+    `_tree_base` admits reads the count off the closed form: 1 for tau > 1,
+    the k distinct points for tau < 1.  Every other base, and every other
+    input, counts on the walk `_inertia` over the powered matrix (its
+    rational form, scaled to integers, when it has one).  Returns None when
+    everything holds, the first failing base otherwise, or the four-point
+    certificate."""
     m = as_matrix(rows)
     w, scale = _integers(m)
     _check_symmetric(w)
@@ -918,9 +858,8 @@ def hpp_eigen_check(rows: Sequence[Sequence], taus: Iterable = (10, 100)):
             raise ValueError(
                 f"-inf off the diagonal at ({i},{j}); only diagonal entries may be -inf"
             )
-    holds = _four_point_holds(w)
-    tree = holds and bool(w) and all(row[i] is not None for i, row in enumerate(w))
-    k = _tree_points(w, scale) if tree else None
+    k = _tree_points(w)
+    tree = k is not None and all(row[i] is not None for i, row in enumerate(w))
     for tau in taus:
         tau = _positive_base(tau)
         if tree and _tree_base(tau, scale):
@@ -929,7 +868,7 @@ def hpp_eigen_check(rows: Sequence[Sequence], taus: Iterable = (10, 100)):
             positives, _, _ = _inertia(_powered_form(w, scale, tau))
         if positives > 1:
             return tau
-    return None if holds else _four_point_scan(m)
+    return None if k is not None else _four_point_scan(m)
 
 
 # ---------------------------------------------------------------------------

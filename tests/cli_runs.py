@@ -9,11 +9,13 @@ of RUNS as `python -m treeminor` within BUDGET_S seconds.  An entry is an
 argv, the exit code it must give and an optional check: a predicate on the
 JSON report, which `--format json`, appended exactly then, asks for.  The
 argv's `{name}` fields are the inputs' paths and values derived from them;
-`{seq:n}` is 1,2,...,n.  Exit 2 and 1 must be the CLI's own refusal: an
-empty stdout and a stderr that starts `error: ` or `verification failed: `
-(argparse exits 2 too, on `usage:`).  It prints one line per entry: pass or
-FAIL, the exit code, the wall time and what failed.  It runs every entry and
-exits 1 if any failed.
+`{seq:n}` is 1,2,...,n.  Exit 2, and exit 1 of an entry without a check,
+must be the CLI's own refusal: an empty stdout and a stderr that starts
+`error: ` or `verification failed: ` (argparse exits 2 too, on `usage:`).
+Exit 1 of an entry with a check is a violation found, which the JSON
+report carries.  It prints one line per entry: pass or FAIL, the exit
+code, the wall time and what failed.  It runs every entry and exits 1 if
+any failed.
 
 pytest does not collect this module; tests/test_cli.py imports its tree
 writers.
@@ -123,6 +125,9 @@ def write_inputs(tmp):
     order = list(range(len(d)))
     random.Random(1).shuffle(order)
     f["tm320s"] = _csv(tmp / "tm320s.csv", [[d[i][j] for j in order] for i in order])
+    bent = [row[:] for row in d]
+    bent[5][200] = bent[200][5] = d[5][200] + Fraction(1, 2)
+    f["tm320b"] = _csv(tmp / "tm320b.csv", bent)
     p = [Fraction(rng.randint(0, 8), 2) for _ in d]
     w = [[x + p[i] + p[j] for j, x in enumerate(row)] for i, row in enumerate(d)]
     f["w320"] = _csv(tmp / "w320.csv", w)
@@ -160,6 +165,12 @@ def inertia(*want):
     def inertia(report, f):
         return report["inertia"] == list(want)
     return inertia
+
+
+def violation(*quadruple):
+    def violation(report, f):
+        return report["violation"]["quadruple"] == list(quadruple)
+    return violation
 
 
 def distinct_inertia(report, f):
@@ -246,6 +257,11 @@ RUNS = [
     ("check-4pc --matrix {tm320}", 0),
     ("realize --matrix {tm320}", 0),
     ("decompose --matrix {tm320}", 0),
+    # d(5, 200) raised by 1/2: the realizing tree is refused, and the scan
+    # names the first quadruple that fails
+    ("check-4pc --matrix {tm320b}", 1, violation(0, 2, 5, 200)),
+    ("realize --matrix {tm320b}", 1, violation(0, 2, 5, 200)),
+    ("decompose --matrix {tm320b}", 1, violation(0, 2, 5, 200)),
     # signature and hpp-check read tree metrics' inertia off the realized tree
     ("signature --tau 10 --matrix {tm320}", 0, inertia(1, 319, 0)),
     ("signature --tau 1/2 --matrix {tm320}", 0, inertia(320, 0, 0)),
@@ -286,7 +302,7 @@ def _fault(proc, code, check, f):
         return f"timed out at {BUDGET_S} s"
     if proc.returncode != code:
         return f"expected exit {code}: {' '.join(proc.stderr.split())[-200:]}"
-    lead = {2: "error: ", 1: "verification failed: "}.get(code)
+    lead = {2: "error: ", 1: None if check else "verification failed: "}.get(code)
     if lead and (proc.stdout or not proc.stderr.startswith(lead)):
         return f"not the CLI's own refusal: stdout must be empty, stderr start {lead!r}"
     if check:

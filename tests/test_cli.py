@@ -836,11 +836,11 @@ def test_decompose_rejects_minus_inf_like_realize(capsys, tmp_path, text, entry)
 
 @pytest.mark.parametrize("sub", ["check-4pc", "realize", "decompose"])
 def test_metric_commands_scan_quadruples_once(capsys, monkeypatch, tmp_path, sub):
-    # the fast test runs once; the quadruple scan only after it rejects
-    scan, holds = metric._four_point_scan, metric._four_point_holds
+    # the realizing tree is grown once; the quadruple scan only after a refusal
+    scan, grow = metric._four_point_scan, metric._grow
     calls = []
     monkeypatch.setattr(metric, "_four_point_scan", lambda m: calls.append("scan") or scan(m))
-    monkeypatch.setattr(metric, "_four_point_holds", lambda w: calls.append("holds") or holds(w))
+    monkeypatch.setattr(metric, "_grow", lambda w: calls.append("grow") or grow(w))
     good = tmp_path / "tm.csv"
     good.write_text(tree_metric_csv(random_tree(5, seed=4)))
     c4 = tmp_path / "c4.csv"
@@ -849,7 +849,7 @@ def test_metric_commands_scan_quadruples_once(capsys, monkeypatch, tmp_path, sub
         calls.clear()
         code, out, _ = invoke(capsys, sub, "--matrix", str(path), "--format", "json")
         assert code == want_code
-        assert calls == ["holds", "scan"][: 1 + want_code]
+        assert calls == ["grow", "scan"][: 1 + want_code]
     assert json.loads(out)["violation"]["quadruple"] == [0, 1, 2, 3]
 
 

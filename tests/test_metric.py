@@ -5,7 +5,7 @@ from itertools import combinations, combinations_with_replacement
 from math import lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from treeminor import metric, poly
 from treeminor.metric import (
@@ -632,10 +632,18 @@ def _four_point_inputs(draw):
     return m
 
 
+def _grower_holds(m):
+    """The four-point verdict of `hpp_eigen_check`: whether `_grow`
+    certifies the realizing tree of m's integer form, potentials reduced
+    and a -inf diagonal entry read as the sentinel of `_sentineled`."""
+    return metric._tree_points(metric._integers(m)[0]) is not None
+
+
 @settings(max_examples=400, deadline=None)
 @given(_four_point_inputs())
+@example([])
 def test_fast_four_point_test_agrees_with_the_scan(m):
-    assert metric._four_point_holds(metric._integers(m)[0]) == (metric._four_point_scan(m) is None)
+    assert _grower_holds(m) == (metric._four_point_scan(m) is None)
 
 
 def _repeated_index_cases():
@@ -655,7 +663,7 @@ def _repeated_index_cases():
     # point a on leaf 12, hung from spine vertex 3 by an edge 1, with w_aa
     # = 3: {a, a, b, c} fails exactly when the path b-c passes vertex 3.
     # The first failing pair holds neither a nor the point before it,
-    # cyclically, the one base point `_four_point_holds` reads at a
+    # cyclically, so a test that reads one base point next to a misses it
     cat = Tree(
         [(v, v + 1, 2) for v in range(1, 6)]
         + [(1, 7, 1), (2, 8, 3), (4, 9, 1), (5, 10, 2), (6, 11, 1), (3, 12, 1)]
@@ -686,7 +694,7 @@ def test_fast_four_point_test_sees_violations_at_repeated_indices(m, certificate
     for i, j, k, l in combinations(range(len(m)), 4):
         sums = sorted([m[i][j] + m[k][l], m[i][k] + m[j][l], m[i][l] + m[j][k]])
         assert sums[1] == sums[2]
-    assert not metric._four_point_holds(metric._integers(m)[0])
+    assert not _grower_holds(m)
 
 
 @st.composite
@@ -709,7 +717,7 @@ def _tree_metrics_with_potentials(draw):
 @settings(max_examples=60, deadline=None)
 @given(_tree_metrics_with_potentials())
 def test_fast_four_point_test_agrees_with_the_scan_on_larger_tree_metrics(m):
-    assert metric._four_point_holds(metric._integers(m)[0]) == (metric._four_point_scan(m) is None)
+    assert _grower_holds(m) == (metric._four_point_scan(m) is None)
 
 
 def _qrad_inertia(a):
@@ -944,6 +952,22 @@ def test_tree_route_leaves_every_other_input_to_the_walk(monkeypatch):
     hollow[0][0] = MINUS_INF
     assert hpp_eigen_check(hollow, [10]) is None
     assert walked == [4, 4, 6, 6]
+
+
+def test_a_tree_metric_the_grower_refuses_falls_back_to_the_scan_and_the_walk(monkeypatch):
+    # a refusal proves nothing: the scan and the walk decide, as for any input
+    d = tree_distance_matrix(random_tree(6, seed=1), [1, 2, 3, 3, 5, 6])
+    w = [[x + i + j for j, x in enumerate(row)] for i, row in enumerate(d)]
+    monkeypatch.setattr(metric, "_grow", lambda w: None)
+    assert check_4pc(d) is None
+    for m in d, w:
+        for tau in F(10), F(1, 3):
+            walk = _walk(m, None, tau)
+            assert spectral_signature(m, tau) == walk
+            assert spectral_signature(m, tau, [3, 0, 2]) == _walk(m, [3, 0, 2], tau)
+            assert hpp_eigen_check(m, [tau]) == (tau if walk[0] > 1 else None)
+    with pytest.raises(AssertionError):
+        realize_tree(d)
 
 
 def _qrad_star_violator(m):

@@ -8,10 +8,12 @@ base tau into tau^(d_ij); half-integer exponents stay exact through
 square-root field elements, so every sign and signature below is
 certified.  A tree metric is recognised by growing its realizing tree and
 checking every distance against it; the quadruple scan runs only when the
-grower refuses, and names the violation.  A powered matrix that splits as
-D R D, R rational, is eliminated as R, built as integers without a square
-root.  A finite tree metric's powered matrix is never built: its inertia
-has a closed form in its distinct points.
+grower refuses, and names the violation.  A matrix of square-root entries
+that splits as D R D, R rational, is eliminated as R scaled to integers,
+by one split (`_rational_form`); a powered matrix hands it its exponents,
+so no square root of tau is taken on one that splits.  A finite tree
+metric's powered matrix is never built: its inertia has a closed form in
+its distinct points.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, combinations_with_replacement, compress
-from math import lcm
+from itertools import chain, combinations, combinations_with_replacement
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .poly import _Form, _as_fraction, _istep, _sylvester
@@ -53,20 +55,24 @@ def as_matrix(rows: Sequence[Sequence]) -> Matrix:
     return m
 
 
-def check_dissimilarity(rows: Sequence[Sequence]) -> tuple[Matrix, list[list[int | None]], int]:
-    """Validate a symmetric, zero-diagonal, nonnegative matrix m; return m
-    and its integer form (w, s) of `_integers`, on which the checks run (a
-    -inf is None).  The entries of m are read only to word an error."""
-    m = as_matrix(rows)
-    w, scale = _integers(m)
+def check_dissimilarity(rows: Sequence[Sequence]) -> tuple[list[list[int | None]], int]:
+    """Validate a symmetric, zero-diagonal, nonnegative matrix; return its
+    integer form (w, s) of `_integers`, on which the checks run (a -inf is
+    None).  An error words an entry back as `_value` does."""
+    w, scale = _integers(as_matrix(rows))
     _check_symmetric(w)
     for i, row in enumerate(w):
         if row[i] != 0:
-            raise ValueError(f"diagonal entry ({i},{i}) is {m[i][i]}, not 0")
+            raise ValueError(f"diagonal entry ({i},{i}) is {_value(row[i], scale)}, not 0")
         for j in range(i + 1, len(row)):
             if row[j] is None or row[j] < 0:
-                raise ValueError(f"negative entry {m[i][j]} at ({i},{j})")
-    return m, w, scale
+                raise ValueError(f"negative entry {_value(row[j], scale)} at ({i},{j})")
+    return w, scale
+
+
+def _value(x: int | None, scale: int) -> Fraction | float:
+    """The entry x / scale of an integer form, MINUS_INF for None."""
+    return MINUS_INF if x is None else Fraction(x, scale)
 
 
 def parse_matrix_csv(text: str) -> list[list[Fraction | float]]:
@@ -138,28 +144,27 @@ class NotTreeMetricError(ValueError):
         super().__init__(f"not a tree metric: {violation}")
 
 
-def _four_point_scan(m: Matrix) -> FourPointViolation | None:
+def _four_point_scan(w: list[list[int | None]], scale: int) -> FourPointViolation | None:
     """The first quadruple, with repetition, whose largest pair sum is
-    attained only once.
+    attained only once, in the integer form (w, scale) of `_integers`.
 
-    The scan runs on m's integer form with the sentinel of `_sentineled`
-    for a -inf diagonal entry.  In a quadruple with a repeated index the
-    two pair sums without that diagonal entry are equal, so the sum holding
-    it decides the verdict only as the unique maximum, which neither -inf
-    nor the sentinel can be.  A violation reports the sums of the entries
-    themselves."""
-    n = len(m)
-    w = _sentineled(_integers(m)[0])
-    for i, j, k, l in combinations_with_replacement(range(n), 4):
-        a = w[i][j] + w[k][l]
-        b = w[i][k] + w[j][l]
-        c = w[i][l] + w[j][k]
+    The scan runs on w with the sentinel of `_sentineled` for a -inf
+    diagonal entry.  In a quadruple with a repeated index the two pair sums
+    without that diagonal entry are equal, so the sum holding it decides
+    the verdict only as the unique maximum, which neither -inf nor the
+    sentinel can be.  A violation reports each sum over scale (`_value`),
+    -inf where it holds a -inf."""
+    v = _sentineled(w)
+    for i, j, k, l in combinations_with_replacement(range(len(w)), 4):
+        a = v[i][j] + v[k][l]
+        b = v[i][k] + v[j][l]
+        c = v[i][l] + v[j][k]
         # the maximum is attained once: a or b above the other and not tied
         # with c, or c above the tied pair
         if a != c if a > b else b != c if b > a else c > a:
-            return FourPointViolation(
-                (i, j, k, l), (m[i][j] + m[k][l], m[i][k] + m[j][l], m[i][l] + m[j][k])
-            )
+            pairs = ((w[i][j], w[k][l]), (w[i][k], w[j][l]), (w[i][l], w[j][k]))
+            sums = (None if None in xy else sum(xy) for xy in pairs)
+            return FourPointViolation((i, j, k, l), tuple(_value(x, scale) for x in sums))
     return None
 
 
@@ -191,8 +196,8 @@ def check_4pc(rows: Sequence[Sequence]) -> FourPointViolation | None:
     the matrix passes, otherwise the first violating quadruple.  A realizing
     tree that `_grow` certifies proves the condition; the quadruple scan
     runs only when the grower refuses, and decides."""
-    m, w, _ = check_dissimilarity(rows)
-    return None if _grow(w) is not None else _four_point_scan(m)
+    w, scale = check_dissimilarity(rows)
+    return None if _grow(w) is not None else _four_point_scan(w, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -209,12 +214,10 @@ def split_potentials(rows: Sequence[Sequence]) -> tuple[Matrix, list[Fraction]]:
             j = row.index(None)
             raise ValueError(f"entry ({i},{j}) is -inf; potentials need finite entries")
     diag = [row[i] for i, row in enumerate(w)]
-    p = [Fraction(x, 2 * scale) for x in diag]
-    d = [
-        [Fraction(2 * x - w_ii - w_jj, 2 * scale) for x, w_jj in zip(row, diag)]
-        for row, w_ii in zip(w, diag)
-    ]
-    return d, p
+    d = [[2 * x - w_ii - w_jj for x, w_jj in zip(row, diag)] for row, w_ii in zip(w, diag)]
+    # d and p over 2s: one Fraction per distinct numerator
+    value = {x: Fraction(x, 2 * scale) for x in {*diag, *chain.from_iterable(d)}}
+    return [[value[x] for x in row] for row in d], [value[x] for x in diag]
 
 
 # ---------------------------------------------------------------------------
@@ -236,12 +239,12 @@ def realize_tree(rows: Sequence[Sequence]) -> tuple[Tree, list[int]]:
     refuses, the quadruple scan names the violation; a refused matrix
     that the scan passes is the grower's fault, an AssertionError.
     """
-    m, w, scale = check_dissimilarity(rows)
-    if not m:
+    w, scale = check_dissimilarity(rows)
+    if not w:
         raise ValueError("empty matrix")
     grown = _grow(w)
     if grown is None:
-        bad = _four_point_scan(m)
+        bad = _four_point_scan(w, scale)
         if bad is None:
             raise AssertionError("the realizing tree of a tree metric was refused")
         raise NotTreeMetricError(bad)
@@ -479,72 +482,31 @@ def _power(w: list[list[int | None]], scale: int, tau: Fraction):
 def _rooted(tau: Fraction, scale: int) -> tuple[Fraction, int]:
     """(tau^(1/scale), 1) when tau is an exact scale-th power
     (`_exact_root`), else (tau, scale): the base and the denominator of
-    the exponents that `_powered_ints` powers.  Past scale 2 there, entries
+    the exponents that `_powered_form` reads.  Past scale 2 there, entries
     need roots beyond square roots."""
     if scale > 1 and (root := _exact_root(tau, scale)) is not None:
         return root, 1
     return tau, scale
 
 
-def _powered_ints(w: list[list[int | None]], scale: int, tau: Fraction) -> list[list[int]] | None:
-    """[tau^(w_ij / scale)] (a None of w, -inf, powers to 0) as the integer
-    matrix s R of `_rational_form`, built from the exponents alone; None
-    when the entries need roots of tau beyond square roots or the matrix
-    does not split.
-
-    With integer exponents, or tau an exact scale-th power (`_exact_root`),
-    R is the powered matrix itself.  Otherwise, at scale 2, the parities c_i
-    of a 2-colouring, w_ij = c_i + c_j (mod 2) on every entry that is not
-    None, give D = diag(sqrt(tau)^c_i) and the rational R_ij = tau^((w_ij -
-    c_i - c_j) / 2), whose exponent is (w_ij - c_i) >> 1, as w_ij - c_i has
-    the parity of c_j.  The colouring is read off row 0, or found by
-    `_parities` when row 0 holds a None, and checked on the distinct values
-    of w at each shift c_i + c_j, gathered a row at a time.  An entry tau^e
-    of R, tau = a/b, is scaled to a^(e - lo) b^(hi - e) with lo and hi the
-    least and largest e, so s = a^-lo b^hi > 0; each row reads its entries
-    off the table of its parity."""
-    tau, scale = _rooted(tau, scale)
-    if scale > 2:
-        return None
-    c = [0] * len(w)
-    if scale == 1:
-        values = [set().union(*w)]
-    else:
-        if None in w[0]:
-            c = _parities([[None if x is None else x & 1 for x in row] for row in w])
-            if c is None:
-                return None
-        else:
-            c = [x & 1 for x in w[0]]
-        seen: list[set] = [set(), set(), set()]
-        even = [1 - c_j for c_j in c]
-        for row, c_i in zip(w, c):
-            seen[c_i].update(compress(row, even))
-            seen[c_i + 1].update(compress(row, c))
-        if any((x - s) & 1 for s, xs in enumerate(seen) for x in xs if x is not None):
-            return None
-        values = [seen[0] | seen[1], seen[1] | seen[2]]
-    # R's exponent at a value x of w in a row of parity c_i is (x - c_i) // scale
-    for xs in values:
-        xs.discard(None)
-    lo = min(((min(xs) - c_i) // scale for c_i, xs in enumerate(values) if xs), default=0)
-    hi = max(((max(xs) - c_i) // scale for c_i, xs in enumerate(values) if xs), default=0)
-    a, b = tau.numerator, tau.denominator
-    tables = [
-        {x: a ** ((x - c_i) // scale - lo) * b ** (hi - (x - c_i) // scale) for x in xs} | {None: 0}
-        for c_i, xs in enumerate(values)
-    ]
-    return [[t[x] for x in row] for row, t in zip(w, map(tables.__getitem__, c))]
-
-
 def _powered_form(w: list[list[int | None]], scale: int, tau: Fraction) -> list[list]:
-    """[tau^(w_ij / scale)] in scalars `_inertia` runs on: the integer
-    matrix of `_powered_ints` when there is one, else `_power`'s entries,
-    QRads at the half-integer exponents (a denominator above 2 with no
-    exact root of tau raises there).  At scale 2 `_rational_form` would find
-    no split either: the odd exponents give it the same parity graph."""
-    a = _powered_ints(w, scale, tau)
-    return _power(w, scale, tau) if a is None else a
+    """[tau^(w_ij / scale)] (a None of w, -inf, powers to 0) in scalars
+    `_inertia` runs on.  After `_rooted`, at a denominator s of 1 or 2, each
+    distinct exponent e is read once as the pair (root^(e // s), e % s) of
+    `_rational_form` with d = root, and a None as zero; the integer matrix
+    of that split takes no square root of tau.  Every other matrix runs on
+    `_power`'s entries, QRads at the half-integer exponents (a denominator
+    above 2 with no exact root of tau raises there)."""
+    root, s = _rooted(tau, scale)
+    if s <= 2:
+        part = {
+            e: (Fraction(0), 0) if e is None else (root ** (e // s), e % s)
+            for e in dict.fromkeys(chain.from_iterable(w))
+        }
+        a = _rational_form([[part[x] for x in row] for row in w], root)
+        if a is not None:
+            return a
+    return _power(w, scale, tau)
 
 
 def _check_symmetric(a: Sequence[Sequence]) -> None:
@@ -565,7 +527,8 @@ def _exact_form(rows: Sequence[Sequence]) -> list[list[int]] | list[list[QRad]]:
     square and symmetric, TypeError on an inexact entry such as a float."""
     a = [list(row) for row in rows]
     _check_symmetric(a)
-    return _rational_form(a) or [[QRad.of(x) for x in row] for row in a]
+    split = _monomials(a)
+    return (split and _rational_form(*split)) or [[QRad.of(x) for x in row] for row in a]
 
 
 def inertia(rows: Sequence[Sequence]) -> tuple[int, int, int]:
@@ -579,17 +542,11 @@ def inertia(rows: Sequence[Sequence]) -> tuple[int, int, int]:
     return _inertia(_exact_form(rows))
 
 
-def _rational_form(a: Sequence[Sequence]) -> list[list[int]] | None:
-    """s R with a = D R D, R rational, D = diag(sqrt(d)^p_i) for a single
-    squarefree d and parities p_i in {0, 1}, and s the lcm of R's
-    denominators; None when there is no such R.
-
-    An entry c*sqrt(d) off the diagonal needs p_i != p_j, a rational one
-    p_i == p_j: the parities are a 2-colouring of the nonzero entries.  Two
-    radicands, an irrational diagonal entry or an odd cycle of irrational
-    entries rule it out.  D and s are positive, so s R has the inertia of a
-    and the sign of each of its principal minors."""
-    n = len(a)
+def _monomials(a: Sequence[Sequence]) -> tuple[list[list[tuple]], int] | None:
+    """Each entry of a as the pair (c, odd) of `_rational_form`, c a
+    Fraction, and the one squarefree radicand d: a rational entry is (c, 0)
+    and a QRad c*sqrt(d) is (c, 1).  None when an entry is neither, or two
+    radicands appear."""
     parts = []
     radicand = 1
     for row in a:
@@ -603,21 +560,42 @@ def _rational_form(a: Sequence[Sequence]) -> list[list[int]] | None:
                 part = Fraction(x), 1
             else:
                 return None
-            if part[0] and part[1] != 1:
-                if radicand not in (1, part[1]):
+            c, d = part
+            if c and d != 1:
+                if radicand not in (1, d):
                     return None
-                radicand = part[1]
-            out.append(part)
+                radicand = d
+            out.append((c, int(d != 1)))
         parts.append(out)
-    parity = _parities([[(d != 1) if c else None for c, d in row] for row in parts])
-    if parity is None:
+    return parts, radicand
+
+
+def _rational_form(parts: list[list[tuple]], d: Fraction | int) -> list[list[int]] | None:
+    """s R with a = D R D, R rational, D = diag(sqrt(d)^p_i) for parities
+    p_i in {0, 1}, and s > 0 the least that makes s R integral (the lcm of
+    R's denominators over the gcd of the resulting ints); None when there
+    is no such R.  Entry a_ij comes as the pair (c, odd), c sqrt(d)^odd,
+    with c rational and d > 0 rational.
+
+    A nonzero entry needs p_i ^ p_j == odd, so the parities are a
+    2-colouring (`_parities`), and an odd cycle or an odd diagonal entry
+    rules R out.  Then R_ij = c / d where p_i = p_j = 1, and c elsewhere;
+    each pair shared by many entries is divided and scaled once.  D and s are
+    positive, so s R has the inertia of a and the sign of each of its
+    principal minors."""
+    p = _parities([[odd if c else None for c, odd in row] for row in parts])
+    if p is None:
         return None
-    r = [
-        [c / radicand if parity[i] and parity[j] else c for j, (c, _) in enumerate(row)]
-        for i, row in enumerate(parts)
-    ]
-    scale = lcm(*(x.denominator for row in r for x in row))
-    return [[x.numerator * (scale // x.denominator) for x in row] for row in r]
+    # R_ij is keyed by the identity of a_ij's pair and p_i & p_j: equal
+    # values can all hash alike (every power of 2^61 - 1 hashes to 0)
+    cells = [[(id(x), p_i & p_j) for x, p_j in zip(row, p)] for row, p_i in zip(parts, p)]
+    c = {id(x): x[0] for row in parts for x in row}
+    values = {k: c[k[0]] / d if k[1] else c[k[0]] for k in set(chain.from_iterable(cells))}
+    scale = lcm(*(x.denominator for x in values.values()))
+    ints = {k: x.numerator * (scale // x.denominator) for k, x in values.items()}
+    g = gcd(*ints.values()) or 1
+    ints = {k: x // g for k, x in ints.items()}
+    return [[ints[k] for k in row] for row in cells]
 
 
 def _parities(odd: list[list[int | None]]) -> list[int] | None:
@@ -849,8 +827,7 @@ def hpp_eigen_check(rows: Sequence[Sequence], taus: Iterable = (10, 100)):
     rational form, scaled to integers, when it has one).  Returns None when
     everything holds, the first failing base otherwise, or the four-point
     certificate."""
-    m = as_matrix(rows)
-    w, scale = _integers(m)
+    w, scale = _integers(as_matrix(rows))
     _check_symmetric(w)
     for i, row in enumerate(w):
         if None in row[i + 1:]:
@@ -868,7 +845,7 @@ def hpp_eigen_check(rows: Sequence[Sequence], taus: Iterable = (10, 100)):
             positives, _, _ = _inertia(_powered_form(w, scale, tau))
         if positives > 1:
             return tau
-    return None if k is not None else _four_point_scan(m)
+    return None if k is not None else _four_point_scan(w, scale)
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,12 @@ def write_inputs(tmp):
     bent = [row[:] for row in d]
     bent[5][200] = bent[200][5] = d[5][200] + Fraction(1, 2)
     f["tm320b"] = _csv(tmp / "tm320b.csv", bent)
+    # raised by 1, an even step in the integer form: every parity is kept
+    bent[5][200] = bent[200][5] = d[5][200] + 1
+    f["tm320c"] = _csv(tmp / "tm320c.csv", bent)
+    lead = [row[:120] for row in d[:120]]
+    lead[5][100] = lead[100][5] = d[5][100] + 1
+    f["tm120c"] = _csv(tmp / "tm120c.csv", lead)
     p = [Fraction(rng.randint(0, 8), 2) for _ in d]
     w = [[x + p[i] + p[j] for j, x in enumerate(row)] for i, row in enumerate(d)]
     f["w320"] = _csv(tmp / "w320.csv", w)
@@ -171,6 +177,12 @@ def violation(*quadruple):
     def violation(report, f):
         return report["violation"]["quadruple"] == list(quadruple)
     return violation
+
+
+def failing_tau(tau):
+    def failing_tau(report, f):
+        return report["failing_tau"] == tau
+    return failing_tau
 
 
 def distinct_inertia(report, f):
@@ -262,6 +274,16 @@ RUNS = [
     ("check-4pc --matrix {tm320b}", 1, violation(0, 2, 5, 200)),
     ("realize --matrix {tm320b}", 1, violation(0, 2, 5, 200)),
     ("decompose --matrix {tm320b}", 1, violation(0, 2, 5, 200)),
+    # d(5, 200) raised by 1 keeps every parity: the walk runs on the
+    # powered matrix split as D R D, with no square root of tau taken
+    ("check-4pc --matrix {tm320c}", 1, violation(0, 2, 5, 200)),
+    ("signature --tau 10 --matrix {tm320c}", 0, inertia(2, 318, 0)),
+    ("hpp-check --matrix {tm320c}", 1, failing_tau("10")),
+    # the same on a 120-point block: tau = 2^61 - 1 is never factorised
+    ("signature --tau 3/2 --matrix {tm120c}", 0, inertia(2, 118, 0)),
+    ("signature --tau 2305843009213693951 --matrix {tm120c}", 0, inertia(2, 118, 0)),
+    ("hpp-check --taus 2305843009213693951 --matrix {tm120c}", 1,
+     failing_tau("2305843009213693951")),
     # signature and hpp-check read tree metrics' inertia off the realized tree
     ("signature --tau 10 --matrix {tm320}", 0, inertia(1, 319, 0)),
     ("signature --tau 1/2 --matrix {tm320}", 0, inertia(320, 0, 0)),

@@ -839,7 +839,9 @@ def test_metric_commands_scan_quadruples_once(capsys, monkeypatch, tmp_path, sub
     # the realizing tree is grown once; the quadruple scan only after a refusal
     scan, grow = metric._four_point_scan, metric._grow
     calls = []
-    monkeypatch.setattr(metric, "_four_point_scan", lambda m: calls.append("scan") or scan(m))
+    monkeypatch.setattr(
+        metric, "_four_point_scan", lambda w, s: calls.append("scan") or scan(w, s)
+    )
     monkeypatch.setattr(metric, "_grow", lambda w: calls.append("grow") or grow(w))
     good = tmp_path / "tm.csv"
     good.write_text(tree_metric_csv(random_tree(5, seed=4)))

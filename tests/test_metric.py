@@ -601,9 +601,14 @@ def _pair_value_matrices(draw):
 @settings(max_examples=300, deadline=None)
 @given(_pair_value_matrices())
 def test_integer_four_point_scan_matches_a_plain_fraction_scan(m):
-    got = metric._four_point_scan(m)
+    got = _scan(m)
     want = _plain_four_point_scan(m)
     assert (got and (got.quadruple, got.sums)) == want
+
+
+def _scan(m):
+    """`_four_point_scan` on m's integer form, as its callers hand it."""
+    return metric._four_point_scan(*metric._integers(metric.as_matrix(m)))
 
 
 @st.composite
@@ -643,7 +648,7 @@ def _grower_holds(m):
 @given(_four_point_inputs())
 @example([])
 def test_fast_four_point_test_agrees_with_the_scan(m):
-    assert _grower_holds(m) == (metric._four_point_scan(m) is None)
+    assert _grower_holds(m) == (_scan(m) is None)
 
 
 def _repeated_index_cases():
@@ -689,7 +694,7 @@ def _repeated_index_cases():
 
 @pytest.mark.parametrize("m, certificate", _repeated_index_cases())
 def test_fast_four_point_test_sees_violations_at_repeated_indices(m, certificate):
-    bad = metric._four_point_scan(m)
+    bad = _scan(m)
     assert bad.quadruple == certificate
     for i, j, k, l in combinations(range(len(m)), 4):
         sums = sorted([m[i][j] + m[k][l], m[i][k] + m[j][l], m[i][l] + m[j][k]])
@@ -717,11 +722,25 @@ def _tree_metrics_with_potentials(draw):
 @settings(max_examples=60, deadline=None)
 @given(_tree_metrics_with_potentials())
 def test_fast_four_point_test_agrees_with_the_scan_on_larger_tree_metrics(m):
-    assert _grower_holds(m) == (metric._four_point_scan(m) is None)
+    assert _grower_holds(m) == (_scan(m) is None)
 
 
 def _qrad_inertia(a):
     return metric._inertia([[QRad.of(x) for x in row] for row in a])
+
+
+def _integer_powered_form(w, scale, tau):
+    """The powered matrix as `_powered_form` splits it, integers, or None
+    when it falls back to `_power`'s entries."""
+    a = metric._powered_form(w, scale, tau)
+    return a if all(type(x) is int for row in a for x in row) else None
+
+
+def _integer_exact_form(m):
+    """m as `_exact_form` splits it, integers, or None when it falls back
+    to QRads."""
+    a = metric._exact_form(m)
+    return a if all(type(x) is int for row in a for x in row) else None
 
 
 _TAUS = [F(1), F(4), F(10), F(12), F(100), F(3, 2), F(9, 4)]
@@ -731,7 +750,7 @@ _TAUS = [F(1), F(4), F(10), F(12), F(100), F(3, 2), F(9, 4)]
 @given(_four_point_inputs(), st.sampled_from(_TAUS))
 def test_integer_powered_form_has_the_inertia_of_the_qrad_matrix(m, tau):
     w, scale = metric._integers(m)
-    a = metric._powered_ints(w, scale, tau)
+    a = _integer_powered_form(w, scale, tau)
     want = _qrad_inertia(metric._power(*metric._integers(m), tau))
     if a is None:
         # half-integer exponents on an odd cycle of parities; squares never
@@ -745,8 +764,8 @@ def test_odd_parity_cycle_falls_back_to_square_roots():
     # three points at distance 1/2: every parity edge is odd
     odd = [[F(0) if i == j else F(1, 2) for j in range(3)] for i in range(3)]
     w, scale = metric._integers(odd)
-    assert metric._powered_ints(w, scale, F(10)) is None
-    assert metric._powered_ints(w, scale, F(9, 4)) is not None
+    assert _integer_powered_form(w, scale, F(10)) is None
+    assert _integer_powered_form(w, scale, F(9, 4)) is not None
     for tau in (10, F(3, 2), F(9, 4)):
         want = _qrad_inertia(power_matrix(odd, tau))
         assert spectral_signature(odd, tau) == want == inertia(power_matrix(odd, tau))
@@ -755,12 +774,20 @@ def test_odd_parity_cycle_falls_back_to_square_roots():
 
 
 def test_odd_parity_cycle_fallback_skips_the_rational_form(monkeypatch):
-    # after _powered_ints finds no split, the square-root entries go
-    # straight to the elimination
-    def unreachable(a):
-        raise AssertionError("_rational_form reached")
+    # the split reads the exponents, so once it fails the square-root
+    # entries go straight to the elimination: no QRad reaches the split
+    split = metric._rational_form
 
-    monkeypatch.setattr(metric, "_rational_form", unreachable)
+    def exponents_only(parts, d):
+        assert not any(isinstance(c, QRad) for row in parts for c, _ in row)
+        assert split(parts, d) is None
+        return None
+
+    def unreachable(a):
+        raise AssertionError("_exact_form reached")
+
+    monkeypatch.setattr(metric, "_rational_form", exponents_only)
+    monkeypatch.setattr(metric, "_exact_form", unreachable)
     odd = [[F(0) if i == j else F(1, 2) for j in range(3)] for i in range(3)]
     # the same triangle and a far point: two positive eigenvalues
     far = [
@@ -778,6 +805,15 @@ def test_odd_parity_cycle_fallback_skips_the_rational_form(monkeypatch):
             )
             assert hpp_eigen_check(m, [tau]) == (F(tau) if want[0] > 1 else None)
     assert spectral_signature(far, 10) == (2, 2, 0)
+
+
+def test_hollow_matrix_splits_to_a_primitive_integer_form():
+    # hollow3 of CI: exponents 1, 2 and -inf on the diagonal; the split is
+    # divided by the gcd of its ints, so it is not tau times wider
+    hollow = metric.as_matrix([[MINUS_INF, 1, 2], [1, MINUS_INF, 1], [2, 1, MINUS_INF]])
+    w, scale = metric._integers(hollow)
+    assert metric._powered_form(w, scale, F(10)) == [[0, 1, 10], [1, 0, 1], [10, 1, 0]]
+    assert metric._powered_form(w, scale, F(3, 2)) == [[0, 2, 3], [2, 0, 2], [3, 2, 0]]
 
 
 def test_exponents_beyond_half_integers_keep_their_error():
@@ -805,7 +841,7 @@ def test_exact_roots_of_a_perfect_power_base():
         for tau, root in ((8, 2), (F(27, 8), F(3, 2))):
             w, scale = metric._integers(m)
             assert scale == 3
-            a = metric._powered_ints(w, scale, F(tau))
+            a = _integer_powered_form(w, scale, F(tau))
             assert all(isinstance(x, int) for row in a for x in row)
             want = spectral_signature([[3 * x for x in row] for row in m], root)
             assert spectral_signature(m, tau) == want
@@ -1030,7 +1066,7 @@ def test_star_condition_walks_its_own_ints_past_the_packed_kernel(monkeypatch):
     d = tree_distance_matrix(t, list(t.vertices))
     pm = power_matrix([[x / 2 for x in row] for row in d], 10)
     assert any(isinstance(x, QRad) for row in pm for x in row)
-    assert metric._rational_form(pm) is not None
+    assert _integer_exact_form(pm) is not None
     cases = ([[0, 1, 0], [1, 0, 0], [0, 0, 1]], power_matrix(square_cycle_metric(), 10), pm)
     want = [_qrad_star_violator(m) for m in cases]
     assert want == [(0, 1, 2), (0, 1, 2, 3), None]
@@ -1075,7 +1111,7 @@ def _radical_matrices(draw):
 def test_inertia_by_congruence_matches_the_qrad_elimination(case):
     m, splits = case
     if splits:
-        assert metric._rational_form(m) is not None
+        assert _integer_exact_form(m) is not None
     assert inertia(m) == metric._inertia([[QRad.of(x) for x in row] for row in m])
 
 
@@ -1191,7 +1227,7 @@ def _oracle_matrices(draw):
 @given(_oracle_matrices())
 def test_inertia_matches_the_characteristic_polynomial(case):
     m, rational = case
-    assert (metric._rational_form(m) is not None) == rational
+    assert (_integer_exact_form(m) is not None) == rational
     assert inertia(m) == _descartes_inertia(m)
 
 
@@ -1236,9 +1272,9 @@ def test_rational_form_refuses_what_does_not_split():
     r2 = QRad.sqrt_of(2)
     # an odd cycle of sqrt 2 entries: no parities p_i + p_j = 1 on all three
     cycle = [[F(1), r2, r2], [r2, F(1), r2], [r2, r2, F(1)]]
-    assert metric._rational_form(cycle) is None
+    assert _integer_exact_form(cycle) is None
     assert inertia(cycle) == metric._inertia([row[:] for row in cycle])
     two = [[F(0), r2, F(1)], [r2, F(0), QRad.sqrt_of(3)], [F(1), QRad.sqrt_of(3), F(0)]]
-    assert metric._rational_form(two) is None
-    assert metric._rational_form([[r2]]) is None  # irrational diagonal
-    assert metric._rational_form([[r2 + 1]]) is None  # two terms in one entry
+    assert _integer_exact_form(two) is None
+    assert _integer_exact_form([[r2]]) is None  # irrational diagonal
+    assert _integer_exact_form([[r2 + 1]]) is None  # two terms in one entry

@@ -52,13 +52,15 @@ from .matroid import (
 from .metric import (
     MINUS_INF,
     NotTreeMetricError,
+    _dissimilarity,
+    _potential_split,
+    _realize,
     check_4pc,
     format_matrix_csv,
     hpp_eigen_check,
     parse_matrix_csv,
     realize_tree,
     spectral_signature,
-    split_potentials,
 )
 from .minors import (
     _formula_norm_bound,
@@ -682,9 +684,9 @@ def cmd_realize(args):
 
 def cmd_decompose(args):
     m = _read_matrix(args.matrix)
-    d, p = split_potentials(m)
+    d, p, reduced = _potential_split(m)
     try:
-        T, placement = realize_tree(d)
+        T, placement = _realize(*_dissimilarity(*reduced))
     except NotTreeMetricError as exc:
         return 1, {
             "ok": False,

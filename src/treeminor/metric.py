@@ -4,16 +4,17 @@ splitting, and the spectral signature of powered distance matrices.
 Matrices come in as lists of lists of Fractions (symmetric, zero diagonal
 for metrics) and are read in one integer form, the entries times the lcm of
 their denominators (`_integers`).  Powered matrices substitute a rational
-base tau into tau^(d_ij); half-integer exponents stay exact through
-square-root field elements, so every sign and signature below is
-certified.  A tree metric is recognised by growing its realizing tree and
-checking every distance against it; the quadruple scan runs only when the
-grower refuses, and names the violation.  A matrix of square-root entries
-that splits as D R D, R rational, is eliminated as R scaled to integers,
-by one split (`_rational_form`); a powered matrix hands it its exponents,
-so no square root of tau is taken on one that splits.  A finite tree
-metric's powered matrix is never built: its inertia has a closed form in
-its distinct points.
+base tau into tau^(d_ij); half-integer exponents stay exact as pairs
+a + b sqrt(r), r = num * den of tau (`_Surd`), whose signs need no
+factorisation of r, so every sign and signature below is certified.  A
+tree metric is recognised by growing its realizing tree and checking every
+distance against it; the quadruple scan runs only when the grower refuses,
+and names the violation.  A matrix of square-root entries that splits as
+D R D, R rational, is eliminated as R scaled to integers, by one split
+(`_rational_form`); a powered matrix hands it its exponents, so no square
+root of tau is taken on one that splits.  A finite tree metric's powered
+matrix is never built: its inertia has a closed form in its distinct
+points.
 """
 
 from __future__ import annotations
@@ -61,6 +62,12 @@ def check_dissimilarity(rows: Sequence[Sequence]) -> tuple[list[list[int | None]
     None).  An error words an entry back as `_value` does."""
     w, scale = _integers(as_matrix(rows))
     _check_symmetric(w)
+    return _dissimilarity(w, scale)
+
+
+def _dissimilarity(w: list[list[int | None]], scale: int) -> tuple[list[list[int | None]], int]:
+    """The symmetric integer form (w, scale), checked to be zero on the
+    diagonal and nonnegative off it, as `check_dissimilarity` words it."""
     for i, row in enumerate(w):
         if row[i] != 0:
             raise ValueError(f"diagonal entry ({i},{i}) is {_value(row[i], scale)}, not 0")
@@ -207,6 +214,16 @@ def check_4pc(rows: Sequence[Sequence]) -> FourPointViolation | None:
 def split_potentials(rows: Sequence[Sequence]) -> tuple[Matrix, list[Fraction]]:
     """Write a symmetric matrix w_ij as d_ij + p_i + p_j with d zero on the
     diagonal: p_i = w_ii / 2.  Every entry must be finite."""
+    d, p, _ = _potential_split(rows)
+    return d, p
+
+
+def _potential_split(
+    rows: Sequence[Sequence],
+) -> tuple[Matrix, list[Fraction], tuple[list[list[int]], int]]:
+    """`split_potentials`' d and p, and the integer form (2 w_ij - w_ii -
+    w_jj, 2s) of d, (w, s) the integer form of rows: the one read of rows
+    that `decompose` realizes d from (`_realize`)."""
     w, scale = _integers(as_matrix(rows))
     _check_symmetric(w)
     for i, row in enumerate(w):
@@ -217,7 +234,7 @@ def split_potentials(rows: Sequence[Sequence]) -> tuple[Matrix, list[Fraction]]:
     d = [[2 * x - w_ii - w_jj for x, w_jj in zip(row, diag)] for row, w_ii in zip(w, diag)]
     # d and p over 2s: one Fraction per distinct numerator
     value = {x: Fraction(x, 2 * scale) for x in {*diag, *chain.from_iterable(d)}}
-    return [[value[x] for x in row] for row in d], [value[x] for x in diag]
+    return [[value[x] for x in row] for row in d], [value[x] for x in diag], (d, 2 * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +256,14 @@ def realize_tree(rows: Sequence[Sequence]) -> tuple[Tree, list[int]]:
     refuses, the quadruple scan names the violation; a refused matrix
     that the scan passes is the grower's fault, an AssertionError.
     """
-    w, scale = check_dissimilarity(rows)
+    return _realize(*check_dissimilarity(rows))
+
+
+def _realize(w: list[list[int]], scale: int) -> tuple[Tree, list[int]]:
+    """`realize_tree` on the integer form (w, scale) of a dissimilarity
+    matrix (`_dissimilarity`).  The tree and its errors depend on the
+    values w / scale only: the grower and the scan compare sums of
+    entries, which a positive scale keeps."""
     if not w:
         raise ValueError("empty matrix")
     grown = _grow(w)
@@ -410,21 +434,51 @@ def square_cycle_metric() -> Matrix:
 # exact signatures of powered matrices
 
 
+class _Surd:
+    """a + b sqrt(r): a and b rationals (ints in the form `_inertia` walks)
+    and r > 0 an integer with no integer square root, so the value is zero
+    only when a and b are.  The entries of one powered matrix share r = num
+    * den of tau, as sqrt(tau) = sqrt(r) / den; nothing factorises r, and
+    `_surd_sign` decides a sign with one comparison of integers.
+
+    Not hashable: equal values can all hash alike (every power of 2^61 - 1
+    hashes to 0), so readers key entries by identity."""
+
+    __slots__ = ("a", "b", "r")
+    __hash__ = None
+
+    def __init__(self, a, b, r: int):
+        self.a, self.b, self.r = a, b, r
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return not self.b and self.a == other
+        if type(other) is not _Surd:
+            return NotImplemented
+        # b sqrt(r) is rational only at b = 0, so the parts must match
+        b, c = self.b, other.b
+        return self.a == other.a and (b > 0) == (c > 0) and b * b * self.r == c * c * other.r
+
+    def __repr__(self) -> str:
+        return f"_Surd({self.a}, {self.b}, {self.r})"
+
+
+def _surd_sign(a, b, r: int) -> int:
+    """The sign of a + b sqrt(r), r > 0 no square: a and b of one sign
+    decide it, and otherwise the larger of a^2 and b^2 r."""
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    return sa if sa == sb or a * a > b * b * r else sb
+
+
 def power_entry(tau: Fraction, d: Fraction):
-    """tau^d exactly: a Fraction for integer d and wherever tau has an
-    exact root of d's denominator (`_exact_root`), a square-root extension
+    """tau^d exactly, as `_power` powers a matrix: a Fraction for integer d
+    and wherever tau has an exact root of d's denominator, a pair b sqrt(r)
     for other half-integer d, zero for d = -inf.  Other denominators would
     need deeper radicals."""
     if d == MINUS_INF:
         return Fraction(0)
     tau, d = _positive_base(tau), Fraction(d)
-    root = _exact_root(tau, d.denominator)
-    if root is not None:
-        return root ** d.numerator
-    if d.denominator == 2:
-        whole = d.numerator // 2  # floor; remainder is 1/2
-        return (tau ** whole) * QRad.sqrt_of(tau)
-    raise ValueError(f"exponent {d} needs a {d.denominator}-th root; only 2 is supported")
+    return _power([[d.numerator]], d.denominator, tau)[0][0]
 
 
 def _exact_root(tau: Fraction, s: int) -> Fraction | None:
@@ -469,13 +523,35 @@ def power_matrix(rows: Sequence[Sequence], tau):
 
 
 def _power(w: list[list[int | None]], scale: int, tau: Fraction):
-    """[tau^(w_ij / scale)] entry by entry, a None of w (-inf) as 0."""
-    # each distinct exponent is powered once, in row-major order of first
-    # appearance, so a bad exponent raises as it would entry by entry
-    powers = {
-        e: Fraction(0) if e is None else power_entry(tau, Fraction(e, scale))
-        for e in dict.fromkeys(x for row in w for x in row)
-    }
+    """[tau^(w_ij / scale)], a None of w (-inf) as 0, for tau > 0.
+
+    tau is rooted once (`_rooted`), to (root, s).  Each distinct exponent
+    e is powered once, in row-major order of first appearance, so a bad
+    exponent raises as it would entry by entry.  One that s divides is the
+    Fraction root^(e / s).  Otherwise (s > 1, root = tau) e / s in lowest
+    terms, k / q, is the Fraction of tau's exact q-th root where it has one
+    (q < s; at q = s `_rooted` found none), else for q = 2 the pair b
+    sqrt(r) = tau^((k - 1) / 2) sqrt(tau), b = tau^((k - 1) / 2) / den and
+    r = num * den of tau, shared by every pair of the matrix."""
+    root, s = _rooted(tau, scale)
+    r = root.numerator * root.denominator
+    powers = {}
+    for e in dict.fromkeys(chain.from_iterable(w)):
+        if e is None:
+            x = Fraction(0)
+        elif e % s == 0:
+            x = root ** (e // s)
+        else:
+            d = Fraction(e, s)
+            q = d.denominator
+            exact = None if q == s else _exact_root(root, q)
+            if exact is not None:
+                x = exact ** d.numerator
+            elif q == 2:
+                x = _Surd(0, root ** (d.numerator // 2) / root.denominator, r)
+            else:
+                raise ValueError(f"exponent {d} needs a {q}-th root; only 2 is supported")
+        powers[e] = x
     return [[powers[x] for x in row] for row in w]
 
 
@@ -494,9 +570,10 @@ def _powered_form(w: list[list[int | None]], scale: int, tau: Fraction) -> list[
     `_inertia` runs on.  After `_rooted`, at a denominator s of 1 or 2, each
     distinct exponent e is read once as the pair (root^(e // s), e % s) of
     `_rational_form` with d = root, and a None as zero; the integer matrix
-    of that split takes no square root of tau.  Every other matrix runs on
-    `_power`'s entries, QRads at the half-integer exponents (a denominator
-    above 2 with no exact root of tau raises there)."""
+    of that split takes no square root of tau.  Every other matrix, one
+    whose parities have an odd cycle, runs on `_power`'s entries scaled to
+    ints and pairs of ints (`_integral_pairs`); a denominator above 2 with
+    no exact root of tau raises in `_power`."""
     root, s = _rooted(tau, scale)
     if s <= 2:
         part = {
@@ -506,29 +583,66 @@ def _powered_form(w: list[list[int | None]], scale: int, tau: Fraction) -> list[
         a = _rational_form([[part[x] for x in row] for row in w], root)
         if a is not None:
             return a
-    return _power(w, scale, tau)
+    return _integral_pairs(_power(w, scale, tau))
 
 
 def _check_symmetric(a: Sequence[Sequence]) -> None:
-    """Raise unless the matrix is square and exactly symmetric."""
+    """Raise unless the matrix is square and exactly symmetric.  A pair of
+    entries that is one object, as a powered matrix's mostly are, is not
+    compared."""
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("matrix is not square")
     for i in range(n):
         for j in range(i):
-            if a[i][j] != a[j][i]:
+            x, y = a[i][j], a[j][i]
+            if x is not y and x != y:
                 raise ValueError(f"matrix is not symmetric at ({i},{j})")
 
 
-def _exact_form(rows: Sequence[Sequence]) -> list[list[int]] | list[list[QRad]]:
+def _exact_form(rows: Sequence[Sequence]) -> list[list]:
     """`rows` in the scalars `_inertia` runs on: the rational form, scaled
-    to integers, when there is one, else QRads; both keep the inertia and
-    every principal minor's sign.  Raises ValueError unless `rows` is
-    square and symmetric, TypeError on an inexact entry such as a float."""
+    to integers, when there is one (`_monomials` reads each distinct entry
+    once); else, when pairs a + b sqrt(r) are among the entries (a powered
+    matrix's), ints and pairs of ints (`_integral_pairs`); else QRads, the
+    reader of a matrix of QRads.  All keep the inertia and every principal
+    minor's sign.  Raises ValueError unless `rows` is square and symmetric,
+    TypeError on an inexact entry such as a float."""
     a = [list(row) for row in rows]
     _check_symmetric(a)
     split = _monomials(a)
-    return (split and _rational_form(*split)) or [[QRad.of(x) for x in row] for row in a]
+    if split and (ints := _rational_form(*split)) is not None:
+        return ints
+    if any(type(x) is _Surd for x in chain.from_iterable(a)):
+        return _integral_pairs(a)
+    return [[QRad.of(x) for x in row] for row in a]
+
+
+def _integral_pairs(a: list[list]) -> list[list]:
+    """a, of ints, Fractions and pairs a + b sqrt(r) of one r, times the
+    lcm of the denominators of its rationals and of its pairs' parts: ints,
+    and pairs of ints where b is not zero.  Each distinct entry object is
+    read once.  TypeError on any other entry, such as a float or a QRad,
+    and on pairs of two values of r."""
+    cells = {id(x): x for x in chain.from_iterable(a)}
+    radicands = {x.r for x in cells.values() if type(x) is _Surd}
+    if len(radicands) > 1:
+        raise TypeError(f"pairs a + b sqrt(r) over {len(radicands)} values of r")
+    parts = {}
+    for k, x in cells.items():
+        if type(x) is _Surd:
+            parts[k] = x.a, x.b
+        elif isinstance(x, (int, Fraction)):
+            parts[k] = x, 0
+        else:
+            raise TypeError(f"entry {x!r} is neither rational nor a pair a + b sqrt(r)")
+    scale = lcm(*(y.denominator for ab in parts.values() for y in ab))
+    r = radicands.pop() if radicands else None
+    ints = {}
+    for k, (x, y) in parts.items():
+        x, y = x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator)
+        ints[k] = _Surd(x, y, r) if y else x
+    return [[ints[id(x)] for x in row] for row in a]
 
 
 def inertia(rows: Sequence[Sequence]) -> tuple[int, int, int]:
@@ -538,36 +652,40 @@ def inertia(rows: Sequence[Sequence]) -> tuple[int, int, int]:
     e_m -> e_m + e_j on the rows left.  A matrix of square-root entries
     that is D R D, with R rational and D a positive diagonal (every
     powered tree metric is), is eliminated as R scaled to integers: by
-    Sylvester's law of inertia the two agree."""
+    Sylvester's law of inertia the two agree.  A powered matrix that is
+    not walks as ints and pairs of ints (`_exact_form`)."""
     return _inertia(_exact_form(rows))
 
 
 def _monomials(a: Sequence[Sequence]) -> tuple[list[list[tuple]], int] | None:
     """Each entry of a as the pair (c, odd) of `_rational_form`, c a
-    Fraction, and the one squarefree radicand d: a rational entry is (c, 0)
-    and a QRad c*sqrt(d) is (c, 1).  None when an entry is neither, or two
-    radicands appear."""
-    parts = []
+    Fraction, and the one radicand d: a rational entry, or a pair a + 0
+    sqrt(r), is (c, 0); a QRad c*sqrt(d), d squarefree, and a pair 0 + c
+    sqrt(d) are (c, 1).  None when an entry is none of these, or two
+    radicands appear.  Each distinct entry object is read once, and its
+    pair shared: a powered matrix holds one object per distinct exponent."""
+    read = {}
     radicand = 1
-    for row in a:
-        out = []
-        for x in row:
-            if isinstance(x, QRad):
-                part = x.monomial()
-                if part is None:
-                    return None
-            elif isinstance(x, (int, Fraction)):
-                part = Fraction(x), 1
-            else:
+    for x in chain.from_iterable(a):
+        if id(x) in read:
+            continue
+        if type(x) is _Surd:
+            part = (x.b, x.r) if not x.a else (x.a, 1) if not x.b else None
+        elif isinstance(x, QRad):
+            part = x.monomial()
+        elif isinstance(x, (int, Fraction)):
+            part = x, 1
+        else:
+            return None
+        if part is None:
+            return None
+        c, d = part
+        if c and d != 1:
+            if radicand not in (1, d):
                 return None
-            c, d = part
-            if c and d != 1:
-                if radicand not in (1, d):
-                    return None
-                radicand = d
-            out.append((c, int(d != 1)))
-        parts.append(out)
-    return parts, radicand
+            radicand = d
+        read[id(x)] = (c if type(c) is Fraction else Fraction(c)), int(d != 1)
+    return [[read[id(x)] for x in row] for row in a], radicand
 
 
 def _rational_form(parts: list[list[tuple]], d: Fraction | int) -> list[list[int]] | None:
@@ -625,7 +743,10 @@ def _parities(odd: list[list[int | None]]) -> list[int] | None:
 
 def _inertia(a: list[list]) -> tuple[int, int, int]:
     """The elimination behind `inertia`, on a square symmetric matrix of
-    ints or of exact field elements (QRads, Fractions); it overwrites `a`.
+    ints, of exact field elements (QRads, Fractions), or of ints and pairs
+    a + b sqrt(r) of one r with int a and b (`_Surd`s); it overwrites `a`,
+    save a matrix of pairs, which it walks as the two int matrices of their
+    a and b parts.
 
     Fraction-free principal pivoting, the Sylvester step of `poly.det`:
     with S the indices eliminated so far and prev = det a[S], each live
@@ -635,43 +756,91 @@ def _inertia(a: list[list]) -> tuple[int, int, int]:
 
     Pivots are taken in index order, and only the upper triangle of the
     live block is read and written: the division (floor division of ints,
-    else one inverse of prev per pivot) is chosen once per call.  A zero
-    pivot a_kk is settled in place by congruences of determinant +-1 on
-    the live block, so entries stay minors and the inertia is kept
+    of pairs, else one inverse of prev per pivot) is chosen once per call.
+    On pairs the division is exact in Z[sqrt(r)], as Bareiss's argument
+    holds in any integral domain: x / q = (x conj q) // N(q) part by part,
+    with conj q = q_a - q_b sqrt(r) and N(q) = q_a^2 - r q_b^2, a nonzero
+    integer as r is no square; p conj(prev) and a_ik conj(prev) are formed
+    once per pivot and row, and `_surd_sign` signs a pivot.
+
+    A zero pivot a_kk is settled in place by congruences of determinant
+    +-1 on the live block, so entries stay minors and the inertia is kept
     (Sylvester's law): k swaps with the lowest live m with a_mm != 0.  When
     the live diagonal is all zero, e_m -> e_m + e_j on the first nonzero
     a_mj comes first: it adds row and column j to m and sets a_mm = 2 a_mj.
     A live block of zeros is that many zero eigenvalues."""
     n = len(a)
-    integral = {int}.issuperset(map(type, chain.from_iterable(a)))
-    prev = 1
+    kinds = set(map(type, chain.from_iterable(a)))
+    integral = kinds <= {int}
+    r = next((x.r for x in chain.from_iterable(a) if type(x) is _Surd), 0)
+    if r:
+        parts = [
+            [[x.a if type(x) is _Surd else x for x in row] for row in a],
+            [[x.b if type(x) is _Surd else 0 for x in row] for row in a],
+        ]
+    else:
+        parts = [a]
+    prev, was_positive = ((1, 0) if r else 1), True
     pos = neg = 0
-    for k, row_k in enumerate(a):
-        if not row_k[k]:
-            m = next((i for i in range(k + 1, n) if a[i][i]), None)
+    for k in range(n):
+        if not any(part[k][k] for part in parts):
+            m = next((i for i in range(k + 1, n) if any(part[i][i] for part in parts)), None)
             if m is None:
-                pair = next(((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j]), None)
+                pair = next(
+                    (
+                        (i, j)
+                        for i in range(k, n)
+                        for j in range(i + 1, n)
+                        if any(part[i][j] for part in parts)
+                    ),
+                    None,
+                )
                 if pair is None:
                     return pos, neg, n - k
                 m, j = pair
-                row_m, row_j = a[m], a[j]
-                # rows k..m-1 of the live block are zero, as is a_mc for c < j
-                for c in range(m + 1, n):
-                    row_m[c] += a[c][j] if c < j else row_j[c]
-                row_m[m] = 2 * row_m[j]
+                for part in parts:
+                    row_m, row_j = part[m], part[j]
+                    # rows k..m-1 of the live block are zero, as is a_mc for c < j
+                    for c in range(m + 1, n):
+                        row_m[c] += part[c][j] if c < j else row_j[c]
+                    row_m[m] = 2 * row_m[j]
             if m != k:
-                row_m = a[m]
-                row_k[k], row_m[m] = row_m[m], row_k[k]
-                for j in range(k + 1, m):
-                    row_k[j], a[j][m] = a[j][m], row_k[j]
-                for j in range(m + 1, n):
-                    row_k[j], row_m[j] = row_m[j], row_k[j]
-        p = row_k[k]
-        if (p > 0) == (prev > 0):
+                for part in parts:
+                    row_k, row_m = part[k], part[m]
+                    row_k[k], row_m[m] = row_m[m], row_k[k]
+                    for j in range(k + 1, m):
+                        row_k[j], part[j][m] = part[j][m], row_k[j]
+                    for j in range(m + 1, n):
+                        row_k[j], row_m[j] = row_m[j], row_k[j]
+        if r:
+            A, B = parts
+            row_k, b_k = A[k], B[k]
+            p, pb = row_k[k], b_k[k]
+            positive = _surd_sign(p, pb, r) > 0
+        else:
+            row_k = a[k]
+            p = row_k[k]
+            positive = p > 0
+        if positive == was_positive:
             pos += 1
         else:
             neg += 1
-        if integral:
+        was_positive = positive
+        if r:
+            qa, qb = prev
+            norm = qa * qa - r * qb * qb
+            # x = p conj(prev) and y = a_ki conj(prev), with r times their b parts
+            xa, xb = p * qa - r * pb * qb, pb * qa - p * qb
+            rxb = r * xb
+            for i in range(k + 1, n):
+                row_i, b_i, ca, cb = A[i], B[i], row_k[i], b_k[i]
+                ya, yb = ca * qa - r * cb * qb, cb * qa - ca * qb
+                ryb = r * yb
+                for j in range(i, n):
+                    u, v, s, t = row_i[j], b_i[j], row_k[j], b_k[j]
+                    row_i[j] = (xa * u + rxb * v - ya * s - ryb * t) // norm
+                    b_i[j] = (xa * v + xb * u - ya * t - yb * s) // norm
+        elif integral:
             for i in range(k + 1, n):
                 row_i, c = a[i], row_k[i]
                 for j in range(i, n):
@@ -682,7 +851,7 @@ def _inertia(a: list[list]) -> tuple[int, int, int]:
                 row_i, c = a[i], row_k[i]
                 for j in range(i, n):
                     row_i[j] = (p * row_i[j] - c * row_k[j]) * inv
-        prev = p
+        prev = (p, pb) if r else p
     return pos, neg, 0
 
 
@@ -774,17 +943,19 @@ def star_condition_check(
     indices in 0..n-1.
 
     M must already be numeric (say a powered matrix [tau^(w_ij)], whose
-    entries may be square-root extensions) and symmetric, which is checked
+    entries may be pairs a + b sqrt(r)) and symmetric, which is checked
     once on the whole matrix.  Signs are exact, so zero minors satisfy the
     weak inequalities; a float entry raises TypeError.  When M = D R D
     with R rational and D a positive diagonal, the signs are read on R
     scaled to integers.  Listed subsets take one exact elimination each.
     The default reads the signs off one Sylvester walk (poly._sylvester)
-    over that integer matrix, run on its ints as they are; the sets the
-    walk leaves out below a zero minor, and every set of a matrix with no
-    rational form, take one elimination each.  Returns the first violating
-    subset, in the listed order or by size and then lexicographically, or
-    None."""
+    over that integer matrix, run on its ints as they are, and scans the
+    table's values once: a full table with no violation returns None.  A
+    violation found, the sets the walk leaves out below a zero minor, and
+    every set of a matrix with no rational form, go to the ordered walk
+    over the subsets, where a set missing from the table takes one
+    elimination.  Returns the first violating subset, in the listed order
+    or by size and then lexicographically, or None."""
     a = _exact_form(rows)
     n = len(a)
     minors = {}
@@ -796,6 +967,10 @@ def star_condition_check(
         subsets = (xs for r in range(1, n + 1) for xs in combinations(range(n), r))
         if all(isinstance(x, int) for row in a for x in row):
             minors = _sylvester(_Form(a, 1, _istep, int), range(n), n)
+            if len(minors) == 2**n - 1 and not any(
+                x < 0 if len(xs) % 2 else x > 0 for xs, x in minors.items()
+            ):
+                return None
     for xs in subsets:
         minor = minors.get(xs)
         if minor is None:

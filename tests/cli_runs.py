@@ -145,6 +145,10 @@ def write_inputs(tmp):
     f["rep320x"] = _csv(tmp / "rep320x.csv", d)
     f["tri"] = _write(tmp / "tri.csv", "0,1/2,1/2", "1/2,0,1/2", "1/2,1/2,0")
     f["hollow3"] = _write(tmp / "hollow3.csv", "-inf,1,2", "1,-inf,1", "2,1,-inf")
+    f["odd5"] = _write(
+        tmp / "odd5.csv", "0,1,3,9/2,5", "1,0,4,5,6", "3,4,0,1,2", "9/2,5,1,0,1", "5,6,2,1,0"
+    )
+    f["m4253"] = str(2**4253 - 1)
     return f
 
 
@@ -316,6 +320,14 @@ RUNS = [
     # a -inf diagonal, zero when powered: the walk starts with a congruence
     ("signature --tau 10 --matrix {hollow3}", 0, inertia(1, 2, 0)),
     ("hpp-check --taus 10 --matrix {hollow3}", 0, ok),
+    # odd5: one exponent 9/2 puts an odd cycle in the parities, so no split:
+    # the walk runs on pairs a + b sqrt(tau) at the Mersenne primes 2^61 - 1
+    # and 2^4253 - 1, which trial division would never factorise
+    ("signature --tau 2305843009213693951 --matrix {odd5}", 0, inertia(2, 3, 0)),
+    ("hpp-check --taus 2305843009213693951 --matrix {odd5}", 1,
+     failing_tau("2305843009213693951")),
+    ("signature --tau {m4253} --matrix {odd5}", 0, inertia(2, 3, 0)),
+    ("hpp-check --taus {m4253} --matrix {odd5}", 1, failing_tau(str(2**4253 - 1))),
 ]
 
 

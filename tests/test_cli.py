@@ -856,16 +856,16 @@ def test_metric_commands_scan_quadruples_once(capsys, monkeypatch, tmp_path, sub
 
 
 def test_decompose_validates_its_matrix_once(capsys, monkeypatch, tmp_path):
-    real = metric.check_dissimilarity
+    # one integer read of the input: the potential-reduced part is realized
+    # from split_potentials' integer form, not read again from Fractions
+    real = metric._integers
     calls = []
 
-    def counted(rows):
-        calls.append(len(rows))
-        return real(rows)
+    def counted(m, idx=None):
+        calls.append(len(m))
+        return real(m, idx)
 
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("treeminor") and getattr(mod, "check_dissimilarity", None) is real:
-            monkeypatch.setattr(mod, "check_dissimilarity", counted)
+    monkeypatch.setattr(metric, "_integers", counted)
     t = random_tree(5, seed=4)
     p = [F(1, 2), F(3), F(0), F(5, 2), F(1)]
     d = [[t.dist(a, b) for b in t.vertices] for a in t.vertices]
@@ -1474,6 +1474,37 @@ def test_rooted_check_reaches_no_radical(capsys, tmp_path, monkeypatch):
     assert len(pinned) == 4
     for argv in pinned:
         test_report_stdout_is_pinned(capsys, tmp_path, argv)
+
+
+def test_powered_matrices_build_no_qrad(capsys, tmp_path, monkeypatch):
+    # powered entries are pairs a + b sqrt(r), r = num * den of tau, on a
+    # matrix that splits as D R D (the square cycle at half weights) and on
+    # one that does not (odd5: 9/2 closes an odd cycle of parities); no QRad
+    # is built, so no tau is factorised, 2^61 - 1 among them
+    class NoQRad:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("QRad built")
+
+    monkeypatch.setattr(metric, "QRad", NoQRad)
+    odd5 = "0,1,3,9/2,5\n1,0,4,5,6\n3,4,0,1,2\n9/2,5,1,0,1\n5,6,2,1,0\n"
+    c4h = "0,1/2,1,1/2\n1/2,0,1/2,1\n1,1/2,0,1/2\n1/2,1,1/2,0\n"
+    for name, text, above, below in (("odd5", odd5, [2, 3, 0], [5, 0, 0]),
+                                      ("c4h", c4h, [2, 2, 0], [4, 0, 0])):
+        path = tmp_path / f"{name}.csv"
+        path.write_text(text)
+        rows = metric.parse_matrix_csv(text)
+        for tau in ("10", "3/2", "2/3", "2305843009213693951"):
+            want = above if Fraction(tau) > 1 else below
+            code, out, _ = invoke(capsys, "signature", "--tau", tau, "--matrix", str(path),
+                                  "--format", "json")
+            assert (code, json.loads(out)["inertia"]) == (0, want)
+            code, out, _ = invoke(capsys, "hpp-check", "--taus", tau, "--matrix", str(path),
+                                  "--format", "json")
+            assert (code, json.loads(out)["failing_tau"]) == (1, tau)
+            pm = metric.power_matrix(rows, Fraction(tau))
+            assert any(isinstance(x, metric._Surd) for row in pm for x in row)
+            assert metric.inertia(pm) == tuple(want)
+            assert metric.star_condition_check(pm) is not None
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,7 @@ import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from math import lcm
+from math import isqrt, lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -251,12 +251,21 @@ def test_realizations_and_splits_are_pinned():
 # --- powered matrices and signatures ---------------------------------------------
 
 
+def _qrad(x):
+    """x as a QRad, a pair a + b sqrt(r) of `metric._power` built through
+    QRad's own square root: the pair walk's independent oracle."""
+    if isinstance(x, metric._Surd):
+        return QRad.of(x.a) + x.b * QRad.sqrt_of(x.r)
+    return QRad.of(x)
+
+
 def test_power_entry_exact():
     assert power_entry(10, 3) == 1000
     assert power_entry(10, F(-2)) == F(1, 100)
-    assert power_entry(10, F(3, 2)) == 10 * QRad.sqrt_of(10)
+    assert _qrad(power_entry(10, F(3, 2))) == 10 * QRad.sqrt_of(10)
     assert power_entry(100, F(1, 2)) == 10
-    assert power_entry(10, F(-1, 2)) == QRad.sqrt_of(10) / 10
+    assert _qrad(power_entry(10, F(-1, 2))) == QRad.sqrt_of(10) / 10
+    assert _qrad(power_entry(F(3, 2), F(-3, 2))) == F(2, 3) / QRad.sqrt_of(F(3, 2))
     with pytest.raises(ValueError, match="root"):
         power_entry(10, F(1, 3))
 
@@ -726,19 +735,19 @@ def test_fast_four_point_test_agrees_with_the_scan_on_larger_tree_metrics(m):
 
 
 def _qrad_inertia(a):
-    return metric._inertia([[QRad.of(x) for x in row] for row in a])
+    return metric._inertia([[_qrad(x) for x in row] for row in a])
 
 
 def _integer_powered_form(w, scale, tau):
     """The powered matrix as `_powered_form` splits it, integers, or None
-    when it falls back to `_power`'s entries."""
+    when it falls back to `_power`'s entries as ints and pairs of ints."""
     a = metric._powered_form(w, scale, tau)
     return a if all(type(x) is int for row in a for x in row) else None
 
 
 def _integer_exact_form(m):
     """m as `_exact_form` splits it, integers, or None when it falls back
-    to QRads."""
+    to pairs of ints or QRads."""
     a = metric._exact_form(m)
     return a if all(type(x) is int for row in a for x in row) else None
 
@@ -775,11 +784,11 @@ def test_odd_parity_cycle_falls_back_to_square_roots():
 
 def test_odd_parity_cycle_fallback_skips_the_rational_form(monkeypatch):
     # the split reads the exponents, so once it fails the square-root
-    # entries go straight to the elimination: no QRad reaches the split
+    # entries go straight to the elimination: no pair or QRad reaches the split
     split = metric._rational_form
 
     def exponents_only(parts, d):
-        assert not any(isinstance(c, QRad) for row in parts for c, _ in row)
+        assert not any(isinstance(c, (QRad, metric._Surd)) for row in parts for c, _ in row)
         assert split(parts, d) is None
         return None
 
@@ -1012,7 +1021,7 @@ def _qrad_star_violator(m):
     n = len(m)
     for r in range(1, n + 1):
         for xs in combinations(range(n), r):
-            _, q, z = metric._inertia([[QRad.of(m[i][j]) for j in xs] for i in xs])
+            _, q, z = metric._inertia([[_qrad(m[i][j]) for j in xs] for i in xs])
             sign = 0 if z else (-1) ** q
             if sign < 0 if r % 2 else sign > 0:
                 return xs
@@ -1065,7 +1074,7 @@ def test_star_condition_walks_its_own_ints_past_the_packed_kernel(monkeypatch):
     t = random_tree(7, seed=4)
     d = tree_distance_matrix(t, list(t.vertices))
     pm = power_matrix([[x / 2 for x in row] for row in d], 10)
-    assert any(isinstance(x, QRad) for row in pm for x in row)
+    assert any(not _qrad(x).is_rational() for row in pm for x in row)
     assert _integer_exact_form(pm) is not None
     cases = ([[0, 1, 0], [1, 0, 0], [0, 0, 1]], power_matrix(square_cycle_metric(), 10), pm)
     want = [_qrad_star_violator(m) for m in cases]
@@ -1278,3 +1287,183 @@ def test_rational_form_refuses_what_does_not_split():
     assert _integer_exact_form(two) is None
     assert _integer_exact_form([[r2]]) is None  # irrational diagonal
     assert _integer_exact_form([[r2 + 1]]) is None  # two terms in one entry
+
+
+# --- pairs a + b sqrt(r): the scalars of a powered matrix that does not split --
+
+
+def _bracket_sign(a, b, r):
+    """The sign of a + b sqrt(r), r no square, read off sqrt(r 4^k) in
+    (s, s + 1), s = isqrt(r 4^k), at ever finer scales 2^k: the pair's
+    sign oracle, which never compares a^2 with b^2 r."""
+    if a == b == 0:
+        return 0
+    k = 0
+    while True:
+        s = isqrt(r << 2 * k)
+        ends = (a << k) + b * s, (a << k) + b * (s + 1)
+        if min(ends) > 0:
+            return 1
+        if max(ends) < 0:
+            return -1
+        k += 16
+
+
+@st.composite
+def _surds(draw):
+    """(a, b, r): r strictly between two squares or a Mersenne prime, and a
+    near -b sqrt(r) as often as not, where a^2 and b^2 r nearly tie."""
+    k = draw(st.integers(1, 10**20))
+    r = draw(st.integers(k * k + 1, k * k + 2 * k) | st.sampled_from([2**61 - 1, 2**127 - 1]))
+    b = draw(st.integers(-(10**30), 10**30))
+    a = draw(
+        st.integers(-(10**40), 10**40)
+        | st.integers(-2, 2).map(lambda e: isqrt(b * b * r) + e)
+        | st.integers(-2, 2).map(lambda e: -isqrt(b * b * r) + e)
+    )
+    return a, b, r
+
+
+@settings(max_examples=400, deadline=None)
+@given(_surds())
+@example((0, 0, 2))
+@example((3, -2, 2))  # 9 > 8: positive
+@example((-3, 2, 2))
+@example((2, -3, 2))  # 4 < 18: negative
+@example((1, -1, 2**61 - 1))
+def test_pair_sign_matches_an_isqrt_bracketing(case):
+    a, b, r = case
+    assert metric._surd_sign(a, b, r) == _bracket_sign(a, b, r)
+
+
+def _pairs(m, r):
+    """m, a matrix of (a, b) tuples of ints, as ints (b = 0) and pairs."""
+    return [[metric._Surd(a, b, r) if b else a for a, b in row] for row in m]
+
+
+def _congruent(m, u, r):
+    """u^T m u over Z[sqrt(r)], m and u matrices of (a, b) tuples."""
+
+    def mul(x, y):
+        return x[0] * y[0] + r * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+    def dot(xs, ys):
+        out = (0, 0)
+        for x, y in zip(xs, ys):
+            p = mul(x, y)
+            out = out[0] + p[0], out[1] + p[1]
+        return out
+
+    n = len(m)
+    cols = [[u[k][j] for k in range(n)] for j in range(n)]
+    mu = [[dot(m[i], cols[j]) for j in range(n)] for i in range(n)]
+    return [[dot(cols[i], [mu[k][j] for k in range(n)]) for j in range(n)] for i in range(n)]
+
+
+@st.composite
+def _pair_walk_inputs(draw):
+    """(matrix of ints and pairs, r, its inertia or None): u^T m u for
+    the rational kinds of `_oracle_matrices`, scaled to ints, and u unit
+    upper triangular over Z[sqrt(r)], whose leading minors, zero pivots
+    among them, and inertia are m's; hollow pair matrices, whose walk
+    starts with e_m -> e_m + e_j; and powered matrices with an odd parity
+    cycle, at tau on both sides of 1 (inertia None: the oracles decide)."""
+    kind = draw(st.sampled_from(["congruent", "hollow", "powered"]))
+    if kind == "powered":
+        n = draw(st.integers(3, 5))
+        m = [[F(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                m[i][j] = m[j][i] = F(draw(st.integers(0, 8)), 2)
+        m[0][1] = m[1][0] = m[1][2] = m[2][1] = m[0][2] = m[2][0] = F(1, 2)  # an odd cycle
+        for i in range(n):
+            m[i][i] = draw(st.sampled_from([F(0), MINUS_INF]))
+        tau = draw(st.sampled_from([F(10), F(3, 2), F(2, 3), F(1, 10), F(12)]))
+        w, scale = metric._integers(metric.as_matrix(m))
+        a = metric._powered_form(w, scale, tau)
+        r = tau.numerator * tau.denominator
+        assert any(type(x) is metric._Surd for row in a for x in row)
+        return a, r, None
+    r = draw(st.sampled_from([2, 3, 10, 12]))
+    small = st.integers(-3, 3)
+    if kind == "hollow":
+        n = draw(st.integers(2, 5))
+        m = [[(0, 0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                m[i][j] = m[j][i] = (draw(small), draw(small))
+        return _pairs(m, r), r, None
+    q, _ = draw(_oracle_matrices().filter(lambda case: case[1]))
+    n = len(q)
+    s = lcm(*(x.denominator for row in q for x in row))
+    m = [[(int(x * s), 0) for x in row] for row in q]
+    u = [[(int(i == j), 0) if i >= j else (draw(small), draw(small)) for j in range(n)] for i in range(n)]
+    return _pairs(_congruent(m, u, r), r), r, _descartes_inertia(q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pair_walk_inputs())
+def test_pair_walk_matches_qrads_and_the_characteristic_polynomial(case):
+    a, r, want = case
+    qrads = [[_qrad(x) for x in row] for row in a]
+    if want is None:
+        want = _descartes_inertia(qrads)
+    assert metric._inertia([row[:] for row in qrads]) == want
+    assert metric._inertia([row[:] for row in a]) == want
+    assert inertia(a) == want
+
+
+def test_pair_walk_settles_zero_pivots_on_pairs():
+    # hollow: every diagonal entry is zero, so the walk starts with
+    # e_m -> e_m + e_j; then a zero pivot with a nonzero diagonal below it,
+    # a swap; a_01 = 1 + sqrt 2 makes both run on pairs
+    r = 2
+    hollow = _pairs([[(0, 0), (1, 1), (0, 1)], [(1, 1), (0, 0), (2, 0)], [(0, 1), (2, 0), (0, 0)]], r)
+    swap = _pairs([[(0, 0), (1, 1), (0, 0)], [(1, 1), (0, 0), (0, 0)], [(0, 0), (0, 0), (3, -1)]], r)
+    # the leading block of swap is hyperbolic, and 3 - sqrt 2 > 0
+    for m, want in ((hollow, None), (swap, (2, 1, 0))):
+        qrads = [[_qrad(x) for x in row] for row in m]
+        want = want or _descartes_inertia(qrads)
+        assert metric._inertia([row[:] for row in m]) == want == metric._inertia(qrads)
+
+
+def test_a_pair_is_not_hashable_and_compares_by_value():
+    x = power_entry(F(2**61 - 1), F(1, 2))
+    assert isinstance(x, metric._Surd) and (x.a, x.b, x.r) == (0, 1, 2**61 - 1)
+    with pytest.raises(TypeError):
+        hash(x)
+    assert metric._Surd(0, 2, 2) == metric._Surd(0, 1, 8) != metric._Surd(0, -1, 8)
+    assert metric._Surd(F(3, 2), 0, 5) == F(3, 2) and metric._Surd(1, 1, 5) != 1
+
+
+def test_exact_form_refuses_what_the_pair_walk_cannot_read():
+    x = power_entry(10, F(1, 2))
+    with pytest.raises(TypeError):
+        inertia([[x, 1.5], [1.5, x]])
+    with pytest.raises(TypeError):
+        inertia([[F(0), x], [x, power_entry(3, F(1, 2))]])
+
+
+def test_star_condition_scan_decides_a_full_table_without_the_ordered_walk(monkeypatch):
+    # a powered tree metric on distinct points: every minor is in the table
+    # and none breaks the rule, so no subset is listed; a violation is
+    # named by the ordered walk
+    t = random_tree(7, seed=4)
+    d = tree_distance_matrix(t, list(t.vertices))
+    pm = power_matrix([[x / 2 for x in row] for row in d], 10)
+
+    def refuse(*args):
+        raise AssertionError("the ordered walk ran")
+
+    monkeypatch.setattr(metric, "combinations", refuse)
+    assert star_condition_check(pm) is None
+    with pytest.raises(AssertionError, match="the ordered walk ran"):
+        star_condition_check(power_matrix(square_cycle_metric(), 10))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_star_inputs())
+def test_star_condition_table_scan_matches_the_listed_subsets(m):
+    n = len(m)
+    every = [xs for r in range(1, n + 1) for xs in combinations(range(n), r)]
+    assert star_condition_check(m) == star_condition_check(m, every)

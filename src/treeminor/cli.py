@@ -37,16 +37,15 @@ from .cyclekernel import ENUMERATION_CAP, cycle_sums, cycle_table
 from .matroid import (
     ValuatedFn,
     _block_products,
-    _exponent_gaps,
     _rooted_ground,
+    _rooted_maps,
+    _spread,
     _value_pair,
     check_delta_matroid,
     check_valuated_matroid,
-    default_window,
     k_dissimilarity,
     odd_dissimilarity,
     rooted_k_dissimilarity,
-    rooted_matrix,
     verify_rooted_representation,
 )
 from .metric import (
@@ -846,10 +845,10 @@ def _check_rooted_size(T, args, ground, window) -> None:
             f"represent-rooted would make about {products} series products, more "
             f"than {_MAX_SUBSETS}; pass a smaller --ground, --k or --max-reseeds"
         )
-    M = rooted_matrix(T, args.root, g)
+    maps, den = _rooted_maps(T, args.root, g)
+    gaps, den, default = _spread(maps, den)
     which = "the default window" if window is None else "--window"
-    window = default_window(M) if window is None else window
-    gaps, den = _exponent_gaps(M)
+    window = default if window is None else window
     top = int(window * den)
     inverses = 2 * len(g) * -(-top // min(gaps))
     products = len(g) ** 3 + memo * args.k**2 // 4 + inverses

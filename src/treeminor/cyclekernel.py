@@ -148,7 +148,9 @@ def cycle_table(
     sums are Python ints.  Every cycle through C has the sign
     (-1)^(|C| - 1), so g(C) is never 0; it is m 2^z with m odd, and each
     product g(C) f(S') is computed as (m f(S')) << z, which multiplies none
-    of g(C)'s zero low digits.  Three per-pair tables serve the cycles:
+    of g(C)'s zero low digits.  The fixed point C = {c} has g(C) = 1 and
+    the tight map {0: 1}, so it copies f(S') with no product.  Three
+    per-pair tables serve the cycles:
 
     - D[i][j], the weight of the path between members i and j times
       T._den, read off its edge mask P_i ^ P_j (`Tree._path_mask`, P the
@@ -242,6 +244,13 @@ def cycle_table(
                 subs = [
                     sum(part) for r in range(room + 1) for part in itertools.combinations(free, r)
                 ]
+            if C == first:  # g's first set, the fixed point: no S holding c is filled yet
+                for sub in subs:
+                    full[first | sub] = full[sub]
+                    below = tight.get(sub)
+                    if below:
+                        tight[first | sub] = dict(below)
+                continue
             cycles = g_tight.get(C)
             for sub in subs:
                 S = C | sub

@@ -14,13 +14,14 @@ truncated series) whose minor/Pfaffian top exponents reproduce the maps:
   principal submatrices give the odd-edge map and its negative.
 * `verify_rooted_representation` -- the pairwise-power matrix M with the
   rank-one root contribution removed, as integer maps, factored as
-  -M = L1 D L1^T over truncated series (tropic.ldl, no square roots) and
-  mixed as J diag(t^(val(d_z)/2)) L1^T, J a random rectangular matrix of
-  rationals and d_z the LDL^T pivots.  Determinant valuations of k-column
-  blocks give the rooted subtree-weight map; each is checked against the
-  tree and kept with the result, next to the top exponent of each k-minor
-  of M (one walk).  The blocks are expanded on integer maps over one
-  exponent grid, every sub-determinant once (one memo over column sets).
+  -M = L1 D L1^T over truncated series (tropic._ldl_grid on the maps'
+  ints over one exponent grid, no square roots) and mixed as
+  J diag(t^(val(d_z)/2)) L1^T, J a random rectangular matrix of rationals
+  and d_z the LDL^T pivots.  Determinant valuations of k-column blocks
+  give the rooted subtree-weight map; each is checked against the tree
+  and kept with the result, next to the top exponent of each k-minor of M
+  (one walk).  The blocks are expanded on integer maps over the
+  factor's grid, every sub-determinant once (one memo over column sets).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .metric import MINUS_INF
 from .pfaffian import build_skew_matrix, pf_oracle
 from .poly import ExactPoly, PolyMatrix, _as_fraction, _kernel, _sylvester
 from .tree import Tree
-from .tropic import PrecisionError, PuiseuxTrunc, _mul_into, _truncated_zero, ldl
+from .tropic import PrecisionError, _grid_series, _ldl_grid, _mul_into, _truncated_zero
 
 Value = "Fraction | float"  # a finite Fraction, or MINUS_INF
 
@@ -373,24 +374,37 @@ def rooted_matrix(T: Tree, root: int, ground: Sequence[int]) -> PolyMatrix:
     return PolyMatrix([[ExactPoly._make(den, 1, p) for p in row] for row in maps])
 
 
-def _exponent_gaps(M: PolyMatrix) -> tuple[set[int], int]:
-    """(gaps, den): the top-minus-bottom exponent gap of each nonzero entry
-    of M times den, the lcm of the entries' exponent denominators."""
-    entries = [p for row in M.entries for p in row if p]
-    den = math.lcm(*(p._den for p in entries))
-    return {(max(p._terms) - min(p._terms)) * (den // p._den) for p in entries}, den
+def _spread(rows: Iterable[Iterable[Iterable[int]]], den: int) -> tuple[set[int], int, Fraction]:
+    """(gaps, d, window) of a matrix given as rows of exponent key sets over
+    den, the empty sets its zero entries: d is the least denominator of the
+    exponents (den over the gcd of den and every key), gaps the
+    top-minus-bottom gap of each nonzero entry times d, and window the
+    default truncation window, four times the largest gap (4 without one).
+    The CLI's cost model and the rooted check read _rooted_maps' rows
+    through it, default_window a PolyMatrix."""
+    entries = [keys for row in rows for keys in row if keys]
+    g = math.gcd(den, *(e for keys in entries for e in keys))
+    gaps = {(max(keys) - min(keys)) // g for keys in entries}
+    spread = max(gaps, default=0)
+    return gaps, den // g, 4 * Fraction(spread, den // g) if spread else Fraction(4)
+
+
+def _matrix_spread(M: PolyMatrix) -> tuple[set[int], int, Fraction]:
+    """_spread of M's entries over the lcm of their exponent denominators."""
+    den = math.lcm(*(p._den for row in M.entries for p in row))
+    rows = [[[k * (den // p._den) for k in p._terms] for p in row] for row in M.entries]
+    return _spread(rows, den)
 
 
 def exponent_spread(M: PolyMatrix) -> Fraction:
     """Largest top-minus-bottom exponent gap over the nonzero entries."""
-    gaps, den = _exponent_gaps(M)
+    gaps, den, _ = _matrix_spread(M)
     return Fraction(max(gaps, default=0), den)
 
 
 def default_window(M: PolyMatrix) -> Fraction:
     """Default truncation window: four times the matrix exponent spread."""
-    s = exponent_spread(M)
-    return 4 * s if s > 0 else Fraction(4)
+    return _matrix_spread(M)[2]
 
 
 def _sample_mix(k: int, n: int, seed: int) -> list[list[Fraction]]:
@@ -441,16 +455,29 @@ class RootedRepresentation:
         return self.exact_valuations[self._key(Y)]
 
 
-# The block phase runs on grid series over one exponent grid R
-# (tropic._mul_into): its sums and products are PuiseuxTrunc's, less the
-# reduction to lowest terms.
+# The factor and the block phase run on grid series over one exponent grid
+# R (tropic._mul_into): their sums and products are PuiseuxTrunc's, less
+# the reduction to lowest terms.
 
 
-def _grid_series(terms: dict[int, int], cut: int | None) -> tuple:
-    """The grid series of the map terms + O(t^(cut/R)): its nonzero terms
-    above cut, highest first; PuiseuxTrunc's sum keeps the same terms."""
-    kept = ((e, n) for e, n in terms.items() if n and (cut is None or e > cut))
-    return tuple(sorted(kept, reverse=True)), cut
+def _rooted_factor(maps: Sequence[Sequence[dict]], den: int, window: Fraction):
+    """(low, half, R): -M = L1 D L1^T for the root-reduced matrix M of
+    _rooted_maps (maps over den), every entry truncated at the top exponent
+    less window, by tropic._ldl_grid over R = 2 lcm(den, the cut's
+    denominator).  low[j] holds L1[j][s], s < j, and half[j] the key of
+    val(d_j)/2: every key the factor makes lies on R/2, so it is even."""
+    top = max((max(p) for row in maps for p in row if p), default=None)
+    cut = None if top is None else Fraction(top, den) - window
+    R = 2 * (den if cut is None else math.lcm(den, cut.denominator))
+    f = R // den
+    ck = None if cut is None else cut.numerator * (R // cut.denominator)
+    grid = [
+        [(*_grid_series({e * f: -c for e, c in p.items()}, ck), 1) if p else ((), None, 1)
+         for p in row]
+        for row in maps
+    ]
+    low, pivots = _ldl_grid(grid, R)
+    return low, [d[0][0][0] // 2 for d in pivots], R
 
 
 def _grid_valuation(s: tuple, R: int):
@@ -465,40 +492,31 @@ def _grid_valuation(s: tuple, R: int):
 
 
 def _mixed_grid(
-    J: Sequence[Sequence[Fraction]],
-    L1: Sequence[Sequence[PuiseuxTrunc]],
-    half: Sequence[Fraction],
-) -> tuple[list[tuple], int]:
-    """(rows, R): the rows of J diag(t^half) L1^T, L1 unit lower
-    triangular, as grid series.  R is the lcm of L1's ramifications and
-    cutoff denominators and of half's denominators, so every exponent and
-    cutoff is a key.  Entry (i, j) is the PuiseuxTrunc sum over s <= j of
-    the monomial J[i][s] t^half[s] times L1[j][s] (for s = j the monomial
-    itself), times a_i b_j: a_i the lcm of J[i]'s denominators and b_j that
-    of L1[j]'s coefficient denominators.  So coefficients are ints, and a
-    block determinant is scaled by a positive constant, which changes
-    neither its valuation, nor whether it is zero, nor any cutoff."""
-    low = [[(s, x) for s, x in enumerate(Lj[:j]) if not x.is_exact_zero()]
-           for j, Lj in enumerate(L1)]
-    R = math.lcm(
-        *(h.denominator for h in half),
-        *(x._ram for row in low for _, x in row),
-        *(x._cutoff.denominator for row in low for _, x in row if x._cutoff is not None),
-    )
-    hk = [h.numerator * (R // h.denominator) for h in half]
-    cols = []  # (b_j, [(s, L1[j][s] as a grid series, b_j / its den) for s < j])
+    J: Sequence[Sequence[Fraction]], low: Sequence[Sequence[tuple]], half: Sequence[int]
+) -> list[tuple]:
+    """The rows of J diag(t^(half/R)) L1^T as grid series over R, L1 unit
+    lower triangular with low[j] its entries L1[j][s], s < j, rational grid
+    series over R (_rooted_factor's), and half keys over R.  Entry (i, j)
+    is the PuiseuxTrunc sum over s <= j of the monomial J[i][s]
+    t^(half[s]/R) times L1[j][s] (for s = j the monomial itself), times
+    a_i b_j: a_i the lcm of J[i]'s denominators and b_j that of L1[j]'s
+    coefficient denominators.  So coefficients are ints, and a block
+    determinant is scaled by a positive constant, which changes neither its
+    valuation, nor whether it is zero, nor any cutoff."""
+    cols = []  # (b_j, [(s, terms, cut, b_j / den) for each nonzero L1[j][s], s < j])
     for row in low:
-        b = math.lcm(1, *(x._den for _, x in row))
-        cols.append((b, [(s, x._grid(R), b // x._den) for s, x in row]))
+        entries = [(s, m, cut, den) for s, (m, cut, den) in enumerate(row) if m or cut is not None]
+        b = math.lcm(*(den for *_, den in entries))
+        cols.append((b, [(s, m, cut, b // den) for s, m, cut, den in entries]))
     rows = []
     for Ji in J:
         a = math.lcm(*(q.denominator for q in Ji))
         c = [q.numerator * (a // q.denominator) for q in Ji]
         row = []
         for j, (b, entries) in enumerate(cols):
-            terms, cuts = {hk[j]: c[j] * b}, []
-            for s, (m, cut), f in entries:
-                h, cs = hk[s], c[s] * f
+            terms, cuts = {half[j]: c[j] * b}, []
+            for s, m, cut, f in entries:
+                h, cs = half[s], c[s] * f
                 for e, n in m:
                     e += h
                     terms[e] = terms.get(e, 0) + cs * n
@@ -506,7 +524,7 @@ def _mixed_grid(
                     cuts.append(h + cut)
             row.append(_grid_series(terms, max(cuts, default=None)))
         rows.append(tuple(row))
-    return rows, R
+    return rows
 
 
 class _ColumnMinors(dict):
@@ -559,14 +577,15 @@ def verify_rooted_representation(
     """Build the k-row series representation of the rooted subtree-weight
     map and check it against the map computed straight from the tree, on
     every k-subset: factor the negated root-reduced matrix as L1 D L1^T
-    over truncated series (tropic.ldl) and mix diag(t^(val(d_z)/2)) L1^T by
-    a random rational k x n matrix J.  The monomial t^(val(d_z)/2) stands
-    for sqrt(d_z), the Cholesky factor's diagonal, with the same valuation:
-    by Cauchy-Binet each block of the mix has the valuation of the block of
-    J L^T, L the Cholesky factor, unless top terms cancel, and coefficients
-    stay rational.  Each attempt reads the blocks in combinations order
-    from one memo of sub-determinants over column sets (_ColumnMinors) on
-    one integer exponent grid, and stops at the first block that fails.
+    over truncated series (_rooted_factor, on M's integer maps) and mix
+    diag(t^(val(d_z)/2)) L1^T by a random rational k x n matrix J.  The
+    monomial t^(val(d_z)/2) stands for sqrt(d_z), the Cholesky factor's
+    diagonal, with the same valuation: by Cauchy-Binet each block of the
+    mix has the valuation of the block of J L^T, L the Cholesky factor,
+    unless top terms cancel, and coefficients stay rational.  Each attempt
+    reads the blocks in combinations order from one memo of
+    sub-determinants over column sets (_ColumnMinors) on the factor's
+    integer exponent grid, and stops at the first block that fails.
 
     `window` is the truncation width (default: four times the exponent
     spread of the matrix).  A disagreement or an unresolved (fully
@@ -586,22 +605,20 @@ def verify_rooted_representation(
     g = _rooted_ground(T, root, ground)
     expected = rooted_k_dissimilarity(T, root, k, ground=g)
     maps, den = _rooted_maps(T, root, g)
-    neg = [[ExactPoly._make(den, 1, {e: -c for e, c in p.items()}) for p in row] for row in maps]
-    w = default_window(PolyMatrix(neg)) if window is None else Fraction(window)
+    w = _spread(maps, den)[2] if window is None else Fraction(window)
     # pivot j of -M is det(-M[1..j]) / det(-M[1..j-1]) and every sign the
     # series decide is exact, so the factor itself certifies that -M is
     # positive definite for large t; a pivot of the wrong sign raises
     try:
-        L1, pivots = ldl(neg, window=w)
+        low, half, R = _rooted_factor(maps, den, w)
     except PrecisionError as exc:
         raise ArithmeticError(
             f"factorisation failed at truncation window {w} ({exc}); "
             "raise the window and retry"
         ) from exc
-    half = [d.valuation() / 2 for d in pivots]
     failures = []
     for attempt in range(max_reseeds + 1):
-        rows, R = _mixed_grid(_sample_mix(k, len(g), seed + attempt), L1, half)
+        rows = _mixed_grid(_sample_mix(k, len(g), seed + attempt), low, half)
         minors = _ColumnMinors(rows)
         vals = {}
         problem = None

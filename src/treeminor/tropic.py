@@ -26,9 +26,16 @@ product's cutoff or below: _mul_into, which matroid's rooted block phase
 runs on too.  A Fraction or QRad coefficient is built only where one is
 read (terms, leading).  Division and square roots work down to what the
 operand's own cutoff supports: the inverse runs the integer recurrence of
-1/(1 + u) on the map (1/sqrt(d) = sqrt(d)/d), and the square root of a
-rational series expands one binomial series; an exact non-monomial gives
-no stopping point, so it must be truncated first.
+1/(1 + u) on the grid (_grid_inverse; 1/sqrt(d) = sqrt(d)/d), and the
+square root of a rational series expands one binomial series; an exact
+non-monomial gives no stopping point, so it must be truncated first.
+
+The LDL^T factor runs on the grid, not on PuiseuxTrunc objects:
+_ldl_grid keeps every entry as its terms over one exponent grid R, one
+coefficient denominator and a cut key, adds each d - sum row[k] low[k]
+into one map with _mul_into, and inverts each pivot by _grid_inverse.
+ldl is its PuiseuxTrunc view, built once at the end; matroid's rooted
+check calls _ldl_grid straight on the root-reduced matrix's ints.
 """
 
 from __future__ import annotations
@@ -75,16 +82,17 @@ def _truncated_zero(cutoff: Fraction) -> PrecisionError:
 # (key, n) pairs for n t^(key/R), highest key first, all above the cutoff
 # key cut (None: exact).  Every product of series is formed on two of them:
 # PuiseuxTrunc's over the lcm of the factors' ramifications and cutoff
-# denominators, and the rooted check's block phase over its own grid.
+# denominators, and the LDL^T factor's and the rooted block phase's over
+# theirs.
 
 
 def _mul_into(out: dict[int, int], scale: int, a: tuple, b: tuple) -> int | None:
-    """Add scale a b to the map out, a and b grid series, and return the
-    product's cutoff key: None when a or b is an exact zero (out is left
-    alone) or both are exact; else the largest error term of top(a) +
-    cut(b), top(b) + cut(a) and cut(a) + cut(b).  No pair of terms whose
-    keys sum to the cutoff or below is formed."""
-    (ta, ca), (tb, cb) = a, b
+    """Add scale a b to the map out, a and b grid series (their first two
+    fields), and return the product's cutoff key: None when a or b is an
+    exact zero (out is left alone) or both are exact; else the largest
+    error term of top(a) + cut(b), top(b) + cut(a) and cut(a) + cut(b).  No
+    pair of terms whose keys sum to the cutoff or below is formed."""
+    ta, ca, tb, cb = a[0], a[1], b[0], b[1]
     if not ta and ca is None or not tb and cb is None:
         return None
     cuts = []
@@ -110,6 +118,98 @@ def _mul_into(out: dict[int, int], scale: int, a: tuple, b: tuple) -> int | None
                 e = ka + kb
                 out[e] = get(e, 0) + va * vb
     return cut
+
+
+def _grid_series(terms: dict[int, int], cut: int | None) -> tuple:
+    """The grid series of the map terms + O(t^(cut/R)): its nonzero terms
+    above cut, highest first; PuiseuxTrunc's sum keeps the same terms."""
+    kept = ((e, n) for e, n in terms.items() if n and (cut is None or e > cut))
+    return tuple(sorted(kept, reverse=True)), cut
+
+
+# A rational grid series (terms, cut, den) adds one coefficient denominator
+# to a grid series: it stands for sum n/den t^(key/R) + O(t^(cut/R)), den
+# positive and coprime to the values, so each rational series has one form.
+# The LDL^T factor runs on them (_ldl_grid), and PuiseuxTrunc.inverse over
+# the grid of its own ramification (_grid_inverse).
+
+
+def _reduced(terms: Sequence[tuple[int, int]], cut: int | None, den: int) -> tuple:
+    """The rational grid series of terms / den, its content gcd(den,
+    *values) divided out: one gcd pass per series."""
+    h = den
+    for _, n in terms:
+        if h == 1:
+            break
+        h = gcd(h, n)
+    if h > 1:
+        terms = [(e, n // h) for e, n in terms]
+    return terms, cut, den // h
+
+
+def _fused(x: tuple, pairs: Sequence[tuple[tuple, tuple]]) -> tuple:
+    """x - sum a b over the pairs (a, b), all rational grid series, as one
+    rational grid series: the products are added by _mul_into into one map
+    over the lcm D of the denominators, the terms at or below the largest
+    cut are dropped, and the content is reduced once.  PuiseuxTrunc's
+    sequence of differences gives the same series, since no term above the
+    last cut is dropped on the way."""
+    terms, cut, den = x
+    D = den
+    for a, b in pairs:
+        D = lcm(D, a[2] * b[2])
+    f = D // den
+    out = {e: n * f for e, n in terms}
+    cuts = [] if cut is None else [cut]
+    for a, b in pairs:
+        c = _mul_into(out, -(D // (a[2] * b[2])), a, b)
+        if c is not None:
+            cuts.append(c)
+    cut = max(cuts, default=None)
+    return _reduced(_grid_series(out, cut)[0], cut, D)
+
+
+def _grid_inverse(s: tuple) -> tuple:
+    """1/s for a rational grid series s with a nonzero lead, down to what
+    its precision supports: its cut minus twice its top key (exact for an
+    exact monomial).  An exact non-monomial raises ValueError.
+
+    By the recurrence of 1/(1 + u) instead of powers of u: with top the
+    lead key, p its value, g the gcd of the gaps top - k to the other keys
+    and x = t^(-g/R), s = (p/den) t^(top/R) sum_m a_m x^m with a_m =
+    n_(top-mg)/p, and 1/s = (den/p) t^(-top/R) sum_m b_m x^m, b_0 = 1, b_m =
+    -sum_i a_i b_(m-i).  The integers c_m = b_m p^m follow c_m = -sum_i
+    n_(top-ig) p^(i-1) c_(m-i); m runs while the key -top - mg stays above
+    the inverse's cut, cut - 2 top."""
+    terms, cut, den = s
+    (top, p), rest = terms[0], terms[1:]
+    if cut is None and rest:
+        raise ValueError("inverting an exact non-monomial: truncate it first")
+    g = gcd(*(top - k for k, _ in rest))
+    last = (top - cut - 1) // g if rest else 0
+    weights = []
+    for k, n in rest:
+        i = (top - k) // g
+        if i > last:
+            break
+        weights.append((i, n * p ** (i - 1)))
+    c = [1]
+    for m in range(1, last + 1):
+        acc = 0
+        for i, w in weights:
+            if i > m:
+                break
+            acc -= w * c[m - i]
+        c.append(acc)
+    scale = p ** (last + 1)
+    f = den if scale > 0 else -den  # den p^(last - m) / |scale| = den / (p^(m + 1) sign)
+    out = []
+    for m in range(last, -1, -1):
+        if c[m]:
+            out.append((-top - m * g, f * c[m]))
+        f *= p
+    out.reverse()
+    return _reduced(out, None if cut is None else cut - 2 * top, abs(scale))
 
 
 class PuiseuxTrunc:
@@ -356,31 +456,15 @@ class PuiseuxTrunc:
     def inverse(self) -> "PuiseuxTrunc":
         """1/self, down to what self's precision supports: its cutoff minus
         twice its leading exponent (exact for an exact monomial).  An exact
-        non-monomial must be truncated first.
-
-        By the recurrence of 1/(1 + u) instead of powers of u: with s =
-        t^(-1/ram), top the lead key and p its value, self = sqrt(rad) (p/den)
-        t^(top/ram) sum_m a_m s^m with a_m = n_(top-m)/p, and the inverse is
-        sqrt(rad) (den/(p rad)) t^(-top/ram) sum_m b_m s^m, b_0 = 1, b_m =
-        -sum_i a_i b_(m-i).  The integers c_m = b_m p^m follow c_m = -sum_i
-        n_(top-i) p^(i-1) c_(m-i); m runs while the term stays above the
-        cutoff of the binomial expansion, cutoff - 2 top/ram.
+        non-monomial must be truncated first.  A view of _grid_inverse on
+        the grid of self's ramification and cutoff (1/sqrt(d) = sqrt(d)/d).
         """
-        top = self._lead_key()  # certifies a nonzero lead
-        if self._cutoff is None and len(self._terms) > 1:
-            raise ValueError("inverting an exact non-monomial: truncate it first")
-        ram, terms = self._ram, self._terms
-        p = terms[top]
-        last = 0 if self._cutoff is None else top - _floor_key(self._cutoff, ram) - 1
-        weights = sorted((top - k, v * p ** (top - k - 1)) for k, v in terms.items() if k != top)
-        c = [1]
-        for m in range(1, last + 1):
-            c.append(-sum(w * c[m - i] for i, w in weights if i <= m))
-        scale = p ** (last + 1)
-        sign = 1 if scale > 0 else -1
-        vals = {-top - m: sign * self._den * cm * p ** (last - m) for m, cm in enumerate(c)}
-        cutoff = None if self._cutoff is None else self._cutoff - 2 * Fraction(top, ram)
-        return PuiseuxTrunc._make(ram, abs(scale) * self._rad, self._rad, vals, cutoff)
+        self._lead_key()  # certifies a nonzero lead
+        c = self._cutoff
+        R = self._ram if c is None else lcm(self._ram, c.denominator)
+        terms, cut, den = _grid_inverse((*self._grid(R), self._den))
+        cutoff = None if cut is None else Fraction(cut, R)
+        return PuiseuxTrunc._make(R, den * self._rad, self._rad, dict(terms), cutoff)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -556,12 +640,12 @@ def _symmetric_grid(
     return grid
 
 
-def _check_pivot(d: PuiseuxTrunc, j: int) -> None:
-    """Raise unless pivot j is positive for large t."""
-    s = d.sign()  # PrecisionError when the window is too small
-    if s < 0:
+def _check_pivot(sign: int, j: int) -> None:
+    """Raise unless pivot j is positive for large t: sign is its sign, or
+    its lead coefficient."""
+    if sign < 0:
         raise ArithmeticError(f"pivot {j} is negative; no real factorization")
-    if s == 0:
+    if sign == 0:
         raise ArithmeticError(f"pivot {j} is exactly zero; matrix is singular")
 
 
@@ -592,7 +676,7 @@ def cholesky(
         d = grid[j][j]
         for k in range(j):
             d = d - lower[j][k] * lower[j][k]
-        _check_pivot(d, j)
+        _check_pivot(d.sign(), j)  # PrecisionError when the window is too small
         lower[j][j] = d.sqrt()
         inv = lower[j][j].inverse() if j + 1 < n else None
         for i in range(j + 1, n):
@@ -601,6 +685,39 @@ def cholesky(
                 num = num - lower[i][k] * lower[j][k]
             lower[i][j] = num * inv
     return lower
+
+
+def _ldl_grid(grid: Sequence[Sequence[tuple]], R: int) -> tuple[list[list[tuple]], list[tuple]]:
+    """(low, pivots): ldl's factor of a symmetric grid of rational grid
+    series over R, each entry already truncated; low[i][j], j < i, is
+    L1[i][j], and every key stays on R.
+
+    The elimination keeps E[i][j] = L1[i][j] d_j: pivot d_j is the fused
+    sum m[j][j] - sum_k E[j][k] L1[j][k], each entry below it E[i][j] =
+    m[i][j] - sum_k E[i][k] L1[j][k], and L1[i][j] = E[i][j] / d_j, one
+    product with d_j's inverse.  The failures are ldl's, a truncated zero
+    pivot reading its cut over R."""
+    n = len(grid)
+    scaled: list[list[tuple]] = [[] for _ in range(n)]  # E, row by row
+    low: list[list[tuple]] = [[] for _ in range(n)]
+    pivots = []
+    for j in range(n):
+        lj = low[j]
+        d = _fused(grid[j][j], list(zip(scaled[j], lj)))
+        terms, cut, _ = d
+        if not terms and cut is not None:
+            raise _truncated_zero(Fraction(cut, R))
+        _check_pivot(terms[0][1] if terms else 0, j)
+        pivots.append(d)
+        if j + 1 < n:
+            inv = _grid_inverse(d)
+            for i in range(j + 1, n):
+                e = _fused(grid[i][j], list(zip(scaled[i], lj)))
+                scaled[i].append(e)
+                out: dict[int, int] = {}
+                cut = _mul_into(out, 1, e, inv)
+                low[i].append(_reduced(_grid_series(out, cut)[0], cut, e[2] * inv[2]))
+    return low, pivots
 
 
 def ldl(
@@ -612,32 +729,27 @@ def ldl(
     roots, so its coefficients stay rational (L = L1 diag(sqrt d)).
 
     Pivot d_j is det m[:j+1, :j+1] / det m[:j, :j].  Each pivot costs one
-    inverse, and each entry below it one product with that inverse: the
-    elimination keeps E[i][j] = L1[i][j] d_j.  `window`, the symmetry check
-    and the failure modes are cholesky's: a pivot that is negative or
-    exactly zero raises ArithmeticError, one that cannot be told from zero
-    at the window PrecisionError.
+    inverse, and each entry below it one product with that inverse.  The
+    factor runs on rational grid series over one grid R, the lcm of the
+    entries' ramifications and cutoff denominators (_ldl_grid); the series
+    returned are views of it, built once at the end.  `window`, the
+    symmetry check and the failure modes are cholesky's: a pivot that is
+    negative or exactly zero raises ArithmeticError, one that cannot be
+    told from zero at the window PrecisionError.
     """
     grid = _symmetric_grid(m, window)
     n = len(grid)
-    unit = [
-        [PuiseuxTrunc.constant(1) if i == j else PuiseuxTrunc.zero() for j in range(n)]
-        for i in range(n)
-    ]
-    scaled = [[None] * n for _ in range(n)]  # E = L1 diag(d), below the diagonal
-    pivots = []
-    for j in range(n):
-        row, low = scaled[j], unit[j]
-        d = grid[j][j]
-        for k in range(j):
-            d = d - row[k] * low[k]
-        _check_pivot(d, j)
-        pivots.append(d)
-        inv = d.inverse() if j + 1 < n else None
-        for i in range(j + 1, n):
-            e = grid[i][j]
-            for k in range(j):
-                e = e - scaled[i][k] * low[k]
-            scaled[i][j] = e
-            unit[i][j] = e * inv
-    return unit, pivots
+    R = lcm(
+        *(x._ram for row in grid for x in row),
+        *(x._cutoff.denominator for row in grid for x in row if x._cutoff is not None),
+    )
+    low, pivots = _ldl_grid([[(*x._grid(R), x._den) for x in row] for row in grid], R)
+
+    def view(s: tuple) -> PuiseuxTrunc:
+        terms, cut, den = s
+        cutoff = None if cut is None else Fraction(cut, R)
+        return PuiseuxTrunc._make(R, den, 1, dict(terms), cutoff)
+
+    one, zero = PuiseuxTrunc.constant(1), PuiseuxTrunc.zero()
+    unit = [[*map(view, row), one, *[zero] * (n - i - 1)] for i, row in enumerate(low)]
+    return unit, [view(d) for d in pivots]

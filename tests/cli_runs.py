@@ -278,6 +278,8 @@ RUNS = [
     ("check-4pc --matrix {tm320b}", 1, violation(0, 2, 5, 200)),
     ("realize --matrix {tm320b}", 1, violation(0, 2, 5, 200)),
     ("decompose --matrix {tm320b}", 1, violation(0, 2, 5, 200)),
+    # one exponent parity broken, so no D R D split: the walk runs on pairs a + b sqrt(tau)
+    ("signature --tau 10 --matrix {tm320b}", 0, inertia(2, 318, 0)),
     # d(5, 200) raised by 1 keeps every parity: the walk runs on the
     # powered matrix split as D R D, with no square root of tau taken
     ("check-4pc --matrix {tm320c}", 1, violation(0, 2, 5, 200)),

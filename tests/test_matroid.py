@@ -651,7 +651,10 @@ def _check_block_phase(T, root, k, ground, window=None, seed=0, every=1):
     half = [d.valuation() / 2 for d in pivots]
     J = matroid._sample_mix(k, len(g), seed)
     ref = _reference_rows(J, L1, half)
-    rows, R = matroid._mixed_grid(J, L1, half)
+    # the check's own factor: the grid kernel on M's integer maps
+    low, half_keys, R = matroid._rooted_factor(*matroid._rooted_maps(T, root, g), w)
+    assert [F(h, R) for h in half_keys] == half
+    rows = matroid._mixed_grid(J, low, half_keys)
     for got_row, ref_row in zip(rows, ref):
         for got, want in zip(got_row, ref_row):
             _assert_scaled(got, R, want)

@@ -1,3 +1,5 @@
+import random
+import re
 from fractions import Fraction
 from math import lcm
 
@@ -5,11 +7,20 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from treeminor.matroid import _rooted_maps, default_window, rooted_matrix
+from treeminor.matroid import _rooted_factor, _rooted_maps, default_window, rooted_matrix
 from treeminor.poly import ExactPoly, PolyMatrix, _kernel, _sylvester
 from treeminor.radicals import QRad
 from treeminor.tree import Tree, random_tree
-from treeminor.tropic import PrecisionError, PuiseuxTrunc, cholesky, ldl, series_det
+from treeminor.tropic import (
+    PrecisionError,
+    PuiseuxTrunc,
+    _check_pivot,
+    _grid_inverse,
+    _symmetric_grid,
+    cholesky,
+    ldl,
+    series_det,
+)
 
 F = Fraction
 
@@ -417,6 +428,10 @@ def test_rational_inverse_equals_the_binomial_expansion(s):
         expanded._ram, expanded._den, expanded._rad, expanded._terms, expanded.cutoff
     )
     assert not (s * got - 1).terms()
+    # the grid recurrence under the view stops at the cut: no term it forms is dropped
+    R = lcm(s._ram, s.cutoff.denominator)
+    terms, cut, _ = _grid_inverse((*s._grid(R), s._den))
+    assert all(k > cut for k, _ in terms)
 
 
 @settings(max_examples=100, deadline=None)
@@ -698,3 +713,162 @@ def test_ldl_small_window_on_a_rooted_matrix_raises_precision_error():
     _, pivots = ldl(neg, window=F(9, 2))
     assert pivots[1].leading() == (F(2), F(2))
     assert cholesky(neg, window=F(9, 2))[1][1].valuation() == 1
+
+
+# --- the grid factor against the series loop it replaced ------------------------
+
+
+def _reference_inverse(d: PuiseuxTrunc) -> PuiseuxTrunc:
+    """1/d by the binomial expansion (PuiseuxTrunc._binomial), which shares
+    no step with the grid recurrence; an exact monomial is inverted term by
+    term, and an exact non-monomial is refused with inverse()'s text."""
+    lead_e, lead_c = d.leading()
+    head = PuiseuxTrunc.t_power(-lead_e, 1 / lead_c)
+    if d.cutoff is None:
+        if len(d.terms()) > 1:
+            raise ValueError("inverting an exact non-monomial: truncate it first")
+        return head
+    return d._binomial(F(-1), head)
+
+
+def _reference_ldl(m, window=None):
+    """ldl as the loop over PuiseuxTrunc sums, products and inverses that
+    the grid kernel replaced: E[i][j] = L1[i][j] d_j, every difference and
+    product taken one at a time, each canonicalised."""
+    grid = _symmetric_grid(m, window)
+    n = len(grid)
+    unit = [
+        [PuiseuxTrunc.constant(1) if i == j else PuiseuxTrunc.zero() for j in range(n)]
+        for i in range(n)
+    ]
+    scaled = [[None] * n for _ in range(n)]
+    pivots = []
+    for j in range(n):
+        row, low = scaled[j], unit[j]
+        d = grid[j][j]
+        for k in range(j):
+            d = d - row[k] * low[k]
+        _check_pivot(d.sign(), j)
+        pivots.append(d)
+        inv = _reference_inverse(d) if j + 1 < n else None
+        for i in range(j + 1, n):
+            e = grid[i][j]
+            for k in range(j):
+                e = e - scaled[i][k] * low[k]
+            scaled[i][j] = e
+            unit[i][j] = e * inv
+    return unit, pivots
+
+
+def _form(x: PuiseuxTrunc):
+    return x._ram, x._den, x._rad, x._terms, x.cutoff
+
+
+def _outcome(factor, *args):
+    """The factor's (unit, pivots) as canonical forms, or its exception's
+    type and text."""
+    try:
+        unit, pivots = factor(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+    return [[_form(x) for x in row] for row in unit], [_form(d) for d in pivots]
+
+
+def _random_rooted(rng):
+    """T, root, ground, -M and the default window of M = rooted_matrix on
+    1-6 ground elements of a random unit or rational tree."""
+    T = random_tree(rng.randint(3, 9), seed=rng.randrange(10**6),
+                    weights=rng.choice(("unit", "rational")))
+    root = rng.choice(T.vertices)
+    rest = [v for v in T.vertices if v != root]
+    g = tuple(sorted(rng.sample(rest, rng.randint(1, min(6, len(rest))))))
+    M = rooted_matrix(T, root, g)
+    return T, root, g, [[-e for e in row] for row in M.entries], default_window(M)
+
+
+def test_ldl_equals_the_series_loop_on_random_rooted_matrices():
+    # 1,002 rooted matrices, in turn at the default window w, w/4 and w/16:
+    # ldl gives the reference's canonical terms, denominators and cutoffs,
+    # or its error; the rooted check's own factor (matroid._rooted_factor,
+    # on M's integer maps) gives the same series, or the same
+    # PrecisionError
+    rng = random.Random(56)
+    seen = set()
+    for case in range(1002):
+        T, root, g, neg, w = _random_rooted(rng)
+        window = (w, w / 4, w / 16)[case % 3]
+        want = _outcome(_reference_ldl, neg, window)
+        assert _outcome(ldl, neg, window) == want
+        seen.add((len(g), "factor") if isinstance(want[0], list) else want[0])
+        try:
+            low, half, R = _rooted_factor(*_rooted_maps(T, root, g), window)
+        except PrecisionError as exc:
+            assert want == (PrecisionError, str(exc))
+            continue
+        unit, pivots = want
+        for i, row in enumerate(low):
+            for j, (terms, cut, den) in enumerate(row):
+                cutoff = None if cut is None else F(cut, R)
+                got = PuiseuxTrunc._make(R, den, 1, dict(terms), cutoff)
+                assert _form(got) == unit[i][j]
+        assert [F(h, R) for h in half] == [F(max(d[3]), d[0]) / 2 for d in pivots]
+    assert seen == {PrecisionError} | {(n, "factor") for n in range(1, 7)}
+
+
+def _random_entry(rng, top, exact):
+    """A series of up to three terms over ramification 1, 2 or 3, every
+    exponent in [top - 4, top); truncated a little below that unless
+    exact."""
+    ram = rng.choice((1, 1, 2, 3))
+    keys = rng.sample(range(ram * (top - 4), ram * top), rng.randint(0, 3))
+    terms = {k: F(rng.choice((-3, -1, 1, 2, 5)), rng.choice((1, 2, 3))) for k in keys}
+    cutoff = None if exact else F(rng.randint(4 * top - 40, 4 * top - 12), rng.choice((4, 8, 16)))
+    return PuiseuxTrunc(ram, terms, cutoff)
+
+
+def _random_grid(rng, exact):
+    """A symmetric n x n grid, n <= 4, of series (ExactPolys when exact):
+    each diagonal entry a monomial t^top, top even, of either sign or 0, plus
+    at times a lower series; off the diagonal a zero or a series below
+    t^4."""
+    n = rng.randint(1, 4)
+    grid = [[None] * n for _ in range(n)]
+    for i in range(n):
+        top = 2 * rng.randint(2, 6)
+        lead = PuiseuxTrunc.t_power(top, rng.choice((1, 1, 1, -1, F(1, 2), 0)))
+        grid[i][i] = lead + (_random_entry(rng, top - 1, exact) if rng.random() < 0.5 else 0)
+        for j in range(i):
+            x = PuiseuxTrunc.zero() if rng.random() < 0.4 else _random_entry(rng, 4, exact)
+            grid[i][j] = grid[j][i] = x
+    if exact:
+        grid = [[ExactPoly._make(x._ram, x._den, x._terms) for x in row] for row in grid]
+    return grid
+
+
+def test_ldl_equals_the_series_loop_on_exact_and_series_grids():
+    # 1,200 random grids: exact polynomials and truncated series, at
+    # window None or a random window, entries over ramifications 1, 2 and 3
+    # (so an entry's own ramification is often below the grid's R); every
+    # outcome the reference reaches, and equal canonical forms or errors
+    rng = random.Random(5656)
+    seen = set()
+    for case in range(1200):
+        exact = case % 2 == 0
+        grid = _random_grid(rng, exact)
+        window = None if case % 4 < 2 else F(rng.randint(4, 24), rng.choice((1, 3)))
+        want = _outcome(_reference_ldl, grid, window)
+        assert _outcome(ldl, grid, window) == want
+        rams = {PuiseuxTrunc._coerce(x)._ram for row in grid for x in row}
+        if isinstance(want[0], list):
+            seen.add(("factor", exact, window is None, len(rams) > 1))
+        else:
+            seen.add((want[0], re.split("[:;]", want[1])[0]))
+    assert seen >= {
+        ("factor", exact, bare, mixed)
+        for exact in (True, False) for bare in (True, False) for mixed in (True, False)
+    } | {
+        (ArithmeticError, "pivot 0 is negative"),
+        (ArithmeticError, "pivot 0 is exactly zero"),
+        (PrecisionError, "insufficient precision"),
+        (ValueError, "inverting an exact non-monomial"),
+    }

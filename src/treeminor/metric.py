@@ -939,8 +939,8 @@ def star_condition_check(
 ):
     """det M[X] >= 0 for odd |X| and <= 0 for even |X|, over the listed
     principal subsets (default: every nonempty one; n <= 12 only, pass
-    explicit subsets beyond that).  Each listed subset must hold distinct
-    indices in 0..n-1.
+    explicit subsets beyond that).  Each listed subset must be nonempty and
+    hold distinct indices in 0..n-1.
 
     M must already be numeric (say a powered matrix [tau^(w_ij)], whose
     entries may be pairs a + b sqrt(r)) and symmetric, which is checked
@@ -948,29 +948,30 @@ def star_condition_check(
     weak inequalities; a float entry raises TypeError.  When M = D R D
     with R rational and D a positive diagonal, the signs are read on R
     scaled to integers.  Listed subsets take one exact elimination each.
-    The default reads the signs off one Sylvester walk (poly._sylvester)
-    over that integer matrix, run on its ints as they are, and scans the
-    table's values once: a full table with no violation returns None.  A
-    violation found, the sets the walk leaves out below a zero minor, and
-    every set of a matrix with no rational form, go to the ordered walk
-    over the subsets, where a set missing from the table takes one
-    elimination.  Returns the first violating subset, in the listed order
-    or by size and then lexicographically, or None."""
+    The default accepts exactly the forms with a nonnegative diagonal and
+    at most one positive eigenvalue (`_one_positive`, one walk `_inertia`
+    on a copy), with no minor taken.  A form refused there has a
+    violation, which the ordered walk over the subsets names: when the
+    form is integral it reads the signs off one Sylvester walk
+    (poly._sylvester) over the ints as they are, and a set the walk leaves
+    out below a zero minor, or any set of a form with no rational form,
+    takes one elimination.  Returns the first violating subset, in the
+    listed order or by size and then lexicographically, or None."""
     a = _exact_form(rows)
     n = len(a)
     minors = {}
     if subsets is not None:
         subsets = [tuple(_subset_indices(xs, n)) for xs in subsets]
+        if () in subsets:
+            raise ValueError("subset [] must hold at least one index")
     elif n > 12:
         raise ValueError("n > 12: pass an explicit subset sample")
+    elif _one_positive(a):
+        return None
     else:
         subsets = (xs for r in range(1, n + 1) for xs in combinations(range(n), r))
         if all(isinstance(x, int) for row in a for x in row):
             minors = _sylvester(_Form(a, 1, _istep, int), range(n), n)
-            if len(minors) == 2**n - 1 and not any(
-                x < 0 if len(xs) % 2 else x > 0 for xs, x in minors.items()
-            ):
-                return None
     for xs in subsets:
         minor = minors.get(xs)
         if minor is None:
@@ -978,6 +979,29 @@ def star_condition_check(
         if minor < 0 if len(xs) % 2 else minor > 0:
             return xs
     return None
+
+
+def _one_positive(a: list[list]) -> bool:
+    """Whether the form a, of `_exact_form`'s scalars, has a nonnegative
+    diagonal and at most one positive eigenvalue (`_inertia` on a copy, so
+    a is left as it was): exactly when every principal minor obeys the
+    star rule.  `_exact_form`'s congruence by a positive diagonal keeps
+    both the inertia and the diagonal's signs.
+
+    - Enough: take a block A of size m, eigenvalues mu_1 >= ... >= mu_m,
+      and a's lambda_1 >= ... >= lambda_n.  By the Rayleigh quotient
+      mu_1 >= max a_ii >= 0, and by Cauchy interlacing mu_i <= lambda_i
+      <= 0 for i >= 2.  So det A is 0 or of sign (-1)^(m - 1).
+    - Needed: the singletons are the diagonal.  With E_k the sum of the
+      principal minors of size k, the rule makes each (-1)^(k - 1) E_k
+      >= 0, so det(x I - a) = x^n - sum |E_k| x^(n - k) has at most one
+      sign change, so at most one positive root (Descartes); a is
+      symmetric, so its roots are its eigenvalues."""
+    for i, row in enumerate(a):
+        x = row[i]
+        if (_surd_sign(x.a, x.b, x.r) if type(x) is _Surd else x) < 0:
+            return False
+    return _inertia([row[:] for row in a])[0] <= 1
 
 
 def _det_sign(a: Sequence[Sequence], xs: Sequence[int]) -> int:

@@ -251,11 +251,18 @@ def test_realizations_and_splits_are_pinned():
 # --- powered matrices and signatures ---------------------------------------------
 
 
+# QRad.sqrt_of factorises by trial division, out of reach at the Mersenne
+# prime 2^61 - 1; a prime is squarefree, so its root is the one raw term
+_MERSENNE_61 = 2**61 - 1
+_ROOT_MERSENNE_61 = QRad({_MERSENNE_61: F(1)}, _raw=True)
+
+
 def _qrad(x):
     """x as a QRad, a pair a + b sqrt(r) of `metric._power` built through
     QRad's own square root: the pair walk's independent oracle."""
     if isinstance(x, metric._Surd):
-        return QRad.of(x.a) + x.b * QRad.sqrt_of(x.r)
+        root = _ROOT_MERSENNE_61 if x.r == _MERSENNE_61 else QRad.sqrt_of(x.r)
+        return QRad.of(x.a) + x.b * root
     return QRad.of(x)
 
 
@@ -524,6 +531,13 @@ def test_star_condition_weak_inequalities():
     # ...but zero minors are fine on either parity
     flat = [[F(1), F(1)], [F(1), F(1)]]
     assert star_condition_check(flat) is None
+    # -I has no positive eigenvalue, yet each singleton's det is -1 < 0
+    assert star_condition_check([[F(-1), F(0)], [F(0), F(-1)]]) == (0,)
+    # the inertia guard on QRads: eigenvalues +-sqrt 2 and a zero diagonal
+    # pass it; a negative diagonal entry does not
+    r2 = QRad.sqrt_of(2)
+    assert star_condition_check([[QRad.of(0), r2], [r2, QRad.of(0)]]) is None
+    assert star_condition_check([[QRad.of(0), r2], [r2, -r2]]) == (1,)
     with pytest.raises(ValueError):
         star_condition_check([[F(0)] * 13 for _ in range(13)])
 
@@ -1028,20 +1042,45 @@ def _qrad_star_violator(m):
     return None
 
 
+# five points whose exponent 9/2 closes an odd cycle of parities: powered at
+# a tau with no square root, the matrix does not split and walks as pairs
+_ODD5 = [
+    [F(0), F(1), F(3), F(9, 2), F(5)],
+    [F(1), F(0), F(4), F(5), F(6)],
+    [F(3), F(4), F(0), F(1), F(2)],
+    [F(9, 2), F(5), F(1), F(0), F(1)],
+    [F(5), F(6), F(2), F(1), F(0)],
+]
+
+
 @st.composite
 def _star_inputs(draw):
-    kind = draw(st.sampled_from(["tree", "repeated", "symmetric", "cycle"]))
+    """Numeric matrices for the star check: powered tree metrics on
+    distinct and on repeated points, some with -inf (a zero entry) on the
+    diagonal, random symmetric matrices and the square cycle, at bases on
+    both sides of 1 and at 1; -I, which has no positive eigenvalue but a
+    negative diagonal; and odd5 powered to pairs that do not split."""
+    kind = draw(
+        st.sampled_from(["tree", "repeated", "hollow", "symmetric", "cycle", "minus I", "odd5"])
+    )
     seed = draw(st.integers(0, 10**6))
     n = draw(st.integers(1, 7))
+    if kind == "minus I":
+        return [[F(-(i == j)) for j in range(n)] for i in range(n)]
+    if kind == "odd5":
+        return power_matrix(_ODD5, draw(st.sampled_from([F(_MERSENNE_61), F(3, 2), 10])))
     if kind == "tree":
         d = _tree_metric_on_distinct_points(n, seed)
-    elif kind == "repeated":
+    elif kind in ("repeated", "hollow"):
         d = random_tree_metric(n, seed=seed, half_integers=True)
+        if kind == "hollow":
+            for i in draw(st.sets(st.integers(0, n - 1), min_size=1)):
+                d[i][i] = MINUS_INF
     elif kind == "symmetric":
         d = random_symmetric_matrix(n, seed=seed, high=4)
     else:
         d = square_cycle_metric()
-    return power_matrix(d, draw(st.sampled_from([10, 2, F(1, 3), 4])))
+    return power_matrix(d, draw(st.sampled_from([10, 2, 4, F(3, 2), 1, F(1, 3), F(1, 2), F(4, 9)])))
 
 
 def _tree_metric_on_distinct_points(n, seed):
@@ -1050,10 +1089,83 @@ def _tree_metric_on_distinct_points(n, seed):
     return [[x / 2 for x in row] for row in tree_distance_matrix(t, pts)]
 
 
+def _sylvester_star_scan(m):
+    """(full, first): whether poly._sylvester's walk over m's QRads reaches
+    every nonempty subset, and the first subset, by size and then
+    lexicographically, of its table whose sign breaks the star rule."""
+    n = len(m)
+    form = poly._Form(
+        [[_qrad(x) for x in row] for row in m],
+        QRad.of(1),
+        lambda a, b, c, d, p: (a * b - c * d) / p,
+        QRad.sign,
+    )
+    table = poly._sylvester(form, range(n), n)
+    bad = [xs for xs, x in table.items() if (x < 0 if len(xs) % 2 else x > 0)]
+    return len(table) == 2**n - 1, min(bad, key=lambda xs: (len(xs), xs), default=None)
+
+
 @settings(max_examples=120, deadline=None)
 @given(_star_inputs())
 def test_star_condition_walk_matches_per_subset_qrad_eliminations(m):
-    assert star_condition_check(m) == _qrad_star_violator(m)
+    got = star_condition_check(m)
+    assert got == _qrad_star_violator(m)
+    # the guard is exact: it accepts precisely the forms with no violation
+    assert metric._one_positive(metric._exact_form(m)) == (got is None)
+    full, first = _sylvester_star_scan(m)
+    if full:
+        assert got == first
+    elif first is not None:
+        # gaps below zero minors: the first violation overall comes no
+        # later than the table's first
+        assert got is not None and (len(got), got) <= (len(first), first)
+
+
+def test_star_condition_accepts_on_the_inertia_walk_alone(monkeypatch):
+    # a powered tree metric has one positive eigenvalue at tau > 1 and a
+    # positive diagonal: accepted with neither the Sylvester walk nor the
+    # ordered walk, on distinct and on repeated points, at a tau with a
+    # square root of every entry and at one whose pairs split as D R D.
+    # metric binds poly._sylvester by name, so that binding is patched
+    def refuse(*args):
+        raise AssertionError("the star check walked the minors")
+
+    distinct = _tree_metric_on_distinct_points(6, 5)
+    repeated = random_tree_metric(7, seed=3, half_integers=True)
+    assert any(not x for i, row in enumerate(repeated) for x in row[i + 1:])
+    monkeypatch.setattr(metric, "_sylvester", refuse)
+    monkeypatch.setattr(metric, "combinations", refuse)
+    for d in distinct, repeated:
+        for tau in F(10), F(3, 2):
+            assert star_condition_check(power_matrix(d, tau)) is None
+    with pytest.raises(AssertionError, match="walked the minors"):
+        star_condition_check(power_matrix(square_cycle_metric(), 10))
+
+
+def test_star_condition_past_the_inertia_walk_reaches_the_sylvester_walk(monkeypatch):
+    # the square cycle has two positive eigenvalues at tau = 10, and a tree
+    # metric at tau = 1/2 is positive definite: both fail the guard, and the
+    # Sylvester table names the same subsets as before
+    calls = []
+    real = metric._sylvester
+
+    def spy(*args):
+        calls.append(len(args[0].rows))
+        return real(*args)
+
+    monkeypatch.setattr(metric, "_sylvester", spy)
+    assert star_condition_check(power_matrix(square_cycle_metric(), 10)) == (0, 1, 2, 3)
+    d = _tree_metric_on_distinct_points(5, 2)
+    assert star_condition_check(power_matrix(d, F(1, 2))) == (0, 1)
+    assert calls == [4, 5]
+
+
+def test_star_condition_refuses_an_empty_listed_subset():
+    # det of the empty block is 1, which read as a set of even size would
+    # be a violation; an empty subset is refused like a repeated index
+    for m, subsets in ([[1]], [[]]), (power_matrix(square_cycle_metric(), 10), [[0], []]):
+        with pytest.raises(ValueError, match="at least one index"):
+            star_condition_check(m, subsets)
 
 
 def test_star_condition_walk_reads_minors_beneath_a_zero_pivot():
@@ -1442,23 +1554,6 @@ def test_exact_form_refuses_what_the_pair_walk_cannot_read():
         inertia([[x, 1.5], [1.5, x]])
     with pytest.raises(TypeError):
         inertia([[F(0), x], [x, power_entry(3, F(1, 2))]])
-
-
-def test_star_condition_scan_decides_a_full_table_without_the_ordered_walk(monkeypatch):
-    # a powered tree metric on distinct points: every minor is in the table
-    # and none breaks the rule, so no subset is listed; a violation is
-    # named by the ordered walk
-    t = random_tree(7, seed=4)
-    d = tree_distance_matrix(t, list(t.vertices))
-    pm = power_matrix([[x / 2 for x in row] for row in d], 10)
-
-    def refuse(*args):
-        raise AssertionError("the ordered walk ran")
-
-    monkeypatch.setattr(metric, "combinations", refuse)
-    assert star_condition_check(pm) is None
-    with pytest.raises(AssertionError, match="the ordered walk ran"):
-        star_condition_check(power_matrix(square_cycle_metric(), 10))
 
 
 @settings(max_examples=120, deadline=None)

@@ -14,7 +14,9 @@ D R D, R rational, is eliminated as R scaled to integers, by one split
 (`_rational_form`); a powered matrix hands it its exponents, so no square
 root of tau is taken on one that splits.  A finite tree metric's powered
 matrix is never built: its inertia has a closed form in its distinct
-points.
+points.  Every walked sign is read on ints, Fractions and pairs of one r;
+`inertia` and `star_condition_check` refuse any other entry, a float
+among them, with TypeError.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .poly import _Form, _as_fraction, _istep, _sylvester
-from .radicals import QRad
 from .tree import Tree
 
 Matrix = list[list[Fraction]]
@@ -470,17 +471,6 @@ def _surd_sign(a, b, r: int) -> int:
     return sa if sa == sb or a * a > b * b * r else sb
 
 
-def power_entry(tau: Fraction, d: Fraction):
-    """tau^d exactly, as `_power` powers a matrix: a Fraction for integer d
-    and wherever tau has an exact root of d's denominator, a pair b sqrt(r)
-    for other half-integer d, zero for d = -inf.  Other denominators would
-    need deeper radicals."""
-    if d == MINUS_INF:
-        return Fraction(0)
-    tau, d = _positive_base(tau), Fraction(d)
-    return _power([[d.numerator]], d.denominator, tau)[0][0]
-
-
 def _exact_root(tau: Fraction, s: int) -> Fraction | None:
     """tau^(1/s) for tau > 0 when its numerator and denominator are s-th
     powers of integers, else None.  Each integer root is found by Newton's
@@ -601,29 +591,26 @@ def _check_symmetric(a: Sequence[Sequence]) -> None:
 
 
 def _exact_form(rows: Sequence[Sequence]) -> list[list]:
-    """`rows` in the scalars `_inertia` runs on: the rational form, scaled
-    to integers, when there is one (`_monomials` reads each distinct entry
-    once); else, when pairs a + b sqrt(r) are among the entries (a powered
-    matrix's), ints and pairs of ints (`_integral_pairs`); else QRads, the
-    reader of a matrix of QRads.  All keep the inertia and every principal
-    minor's sign.  Raises ValueError unless `rows` is square and symmetric,
-    TypeError on an inexact entry such as a float."""
+    """`rows`, of ints, Fractions and pairs a + b sqrt(r) of one r, in the
+    scalars `_inertia` runs on: the rational form, scaled to integers, when
+    there is one (`_monomials` reads each distinct entry once); else ints
+    and pairs of ints (`_integral_pairs`).  Both keep the inertia and every
+    principal minor's sign.  Raises ValueError unless `rows` is square and
+    symmetric, TypeError on any other entry, such as a float."""
     a = [list(row) for row in rows]
     _check_symmetric(a)
     split = _monomials(a)
     if split and (ints := _rational_form(*split)) is not None:
         return ints
-    if any(type(x) is _Surd for x in chain.from_iterable(a)):
-        return _integral_pairs(a)
-    return [[QRad.of(x) for x in row] for row in a]
+    return _integral_pairs(a)
 
 
 def _integral_pairs(a: list[list]) -> list[list]:
     """a, of ints, Fractions and pairs a + b sqrt(r) of one r, times the
     lcm of the denominators of its rationals and of its pairs' parts: ints,
     and pairs of ints where b is not zero.  Each distinct entry object is
-    read once.  TypeError on any other entry, such as a float or a QRad,
-    and on pairs of two values of r."""
+    read once.  TypeError on any other entry, such as a float, and on
+    pairs of two values of r."""
     cells = {id(x): x for x in chain.from_iterable(a)}
     radicands = {x.r for x in cells.values() if type(x) is _Surd}
     if len(radicands) > 1:
@@ -646,9 +633,10 @@ def _integral_pairs(a: list[list]) -> list[list]:
 
 
 def inertia(rows: Sequence[Sequence]) -> tuple[int, int, int]:
-    """(positive, negative, zero) inertia of a symmetric matrix of exact
-    scalars (a float raises TypeError) by fraction-free congruence, in
-    one principal-pivot walk that settles a zero pivot by a swap or by
+    """(positive, negative, zero) inertia of a symmetric matrix of ints,
+    Fractions and pairs a + b sqrt(r) of one r (any other entry, a float
+    among them, raises TypeError) by fraction-free congruence, in one
+    principal-pivot walk that settles a zero pivot by a swap or by
     e_m -> e_m + e_j on the rows left.  A matrix of square-root entries
     that is D R D, with R rational and D a positive diagonal (every
     powered tree metric is), is eliminated as R scaled to integers: by
@@ -660,10 +648,10 @@ def inertia(rows: Sequence[Sequence]) -> tuple[int, int, int]:
 def _monomials(a: Sequence[Sequence]) -> tuple[list[list[tuple]], int] | None:
     """Each entry of a as the pair (c, odd) of `_rational_form`, c a
     Fraction, and the one radicand d: a rational entry, or a pair a + 0
-    sqrt(r), is (c, 0); a QRad c*sqrt(d), d squarefree, and a pair 0 + c
-    sqrt(d) are (c, 1).  None when an entry is none of these, or two
-    radicands appear.  Each distinct entry object is read once, and its
-    pair shared: a powered matrix holds one object per distinct exponent."""
+    sqrt(r), is (c, 0); a pair 0 + c sqrt(d) is (c, 1).  None when an
+    entry is none of these, or two radicands appear.  Each distinct entry
+    object is read once, and its pair shared: a powered matrix holds one
+    object per distinct exponent."""
     read = {}
     radicand = 1
     for x in chain.from_iterable(a):
@@ -671,8 +659,6 @@ def _monomials(a: Sequence[Sequence]) -> tuple[list[list[tuple]], int] | None:
             continue
         if type(x) is _Surd:
             part = (x.b, x.r) if not x.a else (x.a, 1) if not x.b else None
-        elif isinstance(x, QRad):
-            part = x.monomial()
         elif isinstance(x, (int, Fraction)):
             part = x, 1
         else:
@@ -743,10 +729,9 @@ def _parities(odd: list[list[int | None]]) -> list[int] | None:
 
 def _inertia(a: list[list]) -> tuple[int, int, int]:
     """The elimination behind `inertia`, on a square symmetric matrix of
-    ints, of exact field elements (QRads, Fractions), or of ints and pairs
-    a + b sqrt(r) of one r with int a and b (`_Surd`s); it overwrites `a`,
-    save a matrix of pairs, which it walks as the two int matrices of their
-    a and b parts.
+    ints, or of ints and pairs a + b sqrt(r) of one r with int a and b
+    (`_Surd`s); it overwrites `a`, save a matrix of pairs, which it walks
+    as the two int matrices of their a and b parts.
 
     Fraction-free principal pivoting, the Sylvester step of `poly.det`:
     with S the indices eliminated so far and prev = det a[S], each live
@@ -755,8 +740,8 @@ def _inertia(a: list[list]) -> tuple[int, int, int]:
     eigenvalue of the sign of p / prev.
 
     Pivots are taken in index order, and only the upper triangle of the
-    live block is read and written: the division (floor division of ints,
-    of pairs, else one inverse of prev per pivot) is chosen once per call.
+    live block is read and written: the division, floor division of ints
+    or of pairs, is chosen once per call.
     On pairs the division is exact in Z[sqrt(r)], as Bareiss's argument
     holds in any integral domain: x / q = (x conj q) // N(q) part by part,
     with conj q = q_a - q_b sqrt(r) and N(q) = q_a^2 - r q_b^2, a nonzero
@@ -770,8 +755,6 @@ def _inertia(a: list[list]) -> tuple[int, int, int]:
     a_mj comes first: it adds row and column j to m and sets a_mm = 2 a_mj.
     A live block of zeros is that many zero eigenvalues."""
     n = len(a)
-    kinds = set(map(type, chain.from_iterable(a)))
-    integral = kinds <= {int}
     r = next((x.r for x in chain.from_iterable(a) if type(x) is _Surd), 0)
     if r:
         parts = [
@@ -840,17 +823,11 @@ def _inertia(a: list[list]) -> tuple[int, int, int]:
                     u, v, s, t = row_i[j], b_i[j], row_k[j], b_k[j]
                     row_i[j] = (xa * u + rxb * v - ya * s - ryb * t) // norm
                     b_i[j] = (xa * v + xb * u - ya * t - yb * s) // norm
-        elif integral:
+        else:
             for i in range(k + 1, n):
                 row_i, c = a[i], row_k[i]
                 for j in range(i, n):
                     row_i[j] = (p * row_i[j] - c * row_k[j]) // prev
-        else:
-            inv = Fraction(1) / prev
-            for i in range(k + 1, n):
-                row_i, c = a[i], row_k[i]
-                for j in range(i, n):
-                    row_i[j] = (p * row_i[j] - c * row_k[j]) * inv
         prev = (p, pb) if r else p
     return pos, neg, 0
 

@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from cli_runs import caterpillar, path_tree, star
-from treeminor import cli, matroid, metric, pfaffian, poly
+from treeminor import cli, matroid, metric, pfaffian, poly, radicals
 from treeminor.cli import run
 from treeminor.metric import format_matrix_csv, square_cycle_metric
 from treeminor.poly import ExactPoly, _unpack_even
@@ -1480,12 +1480,11 @@ def test_powered_matrices_build_no_qrad(capsys, tmp_path, monkeypatch):
     # powered entries are pairs a + b sqrt(r), r = num * den of tau, on a
     # matrix that splits as D R D (the square cycle at half weights) and on
     # one that does not (odd5: 9/2 closes an odd cycle of parities); no QRad
-    # is built, so no tau is factorised, 2^61 - 1 among them
-    class NoQRad:
-        def __init__(self, *args, **kwargs):
-            raise AssertionError("QRad built")
+    # is built in any module, so no tau is factorised, 2^61 - 1 among them
+    def no_qrad(self, *args, **kwargs):
+        raise AssertionError("QRad built")
 
-    monkeypatch.setattr(metric, "QRad", NoQRad)
+    monkeypatch.setattr(radicals.QRad, "__init__", no_qrad)
     odd5 = "0,1,3,9/2,5\n1,0,4,5,6\n3,4,0,1,2\n9/2,5,1,0,1\n5,6,2,1,0\n"
     c4h = "0,1/2,1,1/2\n1/2,0,1/2,1\n1,1/2,0,1/2\n1/2,1,1/2,0\n"
     for name, text, above, below in (("odd5", odd5, [2, 3, 0], [5, 0, 0]),

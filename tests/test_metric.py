@@ -16,7 +16,6 @@ from treeminor.metric import (
     hpp_eigen_check,
     inertia,
     parse_matrix_csv,
-    power_entry,
     power_matrix,
     random_symmetric_matrix,
     random_tree_metric,
@@ -266,15 +265,71 @@ def _qrad(x):
     return QRad.of(x)
 
 
+def _qrads(m):
+    return [[_qrad(x) for x in row] for row in m]
+
+
+def _field_inertia(m):
+    """(positive, negative, zero) of a symmetric matrix of Fractions or
+    QRads by symmetric Gaussian elimination, the oracle of `metric._inertia`
+    that shares none of its code.  It uses ring operations only: a QRad's
+    inverse factorises its radicands, out of reach at 2^61 - 1.
+
+    The pivot is the last live index with a nonzero diagonal entry p; the
+    block left is p A' - a a^T, p times the Schur complement, so a
+    negative p swaps the signs of every later pivot (`flip`).  On an all
+    zero live diagonal, the first nonzero a_kl pivots on the hyperbolic
+    block [[0, b], [b, 0]], one positive and one negative eigenvalue, and
+    leaves b^2 times its Schur complement, b^2 A' - b (u v^T + v u^T) with
+    u and v the live columns k and l.  A live block of zeros is that many
+    zero eigenvalues."""
+    a = [list(row) for row in m]
+    live = list(range(len(a)))
+    pos = neg = 0
+    flip = False
+    while live:
+        k = next((i for i in reversed(live) if a[i][i]), None)
+        if k is not None:
+            p = a[k][k]
+            live.remove(k)
+            for i in live:
+                for j in live:
+                    a[i][j] = p * a[i][j] - a[i][k] * a[k][j]
+            if (p > 0) != flip:
+                pos += 1
+            else:
+                neg += 1
+            flip ^= p < 0
+            continue
+        pair = next(((k, l) for k in live for l in live if a[k][l]), None)
+        if pair is None:
+            break
+        k, l = pair
+        b = a[k][l]
+        live.remove(k)
+        live.remove(l)
+        for i in live:
+            for j in live:
+                a[i][j] = b * b * a[i][j] - b * (a[i][k] * a[l][j] + a[i][l] * a[k][j])
+        pos += 1
+        neg += 1
+    return pos, neg, len(live)
+
+
+def _power_entry(tau, d):
+    """tau^d as `power_matrix` powers an entry."""
+    return power_matrix([[d]], tau)[0][0]
+
+
 def test_power_entry_exact():
-    assert power_entry(10, 3) == 1000
-    assert power_entry(10, F(-2)) == F(1, 100)
-    assert _qrad(power_entry(10, F(3, 2))) == 10 * QRad.sqrt_of(10)
-    assert power_entry(100, F(1, 2)) == 10
-    assert _qrad(power_entry(10, F(-1, 2))) == QRad.sqrt_of(10) / 10
-    assert _qrad(power_entry(F(3, 2), F(-3, 2))) == F(2, 3) / QRad.sqrt_of(F(3, 2))
+    assert _power_entry(10, 3) == 1000
+    assert _power_entry(10, F(-2)) == F(1, 100)
+    assert _qrad(_power_entry(10, F(3, 2))) == 10 * QRad.sqrt_of(10)
+    assert _power_entry(100, F(1, 2)) == 10
+    assert _qrad(_power_entry(10, F(-1, 2))) == QRad.sqrt_of(10) / 10
+    assert _qrad(_power_entry(F(3, 2), F(-3, 2))) == F(2, 3) / QRad.sqrt_of(F(3, 2))
     with pytest.raises(ValueError, match="root"):
-        power_entry(10, F(1, 3))
+        _power_entry(10, F(1, 3))
 
 
 def test_power_matrix_subset_validation():
@@ -295,7 +350,8 @@ def test_inertia_small_cases():
     assert inertia([[F(1), F(0)], [F(0), F(-2)]]) == (1, 1, 0)
     assert inertia([[F(0), F(3)], [F(3), F(0)]]) == (1, 1, 0)
     assert inertia([[F(0)]]) == (0, 0, 1)
-    assert inertia([[F(2), QRad.sqrt_of(2)], [QRad.sqrt_of(2), F(1)]]) == (1, 0, 1)
+    r2 = metric._Surd(0, 1, 2)
+    assert inertia([[F(2), r2], [r2, F(1)]]) == (1, 0, 1)
     with pytest.raises(ValueError, match="symmetric"):
         inertia([[F(0), F(1)], [F(2), F(0)]])
     with pytest.raises(ValueError, match="matrix is not square"):
@@ -533,11 +589,11 @@ def test_star_condition_weak_inequalities():
     assert star_condition_check(flat) is None
     # -I has no positive eigenvalue, yet each singleton's det is -1 < 0
     assert star_condition_check([[F(-1), F(0)], [F(0), F(-1)]]) == (0,)
-    # the inertia guard on QRads: eigenvalues +-sqrt 2 and a zero diagonal
+    # the inertia guard on pairs: eigenvalues +-sqrt 2 and a zero diagonal
     # pass it; a negative diagonal entry does not
-    r2 = QRad.sqrt_of(2)
-    assert star_condition_check([[QRad.of(0), r2], [r2, QRad.of(0)]]) is None
-    assert star_condition_check([[QRad.of(0), r2], [r2, -r2]]) == (1,)
+    r2 = metric._Surd(0, 1, 2)
+    assert star_condition_check([[F(0), r2], [r2, F(0)]]) is None
+    assert star_condition_check([[F(0), r2], [r2, metric._Surd(0, -1, 2)]]) == (1,)
     with pytest.raises(ValueError):
         star_condition_check([[F(0)] * 13 for _ in range(13)])
 
@@ -748,10 +804,6 @@ def test_fast_four_point_test_agrees_with_the_scan_on_larger_tree_metrics(m):
     assert _grower_holds(m) == (_scan(m) is None)
 
 
-def _qrad_inertia(a):
-    return metric._inertia([[_qrad(x) for x in row] for row in a])
-
-
 def _integer_powered_form(w, scale, tau):
     """The powered matrix as `_powered_form` splits it, integers, or None
     when it falls back to `_power`'s entries as ints and pairs of ints."""
@@ -761,7 +813,7 @@ def _integer_powered_form(w, scale, tau):
 
 def _integer_exact_form(m):
     """m as `_exact_form` splits it, integers, or None when it falls back
-    to pairs of ints or QRads."""
+    to pairs of ints."""
     a = metric._exact_form(m)
     return a if all(type(x) is int for row in a for x in row) else None
 
@@ -774,7 +826,7 @@ _TAUS = [F(1), F(4), F(10), F(12), F(100), F(3, 2), F(9, 4)]
 def test_integer_powered_form_has_the_inertia_of_the_qrad_matrix(m, tau):
     w, scale = metric._integers(m)
     a = _integer_powered_form(w, scale, tau)
-    want = _qrad_inertia(metric._power(*metric._integers(m), tau))
+    want = _field_inertia(_qrads(metric._power(*metric._integers(m), tau)))
     if a is None:
         # half-integer exponents on an odd cycle of parities; squares never
         assert scale == 2 and tau not in (1, 4, 100, F(9, 4))
@@ -790,7 +842,7 @@ def test_odd_parity_cycle_falls_back_to_square_roots():
     assert _integer_powered_form(w, scale, F(10)) is None
     assert _integer_powered_form(w, scale, F(9, 4)) is not None
     for tau in (10, F(3, 2), F(9, 4)):
-        want = _qrad_inertia(power_matrix(odd, tau))
+        want = _field_inertia(_qrads(power_matrix(odd, tau)))
         assert spectral_signature(odd, tau) == want == inertia(power_matrix(odd, tau))
     assert want == (1, 2, 0)
     assert hpp_eigen_check(odd, [10, F(3, 2)]) is None
@@ -798,19 +850,8 @@ def test_odd_parity_cycle_falls_back_to_square_roots():
 
 def test_odd_parity_cycle_fallback_skips_the_rational_form(monkeypatch):
     # the split reads the exponents, so once it fails the square-root
-    # entries go straight to the elimination: no pair or QRad reaches the split
-    split = metric._rational_form
-
-    def exponents_only(parts, d):
-        assert not any(isinstance(c, (QRad, metric._Surd)) for row in parts for c, _ in row)
-        assert split(parts, d) is None
-        return None
-
-    def unreachable(a):
-        raise AssertionError("_exact_form reached")
-
-    monkeypatch.setattr(metric, "_rational_form", exponents_only)
-    monkeypatch.setattr(metric, "_exact_form", unreachable)
+    # entries go straight to the elimination: no pair reaches the split,
+    # and no QRad is built
     odd = [[F(0) if i == j else F(1, 2) for j in range(3)] for i in range(3)]
     # the same triangle and a far point: two positive eigenvalues
     far = [
@@ -819,13 +860,30 @@ def test_odd_parity_cycle_fallback_skips_the_rational_form(monkeypatch):
         [F(1, 2), F(1, 2), F(0), F(1)],
         [F(5), F(1), F(1), F(0)],
     ]
-    for m in (odd, far):
-        for tau in (10, F(3, 2)):
-            want = _qrad_inertia(metric._power(*metric._integers(m), F(tau)))
-            assert spectral_signature(m, tau) == want
-            assert spectral_signature(m, tau, [2, 0, 1]) == _qrad_inertia(
-                metric._power(*metric._integers(m, [2, 0, 1]), F(tau))
-            )
+    cases = [(m, tau, idx) for m in (odd, far) for tau in (10, F(3, 2)) for idx in (None, [2, 0, 1])]
+    wants = [
+        _field_inertia(_qrads(metric._power(*metric._integers(m, idx), F(tau))))
+        for m, tau, idx in cases
+    ]
+    split = metric._rational_form
+
+    def exponents_only(parts, d):
+        assert not any(isinstance(c, metric._Surd) for row in parts for c, _ in row)
+        assert split(parts, d) is None
+        return None
+
+    def unreachable(a):
+        raise AssertionError("_exact_form reached")
+
+    def no_qrad(self, *args, **kwargs):
+        raise AssertionError("QRad built")
+
+    monkeypatch.setattr(metric, "_rational_form", exponents_only)
+    monkeypatch.setattr(metric, "_exact_form", unreachable)
+    monkeypatch.setattr(QRad, "__init__", no_qrad)
+    for (m, tau, idx), want in zip(cases, wants):
+        assert spectral_signature(m, tau, idx) == want
+        if idx is None:
             assert hpp_eigen_check(m, [tau]) == (F(tau) if want[0] > 1 else None)
     assert spectral_signature(far, 10) == (2, 2, 0)
 
@@ -850,9 +908,9 @@ def test_exponents_beyond_half_integers_keep_their_error():
 
 def test_exact_roots_of_a_perfect_power_base():
     # 8^(k/3) = 2^k and (27/8)^(k/3) = (3/2)^k: thirds are powered exactly
-    assert power_entry(8, F(1, 3)) == 2
-    assert power_entry(F(27, 8), F(-2, 3)) == F(4, 9)
-    assert power_entry(4, F(3, 2)) == 8
+    assert _power_entry(8, F(1, 3)) == 2
+    assert _power_entry(F(27, 8), F(-2, 3)) == F(4, 9)
+    assert _power_entry(4, F(3, 2)) == 8
     assert metric._exact_root(F(2**64, 3**128), 64) == F(2, 9)
     assert metric._exact_root(F(10), 3) is None
     assert metric._exact_root(F(8), 10**9) is None
@@ -1031,12 +1089,14 @@ def test_a_tree_metric_the_grower_refuses_falls_back_to_the_scan_and_the_walk(mo
 
 def _qrad_star_violator(m):
     """First subset, by size and then lexicographically, whose determinant
-    sign from one QRad elimination of its block breaks the star rule."""
+    sign from one field elimination of its block of QRads breaks the star
+    rule."""
     n = len(m)
+    q = _qrads(m)
     for r in range(1, n + 1):
         for xs in combinations(range(n), r):
-            _, q, z = metric._inertia([[_qrad(m[i][j]) for j in xs] for i in xs])
-            sign = 0 if z else (-1) ** q
+            _, neg, z = _field_inertia([[q[i][j] for j in xs] for i in xs])
+            sign = 0 if z else (-1) ** neg
             if sign < 0 if r % 2 else sign > 0:
                 return xs
     return None
@@ -1227,13 +1287,41 @@ def _radical_matrices(draw):
     return m, mode == "split"
 
 
+def _as_pairs(m):
+    """m, of Fractions and QRads c sqrt(d), with each QRad as a Fraction
+    (d = 1) or as the pair 0 + c sqrt(d): the scalars `inertia` reads."""
+    out = []
+    for row in m:
+        out.append([])
+        for x in row:
+            if isinstance(x, QRad):
+                c, d = x.monomial()
+                x = c if d == 1 else metric._Surd(0, c, d)
+            out[-1].append(x)
+    return out
+
+
+def _radicands(a):
+    return {x.r for row in a for x in row if isinstance(x, metric._Surd)}
+
+
 @settings(max_examples=200, deadline=None)
 @given(_radical_matrices())
 def test_inertia_by_congruence_matches_the_qrad_elimination(case):
+    # QRads are refused; the same values as pairs of one r are read, and
+    # pairs over sqrt 2 and sqrt 3 are refused
     m, splits = case
+    if any(isinstance(x, QRad) for row in m for x in row):
+        with pytest.raises(TypeError):
+            inertia(m)
+    a = _as_pairs(m)
+    if len(_radicands(a)) > 1:
+        with pytest.raises(TypeError):
+            inertia(a)
+        return
     if splits:
-        assert _integer_exact_form(m) is not None
-    assert inertia(m) == metric._inertia([[QRad.of(x) for x in row] for row in m])
+        assert _integer_exact_form(a) is not None
+    assert inertia(a) == _field_inertia(m)
 
 
 def _descartes_inertia(m):
@@ -1347,29 +1435,43 @@ def _oracle_matrices(draw):
 @settings(max_examples=300, deadline=None)
 @given(_oracle_matrices())
 def test_inertia_matches_the_characteristic_polynomial(case):
+    # m's QRads as pairs; pairs over sqrt 2 and sqrt 3 are refused
     m, rational = case
-    assert (_integer_exact_form(m) is not None) == rational
-    assert inertia(m) == _descartes_inertia(m)
+    a = _as_pairs(m)
+    if len(_radicands(a)) > 1:
+        with pytest.raises(TypeError):
+            inertia(a)
+        return
+    assert (_integer_exact_form(a) is not None) == rational
+    assert inertia(a) == _descartes_inertia(m)
 
 
-def _scalar_kinds(m, rational):
-    """m as each scalar kind `_inertia` runs on: its own entries (Fractions,
-    with QRads when it has no rational form), QRads, and, when it is
-    rational, ints, m times the lcm of its denominators."""
-    forms = [m, [[QRad.of(x) for x in row] for row in m]]
-    if rational:
-        s = lcm(*(x.denominator for row in m for x in row))
-        forms.append([[int(x * s) for x in row] for row in m])
-    return forms
+@settings(max_examples=300, deadline=None)
+@given(_oracle_matrices())
+def test_field_elimination_matches_the_characteristic_polynomial(case):
+    m, _ = case
+    assert _field_inertia(m) == _descartes_inertia(m)
+
+
+def _walk_form(a):
+    """a, of Fractions and pairs 0 + c sqrt(r) of one r, times the lcm of
+    its denominators: the ints and pairs of ints that `_inertia` walks."""
+    s = lcm(*(F(x.b if isinstance(x, metric._Surd) else x).denominator for row in a for x in row))
+    return [
+        [metric._Surd(0, int(x.b * s), x.r) if isinstance(x, metric._Surd) else int(x * s) for x in row]
+        for row in a
+    ]
 
 
 @settings(max_examples=200, deadline=None)
 @given(_oracle_matrices())
 def test_inertia_walk_matches_the_characteristic_polynomial_on_every_scalar_kind(case):
-    m, rational = case
-    want = _descartes_inertia(m)
-    for a in _scalar_kinds(m, rational):
-        assert metric._inertia([row[:] for row in a]) == want
+    # the walk's two kinds: ints, and ints with pairs of ints of one r (the
+    # odd cycles over sqrt 2); m over sqrt 2 and sqrt 3 is neither
+    m, _ = case
+    a = _as_pairs(m)
+    if len(_radicands(a)) <= 1:
+        assert metric._inertia(_walk_form(a)) == _descartes_inertia(m)
 
 
 def test_inertia_resumes_at_a_zero_pivot_with_the_last_pivot():
@@ -1384,21 +1486,27 @@ def test_inertia_resumes_at_a_zero_pivot_with_the_last_pivot():
     ]
     assert m[0][0] * m[1][1] - m[0][1] ** 2 == 0
     fm = [[F(x) for x in row] for row in m]
-    assert _descartes_inertia(fm) == (2, 2, 0)
-    for a in _scalar_kinds(fm, True):
-        assert metric._inertia([row[:] for row in a]) == (2, 2, 0)
+    assert _descartes_inertia(fm) == _field_inertia(fm) == (2, 2, 0)
+    assert metric._inertia([row[:] for row in m]) == inertia(fm) == (2, 2, 0)
+    # the same over Z[sqrt 2]: a unit upper triangular congruence keeps the
+    # leading minors, the zero one among them
+    v = [[(int(i == j), 0) if i >= j else (0, 1) for j in range(4)] for i in range(4)]
+    pm = _pairs(_congruent([[(x, 0) for x in row] for row in m], v, 2), 2)
+    assert metric._inertia(pm) == (2, 2, 0)
 
 
 def test_rational_form_refuses_what_does_not_split():
-    r2 = QRad.sqrt_of(2)
+    r2, r3 = metric._Surd(0, 1, 2), metric._Surd(0, 1, 3)
     # an odd cycle of sqrt 2 entries: no parities p_i + p_j = 1 on all three
     cycle = [[F(1), r2, r2], [r2, F(1), r2], [r2, r2, F(1)]]
     assert _integer_exact_form(cycle) is None
-    assert inertia(cycle) == metric._inertia([row[:] for row in cycle])
-    two = [[F(0), r2, F(1)], [r2, F(0), QRad.sqrt_of(3)], [F(1), QRad.sqrt_of(3), F(0)]]
-    assert _integer_exact_form(two) is None
+    assert inertia(cycle) == _field_inertia(_qrads(cycle))
+    # pairs over two values of r are refused
+    two = [[F(0), r2, F(1)], [r2, F(0), r3], [F(1), r3, F(0)]]
+    with pytest.raises(TypeError):
+        metric._exact_form(two)
     assert _integer_exact_form([[r2]]) is None  # irrational diagonal
-    assert _integer_exact_form([[r2 + 1]]) is None  # two terms in one entry
+    assert _integer_exact_form([[metric._Surd(1, 1, 2)]]) is None  # two terms in one entry
 
 
 # --- pairs a + b sqrt(r): the scalars of a powered matrix that does not split --
@@ -1517,10 +1625,10 @@ def _pair_walk_inputs(draw):
 @given(_pair_walk_inputs())
 def test_pair_walk_matches_qrads_and_the_characteristic_polynomial(case):
     a, r, want = case
-    qrads = [[_qrad(x) for x in row] for row in a]
+    qrads = _qrads(a)
     if want is None:
         want = _descartes_inertia(qrads)
-    assert metric._inertia([row[:] for row in qrads]) == want
+    assert _field_inertia(qrads) == want
     assert metric._inertia([row[:] for row in a]) == want
     assert inertia(a) == want
 
@@ -1534,13 +1642,13 @@ def test_pair_walk_settles_zero_pivots_on_pairs():
     swap = _pairs([[(0, 0), (1, 1), (0, 0)], [(1, 1), (0, 0), (0, 0)], [(0, 0), (0, 0), (3, -1)]], r)
     # the leading block of swap is hyperbolic, and 3 - sqrt 2 > 0
     for m, want in ((hollow, None), (swap, (2, 1, 0))):
-        qrads = [[_qrad(x) for x in row] for row in m]
+        qrads = _qrads(m)
         want = want or _descartes_inertia(qrads)
-        assert metric._inertia([row[:] for row in m]) == want == metric._inertia(qrads)
+        assert metric._inertia([row[:] for row in m]) == want == _field_inertia(qrads)
 
 
 def test_a_pair_is_not_hashable_and_compares_by_value():
-    x = power_entry(F(2**61 - 1), F(1, 2))
+    x = _power_entry(F(2**61 - 1), F(1, 2))
     assert isinstance(x, metric._Surd) and (x.a, x.b, x.r) == (0, 1, 2**61 - 1)
     with pytest.raises(TypeError):
         hash(x)
@@ -1549,11 +1657,27 @@ def test_a_pair_is_not_hashable_and_compares_by_value():
 
 
 def test_exact_form_refuses_what_the_pair_walk_cannot_read():
-    x = power_entry(10, F(1, 2))
+    x = _power_entry(10, F(1, 2))
     with pytest.raises(TypeError):
         inertia([[x, 1.5], [1.5, x]])
     with pytest.raises(TypeError):
-        inertia([[F(0), x], [x, power_entry(3, F(1, 2))]])
+        inertia([[F(0), x], [x, _power_entry(3, F(1, 2))]])
+
+
+def test_qrad_entries_are_refused_as_floats_are():
+    # a one-radicand monomial and a sum, on and off the diagonal
+    r2 = QRad.sqrt_of(2)
+    for x in (r2, r2 + QRad.sqrt_of(3)):
+        for m in ([[F(1), x], [x, F(3)]], [[x, F(0)], [F(0), F(1)]]):
+            for check in (
+                lambda: inertia(m),
+                lambda: star_condition_check(m),
+                lambda: star_condition_check(m, [[0], [0, 1]]),
+                lambda: metric._exact_form(m),
+            ):
+                with pytest.raises(TypeError):
+                    check()
+    assert not hasattr(metric, "QRad") and not hasattr(metric, "radicals")
 
 
 @settings(max_examples=120, deadline=None)
